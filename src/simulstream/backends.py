@@ -13,7 +13,9 @@ time when driving real servers.
 from __future__ import annotations
 
 import json
+import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Protocol
@@ -84,6 +86,10 @@ class AsrScript:
     seed: int = 0
     cost_base_s: float = 0.1
     cost_per_audio_s: float = 0.01
+    # Script indices ordered by word start time, and those start times, so
+    # a decode can bisect to its window instead of scanning every word.
+    _by_start: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "words", tuple(self.words))
@@ -92,11 +98,20 @@ class AsrScript:
         if self.stabilization_delay_s < 0:
             raise InvalidArgumentError("stabilization_delay_s must be >= 0")
         for w in self.words:
+            if not (math.isfinite(w.start_s) and math.isfinite(w.end_s)):
+                raise InvalidArgumentError(
+                    f"word {w.text!r} has a non-finite time [{w.start_s}, {w.end_s}]"
+                )
             if w.end_s > self.audio_duration_s:
                 raise InvalidArgumentError(
                     f"word {w.text!r} ends at {w.end_s} beyond audio duration "
                     f"{self.audio_duration_s}"
                 )
+        by_start = sorted(range(len(self.words)), key=lambda i: self.words[i].start_s)
+        object.__setattr__(self, "_by_start", tuple(by_start))
+        object.__setattr__(
+            self, "_starts", tuple(self.words[i].start_s for i in by_start)
+        )
 
 
 @dataclass(frozen=True)
@@ -168,9 +183,14 @@ def mock_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
         )
     end = min(end, script.audio_duration_s)
     stable_before = end - script.stabilization_delay_s
+    # Words start no later than they end, so only those starting inside the
+    # window can lie in it; sorting their indices restores script order.
+    lo = bisect_left(script._starts, start)
+    hi = bisect_right(script._starts, end, lo)
     words = []
-    for i, w in enumerate(script.words):
-        if w.start_s < start or w.end_s > end:
+    for i in sorted(script._by_start[lo:hi]):
+        w = script.words[i]
+        if w.end_s > end:
             continue
         text = w.text
         if w.end_s > stable_before:
@@ -290,16 +310,21 @@ class MockScripts:
 
 
 def load_mock_script(path: str | Path) -> MockScripts:
-    """Load a mock script pair from JSON.
+    """Load a mock script pair from a JSON file (layout: ``parse_mock_script``)."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InvalidArgumentError(f"mock script {path}: invalid JSON: {exc}") from exc
+    return parse_mock_script(data)
+
+
+def parse_mock_script(data: object) -> MockScripts:
+    """Build a mock script pair from decoded JSON.
 
     Layout: {"seed": int, "asr": {"words": [{"text", "start_s", "end_s"}...],
     "audio_duration_s": float, ...}, "mt": {"word_map": {...}, ...}} with all
     perturbation and cost knobs optional.
     """
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(f"mock script {path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidArgumentError("mock script must be a JSON object")
     seed = int(data.get("seed", 0))

@@ -342,23 +342,23 @@ def stream_laal(
 # --- file interfaces ---------------------------------------------------------
 
 
+def dump_emission_log(records: Sequence[EmissionRecord]) -> str:
+    """The emission log as canonical JSONL text, one line per record."""
+    return "".join(
+        _canonical_line(
+            {
+                "token": r.token,
+                "segment_ordinal": r.segment_ordinal,
+                "nca_time_s": r.nca_time_s,
+                "ca_time_s": r.ca_time_s,
+            }
+        )
+        for r in records
+    )
+
+
 def write_emission_log(records: Sequence[EmissionRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "token": r.token,
-                        "segment_ordinal": r.segment_ordinal,
-                        "nca_time_s": r.nca_time_s,
-                        "ca_time_s": r.ca_time_s,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+    Path(path).write_text(dump_emission_log(records), encoding="utf-8")
 
 
 def read_emission_log(path: str | Path) -> list[EmissionRecord]:
@@ -385,24 +385,28 @@ def read_emission_log(path: str | Path) -> list[EmissionRecord]:
     return records
 
 
+def dump_reference_segments(refs: Sequence[ReferenceSegment]) -> str:
+    """Reference segments as canonical JSONL text, one line per segment."""
+    return "".join(
+        _canonical_line(
+            {
+                "tokens": list(r.tokens),
+                "source_start_s": r.source_start_s,
+                "source_end_s": r.source_end_s,
+            }
+        )
+        for r in refs
+    )
+
+
 def write_reference_segments(
     refs: Sequence[ReferenceSegment], path: str | Path
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in refs:
-            fh.write(
-                json.dumps(
-                    {
-                        "tokens": list(r.tokens),
-                        "source_start_s": r.source_start_s,
-                        "source_end_s": r.source_end_s,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+    Path(path).write_text(dump_reference_segments(refs), encoding="utf-8")
+
+
+def _canonical_line(obj: dict) -> str:
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def read_reference_segments(path: str | Path) -> list[ReferenceSegment]:

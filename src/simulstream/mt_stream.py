@@ -17,6 +17,7 @@ from typing import Sequence
 from .backends import MtBackend, MtRequest
 from .core import (
     SENTINEL,
+    BackendError,
     BeamSet,
     EmissionRecord,
     InvalidArgumentError,
@@ -90,12 +91,25 @@ class MtStreamController:
         self.translate_calls = 0
         self.evictions = 0
         self.dropped_beams = 0
+        # Evictions that ended over budget because only the active chunk
+        # was left, and the largest buffer any eviction left behind.
+        self.budget_overflows = 0
+        self.max_buffered_words = 0
 
     def step(self, new_source_words: Sequence[str]) -> list[EmissionRecord]:
         """Feed freshly committed source words; emit whatever agrees.
 
-        A step with no new words is a no-op. A backend failure propagates
-        before any state change, so the step is retryable.
+        A step with no new words is a no-op. Otherwise the step keeps
+        translating for as long as each call closes a segment, active
+        source remains and wait-k lets the next segment start, so no ready
+        segment waits for later audio. Each call charges its compute to the
+        clock.
+
+        If the first backend call fails with a ``BackendError``, the words
+        are taken back out before the error propagates, so the step is
+        retryable. A failure in a later call propagates too, but the
+        segments closed before it stay closed and their tokens are lost to
+        the caller: the stream cannot continue.
         """
         if not new_source_words:
             return []
@@ -106,11 +120,28 @@ class MtStreamController:
                 raise InvalidArgumentError(
                     f"the reserved sentinel {SENTINEL!r} cannot appear as input"
                 )
-        self.history.active_source.extend(new_source_words)
-        self.segment_source_words_read += len(new_source_words)
+        history = self.history
+        count = len(new_source_words)
+        history.active_source.extend(new_source_words)
+        self.segment_source_words_read += count
         if not waitk_allows(self.config.waitk, self.segment_source_words_read):
             return []
-        return self._translate_and_emit()
+        closed = self.segment_ordinal
+        try:
+            records = self._translate_and_emit()
+        except BackendError:
+            del history.active_source[-count:]
+            self.segment_source_words_read -= count
+            raise
+        # Terminates: every closure consumes at least one active word.
+        while (
+            self.segment_ordinal > closed
+            and history.active_source
+            and waitk_allows(self.config.waitk, self.segment_source_words_read)
+        ):
+            closed = self.segment_ordinal
+            records += self._translate_and_emit()
+        return records
 
     def flush(self, max_rounds: int = 64) -> list[EmissionRecord]:
         """End of stream: keep translating the leftover active source.
@@ -227,11 +258,13 @@ class MtStreamController:
         while history.buffered_source_words() > config.max_buffer_words:
             if config.history_remove == "oldest_sentence_pair":
                 if not history.source_sentences:
+                    self.budget_overflows += 1
                     break
                 history.source_sentences.pop(0)
                 history.target_sentences.pop(0)
             else:
                 if history.history_source_words() == 0:
+                    self.budget_overflows += 1
                     break
                 _drop_oldest_words(history.source_sentences, config.history_remove_words)
                 _drop_oldest_words(history.target_sentences, config.history_remove_words)
@@ -243,6 +276,9 @@ class MtStreamController:
                     history.source_sentences.pop(0)
                     history.target_sentences.pop(0)
             self.evictions += 1
+        self.max_buffered_words = max(
+            self.max_buffered_words, history.buffered_source_words()
+        )
 
 
 def _drop_oldest_words(sentences: list[list[str]], count: int) -> None:

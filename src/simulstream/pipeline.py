@@ -10,7 +10,7 @@ yields a byte-identical emission log.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -125,6 +125,8 @@ class RunSummary:
     segments_closed: int = 0
     tokens_emitted: int = 0
     evictions: int = 0
+    budget_overflows: int = 0
+    max_buffered_words: int = 0
     asr_calls: int = 0
     mt_calls: int = 0
     sentence_trims: int = 0
@@ -132,19 +134,7 @@ class RunSummary:
     final_now_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "audio_s": self.audio_s,
-            "events": self.events,
-            "words_committed": self.words_committed,
-            "segments_closed": self.segments_closed,
-            "tokens_emitted": self.tokens_emitted,
-            "evictions": self.evictions,
-            "asr_calls": self.asr_calls,
-            "mt_calls": self.mt_calls,
-            "sentence_trims": self.sentence_trims,
-            "force_trims": self.force_trims,
-            "final_now_s": self.final_now_s,
-        }
+        return asdict(self)
 
 
 class Pipeline:
@@ -192,6 +182,8 @@ class Pipeline:
             segments_closed=self.mt.segment_ordinal,
             tokens_emitted=len(self.records),
             evictions=self.mt.evictions,
+            budget_overflows=self.mt.budget_overflows,
+            max_buffered_words=self.mt.max_buffered_words,
             asr_calls=self.asr.decodes,
             mt_calls=self.mt.translate_calls,
             sentence_trims=self.asr.sentence_trims,

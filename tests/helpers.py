@@ -13,8 +13,22 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from simulstream.backends import AsrScript, MtScript
-from simulstream.core import SENTINEL, BeamHypothesis, BeamSet, TimedWord
+from simulstream.backends import (
+    _EXTENT_SLACK_S,
+    AsrRequest,
+    AsrResponse,
+    AsrScript,
+    MtScript,
+    _perturb_word,
+)
+from simulstream.core import (
+    SENTINEL,
+    AsrHypothesis,
+    BeamHypothesis,
+    BeamSet,
+    InvalidArgumentError,
+    TimedWord,
+)
 from simulstream.pipeline import TraceEvent
 
 
@@ -112,6 +126,29 @@ def oracle_laal(delays: list[float], span: float, ref_len: int) -> float:
             break
     denom = max(y, ref_len)
     return sum(delays[i - 1] - (i - 1) * span / denom for i in range(1, tau + 1)) / tau
+
+
+def oracle_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
+    """The mock ASR decode as a scan over every script word, in script order."""
+    start, end = request.window_start_s, request.window_end_s
+    if start < 0 or start > end or end > script.audio_duration_s + _EXTENT_SLACK_S:
+        raise InvalidArgumentError(
+            f"window [{start}, {end}] outside audio extent "
+            f"[0, {script.audio_duration_s}]"
+        )
+    end = min(end, script.audio_duration_s)
+    stable_before = end - script.stabilization_delay_s
+    words = []
+    for i, w in enumerate(script.words):
+        if w.start_s < start or w.end_s > end:
+            continue
+        text = w.text
+        if w.end_s > stable_before:
+            rng = random.Random(f"{script.seed}:asr:{end!r}:{i}:{w.text}")
+            text = _perturb_word(w.text, rng)
+        words.append(TimedWord(text, w.start_s, w.end_s))
+    cost = script.cost_base_s + script.cost_per_audio_s * (end - start)
+    return AsrResponse(AsrHypothesis(tuple(words), start), cost)
 
 
 # --- builders -----------------------------------------------------------------

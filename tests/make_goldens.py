@@ -3,10 +3,14 @@
 Run manually (`python tests/make_goldens.py`) after an intentional change
 to pipeline behavior, then review the diff before committing. Everything
 here is deterministic, so an unchanged engine reproduces identical bytes.
+`python tests/make_goldens.py --check` regenerates every fixture in memory,
+writes nothing, and exits 1 naming each file under tests/data/ that
+differs from its regenerated bytes (or that nothing here generates).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 import sys
@@ -16,10 +20,29 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from helpers import synth_sentences, timed_words  # noqa: E402
 
-from simulstream.backends import MockAsrBackend, MockMtBackend, MtScript, load_mock_script  # noqa: E402
-from simulstream.metrics import ReferenceSegment, write_reference_segments  # noqa: E402
-from simulstream.pipeline import Pipeline, preset_config, read_trace  # noqa: E402
-from simulstream.metrics import write_emission_log  # noqa: E402
+from simulstream.backends import (  # noqa: E402
+    AsrRequest,
+    AsrResponse,
+    MockAsrBackend,
+    MockMtBackend,
+    MtRequest,
+    MtResponse,
+    MtScript,
+    parse_mock_script,
+)
+from simulstream.core import AsrHypothesis, BeamHypothesis, BeamSet, TimedWord  # noqa: E402
+from simulstream.metrics import (  # noqa: E402
+    ReferenceSegment,
+    dump_emission_log,
+    dump_reference_segments,
+)
+from simulstream.pipeline import Pipeline, TraceEvent, preset_config  # noqa: E402
+from simulstream.wire import (  # noqa: E402
+    encode_asr_request,
+    encode_asr_response,
+    encode_mt_request,
+    encode_mt_response,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -33,7 +56,48 @@ WORD_MAP = {
 }
 
 
-def main() -> None:
+def _json_file(obj: dict) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _wire_fixtures() -> dict[str, str]:
+    """One request and one reply of each kind, as the README shows them."""
+    asr_request = AsrRequest(
+        stream_id="talk01", window_start_s=2.5, window_end_s=7.25, beam_size=5
+    )
+    mt_request = MtRequest(
+        history_source=(("der", "hund", "bellt."), ("die", "katze", "schläft."), ("es", "regnet.")),
+        history_target=(("the", "dog", "barks."), ("the", "cat", "sleeps."), ("it", "rains.")),
+        active_source=("wir", "gehen"),
+        committed_target=("we",),
+        beam_size=10,
+        attention_layer_tag="6",
+    )
+    asr_response = AsrResponse(
+        AsrHypothesis((TimedWord("Hello", 2.5, 3.0), TimedWord("world.", 3.1, 3.8)), 2.5),
+        0.147,
+    )
+    rows = ((1.0, 0.0), (0.0, 1.0))
+    mt_response = MtResponse(
+        BeamSet(
+            (
+                BeamHypothesis(("we", "go"), 0.0, rows),
+                BeamHypothesis(("we", "go"), -1.0, rows),
+            ),
+            2,
+        ),
+        0.1 + 0.01 * 2,  # the mock MT's cost for two active words
+    )
+    return {
+        "wire_requests.jsonl": f"{encode_asr_request(asr_request)}\n"
+        f"{encode_mt_request(mt_request)}\n",
+        "wire_responses.jsonl": f"{encode_asr_response(asr_response)}\n"
+        f"{encode_mt_response(mt_response)}\n",
+    }
+
+
+def build_fixtures() -> dict[str, str]:
+    """Every fixture under tests/data/, by file name, as text."""
     rng = random.Random(2025)
     sentences = []
     total_words = 0
@@ -55,28 +119,18 @@ def main() -> None:
         },
         "mt": {"word_map": WORD_MAP},
     }
-    (DATA / "mock_script_60s.json").write_text(
-        json.dumps(script, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    fixtures = {"mock_script_60s.json": _json_file(script)}
 
-    trace_lines = [
-        json.dumps({"t": float(i + 1), "kind": "audio", "dur": 1.0}) for i in range(60)
-    ]
-    (DATA / "trace_60s.jsonl").write_text("\n".join(trace_lines) + "\n", encoding="utf-8")
+    trace = [{"t": float(i + 1), "kind": "audio", "dur": 1.0} for i in range(60)]
+    fixtures["trace_60s.jsonl"] = "".join(json.dumps(e) + "\n" for e in trace)
 
-    (DATA / "config_adapted.json").write_text(
-        json.dumps(
-            {
-                "table3": "adapted",
-                "seed": 7,
-                "mock_script": "mock_script_60s.json",
-                "backend": {"kind": "mock"},
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+    fixtures["config_adapted.json"] = _json_file(
+        {
+            "table3": "adapted",
+            "seed": 7,
+            "mock_script": "mock_script_60s.json",
+            "backend": {"kind": "mock"},
+        }
     )
 
     # References: one segment per scripted sentence, tokens as the mock MT
@@ -94,21 +148,57 @@ def main() -> None:
                 source_end_s=segment_words[-1].end_s,
             )
         )
-    write_reference_segments(refs, DATA / "refs_60s.jsonl")
+    fixtures["refs_60s.jsonl"] = dump_reference_segments(refs)
 
-    scripts = load_mock_script(DATA / "mock_script_60s.json")
+    # The golden run goes through the same JSON the CLI would read.
+    scripts = parse_mock_script(json.loads(fixtures["mock_script_60s.json"]))
     pipeline = Pipeline(
         preset_config("adapted", seed=7),
         MockAsrBackend(scripts.asr),
         MockMtBackend(scripts.mt),
     )
-    records, summary = pipeline.run_trace(read_trace(DATA / "trace_60s.jsonl"))
-    write_emission_log(records, DATA / "golden_log_60s.jsonl")
-    (DATA / "golden_summary_60s.json").write_text(
-        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    events = [TraceEvent(t=e["t"], duration_s=e["dur"]) for e in trace]
+    records, summary = pipeline.run_trace(events)
+    fixtures["golden_log_60s.jsonl"] = dump_emission_log(records)
+    fixtures["golden_summary_60s.json"] = _json_file(summary.to_dict())
+
+    fixtures.update(_wire_fixtures())
+    return fixtures
+
+
+def stale_fixtures(fixtures: dict[str, str], data: Path = DATA) -> list[str]:
+    """Files under ``data`` that differ from ``fixtures`` or exist on one side only."""
+    names = set(fixtures) | {p.name for p in data.iterdir() if p.is_file()}
+    return sorted(
+        name
+        for name in names
+        if name not in fixtures
+        or not (data / name).is_file()
+        or (data / name).read_bytes() != fixtures[name].encode("utf-8")
     )
-    print(f"wrote fixtures: {summary.to_dict()}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="write nothing; exit 1 if any fixture differs from its regenerated bytes",
+    )
+    args = parser.parse_args(argv)
+    fixtures = build_fixtures()
+    if args.check:
+        stale = stale_fixtures(fixtures)
+        if stale:
+            print(f"fixtures differ: {' '.join(stale)}", file=sys.stderr)
+            return 1
+        print(f"all {len(fixtures)} fixtures reproduce byte for byte")
+        return 0
+    for name, text in fixtures.items():
+        (DATA / name).write_text(text, encoding="utf-8")
+    print(f"wrote {len(fixtures)} fixtures: {json.loads(fixtures['golden_summary_60s.json'])}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

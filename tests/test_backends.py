@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from helpers import build_scripts, synth_sentences, timed_words
+from helpers import build_scripts, oracle_asr_decode, synth_sentences, timed_words
 from simulstream.backends import (
     AsrRequest,
+    AsrResponse,
     AsrScript,
     MtRequest,
     MtScript,
@@ -72,6 +73,64 @@ def test_asr_decode_outside_extent_is_rejected() -> None:
         mock_asr_decode(script, AsrRequest("s", 0.0, script.audio_duration_s + 1, 5))
     with pytest.raises(InvalidArgumentError):
         mock_asr_decode(script, AsrRequest("s", -1.0, 1.0, 5))
+
+
+def _random_asr_script(rng: random.Random) -> AsrScript:
+    """Words on a quarter-second grid (so start times tie and overlap), in
+    end-time order or shuffled outright."""
+    words = []
+    for _ in range(rng.randint(0, 30)):
+        start = rng.randrange(40) * 0.25
+        end = start + rng.choice([0.0, 0.25, 0.5, 1.0, 2.5])
+        text = rng.choice(["ja", "nein", "Haus", "geht."]) + "x" * rng.randrange(3)
+        words.append(TimedWord(text, start, end))
+    if rng.random() < 0.5:
+        words.sort(key=lambda w: w.end_s)
+    else:
+        rng.shuffle(words)
+    duration = max((w.end_s for w in words), default=0.0) + rng.choice([0.0, 0.5])
+    return AsrScript(
+        words=tuple(words),
+        audio_duration_s=duration,
+        stabilization_delay_s=rng.choice([0.0, 0.6, 2.0]),
+        seed=rng.randrange(100),
+    )
+
+
+def _random_window(rng: random.Random, script: AsrScript) -> tuple[float, float]:
+    duration = script.audio_duration_s
+    points = [0.0, duration, duration + 5e-7, duration + 1.0, -0.25]
+    points += [w.start_s for w in script.words] + [w.end_s for w in script.words]
+    start = rng.choice(points + [rng.uniform(0, duration)])
+    end = rng.choice([start, *points, rng.uniform(start, duration + 0.1)])
+    return start, end
+
+
+def _decode_outcome(decode, script: AsrScript, request: AsrRequest):
+    try:
+        return decode(script, request)
+    except InvalidArgumentError as exc:
+        return str(exc)
+
+
+def test_asr_decode_matches_the_linear_scan_oracle() -> None:
+    rng = random.Random(2718)
+    decoded_words = 0
+    for _ in range(400):
+        script = _random_asr_script(rng)
+        for _ in range(20):
+            start, end = _random_window(rng, script)
+            request = AsrRequest("s", start, end, 5)
+            expected = _decode_outcome(oracle_asr_decode, script, request)
+            assert _decode_outcome(mock_asr_decode, script, request) == expected
+            if isinstance(expected, AsrResponse):
+                decoded_words += len(expected.hypothesis.words)
+    assert decoded_words > 5_000
+
+
+def test_asr_script_rejects_non_finite_word_times() -> None:
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        AsrScript(words=(TimedWord("x", float("nan"), float("nan")),), audio_duration_s=1.0)
 
 
 def test_mt_translate_uppercase_map_with_sentinel_and_diagonal_attention() -> None:

@@ -8,6 +8,7 @@ from helpers import make_beam
 from simulstream.backends import MockMtBackend, MtRequest, MtResponse, MtScript
 from simulstream.core import (
     SENTINEL,
+    BackendError,
     BeamSet,
     InvalidArgumentError,
     ProtocolError,
@@ -52,6 +53,56 @@ def test_full_sentence_closes_one_segment() -> None:
     ]
     assert controller.history.active_source == []
     assert controller.segment_ordinal == 1
+
+
+def test_one_step_closes_every_ready_segment() -> None:
+    controller = _controller(waitk=WaitKConfig(k=3))
+    records = controller.step(["eins", "zwei", "drei.", "vier", "fünf", "sechs."])
+    assert [r.token for r in records] == [
+        "EINS", "ZWEI", "DREI.", SENTINEL, "VIER", "FÜNF", "SECHS.", SENTINEL
+    ]
+    assert [r.segment_ordinal for r in records] == [0] * 4 + [1] * 4
+    assert controller.segment_ordinal == 2
+    assert controller.translate_calls == 2
+    assert controller.history.active_source == []
+
+
+def test_drain_stops_at_the_waitk_gate_and_charges_each_call() -> None:
+    clock = VirtualClock()
+    backend = MockMtBackend(MtScript(cost_base_s=0.5, cost_per_word_s=0.0))
+    controller = MtStreamController(MtStreamConfig(waitk=WaitKConfig(k=3)), backend, clock)
+    records = controller.step(["eins", "zwei.", "drei", "vier.", "fünf", "sechs"])
+    # Once "vier." closes the second segment, the third has read only two
+    # words, so wait-k holds "fünf sechs" for a later step.
+    assert [r.token for r in records] == [
+        "EINS", "ZWEI.", SENTINEL, "DREI", "VIER.", SENTINEL
+    ]
+    assert controller.translate_calls == 2
+    assert controller.history.active_source == ["fünf", "sechs"]
+    assert [r.ca_time_s for r in records] == [0.5] * 3 + [1.0] * 3
+    assert clock.now_s == 1.0
+
+
+def test_backend_failure_on_first_call_leaves_step_retryable() -> None:
+    class FailOnce:
+        def __init__(self) -> None:
+            self.inner = MockMtBackend(MtScript())
+            self.failed = False
+
+        def translate(self, request: MtRequest) -> MtResponse:
+            if not self.failed:
+                self.failed = True
+                raise BackendError("unavailable")
+            return self.inner.translate(request)
+
+    controller = _controller(FailOnce(), waitk=WaitKConfig(k=3))
+    words = ["eins", "zwei", "drei."]
+    with pytest.raises(BackendError):
+        controller.step(words)
+    assert controller.history.active_source == []
+    assert controller.segment_source_words_read == 0
+    records = controller.step(words)
+    assert [r.token for r in records] == ["EINS", "ZWEI", "DREI.", SENTINEL]
 
 
 def test_waitk_gate_holds_short_input() -> None:
@@ -141,6 +192,12 @@ def test_eviction_stops_when_only_active_remains() -> None:
     controller.history.active_source = ["w"] * 25
     controller._evict()  # nothing evictable; must not spin forever
     assert controller.history.buffered_source_words() == 25
+    assert controller.budget_overflows == 1
+    assert controller.max_buffered_words == 25
+    controller.history.active_source = ["w"] * 5
+    controller._evict()
+    assert controller.budget_overflows == 1
+    assert controller.max_buffered_words == 25
 
 
 def test_attention_row_length_mismatch_is_a_protocol_error() -> None:

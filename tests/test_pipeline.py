@@ -17,6 +17,7 @@ from simulstream.pipeline import (
     preset_config,
     read_trace,
 )
+from simulstream.textnorm import has_terminal_mark
 
 
 def _run(sentences, mode="adapted", seed=0, **script_kwargs):
@@ -114,12 +115,47 @@ def test_baseline_mode_runs_end_to_end() -> None:
     )
 
 
-def test_eviction_keeps_buffer_bounded_on_long_streams() -> None:
-    rng = random.Random(113)
-    sentences = synth_sentences(rng, 30)  # enough text to overflow 80 words
-    pipeline, _, summary = _run(sentences)
-    assert summary.evictions >= 1
-    assert pipeline.mt.history.buffered_source_words() <= 80
+NOISY = dict(
+    stabilization_delay_s=0.6, tail_truncate_max=2, tail_perturb_prob=0.3, attention_blur=0.1
+)
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+@pytest.mark.parametrize("mode", ["adapted", "baseline"])
+def test_long_stream_invariants_hold_after_every_step(mode, noisy) -> None:
+    sentences = synth_sentences(random.Random(113), 200)
+    asr_script, mt_script, duration = build_scripts(
+        sentences, seed=3, **(NOISY if noisy else {})
+    )
+    pipeline = Pipeline(
+        preset_config(mode, seed=3), MockAsrBackend(asr_script), MockMtBackend(mt_script)
+    )
+    tokens: list[str] = []
+    transcript: list[str] = []
+    for event in chunked_trace(duration):
+        emitted = pipeline.feed_audio(event.duration_s)
+        assert pipeline.mt.history.buffered_source_words() <= 80
+        assert pipeline.asr.window_length_s <= 30.0
+        committed = pipeline.asr.transcript()
+        assert committed[: len(transcript)] == transcript
+        transcript = committed
+        tokens += [r.token for r in emitted]
+        assert [r.token for r in pipeline.records] == tokens
+        segment = pipeline.mt.history.active_target_committed
+        assert tokens[len(tokens) - len(segment) :] == segment
+        if not noisy:
+            # Every ready segment closed within the step that made it ready.
+            assert not any(has_terminal_mark(w) for w in pipeline.mt.history.active_source)
+    pipeline.finalize()
+    check_emission_log(pipeline.records)
+    assert [r.token for r in pipeline.records][: len(tokens)] == tokens
+    assert pipeline.mt.evictions > 0
+    assert pipeline.mt.max_buffered_words <= 80
+    assert pipeline.mt.budget_overflows == 0
+    if not noisy:
+        streamed = strip_sentinels([r.token for r in pipeline.records])
+        assert streamed == offline_translation(mt_script, pipeline.asr.transcript())
+        assert pipeline.mt.segment_ordinal == len(sentences)
 
 
 def test_read_trace_validates(tmp_path) -> None:
