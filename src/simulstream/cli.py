@@ -17,6 +17,7 @@ from .backends import MockAsrBackend, MockMtBackend, load_mock_script
 from .core import BackendError, InvalidArgumentError, ProtocolError
 from .datagen import GenConfig, generate_samples, load_corpus, write_samples
 from .metrics import (
+    LatencyStats,
     evaluate,
     read_emission_log,
     read_reference_segments,
@@ -25,7 +26,7 @@ from .metrics import (
 from .pipeline import Pipeline, apply_overrides, preset_config, read_trace
 from .wire import WireAsrBackend, WireChannel, WireMtBackend, DEFAULT_TIMEOUT_S
 
-_TABLE_COLUMNS = ("mean_s", "median_s", "p90_s", "p95_s", "p99_s", "max_s")
+_TABLE_COLUMNS = LatencyStats._fields
 _TABLE_HEADERS = ("M", "mdn", "p90", "p95", "p99", "max")
 
 

@@ -8,6 +8,7 @@ rather than escaped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 SENTINEL = "[SEP]"
@@ -225,6 +226,8 @@ class VirtualClock:
         self.now_s = max(self.now_s, self.audio_available_s)
 
     def charge_compute(self, cost_s: float) -> None:
-        if cost_s < 0:
-            raise InvalidArgumentError(f"compute cost must be >= 0, got {cost_s}")
+        if not 0 <= cost_s < math.inf:
+            raise InvalidArgumentError(
+                f"compute cost must be finite and >= 0, got {cost_s}"
+            )
         self.now_s += cost_s

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import unicodedata
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -20,6 +20,9 @@ from typing import Iterable, NamedTuple, Sequence
 from .core import SENTINEL, EmissionRecord, InvalidArgumentError
 
 _INF = float("inf")
+# Half-width of the first diagonal band resegment tries; it doubles until
+# the optimum provably lies inside.
+_BAND_START = 4
 
 
 @dataclass(frozen=True)
@@ -62,24 +65,17 @@ class LatencyStats(NamedTuple):
     max_s: float
 
 
-@dataclass(frozen=True)
-class LatencyReport:
-    mean_s: float
-    median_s: float
-    p90_s: float
-    p95_s: float
-    p99_s: float
-    max_s: float
-    per_segment: tuple[tuple[int, float], ...]
+class LatencyReport(
+    namedtuple("LatencyReport", [*LatencyStats._fields, "per_segment"])
+):
+    """``LatencyStats`` of per-segment values, plus ``per_segment``: their
+    (segment index, value) pairs."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
-            "mean_s": self.mean_s,
-            "median_s": self.median_s,
-            "p90_s": self.p90_s,
-            "p95_s": self.p95_s,
-            "p99_s": self.p99_s,
-            "max_s": self.max_s,
+            **self._asdict(),
             "per_segment": [[i, v] for i, v in self.per_segment],
         }
 
@@ -117,6 +113,11 @@ def resegment(
     slice and its reference (dynamic programming over hypothesis position
     and reference token position); among optimal placements the earliest
     boundaries win. Sentinels must already be stripped from ``hyp_tokens``.
+
+    The result is exact, but the suffix table only covers a band around the
+    diagonal of the grid, widened until the optimum provably lies inside it
+    (Ukkonen 1985), so near-diagonal alignments cost
+    O((|hyp| + sum |ref|) * band) rather than O(|hyp| * sum |ref|).
     """
     hyp = list(hyp_tokens)
     n = len(hyp)
@@ -126,37 +127,22 @@ def resegment(
             raise InvalidArgumentError("cannot resegment tokens against zero segments")
         return []
 
-    # suffix[k][j]: minimum total cost of aligning hyp[j:] with segments k..m-1.
-    # Computed per segment as a layered edit-distance DP over (ref position t,
-    # hyp position j); once a segment's reference is fully consumed (t == len)
-    # the slice may still absorb hyp tokens at insertion cost before the free
-    # handoff to the next segment.
-    suffix: list[list[float]] = [[_INF] * (n + 1) for _ in range(m + 1)]
-    suffix[m][n] = 0.0
-    for k in range(m - 1, -1, -1):
-        ref = refs[k].tokens
-        next_layer = suffix[k + 1]
-        row = [_INF] * (n + 1)
-        for j in range(n, -1, -1):
-            best = next_layer[j]
-            if j < n and row[j + 1] + 1 < best:
-                best = row[j + 1] + 1
-            row[j] = best
-        for t in range(len(ref) - 1, -1, -1):
-            prev_row = row
-            row = [_INF] * (n + 1)
-            for j in range(n, -1, -1):
-                best = prev_row[j] + 1  # delete ref token t
-                if j < n:
-                    if row[j + 1] + 1 < best:  # insert hyp token j
-                        best = row[j + 1] + 1
-                    step = prev_row[j + 1] + (hyp[j] != ref[t])
-                    if step < best:
-                        best = step
-                row[j] = best
-        suffix[k] = row
+    # A path through cell (j, g) of the grid of hyp position j and global
+    # reference position g pays at least |j - g| + |(n - total) - (j - g)|
+    # insertions and deletions, which exceeds skew + 2 * width outside the
+    # band. So once the banded optimum is within that, every optimal path
+    # lies inside the band and the walk below finds the same boundaries.
+    total = sum(len(r.tokens) for r in refs)
+    skew = abs(n - total)
+    width = _BAND_START
+    while True:
+        suffix = _banded_suffix(hyp, refs, total, width)
+        best = _cost_at(suffix[0], 0)
+        if best <= skew + 2 * width or width >= min(n, total):
+            break
+        width *= 2
 
-    if math.isinf(suffix[0][0]):
+    if math.isinf(best):
         raise InvalidArgumentError("resegmentation found no feasible split")
 
     # Forward greedy walk: for each segment take the earliest end position
@@ -166,12 +152,12 @@ def resegment(
     start = 0
     for k in range(m):
         ref = refs[k].tokens
-        target = suffix[k][start]
+        target = _cost_at(suffix[k], start)
         dist = list(range(len(ref) + 1))
         end = None
         j = start
         while True:
-            if dist[len(ref)] + suffix[k + 1][j] == target:
+            if dist[len(ref)] + _cost_at(suffix[k + 1], j) == target:
                 end = j
                 break
             if j == n:
@@ -190,6 +176,64 @@ def resegment(
         slices.append(hyp[start:end])
         start = end
     return slices
+
+
+def _banded_suffix(
+    hyp: list[str], refs: Sequence[ReferenceSegment], total: int, width: int
+) -> list[tuple[int, list[float]]]:
+    """The suffix table of ``resegment`` restricted to a diagonal band.
+
+    Entry k is (lo, costs): costs[i] is the minimum total cost of aligning
+    hyp[lo + i:] with segments k..m-1 along paths whose every cell (j, g)
+    has min(0, n - total) - width <= j - g <= max(0, n - total) + width;
+    cells outside the band read as +inf.
+    Each layer is computed as an edit-distance DP over reference positions
+    t, from the segment's end back to its start; once a segment's
+    reference is fully consumed the slice may still absorb hyp tokens at
+    insertion cost before the free handoff to the next segment.
+    """
+    n = len(hyp)
+    below = min(0, n - total) - width  # the band's least j - g
+    above = max(0, n - total) + width  # and its greatest
+    padded = [*hyp, None]  # j == n has no token; its substitution reads +inf
+    g = total
+    lo, hi = max(0, g + below), min(n, g + above)
+    row: list[float] = [_INF] * (hi - lo + 1)
+    row[n - lo] = 0
+    suffix = [(lo, row)]
+    for k in range(len(refs) - 1, -1, -1):
+        row = row[:]
+        for i in range(len(row) - 2, -1, -1):
+            if row[i + 1] + 1 < row[i]:
+                row[i] = row[i + 1] + 1
+        ref = refs[k].tokens
+        for t in range(len(ref) - 1, -1, -1):
+            g -= 1
+            token = ref[t]
+            new_lo, new_hi = max(0, g + below), min(n, g + above)
+            # Layer t + 1 at j = new_lo .. new_hi + 1, +inf past its band.
+            prev = [_INF] * (lo - new_lo) + row + [_INF] * (new_hi + 1 - hi)
+            words = padded[new_lo : new_hi + 1]
+            row = [_INF] * len(words)
+            right = _INF  # row at j + 1
+            for i in range(len(words) - 1, -1, -1):
+                best = prev[i] + 1  # delete ref token t
+                step = prev[i + 1] + (words[i] != token)
+                if step < best:
+                    best = step
+                if right + 1 < best:  # insert hyp token j
+                    best = right + 1
+                row[i] = right = best
+            lo, hi = new_lo, new_hi
+        suffix.append((lo, row))
+    suffix.reverse()
+    return suffix
+
+
+def _cost_at(layer: tuple[int, list[float]], j: int) -> float:
+    lo, costs = layer
+    i = j - lo
+    return costs[i] if 0 <= i < len(costs) else _INF
 
 
 def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:

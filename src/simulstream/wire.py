@@ -28,13 +28,14 @@ is rejected in input words, which makes the joined form unambiguous.
 from __future__ import annotations
 
 import json
+import math
 import os
 import selectors
 import socket
 import subprocess
 import sys
 import time
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, NoReturn, Sequence
 
 from .backends import AsrRequest, AsrResponse, MtRequest, MtResponse
 from .core import (
@@ -58,9 +59,13 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise ProtocolError(f"non-finite number {name} is not valid JSON")
+
+
 def _parse(line: str) -> dict:
     try:
-        obj = json.loads(line)
+        obj = json.loads(line, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"malformed JSON line: {exc}; payload: {line!r}") from exc
     if not isinstance(obj, dict):
@@ -75,6 +80,21 @@ def _field(obj: dict, name: str, kinds, path: str):
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ProtocolError(f"field '{path}{name}' has wrong type: {value!r}")
     return value
+
+
+def _str_list(obj: dict, name: str, path: str) -> tuple[str, ...]:
+    value = _field(obj, name, list, path)
+    for i, item in enumerate(value):
+        if not isinstance(item, str):
+            raise ProtocolError(f"field '{path}{name}[{i}]' must be a string: {item!r}")
+    return tuple(value)
+
+
+def _compute_cost(obj: dict) -> float:
+    cost = float(_field(obj, "compute_cost_s", (int, float), ""))
+    if not 0 <= cost < math.inf:  # an overflowing literal such as 1e999 reads as inf
+        raise ProtocolError(f"field 'compute_cost_s' must be finite and >= 0, got {cost}")
+    return cost
 
 
 def _check_envelope(obj: dict, kind: str) -> None:
@@ -162,9 +182,7 @@ def decode_asr_response(line: str) -> AsrResponse:
         except InvalidArgumentError as exc:
             raise ProtocolError(f"field 'words[{i}]' invalid: {exc}") from exc
     offset = float(_field(obj, "window_offset_s", (int, float), ""))
-    cost = float(_field(obj, "compute_cost_s", (int, float), ""))
-    if cost < 0:
-        raise ProtocolError(f"field 'compute_cost_s' must be >= 0, got {cost}")
+    cost = _compute_cost(obj)
     try:
         hypothesis = AsrHypothesis(tuple(words), offset)
     except InvalidArgumentError as exc:
@@ -190,14 +208,6 @@ def encode_mt_request(request: MtRequest) -> str:
     )
 
 
-def _str_list(obj: dict, name: str) -> tuple[str, ...]:
-    value = _field(obj, name, list, "")
-    for i, item in enumerate(value):
-        if not isinstance(item, str):
-            raise ProtocolError(f"field '{name}[{i}]' must be a string: {item!r}")
-    return tuple(value)
-
-
 def decode_mt_request(line: str) -> MtRequest:
     obj = _parse(line)
     _check_envelope(obj, "mt")
@@ -208,8 +218,8 @@ def decode_mt_request(line: str) -> MtRequest:
         history_target=_split_history(
             _field(obj, "history_target", str, ""), "history_target"
         ),
-        active_source=_str_list(obj, "active_source"),
-        committed_target=_str_list(obj, "committed_target"),
+        active_source=_str_list(obj, "active_source", ""),
+        committed_target=_str_list(obj, "committed_target", ""),
         beam_size=_field(obj, "beam_size", int, ""),
         attention_layer_tag=_field(obj, "attention_layer_tag", str, ""),
     )
@@ -243,7 +253,7 @@ def decode_mt_response(line: str) -> MtResponse:
         path = f"beams[{i}]."
         if not isinstance(item, dict):
             raise ProtocolError(f"field 'beams[{i}]' must be an object")
-        tokens = _str_list_at(item, "tokens", path)
+        tokens = _str_list(item, "tokens", path)
         score = float(_field(item, "score", (int, float), path))
         raw_rows = _field(item, "attention", list, path)
         rows = []
@@ -260,22 +270,12 @@ def decode_mt_response(line: str) -> MtResponse:
         except InvalidArgumentError as exc:
             raise ProtocolError(f"field 'beams[{i}]' invalid: {exc}") from exc
     requested = _field(obj, "requested_size", int, "")
-    cost = float(_field(obj, "compute_cost_s", (int, float), ""))
-    if cost < 0:
-        raise ProtocolError(f"field 'compute_cost_s' must be >= 0, got {cost}")
+    cost = _compute_cost(obj)
     try:
         beam_set = BeamSet(tuple(beams), requested)
     except InvalidArgumentError as exc:
         raise ProtocolError(f"field 'beams' invalid: {exc}") from exc
     return MtResponse(beams=beam_set, compute_cost_s=cost)
-
-
-def _str_list_at(obj: dict, name: str, path: str) -> tuple[str, ...]:
-    value = _field(obj, name, list, path)
-    for i, item in enumerate(value):
-        if not isinstance(item, str):
-            raise ProtocolError(f"field '{path}{name}[{i}]' must be a string")
-    return tuple(value)
 
 
 # --- transports ---------------------------------------------------------------

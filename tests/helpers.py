@@ -9,9 +9,11 @@ not tautology.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from simulstream.backends import (
     _EXTENT_SLACK_S,
@@ -29,7 +31,10 @@ from simulstream.core import (
     InvalidArgumentError,
     TimedWord,
 )
+from simulstream.metrics import ReferenceSegment
 from simulstream.pipeline import TraceEvent
+
+_INF = float("inf")
 
 
 # --- oracles ------------------------------------------------------------------
@@ -112,6 +117,91 @@ def oracle_resegment_cost(hyp: list[str], ref_token_lists: list[tuple[str, ...]]
             best_cost = cost
             best_bounds = cuts
     return best_cost, best_bounds
+
+
+def oracle_resegment(
+    hyp_tokens: Sequence[str], refs: Sequence[ReferenceSegment]
+) -> list[list[str]]:
+    """Full-table resegmentation: the library's DP without the diagonal band.
+
+    Splits the hypothesis into one contiguous slice per reference segment.
+    Boundaries minimize the total word-level edit distance between each
+    slice and its reference (dynamic programming over hypothesis position
+    and reference token position); among optimal placements the earliest
+    boundaries win. Sentinels must already be stripped from ``hyp_tokens``.
+    """
+    hyp = list(hyp_tokens)
+    n = len(hyp)
+    m = len(refs)
+    if m == 0:
+        if hyp:
+            raise InvalidArgumentError("cannot resegment tokens against zero segments")
+        return []
+
+    # suffix[k][j]: minimum total cost of aligning hyp[j:] with segments k..m-1.
+    # Computed per segment as a layered edit-distance DP over (ref position t,
+    # hyp position j); once a segment's reference is fully consumed (t == len)
+    # the slice may still absorb hyp tokens at insertion cost before the free
+    # handoff to the next segment.
+    suffix: list[list[float]] = [[_INF] * (n + 1) for _ in range(m + 1)]
+    suffix[m][n] = 0.0
+    for k in range(m - 1, -1, -1):
+        ref = refs[k].tokens
+        next_layer = suffix[k + 1]
+        row = [_INF] * (n + 1)
+        for j in range(n, -1, -1):
+            best = next_layer[j]
+            if j < n and row[j + 1] + 1 < best:
+                best = row[j + 1] + 1
+            row[j] = best
+        for t in range(len(ref) - 1, -1, -1):
+            prev_row = row
+            row = [_INF] * (n + 1)
+            for j in range(n, -1, -1):
+                best = prev_row[j] + 1  # delete ref token t
+                if j < n:
+                    if row[j + 1] + 1 < best:  # insert hyp token j
+                        best = row[j + 1] + 1
+                    step = prev_row[j + 1] + (hyp[j] != ref[t])
+                    if step < best:
+                        best = step
+                row[j] = best
+        suffix[k] = row
+
+    if math.isinf(suffix[0][0]):
+        raise InvalidArgumentError("resegmentation found no feasible split")
+
+    # Forward greedy walk: for each segment take the earliest end position
+    # that still achieves the optimal total cost, growing an incremental
+    # edit-distance row dist[t] = edit(hyp[start:j], ref[:t]).
+    slices: list[list[str]] = []
+    start = 0
+    for k in range(m):
+        ref = refs[k].tokens
+        target = suffix[k][start]
+        dist = list(range(len(ref) + 1))
+        end = None
+        j = start
+        while True:
+            if dist[len(ref)] + suffix[k + 1][j] == target:
+                end = j
+                break
+            if j == n:
+                break
+            new = [dist[0] + 1] + [0] * len(ref)
+            for t in range(1, len(ref) + 1):
+                new[t] = min(
+                    dist[t] + 1,
+                    new[t - 1] + 1,
+                    dist[t - 1] + (hyp[j] != ref[t - 1]),
+                )
+            dist = new
+            j += 1
+        if end is None:
+            raise InvalidArgumentError("resegmentation walk diverged from DP table")
+        slices.append(hyp[start:end])
+        start = end
+    return slices
 
 
 def oracle_laal(delays: list[float], span: float, ref_len: int) -> float:

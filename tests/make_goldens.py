@@ -16,7 +16,8 @@ import random
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
 from helpers import synth_sentences, timed_words  # noqa: E402
 
@@ -44,7 +45,7 @@ from simulstream.wire import (  # noqa: E402
     encode_mt_response,
 )
 
-DATA = Path(__file__).parent / "data"
+DATA = HERE / "data"
 
 WORD_MAP = {
     "alpha": "anfang",

@@ -66,6 +66,14 @@ def test_clock_rejects_negative_amounts() -> None:
         clock.charge_compute(-0.1)
 
 
+@pytest.mark.parametrize("cost", [float("nan"), float("inf"), float("-inf")])
+def test_clock_rejects_non_finite_compute_cost(cost) -> None:
+    clock = VirtualClock(audio_available_s=5.0, now_s=5.0)
+    with pytest.raises(InvalidArgumentError):
+        clock.charge_compute(cost)
+    assert clock.now_s == 5.0
+
+
 def test_timed_word_validation() -> None:
     TimedWord("ok", 0.0, 0.5)
     with pytest.raises(InvalidArgumentError):

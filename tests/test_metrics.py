@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from helpers import oracle_laal, oracle_levenshtein, oracle_resegment_cost
+from helpers import (
+    oracle_laal,
+    oracle_levenshtein,
+    oracle_resegment,
+    oracle_resegment_cost,
+)
+from simulstream import metrics
 from simulstream.core import SENTINEL, EmissionRecord, InvalidArgumentError
 from simulstream.metrics import (
     ReferenceSegment,
@@ -155,6 +161,113 @@ def test_resegment_matches_brute_force_on_random_cases() -> None:
         for s in slices:
             got_cuts.append(got_cuts[-1] + len(s))
         assert got_cuts == best_cuts  # earliest-boundary tie break
+
+
+def _edited(rng: random.Random, tokens: list[str], edits: int, alphabet: str) -> list[str]:
+    """A copy of ``tokens`` with random substitutions, insertions and deletions."""
+    out = list(tokens)
+    for _ in range(edits):
+        kind = rng.randrange(3)
+        position = rng.randint(0, len(out))
+        if kind == 0:
+            out.insert(position, rng.choice(alphabet))
+        elif position < len(out):
+            if kind == 1:
+                del out[position]
+            else:
+                out[position] = rng.choice(alphabet)
+    return out
+
+
+def _random_refs(rng: random.Random, segments: int, max_len: int, alphabet: str):
+    token_lists = [
+        [rng.choice(alphabet) for _ in range(rng.randint(0, max_len))]
+        for _ in range(segments)
+    ]
+    return _refs(*((t, float(i), float(i + 1)) for i, t in enumerate(token_lists)))
+
+
+def _band_widths(monkeypatch) -> list[int]:
+    """Record the band width of every suffix pass resegment makes."""
+    widths: list[int] = []
+    banded = metrics._banded_suffix
+
+    def spy(hyp, refs, total, width):
+        widths.append(width)
+        return banded(hyp, refs, total, width)
+
+    monkeypatch.setattr(metrics, "_banded_suffix", spy)
+    return widths
+
+
+def test_banded_resegment_matches_full_table_on_near_copies() -> None:
+    rng = random.Random(41)
+    for _ in range(400):
+        alphabet = rng.choice(("ab", "abcd", "abcdefghij"))
+        refs = _random_refs(rng, rng.randint(1, 12), 8, alphabet)
+        flat = [t for r in refs for t in r.tokens]
+        hyp = _edited(rng, flat, rng.randint(0, 25), alphabet + "z")
+        assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
+
+
+def test_banded_resegment_widens_the_band_on_unrelated_hypotheses(monkeypatch) -> None:
+    widths = _band_widths(monkeypatch)
+    rng = random.Random(43)
+    for _ in range(150):
+        refs = _random_refs(rng, rng.randint(3, 10), 8, "abc")
+        total = sum(len(r.tokens) for r in refs)
+        hyp = [rng.choice("xyz") for _ in range(total + rng.randint(-3, 3))]
+        widths.clear()
+        assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
+        # Nothing matches, so the optimum costs max(n, total) and only a band
+        # covering at least half the grid can prove it.
+        assert widths == [metrics._BAND_START * 2**i for i in range(len(widths))]
+        assert 2 * widths[-1] >= min(len(hyp), total)
+
+
+def test_banded_resegment_keeps_an_optimal_path_on_the_band_edge() -> None:
+    # Every split of b^w a^w against (a^w, b^w) costs 2w, the most the first
+    # band can prove. The earliest one leaves the first slice empty, and its
+    # path deletes all of a^w before it matches: it runs along the band's edge.
+    for width in (metrics._BAND_START, 2 * metrics._BAND_START):
+        refs = _refs((["a"] * width, 0.0, 1.0), (["b"] * width, 1.0, 2.0))
+        hyp = ["b"] * width + ["a"] * width
+        assert resegment(hyp, refs) == oracle_resegment(hyp, refs) == [[], hyp]
+
+
+def test_banded_resegment_handles_empty_sides_and_skewed_lengths() -> None:
+    rng = random.Random(47)
+    for _ in range(200):
+        refs = _random_refs(rng, rng.randint(1, 8), 4, "abc")
+        flat = [t for r in refs for t in r.tokens]
+        shape = rng.randrange(4)
+        if shape == 0:  # empty hypothesis
+            hyp: list[str] = []
+        elif shape == 1:  # hypothesis far longer than the references
+            hyp = [rng.choice("abcz") for _ in range(len(flat) * 4 + rng.randint(5, 40))]
+        elif shape == 2:  # hypothesis far shorter than the references
+            hyp = [t for t in flat if rng.random() < 0.15]
+        else:  # repeated copies of the references
+            hyp = _edited(rng, flat * rng.randint(2, 5), rng.randint(0, 6), "abcz")
+        assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
+    only_empty = _refs(([], 0.0, 1.0), ([], 1.0, 2.0), ([], 2.0, 3.0))
+    for hyp in ([], ["a"], ["a", "b", "c", "d"]):
+        assert resegment(hyp, only_empty) == oracle_resegment(hyp, only_empty)
+
+
+def test_banded_resegment_matches_full_table_on_a_long_stream(monkeypatch) -> None:
+    widths = _band_widths(monkeypatch)
+    rng = random.Random(53)
+    token_lists = [
+        [rng.choice("abcdefghijklmnop") for _ in range(rng.randint(3, 8))]
+        for _ in range(180)
+    ]
+    refs = _refs(*((t, float(i), float(i + 1)) for i, t in enumerate(token_lists)))
+    flat = [t for r in refs for t in r.tokens]
+    assert 900 <= len(flat) <= 1100
+    hyp = _edited(rng, flat, 40, "abcdefghijklmnopz")
+    assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
+    assert widths[-1] <= 32  # a few dozen edits keep the band narrow
 
 
 def test_resegment_rejects_tokens_without_segments() -> None:

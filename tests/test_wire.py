@@ -95,6 +95,67 @@ def test_invalid_word_payload_is_a_protocol_error() -> None:
         decode_asr_response(json.dumps(obj))
 
 
+def _golden_lines(name: str) -> list[str]:
+    return (DATA / name).read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_asr_request_with_non_finite_number_is_rejected(literal) -> None:
+    line = _golden_lines("wire_requests.jsonl")[0].replace("7.25", literal)
+    with pytest.raises(ProtocolError, match=literal):
+        decode_asr_request(line)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_asr_response_with_non_finite_number_is_rejected(literal) -> None:
+    line = _golden_lines("wire_responses.jsonl")[0]
+    for field in ('"compute_cost_s":0.147', '"start_s":2.5', '"end_s":3.8'):
+        name = field.split(":")[0]
+        with pytest.raises(ProtocolError, match=literal):
+            decode_asr_response(line.replace(field, f"{name}:{literal}"))
+
+
+def test_overflowing_compute_cost_is_rejected() -> None:
+    asr, mt = _golden_lines("wire_responses.jsonl")[:2]
+    with pytest.raises(ProtocolError, match="compute_cost_s"):
+        decode_asr_response(asr.replace('"compute_cost_s":0.147', '"compute_cost_s":1e999'))
+    with pytest.raises(ProtocolError, match="compute_cost_s"):
+        decode_mt_response(
+            mt.replace('"compute_cost_s":0.12000000000000001', '"compute_cost_s":1e999')
+        )
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_mt_request_with_non_finite_number_is_rejected(literal) -> None:
+    line = _golden_lines("wire_requests.jsonl")[1]
+    line = line.replace('"beam_size":10', f'"beam_size":{literal}')
+    with pytest.raises(ProtocolError, match=literal):
+        decode_mt_request(line)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_mt_response_with_non_finite_number_is_rejected(literal) -> None:
+    line = _golden_lines("wire_responses.jsonl")[1]
+    for field, value in (
+        ('"compute_cost_s":0.12000000000000001', f'"compute_cost_s":{literal}'),
+        ('"score":-1.0', f'"score":{literal}'),
+        ('"attention":[[1.0,0.0]', f'"attention":[[{literal},0.0]'),
+    ):
+        with pytest.raises(ProtocolError, match=literal):
+            decode_mt_response(line.replace(field, value, 1))
+
+
+def test_string_list_errors_name_their_path() -> None:
+    request = json.loads(_golden_lines("wire_requests.jsonl")[1])
+    request["active_source"][1] = 7
+    with pytest.raises(ProtocolError, match=r"'active_source\[1\]' must be a string: 7"):
+        decode_mt_request(json.dumps(request))
+    response = json.loads(_golden_lines("wire_responses.jsonl")[1])
+    response["beams"][1]["tokens"][0] = None
+    with pytest.raises(ProtocolError, match=r"'beams\[1\]\.tokens\[0\]' must be a string"):
+        decode_mt_response(json.dumps(response))
+
+
 def _spawn_mock_server(tmp_path):
     rng = random.Random(29)
     asr_script, mt_script, duration = build_scripts(synth_sentences(rng, 2), seed=4)
