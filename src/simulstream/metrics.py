@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .core import SENTINEL, EmissionRecord, InvalidArgumentError
 
 _INF = float("inf")
-# Half-width of the first diagonal band resegment tries; it doubles until
+# Half-width of the first diagonal band resegment tries; it widens until
 # the optimum provably lies inside.
 _BAND_START = 4
 
@@ -140,7 +140,13 @@ def resegment(
         best = _cost_at(suffix[0], 0)
         if best <= skew + 2 * width or width >= min(n, total):
             break
-        width *= 2
+        # A wider band keeps every path of this one, so its optimum is at
+        # most best, and a half-width of (best - skew) / 2 is sure to pass
+        # the test above. Doubling wins when the optimal path strays little
+        # from the diagonal, so it is tried only while the doubled band
+        # stays under an eighth of the sure one.
+        sure = math.ceil((best - skew) / 2)
+        width = min(2 * width if 16 * width < sure else sure, n, total)
 
     if math.isinf(best):
         raise InvalidArgumentError("resegmentation found no feasible split")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -221,8 +222,56 @@ def test_banded_resegment_widens_the_band_on_unrelated_hypotheses(monkeypatch) -
         assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
         # Nothing matches, so the optimum costs max(n, total) and only a band
         # covering at least half the grid can prove it.
-        assert widths == [metrics._BAND_START * 2**i for i in range(len(widths))]
+        assert widths[0] == metrics._BAND_START
         assert 2 * widths[-1] >= min(len(hyp), total)
+
+
+def test_banded_resegment_matches_full_table_on_heavy_edits() -> None:
+    rng = random.Random(59)
+    for _ in range(200):
+        alphabet = rng.choice(("abcd", "abcdefghijklmnop"))
+        refs = _random_refs(rng, rng.randint(4, 20), 10, alphabet)
+        flat = [t for r in refs for t in r.tokens]
+        edits = round(len(flat) * rng.uniform(0.3, 0.6))
+        hyp = _edited(rng, flat, edits, alphabet + "z")
+        assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
+
+
+def _long_refs(rng: random.Random, alphabet: str):
+    token_lists = [
+        [rng.choice(alphabet) for _ in range(rng.randint(3, 8))] for _ in range(180)
+    ]
+    return _refs(*((t, float(i), float(i + 1)) for i, t in enumerate(token_lists)))
+
+
+def test_banded_resegment_jumps_to_a_sure_band_on_an_unrelated_long_stream(
+    monkeypatch,
+) -> None:
+    widths = _band_widths(monkeypatch)
+    refs = _long_refs(random.Random(61), "abcdefghijklmnop")
+    total = sum(len(r.tokens) for r in refs)
+    hyp = ["z"] * total
+    assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
+    # The optimum, total substitutions, needs half-width total / 2. Doubling
+    # stops well short of it and one pass jumps there; the guesses before
+    # it are narrower than a quarter of that band.
+    assert widths[-1] == (total + 1) // 2
+    assert sum(widths[1:-1]) < widths[-1] / 4
+
+
+def test_banded_resegment_doubles_for_a_long_stretch_off_the_diagonal(
+    monkeypatch,
+) -> None:
+    widths = _band_widths(monkeypatch)
+    refs = _long_refs(random.Random(67), "abcdefghijklmnop")
+    flat = [t for r in refs for t in r.tokens]
+    # Ten tokens inserted near the start and ten deleted near the end: the
+    # optimal path runs ten cells off the diagonal for most of the grid, so
+    # a narrow band pays a substitution for nearly every token between.
+    a, b = len(flat) // 10, 9 * len(flat) // 10
+    hyp = flat[:a] + ["z"] * 10 + flat[a:b] + flat[b + 10 :]
+    assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
+    assert widths == [4, 8, 16]
 
 
 def test_banded_resegment_keeps_an_optimal_path_on_the_band_edge() -> None:
@@ -324,6 +373,19 @@ def test_bleu_tokenize_splits_edge_punctuation() -> None:
 
 
 # --- stream_laal --------------------------------------------------------------
+
+
+def test_latency_report_to_dict_keeps_keys_and_values() -> None:
+    report = stream_laal(
+        [_record("a", 1.0), _record("b", 2.5)],
+        _refs((["a"], 0.0, 1.0), (["b"], 1.0, 2.0)),
+        [["a"], ["b"]],
+        "nca",
+    )
+    assert json.dumps(report.to_dict()) == (
+        '{"mean_s": 1.25, "median_s": 1.0, "p90_s": 1.5, "p95_s": 1.5, '
+        '"p99_s": 1.5, "max_s": 1.5, "per_segment": [[0, 1.0], [1, 1.5]]}'
+    )
 
 
 def test_laal_token_per_second_case() -> None:
