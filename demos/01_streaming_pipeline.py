@@ -30,7 +30,7 @@ asr_script = AsrScript(
 mt_script = MtScript(word_map={"the": "das", "we": "wir", "now.": "jetzt."})
 
 pipeline = Pipeline(
-    preset_config("adapted", seed=3),
+    preset_config("adapted"),
     MockAsrBackend(asr_script),
     MockMtBackend(mt_script),
 )

@@ -45,7 +45,6 @@ class AsrStreamState:
     started: bool = False
     prev_hypothesis: AsrHypothesis | None = None
     committed: list[TimedWord] = field(default_factory=list)
-    committed_sentence_ends: list[int] = field(default_factory=list)
     # Committed words the current window still covers; the agreement skips
     # this many hypothesis positions so nothing is emitted twice.
     committed_in_window: int = 0
@@ -138,18 +137,12 @@ class AsrStreamController:
         state.committed_in_window = agreed
         state.prev_hypothesis = current
 
-        first_new = len(state.committed) - len(newly)
-        new_bounds = [
-            i
-            for i in range(first_new, len(state.committed))
-            if is_sentence_terminal(state.committed[i].text, self.config.abbreviations)
-        ]
-        state.committed_sentence_ends.extend(new_bounds)
-
         start = state.window_start_s
-        if new_bounds:
-            start = state.committed[new_bounds[-1]].end_s
-            self.sentence_trims += 1
+        for word in reversed(newly):
+            if is_sentence_terminal(word.text, self.config.abbreviations):
+                start = word.end_s
+                self.sentence_trims += 1
+                break
         if audio - start > self.config.max_window_s:
             # Force trim: keep every agreed word, advance at least to the
             # last committed word, and never leave more than a full window.

@@ -265,24 +265,20 @@ def mock_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:
 
 
 class MockAsrBackend:
-    """ASR backend contract over a script; counts calls for run summaries."""
+    """ASR backend contract over a script."""
 
     def __init__(self, script: AsrScript) -> None:
         self.script = script
-        self.calls = 0
 
     def decode(self, request: AsrRequest) -> AsrResponse:
-        self.calls += 1
         return mock_asr_decode(self.script, request)
 
 
 class MockMtBackend:
     def __init__(self, script: MtScript) -> None:
         self.script = script
-        self.calls = 0
 
     def translate(self, request: MtRequest) -> MtResponse:
-        self.calls += 1
         return mock_mt_translate(self.script, request)
 
 

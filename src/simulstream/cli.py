@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -48,7 +49,7 @@ def _build_backends(config: dict, config_dir: Path):
     closers = []
     if kind == "mock":
         script_path = config.get("mock_script")
-        if not script_path:
+        if not isinstance(script_path, str) or not script_path:
             raise InvalidArgumentError("config needs 'mock_script' for mock backends")
         scripts = load_mock_script(config_dir / script_path)
         return MockAsrBackend(scripts.asr), MockMtBackend(scripts.mt), closers
@@ -58,10 +59,14 @@ def _build_backends(config: dict, config_dir: Path):
             isinstance(c, str) for c in command
         ):
             raise InvalidArgumentError("wire backend needs 'command': [str, ...]")
+        timeout = backend.get("timeout_s", DEFAULT_TIMEOUT_S)
+        if type(timeout) not in (int, float) or not 0 < timeout < math.inf:
+            raise InvalidArgumentError(f"'timeout_s' must be a number > 0: {timeout!r}")
+        measure = backend.get("measure_compute", False)
+        if type(measure) is not bool:
+            raise InvalidArgumentError(f"'measure_compute' must be a bool: {measure!r}")
         channel = WireChannel.spawn(command)
         closers.append(channel.close)
-        timeout = float(backend.get("timeout_s", DEFAULT_TIMEOUT_S))
-        measure = bool(backend.get("measure_compute", False))
         return (
             WireAsrBackend(channel, timeout, measure),
             WireMtBackend(channel, timeout, measure),
@@ -73,7 +78,7 @@ def _build_backends(config: dict, config_dir: Path):
 def cmd_simulate(args: argparse.Namespace) -> int:
     config_raw = _load_json(args.config)
     mode = config_raw.get("table3", "adapted")
-    config = preset_config(mode, seed=int(config_raw.get("seed", 0)))
+    config = preset_config(mode)
     config = apply_overrides(config, config_raw.get("overrides", {}))
     events = read_trace(args.trace)
     asr_backend, mt_backend, closers = _build_backends(

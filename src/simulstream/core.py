@@ -8,12 +8,23 @@ rather than escaped.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 SENTINEL = "[SEP]"
 
 ATTENTION_SUM_TOL = 1e-6
+
+
+def _reject_non_finite(name: str) -> NoReturn:
+    raise ValueError(f"non-finite number {name} is not valid JSON")
+
+
+# ``json.loads`` minus the NaN and Infinity literals JSON lacks; one shared
+# decoder, since ``json.loads`` builds one per call when given a keyword.
+strict_json_loads = json.JSONDecoder(parse_constant=_reject_non_finite).decode
 
 
 class InvalidArgumentError(ValueError):

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import unicodedata
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import SENTINEL, EmissionRecord, InvalidArgumentError
+from .core import SENTINEL, EmissionRecord, InvalidArgumentError, strict_json_loads
 
 _INF = float("inf")
 # Half-width of the first diagonal band resegment tries; it widens until
@@ -411,6 +412,14 @@ def write_emission_log(records: Sequence[EmissionRecord], path: str | Path) -> N
     Path(path).write_text(dump_emission_log(records), encoding="utf-8")
 
 
+def _finite(obj: dict, key: str) -> float:
+    value = obj[key]
+    # Bounded by the largest float, so an integer too large for one fails too.
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
 def read_emission_log(path: str | Path) -> list[EmissionRecord]:
     records = []
     for lineno, line in enumerate(
@@ -419,16 +428,19 @@ def read_emission_log(path: str | Path) -> list[EmissionRecord]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = strict_json_loads(line)
+            token, ordinal = obj["token"], obj["segment_ordinal"]
+            if type(token) is not str or type(ordinal) is not int:
+                raise TypeError(f"want str token, int ordinal: {token!r}, {ordinal!r}")
             records.append(
                 EmissionRecord(
-                    token=obj["token"],
-                    segment_ordinal=obj["segment_ordinal"],
-                    nca_time_s=obj["nca_time_s"],
-                    ca_time_s=obj["ca_time_s"],
+                    token=token,
+                    segment_ordinal=ordinal,
+                    nca_time_s=_finite(obj, "nca_time_s"),
+                    ca_time_s=_finite(obj, "ca_time_s"),
                 )
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise InvalidArgumentError(
                 f"{path}:{lineno}: bad emission record: {exc}"
             ) from exc
@@ -467,15 +479,18 @@ def read_reference_segments(path: str | Path) -> list[ReferenceSegment]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = strict_json_loads(line)
+            tokens = obj["tokens"]
+            if type(tokens) is not list or not all(type(t) is str for t in tokens):
+                raise TypeError(f"tokens must be a list of strings, got {tokens!r}")
             refs.append(
                 ReferenceSegment(
-                    tokens=tuple(obj["tokens"]),
-                    source_start_s=obj["source_start_s"],
-                    source_end_s=obj["source_end_s"],
+                    tokens=tuple(tokens),
+                    source_start_s=_finite(obj, "source_start_s"),
+                    source_end_s=_finite(obj, "source_end_s"),
                 )
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise InvalidArgumentError(
                 f"{path}:{lineno}: bad reference segment: {exc}"
             ) from exc

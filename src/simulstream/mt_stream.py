@@ -28,6 +28,7 @@ from .core import (
 from .policy import RalcpConfig, WaitKConfig, ralcp_emit, waitk_allows
 
 HISTORY_REMOVE_MODES = ("oldest_sentence_pair", "word_count")
+_FLUSH_MAX_ROUNDS = 64  # caps flush against a backend that never stops emitting
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ class MtStreamController:
             records += self._translate_and_emit()
         return records
 
-    def flush(self, max_rounds: int = 64) -> list[EmissionRecord]:
+    def flush(self) -> list[EmissionRecord]:
         """End of stream: keep translating the leftover active source.
 
         The wait-k gate is bypassed; with nothing left to read, holding
@@ -151,7 +152,7 @@ class MtStreamController:
         that emits nothing.
         """
         records: list[EmissionRecord] = []
-        for _ in range(max_rounds):
+        for _ in range(_FLUSH_MAX_ROUNDS):
             if not self.history.active_source:
                 break
             emitted = self._translate_and_emit()

@@ -3,8 +3,8 @@
 A trace is a list of audio-availability events. Each event advances the
 shared virtual clock, triggers an ASR step, and feeds whatever words were
 committed into the MT step. ``finalize`` drains both controllers at end of
-stream. Replaying the same trace with the same configuration and seed
-yields a byte-identical emission log.
+stream. Replaying the same trace with the same configuration and mock
+scripts yields a byte-identical emission log.
 """
 
 from __future__ import annotations
@@ -28,24 +28,9 @@ PIPELINE_MODES = ("adapted", "baseline")
 class PipelineConfig:
     asr: AsrStreamConfig
     mt: MtStreamConfig
-    matcher: MatchConfig
-    mode: str
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in PIPELINE_MODES:
-            raise InvalidArgumentError(
-                f"mode must be one of {PIPELINE_MODES}, got {self.mode!r}"
-            )
-        expected = "oldest_sentence_pair" if self.mode == "adapted" else "word_count"
-        if self.mt.history_remove != expected:
-            raise InvalidArgumentError(
-                f"mode {self.mode!r} requires history_remove {expected!r}, "
-                f"got {self.mt.history_remove!r}"
-            )
 
 
-def preset_config(mode: str, seed: int = 0) -> PipelineConfig:
+def preset_config(mode: str) -> PipelineConfig:
     """Inference defaults for the two system variants.
 
     Shared: 1 s initial wait, 1 s decode chunk, ASR beam 5, wait-k 3,
@@ -56,12 +41,11 @@ def preset_config(mode: str, seed: int = 0) -> PipelineConfig:
     """
     if mode not in PIPELINE_MODES:
         raise InvalidArgumentError(f"mode must be one of {PIPELINE_MODES}, got {mode!r}")
-    matcher = MatchConfig(levenshtein_threshold=2)
     asr = AsrStreamConfig(
         max_window_s=30.0,
         min_chunk_s=1.0,
         initial_wait_s=1.0,
-        matcher=matcher,
+        matcher=MatchConfig(levenshtein_threshold=2),
         backend_beam=5,
     )
     mt = MtStreamConfig(
@@ -72,7 +56,7 @@ def preset_config(mode: str, seed: int = 0) -> PipelineConfig:
         history_remove_words=20,
         attention_layer_tag="6",
     )
-    return PipelineConfig(asr=asr, mt=mt, matcher=matcher, mode=mode, seed=seed)
+    return PipelineConfig(asr=asr, mt=mt)
 
 
 @dataclass(frozen=True)
@@ -196,18 +180,15 @@ class Pipeline:
 def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
     """Apply a nested override dict from a config file onto the preset.
 
-    Recognized sections: "asr", "mt", "ralcp", "waitk", "matcher", plus the
-    top-level "seed". Unknown keys are rejected so typos cannot silently
+    Recognized sections: "asr", "mt", "ralcp", "waitk" and "matcher" (the
+    ASR word matcher). Unknown keys are rejected so typos cannot silently
     run with defaults.
     """
+    if not isinstance(overrides, dict):
+        raise InvalidArgumentError("overrides must be an object")
     asr = config.asr
     mt = config.mt
-    matcher = config.matcher
-    seed = config.seed
     for section, value in overrides.items():
-        if section == "seed":
-            seed = int(value)
-            continue
         if not isinstance(value, dict):
             raise InvalidArgumentError(f"override section {section!r} must be an object")
         try:
@@ -220,12 +201,11 @@ def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
             elif section == "waitk":
                 mt = replace(mt, waitk=replace(mt.waitk, **value))
             elif section == "matcher":
-                matcher = replace(matcher, **value)
-                asr = replace(asr, matcher=matcher)
+                asr = replace(asr, matcher=replace(asr.matcher, **value))
             else:
                 raise InvalidArgumentError(f"unknown override section {section!r}")
         except TypeError as exc:
             raise InvalidArgumentError(
                 f"bad override in section {section!r}: {exc}"
             ) from exc
-    return PipelineConfig(asr=asr, mt=mt, matcher=matcher, mode=config.mode, seed=seed)
+    return PipelineConfig(asr=asr, mt=mt)

@@ -28,14 +28,14 @@ is rejected in input words, which makes the joined form unambiguous.
 from __future__ import annotations
 
 import json
-import math
 import os
 import selectors
 import socket
 import subprocess
 import sys
 import time
-from typing import BinaryIO, NoReturn, Sequence
+from dataclasses import replace
+from typing import BinaryIO, Sequence
 
 from .backends import AsrRequest, AsrResponse, MtRequest, MtResponse
 from .core import (
@@ -47,6 +47,7 @@ from .core import (
     InvalidArgumentError,
     ProtocolError,
     TimedWord,
+    strict_json_loads,
 )
 
 PROTOCOL_VERSION = 1
@@ -59,14 +60,10 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def _reject_constant(name: str) -> NoReturn:
-    raise ProtocolError(f"non-finite number {name} is not valid JSON")
-
-
 def _parse(line: str) -> dict:
     try:
-        obj = json.loads(line, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+        obj = strict_json_loads(line)
+    except ValueError as exc:
         raise ProtocolError(f"malformed JSON line: {exc}; payload: {line!r}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(f"expected JSON object, got: {line!r}")
@@ -90,10 +87,19 @@ def _str_list(obj: dict, name: str, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _number(obj: dict, name: str, path: str) -> float:
+    value = _field(obj, name, (int, float), path)
+    # An overflowing literal such as 1e999 reads as inf; a huge integer
+    # overflows float().
+    if not abs(value) <= sys.float_info.max:
+        raise ProtocolError(f"field '{path}{name}' must be finite, got {value!r}")
+    return float(value)
+
+
 def _compute_cost(obj: dict) -> float:
-    cost = float(_field(obj, "compute_cost_s", (int, float), ""))
-    if not 0 <= cost < math.inf:  # an overflowing literal such as 1e999 reads as inf
-        raise ProtocolError(f"field 'compute_cost_s' must be finite and >= 0, got {cost}")
+    cost = _number(obj, "compute_cost_s", "")
+    if cost < 0:
+        raise ProtocolError(f"field 'compute_cost_s' must be >= 0, got {cost}")
     return cost
 
 
@@ -141,8 +147,8 @@ def decode_asr_request(line: str) -> AsrRequest:
     _check_envelope(obj, "asr")
     return AsrRequest(
         stream_id=_field(obj, "stream_id", str, ""),
-        window_start_s=float(_field(obj, "window_start_s", (int, float), "")),
-        window_end_s=float(_field(obj, "window_end_s", (int, float), "")),
+        window_start_s=_number(obj, "window_start_s", ""),
+        window_end_s=_number(obj, "window_end_s", ""),
         beam_size=_field(obj, "beam_size", int, ""),
     )
 
@@ -175,13 +181,13 @@ def decode_asr_response(line: str) -> AsrResponse:
             words.append(
                 TimedWord(
                     text=_field(item, "text", str, path),
-                    start_s=float(_field(item, "start_s", (int, float), path)),
-                    end_s=float(_field(item, "end_s", (int, float), path)),
+                    start_s=_number(item, "start_s", path),
+                    end_s=_number(item, "end_s", path),
                 )
             )
         except InvalidArgumentError as exc:
             raise ProtocolError(f"field 'words[{i}]' invalid: {exc}") from exc
-    offset = float(_field(obj, "window_offset_s", (int, float), ""))
+    offset = _number(obj, "window_offset_s", "")
     cost = _compute_cost(obj)
     try:
         hypothesis = AsrHypothesis(tuple(words), offset)
@@ -254,7 +260,7 @@ def decode_mt_response(line: str) -> MtResponse:
         if not isinstance(item, dict):
             raise ProtocolError(f"field 'beams[{i}]' must be an object")
         tokens = _str_list(item, "tokens", path)
-        score = float(_field(item, "score", (int, float), path))
+        score = _number(item, "score", path)
         raw_rows = _field(item, "attention", list, path)
         rows = []
         for j, row in enumerate(raw_rows):
@@ -368,8 +374,8 @@ class WireChannel:
         self._on_close()
 
 
-class WireAsrBackend:
-    """ASR backend over a wire channel.
+class _WireBackend:
+    """A backend over a wire channel.
 
     With ``measure_compute`` the reported cost is replaced by measured host
     time, for driving real servers; leave it off for deterministic tests.
@@ -385,10 +391,17 @@ class WireAsrBackend:
         self.timeout_s = timeout_s
         self.measure_compute = measure_compute
 
-    def decode(self, request: AsrRequest) -> AsrResponse:
+    def _roundtrip(self, line: str, decode):
         started = time.monotonic()
-        reply = self.channel.roundtrip(encode_asr_request(request), self.timeout_s)
-        response = decode_asr_response(reply)
+        response = decode(self.channel.roundtrip(line, self.timeout_s))
+        if self.measure_compute:
+            response = replace(response, compute_cost_s=time.monotonic() - started)
+        return response
+
+
+class WireAsrBackend(_WireBackend):
+    def decode(self, request: AsrRequest) -> AsrResponse:
+        response = self._roundtrip(encode_asr_request(request), decode_asr_response)
         for i, word in enumerate(response.hypothesis.words):
             if word.start_s < request.window_start_s or word.end_s > request.window_end_s:
                 raise ProtocolError(
@@ -396,29 +409,12 @@ class WireAsrBackend:
                     f"[{request.window_start_s}, {request.window_end_s}]: "
                     f"[{word.start_s}, {word.end_s}]"
                 )
-        if self.measure_compute:
-            response = AsrResponse(response.hypothesis, time.monotonic() - started)
         return response
 
 
-class WireMtBackend:
-    def __init__(
-        self,
-        channel: WireChannel,
-        timeout_s: float = DEFAULT_TIMEOUT_S,
-        measure_compute: bool = False,
-    ) -> None:
-        self.channel = channel
-        self.timeout_s = timeout_s
-        self.measure_compute = measure_compute
-
+class WireMtBackend(_WireBackend):
     def translate(self, request: MtRequest) -> MtResponse:
-        started = time.monotonic()
-        reply = self.channel.roundtrip(encode_mt_request(request), self.timeout_s)
-        response = decode_mt_response(reply)
-        if self.measure_compute:
-            response = MtResponse(response.beams, time.monotonic() - started)
-        return response
+        return self._roundtrip(encode_mt_request(request), decode_mt_response)
 
 
 def serve(asr_backend, mt_backend, stdin: BinaryIO, stdout: BinaryIO) -> None:

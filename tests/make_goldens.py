@@ -154,7 +154,7 @@ def build_fixtures() -> dict[str, str]:
     # The golden run goes through the same JSON the CLI would read.
     scripts = parse_mock_script(json.loads(fixtures["mock_script_60s.json"]))
     pipeline = Pipeline(
-        preset_config("adapted", seed=7),
+        preset_config("adapted"),
         MockAsrBackend(scripts.asr),
         MockMtBackend(scripts.mt),
     )

@@ -66,7 +66,7 @@ def _passed(number: int, name: str) -> None:
 def _build_pipeline(sentences, seed, mode="adapted", **script_kwargs):
     asr_script, mt_script, duration = build_scripts(sentences, seed=seed, **script_kwargs)
     pipeline = Pipeline(
-        preset_config(mode, seed=seed),
+        preset_config(mode),
         MockAsrBackend(asr_script),
         MockMtBackend(mt_script),
     )
@@ -129,7 +129,7 @@ def _randomized_run(seed: int) -> dict:
     )
     max_window = pipeline.config.asr.max_window_s
     max_buffer = pipeline.config.mt.max_buffer_words
-    adapted = pipeline.config.mode == "adapted"
+    adapted = pipeline.config.mt.history_remove == "oldest_sentence_pair"
 
     transcript_before: list[str] = []
     tokens_before: list[str] = []

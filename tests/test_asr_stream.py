@@ -67,7 +67,7 @@ def test_sentence_end_commits_and_trims_window() -> None:
         controller.step()
     texts = controller.transcript()
     assert texts == ["The", "cat", "sat."]
-    assert controller.state.committed_sentence_ends == [2]
+    assert controller.sentence_trims == 1
     assert controller.state.window_start_s == pytest.approx(1.5)  # end of "sat."
     assert controller.state.prev_hypothesis is None
 

@@ -166,6 +166,84 @@ def test_eval_misaligned_inputs_exit_1(tmp_path, capsys) -> None:
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-argument"
 
 
+_GOOD_RECORD = '{"ca_time_s":1.5,"nca_time_s":1.0,"segment_ordinal":0,"token":"ja"}'
+_GOOD_SEGMENT = '{"source_end_s":2.0,"source_start_s":0.0,"tokens":["ja"]}'
+
+
+@pytest.mark.parametrize(
+    "bad_file, bad_line",
+    [
+        ("log", '{"ca_time_s":2.0,"nca_time_s":2.0,"segment_ordinal":0,"token":5}'),
+        ("log", '{"ca_time_s":2.0,"nca_time_s":2.0,"segment_ordinal":1.5,"token":"x"}'),
+        ("log", '{"ca_time_s":2.0,"nca_time_s":2.0,"segment_ordinal":true,"token":"x"}'),
+        ("log", '{"ca_time_s":"2.0","nca_time_s":"1.0","segment_ordinal":0,"token":"x"}'),
+        ("log", '{"ca_time_s":2.0,"nca_time_s":NaN,"segment_ordinal":0,"token":"x"}'),
+        ("log", '{"ca_time_s":Infinity,"nca_time_s":2.0,"segment_ordinal":0,"token":"x"}'),
+        ("log", '{"ca_time_s":1e999,"nca_time_s":1e999,"segment_ordinal":0,"token":"x"}'),
+        ("refs", '{"source_end_s":4.0,"source_start_s":2.0,"tokens":"hi there"}'),
+        ("refs", '{"source_end_s":4.0,"source_start_s":2.0,"tokens":["hi",1]}'),
+        ("refs", '{"source_end_s":"4.0","source_start_s":"2.0","tokens":["hi"]}'),
+        ("refs", '{"source_end_s":NaN,"source_start_s":2.0,"tokens":["hi"]}'),
+        ("refs", '{"source_end_s":4.0,"source_start_s":-Infinity,"tokens":["hi"]}'),
+    ],
+    ids=[
+        "token_not_string",
+        "ordinal_float",
+        "ordinal_bool",
+        "string_times",
+        "nan_time",
+        "infinity_time",
+        "overflowing_times",
+        "tokens_string",
+        "tokens_not_strings",
+        "string_bounds",
+        "nan_bound",
+        "infinity_bound",
+    ],
+)
+def test_eval_bad_record_exits_1_naming_the_line(tmp_path, capsys, bad_file, bad_line) -> None:
+    paths = {"log": tmp_path / "log.jsonl", "refs": tmp_path / "refs.jsonl"}
+    paths["log"].write_text(_GOOD_RECORD + "\n", encoding="utf-8")
+    paths["refs"].write_text(_GOOD_SEGMENT + "\n", encoding="utf-8")
+    with paths[bad_file].open("a", encoding="utf-8") as f:
+        f.write(bad_line + "\n")
+    assert main(["eval", str(paths["log"]), str(paths["refs"])]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert f"{paths[bad_file]}:2:" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"backend": {"kind": "wire", "command": ["x"], "timeout_s": "soon"}},
+        {"backend": {"kind": "wire", "command": ["x"], "timeout_s": 0}},
+        {"backend": {"kind": "wire", "command": ["x"], "timeout_s": True}},
+        {"backend": {"kind": "wire", "command": ["x"], "measure_compute": "false"}},
+        {"backend": {"kind": "wire", "command": ["x"], "measure_compute": 0}},
+        {"overrides": [1]},
+        {"mock_script": 5},
+    ],
+    ids=[
+        "timeout_string",
+        "timeout_zero",
+        "timeout_bool",
+        "measure_compute_string",
+        "measure_compute_int",
+        "overrides_list",
+        "mock_script_number",
+    ],
+)
+def test_simulate_bad_config_value_exits_1(tmp_path, capsys, change) -> None:
+    trace, config_path = _stage_fixture(tmp_path)
+    config = json.loads(config_path.read_text())
+    config.update(change)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["simulate", str(trace), str(config_path), str(tmp_path / "o.jsonl")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-argument"
+
+
 CORPUS = """\
 one two three ||| eins zwei drei
 four five ||| vier fünf

@@ -8,10 +8,8 @@ from helpers import build_scripts, chunked_trace, offline_translation, synth_sen
 from simulstream.backends import MockAsrBackend, MockMtBackend
 from simulstream.core import InvalidArgumentError, check_emission_log
 from simulstream.metrics import strip_sentinels
-from simulstream.mt_stream import MtStreamConfig
 from simulstream.pipeline import (
     Pipeline,
-    PipelineConfig,
     TraceEvent,
     apply_overrides,
     preset_config,
@@ -23,7 +21,7 @@ from simulstream.textnorm import has_terminal_mark
 def _run(sentences, mode="adapted", seed=0, **script_kwargs):
     asr_script, mt_script, duration = build_scripts(sentences, seed=seed, **script_kwargs)
     pipeline = Pipeline(
-        preset_config(mode, seed=seed), MockAsrBackend(asr_script), MockMtBackend(mt_script)
+        preset_config(mode), MockAsrBackend(asr_script), MockMtBackend(mt_script)
     )
     records, summary = pipeline.run_trace(chunked_trace(duration))
     return pipeline, records, summary
@@ -35,7 +33,7 @@ def test_preset_matches_inference_defaults() -> None:
     assert adapted.asr.min_chunk_s == 1.0
     assert adapted.asr.max_window_s == 30.0
     assert adapted.asr.backend_beam == 5
-    assert adapted.matcher.levenshtein_threshold == 2
+    assert adapted.asr.matcher.levenshtein_threshold == 2
     assert adapted.mt.waitk.k == 3
     assert adapted.mt.ralcp.agreement_ratio == 0.5
     assert adapted.mt.ralcp.beam_size == 10
@@ -53,15 +51,11 @@ def test_preset_matches_inference_defaults() -> None:
     assert baseline.mt.max_buffer_words == adapted.mt.max_buffer_words
 
 
-def test_mode_history_coupling_is_enforced() -> None:
-    good = preset_config("adapted")
-    with pytest.raises(InvalidArgumentError):
-        PipelineConfig(
-            asr=good.asr,
-            mt=MtStreamConfig(history_remove="word_count"),
-            matcher=good.matcher,
-            mode="adapted",
-        )
+def test_adapted_with_word_count_eviction_is_the_baseline() -> None:
+    overridden = apply_overrides(
+        preset_config("adapted"), {"mt": {"history_remove": "word_count"}}
+    )
+    assert overridden == preset_config("baseline")
 
 
 def test_streaming_equals_offline_with_prefix_stable_mocks() -> None:
@@ -128,7 +122,7 @@ def test_long_stream_invariants_hold_after_every_step(mode, noisy) -> None:
         sentences, seed=3, **(NOISY if noisy else {})
     )
     pipeline = Pipeline(
-        preset_config(mode, seed=3), MockAsrBackend(asr_script), MockMtBackend(mt_script)
+        preset_config(mode), MockAsrBackend(asr_script), MockMtBackend(mt_script)
     )
     tokens: list[str] = []
     transcript: list[str] = []
@@ -182,7 +176,6 @@ def test_apply_overrides_nested_sections() -> None:
     updated = apply_overrides(
         config,
         {
-            "seed": 9,
             "asr": {"min_chunk_s": 2.0},
             "ralcp": {"agreement_ratio": 0.7},
             "waitk": {"k": 5},
@@ -190,7 +183,6 @@ def test_apply_overrides_nested_sections() -> None:
             "matcher": {"levenshtein_threshold": 1},
         },
     )
-    assert updated.seed == 9
     assert updated.asr.min_chunk_s == 2.0
     assert updated.asr.matcher.levenshtein_threshold == 1
     assert updated.mt.ralcp.agreement_ratio == 0.7
@@ -200,3 +192,7 @@ def test_apply_overrides_nested_sections() -> None:
         apply_overrides(config, {"typo_section": {}})
     with pytest.raises(InvalidArgumentError):
         apply_overrides(config, {"asr": {"not_a_field": 1}})
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        apply_overrides(config, {"seed": 9})
+    with pytest.raises(InvalidArgumentError, match="overrides"):
+        apply_overrides(config, [1])

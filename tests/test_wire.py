@@ -125,6 +125,49 @@ def test_overflowing_compute_cost_is_rejected() -> None:
         )
 
 
+# An overflowing literal reads as inf without reaching parse_constant, and a
+# huge integer overflows float(); each number field must reject both.
+_HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "decode, old, new, field",
+    [
+        (decode_asr_request, '"window_start_s":2.5', '"window_start_s":1e999', "window_start_s"),
+        (decode_asr_request, '"window_end_s":7.25', '"window_end_s":1e999', "window_end_s"),
+        (
+            decode_asr_request,
+            '"window_start_s":2.5',
+            f'"window_start_s":{_HUGE_INT}',
+            "window_start_s",
+        ),
+        (decode_asr_response, '"window_offset_s":2.5', '"window_offset_s":1e999', "window_offset_s"),
+        (
+            decode_asr_response,
+            '"end_s":3.8,"start_s":3.1',
+            '"end_s":1e999,"start_s":1e999',
+            r"words\[1\]\.start_s",
+        ),
+        (decode_asr_response, '"end_s":3.8', '"end_s":1e999', r"words\[1\]\.end_s"),
+        (decode_mt_response, '"score":0.0', '"score":1e999', r"beams\[0\]\.score"),
+    ],
+    ids=[
+        "asr_request.window_start_s",
+        "asr_request.window_end_s",
+        "asr_request.window_start_s_huge_int",
+        "asr_response.window_offset_s",
+        "asr_response.words.start_s",
+        "asr_response.words.end_s",
+        "mt_response.beams.score",
+    ],
+)
+def test_overflowing_number_is_rejected(decode, old, new, field) -> None:
+    golden = "wire_requests.jsonl" if decode is decode_asr_request else "wire_responses.jsonl"
+    (line,) = [line for line in _golden_lines(golden) if old in line]
+    with pytest.raises(ProtocolError, match=field):
+        decode(line.replace(old, new, 1))
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_mt_request_with_non_finite_number_is_rejected(literal) -> None:
     line = _golden_lines("wire_requests.jsonl")[1]
