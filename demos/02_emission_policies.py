@@ -26,8 +26,8 @@ print(f"  agreed prefix length: {n}  (commits {curr[:n]})\n")
 #    beams agree on it. Note the vote bar is computed from the REQUESTED
 #    pool, so filtering empty beams never lowers the bar.
 def beam(tokens, score):
-    rows = tuple((1.0,) for _ in tokens)
-    return BeamHypothesis(tuple(tokens), score, rows)
+    cuts = tuple(0 for _ in tokens)
+    return BeamHypothesis(tuple(tokens), score, cuts)
 
 beams = BeamSet(
     (

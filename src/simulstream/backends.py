@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +28,7 @@ from .core import (
     BeamSet,
     InvalidArgumentError,
     TimedWord,
+    strict_json_loads,
 )
 from .textnorm import has_terminal_mark
 
@@ -121,14 +123,14 @@ class MtScript:
     Beam 1 maps each remaining active source word through ``word_map``
     (unmapped words are uppercased) and appends the sentinel after
     sentence-final source words. Beams 2..N truncate and/or perturb the
-    tail of that continuation according to the seeded schedule; attention
-    rows are one-hot diagonal, optionally blurred and renormalized.
+    tail of that continuation according to the seeded schedule. Each
+    token's source cut is the word it translates (the sentinel's is the
+    sentence-final word), so the cuts run down the diagonal.
     """
 
     word_map: Mapping[str, str] = field(default_factory=dict)
     tail_truncate_max: int = 0
     tail_perturb_prob: float = 0.0
-    attention_blur: float = 0.0
     seed: int = 0
     cost_base_s: float = 0.1
     cost_per_word_s: float = 0.01
@@ -138,8 +140,6 @@ class MtScript:
             raise InvalidArgumentError("tail_truncate_max must be >= 0")
         if not 0 <= self.tail_perturb_prob <= 1:
             raise InvalidArgumentError("tail_perturb_prob must be in [0, 1]")
-        if self.attention_blur < 0:
-            raise InvalidArgumentError("attention_blur must be >= 0")
 
     def map_word(self, word: str) -> str:
         return self.word_map.get(word, word.upper())
@@ -216,14 +216,6 @@ def _mt_fingerprint(request: MtRequest) -> str:
     )
 
 
-def _one_hot(index: int, length: int, blur: float, rng: random.Random) -> tuple[float, ...]:
-    row = [1.0 if i == index else 0.0 for i in range(length)]
-    if blur > 0:
-        row = [v + blur * rng.random() for v in row]
-    total = sum(row)
-    return tuple(v / total for v in row)
-
-
 def mock_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:
     """Translate the uncovered active source into a scripted beam set."""
     active = list(request.active_source)
@@ -243,6 +235,8 @@ def mock_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:
     committed = list(request.committed_target)
     n_committed = len(committed)
     continuation = full_tokens[n_committed:]
+    # Committed tokens beyond this translation cut at the last active word.
+    positions += [len(active) - 1] * (n_committed - len(positions))
     fingerprint = _mt_fingerprint(request)
 
     beams = []
@@ -256,11 +250,9 @@ def mock_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:
         if b > 1 and tail and rng.random() < script.tail_perturb_prob:
             tail[-1] = tail[-1] + "~"
         tokens = committed + tail
-        rows = []
-        for j in range(len(tokens)):
-            pos = positions[j] if j < len(positions) else len(active) - 1
-            rows.append(_one_hot(pos, len(active), script.attention_blur, rng))
-        beams.append(BeamHypothesis(tuple(tokens), float(-(b - 1)), tuple(rows)))
+        beams.append(
+            BeamHypothesis(tuple(tokens), float(-(b - 1)), tuple(positions[: len(tokens)]))
+        )
     return MtResponse(BeamSet(tuple(beams), request.beam_size), cost)
 
 
@@ -283,20 +275,23 @@ class MockMtBackend:
 
 
 def _require(mapping: dict, key: str, kind: type, where: str):
+    name = f"{where}.{key}" if where else key
     if key not in mapping:
-        raise InvalidArgumentError(f"mock script missing field {where}.{key}")
+        raise InvalidArgumentError(f"mock script missing field {name}")
     value = mapping[key]
-    if isinstance(value, bool):
-        raise InvalidArgumentError(
-            f"mock script field {where}.{key} must be {kind.__name__}"
-        )
-    if kind is float and isinstance(value, int):
+    # A bool is not an int here, and an int too large for a float stays
+    # an int and fails.
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
         value = float(value)
-    if not isinstance(value, kind):
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
         raise InvalidArgumentError(
-            f"mock script field {where}.{key} must be {kind.__name__}"
+            f"mock script field {name} must be {kind.__name__}, got {value!r}"
         )
     return value
+
+
+def _optional(mapping: dict, key: str, kind: type, where: str, default):
+    return _require(mapping, key, kind, where) if key in mapping else default
 
 
 @dataclass(frozen=True)
@@ -308,8 +303,8 @@ class MockScripts:
 def load_mock_script(path: str | Path) -> MockScripts:
     """Load a mock script pair from a JSON file (layout: ``parse_mock_script``)."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        data = strict_json_loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
         raise InvalidArgumentError(f"mock script {path}: invalid JSON: {exc}") from exc
     return parse_mock_script(data)
 
@@ -319,49 +314,48 @@ def parse_mock_script(data: object) -> MockScripts:
 
     Layout: {"seed": int, "asr": {"words": [{"text", "start_s", "end_s"}...],
     "audio_duration_s": float, ...}, "mt": {"word_map": {...}, ...}} with all
-    perturbation and cost knobs optional.
+    perturbation and cost knobs optional. Keys it does not know are
+    ignored; a known key of the wrong type is an ``InvalidArgumentError``
+    naming it.
     """
     if not isinstance(data, dict):
         raise InvalidArgumentError("mock script must be a JSON object")
-    seed = int(data.get("seed", 0))
-    asr_raw = data.get("asr", {})
-    mt_raw = data.get("mt", {})
-    if not isinstance(asr_raw, dict) or not isinstance(mt_raw, dict):
-        raise InvalidArgumentError("mock script 'asr' and 'mt' must be objects")
+    seed = _optional(data, "seed", int, "", 0)
+    asr_raw = _optional(data, "asr", dict, "", {})
+    mt_raw = _optional(data, "mt", dict, "", {})
 
     words = []
-    for i, item in enumerate(asr_raw.get("words", [])):
+    for i, item in enumerate(_optional(asr_raw, "words", list, "asr", [])):
+        where = f"asr.words[{i}]"
         if not isinstance(item, dict):
-            raise InvalidArgumentError(f"mock script field asr.words[{i}] must be object")
+            raise InvalidArgumentError(f"mock script field {where} must be object")
         words.append(
             TimedWord(
-                _require(item, "text", str, f"asr.words[{i}]"),
-                _require(item, "start_s", float, f"asr.words[{i}]"),
-                _require(item, "end_s", float, f"asr.words[{i}]"),
+                _require(item, "text", str, where),
+                _require(item, "start_s", float, where),
+                _require(item, "end_s", float, where),
             )
         )
-    duration = asr_raw.get("audio_duration_s", words[-1].end_s if words else 0.0)
     asr = AsrScript(
         words=tuple(words),
-        audio_duration_s=float(duration),
-        stabilization_delay_s=float(asr_raw.get("stabilization_delay_s", 0.0)),
-        seed=int(asr_raw.get("seed", seed)),
-        cost_base_s=float(asr_raw.get("cost_base_s", 0.1)),
-        cost_per_audio_s=float(asr_raw.get("cost_per_audio_s", 0.01)),
+        audio_duration_s=_optional(
+            asr_raw, "audio_duration_s", float, "asr", words[-1].end_s if words else 0.0
+        ),
+        stabilization_delay_s=_optional(asr_raw, "stabilization_delay_s", float, "asr", 0.0),
+        seed=_optional(asr_raw, "seed", int, "asr", seed),
+        cost_base_s=_optional(asr_raw, "cost_base_s", float, "asr", 0.1),
+        cost_per_audio_s=_optional(asr_raw, "cost_per_audio_s", float, "asr", 0.01),
     )
 
-    word_map = mt_raw.get("word_map", {})
-    if not isinstance(word_map, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in word_map.items()
-    ):
+    word_map = _optional(mt_raw, "word_map", dict, "mt", {})
+    if not all(isinstance(k, str) and isinstance(v, str) for k, v in word_map.items()):
         raise InvalidArgumentError("mock script field mt.word_map must map str to str")
     mt = MtScript(
         word_map=dict(word_map),
-        tail_truncate_max=int(mt_raw.get("tail_truncate_max", 0)),
-        tail_perturb_prob=float(mt_raw.get("tail_perturb_prob", 0.0)),
-        attention_blur=float(mt_raw.get("attention_blur", 0.0)),
-        seed=int(mt_raw.get("seed", seed)),
-        cost_base_s=float(mt_raw.get("cost_base_s", 0.1)),
-        cost_per_word_s=float(mt_raw.get("cost_per_word_s", 0.01)),
+        tail_truncate_max=_optional(mt_raw, "tail_truncate_max", int, "mt", 0),
+        tail_perturb_prob=_optional(mt_raw, "tail_perturb_prob", float, "mt", 0.0),
+        seed=_optional(mt_raw, "seed", int, "mt", seed),
+        cost_base_s=_optional(mt_raw, "cost_base_s", float, "mt", 0.1),
+        cost_per_word_s=_optional(mt_raw, "cost_per_word_s", float, "mt", 0.01),
     )
     return MockScripts(asr=asr, mt=mt)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .backends import MockAsrBackend, MockMtBackend, load_mock_script
-from .core import BackendError, InvalidArgumentError, ProtocolError
+from .core import BackendError, InvalidArgumentError, ProtocolError, strict_json_loads
 from .datagen import GenConfig, generate_samples, load_corpus, write_samples
 from .metrics import (
     LatencyStats,
@@ -33,8 +33,8 @@ _TABLE_HEADERS = ("M", "mdn", "p90", "p95", "p99", "max")
 
 def _load_json(path: str | Path) -> dict:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        obj = strict_json_loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
         raise InvalidArgumentError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidArgumentError(f"{path}: expected a JSON object")

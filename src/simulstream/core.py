@@ -10,21 +10,40 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NoReturn
 
 SENTINEL = "[SEP]"
-
-ATTENTION_SUM_TOL = 1e-6
 
 
 def _reject_non_finite(name: str) -> NoReturn:
     raise ValueError(f"non-finite number {name} is not valid JSON")
 
 
-# ``json.loads`` minus the NaN and Infinity literals JSON lacks; one shared
-# decoder, since ``json.loads`` builds one per call when given a keyword.
-strict_json_loads = json.JSONDecoder(parse_constant=_reject_non_finite).decode
+# One shared decoder, since ``json.loads`` builds one per call when given a
+# keyword.
+_strict_decode = json.JSONDecoder(parse_constant=_reject_non_finite).decode
+
+
+def strict_json_loads(text: str):
+    """``json.loads`` minus the NaN and Infinity literals JSON lacks.
+
+    Every failure is a ``ValueError``, nesting too deep to decode included.
+    """
+    try:
+        return _strict_decode(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
+
+
+def finite_field(obj: dict, key: str) -> float:
+    """``obj[key]`` if it is a finite JSON number; ``ValueError`` if not."""
+    value = obj[key]
+    # Bounded by the largest float, so an integer too large for one fails too.
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return value
 
 
 class InvalidArgumentError(ValueError):
@@ -96,36 +115,25 @@ class AsrHypothesis:
 
 @dataclass(frozen=True)
 class BeamHypothesis:
-    """A candidate target sequence with per-token attention rows.
+    """A candidate target sequence with one source cut per token.
 
-    ``attention[j]`` holds one non-negative weight per active source word
-    position at generation time; the producer normalizes each row to sum
-    to 1.
+    ``cuts[j]`` is the active source position that token j attends to
+    most, ties going to the largest index. A model server takes this
+    argmax over the attention layer named in the request; the controller
+    checks each cut against the active source it sent.
     """
 
     tokens: tuple[str, ...]
     score: float
-    attention: tuple[tuple[float, ...], ...]
+    cuts: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(
-            self, "attention", tuple(tuple(row) for row in self.attention)
-        )
-        if len(self.attention) != len(self.tokens):
+        object.__setattr__(self, "cuts", tuple(self.cuts))
+        if len(self.cuts) != len(self.tokens):
             raise InvalidArgumentError(
-                f"beam has {len(self.tokens)} tokens but "
-                f"{len(self.attention)} attention rows"
+                f"beam has {len(self.tokens)} tokens but {len(self.cuts)} cuts"
             )
-        for j, row in enumerate(self.attention):
-            if not row:
-                raise InvalidArgumentError(f"attention row {j} is empty")
-            if any(w < 0 for w in row):
-                raise InvalidArgumentError(f"attention row {j} has negative weight")
-            if abs(sum(row) - 1.0) > ATTENTION_SUM_TOL:
-                raise InvalidArgumentError(
-                    f"attention row {j} sums to {sum(row)}, expected 1"
-                )
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,19 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import unicodedata
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import SENTINEL, EmissionRecord, InvalidArgumentError, strict_json_loads
+from .core import (
+    SENTINEL,
+    EmissionRecord,
+    InvalidArgumentError,
+    finite_field,
+    strict_json_loads,
+)
 
 _INF = float("inf")
 # Half-width of the first diagonal band resegment tries; it widens until
@@ -412,14 +417,6 @@ def write_emission_log(records: Sequence[EmissionRecord], path: str | Path) -> N
     Path(path).write_text(dump_emission_log(records), encoding="utf-8")
 
 
-def _finite(obj: dict, key: str) -> float:
-    value = obj[key]
-    # Bounded by the largest float, so an integer too large for one fails too.
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return value
-
-
 def read_emission_log(path: str | Path) -> list[EmissionRecord]:
     records = []
     for lineno, line in enumerate(
@@ -436,8 +433,8 @@ def read_emission_log(path: str | Path) -> list[EmissionRecord]:
                 EmissionRecord(
                     token=token,
                     segment_ordinal=ordinal,
-                    nca_time_s=_finite(obj, "nca_time_s"),
-                    ca_time_s=_finite(obj, "ca_time_s"),
+                    nca_time_s=finite_field(obj, "nca_time_s"),
+                    ca_time_s=finite_field(obj, "ca_time_s"),
                 )
             )
         except (ValueError, KeyError, TypeError) as exc:
@@ -486,8 +483,8 @@ def read_reference_segments(path: str | Path) -> list[ReferenceSegment]:
             refs.append(
                 ReferenceSegment(
                     tokens=tuple(tokens),
-                    source_start_s=_finite(obj, "source_start_s"),
-                    source_end_s=_finite(obj, "source_end_s"),
+                    source_start_s=finite_field(obj, "source_start_s"),
+                    source_end_s=finite_field(obj, "source_end_s"),
                 )
             )
         except (ValueError, KeyError, TypeError) as exc:

@@ -4,9 +4,10 @@ Committed ASR words accumulate in an active source chunk. Each step asks
 the backend for beams over (history, active source, committed target),
 emits whatever the beam vote agrees on, and, when the sentinel token is
 committed, consolidates the closed sentence pair into the history. The
-source-side cut for that consolidation comes from the attention of the
-token preceding the sentinel: the most-attended active source position is
-the last word considered translated.
+source-side cut for that consolidation is the winning beam's cut for the
+token preceding the sentinel: the active source position that token
+attends to most (ties to the largest) is the last word considered
+translated.
 """
 
 from __future__ import annotations
@@ -58,22 +59,6 @@ class SegmentClosure:
 
     cut_index: int
     target_tokens: tuple[str, ...]
-
-
-def segment_source(attention_row: Sequence[float]) -> int:
-    """Index of the most-attended source position; ties take the largest.
-
-    Consuming more source on a tie keeps the active buffer smaller.
-    """
-    if not attention_row:
-        raise InvalidArgumentError("attention row must be non-empty")
-    if any(w < 0 for w in attention_row):
-        raise InvalidArgumentError("attention weights must be >= 0")
-    best = 0
-    for i, w in enumerate(attention_row):
-        if w >= attention_row[best]:
-            best = i
-    return best
 
 
 class MtStreamController:
@@ -201,12 +186,11 @@ class MtStreamController:
         committed = request.committed_target
         kept = []
         for b, beam in enumerate(beams.beams):
-            for j, row in enumerate(beam.attention):
-                if len(row) != active_len:
-                    raise ProtocolError(
-                        f"beam {b} attention row {j} has length {len(row)}, "
-                        f"expected {active_len} active source words"
-                    )
+            if beam.cuts and not (0 <= min(beam.cuts) and max(beam.cuts) < active_len):
+                raise ProtocolError(
+                    f"beam {b} has a cut outside the {active_len} active source "
+                    f"words: {list(beam.cuts)}"
+                )
             if beam.tokens[: len(committed)] != committed and len(beam.tokens) > len(
                 committed
             ):
@@ -240,7 +224,7 @@ class MtStreamController:
                 raise ProtocolError(
                     "no beam holds the committed sentinel; cannot segment source"
                 )
-            cut = segment_source(winner.attention[sentinel_pos - 1])
+            cut = winner.cuts[sentinel_pos - 1]
         history.source_sentences.append(history.active_source[: cut + 1])
         history.target_sentences.append(list(segment_tokens[:-1]))
         history.active_source = history.active_source[cut + 1 :]

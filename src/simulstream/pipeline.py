@@ -9,14 +9,19 @@ scripts yields a byte-identical emission log.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 from .asr_stream import AsrStreamConfig, AsrStreamController
 from .backends import AsrBackend, MtBackend
-from .core import EmissionRecord, InvalidArgumentError, VirtualClock
+from .core import (
+    EmissionRecord,
+    InvalidArgumentError,
+    VirtualClock,
+    finite_field,
+    strict_json_loads,
+)
 from .mt_stream import MtStreamConfig, MtStreamController
 from .policy import RalcpConfig, WaitKConfig
 from .textnorm import MatchConfig
@@ -81,16 +86,18 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj = strict_json_loads(line)
+        except ValueError as exc:
             raise InvalidArgumentError(f"{path}:{lineno}: bad JSON: {exc}") from exc
         if not isinstance(obj, dict) or obj.get("kind") != "audio":
             raise InvalidArgumentError(
                 f"{path}:{lineno}: expected an audio event, got {line!r}"
             )
         try:
-            event = TraceEvent(t=float(obj["t"]), duration_s=float(obj["dur"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            event = TraceEvent(
+                t=float(finite_field(obj, "t")), duration_s=float(finite_field(obj, "dur"))
+            )
+        except (KeyError, ValueError) as exc:
             raise InvalidArgumentError(f"{path}:{lineno}: bad event: {exc}") from exc
         if event.t < last_t:
             raise InvalidArgumentError(

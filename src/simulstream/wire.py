@@ -7,22 +7,25 @@ JSON types, so servers can be written in any language.
 
 Request lines::
 
-    {"v":1,"kind":"asr","stream_id":...,"window_start_s":...,
+    {"v":2,"kind":"asr","stream_id":...,"window_start_s":...,
      "window_end_s":...,"beam_size":...}
-    {"v":1,"kind":"mt","history_source":"sent [SEP] sent",
+    {"v":2,"kind":"mt","history_source":"sent [SEP] sent",
      "history_target":"sent [SEP] sent","active_source":[...],
      "committed_target":[...],"beam_size":...,"attention_layer_tag":"6"}
 
 Response lines::
 
-    {"v":1,"kind":"asr","window_offset_s":...,
+    {"v":2,"kind":"asr","window_offset_s":...,
      "words":[{"text":...,"start_s":...,"end_s":...},...],"compute_cost_s":...}
-    {"v":1,"kind":"mt","requested_size":...,
-     "beams":[{"tokens":[...],"score":...,"attention":[[...],...]},...],
+    {"v":2,"kind":"mt","requested_size":...,
+     "beams":[{"tokens":[...],"score":...,"cuts":[...]},...],
      "compute_cost_s":...}
 
 History sentences are joined with the sentinel marker because the sentinel
 is rejected in input words, which makes the joined form unambiguous.
+``cuts[j]`` is the active source position token j attends to most in the
+attention layer named by ``attention_layer_tag``, ties going to the
+largest index; the server takes this argmax next to the model.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import json
 import os
 import selectors
-import socket
 import subprocess
 import sys
 import time
@@ -50,10 +52,11 @@ from .core import (
     strict_json_loads,
 )
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 DEFAULT_TIMEOUT_S = 60.0
 
 _HISTORY_JOIN = f" {SENTINEL} "
+_KIND_NAMES = {str: "a string", int: "an integer"}
 
 
 def _dumps(obj: dict) -> str:
@@ -79,11 +82,13 @@ def _field(obj: dict, name: str, kinds, path: str):
     return value
 
 
-def _str_list(obj: dict, name: str, path: str) -> tuple[str, ...]:
+def _list(obj: dict, name: str, kind: type, path: str) -> tuple:
     value = _field(obj, name, list, path)
     for i, item in enumerate(value):
-        if not isinstance(item, str):
-            raise ProtocolError(f"field '{path}{name}[{i}]' must be a string: {item!r}")
+        if type(item) is not kind:
+            raise ProtocolError(
+                f"field '{path}{name}[{i}]' must be {_KIND_NAMES[kind]}: {item!r}"
+            )
     return tuple(value)
 
 
@@ -224,8 +229,8 @@ def decode_mt_request(line: str) -> MtRequest:
         history_target=_split_history(
             _field(obj, "history_target", str, ""), "history_target"
         ),
-        active_source=_str_list(obj, "active_source", ""),
-        committed_target=_str_list(obj, "committed_target", ""),
+        active_source=_list(obj, "active_source", str, ""),
+        committed_target=_list(obj, "committed_target", str, ""),
         beam_size=_field(obj, "beam_size", int, ""),
         attention_layer_tag=_field(obj, "attention_layer_tag", str, ""),
     )
@@ -241,7 +246,7 @@ def encode_mt_response(response: MtResponse) -> str:
                 {
                     "tokens": list(b.tokens),
                     "score": b.score,
-                    "attention": [list(row) for row in b.attention],
+                    "cuts": list(b.cuts),
                 }
                 for b in response.beams.beams
             ],
@@ -259,20 +264,11 @@ def decode_mt_response(line: str) -> MtResponse:
         path = f"beams[{i}]."
         if not isinstance(item, dict):
             raise ProtocolError(f"field 'beams[{i}]' must be an object")
-        tokens = _str_list(item, "tokens", path)
+        tokens = _list(item, "tokens", str, path)
         score = _number(item, "score", path)
-        raw_rows = _field(item, "attention", list, path)
-        rows = []
-        for j, row in enumerate(raw_rows):
-            if not isinstance(row, list) or any(
-                isinstance(w, bool) or not isinstance(w, (int, float)) for w in row
-            ):
-                raise ProtocolError(
-                    f"field 'beams[{i}].attention[{j}]' must be a number list"
-                )
-            rows.append(tuple(float(w) for w in row))
+        cuts = _list(item, "cuts", int, path)
         try:
-            beams.append(BeamHypothesis(tuple(tokens), score, tuple(rows)))
+            beams.append(BeamHypothesis(tokens, score, cuts))
         except InvalidArgumentError as exc:
             raise ProtocolError(f"field 'beams[{i}]' invalid: {exc}") from exc
     requested = _field(obj, "requested_size", int, "")
@@ -316,13 +312,19 @@ class _LineTransport:
 
 
 class WireChannel:
-    """One serial request/response connection to an external server."""
+    """One serial request/response connection to an external server.
+
+    A failed round trip breaks the channel for good: after a timeout the
+    late reply may still arrive, and reading it as the answer to the next
+    request would pair a reply with the wrong request.
+    """
 
     def __init__(self, transport: _LineTransport, write, on_close) -> None:
         self._transport = transport
         self._write = write
         self._on_close = on_close
         self._in_flight = False
+        self._broken: str | None = None
 
     @classmethod
     def spawn(cls, command: Sequence[str]) -> "WireChannel":
@@ -344,19 +346,13 @@ class WireChannel:
                 pass
             proc.terminate()
             proc.wait(timeout=5)
+            proc.stdout.close()
 
         return cls(transport, write, on_close)
 
-    @classmethod
-    def connect_tcp(
-        cls, host: str, port: int, connect_timeout_s: float = DEFAULT_TIMEOUT_S
-    ) -> "WireChannel":
-        sock = socket.create_connection((host, port), timeout=connect_timeout_s)
-        sock.setblocking(True)
-        transport = _LineTransport(sock.fileno())
-        return cls(transport, sock.sendall, sock.close)
-
     def roundtrip(self, line: str, timeout_s: float = DEFAULT_TIMEOUT_S) -> str:
+        if self._broken is not None:
+            raise BackendError(f"channel unusable after an earlier failure: {self._broken}")
         if self._in_flight:
             raise BackendError("a request is already in flight on this connection")
         self._in_flight = True
@@ -366,6 +362,9 @@ class WireChannel:
             except OSError as exc:
                 raise BackendError(f"connection write failed: {exc}") from exc
             return self._transport.read_line(timeout_s)
+        except BackendError as exc:
+            self._broken = str(exc)
+            raise
         finally:
             self._in_flight = False
 

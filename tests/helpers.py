@@ -20,7 +20,9 @@ from simulstream.backends import (
     AsrRequest,
     AsrResponse,
     AsrScript,
+    MtRequest,
     MtScript,
+    _mt_fingerprint,
     _perturb_word,
 )
 from simulstream.core import (
@@ -33,6 +35,7 @@ from simulstream.core import (
 )
 from simulstream.metrics import ReferenceSegment
 from simulstream.pipeline import TraceEvent
+from simulstream.textnorm import has_terminal_mark
 
 _INF = float("inf")
 
@@ -241,15 +244,78 @@ def oracle_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
     return AsrResponse(AsrHypothesis(tuple(words), start), cost)
 
 
+def _one_hot(index: int, length: int, blur: float, rng: random.Random) -> tuple[float, ...]:
+    row = [1.0 if i == index else 0.0 for i in range(length)]
+    if blur > 0:
+        row = [v + blur * rng.random() for v in row]
+    total = sum(row)
+    return tuple(v / total for v in row)
+
+
+def segment_source(attention_row: Sequence[float]) -> int:
+    """Index of the most-attended source position; ties take the largest.
+
+    Consuming more source on a tie keeps the active buffer smaller.
+    """
+    if not attention_row:
+        raise InvalidArgumentError("attention row must be non-empty")
+    if any(w < 0 for w in attention_row):
+        raise InvalidArgumentError("attention weights must be >= 0")
+    best = 0
+    for i, w in enumerate(attention_row):
+        if w >= attention_row[best]:
+            best = i
+    return best
+
+
+def oracle_mt_rows(
+    script: MtScript, request: MtRequest, blur: float
+) -> list[tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]]:
+    """Each beam's tokens and dense attention rows, as the mock MT built them
+    when beams carried rows: one-hot on the diagonal, blurred by ``blur`` and
+    renormalized, with the row draws last on each beam's RNG."""
+    active = list(request.active_source)
+    if not active:
+        return []
+    full_tokens: list[str] = []
+    positions: list[int] = []
+    for i, word in enumerate(active):
+        full_tokens.append(script.map_word(word))
+        positions.append(i)
+        if has_terminal_mark(word):
+            full_tokens.append(SENTINEL)
+            positions.append(i)
+    committed = list(request.committed_target)
+    continuation = full_tokens[len(committed) :]
+    fingerprint = _mt_fingerprint(request)
+    beams = []
+    for b in range(1, request.beam_size + 1):
+        rng = random.Random(f"{script.seed}:mt:{fingerprint}:{b}")
+        tail = list(continuation)
+        if b > 1 and script.tail_truncate_max > 0:
+            cut = rng.randint(0, min(script.tail_truncate_max, len(tail)))
+            if cut:
+                tail = tail[:-cut]
+        if b > 1 and tail and rng.random() < script.tail_perturb_prob:
+            tail[-1] = tail[-1] + "~"
+        tokens = committed + tail
+        rows = []
+        for j in range(len(tokens)):
+            pos = positions[j] if j < len(positions) else len(active) - 1
+            rows.append(_one_hot(pos, len(active), blur, rng))
+        beams.append((tuple(tokens), tuple(rows)))
+    return beams
+
+
 # --- builders -----------------------------------------------------------------
+
+# Deep enough to exhaust the JSON decoder's recursion limit.
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
 
 def make_beam(tokens, score: float = 0.0, src_len: int = 4) -> BeamHypothesis:
-    rows = []
-    for j in range(len(tokens)):
-        hot = min(j, src_len - 1)
-        rows.append(tuple(1.0 if i == hot else 0.0 for i in range(src_len)))
-    return BeamHypothesis(tuple(tokens), score, tuple(rows))
+    cuts = tuple(min(j, src_len - 1) for j in range(len(tokens)))
+    return BeamHypothesis(tuple(tokens), score, cuts)
 
 
 def make_beam_set(token_lists, requested_size: int | None = None) -> BeamSet:
@@ -296,7 +362,6 @@ def build_scripts(
     stabilization_delay_s: float = 0.0,
     tail_truncate_max: int = 0,
     tail_perturb_prob: float = 0.0,
-    attention_blur: float = 0.0,
     asr_cost: tuple[float, float] = (0.1, 0.01),
     mt_cost: tuple[float, float] = (0.1, 0.01),
 ) -> tuple[AsrScript, MtScript, float]:
@@ -312,7 +377,6 @@ def build_scripts(
     mt = MtScript(
         tail_truncate_max=tail_truncate_max,
         tail_perturb_prob=tail_perturb_prob,
-        attention_blur=attention_blur,
         seed=seed,
         cost_base_s=mt_cost[0],
         cost_per_word_s=mt_cost[1],

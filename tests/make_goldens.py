@@ -78,12 +78,12 @@ def _wire_fixtures() -> dict[str, str]:
         AsrHypothesis((TimedWord("Hello", 2.5, 3.0), TimedWord("world.", 3.1, 3.8)), 2.5),
         0.147,
     )
-    rows = ((1.0, 0.0), (0.0, 1.0))
+    cuts = (0, 1)
     mt_response = MtResponse(
         BeamSet(
             (
-                BeamHypothesis(("we", "go"), 0.0, rows),
-                BeamHypothesis(("we", "go"), -1.0, rows),
+                BeamHypothesis(("we", "go"), 0.0, cuts),
+                BeamHypothesis(("we", "go"), -1.0, cuts),
             ),
             2,
         ),

@@ -25,6 +25,7 @@ from helpers import (
     oracle_levenshtein,
     oracle_ralcp,
     oracle_resegment_cost,
+    segment_source,
     synth_sentences,
 )
 from simulstream.backends import MockAsrBackend, MockMtBackend
@@ -39,7 +40,6 @@ from simulstream.metrics import (
     strip_sentinels,
     stream_laal,
 )
-from simulstream.mt_stream import segment_source
 from simulstream.datagen import Document, GenConfig, generate_samples, write_samples
 from simulstream.pipeline import Pipeline, preset_config
 from simulstream.policy import RalcpConfig, ralcp_emit
@@ -125,7 +125,6 @@ def _randomized_run(seed: int) -> dict:
         stabilization_delay_s=rng.choice([0.0, 0.8, 2.0]),
         tail_truncate_max=rng.choice([0, 1, 2]),
         tail_perturb_prob=rng.choice([0.0, 0.3, 0.6]),
-        attention_blur=rng.choice([0.0, 0.05]),
     )
     max_window = pipeline.config.asr.max_window_s
     max_buffer = pipeline.config.mt.max_buffer_words
@@ -221,7 +220,7 @@ def _token_sequences(alphabet, max_len):
 
 def _tiny_beam_set(token_lists, requested):
     beams = tuple(
-        BeamHypothesis(tokens, float(-i), ((1.0,),) * len(tokens))
+        BeamHypothesis(tokens, float(-i), (0,) * len(tokens))
         for i, tokens in enumerate(token_lists)
     )
     return BeamSet(beams, requested)

@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from helpers import build_scripts, oracle_asr_decode, synth_sentences, timed_words
+from helpers import (
+    DEEP_JSON,
+    build_scripts,
+    oracle_asr_decode,
+    oracle_mt_rows,
+    segment_source,
+    synth_sentences,
+    timed_words,
+)
 from simulstream.backends import (
     AsrRequest,
     AsrResponse,
@@ -15,9 +23,10 @@ from simulstream.backends import (
     load_mock_script,
     mock_asr_decode,
     mock_mt_translate,
+    parse_mock_script,
 )
 from simulstream.core import SENTINEL, InvalidArgumentError, TimedWord
-from simulstream.textnorm import levenshtein, normalize_word
+from simulstream.textnorm import has_terminal_mark, levenshtein, normalize_word
 
 
 def _asr_script(delay: float = 0.0, seed: int = 0) -> AsrScript:
@@ -139,7 +148,72 @@ def test_mt_translate_uppercase_map_with_sentinel_and_diagonal_attention() -> No
     response = mock_mt_translate(script, request)
     top = response.beams.beams[0]
     assert top.tokens == ("A", "B.", SENTINEL)
-    assert top.attention == ((1.0, 0.0), (0.0, 1.0), (0.0, 1.0))
+    assert top.cuts == (0, 1, 1)
+
+
+def test_mt_translate_cuts_surplus_committed_tokens_at_the_last_word() -> None:
+    request = MtRequest((), (), ("a", "b."), ("A", "B.", SENTINEL, "X", "Y"), 2, "6")
+    for beam in mock_mt_translate(MtScript(), request).beams.beams:
+        assert beam.tokens == request.committed_target
+        assert beam.cuts == (0, 1, 1, 1, 1)
+
+
+_BLURS = (0.0, 0.05, 0.1, 0.2, 0.5, 0.9, 0.999)
+
+
+def _random_mt_request(rng: random.Random, script: MtScript) -> MtRequest:
+    words = [w for s in synth_sentences(rng, rng.randint(1, 3), 1, 5) for w in s]
+    active = tuple(words[: rng.randint(1, len(words))])
+    translation = []
+    for word in active:
+        translation.append(script.map_word(word))
+        if has_terminal_mark(word):
+            translation.append(SENTINEL)
+    kind = rng.randrange(3)
+    if kind == 0:  # the controller's case: a prefix of the translation
+        committed = translation[: rng.randint(0, len(translation))]
+    elif kind == 1:  # more committed tokens than the translation has
+        committed = translation + ["EXTRA"] * rng.randint(1, 3)
+    else:  # tokens of another sentence
+        committed = [script.map_word(w) for w in synth_sentences(rng, 1)[0]]
+    history = tuple(tuple(s) for s in synth_sentences(rng, rng.randint(0, 2)))
+    return MtRequest(
+        history,
+        tuple(tuple(w.upper() for w in s) for s in history),
+        active,
+        tuple(committed),
+        rng.randint(1, 8),
+        rng.choice(("6", "4")),
+    )
+
+
+def test_mock_cuts_are_the_argmax_of_the_dense_rows_it_used_to_build() -> None:
+    rng = random.Random(2305)
+    requests = 0
+    cuts_checked = 0
+    for blur in _BLURS:
+        for _ in range(750):
+            script = MtScript(
+                tail_truncate_max=rng.choice((0, 1, 2, 3)),
+                tail_perturb_prob=rng.choice((0.0, 0.3, 1.0)),
+                seed=rng.randrange(1000),
+            )
+            request = _random_mt_request(rng, script)
+            beams = mock_mt_translate(script, request).beams.beams
+            oracle = oracle_mt_rows(script, request, blur)
+            # The row draws came last on each beam's RNG, so tokens agree too.
+            assert [b.tokens for b in beams] == [tokens for tokens, _ in oracle]
+            for beam, (_, rows) in zip(beams, oracle):
+                assert beam.cuts == tuple(segment_source(row) for row in rows)
+                for cut, row in zip(beam.cuts, rows):
+                    # A row tying every position up to the cut still cuts
+                    # there: ties go to the largest index.
+                    tied = [max(row)] * (cut + 1) + list(row[cut + 1 :])
+                    assert segment_source(tied) == cut
+                cuts_checked += len(rows)
+            requests += 1
+    assert requests >= 5000
+    assert cuts_checked > 50_000
 
 
 def test_mt_translate_everything_committed_gives_empty_continuation() -> None:
@@ -151,7 +225,7 @@ def test_mt_translate_everything_committed_gives_empty_continuation() -> None:
 
 
 def test_mt_translate_is_deterministic() -> None:
-    script = MtScript(tail_truncate_max=2, tail_perturb_prob=0.5, attention_blur=0.2)
+    script = MtScript(tail_truncate_max=2, tail_perturb_prob=0.5)
     request = MtRequest((), (), ("one", "two", "three."), ("ONE",), 6, "6")
     assert mock_mt_translate(script, request) == mock_mt_translate(script, request)
 
@@ -165,9 +239,8 @@ def test_mt_translate_beams_extend_committed_and_scores_descend() -> None:
     assert len(set(scores)) == len(scores)
     for beam in response.beams.beams:
         assert beam.tokens[:1] == ("ONE",)
-        assert len(beam.attention) == len(beam.tokens)
-        for row in beam.attention:
-            assert len(row) == 3
+        assert len(beam.cuts) == len(beam.tokens)
+        assert all(0 <= cut < 3 for cut in beam.cuts)
 
 
 def test_mt_translate_word_map_overrides_uppercase() -> None:
@@ -234,8 +307,8 @@ def test_load_mock_script_roundtrip(tmp_path) -> None:
         TimedWord("there.", 0.4, 0.9),
     )
     assert scripts.asr.seed == 7
-    assert scripts.mt.word_map == {"Hello": "Hallo"}
-    assert scripts.mt.attention_blur == 0.1
+    # A key the loader does not know, such as "attention_blur", is ignored.
+    assert scripts.mt == MtScript(word_map={"Hello": "Hallo"}, seed=7)
 
 
 def test_load_mock_script_names_bad_field(tmp_path) -> None:
@@ -245,4 +318,36 @@ def test_load_mock_script_names_bad_field(tmp_path) -> None:
         encoding="utf-8",
     )
     with pytest.raises(InvalidArgumentError, match=r"asr\.words\[0\]\.start_s"):
+        load_mock_script(path)
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"seed": "abc"}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"asr": []}, "asr"),
+        ({"asr": {"stabilization_delay_s": None}}, "asr.stabilization_delay_s"),
+        ({"asr": {"audio_duration_s": 10**400}}, "asr.audio_duration_s"),
+        ({"asr": {"seed": 1.5}}, "asr.seed"),
+        ({"asr": {"cost_base_s": "0.1"}}, "asr.cost_base_s"),
+        ({"asr": {"cost_per_audio_s": float("inf")}}, "asr.cost_per_audio_s"),
+        ({"asr": {"words": {"text": "x"}}}, "asr.words"),
+        ({"mt": {"tail_truncate_max": 1.0}}, "mt.tail_truncate_max"),
+        ({"mt": {"tail_perturb_prob": "0.3"}}, "mt.tail_perturb_prob"),
+        ({"mt": {"seed": None}}, "mt.seed"),
+        ({"mt": {"cost_base_s": False}}, "mt.cost_base_s"),
+        ({"mt": {"cost_per_word_s": float("nan")}}, "mt.cost_per_word_s"),
+        ({"mt": {"word_map": ["a"]}}, "mt.word_map"),
+    ],
+)
+def test_mock_script_bad_optional_field_is_named(data, field) -> None:
+    with pytest.raises(InvalidArgumentError, match=rf"mock script field {field} must be"):
+        parse_mock_script(data)
+
+
+def test_load_mock_script_reports_deep_nesting(tmp_path) -> None:
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    with pytest.raises(InvalidArgumentError, match="nested too deeply"):
         load_mock_script(path)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
+from helpers import DEEP_JSON
 from simulstream.cli import main
 from simulstream.core import SENTINEL, EmissionRecord
 from simulstream.metrics import (
@@ -101,6 +103,70 @@ def test_simulate_dead_wire_backend_exits_2(tmp_path, capsys) -> None:
     assert err["error"] == "backend-error"
 
 
+@pytest.mark.parametrize(
+    "target, text, message",
+    [
+        ("config", DEEP_JSON, r"config_adapted\.json: invalid JSON: .*nested too deeply"),
+        ("trace", DEEP_JSON, r"trace\.jsonl:1: bad JSON: .*nested too deeply"),
+        ("trace", '{"t": 1.0, "kind": "audio", "dur": NaN}', r"trace\.jsonl:1: bad JSON: .*NaN"),
+        ("trace", '{"t": 1.0, "kind": "audio", "dur": "1.0"}', r"trace\.jsonl:1: bad event"),
+        ("script", DEEP_JSON, r"mock script .*invalid JSON: .*nested too deeply"),
+        ("script", '{"seed": "abc"}', r"mock script field seed must be int"),
+    ],
+    ids=[
+        "config_nested",
+        "trace_nested",
+        "trace_nan_dur",
+        "trace_string_dur",
+        "script_nested",
+        "script_string_seed",
+    ],
+)
+def test_simulate_unreadable_input_exits_1(tmp_path, capsys, target, text, message) -> None:
+    trace, config = _stage_fixture(tmp_path)
+    paths = {
+        "config": config,
+        "trace": tmp_path / "trace.jsonl",
+        "script": tmp_path / "mock_script_60s.json",
+    }
+    shutil.copy(trace, paths["trace"])
+    paths[target].write_text(text + "\n", encoding="utf-8")
+    code = main(["simulate", str(paths["trace"]), str(config), str(tmp_path / "o.jsonl")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert re.search(message, err["message"])
+
+
+# Stand-in servers that read one request and answer it with a bad line.
+_V1_REPLY_SERVER = (
+    "import json, sys; sys.stdin.readline(); print(json.dumps({'v': 1, 'kind': 'asr', "
+    "'window_offset_s': 0.0, 'words': [], 'compute_cost_s': 0.1}), flush=True); "
+    "sys.stdin.readline()"
+)
+_DEEP_REPLY_SERVER = (
+    "import sys; sys.stdin.readline(); "
+    "print('[' * 200000 + ']' * 200000, flush=True); sys.stdin.readline()"
+)
+
+
+@pytest.mark.parametrize(
+    "server, message",
+    [(_V1_REPLY_SERVER, "field 'v' must be 2, got 1"), (_DEEP_REPLY_SERVER, "nested too deeply")],
+    ids=["v1_reply", "nested_reply"],
+)
+def test_simulate_bad_wire_reply_exits_2(tmp_path, capsys, server, message) -> None:
+    trace, config_path = _stage_fixture(tmp_path)
+    config = json.loads(config_path.read_text())
+    config["backend"] = {"kind": "wire", "command": [sys.executable, "-c", server], "timeout_s": 10}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["simulate", str(trace), str(config_path), str(tmp_path / "o.jsonl")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "protocol-error"
+    assert message in err["message"]
+
+
 def test_eval_reports_quality_and_latency(tmp_path, capsys) -> None:
     out = tmp_path / "report.json"
     code = main(
@@ -185,6 +251,8 @@ _GOOD_SEGMENT = '{"source_end_s":2.0,"source_start_s":0.0,"tokens":["ja"]}'
         ("refs", '{"source_end_s":"4.0","source_start_s":"2.0","tokens":["hi"]}'),
         ("refs", '{"source_end_s":NaN,"source_start_s":2.0,"tokens":["hi"]}'),
         ("refs", '{"source_end_s":4.0,"source_start_s":-Infinity,"tokens":["hi"]}'),
+        ("log", DEEP_JSON),
+        ("refs", DEEP_JSON),
     ],
     ids=[
         "token_not_string",
@@ -199,6 +267,8 @@ _GOOD_SEGMENT = '{"source_end_s":2.0,"source_start_s":0.0,"tokens":["ja"]}'
         "string_bounds",
         "nan_bound",
         "infinity_bound",
+        "log_nested_too_deeply",
+        "refs_nested_too_deeply",
     ],
 )
 def test_eval_bad_record_exits_1_naming_the_line(tmp_path, capsys, bad_file, bad_line) -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import DEEP_JSON
 from simulstream.core import (
     SENTINEL,
     AsrHypothesis,
@@ -13,6 +14,7 @@ from simulstream.core import (
     TimedWord,
     VirtualClock,
     check_emission_log,
+    strict_json_loads,
 )
 
 
@@ -97,22 +99,20 @@ def test_asr_hypothesis_requires_ordered_ends() -> None:
         AsrHypothesis(words, 0.0)
 
 
-def test_beam_hypothesis_row_checks() -> None:
-    BeamHypothesis(("a",), 0.0, ((1.0,),))
-    with pytest.raises(InvalidArgumentError):
-        BeamHypothesis(("a", "b"), 0.0, ((1.0,),))  # one row missing
-    with pytest.raises(InvalidArgumentError):
-        BeamHypothesis(("a",), 0.0, ((0.5, 0.4),))  # does not sum to 1
-    with pytest.raises(InvalidArgumentError):
-        BeamHypothesis(("a",), 0.0, ((1.5, -0.5),))  # negative weight
+def test_beam_hypothesis_needs_one_cut_per_token() -> None:
+    assert BeamHypothesis(["a", "b"], 0.0, [0, 1]).cuts == (0, 1)
+    with pytest.raises(InvalidArgumentError, match="2 tokens but 1 cuts"):
+        BeamHypothesis(("a", "b"), 0.0, (0,))
+    with pytest.raises(InvalidArgumentError, match="1 tokens but 2 cuts"):
+        BeamHypothesis(("a",), 0.0, (0, 0))
 
 
 def test_beam_set_checks() -> None:
-    beam = BeamHypothesis(("a",), 0.0, ((1.0,),))
+    beam = BeamHypothesis(("a",), 0.0, (0,))
     BeamSet((beam,), 2)
     with pytest.raises(InvalidArgumentError):
         BeamSet((beam, beam, beam), 2)
-    better = BeamHypothesis(("a",), 1.0, ((1.0,),))
+    better = BeamHypothesis(("a",), 1.0, (0,))
     with pytest.raises(InvalidArgumentError):
         BeamSet((beam, better), 2)  # ascending scores
 
@@ -144,3 +144,9 @@ def test_stream_history_counts_and_pairing() -> None:
     history.target_sentences.pop()
     with pytest.raises(InvalidArgumentError):
         history.check_paired()
+
+
+def test_strict_json_loads_reports_deep_nesting_as_value_error() -> None:
+    assert strict_json_loads("[[1]]") == [[1]]
+    with pytest.raises(ValueError, match="nested too deeply"):
+        strict_json_loads(DEEP_JSON)

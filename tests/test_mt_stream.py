@@ -4,21 +4,18 @@ import random
 
 import pytest
 
-from helpers import make_beam
+from helpers import make_beam, segment_source
 from simulstream.backends import MockMtBackend, MtRequest, MtResponse, MtScript
 from simulstream.core import (
     SENTINEL,
     BackendError,
+    BeamHypothesis,
     BeamSet,
     InvalidArgumentError,
     ProtocolError,
     VirtualClock,
 )
-from simulstream.mt_stream import (
-    MtStreamConfig,
-    MtStreamController,
-    segment_source,
-)
+from simulstream.mt_stream import MtStreamConfig, MtStreamController
 from simulstream.policy import RalcpConfig, WaitKConfig
 
 
@@ -200,15 +197,18 @@ def test_eviction_stops_when_only_active_remains() -> None:
     assert controller.max_buffered_words == 25
 
 
-def test_attention_row_length_mismatch_is_a_protocol_error() -> None:
+@pytest.mark.parametrize("bad", ["minus_one", "active_len"])
+def test_out_of_range_cut_is_a_protocol_error(bad) -> None:
     class BadBackend:
         def translate(self, request: MtRequest) -> MtResponse:
-            beam = make_beam(("X",), src_len=max(1, len(request.active_source) - 1))
+            cut = -1 if bad == "minus_one" else len(request.active_source)
+            beam = BeamHypothesis(("X", "Y"), 0.0, (0, cut))
             return MtResponse(BeamSet((beam,), request.beam_size), 0.0)
 
     controller = _controller(BadBackend(), waitk=WaitKConfig(k=1))
-    with pytest.raises(ProtocolError, match="attention row"):
+    with pytest.raises(ProtocolError, match=r"cut outside the 2 active source words"):
         controller.step(["a", "b"])
+    assert controller.history.active_target_committed == []
 
 
 def test_beams_rewriting_committed_prefix_are_dropped() -> None:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import build_scripts, chunked_trace, offline_translation, synth_sentences
+from helpers import DEEP_JSON, build_scripts, chunked_trace, offline_translation, synth_sentences
 from simulstream.backends import MockAsrBackend, MockMtBackend
 from simulstream.core import InvalidArgumentError, check_emission_log
 from simulstream.metrics import strip_sentinels
@@ -109,9 +109,7 @@ def test_baseline_mode_runs_end_to_end() -> None:
     )
 
 
-NOISY = dict(
-    stabilization_delay_s=0.6, tail_truncate_max=2, tail_perturb_prob=0.3, attention_blur=0.1
-)
+NOISY = dict(stabilization_delay_s=0.6, tail_truncate_max=2, tail_perturb_prob=0.3)
 
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
@@ -168,6 +166,25 @@ def test_read_trace_validates(tmp_path) -> None:
         encoding="utf-8",
     )
     with pytest.raises(InvalidArgumentError):
+        read_trace(path)
+
+
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        ('{"t": 1.0, "kind": "audio", "dur": NaN}', "NaN"),
+        ('{"t": 1.0, "kind": "audio", "dur": "1.0"}', "dur must be a finite number"),
+        ('{"t": 1.0, "kind": "audio", "dur": 1e999}', "dur must be a finite number"),
+        ('{"t": true, "kind": "audio", "dur": 1.0}', "t must be a finite number"),
+        ('{"t": 1.0, "kind": "audio"}', "'dur'"),
+        (DEEP_JSON, "nested too deeply"),
+    ],
+    ids=["nan", "string", "overflow", "bool", "missing", "deep"],
+)
+def test_read_trace_rejects_bad_numbers_naming_the_line(tmp_path, line, match) -> None:
+    path = tmp_path / "trace.jsonl"
+    path.write_text('{"t": 0.5, "kind": "audio", "dur": 0.5}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(InvalidArgumentError, match=rf"trace\.jsonl:2: .*{match}"):
         read_trace(path)
 
 

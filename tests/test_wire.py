@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from helpers import build_scripts, synth_sentences
-import random
+from helpers import DEEP_JSON, build_scripts, synth_sentences
 
 from simulstream.backends import (
     AsrRequest,
@@ -150,6 +151,7 @@ _HUGE_INT = "1" + "0" * 400
         ),
         (decode_asr_response, '"end_s":3.8', '"end_s":1e999', r"words\[1\]\.end_s"),
         (decode_mt_response, '"score":0.0', '"score":1e999', r"beams\[0\]\.score"),
+        (decode_mt_response, '"cuts":[0,1]', '"cuts":[0,1e999]', r"beams\[0\]\.cuts\[1\]"),
     ],
     ids=[
         "asr_request.window_start_s",
@@ -159,6 +161,7 @@ _HUGE_INT = "1" + "0" * 400
         "asr_response.words.start_s",
         "asr_response.words.end_s",
         "mt_response.beams.score",
+        "mt_response.beams.cuts",
     ],
 )
 def test_overflowing_number_is_rejected(decode, old, new, field) -> None:
@@ -182,10 +185,44 @@ def test_mt_response_with_non_finite_number_is_rejected(literal) -> None:
     for field, value in (
         ('"compute_cost_s":0.12000000000000001', f'"compute_cost_s":{literal}'),
         ('"score":-1.0', f'"score":{literal}'),
-        ('"attention":[[1.0,0.0]', f'"attention":[[{literal},0.0]'),
+        ('"cuts":[0,1]', f'"cuts":[{literal},1]'),
     ):
         with pytest.raises(ProtocolError, match=literal):
             decode_mt_response(line.replace(field, value, 1))
+
+
+@pytest.mark.parametrize("cut", ["1.0", "true", '"1"', "null"])
+def test_cut_must_be_an_integer(cut) -> None:
+    line = _golden_lines("wire_responses.jsonl")[1].replace('"cuts":[0,1]', f'"cuts":[0,{cut}]', 1)
+    with pytest.raises(ProtocolError, match=r"'beams\[0\]\.cuts\[1\]' must be an integer"):
+        decode_mt_response(line)
+
+
+def test_cut_count_must_match_the_tokens() -> None:
+    line = _golden_lines("wire_responses.jsonl")[1].replace('"cuts":[0,1]', '"cuts":[0]', 1)
+    with pytest.raises(ProtocolError, match=r"'beams\[0\]' invalid: beam has 2 tokens but 1 cuts"):
+        decode_mt_response(line)
+
+
+# The MT reply golden of protocol version 1, which carried dense attention rows.
+_V1_MT_REPLY = (
+    '{"beams":[{"attention":[[1.0,0.0],[0.0,1.0]],"score":0.0,"tokens":["we","go"]},'
+    '{"attention":[[1.0,0.0],[0.0,1.0]],"score":-1.0,"tokens":["we","go"]}],'
+    '"compute_cost_s":0.12000000000000001,"kind":"mt","requested_size":2,"v":1}'
+)
+
+
+def test_v1_mt_reply_is_rejected_naming_v() -> None:
+    with pytest.raises(ProtocolError, match="field 'v' must be 2, got 1"):
+        decode_mt_response(_V1_MT_REPLY)
+
+
+@pytest.mark.parametrize(
+    "decode", [decode_asr_request, decode_asr_response, decode_mt_request, decode_mt_response]
+)
+def test_deeply_nested_line_is_a_protocol_error(decode) -> None:
+    with pytest.raises(ProtocolError, match="nested too deeply"):
+        decode(DEEP_JSON)
 
 
 def test_string_list_errors_name_their_path() -> None:
@@ -249,9 +286,34 @@ def test_timeout_is_a_backend_error() -> None:
         backend = WireAsrBackend(channel, timeout_s=0.3)
         with pytest.raises(BackendError, match="timeout"):
             backend.decode(AsrRequest("s", 0.0, 1.0, 5))
-        # the connection guard resets after a failure
+        # the channel stays unusable after a timeout
         with pytest.raises(BackendError, match="timeout"):
             backend.decode(AsrRequest("s", 0.0, 1.0, 5))
+    finally:
+        channel.close()
+
+
+# Replies to each request with its ordinal; the first reply comes late.
+_LATE_SERVER = """\
+import sys, time
+n = 0
+while sys.stdin.readline():
+    n += 1
+    if n == 1:
+        time.sleep(0.5)
+    print('{"reply_to": %d}' % n, flush=True)
+"""
+
+
+def test_channel_never_returns_a_late_reply_after_a_timeout() -> None:
+    channel = WireChannel.spawn([sys.executable, "-c", _LATE_SERVER])
+    try:
+        with pytest.raises(BackendError, match="timeout"):
+            channel.roundtrip('{"n":1}', 0.1)
+        time.sleep(0.8)  # the late reply to the first request is in the pipe now
+        for n in (2, 3):
+            with pytest.raises(BackendError, match="timeout"):
+                channel.roundtrip(f'{{"n":{n}}}', 5.0)
     finally:
         channel.close()
 
