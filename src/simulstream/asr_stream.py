@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .backends import AsrBackend, AsrRequest
 from .core import AsrHypothesis, InvalidArgumentError, TimedWord, VirtualClock
 from .policy import agreed_prefix_len
-from .textnorm import DEFAULT_ABBREVIATIONS, MatchConfig, is_sentence_terminal
+from .textnorm import MatchConfig, is_sentence_terminal
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,6 @@ class AsrStreamConfig:
     initial_wait_s: float = 1.0
     matcher: MatchConfig = MatchConfig()
     backend_beam: int = 5
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
 
     def __post_init__(self) -> None:
         if not 0 < self.min_chunk_s <= self.max_window_s:
@@ -42,7 +41,6 @@ class AsrStreamConfig:
 class AsrStreamState:
     window_start_s: float = 0.0
     decoded_upto_s: float = 0.0
-    started: bool = False
     prev_hypothesis: AsrHypothesis | None = None
     committed: list[TimedWord] = field(default_factory=list)
     # Committed words the current window still covers; the agreement skips
@@ -83,15 +81,16 @@ class AsrStreamController:
     def step(self) -> list[TimedWord]:
         """Decode newly available audio and commit newly agreed words.
 
-        No-op until at least ``min_chunk_s`` of undecoded audio exists (and
-        ``initial_wait_s`` of total audio before the very first decode).
+        No-op until at least ``min_chunk_s`` of undecoded audio exists and
+        ``initial_wait_s`` of total audio has arrived (audio never goes
+        down, so once the first decode has passed that gate it stays open).
         A backend failure propagates with the state untouched, so the step
         is retryable.
         """
         audio = self.clock.audio_available_s
         if audio - self.state.decoded_upto_s < self.config.min_chunk_s:
             return []
-        if not self.state.started and audio < self.config.initial_wait_s:
+        if audio < self.config.initial_wait_s:
             return []
         return self._decode_and_commit(force_tail=False)
 
@@ -118,7 +117,6 @@ class AsrStreamController:
         response = self.backend.decode(request)
         self.clock.charge_compute(response.compute_cost_s)
         self.decodes += 1
-        state.started = True
         state.decoded_upto_s = audio
         current = response.hypothesis
 
@@ -139,7 +137,7 @@ class AsrStreamController:
 
         start = state.window_start_s
         for word in reversed(newly):
-            if is_sentence_terminal(word.text, self.config.abbreviations):
+            if is_sentence_terminal(word.text):
                 start = word.end_s
                 self.sentence_trims += 1
                 break

@@ -28,6 +28,7 @@ from .core import (
     BeamSet,
     InvalidArgumentError,
     TimedWord,
+    quote,
     strict_json_loads,
 )
 from .textnorm import has_terminal_mark
@@ -285,7 +286,7 @@ def _require(mapping: dict, key: str, kind: type, where: str):
         value = float(value)
     if type(value) is not kind or (kind is float and not math.isfinite(value)):
         raise InvalidArgumentError(
-            f"mock script field {name} must be {kind.__name__}, got {value!r}"
+            f"mock script field {name} must be {kind.__name__}, got {quote(value)}"
         )
     return value
 

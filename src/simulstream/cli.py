@@ -15,7 +15,13 @@ from pathlib import Path
 from typing import Sequence
 
 from .backends import MockAsrBackend, MockMtBackend, load_mock_script
-from .core import BackendError, InvalidArgumentError, ProtocolError, strict_json_loads
+from .core import (
+    BackendError,
+    InvalidArgumentError,
+    ProtocolError,
+    quote,
+    strict_json_loads,
+)
 from .datagen import GenConfig, generate_samples, load_corpus, write_samples
 from .metrics import (
     LatencyStats,
@@ -61,10 +67,10 @@ def _build_backends(config: dict, config_dir: Path):
             raise InvalidArgumentError("wire backend needs 'command': [str, ...]")
         timeout = backend.get("timeout_s", DEFAULT_TIMEOUT_S)
         if type(timeout) not in (int, float) or not 0 < timeout < math.inf:
-            raise InvalidArgumentError(f"'timeout_s' must be a number > 0: {timeout!r}")
+            raise InvalidArgumentError(f"'timeout_s' must be a number > 0: {quote(timeout)}")
         measure = backend.get("measure_compute", False)
         if type(measure) is not bool:
-            raise InvalidArgumentError(f"'measure_compute' must be a bool: {measure!r}")
+            raise InvalidArgumentError(f"'measure_compute' must be a bool: {quote(measure)}")
         channel = WireChannel.spawn(command)
         closers.append(channel.close)
         return (
@@ -72,7 +78,7 @@ def _build_backends(config: dict, config_dir: Path):
             WireMtBackend(channel, timeout, measure),
             closers,
         )
-    raise InvalidArgumentError(f"unknown backend kind {kind!r}")
+    raise InvalidArgumentError(f"unknown backend kind {quote(kind)}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -37,12 +37,29 @@ def strict_json_loads(text: str):
         raise ValueError("JSON nested too deeply to decode") from None
 
 
+_QUOTE_CHARS = 200
+
+
+def quote(value) -> str:
+    """``repr(value)`` cut to about 200 characters, for an error message.
+
+    Input quoted in an error can be a whole multi-megabyte line; the
+    message only has to show where it went wrong.
+    """
+    if isinstance(value, str):
+        value = value[: _QUOTE_CHARS + 1]
+    text = repr(value)
+    if len(text) <= _QUOTE_CHARS:
+        return text
+    return text[:_QUOTE_CHARS] + "..."
+
+
 def finite_field(obj: dict, key: str) -> float:
     """``obj[key]`` if it is a finite JSON number; ``ValueError`` if not."""
     value = obj[key]
     # Bounded by the largest float, so an integer too large for one fails too.
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
+        raise ValueError(f"{key} must be a finite number, got {quote(value)}")
     return value
 
 

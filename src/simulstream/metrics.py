@@ -22,6 +22,7 @@ from .core import (
     EmissionRecord,
     InvalidArgumentError,
     finite_field,
+    quote,
     strict_json_loads,
 )
 
@@ -428,7 +429,9 @@ def read_emission_log(path: str | Path) -> list[EmissionRecord]:
             obj = strict_json_loads(line)
             token, ordinal = obj["token"], obj["segment_ordinal"]
             if type(token) is not str or type(ordinal) is not int:
-                raise TypeError(f"want str token, int ordinal: {token!r}, {ordinal!r}")
+                raise TypeError(
+                    f"want str token, int ordinal: {quote(token)}, {quote(ordinal)}"
+                )
             records.append(
                 EmissionRecord(
                     token=token,
@@ -479,7 +482,7 @@ def read_reference_segments(path: str | Path) -> list[ReferenceSegment]:
             obj = strict_json_loads(line)
             tokens = obj["tokens"]
             if type(tokens) is not list or not all(type(t) is str for t in tokens):
-                raise TypeError(f"tokens must be a list of strings, got {tokens!r}")
+                raise TypeError(f"tokens must be a list of strings, got {quote(tokens)}")
             refs.append(
                 ReferenceSegment(
                     tokens=tuple(tokens),

@@ -53,14 +53,6 @@ class MtStreamConfig:
             raise InvalidArgumentError("history_remove_words must be >= 1")
 
 
-@dataclass(frozen=True)
-class SegmentClosure:
-    """Bookkeeping for one closed segment: where the source was cut."""
-
-    cut_index: int
-    target_tokens: tuple[str, ...]
-
-
 class MtStreamController:
     """One streaming translation session over a shared virtual clock."""
 
@@ -72,8 +64,6 @@ class MtStreamController:
         self.clock = clock
         self.history = StreamHistory()
         self.segment_ordinal = 0
-        self.segment_source_words_read = 0
-        self.closures: list[SegmentClosure] = []
         self.translate_calls = 0
         self.evictions = 0
         self.dropped_beams = 0
@@ -108,22 +98,20 @@ class MtStreamController:
                 )
         history = self.history
         count = len(new_source_words)
+        # The active chunk holds exactly the words the open segment has read,
+        # those a closure left unconsumed included, so wait-k counts it.
         history.active_source.extend(new_source_words)
-        self.segment_source_words_read += count
-        if not waitk_allows(self.config.waitk, self.segment_source_words_read):
+        if not waitk_allows(self.config.waitk, len(history.active_source)):
             return []
         closed = self.segment_ordinal
         try:
             records = self._translate_and_emit()
         except BackendError:
             del history.active_source[-count:]
-            self.segment_source_words_read -= count
             raise
         # Terminates: every closure consumes at least one active word.
-        while (
-            self.segment_ordinal > closed
-            and history.active_source
-            and waitk_allows(self.config.waitk, self.segment_source_words_read)
+        while self.segment_ordinal > closed and waitk_allows(
+            self.config.waitk, len(history.active_source)
         ):
             closed = self.segment_ordinal
             records += self._translate_and_emit()
@@ -133,20 +121,22 @@ class MtStreamController:
         """End of stream: keep translating the leftover active source.
 
         The wait-k gate is bypassed; with nothing left to read, holding
-        output back no longer prevents anything. Stops at the first round
-        that emits nothing.
+        output back no longer prevents anything. For the same reason a
+        stalled vote can never recover, so a round whose vote emits nothing
+        emits the best beam's continuation through its first sentinel
+        instead. Stops at the first round that emits nothing even so.
         """
         records: list[EmissionRecord] = []
         for _ in range(_FLUSH_MAX_ROUNDS):
             if not self.history.active_source:
                 break
-            emitted = self._translate_and_emit()
+            emitted = self._translate_and_emit(flushing=True)
             records.extend(emitted)
             if not emitted:
                 break
         return records
 
-    def _translate_and_emit(self) -> list[EmissionRecord]:
+    def _translate_and_emit(self, flushing: bool = False) -> list[EmissionRecord]:
         history = self.history
         request = MtRequest(
             history_source=tuple(tuple(s) for s in history.source_sentences),
@@ -163,6 +153,10 @@ class MtStreamController:
 
         committed_before = len(history.active_target_committed)
         emitted = ralcp_emit(beams, committed_before, self.config.ralcp)
+        if flushing and not emitted and beams.beams:
+            emitted = list(beams.beams[0].tokens[committed_before:])
+            if SENTINEL in emitted:
+                del emitted[emitted.index(SENTINEL) + 1 :]
         records = []
         for token in emitted:
             history.active_target_committed.append(token)
@@ -230,11 +224,7 @@ class MtStreamController:
         history.active_source = history.active_source[cut + 1 :]
         history.active_target_committed.clear()
         history.check_paired()
-        self.closures.append(SegmentClosure(cut, segment_tokens))
         self.segment_ordinal += 1
-        # Unconsumed words were already read; they count toward the new
-        # segment's wait-k gate.
-        self.segment_source_words_read = len(history.active_source)
         return True
 
     def _evict(self) -> None:

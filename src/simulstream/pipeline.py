@@ -9,9 +9,9 @@ scripts yields a byte-identical emission log.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 from .asr_stream import AsrStreamConfig, AsrStreamController
 from .backends import AsrBackend, MtBackend
@@ -20,6 +20,7 @@ from .core import (
     InvalidArgumentError,
     VirtualClock,
     finite_field,
+    quote,
     strict_json_loads,
 )
 from .mt_stream import MtStreamConfig, MtStreamController
@@ -91,7 +92,7 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
             raise InvalidArgumentError(f"{path}:{lineno}: bad JSON: {exc}") from exc
         if not isinstance(obj, dict) or obj.get("kind") != "audio":
             raise InvalidArgumentError(
-                f"{path}:{lineno}: expected an audio event, got {line!r}"
+                f"{path}:{lineno}: expected an audio event, got {quote(line)}"
             )
         try:
             event = TraceEvent(
@@ -184,35 +185,73 @@ class Pipeline:
         return list(self.records), summary
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def override_keys(section_config) -> dict[str, type]:
+    """The keys an override section may set, with their declared types.
+
+    A field holding another config is set through its own section instead.
+    """
+    hints = get_type_hints(type(section_config))
+    return {
+        f.name: hints[f.name]
+        for f in fields(section_config)
+        if hints[f.name] in _TYPE_NAMES
+    }
+
+
+def _override(section_config, section: str, values: dict):
+    keys = override_keys(section_config)
+    checked = {}
+    for key, value in values.items():
+        if key not in keys:
+            raise InvalidArgumentError(
+                f"unknown override key {quote(key)} in section {section!r}"
+            )
+        kind = keys[key]
+        if kind is float:
+            # JSON writes 2.0 as 2, so a float field takes an int.
+            try:
+                value = float(finite_field(values, key))
+            except ValueError as exc:
+                raise InvalidArgumentError(f"override {section}.{exc}") from None
+        elif type(value) is not kind:  # an int field takes no float or bool
+            raise InvalidArgumentError(
+                f"override {section}.{key} must be {_TYPE_NAMES[kind]}, "
+                f"got {quote(value)}"
+            )
+        checked[key] = value
+    return replace(section_config, **checked)
+
+
 def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
     """Apply a nested override dict from a config file onto the preset.
 
     Recognized sections: "asr", "mt", "ralcp", "waitk" and "matcher" (the
-    ASR word matcher). Unknown keys are rejected so typos cannot silently
-    run with defaults.
+    ASR word matcher); ``override_keys`` lists each section's keys. Unknown
+    sections and keys, and values of the wrong type, are rejected so typos
+    cannot silently run with defaults.
     """
     if not isinstance(overrides, dict):
         raise InvalidArgumentError("overrides must be an object")
     asr = config.asr
     mt = config.mt
-    for section, value in overrides.items():
-        if not isinstance(value, dict):
-            raise InvalidArgumentError(f"override section {section!r} must be an object")
-        try:
-            if section == "asr":
-                asr = replace(asr, **value)
-            elif section == "mt":
-                mt = replace(mt, **value)
-            elif section == "ralcp":
-                mt = replace(mt, ralcp=replace(mt.ralcp, **value))
-            elif section == "waitk":
-                mt = replace(mt, waitk=replace(mt.waitk, **value))
-            elif section == "matcher":
-                asr = replace(asr, matcher=replace(asr.matcher, **value))
-            else:
-                raise InvalidArgumentError(f"unknown override section {section!r}")
-        except TypeError as exc:
+    for section, values in overrides.items():
+        if not isinstance(values, dict):
             raise InvalidArgumentError(
-                f"bad override in section {section!r}: {exc}"
-            ) from exc
+                f"override section {quote(section)} must be an object"
+            )
+        if section == "asr":
+            asr = _override(asr, section, values)
+        elif section == "mt":
+            mt = _override(mt, section, values)
+        elif section == "ralcp":
+            mt = replace(mt, ralcp=_override(mt.ralcp, section, values))
+        elif section == "waitk":
+            mt = replace(mt, waitk=_override(mt.waitk, section, values))
+        elif section == "matcher":
+            asr = replace(asr, matcher=_override(asr.matcher, section, values))
+        else:
+            raise InvalidArgumentError(f"unknown override section {quote(section)}")
     return PipelineConfig(asr=asr, mt=mt)

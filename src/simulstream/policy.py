@@ -26,18 +26,13 @@ class RalcpConfig:
     """Beam-voting settings.
 
     ``agreement_ratio`` is the fraction of the requested beam pool that must
-    agree on a token before it is emitted. When ``filter_empty`` is on,
-    beams with nothing beyond the committed prefix are removed from the
-    vote; the vote bar stays at ceil(ratio * requested_size) unless
-    ``recompute_votes_after_filter`` is set, in which case it is recomputed
-    from the survivor count (the laxer reading; off by default because the
-    fixed bar is the conservative guard against hallucination).
+    agree on a token before it is emitted. The bar is fixed at
+    ceil(ratio * requested_size) however many beams come back, the
+    conservative guard against hallucination.
     """
 
     agreement_ratio: float = 0.5
     beam_size: int = 10
-    filter_empty: bool = True
-    recompute_votes_after_filter: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.agreement_ratio <= 1:
@@ -91,24 +86,21 @@ def ralcp_emit(beams: BeamSet, committed: int, config: RalcpConfig) -> list[str]
 
     Walks positions starting at ``committed``; at each position the
     plurality token (ties broken by the highest-scoring beam holding the
-    token) is emitted iff its vote count reaches the bar. Stops at the
-    first failing position, or right after emitting the sentinel, which
-    closes the segment for this call.
+    token) is emitted iff its vote count reaches the bar. A beam too short
+    to hold a position casts no vote there. Stops at the first failing
+    position, or right after emitting the sentinel, which closes the
+    segment for this call.
     """
     if committed < 0:
         raise InvalidArgumentError(f"committed must be >= 0, got {committed}")
-    voters = list(beams.beams)
-    if config.filter_empty:
-        voters = [b for b in voters if len(b.tokens) > committed]
-    pool = len(voters) if config.recompute_votes_after_filter else beams.requested_size
-    needed = votes_needed(config.agreement_ratio, pool)
+    needed = votes_needed(config.agreement_ratio, beams.requested_size)
 
     emitted: list[str] = []
     position = committed
     while True:
         counts: dict[str, int] = {}
         first_holder: dict[str, int] = {}
-        for rank, beam in enumerate(voters):
+        for rank, beam in enumerate(beams.beams):
             if len(beam.tokens) > position:
                 token = beam.tokens[position]
                 counts[token] = counts.get(token, 0) + 1
@@ -126,10 +118,8 @@ def ralcp_emit(beams: BeamSet, committed: int, config: RalcpConfig) -> list[str]
     return emitted
 
 
-def waitk_allows(config: WaitKConfig, segment_source_words_read: int) -> bool:
+def waitk_allows(config: WaitKConfig, words_read: int) -> bool:
     """True once the current segment has read at least k source words."""
-    if segment_source_words_read < 0:
-        raise InvalidArgumentError(
-            f"segment_source_words_read must be >= 0, got {segment_source_words_read}"
-        )
-    return segment_source_words_read >= config.k
+    if words_read < 0:
+        raise InvalidArgumentError(f"words_read must be >= 0, got {words_read}")
+    return words_read >= config.k

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import InvalidArgumentError
 
-DEFAULT_ABBREVIATIONS = frozenset(
+_ABBREVIATIONS = frozenset(
     {"dr", "mr", "mrs", "ms", "prof", "e.g", "i.e", "etc", "vs", "fig", "eq"}
 )
 
@@ -27,8 +26,6 @@ class MatchConfig:
     """Relaxed word-equality settings for the commitment policy."""
 
     levenshtein_threshold: int = 2
-    strip_punctuation: bool = True
-    lowercase: bool = True
 
     def __post_init__(self) -> None:
         if self.levenshtein_threshold < 0:
@@ -41,17 +38,12 @@ def _is_punctuation(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-def normalize_word(word: str, config: MatchConfig = MatchConfig()) -> str:
-    """Lowercase and strip Unicode punctuation per the config flags.
+def normalize_word(word: str) -> str:
+    """Lowercase and strip Unicode punctuation.
 
     May return "" when the word was entirely punctuation.
     """
-    out = word
-    if config.lowercase:
-        out = out.lower()
-    if config.strip_punctuation:
-        out = "".join(ch for ch in out if not _is_punctuation(ch))
-    return out
+    return "".join(ch for ch in word.lower() if not _is_punctuation(ch))
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
@@ -78,7 +70,7 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
 def words_match(a: str, b: str, config: MatchConfig = MatchConfig()) -> bool:
     """True when the normalized forms are within the edit-distance threshold."""
     return (
-        levenshtein(normalize_word(a, config), normalize_word(b, config))
+        levenshtein(normalize_word(a), normalize_word(b))
         <= config.levenshtein_threshold
     )
 
@@ -89,9 +81,7 @@ def has_terminal_mark(word: str) -> bool:
     return bool(stripped) and stripped[-1] in _TERMINALS
 
 
-def is_sentence_terminal(
-    word: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
-) -> bool:
+def is_sentence_terminal(word: str) -> bool:
     """True when the word ends a sentence.
 
     The word must end with a terminal mark (optionally followed by closing
@@ -103,30 +93,4 @@ def is_sentence_terminal(
     base = word.rstrip(_CLOSERS)[:-1].lower()
     if len(base) == 1:
         return False
-    return base not in abbreviations
-
-
-def detect_sentence_end(
-    words: Sequence[str],
-    from_index: int = 0,
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
-) -> Optional[int]:
-    """Index of the first sentence-final word at or after ``from_index``."""
-    if from_index > len(words):
-        raise InvalidArgumentError(
-            f"from_index {from_index} beyond word count {len(words)}"
-        )
-    for i in range(from_index, len(words)):
-        if is_sentence_terminal(words[i], abbreviations):
-            return i
-    return None
-
-
-def load_abbreviations(path: str | Path) -> frozenset[str]:
-    """Load an abbreviation list: plain text, one lowercase entry per line."""
-    entries = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        entry = line.strip()
-        if entry:
-            entries.add(entry.lower())
-    return frozenset(entries)
+    return base not in _ABBREVIATIONS

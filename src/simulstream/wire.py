@@ -49,6 +49,7 @@ from .core import (
     InvalidArgumentError,
     ProtocolError,
     TimedWord,
+    quote,
     strict_json_loads,
 )
 
@@ -67,9 +68,11 @@ def _parse(line: str) -> dict:
     try:
         obj = strict_json_loads(line)
     except ValueError as exc:
-        raise ProtocolError(f"malformed JSON line: {exc}; payload: {line!r}") from exc
+        raise ProtocolError(
+            f"malformed JSON line: {exc}; payload: {quote(line)}"
+        ) from exc
     if not isinstance(obj, dict):
-        raise ProtocolError(f"expected JSON object, got: {line!r}")
+        raise ProtocolError(f"expected JSON object, got: {quote(line)}")
     return obj
 
 
@@ -78,7 +81,7 @@ def _field(obj: dict, name: str, kinds, path: str):
         raise ProtocolError(f"missing field '{path}{name}'")
     value = obj[name]
     if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ProtocolError(f"field '{path}{name}' has wrong type: {value!r}")
+        raise ProtocolError(f"field '{path}{name}' has wrong type: {quote(value)}")
     return value
 
 
@@ -87,7 +90,7 @@ def _list(obj: dict, name: str, kind: type, path: str) -> tuple:
     for i, item in enumerate(value):
         if type(item) is not kind:
             raise ProtocolError(
-                f"field '{path}{name}[{i}]' must be {_KIND_NAMES[kind]}: {item!r}"
+                f"field '{path}{name}[{i}]' must be {_KIND_NAMES[kind]}: {quote(item)}"
             )
     return tuple(value)
 
@@ -112,7 +115,7 @@ def _check_envelope(obj: dict, kind: str) -> None:
     if _field(obj, "v", int, "") != PROTOCOL_VERSION:
         raise ProtocolError(f"field 'v' must be {PROTOCOL_VERSION}, got {obj['v']!r}")
     if _field(obj, "kind", str, "") != kind:
-        raise ProtocolError(f"field 'kind' must be {kind!r}, got {obj['kind']!r}")
+        raise ProtocolError(f"field 'kind' must be {kind!r}, got {quote(obj['kind'])}")
 
 
 def _join_history(sentences: Sequence[Sequence[str]]) -> str:
@@ -126,7 +129,7 @@ def _split_history(text: str, path: str) -> tuple[tuple[str, ...], ...]:
     for chunk in text.split(_HISTORY_JOIN):
         words = tuple(chunk.split(" "))
         if any(not w for w in words):
-            raise ProtocolError(f"field '{path}' has an empty word: {text!r}")
+            raise ProtocolError(f"field '{path}' has an empty word: {quote(text)}")
         sentences.append(words)
     return tuple(sentences)
 
@@ -429,7 +432,7 @@ def serve(asr_backend, mt_backend, stdin: BinaryIO, stdout: BinaryIO) -> None:
         elif kind == "mt":
             reply = encode_mt_response(mt_backend.translate(decode_mt_request(line)))
         else:
-            raise ProtocolError(f"field 'kind' unknown: {kind!r}")
+            raise ProtocolError(f"field 'kind' unknown: {quote(kind)}")
         stdout.write(reply.encode("utf-8") + b"\n")
         stdout.flush()
 

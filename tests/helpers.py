@@ -65,21 +65,18 @@ def oracle_levenshtein(a, b) -> int:
     return result
 
 
-def oracle_ralcp(
-    beams: BeamSet,
-    committed: int,
-    ratio: float,
-    filter_empty: bool = True,
-    recompute: bool = False,
-) -> list[str]:
-    """Brute-force beam vote simulator."""
-    voters = [list(b.tokens) for b in beams.beams]
-    if filter_empty:
-        voters = [t for t in voters if len(t) > committed]
-    pool = len(voters) if recompute else beams.requested_size
-    # Smallest vote count reaching the ratio, found by linear search.
+def oracle_ralcp(beams: BeamSet, committed: int, ratio: float) -> list[str]:
+    """Brute-force beam vote simulator.
+
+    Unlike the library, it first removes beams with nothing beyond the
+    committed prefix, so agreement shows that the removal never changes a
+    vote under the fixed bar.
+    """
+    voters = [list(b.tokens) for b in beams.beams if len(b.tokens) > committed]
+    # Smallest vote count reaching the ratio of the requested pool, found by
+    # linear search.
     needed = 0
-    target = Fraction(ratio) * pool
+    target = Fraction(ratio) * beams.requested_size
     while needed < target:
         needed += 1
     out: list[str] = []

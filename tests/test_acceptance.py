@@ -287,9 +287,13 @@ def test_c06_attention_argmax_segmentation() -> None:
         sentences = synth_sentences(rng, rng.randint(2, 5))
         pipeline, duration = _build_pipeline(sentences, seed)
         pipeline.run_trace(chunked_trace(duration))
-        for closure in pipeline.mt.closures:
+        history = pipeline.mt.history
+        # These talks never evict, so the history holds every closed pair.
+        assert pipeline.mt.evictions == 0
+        assert len(history.source_sentences) == pipeline.mt.segment_ordinal
+        for source, target in zip(history.source_sentences, history.target_sentences):
             # 1:1 word map: moved source length == target tokens before [SEP]
-            assert closure.cut_index == len(closure.target_tokens) - 2
+            assert len(source) == len(target)
             closures_seen += 1
     assert closures_seen >= 15
     _passed(6, "attention-argmax source segmentation (one-hot, ties, diagonal)")

@@ -314,6 +314,53 @@ def test_simulate_bad_config_value_exits_1(tmp_path, capsys, change) -> None:
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-argument"
 
 
+def _simulate_with_overrides(tmp_path, overrides, table3="adapted") -> tuple[int, Path]:
+    trace, config_path = _stage_fixture(tmp_path)
+    config = json.loads(config_path.read_text())
+    config.update({"table3": table3, "overrides": overrides})
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    return main(["simulate", str(trace), str(config_path), str(out)]), out
+
+
+@pytest.mark.parametrize(
+    "table3, overrides, message",
+    [
+        ("adapted", {"ralcp": {"beam_size": 2.5}}, "override ralcp.beam_size must be an integer"),
+        ("baseline", {"mt": {"history_remove_words": 2.5}}, "override mt.history_remove_words must be"),
+        ("adapted", {"waitk": {"k": True}}, "override waitk.k must be an integer"),
+        ("adapted", {"mt": {"max_buffer_words": 2.5}}, "override mt.max_buffer_words must be"),
+        ("adapted", {"asr": {"min_chunk_s": "1.0"}}, "override asr.min_chunk_s must be a finite number"),
+        ("adapted", {"mt": {"history_remove": 1}}, "override mt.history_remove must be a string"),
+        ("adapted", {"asr": {"abbreviations": []}}, "unknown override key 'abbreviations' in section 'asr'"),
+        ("adapted", {"matcher": {"strip_punctuation": False}}, "key 'strip_punctuation' in section 'matcher'"),
+        ("adapted", {"matcher": {"lowercase": False}}, "key 'lowercase' in section 'matcher'"),
+        ("adapted", {"ralcp": {"filter_empty": False}}, "key 'filter_empty' in section 'ralcp'"),
+        ("adapted", {"ralcp": {"recompute_votes_after_filter": True}}, "key 'recompute_votes_after_filter'"),
+    ],
+    ids=["int_gets_float", "baseline_int_gets_float", "int_gets_bool", "buffer_gets_float",
+         "float_gets_string", "string_gets_int", "removed_abbreviations",
+         "removed_strip_punctuation", "removed_lowercase", "removed_filter_empty",
+         "removed_recompute_votes"],
+)
+def test_simulate_bad_override_exits_1_naming_section_and_key(
+    tmp_path, capsys, table3, overrides, message
+) -> None:
+    code, _ = _simulate_with_overrides(tmp_path, overrides, table3)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert message in err["message"]
+
+
+def test_simulate_float_override_takes_an_integer(tmp_path) -> None:
+    # JSON may write 1.0 as 1; the preset's own values reproduce the golden.
+    overrides = {"asr": {"min_chunk_s": 1, "max_window_s": 30}, "ralcp": {"agreement_ratio": 0.5}}
+    code, out = _simulate_with_overrides(tmp_path, overrides)
+    assert code == 0
+    assert out.read_bytes() == (DATA / "golden_log_60s.jsonl").read_bytes()
+
+
 CORPUS = """\
 one two three ||| eins zwei drei
 four five ||| vier fünf

@@ -520,6 +520,24 @@ def test_read_emission_log_reports_line_numbers(tmp_path) -> None:
         read_emission_log(path)
 
 
+@pytest.mark.parametrize(
+    "read, line, named",
+    [
+        (read_emission_log, {"token": ["x" * 100_000], "segment_ordinal": 0}, "want str token"),
+        (read_reference_segments, {"tokens": "y" * 100_000}, "tokens must be a list"),
+    ],
+    ids=["log", "refs"],
+)
+def test_readers_quote_only_an_excerpt_of_a_huge_field(tmp_path, read, line, named) -> None:
+    path = tmp_path / "input.jsonl"
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    with pytest.raises(InvalidArgumentError) as info:
+        read(path)
+    message = str(info.value)
+    assert "input.jsonl:1: " in message and named in message
+    assert len(message) < 500
+
+
 def test_evaluate_report_shape() -> None:
     refs = _refs((["der", "hund"], 0.0, 2.0), (["die", "katze"], 2.0, 4.0))
     log = [

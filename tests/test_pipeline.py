@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from simulstream.pipeline import (
     Pipeline,
     TraceEvent,
     apply_overrides,
+    override_keys,
     preset_config,
     read_trace,
 )
@@ -150,6 +153,22 @@ def test_long_stream_invariants_hold_after_every_step(mode, noisy) -> None:
         assert pipeline.mt.segment_ordinal == len(sentences)
 
 
+def test_noisy_flush_streams_the_whole_translation() -> None:
+    # Unstable ASR tails and disagreeing beams stall the final vote; the
+    # flush must still emit every word of the committed transcript.
+    short = []
+    for seed in range(30):
+        sentences = synth_sentences(random.Random(seed), 24)
+        pipeline, records, _ = _run(sentences, seed=seed, **NOISY)
+        check_emission_log(records)
+        streamed = strip_sentinels([r.token for r in records])
+        if streamed != offline_translation(
+            pipeline.mt.backend.script, pipeline.asr.transcript()
+        ):
+            short.append(seed)
+    assert short == []
+
+
 def test_read_trace_validates(tmp_path) -> None:
     path = tmp_path / "trace.jsonl"
     path.write_text(
@@ -188,6 +207,24 @@ def test_read_trace_rejects_bad_numbers_naming_the_line(tmp_path, line, match) -
         read_trace(path)
 
 
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        ('{"t": 1.0, "kind": "video", "pad": "' + "x" * 200_000 + '"}', "expected an audio event"),
+        ('{"t": 1.0, "kind": "audio", "dur": "' + "1" * 200_000 + '"}', "dur must be a finite number"),
+    ],
+    ids=["not_audio", "bad_number"],
+)
+def test_read_trace_quotes_only_an_excerpt_of_a_huge_line(tmp_path, line, named) -> None:
+    path = tmp_path / "trace.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(InvalidArgumentError) as info:
+        read_trace(path)
+    message = str(info.value)
+    assert "trace.jsonl:1: " in message and named in message
+    assert len(message) < 500
+
+
 def test_apply_overrides_nested_sections() -> None:
     config = preset_config("adapted")
     updated = apply_overrides(
@@ -213,3 +250,37 @@ def test_apply_overrides_nested_sections() -> None:
         apply_overrides(config, {"seed": 9})
     with pytest.raises(InvalidArgumentError, match="overrides"):
         apply_overrides(config, [1])
+
+
+# Every key a config file may set under "overrides", by section. Adding a
+# knob means editing this table and README's simulate section on purpose.
+OVERRIDE_KEYS = {
+    "asr": ["max_window_s", "min_chunk_s", "initial_wait_s", "backend_beam"],
+    "mt": ["max_buffer_words", "history_remove", "history_remove_words", "attention_layer_tag"],
+    "ralcp": ["agreement_ratio", "beam_size"],
+    "waitk": ["k"],
+    "matcher": ["levenshtein_threshold"],
+}
+
+
+def test_override_keys_match_the_config_dataclasses_and_the_readme() -> None:
+    config = preset_config("adapted")
+    sections = {
+        "asr": config.asr,
+        "mt": config.mt,
+        "ralcp": config.mt.ralcp,
+        "waitk": config.mt.waitk,
+        "matcher": config.asr.matcher,
+    }
+    assert {name: list(override_keys(c)) for name, c in sections.items()} == OVERRIDE_KEYS
+    for name, section_config in sections.items():
+        for key in OVERRIDE_KEYS[name]:
+            same = {name: {key: getattr(section_config, key)}}
+            assert apply_overrides(config, same) == config
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    simulate = readme.split("\n### simulate\n", 1)[1].split("\n### ", 1)[0]
+    documented = {
+        match[1]: re.findall(r"`(\w+)`", match[2])
+        for match in re.finditer(r"^ *- `(\w+)`: (.+)$", simulate, re.MULTILINE)
+    }
+    assert documented == OVERRIDE_KEYS

@@ -3,16 +3,11 @@ from __future__ import annotations
 import random
 import string
 
-import pytest
-
 from helpers import oracle_levenshtein
-from simulstream.core import InvalidArgumentError
 from simulstream.textnorm import (
     MatchConfig,
-    detect_sentence_end,
     is_sentence_terminal,
     levenshtein,
-    load_abbreviations,
     normalize_word,
     words_match,
 )
@@ -22,13 +17,6 @@ def test_normalize_strips_punctuation_and_case() -> None:
     assert normalize_word("Hello,") == "hello"
     assert normalize_word("—") == ""  # em dash is all punctuation
     assert normalize_word("O'Neill") == "oneill"
-
-
-def test_normalize_respects_flags() -> None:
-    keep_punct = MatchConfig(strip_punctuation=False)
-    assert normalize_word("Hello,", keep_punct) == "hello,"
-    keep_case = MatchConfig(lowercase=False)
-    assert normalize_word("Hello,", keep_case) == "Hello"
 
 
 def test_normalize_is_idempotent() -> None:
@@ -72,6 +60,9 @@ def test_words_match_examples() -> None:
     assert words_match("Hello,", "hello")
     assert words_match("colour", "color")  # distance 1
     assert not words_match("cat", "dogma")  # distance 4
+    exact = MatchConfig(levenshtein_threshold=0)
+    assert words_match("Hello,", "hello", exact)  # normalization is fixed
+    assert not words_match("colour", "color", exact)
 
 
 def test_words_match_threshold_zero_is_normalized_equality() -> None:
@@ -81,7 +72,7 @@ def test_words_match_threshold_zero_is_normalized_equality() -> None:
         a = "".join(rng.choice("abC.") for _ in range(rng.randint(1, 5)))
         b = "".join(rng.choice("abC.") for _ in range(rng.randint(1, 5)))
         assert words_match(a, b, config) == (
-            normalize_word(a, config) == normalize_word(b, config)
+            normalize_word(a) == normalize_word(b)
         )
 
 
@@ -94,19 +85,11 @@ def test_words_match_is_symmetric_and_reflexive() -> None:
         assert words_match(a, b) == words_match(b, a)
 
 
-def test_detect_sentence_end_examples() -> None:
-    assert detect_sentence_end(["We", "agree."], 0) == 1
-    assert detect_sentence_end(["Dr.", "Smith", "spoke."], 0) == 2
-    assert detect_sentence_end(["no", "boundary", "here"], 0) is None
-
-
-def test_detect_sentence_end_respects_from_index() -> None:
-    words = ["One.", "two", "three.", "four"]
-    assert detect_sentence_end(words, 0) == 0
-    assert detect_sentence_end(words, 1) == 2
-    assert detect_sentence_end(words, 3) is None
-    with pytest.raises(InvalidArgumentError):
-        detect_sentence_end(words, 5)
+def test_sentence_terminal_marks_sentence_ends() -> None:
+    words = ["We", "agree.", "Dr.", "Smith", "spoke.", "One.", "no", "boundary", "here"]
+    ends = [w for w in words if is_sentence_terminal(w)]
+    assert ends == ["agree.", "spoke.", "One."]
+    assert not is_sentence_terminal("Mr.")  # abbreviations are case-blind
 
 
 def test_sentence_terminal_handles_closers_and_abbreviations() -> None:
@@ -117,13 +100,3 @@ def test_sentence_terminal_handles_closers_and_abbreviations() -> None:
     assert not is_sentence_terminal("J.")  # single letter: an initial
     assert not is_sentence_terminal("plain")
     assert not is_sentence_terminal("half),")
-
-
-def test_load_abbreviations(tmp_path) -> None:
-    # Entries match the word after its terminal punctuation is stripped.
-    path = tmp_path / "abbrev.txt"
-    path.write_text("dr\nNo\n\n  etc  \n", encoding="utf-8")
-    loaded = load_abbreviations(path)
-    assert loaded == frozenset({"dr", "no", "etc"})
-    assert not is_sentence_terminal("No.", loaded)
-    assert is_sentence_terminal("go.", loaded)

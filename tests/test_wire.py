@@ -236,6 +236,33 @@ def test_string_list_errors_name_their_path() -> None:
         decode_mt_response(json.dumps(response))
 
 
+def _huge_mt_reply(path: str) -> str:
+    response = json.loads(_golden_lines("wire_responses.jsonl")[1])
+    if path == "beams":
+        response["beams"] = "x" * 100_000
+    else:
+        response["beams"][0]["tokens"][0] = ["y" * 100_000]
+    return json.dumps(response)
+
+
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        (DEEP_JSON, "malformed JSON line: JSON nested too deeply"),
+        ('"' + "z" * 200_000 + '"', "expected JSON object"),
+        (_huge_mt_reply("beams"), "field 'beams' has wrong type"),
+        (_huge_mt_reply("tokens"), "field 'beams[0].tokens[0]' must be a string"),
+    ],
+    ids=["deep", "not_an_object", "wrong_type", "list_item"],
+)
+def test_errors_quote_only_an_excerpt_of_a_huge_payload(line, named) -> None:
+    with pytest.raises(ProtocolError) as info:
+        decode_mt_response(line)
+    message = str(info.value)
+    assert named in message
+    assert len(message) < 500
+
+
 def _spawn_mock_server(tmp_path):
     rng = random.Random(29)
     asr_script, mt_script, duration = build_scripts(synth_sentences(rng, 2), seed=4)
