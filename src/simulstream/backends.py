@@ -12,10 +12,8 @@ time when driving real servers.
 
 from __future__ import annotations
 
-import json
 import math
 import random
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,8 +26,10 @@ from .core import (
     BeamSet,
     InvalidArgumentError,
     TimedWord,
-    quote,
-    strict_json_loads,
+    canonical_json,
+    json_field,
+    must_be,
+    read_json_file,
 )
 from .textnorm import has_terminal_mark
 
@@ -203,7 +203,8 @@ def mock_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
 
 
 def _mt_fingerprint(request: MtRequest) -> str:
-    return json.dumps(
+    # Holds no object, so sorting keys leaves the bytes as they were seeded.
+    return canonical_json(
         [
             [list(s) for s in request.history_source],
             [list(s) for s in request.history_target],
@@ -211,9 +212,7 @@ def _mt_fingerprint(request: MtRequest) -> str:
             list(request.committed_target),
             request.beam_size,
             request.attention_layer_tag,
-        ],
-        ensure_ascii=False,
-        separators=(",", ":"),
+        ]
     )
 
 
@@ -275,26 +274,6 @@ class MockMtBackend:
         return mock_mt_translate(self.script, request)
 
 
-def _require(mapping: dict, key: str, kind: type, where: str):
-    name = f"{where}.{key}" if where else key
-    if key not in mapping:
-        raise InvalidArgumentError(f"mock script missing field {name}")
-    value = mapping[key]
-    # A bool is not an int here, and an int too large for a float stays
-    # an int and fails.
-    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
-        value = float(value)
-    if type(value) is not kind or (kind is float and not math.isfinite(value)):
-        raise InvalidArgumentError(
-            f"mock script field {name} must be {kind.__name__}, got {quote(value)}"
-        )
-    return value
-
-
-def _optional(mapping: dict, key: str, kind: type, where: str, default):
-    return _require(mapping, key, kind, where) if key in mapping else default
-
-
 @dataclass(frozen=True)
 class MockScripts:
     asr: AsrScript
@@ -303,15 +282,11 @@ class MockScripts:
 
 def load_mock_script(path: str | Path) -> MockScripts:
     """Load a mock script pair from a JSON file (layout: ``parse_mock_script``)."""
-    try:
-        data = strict_json_loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise InvalidArgumentError(f"mock script {path}: invalid JSON: {exc}") from exc
-    return parse_mock_script(data)
+    return read_json_file(path, parse_mock_script)
 
 
-def parse_mock_script(data: object) -> MockScripts:
-    """Build a mock script pair from decoded JSON.
+def parse_mock_script(data: dict) -> MockScripts:
+    """Build a mock script pair from a decoded JSON object.
 
     Layout: {"seed": int, "asr": {"words": [{"text", "start_s", "end_s"}...],
     "audio_duration_s": float, ...}, "mt": {"word_map": {...}, ...}} with all
@@ -319,44 +294,45 @@ def parse_mock_script(data: object) -> MockScripts:
     ignored; a known key of the wrong type is an ``InvalidArgumentError``
     naming it.
     """
-    if not isinstance(data, dict):
-        raise InvalidArgumentError("mock script must be a JSON object")
-    seed = _optional(data, "seed", int, "", 0)
-    asr_raw = _optional(data, "asr", dict, "", {})
-    mt_raw = _optional(data, "mt", dict, "", {})
+    seed = json_field(data, "seed", int, default=0)
+    asr_raw = json_field(data, "asr", dict, default={})
+    mt_raw = json_field(data, "mt", dict, default={})
 
     words = []
-    for i, item in enumerate(_optional(asr_raw, "words", list, "asr", [])):
+    for i, item in enumerate(json_field(asr_raw, "words", list, "asr", default=[], items=dict)):
         where = f"asr.words[{i}]"
-        if not isinstance(item, dict):
-            raise InvalidArgumentError(f"mock script field {where} must be object")
         words.append(
             TimedWord(
-                _require(item, "text", str, where),
-                _require(item, "start_s", float, where),
-                _require(item, "end_s", float, where),
+                json_field(item, "text", str, where),
+                json_field(item, "start_s", float, where),
+                json_field(item, "end_s", float, where),
             )
         )
     asr = AsrScript(
         words=tuple(words),
-        audio_duration_s=_optional(
-            asr_raw, "audio_duration_s", float, "asr", words[-1].end_s if words else 0.0
+        audio_duration_s=json_field(
+            asr_raw, "audio_duration_s", float, "asr",
+            default=words[-1].end_s if words else 0.0,
         ),
-        stabilization_delay_s=_optional(asr_raw, "stabilization_delay_s", float, "asr", 0.0),
-        seed=_optional(asr_raw, "seed", int, "asr", seed),
-        cost_base_s=_optional(asr_raw, "cost_base_s", float, "asr", 0.1),
-        cost_per_audio_s=_optional(asr_raw, "cost_per_audio_s", float, "asr", 0.01),
+        stabilization_delay_s=json_field(
+            asr_raw, "stabilization_delay_s", float, "asr", default=0.0
+        ),
+        seed=json_field(asr_raw, "seed", int, "asr", default=seed),
+        cost_base_s=json_field(asr_raw, "cost_base_s", float, "asr", default=0.1),
+        cost_per_audio_s=json_field(asr_raw, "cost_per_audio_s", float, "asr", default=0.01),
     )
 
-    word_map = _optional(mt_raw, "word_map", dict, "mt", {})
-    if not all(isinstance(k, str) and isinstance(v, str) for k, v in word_map.items()):
-        raise InvalidArgumentError("mock script field mt.word_map must map str to str")
+    word_map = json_field(mt_raw, "word_map", dict, "mt", default={})
+    if not all(type(k) is str and type(v) is str for k, v in word_map.items()):
+        raise InvalidArgumentError(
+            must_be("mt.word_map", "an object of strings", word_map)
+        )
     mt = MtScript(
         word_map=dict(word_map),
-        tail_truncate_max=_optional(mt_raw, "tail_truncate_max", int, "mt", 0),
-        tail_perturb_prob=_optional(mt_raw, "tail_perturb_prob", float, "mt", 0.0),
-        seed=_optional(mt_raw, "seed", int, "mt", seed),
-        cost_base_s=_optional(mt_raw, "cost_base_s", float, "mt", 0.1),
-        cost_per_word_s=_optional(mt_raw, "cost_per_word_s", float, "mt", 0.01),
+        tail_truncate_max=json_field(mt_raw, "tail_truncate_max", int, "mt", default=0),
+        tail_perturb_prob=json_field(mt_raw, "tail_perturb_prob", float, "mt", default=0.0),
+        seed=json_field(mt_raw, "seed", int, "mt", default=seed),
+        cost_base_s=json_field(mt_raw, "cost_base_s", float, "mt", default=0.1),
+        cost_per_word_s=json_field(mt_raw, "cost_per_word_s", float, "mt", default=0.01),
     )
     return MockScripts(asr=asr, mt=mt)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -19,8 +18,9 @@ from .core import (
     BackendError,
     InvalidArgumentError,
     ProtocolError,
-    quote,
-    strict_json_loads,
+    json_field,
+    must_be,
+    read_json_file,
 )
 from .datagen import GenConfig, generate_samples, load_corpus, write_samples
 from .metrics import (
@@ -37,40 +37,24 @@ _TABLE_COLUMNS = LatencyStats._fields
 _TABLE_HEADERS = ("M", "mdn", "p90", "p95", "p99", "max")
 
 
-def _load_json(path: str | Path) -> dict:
-    try:
-        obj = strict_json_loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise InvalidArgumentError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InvalidArgumentError(f"{path}: expected a JSON object")
-    return obj
-
-
 def _build_backends(config: dict, config_dir: Path):
-    backend = config.get("backend", {"kind": "mock"})
-    if not isinstance(backend, dict) or "kind" not in backend:
-        raise InvalidArgumentError("config 'backend' must be an object with 'kind'")
-    kind = backend["kind"]
+    backend = json_field(config, "backend", dict, default={"kind": "mock"})
+    kind = json_field(backend, "kind", str, "backend")
     closers = []
     if kind == "mock":
-        script_path = config.get("mock_script")
-        if not isinstance(script_path, str) or not script_path:
-            raise InvalidArgumentError("config needs 'mock_script' for mock backends")
+        script_path = json_field(config, "mock_script", str)
+        if not script_path:
+            raise InvalidArgumentError(must_be("mock_script", "a file name", script_path))
         scripts = load_mock_script(config_dir / script_path)
         return MockAsrBackend(scripts.asr), MockMtBackend(scripts.mt), closers
     if kind == "wire":
-        command = backend.get("command")
-        if not isinstance(command, list) or not all(
-            isinstance(c, str) for c in command
-        ):
-            raise InvalidArgumentError("wire backend needs 'command': [str, ...]")
-        timeout = backend.get("timeout_s", DEFAULT_TIMEOUT_S)
-        if type(timeout) not in (int, float) or not 0 < timeout < math.inf:
-            raise InvalidArgumentError(f"'timeout_s' must be a number > 0: {quote(timeout)}")
-        measure = backend.get("measure_compute", False)
-        if type(measure) is not bool:
-            raise InvalidArgumentError(f"'measure_compute' must be a bool: {quote(measure)}")
+        command = json_field(backend, "command", list, "backend", items=str)
+        if not command:
+            raise InvalidArgumentError(must_be("backend.command", "a non-empty list", command))
+        timeout = json_field(backend, "timeout_s", float, "backend", default=DEFAULT_TIMEOUT_S)
+        if not timeout > 0:
+            raise InvalidArgumentError(must_be("backend.timeout_s", "> 0", timeout))
+        measure = json_field(backend, "measure_compute", bool, "backend", default=False)
         channel = WireChannel.spawn(command)
         closers.append(channel.close)
         return (
@@ -78,13 +62,12 @@ def _build_backends(config: dict, config_dir: Path):
             WireMtBackend(channel, timeout, measure),
             closers,
         )
-    raise InvalidArgumentError(f"unknown backend kind {quote(kind)}")
+    raise InvalidArgumentError(must_be("backend.kind", "'mock' or 'wire'", kind))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config_raw = _load_json(args.config)
-    mode = config_raw.get("table3", "adapted")
-    config = preset_config(mode)
+    config_raw = read_json_file(args.config)
+    config = preset_config(json_field(config_raw, "table3", str, default="adapted"))
     config = apply_overrides(config, config_raw.get("overrides", {}))
     events = read_trace(args.trace)
     asr_backend, mt_backend, closers = _build_backends(

@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NoReturn
 
 SENTINEL = "[SEP]"
@@ -54,15 +55,6 @@ def quote(value) -> str:
     return text[:_QUOTE_CHARS] + "..."
 
 
-def finite_field(obj: dict, key: str) -> float:
-    """``obj[key]`` if it is a finite JSON number; ``ValueError`` if not."""
-    value = obj[key]
-    # Bounded by the largest float, so an integer too large for one fails too.
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{key} must be a finite number, got {quote(value)}")
-    return value
-
-
 class InvalidArgumentError(ValueError):
     """A caller violated an operation's contract (bad value, bad shape)."""
 
@@ -73,6 +65,114 @@ class BackendError(RuntimeError):
 
 class ProtocolError(RuntimeError):
     """A backend reply violated the wire schema or an in-process contract."""
+
+
+# --- the JSON boundary ----------------------------------------------------------
+# Every file, config and wire message is read through these functions, so a
+# field is checked by one rule and every error has one shape.
+
+_FLOAT_MAX = sys.float_info.max
+_MISSING = object()
+_KINDS = {
+    bool: "a bool",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+}
+
+
+def must_be(path: str, what: str, value=_MISSING) -> str:
+    """The message for a field at ``path`` that breaks a rule: one shape."""
+    got = "nothing" if value is _MISSING else quote(value)
+    return f"field '{path}' must be {what}, got {got}"
+
+
+def json_field(
+    obj: dict,
+    name: str,
+    kind: type,
+    where: str = "",
+    error: type[Exception] = InvalidArgumentError,
+    default=_MISSING,
+    items: type | None = None,
+):
+    """``obj[name]`` if it is a JSON value of ``kind``; ``error`` if not.
+
+    ``kind`` is one of bool, int, float, str, list and dict. A bool is
+    never a number, an int field takes only integers, and a float field
+    takes any finite JSON number and returns it as a float, so an integer
+    too large for one fails. ``items`` is the kind of every item of a
+    list. A missing field is ``default`` if one is given. ``where`` is the
+    path of ``obj``, which the message puts before ``name``.
+    """
+    value = obj.get(name, _MISSING)
+    if type(value) is kind:
+        if kind is float:
+            if -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                return value
+        elif items is None:
+            return value
+        else:
+            for i, item in enumerate(value):
+                if type(item) is not items:
+                    path = f"{where}.{name}" if where else name
+                    raise error(must_be(f"{path}[{i}]", _KINDS[items], item))
+            return value
+    elif kind is float and type(value) is int and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return float(value)
+    elif value is _MISSING and default is not _MISSING:
+        return default
+    raise error(must_be(f"{where}.{name}" if where else name, _KINDS[kind], value))
+
+
+def json_object(text: str, error: type[Exception] = InvalidArgumentError) -> dict:
+    """``text`` decoded strictly (``strict_json_loads``) as one JSON object."""
+    try:
+        obj = strict_json_loads(text)
+    except ValueError as exc:
+        raise error(f"invalid JSON: {exc}; payload: {quote(text)}") from exc
+    if type(obj) is not dict:
+        raise error(f"expected a JSON object, got {quote(text)}")
+    return obj
+
+
+def read_json_file(path: str | Path, parse=None):
+    """The JSON object a file holds, passed through ``parse`` if given.
+
+    Any ``ValueError`` on the way, bad UTF-8 and an ``InvalidArgumentError``
+    included, becomes an ``InvalidArgumentError`` naming ``path``.
+    """
+    try:
+        obj = json_object(Path(path).read_text(encoding="utf-8"))
+        return obj if parse is None else parse(obj)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc
+
+
+def read_jsonl(path: str | Path, parse) -> list:
+    """``parse`` of each JSON object line of a file, blank lines skipped.
+
+    Any ``ValueError`` on a line, bad UTF-8 included, becomes an
+    ``InvalidArgumentError`` naming ``path:line``. Lines end at ``\n``
+    only: canonical JSON keeps characters such as U+2028 raw inside
+    strings, and ``str.splitlines`` would cut a line there.
+    """
+    parsed = []
+    lineno = 0
+    try:
+        for lineno, line in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
+            if line.strip():
+                parsed.append(parse(json_object(line.decode("utf-8"))))
+    except ValueError as exc:
+        raise InvalidArgumentError(f"{path}:{lineno}: {exc}") from exc
+    return parsed
+
+
+def canonical_json(obj) -> str:
+    """``obj`` as canonical JSON: sorted keys, compact, UTF-8 kept."""
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ measured on the virtual wall clock, which includes compute cost).
 
 from __future__ import annotations
 
-import json
 import math
 import unicodedata
 from collections import Counter, namedtuple
@@ -21,9 +20,9 @@ from .core import (
     SENTINEL,
     EmissionRecord,
     InvalidArgumentError,
-    finite_field,
-    quote,
-    strict_json_loads,
+    canonical_json,
+    json_field,
+    read_jsonl,
 )
 
 _INF = float("inf")
@@ -402,7 +401,7 @@ def stream_laal(
 def dump_emission_log(records: Sequence[EmissionRecord]) -> str:
     """The emission log as canonical JSONL text, one line per record."""
     return "".join(
-        _canonical_line(
+        canonical_json(
             {
                 "token": r.token,
                 "segment_ordinal": r.segment_ordinal,
@@ -410,6 +409,7 @@ def dump_emission_log(records: Sequence[EmissionRecord]) -> str:
                 "ca_time_s": r.ca_time_s,
             }
         )
+        + "\n"
         for r in records
     )
 
@@ -418,45 +418,30 @@ def write_emission_log(records: Sequence[EmissionRecord], path: str | Path) -> N
     Path(path).write_text(dump_emission_log(records), encoding="utf-8")
 
 
+def _emission_record(obj: dict) -> EmissionRecord:
+    return EmissionRecord(
+        token=json_field(obj, "token", str),
+        segment_ordinal=json_field(obj, "segment_ordinal", int),
+        nca_time_s=json_field(obj, "nca_time_s", float),
+        ca_time_s=json_field(obj, "ca_time_s", float),
+    )
+
+
 def read_emission_log(path: str | Path) -> list[EmissionRecord]:
-    records = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            obj = strict_json_loads(line)
-            token, ordinal = obj["token"], obj["segment_ordinal"]
-            if type(token) is not str or type(ordinal) is not int:
-                raise TypeError(
-                    f"want str token, int ordinal: {quote(token)}, {quote(ordinal)}"
-                )
-            records.append(
-                EmissionRecord(
-                    token=token,
-                    segment_ordinal=ordinal,
-                    nca_time_s=finite_field(obj, "nca_time_s"),
-                    ca_time_s=finite_field(obj, "ca_time_s"),
-                )
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InvalidArgumentError(
-                f"{path}:{lineno}: bad emission record: {exc}"
-            ) from exc
-    return records
+    return read_jsonl(path, _emission_record)
 
 
 def dump_reference_segments(refs: Sequence[ReferenceSegment]) -> str:
     """Reference segments as canonical JSONL text, one line per segment."""
     return "".join(
-        _canonical_line(
+        canonical_json(
             {
                 "tokens": list(r.tokens),
                 "source_start_s": r.source_start_s,
                 "source_end_s": r.source_end_s,
             }
         )
+        + "\n"
         for r in refs
     )
 
@@ -467,33 +452,16 @@ def write_reference_segments(
     Path(path).write_text(dump_reference_segments(refs), encoding="utf-8")
 
 
-def _canonical_line(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n"
+def _reference_segment(obj: dict) -> ReferenceSegment:
+    return ReferenceSegment(
+        tokens=json_field(obj, "tokens", list, items=str),
+        source_start_s=json_field(obj, "source_start_s", float),
+        source_end_s=json_field(obj, "source_end_s", float),
+    )
 
 
 def read_reference_segments(path: str | Path) -> list[ReferenceSegment]:
-    refs = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            obj = strict_json_loads(line)
-            tokens = obj["tokens"]
-            if type(tokens) is not list or not all(type(t) is str for t in tokens):
-                raise TypeError(f"tokens must be a list of strings, got {quote(tokens)}")
-            refs.append(
-                ReferenceSegment(
-                    tokens=tuple(tokens),
-                    source_start_s=finite_field(obj, "source_start_s"),
-                    source_end_s=finite_field(obj, "source_end_s"),
-                )
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InvalidArgumentError(
-                f"{path}:{lineno}: bad reference segment: {exc}"
-            ) from exc
+    refs = read_jsonl(path, _reference_segment)
     check_segments_ordered(refs)
     return refs
 

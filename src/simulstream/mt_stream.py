@@ -25,6 +25,7 @@ from .core import (
     ProtocolError,
     StreamHistory,
     VirtualClock,
+    quote,
 )
 from .policy import RalcpConfig, WaitKConfig, ralcp_emit, waitk_allows
 
@@ -47,7 +48,7 @@ class MtStreamConfig:
         if self.history_remove not in HISTORY_REMOVE_MODES:
             raise InvalidArgumentError(
                 f"history_remove must be one of {HISTORY_REMOVE_MODES}, "
-                f"got {self.history_remove!r}"
+                f"got {quote(self.history_remove)}"
             )
         if self.history_remove_words < 1:
             raise InvalidArgumentError("history_remove_words must be >= 1")

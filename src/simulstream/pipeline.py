@@ -19,9 +19,10 @@ from .core import (
     EmissionRecord,
     InvalidArgumentError,
     VirtualClock,
-    finite_field,
+    json_field,
+    must_be,
     quote,
-    strict_json_loads,
+    read_jsonl,
 )
 from .mt_stream import MtStreamConfig, MtStreamController
 from .policy import RalcpConfig, WaitKConfig
@@ -46,7 +47,9 @@ def preset_config(mode: str) -> PipelineConfig:
     20 words from each side.
     """
     if mode not in PIPELINE_MODES:
-        raise InvalidArgumentError(f"mode must be one of {PIPELINE_MODES}, got {mode!r}")
+        raise InvalidArgumentError(
+            f"mode must be one of {PIPELINE_MODES}, got {quote(mode)}"
+        )
     asr = AsrStreamConfig(
         max_window_s=30.0,
         min_chunk_s=1.0,
@@ -79,34 +82,22 @@ class TraceEvent:
 
 def read_trace(path: str | Path) -> list[TraceEvent]:
     """Load a JSONL trace of {"t": s, "kind": "audio", "dur": s} events."""
-    events = []
     last_t = 0.0
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            obj = strict_json_loads(line)
-        except ValueError as exc:
-            raise InvalidArgumentError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-        if not isinstance(obj, dict) or obj.get("kind") != "audio":
-            raise InvalidArgumentError(
-                f"{path}:{lineno}: expected an audio event, got {quote(line)}"
-            )
-        try:
-            event = TraceEvent(
-                t=float(finite_field(obj, "t")), duration_s=float(finite_field(obj, "dur"))
-            )
-        except (KeyError, ValueError) as exc:
-            raise InvalidArgumentError(f"{path}:{lineno}: bad event: {exc}") from exc
+
+    def audio_event(obj: dict) -> TraceEvent:
+        nonlocal last_t
+        kind = json_field(obj, "kind", str)
+        if kind != "audio":
+            raise InvalidArgumentError(must_be("kind", "'audio'", kind))
+        event = TraceEvent(
+            t=json_field(obj, "t", float), duration_s=json_field(obj, "dur", float)
+        )
         if event.t < last_t:
-            raise InvalidArgumentError(
-                f"{path}:{lineno}: event times must be non-decreasing"
-            )
+            raise InvalidArgumentError("event times must be non-decreasing")
         last_t = event.t
-        events.append(event)
-    return events
+        return event
+
+    return read_jsonl(path, audio_event)
 
 
 @dataclass
@@ -185,9 +176,6 @@ class Pipeline:
         return list(self.records), summary
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
-
-
 def override_keys(section_config) -> dict[str, type]:
     """The keys an override section may set, with their declared types.
 
@@ -197,31 +185,19 @@ def override_keys(section_config) -> dict[str, type]:
     return {
         f.name: hints[f.name]
         for f in fields(section_config)
-        if hints[f.name] in _TYPE_NAMES
+        if hints[f.name] in (int, float, str)
     }
 
 
 def _override(section_config, section: str, values: dict):
     keys = override_keys(section_config)
     checked = {}
-    for key, value in values.items():
+    for key in values:
         if key not in keys:
             raise InvalidArgumentError(
                 f"unknown override key {quote(key)} in section {section!r}"
             )
-        kind = keys[key]
-        if kind is float:
-            # JSON writes 2.0 as 2, so a float field takes an int.
-            try:
-                value = float(finite_field(values, key))
-            except ValueError as exc:
-                raise InvalidArgumentError(f"override {section}.{exc}") from None
-        elif type(value) is not kind:  # an int field takes no float or bool
-            raise InvalidArgumentError(
-                f"override {section}.{key} must be {_TYPE_NAMES[kind]}, "
-                f"got {quote(value)}"
-            )
-        checked[key] = value
+        checked[key] = json_field(values, key, keys[key], f"overrides.{section}")
     return replace(section_config, **checked)
 
 
@@ -234,14 +210,11 @@ def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
     cannot silently run with defaults.
     """
     if not isinstance(overrides, dict):
-        raise InvalidArgumentError("overrides must be an object")
+        raise InvalidArgumentError(must_be("overrides", "an object", overrides))
     asr = config.asr
     mt = config.mt
-    for section, values in overrides.items():
-        if not isinstance(values, dict):
-            raise InvalidArgumentError(
-                f"override section {quote(section)} must be an object"
-            )
+    for section in overrides:
+        values = json_field(overrides, section, dict, "overrides")
         if section == "asr":
             asr = _override(asr, section, values)
         elif section == "mt":

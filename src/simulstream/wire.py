@@ -30,13 +30,13 @@ largest index; the server takes this argmax next to the model.
 
 from __future__ import annotations
 
-import json
 import os
 import selectors
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from typing import BinaryIO, Sequence
 
 from .backends import AsrRequest, AsrResponse, MtRequest, MtResponse
@@ -49,73 +49,37 @@ from .core import (
     InvalidArgumentError,
     ProtocolError,
     TimedWord,
+    canonical_json,
+    json_field,
+    json_object,
+    must_be,
     quote,
-    strict_json_loads,
 )
 
 PROTOCOL_VERSION = 2
 DEFAULT_TIMEOUT_S = 60.0
 
 _HISTORY_JOIN = f" {SENTINEL} "
-_KIND_NAMES = {str: "a string", int: "an integer"}
-
-
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-
-
-def _parse(line: str) -> dict:
-    try:
-        obj = strict_json_loads(line)
-    except ValueError as exc:
-        raise ProtocolError(
-            f"malformed JSON line: {exc}; payload: {quote(line)}"
-        ) from exc
-    if not isinstance(obj, dict):
-        raise ProtocolError(f"expected JSON object, got: {quote(line)}")
-    return obj
-
-
-def _field(obj: dict, name: str, kinds, path: str):
-    if name not in obj:
-        raise ProtocolError(f"missing field '{path}{name}'")
-    value = obj[name]
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ProtocolError(f"field '{path}{name}' has wrong type: {quote(value)}")
-    return value
-
-
-def _list(obj: dict, name: str, kind: type, path: str) -> tuple:
-    value = _field(obj, name, list, path)
-    for i, item in enumerate(value):
-        if type(item) is not kind:
-            raise ProtocolError(
-                f"field '{path}{name}[{i}]' must be {_KIND_NAMES[kind]}: {quote(item)}"
-            )
-    return tuple(value)
-
-
-def _number(obj: dict, name: str, path: str) -> float:
-    value = _field(obj, name, (int, float), path)
-    # An overflowing literal such as 1e999 reads as inf; a huge integer
-    # overflows float().
-    if not abs(value) <= sys.float_info.max:
-        raise ProtocolError(f"field '{path}{name}' must be finite, got {value!r}")
-    return float(value)
+_wire_field = partial(json_field, error=ProtocolError)
 
 
 def _compute_cost(obj: dict) -> float:
-    cost = _number(obj, "compute_cost_s", "")
+    cost = _wire_field(obj, "compute_cost_s", float)
     if cost < 0:
-        raise ProtocolError(f"field 'compute_cost_s' must be >= 0, got {cost}")
+        raise ProtocolError(must_be("compute_cost_s", ">= 0", cost))
     return cost
 
 
-def _check_envelope(obj: dict, kind: str) -> None:
-    if _field(obj, "v", int, "") != PROTOCOL_VERSION:
-        raise ProtocolError(f"field 'v' must be {PROTOCOL_VERSION}, got {obj['v']!r}")
-    if _field(obj, "kind", str, "") != kind:
-        raise ProtocolError(f"field 'kind' must be {kind!r}, got {quote(obj['kind'])}")
+def _checked(line: str, kind: str) -> dict:
+    """The message object of a line, its version and kind checked."""
+    obj = json_object(line, ProtocolError)
+    version = _wire_field(obj, "v", int)
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(must_be("v", str(PROTOCOL_VERSION), version))
+    got = _wire_field(obj, "kind", str)
+    if got != kind:
+        raise ProtocolError(must_be("kind", repr(kind), got))
+    return obj
 
 
 def _join_history(sentences: Sequence[Sequence[str]]) -> str:
@@ -138,7 +102,7 @@ def _split_history(text: str, path: str) -> tuple[tuple[str, ...], ...]:
 
 
 def encode_asr_request(request: AsrRequest) -> str:
-    return _dumps(
+    return canonical_json(
         {
             "v": PROTOCOL_VERSION,
             "kind": "asr",
@@ -151,18 +115,17 @@ def encode_asr_request(request: AsrRequest) -> str:
 
 
 def decode_asr_request(line: str) -> AsrRequest:
-    obj = _parse(line)
-    _check_envelope(obj, "asr")
+    obj = _checked(line, "asr")
     return AsrRequest(
-        stream_id=_field(obj, "stream_id", str, ""),
-        window_start_s=_number(obj, "window_start_s", ""),
-        window_end_s=_number(obj, "window_end_s", ""),
-        beam_size=_field(obj, "beam_size", int, ""),
+        stream_id=_wire_field(obj, "stream_id", str),
+        window_start_s=_wire_field(obj, "window_start_s", float),
+        window_end_s=_wire_field(obj, "window_end_s", float),
+        beam_size=_wire_field(obj, "beam_size", int),
     )
 
 
 def encode_asr_response(response: AsrResponse) -> str:
-    return _dumps(
+    return canonical_json(
         {
             "v": PROTOCOL_VERSION,
             "kind": "asr",
@@ -177,25 +140,21 @@ def encode_asr_response(response: AsrResponse) -> str:
 
 
 def decode_asr_response(line: str) -> AsrResponse:
-    obj = _parse(line)
-    _check_envelope(obj, "asr")
-    raw_words = _field(obj, "words", list, "")
+    obj = _checked(line, "asr")
     words = []
-    for i, item in enumerate(raw_words):
-        path = f"words[{i}]."
-        if not isinstance(item, dict):
-            raise ProtocolError(f"field 'words[{i}]' must be an object")
+    for i, item in enumerate(_wire_field(obj, "words", list, items=dict)):
+        where = f"words[{i}]"
         try:
             words.append(
                 TimedWord(
-                    text=_field(item, "text", str, path),
-                    start_s=_number(item, "start_s", path),
-                    end_s=_number(item, "end_s", path),
+                    text=_wire_field(item, "text", str, where),
+                    start_s=_wire_field(item, "start_s", float, where),
+                    end_s=_wire_field(item, "end_s", float, where),
                 )
             )
         except InvalidArgumentError as exc:
-            raise ProtocolError(f"field 'words[{i}]' invalid: {exc}") from exc
-    offset = _number(obj, "window_offset_s", "")
+            raise ProtocolError(f"field '{where}' invalid: {exc}") from exc
+    offset = _wire_field(obj, "window_offset_s", float)
     cost = _compute_cost(obj)
     try:
         hypothesis = AsrHypothesis(tuple(words), offset)
@@ -208,7 +167,7 @@ def decode_asr_response(line: str) -> AsrResponse:
 
 
 def encode_mt_request(request: MtRequest) -> str:
-    return _dumps(
+    return canonical_json(
         {
             "v": PROTOCOL_VERSION,
             "kind": "mt",
@@ -223,24 +182,23 @@ def encode_mt_request(request: MtRequest) -> str:
 
 
 def decode_mt_request(line: str) -> MtRequest:
-    obj = _parse(line)
-    _check_envelope(obj, "mt")
+    obj = _checked(line, "mt")
     return MtRequest(
         history_source=_split_history(
-            _field(obj, "history_source", str, ""), "history_source"
+            _wire_field(obj, "history_source", str), "history_source"
         ),
         history_target=_split_history(
-            _field(obj, "history_target", str, ""), "history_target"
+            _wire_field(obj, "history_target", str), "history_target"
         ),
-        active_source=_list(obj, "active_source", str, ""),
-        committed_target=_list(obj, "committed_target", str, ""),
-        beam_size=_field(obj, "beam_size", int, ""),
-        attention_layer_tag=_field(obj, "attention_layer_tag", str, ""),
+        active_source=tuple(_wire_field(obj, "active_source", list, items=str)),
+        committed_target=tuple(_wire_field(obj, "committed_target", list, items=str)),
+        beam_size=_wire_field(obj, "beam_size", int),
+        attention_layer_tag=_wire_field(obj, "attention_layer_tag", str),
     )
 
 
 def encode_mt_response(response: MtResponse) -> str:
-    return _dumps(
+    return canonical_json(
         {
             "v": PROTOCOL_VERSION,
             "kind": "mt",
@@ -259,22 +217,18 @@ def encode_mt_response(response: MtResponse) -> str:
 
 
 def decode_mt_response(line: str) -> MtResponse:
-    obj = _parse(line)
-    _check_envelope(obj, "mt")
-    raw_beams = _field(obj, "beams", list, "")
+    obj = _checked(line, "mt")
     beams = []
-    for i, item in enumerate(raw_beams):
-        path = f"beams[{i}]."
-        if not isinstance(item, dict):
-            raise ProtocolError(f"field 'beams[{i}]' must be an object")
-        tokens = _list(item, "tokens", str, path)
-        score = _number(item, "score", path)
-        cuts = _list(item, "cuts", int, path)
+    for i, item in enumerate(_wire_field(obj, "beams", list, items=dict)):
+        where = f"beams[{i}]"
+        tokens = _wire_field(item, "tokens", list, where, items=str)
+        score = _wire_field(item, "score", float, where)
+        cuts = _wire_field(item, "cuts", list, where, items=int)
         try:
             beams.append(BeamHypothesis(tokens, score, cuts))
         except InvalidArgumentError as exc:
-            raise ProtocolError(f"field 'beams[{i}]' invalid: {exc}") from exc
-    requested = _field(obj, "requested_size", int, "")
+            raise ProtocolError(f"field '{where}' invalid: {exc}") from exc
+    requested = _wire_field(obj, "requested_size", int)
     cost = _compute_cost(obj)
     try:
         beam_set = BeamSet(tuple(beams), requested)
@@ -283,75 +237,35 @@ def decode_mt_response(line: str) -> MtResponse:
     return MtResponse(beams=beam_set, compute_cost_s=cost)
 
 
-# --- transports ---------------------------------------------------------------
+# --- the channel --------------------------------------------------------------
 
-
-class _LineTransport:
-    """Blocking line transport with deadline-based reads over a raw fd."""
-
-    def __init__(self, read_fd: int) -> None:
-        self._read_fd = read_fd
-        self._buffer = b""
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(read_fd, selectors.EVENT_READ)
-
-    def read_line(self, timeout_s: float) -> str:
-        deadline = time.monotonic() + timeout_s
-        while b"\n" not in self._buffer:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise BackendError(f"timeout after {timeout_s}s waiting for response")
-            if not self._selector.select(remaining):
-                continue
-            chunk = os.read(self._read_fd, 65536)
-            if not chunk:
-                raise BackendError("backend closed the connection")
-            self._buffer += chunk
-        line, _, self._buffer = self._buffer.partition(b"\n")
-        return line.decode("utf-8")
-
-    def close(self) -> None:
-        self._selector.close()
+# Selectors refuse a timeout beyond about 24 days (epoll counts milliseconds
+# in a C int), so a read waits in slices of at most this long.
+_WAIT_SLICE_S = 3600.0
 
 
 class WireChannel:
-    """One serial request/response connection to an external server.
+    """One serial request/response connection to a child-process server.
 
     A failed round trip breaks the channel for good: after a timeout the
     late reply may still arrive, and reading it as the answer to the next
     request would pair a reply with the wrong request.
     """
 
-    def __init__(self, transport: _LineTransport, write, on_close) -> None:
-        self._transport = transport
-        self._write = write
-        self._on_close = on_close
+    def __init__(self, proc: subprocess.Popen) -> None:
+        self._proc = proc
+        self._buffer = b""
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(proc.stdout, selectors.EVENT_READ)
         self._in_flight = False
         self._broken: str | None = None
 
     @classmethod
     def spawn(cls, command: Sequence[str]) -> "WireChannel":
         """Start a child-process server speaking the protocol on stdio."""
-        proc = subprocess.Popen(
-            list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
+        return cls(
+            subprocess.Popen(list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         )
-        assert proc.stdin is not None and proc.stdout is not None
-        transport = _LineTransport(proc.stdout.fileno())
-
-        def write(data: bytes) -> None:
-            proc.stdin.write(data)
-            proc.stdin.flush()
-
-        def on_close() -> None:
-            try:
-                proc.stdin.close()
-            except OSError:
-                pass
-            proc.terminate()
-            proc.wait(timeout=5)
-            proc.stdout.close()
-
-        return cls(transport, write, on_close)
 
     def roundtrip(self, line: str, timeout_s: float = DEFAULT_TIMEOUT_S) -> str:
         if self._broken is not None:
@@ -361,19 +275,41 @@ class WireChannel:
         self._in_flight = True
         try:
             try:
-                self._write(line.encode("utf-8") + b"\n")
+                self._proc.stdin.write(line.encode("utf-8") + b"\n")
+                self._proc.stdin.flush()
             except OSError as exc:
                 raise BackendError(f"connection write failed: {exc}") from exc
-            return self._transport.read_line(timeout_s)
+            return self._read_line(timeout_s)
         except BackendError as exc:
             self._broken = str(exc)
             raise
         finally:
             self._in_flight = False
 
+    def _read_line(self, timeout_s: float) -> str:
+        deadline = time.monotonic() + timeout_s
+        while b"\n" not in self._buffer:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise BackendError(f"timeout after {timeout_s}s waiting for response")
+            if not self._selector.select(min(remaining, _WAIT_SLICE_S)):
+                continue
+            chunk = os.read(self._proc.stdout.fileno(), 65536)
+            if not chunk:
+                raise BackendError("backend closed the connection")
+            self._buffer += chunk
+        line, _, self._buffer = self._buffer.partition(b"\n")
+        return line.decode("utf-8")
+
     def close(self) -> None:
-        self._transport.close()
-        self._on_close()
+        self._selector.close()
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            pass
+        self._proc.terminate()
+        self._proc.wait(timeout=5)
+        self._proc.stdout.close()
 
 
 class _WireBackend:
@@ -425,14 +361,13 @@ def serve(asr_backend, mt_backend, stdin: BinaryIO, stdout: BinaryIO) -> None:
         line = raw.decode("utf-8").rstrip("\n")
         if not line:
             continue
-        obj = _parse(line)
-        kind = _field(obj, "kind", str, "")
+        kind = _wire_field(json_object(line, ProtocolError), "kind", str)
         if kind == "asr":
             reply = encode_asr_response(asr_backend.decode(decode_asr_request(line)))
         elif kind == "mt":
             reply = encode_mt_response(mt_backend.translate(decode_mt_request(line)))
         else:
-            raise ProtocolError(f"field 'kind' unknown: {quote(kind)}")
+            raise ProtocolError(must_be("kind", "'asr' or 'mt'", kind))
         stdout.write(reply.encode("utf-8") + b"\n")
         stdout.flush()
 

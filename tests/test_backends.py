@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -342,7 +343,7 @@ def test_load_mock_script_names_bad_field(tmp_path) -> None:
     ],
 )
 def test_mock_script_bad_optional_field_is_named(data, field) -> None:
-    with pytest.raises(InvalidArgumentError, match=rf"mock script field {field} must be"):
+    with pytest.raises(InvalidArgumentError, match=rf"field '{re.escape(field)}' must be"):
         parse_mock_script(data)
 
 

@@ -107,11 +107,11 @@ def test_simulate_dead_wire_backend_exits_2(tmp_path, capsys) -> None:
     "target, text, message",
     [
         ("config", DEEP_JSON, r"config_adapted\.json: invalid JSON: .*nested too deeply"),
-        ("trace", DEEP_JSON, r"trace\.jsonl:1: bad JSON: .*nested too deeply"),
-        ("trace", '{"t": 1.0, "kind": "audio", "dur": NaN}', r"trace\.jsonl:1: bad JSON: .*NaN"),
-        ("trace", '{"t": 1.0, "kind": "audio", "dur": "1.0"}', r"trace\.jsonl:1: bad event"),
-        ("script", DEEP_JSON, r"mock script .*invalid JSON: .*nested too deeply"),
-        ("script", '{"seed": "abc"}', r"mock script field seed must be int"),
+        ("trace", DEEP_JSON, r"trace\.jsonl:1: invalid JSON: .*nested too deeply"),
+        ("trace", '{"t": 1.0, "kind": "audio", "dur": NaN}', r"trace\.jsonl:1: invalid JSON: .*NaN"),
+        ("trace", '{"t": 1.0, "kind": "audio", "dur": "1.0"}', r"trace\.jsonl:1: field 'dur' must be a number, got '1\.0'"),
+        ("script", DEEP_JSON, r"mock_script_60s\.json: invalid JSON: .*nested too deeply"),
+        ("script", '{"seed": "abc"}', r"mock_script_60s\.json: field 'seed' must be an integer, got 'abc'"),
     ],
     ids=[
         "config_nested",
@@ -284,34 +284,43 @@ def test_eval_bad_record_exits_1_naming_the_line(tmp_path, capsys, bad_file, bad
 
 
 @pytest.mark.parametrize(
-    "change",
+    "change, field",
     [
-        {"backend": {"kind": "wire", "command": ["x"], "timeout_s": "soon"}},
-        {"backend": {"kind": "wire", "command": ["x"], "timeout_s": 0}},
-        {"backend": {"kind": "wire", "command": ["x"], "timeout_s": True}},
-        {"backend": {"kind": "wire", "command": ["x"], "measure_compute": "false"}},
-        {"backend": {"kind": "wire", "command": ["x"], "measure_compute": 0}},
-        {"overrides": [1]},
-        {"mock_script": 5},
+        ({"backend": {"kind": "wire", "command": ["x"], "timeout_s": "soon"}}, "backend.timeout_s"),
+        ({"backend": {"kind": "wire", "command": ["x"], "timeout_s": 0}}, "backend.timeout_s"),
+        ({"backend": {"kind": "wire", "command": ["x"], "timeout_s": True}}, "backend.timeout_s"),
+        # Too large for a float: it would overflow the read deadline.
+        ({"backend": {"kind": "wire", "command": ["x"], "timeout_s": 10**400}}, "backend.timeout_s"),
+        ({"backend": {"kind": "wire", "command": []}}, "backend.command"),
+        ({"backend": {"kind": "wire", "command": ["x"], "measure_compute": "false"}},
+         "backend.measure_compute"),
+        ({"backend": {"kind": "wire", "command": ["x"], "measure_compute": 0}},
+         "backend.measure_compute"),
+        ({"overrides": [1]}, "overrides"),
+        ({"mock_script": 5}, "mock_script"),
     ],
     ids=[
         "timeout_string",
         "timeout_zero",
         "timeout_bool",
+        "timeout_huge_int",
+        "command_empty",
         "measure_compute_string",
         "measure_compute_int",
         "overrides_list",
         "mock_script_number",
     ],
 )
-def test_simulate_bad_config_value_exits_1(tmp_path, capsys, change) -> None:
+def test_simulate_bad_config_value_exits_1(tmp_path, capsys, change, field) -> None:
     trace, config_path = _stage_fixture(tmp_path)
     config = json.loads(config_path.read_text())
     config.update(change)
     config_path.write_text(json.dumps(config), encoding="utf-8")
     code = main(["simulate", str(trace), str(config_path), str(tmp_path / "o.jsonl")])
     assert code == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "invalid-argument"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert f"field '{field}' must be" in err["message"]
 
 
 def _simulate_with_overrides(tmp_path, overrides, table3="adapted") -> tuple[int, Path]:
@@ -326,22 +335,24 @@ def _simulate_with_overrides(tmp_path, overrides, table3="adapted") -> tuple[int
 @pytest.mark.parametrize(
     "table3, overrides, message",
     [
-        ("adapted", {"ralcp": {"beam_size": 2.5}}, "override ralcp.beam_size must be an integer"),
-        ("baseline", {"mt": {"history_remove_words": 2.5}}, "override mt.history_remove_words must be"),
-        ("adapted", {"waitk": {"k": True}}, "override waitk.k must be an integer"),
-        ("adapted", {"mt": {"max_buffer_words": 2.5}}, "override mt.max_buffer_words must be"),
-        ("adapted", {"asr": {"min_chunk_s": "1.0"}}, "override asr.min_chunk_s must be a finite number"),
-        ("adapted", {"mt": {"history_remove": 1}}, "override mt.history_remove must be a string"),
+        ("adapted", {"ralcp": {"beam_size": 2.5}}, "field 'overrides.ralcp.beam_size' must be an integer, got 2.5"),
+        ("baseline", {"mt": {"history_remove_words": 2.5}}, "field 'overrides.mt.history_remove_words' must be"),
+        ("adapted", {"waitk": {"k": True}}, "field 'overrides.waitk.k' must be an integer, got True"),
+        ("adapted", {"mt": {"max_buffer_words": 2.5}}, "field 'overrides.mt.max_buffer_words' must be"),
+        ("adapted", {"asr": {"min_chunk_s": "1.0"}}, "field 'overrides.asr.min_chunk_s' must be a number"),
+        ("adapted", {"mt": {"history_remove": 1}}, "field 'overrides.mt.history_remove' must be a string"),
         ("adapted", {"asr": {"abbreviations": []}}, "unknown override key 'abbreviations' in section 'asr'"),
         ("adapted", {"matcher": {"strip_punctuation": False}}, "key 'strip_punctuation' in section 'matcher'"),
         ("adapted", {"matcher": {"lowercase": False}}, "key 'lowercase' in section 'matcher'"),
         ("adapted", {"ralcp": {"filter_empty": False}}, "key 'filter_empty' in section 'ralcp'"),
         ("adapted", {"ralcp": {"recompute_votes_after_filter": True}}, "key 'recompute_votes_after_filter'"),
+        ("x" * 100_000, {}, "mode must be one of ('adapted', 'baseline'), got 'xxx"),
+        ("adapted", {"mt": {"history_remove": "y" * 100_000}}, "history_remove must be one of"),
     ],
     ids=["int_gets_float", "baseline_int_gets_float", "int_gets_bool", "buffer_gets_float",
          "float_gets_string", "string_gets_int", "removed_abbreviations",
          "removed_strip_punctuation", "removed_lowercase", "removed_filter_empty",
-         "removed_recompute_votes"],
+         "removed_recompute_votes", "huge_table3", "huge_history_remove"],
 )
 def test_simulate_bad_override_exits_1_naming_section_and_key(
     tmp_path, capsys, table3, overrides, message
@@ -351,6 +362,7 @@ def test_simulate_bad_override_exits_1_naming_section_and_key(
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invalid-argument"
     assert message in err["message"]
+    assert len(err["message"]) < 500  # a huge value is quoted as an excerpt
 
 
 def test_simulate_float_override_takes_an_integer(tmp_path) -> None:

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import copy
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from helpers import DEEP_JSON
+from simulstream.backends import load_mock_script
+from simulstream.cli import _build_backends
 from simulstream.core import (
     SENTINEL,
     AsrHypothesis,
@@ -10,12 +17,23 @@ from simulstream.core import (
     BeamSet,
     EmissionRecord,
     InvalidArgumentError,
+    ProtocolError,
     StreamHistory,
     TimedWord,
     VirtualClock,
     check_emission_log,
     strict_json_loads,
 )
+from simulstream.metrics import read_emission_log, read_reference_segments
+from simulstream.pipeline import apply_overrides, preset_config, read_trace
+from simulstream.wire import (
+    decode_asr_request,
+    decode_asr_response,
+    decode_mt_request,
+    decode_mt_response,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_clock_starts_together() -> None:
@@ -150,3 +168,144 @@ def test_strict_json_loads_reports_deep_nesting_as_value_error() -> None:
     assert strict_json_loads("[[1]]") == [[1]]
     with pytest.raises(ValueError, match="nested too deeply"):
         strict_json_loads(DEEP_JSON)
+
+
+# --- the JSON boundary: one table of bad values through every reader ----------
+
+_MISSING = object()
+_BAD_VALUES = {  # value: (kinds of field it goes in, first one the reader has)
+    "bool_for_integer": ((int,), True),
+    "float_for_integer": ((int,), 2.5),
+    "string_for_number": ((float,), "1"),
+    "huge_integer_for_number": ((float,), 10**400),
+    "huge_string": ((float, int), "x" * 100_000),
+    "missing": (("required",), _MISSING),
+}
+_KIND_NAMES = {int: "an integer", float: "a number", list: "a list"}
+
+
+def _golden(name: str, index: int) -> dict:
+    return json.loads((DATA / name).read_text(encoding="utf-8").splitlines()[index])
+
+
+def _file_reader(read, suffix: str):
+    def run(tmp_path, obj):
+        path = tmp_path / f"input{suffix}"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        return read(path)
+
+    return run
+
+
+def _line_reader(decode):
+    return lambda tmp_path, obj: decode(json.dumps(obj))
+
+
+# reader: (error, run, valid input, path prefix in messages,
+#          {kind: path of a field of that kind}, (kind, path) of a required field)
+_READERS = {
+    "asr_request": (
+        ProtocolError, _line_reader(decode_asr_request), _golden("wire_requests.jsonl", 0), "",
+        {int: ("beam_size",), float: ("window_start_s",)}, (float, ("window_end_s",)),
+    ),
+    "asr_response": (
+        ProtocolError, _line_reader(decode_asr_response), _golden("wire_responses.jsonl", 0), "",
+        {int: ("v",), float: ("words", 0, "start_s")}, (float, ("compute_cost_s",)),
+    ),
+    "mt_request": (
+        ProtocolError, _line_reader(decode_mt_request), _golden("wire_requests.jsonl", 1), "",
+        {int: ("beam_size",)}, (int, ("beam_size",)),
+    ),
+    "mt_response": (
+        ProtocolError, _line_reader(decode_mt_response), _golden("wire_responses.jsonl", 1), "",
+        {int: ("beams", 0, "cuts", 1), float: ("beams", 1, "score")}, (list, ("beams",)),
+    ),
+    "mock_script": (
+        InvalidArgumentError, _file_reader(load_mock_script, ".json"),
+        json.loads((DATA / "mock_script_60s.json").read_text(encoding="utf-8")), "",
+        {int: ("mt", "seed"), float: ("asr", "words", 2, "end_s")},
+        (float, ("asr", "words", 0, "start_s")),
+    ),
+    "trace": (
+        InvalidArgumentError, _file_reader(read_trace, ".jsonl"),
+        {"t": 0.5, "kind": "audio", "dur": 0.5}, "",
+        {float: ("dur",)}, (float, ("t",)),
+    ),
+    "emission_log": (
+        InvalidArgumentError, _file_reader(read_emission_log, ".jsonl"),
+        {"token": "ja", "segment_ordinal": 0, "nca_time_s": 1.0, "ca_time_s": 1.5}, "",
+        {int: ("segment_ordinal",), float: ("ca_time_s",)}, (float, ("nca_time_s",)),
+    ),
+    "references": (
+        InvalidArgumentError, _file_reader(read_reference_segments, ".jsonl"),
+        {"tokens": ["ja"], "source_start_s": 0.0, "source_end_s": 2.0}, "",
+        {float: ("source_end_s",)}, (list, ("tokens",)),
+    ),
+    "overrides": (
+        InvalidArgumentError,
+        lambda tmp_path, obj: apply_overrides(preset_config("adapted"), obj),
+        {"waitk": {"k": 3}, "asr": {"min_chunk_s": 1.0}}, "overrides.",
+        {int: ("waitk", "k"), float: ("asr", "min_chunk_s")}, None,
+    ),
+    "backend_config": (
+        InvalidArgumentError, lambda tmp_path, obj: _build_backends(obj, tmp_path),
+        {"backend": {"kind": "wire", "command": ["x"], "timeout_s": 5.0}}, "",
+        {float: ("backend", "timeout_s")}, (list, ("backend", "command")),
+    ),
+}
+
+
+def _cases():
+    for reader, (_, _, _, _, paths, required) in _READERS.items():
+        fields = {**paths, "required": required} if required else paths
+        for value_id, (kinds, value) in _BAD_VALUES.items():
+            kind = next((k for k in kinds if k in fields), None)
+            if kind == "required":
+                yield pytest.param(reader, *required, value, id=f"{reader}-{value_id}")
+            elif kind is not None:
+                yield pytest.param(reader, kind, paths[kind], value, id=f"{reader}-{value_id}")
+
+
+def _dotted(path: tuple) -> str:
+    return "".join(
+        f"[{key}]" if isinstance(key, int) else f".{key}" for key in path
+    ).lstrip(".")
+
+
+@pytest.mark.parametrize("reader, kind, path, value", list(_cases()))
+def test_every_reader_refuses_a_bad_value_in_one_shape(tmp_path, reader, kind, path, value):
+    error, run, valid, prefix, _, _ = _READERS[reader]
+    obj = copy.deepcopy(valid)
+    *outer, last = path
+    target = obj
+    for key in outer:
+        target = target[key]
+    if value is _MISSING:
+        del target[last]
+    else:
+        target[last] = value
+    with pytest.raises(error) as info:  # exit 1 for InvalidArgumentError, 2 for ProtocolError
+        run(tmp_path, obj)
+    shape = re.search(r"field '([^']*)' must be (.*?), got (.*)$", str(info.value))
+    assert shape is not None, str(info.value)
+    assert shape[1] == prefix + _dotted(path)
+    assert shape[2] == _KIND_NAMES[kind]
+    if value is _MISSING:
+        assert shape[3] == "nothing"
+    assert len(shape[3]) <= 203  # a quote of at most 200 characters, then "..."
+
+
+@pytest.mark.parametrize(
+    "read, name, where",
+    [
+        (read_trace, "trace.jsonl", "trace.jsonl:2: "),
+        (read_emission_log, "log.jsonl", "log.jsonl:2: "),
+        (load_mock_script, "script.json", "script.json: "),
+    ],
+    ids=["trace", "emission_log", "mock_script"],
+)
+def test_file_readers_refuse_bad_utf8_naming_the_file(tmp_path, read, name, where) -> None:
+    path = tmp_path / name
+    path.write_bytes(b"\n\xff{}\n")
+    with pytest.raises(InvalidArgumentError, match=rf"{re.escape(where)}'utf-8' codec"):
+        read(path)

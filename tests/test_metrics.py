@@ -492,6 +492,8 @@ def test_emission_log_roundtrip(tmp_path) -> None:
         EmissionRecord("hallo", 0, 1.25, 1.5),
         EmissionRecord(SENTINEL, 0, 1.25, 1.5),
         EmissionRecord("welt", 1, 2.0, 2.75),
+        # Canonical JSON writes these raw; a line must not end at them.
+        EmissionRecord("a\u2028b\x85c", 1, 2.0, 2.75),
     ]
     path = tmp_path / "log.jsonl"
     write_emission_log(log, path)
@@ -523,8 +525,8 @@ def test_read_emission_log_reports_line_numbers(tmp_path) -> None:
 @pytest.mark.parametrize(
     "read, line, named",
     [
-        (read_emission_log, {"token": ["x" * 100_000], "segment_ordinal": 0}, "want str token"),
-        (read_reference_segments, {"tokens": "y" * 100_000}, "tokens must be a list"),
+        (read_emission_log, {"token": ["x" * 100_000], "segment_ordinal": 0}, "field 'token' must be a string"),
+        (read_reference_segments, {"tokens": "y" * 100_000}, "field 'tokens' must be a list"),
     ],
     ids=["log", "refs"],
 )

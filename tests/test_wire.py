@@ -61,7 +61,7 @@ def test_mt_request_history_is_sentinel_joined() -> None:
 def test_truncated_line_is_a_protocol_error() -> None:
     lines = (DATA / "wire_responses.jsonl").read_text(encoding="utf-8").splitlines()
     truncated = lines[0][: len(lines[0]) // 2]
-    with pytest.raises(ProtocolError, match="malformed JSON"):
+    with pytest.raises(ProtocolError, match="invalid JSON"):
         decode_asr_response(truncated)
 
 
@@ -228,7 +228,7 @@ def test_deeply_nested_line_is_a_protocol_error(decode) -> None:
 def test_string_list_errors_name_their_path() -> None:
     request = json.loads(_golden_lines("wire_requests.jsonl")[1])
     request["active_source"][1] = 7
-    with pytest.raises(ProtocolError, match=r"'active_source\[1\]' must be a string: 7"):
+    with pytest.raises(ProtocolError, match=r"field 'active_source\[1\]' must be a string, got 7"):
         decode_mt_request(json.dumps(request))
     response = json.loads(_golden_lines("wire_responses.jsonl")[1])
     response["beams"][1]["tokens"][0] = None
@@ -248,9 +248,9 @@ def _huge_mt_reply(path: str) -> str:
 @pytest.mark.parametrize(
     "line, named",
     [
-        (DEEP_JSON, "malformed JSON line: JSON nested too deeply"),
-        ('"' + "z" * 200_000 + '"', "expected JSON object"),
-        (_huge_mt_reply("beams"), "field 'beams' has wrong type"),
+        (DEEP_JSON, "invalid JSON: JSON nested too deeply"),
+        ('"' + "z" * 200_000 + '"', "expected a JSON object"),
+        (_huge_mt_reply("beams"), "field 'beams' must be a list"),
         (_huge_mt_reply("tokens"), "field 'beams[0].tokens[0]' must be a string"),
     ],
     ids=["deep", "not_an_object", "wrong_type", "list_item"],
@@ -316,6 +316,19 @@ def test_timeout_is_a_backend_error() -> None:
         # the channel stays unusable after a timeout
         with pytest.raises(BackendError, match="timeout"):
             backend.decode(AsrRequest("s", 0.0, 1.0, 5))
+    finally:
+        channel.close()
+
+
+@pytest.mark.parametrize("timeout_s", [1e7, 1e300], ids=["1e7", "1e300"])
+def test_any_finite_timeout_waits_for_the_reply(tmp_path, timeout_s) -> None:
+    # A selector refuses a timeout beyond about 2.1e6 s, so the read must
+    # wait in slices rather than pass the whole timeout on.
+    channel, asr_script, _ = _spawn_mock_server(tmp_path)
+    try:
+        backend = WireAsrBackend(channel, timeout_s=timeout_s)
+        request = AsrRequest("s", 0.0, asr_script.audio_duration_s, 5)
+        assert backend.decode(request) == mock_asr_decode(asr_script, request)
     finally:
         channel.close()
 
