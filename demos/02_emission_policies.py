@@ -4,20 +4,14 @@ Run:  python demos/02_emission_policies.py
 """
 
 from simulstream.core import SENTINEL, BeamHypothesis, BeamSet
-from simulstream.policy import (
-    RalcpConfig,
-    WaitKConfig,
-    agreed_prefix_len,
-    ralcp_emit,
-    waitk_allows,
-)
+from simulstream.policy import agreed_prefix_len, ralcp_emit, waitk_allows
 
 # 1. Relaxed prefix agreement: casing, punctuation and tiny misspellings
 #    between consecutive ASR hypotheses should not stall commitment.
 prev = ["Hello,", "wrld", "how", "are"]
 curr = ["hello", "world", "how", "art", "you"]
-n = agreed_prefix_len(prev, curr, committed=0)
-print("relaxed agreement")
+n = agreed_prefix_len(prev, curr, committed=0, threshold=2)
+print("relaxed agreement (at most 2 character edits per word)")
 print(f"  prev: {prev}")
 print(f"  curr: {curr}")
 print(f"  agreed prefix length: {n}  (commits {curr[:n]})\n")
@@ -38,16 +32,14 @@ beams = BeamSet(
     ),
     requested_size=4,
 )
-config = RalcpConfig(agreement_ratio=0.5, beam_size=4)
 print("RALCP voting (4 beams, ratio 0.5 -> 2 votes needed)")
-print(f"  emitted: {ralcp_emit(beams, 0, config)}")
+print(f"  emitted: {ralcp_emit(beams, 0, agreement_ratio=0.5)}")
 print("  position 0: 'das' has 3 votes; position 1: 'wetter' has 3;")
 print("  the sentinel wins next and closes the segment.\n")
 
 # 3. Wait-k: at the start of every segment the translator holds its output
 #    until k source words have been read, then never gates again until the
 #    next segment begins.
-config = WaitKConfig(k=3)
 print("wait-k gate (k=3)")
 for read in range(5):
-    print(f"  {read} words read -> emission allowed: {waitk_allows(config, read)}")
+    print(f"  {read} words read -> emission allowed: {waitk_allows(3, read)}")

@@ -14,15 +14,21 @@ from dataclasses import dataclass, field
 from .backends import AsrBackend, AsrRequest
 from .core import AsrHypothesis, InvalidArgumentError, TimedWord, VirtualClock
 from .policy import agreed_prefix_len
-from .textnorm import MatchConfig, is_sentence_terminal
+from .textnorm import is_sentence_terminal
 
 
 @dataclass(frozen=True)
 class AsrStreamConfig:
+    """ASR controller settings; the defaults are the adapted preset.
+
+    Two hypothesis words agree when their normalized forms are at most
+    ``levenshtein_threshold`` edits apart (``words_match``).
+    """
+
     max_window_s: float = 30.0
     min_chunk_s: float = 1.0
     initial_wait_s: float = 1.0
-    matcher: MatchConfig = MatchConfig()
+    levenshtein_threshold: int = 2
     backend_beam: int = 5
 
     def __post_init__(self) -> None:
@@ -33,6 +39,10 @@ class AsrStreamConfig:
             )
         if self.initial_wait_s < 0:
             raise InvalidArgumentError("initial_wait_s must be >= 0")
+        if self.levenshtein_threshold < 0:
+            raise InvalidArgumentError(
+                f"levenshtein_threshold must be >= 0, got {self.levenshtein_threshold}"
+            )
         if self.backend_beam < 1:
             raise InvalidArgumentError("backend_beam must be >= 1")
 
@@ -126,7 +136,7 @@ class AsrStreamController:
                 state.prev_hypothesis.texts(),
                 current.texts(),
                 state.committed_in_window,
-                self.config.matcher,
+                self.config.levenshtein_threshold,
             )
         if force_tail:
             agreed = max(agreed, len(current.words))

@@ -19,6 +19,7 @@ from .core import (
     InvalidArgumentError,
     ProtocolError,
     json_field,
+    json_report,
     must_be,
     read_json_file,
 )
@@ -80,11 +81,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for close in closers:
             close()
     write_emission_log(records, args.out)
-    summary_path = args.summary or f"{args.out}.summary.json"
-    Path(summary_path).write_text(
-        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    json_report(summary.to_dict(), args.summary or f"{args.out}.summary.json")
     return 0
 
 
@@ -92,10 +89,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     log = read_emission_log(args.log)
     refs = read_reference_segments(args.refs)
     report = evaluate(log, refs)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+    sys.stdout.write(json_report(report, args.out))
     return 0
 
 
@@ -138,9 +132,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         runs.append({"log": str(log_path), "nca": report["nca"], "ca": report["ca"]})
     comparison = {"runs": runs}
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(comparison, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        json_report(comparison, args.json)
     name_width = max(len(run["log"]) for run in runs) + 2
     header = "run".ljust(name_width) + "mode  " + "".join(
         h.rjust(9) for h in _TABLE_HEADERS
@@ -178,10 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="document-aligned bitext ('src ||| tgt' lines)")
     p.add_argument("out_prefix", help="output prefix for .src/.tgt/.stats.json")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prefix-rate", type=float, default=0.5)
-    p.add_argument("--min-context", type=int, default=1)
-    p.add_argument("--max-context", type=int, default=10)
+    p.add_argument("--seed", type=int, default=GenConfig.seed)
+    p.add_argument("--prefix-rate", type=float, default=GenConfig.prefix_rate)
+    p.add_argument("--min-context", type=int, default=GenConfig.min_context)
+    p.add_argument("--max-context", type=int, default=GenConfig.max_context)
     p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("bench", help="compare latency reports across runs")

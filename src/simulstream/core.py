@@ -175,6 +175,35 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
+def json_report(obj, path: str | Path | None = None) -> str:
+    """``obj`` as a human-readable report: indented, sorted keys, final newline.
+
+    The text is also written to ``path`` when one is given.
+    """
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if path is not None:
+        Path(path).write_text(text, encoding="utf-8")
+    return text
+
+
+def check_word(word: str, where: str) -> None:
+    """Reject a word that is empty, holds whitespace or is the sentinel.
+
+    Every word entering a stream, a script or a corpus passes this one
+    rule; ``where`` names the word's place in the message.
+    """
+    # ``str.split`` cuts at exactly the characters ``str.isspace`` accepts,
+    # so a word comes back whole only if it is non-empty and has none.
+    if word.split() != [word]:
+        raise InvalidArgumentError(
+            f"{where}: bad word {quote(word)}: must be non-empty with no whitespace"
+        )
+    if word == SENTINEL:
+        raise InvalidArgumentError(
+            f"{where}: the reserved sentinel {SENTINEL!r} cannot appear as a word"
+        )
+
+
 @dataclass(frozen=True)
 class TimedWord:
     """A word with absolute start/end timestamps in source-audio seconds."""
@@ -184,16 +213,7 @@ class TimedWord:
     end_s: float
 
     def __post_init__(self) -> None:
-        if not self.text:
-            raise InvalidArgumentError("TimedWord.text must be non-empty")
-        if any(ch.isspace() for ch in self.text):
-            raise InvalidArgumentError(
-                f"TimedWord.text contains whitespace: {self.text!r}"
-            )
-        if self.text == SENTINEL:
-            raise InvalidArgumentError(
-                f"the reserved sentinel {SENTINEL!r} cannot appear as input text"
-            )
+        check_word(self.text, "TimedWord.text")
         if self.start_s < 0:
             raise InvalidArgumentError(f"start_s must be >= 0, got {self.start_s}")
         if self.start_s > self.end_s:

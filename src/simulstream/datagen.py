@@ -9,12 +9,11 @@ by the length ratio of the two sides. Generation is a pure function of
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import SENTINEL, InvalidArgumentError
+from .core import SENTINEL, InvalidArgumentError, check_word, json_report
 
 PAIR_SEPARATOR = " ||| "
 
@@ -34,15 +33,7 @@ class Document:
                         f"document {self.doc_id!r} has an empty sentence"
                     )
                 for word in sentence:
-                    if not word or any(ch.isspace() for ch in word):
-                        raise InvalidArgumentError(
-                            f"document {self.doc_id!r} has a bad word {word!r}"
-                        )
-                    if word == SENTINEL:
-                        raise InvalidArgumentError(
-                            f"document {self.doc_id!r} contains the reserved "
-                            f"sentinel {SENTINEL!r}"
-                        )
+                    check_word(word, f"document {self.doc_id!r}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +157,10 @@ def load_corpus(path: str | Path) -> CorpusLoadResult:
     numbers instead of being silently dropped; a file yielding zero valid
     documents is an error.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc
     documents: list[Document] = []
     malformed: list[tuple[int, str]] = []
     pending: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
@@ -232,7 +226,5 @@ def write_samples(
     with open(target_path, "w", encoding="utf-8") as fh:
         for _, target in samples:
             fh.write(target + "\n")
-    stats_path.write_text(
-        json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    json_report(stats.to_dict(), stats_path)
     return source_path, target_path, stats_path

@@ -25,9 +25,10 @@ from .core import (
     ProtocolError,
     StreamHistory,
     VirtualClock,
+    check_word,
     quote,
 )
-from .policy import RalcpConfig, WaitKConfig, ralcp_emit, waitk_allows
+from .policy import ralcp_emit, waitk_allows
 
 HISTORY_REMOVE_MODES = ("oldest_sentence_pair", "word_count")
 _FLUSH_MAX_ROUNDS = 64  # caps flush against a backend that never stops emitting
@@ -35,14 +36,30 @@ _FLUSH_MAX_ROUNDS = 64  # caps flush against a backend that never stops emitting
 
 @dataclass(frozen=True)
 class MtStreamConfig:
-    ralcp: RalcpConfig = RalcpConfig()
-    waitk: WaitKConfig = WaitKConfig()
+    """MT controller settings; the defaults are the adapted preset.
+
+    ``agreement_ratio`` is the share of the requested ``beam_size`` beams
+    that must vote for a token before it is emitted (``ralcp_emit``).
+    ``wait_k`` source words must be read before a segment emits anything.
+    """
+
+    agreement_ratio: float = 0.5
+    beam_size: int = 10
+    wait_k: int = 3
     max_buffer_words: int = 80
     history_remove: str = "oldest_sentence_pair"
     history_remove_words: int = 20
     attention_layer_tag: str = "6"
 
     def __post_init__(self) -> None:
+        if not 0 < self.agreement_ratio <= 1:
+            raise InvalidArgumentError(
+                f"agreement_ratio must be in (0, 1], got {self.agreement_ratio}"
+            )
+        if self.beam_size < 1:
+            raise InvalidArgumentError(f"beam_size must be >= 1, got {self.beam_size}")
+        if self.wait_k < 1:
+            raise InvalidArgumentError(f"wait_k must be >= 1, got {self.wait_k}")
         if self.max_buffer_words < 1:
             raise InvalidArgumentError("max_buffer_words must be >= 1")
         if self.history_remove not in HISTORY_REMOVE_MODES:
@@ -91,18 +108,13 @@ class MtStreamController:
         if not new_source_words:
             return []
         for word in new_source_words:
-            if not word or any(ch.isspace() for ch in word):
-                raise InvalidArgumentError(f"bad source word {word!r}")
-            if word == SENTINEL:
-                raise InvalidArgumentError(
-                    f"the reserved sentinel {SENTINEL!r} cannot appear as input"
-                )
+            check_word(word, "source word")
         history = self.history
         count = len(new_source_words)
         # The active chunk holds exactly the words the open segment has read,
         # those a closure left unconsumed included, so wait-k counts it.
         history.active_source.extend(new_source_words)
-        if not waitk_allows(self.config.waitk, len(history.active_source)):
+        if not waitk_allows(self.config.wait_k, len(history.active_source)):
             return []
         closed = self.segment_ordinal
         try:
@@ -112,7 +124,7 @@ class MtStreamController:
             raise
         # Terminates: every closure consumes at least one active word.
         while self.segment_ordinal > closed and waitk_allows(
-            self.config.waitk, len(history.active_source)
+            self.config.wait_k, len(history.active_source)
         ):
             closed = self.segment_ordinal
             records += self._translate_and_emit()
@@ -144,7 +156,7 @@ class MtStreamController:
             history_target=tuple(tuple(s) for s in history.target_sentences),
             active_source=tuple(history.active_source),
             committed_target=tuple(history.active_target_committed),
-            beam_size=self.config.ralcp.beam_size,
+            beam_size=self.config.beam_size,
             attention_layer_tag=self.config.attention_layer_tag,
         )
         response = self.backend.translate(request)
@@ -153,7 +165,7 @@ class MtStreamController:
         beams = self._validated(response.beams, request)
 
         committed_before = len(history.active_target_committed)
-        emitted = ralcp_emit(beams, committed_before, self.config.ralcp)
+        emitted = ralcp_emit(beams, committed_before, self.config.agreement_ratio)
         if flushing and not emitted and beams.beams:
             emitted = list(beams.beams[0].tokens[committed_before:])
             if SENTINEL in emitted:

@@ -25,8 +25,6 @@ from .core import (
     read_jsonl,
 )
 from .mt_stream import MtStreamConfig, MtStreamController
-from .policy import RalcpConfig, WaitKConfig
-from .textnorm import MatchConfig
 
 PIPELINE_MODES = ("adapted", "baseline")
 
@@ -38,34 +36,20 @@ class PipelineConfig:
 
 
 def preset_config(mode: str) -> PipelineConfig:
-    """Inference defaults for the two system variants.
+    """Inference settings for the two system variants.
 
-    Shared: 1 s initial wait, 1 s decode chunk, ASR beam 5, wait-k 3,
-    agreement ratio 0.5, MT beam 10, attention layer tag "6", 80-word
-    buffer. The variants differ only in history eviction: the adapted
-    system drops the oldest sentence pair, the baseline drops the oldest
-    20 words from each side.
+    "adapted" is the config classes' defaults. "baseline" differs only in
+    history eviction: it drops the oldest ``history_remove_words`` words
+    from each side instead of the oldest sentence pair.
     """
     if mode not in PIPELINE_MODES:
         raise InvalidArgumentError(
             f"mode must be one of {PIPELINE_MODES}, got {quote(mode)}"
         )
-    asr = AsrStreamConfig(
-        max_window_s=30.0,
-        min_chunk_s=1.0,
-        initial_wait_s=1.0,
-        matcher=MatchConfig(levenshtein_threshold=2),
-        backend_beam=5,
-    )
-    mt = MtStreamConfig(
-        ralcp=RalcpConfig(agreement_ratio=0.5, beam_size=10),
-        waitk=WaitKConfig(k=3),
-        max_buffer_words=80,
-        history_remove="oldest_sentence_pair" if mode == "adapted" else "word_count",
-        history_remove_words=20,
-        attention_layer_tag="6",
-    )
-    return PipelineConfig(asr=asr, mt=mt)
+    mt = MtStreamConfig()
+    if mode == "baseline":
+        mt = replace(mt, history_remove="word_count")
+    return PipelineConfig(asr=AsrStreamConfig(), mt=mt)
 
 
 @dataclass(frozen=True)
@@ -177,54 +161,33 @@ class Pipeline:
 
 
 def override_keys(section_config) -> dict[str, type]:
-    """The keys an override section may set, with their declared types.
-
-    A field holding another config is set through its own section instead.
-    """
+    """The keys an override section may set, with their declared types."""
     hints = get_type_hints(type(section_config))
-    return {
-        f.name: hints[f.name]
-        for f in fields(section_config)
-        if hints[f.name] in (int, float, str)
-    }
-
-
-def _override(section_config, section: str, values: dict):
-    keys = override_keys(section_config)
-    checked = {}
-    for key in values:
-        if key not in keys:
-            raise InvalidArgumentError(
-                f"unknown override key {quote(key)} in section {section!r}"
-            )
-        checked[key] = json_field(values, key, keys[key], f"overrides.{section}")
-    return replace(section_config, **checked)
+    return {f.name: hints[f.name] for f in fields(section_config)}
 
 
 def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
     """Apply a nested override dict from a config file onto the preset.
 
-    Recognized sections: "asr", "mt", "ralcp", "waitk" and "matcher" (the
-    ASR word matcher); ``override_keys`` lists each section's keys. Unknown
-    sections and keys, and values of the wrong type, are rejected so typos
-    cannot silently run with defaults.
+    Each section is a field of ``PipelineConfig`` ("asr", "mt");
+    ``override_keys`` lists each section's keys. Unknown sections and
+    keys, and values of the wrong type, are rejected so typos cannot
+    silently run with defaults.
     """
     if not isinstance(overrides, dict):
         raise InvalidArgumentError(must_be("overrides", "an object", overrides))
-    asr = config.asr
-    mt = config.mt
+    sections = {f.name: getattr(config, f.name) for f in fields(config)}
     for section in overrides:
         values = json_field(overrides, section, dict, "overrides")
-        if section == "asr":
-            asr = _override(asr, section, values)
-        elif section == "mt":
-            mt = _override(mt, section, values)
-        elif section == "ralcp":
-            mt = replace(mt, ralcp=_override(mt.ralcp, section, values))
-        elif section == "waitk":
-            mt = replace(mt, waitk=_override(mt.waitk, section, values))
-        elif section == "matcher":
-            asr = replace(asr, matcher=_override(asr.matcher, section, values))
-        else:
+        if section not in sections:
             raise InvalidArgumentError(f"unknown override section {quote(section)}")
-    return PipelineConfig(asr=asr, mt=mt)
+        keys = override_keys(sections[section])
+        checked = {}
+        for key in values:
+            if key not in keys:
+                raise InvalidArgumentError(
+                    f"unknown override key {quote(key)} in section {section!r}"
+                )
+            checked[key] = json_field(values, key, keys[key], f"overrides.{section}")
+        sections[section] = replace(sections[section], **checked)
+    return PipelineConfig(**sections)

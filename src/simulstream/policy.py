@@ -13,64 +13,27 @@ Three gates decide when text may leave the system:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .core import SENTINEL, BeamSet, InvalidArgumentError
-from .textnorm import MatchConfig, words_match
-
-
-@dataclass(frozen=True)
-class RalcpConfig:
-    """Beam-voting settings.
-
-    ``agreement_ratio`` is the fraction of the requested beam pool that must
-    agree on a token before it is emitted. The bar is fixed at
-    ceil(ratio * requested_size) however many beams come back, the
-    conservative guard against hallucination.
-    """
-
-    agreement_ratio: float = 0.5
-    beam_size: int = 10
-
-    def __post_init__(self) -> None:
-        if not 0 < self.agreement_ratio <= 1:
-            raise InvalidArgumentError(
-                f"agreement_ratio must be in (0, 1], got {self.agreement_ratio}"
-            )
-        if self.beam_size < 1:
-            raise InvalidArgumentError(f"beam_size must be >= 1, got {self.beam_size}")
-
-
-@dataclass(frozen=True)
-class WaitKConfig:
-    """Initial per-segment hold: no output until k source words are read."""
-
-    k: int = 3
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InvalidArgumentError(f"k must be >= 1, got {self.k}")
+from .textnorm import words_match
 
 
 def agreed_prefix_len(
-    prev: Sequence[str],
-    curr: Sequence[str],
-    committed: int,
-    matcher: MatchConfig = MatchConfig(),
+    prev: Sequence[str], curr: Sequence[str], committed: int, threshold: int
 ) -> int:
     """Length of the relaxed common prefix of two hypotheses.
 
     The first ``committed`` positions are already emitted and skipped.
     Returns the largest n >= committed such that every position in
-    [committed, n) matches under the relaxed rule.
+    [committed, n) matches within ``threshold`` edits (``words_match``).
     """
     if committed < 0:
         raise InvalidArgumentError(f"committed must be >= 0, got {committed}")
     n = committed
     limit = min(len(prev), len(curr))
-    while n < limit and words_match(prev[n], curr[n], matcher):
+    while n < limit and words_match(prev[n], curr[n], threshold):
         n += 1
     return n
 
@@ -81,19 +44,21 @@ def votes_needed(agreement_ratio: float, pool: int) -> int:
     return math.ceil(Fraction(agreement_ratio) * pool)
 
 
-def ralcp_emit(beams: BeamSet, committed: int, config: RalcpConfig) -> list[str]:
+def ralcp_emit(beams: BeamSet, committed: int, agreement_ratio: float) -> list[str]:
     """Vote the next tokens out of a beam set, never retracting.
 
     Walks positions starting at ``committed``; at each position the
     plurality token (ties broken by the highest-scoring beam holding the
-    token) is emitted iff its vote count reaches the bar. A beam too short
+    token) is emitted iff its vote count reaches the bar. The bar is
+    ceil(agreement_ratio * requested size), fixed however many beams come
+    back, the conservative guard against hallucination. A beam too short
     to hold a position casts no vote there. Stops at the first failing
     position, or right after emitting the sentinel, which closes the
     segment for this call.
     """
     if committed < 0:
         raise InvalidArgumentError(f"committed must be >= 0, got {committed}")
-    needed = votes_needed(config.agreement_ratio, beams.requested_size)
+    needed = votes_needed(agreement_ratio, beams.requested_size)
 
     emitted: list[str] = []
     position = committed
@@ -118,8 +83,8 @@ def ralcp_emit(beams: BeamSet, committed: int, config: RalcpConfig) -> list[str]
     return emitted
 
 
-def waitk_allows(config: WaitKConfig, words_read: int) -> bool:
-    """True once the current segment has read at least k source words."""
+def waitk_allows(k: int, words_read: int) -> bool:
+    """True once the current segment has read at least ``k`` source words."""
     if words_read < 0:
         raise InvalidArgumentError(f"words_read must be >= 0, got {words_read}")
-    return words_read >= config.k
+    return words_read >= k

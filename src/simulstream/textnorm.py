@@ -8,10 +8,7 @@ stall commitment.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
 from typing import Sequence
-
-from .core import InvalidArgumentError
 
 _ABBREVIATIONS = frozenset(
     {"dr", "mr", "mrs", "ms", "prof", "e.g", "i.e", "etc", "vs", "fig", "eq"}
@@ -19,19 +16,6 @@ _ABBREVIATIONS = frozenset(
 
 _TERMINALS = ".!?…"
 _CLOSERS = "\"'”’»)]}"
-
-
-@dataclass(frozen=True)
-class MatchConfig:
-    """Relaxed word-equality settings for the commitment policy."""
-
-    levenshtein_threshold: int = 2
-
-    def __post_init__(self) -> None:
-        if self.levenshtein_threshold < 0:
-            raise InvalidArgumentError(
-                f"levenshtein_threshold must be >= 0, got {self.levenshtein_threshold}"
-            )
 
 
 def _is_punctuation(ch: str) -> bool:
@@ -67,12 +51,9 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     return current[n]
 
 
-def words_match(a: str, b: str, config: MatchConfig = MatchConfig()) -> bool:
-    """True when the normalized forms are within the edit-distance threshold."""
-    return (
-        levenshtein(normalize_word(a), normalize_word(b))
-        <= config.levenshtein_threshold
-    )
+def words_match(a: str, b: str, threshold: int) -> bool:
+    """True when the normalized forms are at most ``threshold`` edits apart."""
+    return levenshtein(normalize_word(a), normalize_word(b)) <= threshold
 
 
 def has_terminal_mark(word: str) -> bool:

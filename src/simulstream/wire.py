@@ -13,7 +13,8 @@ Request lines::
      "history_target":"sent [SEP] sent","active_source":[...],
      "committed_target":[...],"beam_size":...,"attention_layer_tag":"6"}
 
-Response lines::
+Response lines (a server that cannot answer a request replies
+``{"v":2,"kind":"error","message":...}`` instead)::
 
     {"v":2,"kind":"asr","window_offset_s":...,
      "words":[{"text":...,"start_s":...,"end_s":...},...],"compute_cost_s":...}
@@ -77,6 +78,8 @@ def _checked(line: str, kind: str) -> dict:
     if version != PROTOCOL_VERSION:
         raise ProtocolError(must_be("v", str(PROTOCOL_VERSION), version))
     got = _wire_field(obj, "kind", str)
+    if got == "error":
+        raise ProtocolError(f"server error: {_wire_field(obj, 'message', str)}")
     if got != kind:
         raise ProtocolError(must_be("kind", repr(kind), got))
     return obj
@@ -355,19 +358,36 @@ class WireMtBackend(_WireBackend):
         return self._roundtrip(encode_mt_request(request), decode_mt_response)
 
 
+def _reply(asr_backend, mt_backend, raw: bytes) -> str:
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"request is not UTF-8: {exc}") from exc
+    kind = _wire_field(json_object(line, ProtocolError), "kind", str)
+    if kind == "asr":
+        return encode_asr_response(asr_backend.decode(decode_asr_request(line)))
+    if kind == "mt":
+        return encode_mt_response(mt_backend.translate(decode_mt_request(line)))
+    raise ProtocolError(must_be("kind", "'asr' or 'mt'", kind))
+
+
 def serve(asr_backend, mt_backend, stdin: BinaryIO, stdout: BinaryIO) -> None:
-    """Reference server loop: dispatch request lines until EOF."""
+    """Reference server loop: answer each request line until EOF.
+
+    A request the server cannot answer gets an error reply,
+    {"v":2,"kind":"error","message":...}, and the loop goes on, so one
+    reply still answers each request and the client's channel stays usable.
+    """
     for raw in stdin:
-        line = raw.decode("utf-8").rstrip("\n")
-        if not line:
+        raw = raw.rstrip(b"\n")
+        if not raw:
             continue
-        kind = _wire_field(json_object(line, ProtocolError), "kind", str)
-        if kind == "asr":
-            reply = encode_asr_response(asr_backend.decode(decode_asr_request(line)))
-        elif kind == "mt":
-            reply = encode_mt_response(mt_backend.translate(decode_mt_request(line)))
-        else:
-            raise ProtocolError(must_be("kind", "'asr' or 'mt'", kind))
+        try:
+            reply = _reply(asr_backend, mt_backend, raw)
+        except (ProtocolError, InvalidArgumentError) as exc:
+            reply = canonical_json(
+                {"v": PROTOCOL_VERSION, "kind": "error", "message": str(exc)}
+            )
         stdout.write(reply.encode("utf-8") + b"\n")
         stdout.flush()
 

@@ -335,17 +335,17 @@ def _simulate_with_overrides(tmp_path, overrides, table3="adapted") -> tuple[int
 @pytest.mark.parametrize(
     "table3, overrides, message",
     [
-        ("adapted", {"ralcp": {"beam_size": 2.5}}, "field 'overrides.ralcp.beam_size' must be an integer, got 2.5"),
+        ("adapted", {"mt": {"beam_size": 2.5}}, "field 'overrides.mt.beam_size' must be an integer, got 2.5"),
         ("baseline", {"mt": {"history_remove_words": 2.5}}, "field 'overrides.mt.history_remove_words' must be"),
-        ("adapted", {"waitk": {"k": True}}, "field 'overrides.waitk.k' must be an integer, got True"),
+        ("adapted", {"mt": {"wait_k": True}}, "field 'overrides.mt.wait_k' must be an integer, got True"),
         ("adapted", {"mt": {"max_buffer_words": 2.5}}, "field 'overrides.mt.max_buffer_words' must be"),
         ("adapted", {"asr": {"min_chunk_s": "1.0"}}, "field 'overrides.asr.min_chunk_s' must be a number"),
         ("adapted", {"mt": {"history_remove": 1}}, "field 'overrides.mt.history_remove' must be a string"),
         ("adapted", {"asr": {"abbreviations": []}}, "unknown override key 'abbreviations' in section 'asr'"),
-        ("adapted", {"matcher": {"strip_punctuation": False}}, "key 'strip_punctuation' in section 'matcher'"),
-        ("adapted", {"matcher": {"lowercase": False}}, "key 'lowercase' in section 'matcher'"),
-        ("adapted", {"ralcp": {"filter_empty": False}}, "key 'filter_empty' in section 'ralcp'"),
-        ("adapted", {"ralcp": {"recompute_votes_after_filter": True}}, "key 'recompute_votes_after_filter'"),
+        ("adapted", {"asr": {"strip_punctuation": False}}, "key 'strip_punctuation' in section 'asr'"),
+        ("adapted", {"asr": {"lowercase": False}}, "key 'lowercase' in section 'asr'"),
+        ("adapted", {"mt": {"filter_empty": False}}, "key 'filter_empty' in section 'mt'"),
+        ("adapted", {"mt": {"recompute_votes_after_filter": True}}, "key 'recompute_votes_after_filter'"),
         ("x" * 100_000, {}, "mode must be one of ('adapted', 'baseline'), got 'xxx"),
         ("adapted", {"mt": {"history_remove": "y" * 100_000}}, "history_remove must be one of"),
     ],
@@ -367,7 +367,7 @@ def test_simulate_bad_override_exits_1_naming_section_and_key(
 
 def test_simulate_float_override_takes_an_integer(tmp_path) -> None:
     # JSON may write 1.0 as 1; the preset's own values reproduce the golden.
-    overrides = {"asr": {"min_chunk_s": 1, "max_window_s": 30}, "ralcp": {"agreement_ratio": 0.5}}
+    overrides = {"asr": {"min_chunk_s": 1, "max_window_s": 30}, "mt": {"agreement_ratio": 0.5}}
     code, out = _simulate_with_overrides(tmp_path, overrides)
     assert code == 0
     assert out.read_bytes() == (DATA / "golden_log_60s.jsonl").read_bytes()
@@ -480,3 +480,53 @@ def test_bench_dominating_log_orders_every_column(tmp_path, capsys) -> None:
     for mode in ("nca", "ca"):
         for column in ("mean_s", "median_s", "p90_s", "p95_s", "p99_s", "max_s"):
             assert fast_run[mode][column] <= slow_run[mode][column]
+
+
+def test_datagen_corpus_with_bad_utf8_exits_1_naming_the_file(tmp_path, capsys) -> None:
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"one two ||| eins zwei\n\xffbad ||| schlecht\n")
+    assert main(["datagen", str(corpus), str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert str(corpus) in err["message"] and "utf-8" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"ralcp": {"agreement_ratio": 0.5}}, "unknown override section 'ralcp'"),
+        ({"waitk": {"k": 3}}, "unknown override section 'waitk'"),
+        ({"matcher": {"levenshtein_threshold": 2}}, "unknown override section 'matcher'"),
+        ({"mt": {"wait_k": 0}}, "wait_k must be >= 1"),
+        ({"mt": {"agreement_ratio": 0}}, "agreement_ratio must be in (0, 1]"),
+        ({"mt": {"agreement_ratio": 1.5}}, "agreement_ratio must be in (0, 1]"),
+        ({"mt": {"beam_size": 0}}, "beam_size must be >= 1"),
+        ({"asr": {"levenshtein_threshold": -1}}, "levenshtein_threshold must be >= 0"),
+    ],
+    ids=["old_ralcp", "old_waitk", "old_matcher", "wait_k_zero", "ratio_zero",
+         "ratio_above_one", "beam_size_zero", "threshold_negative"],
+)
+def test_simulate_old_section_or_moved_check_exits_1_naming_it(
+    tmp_path, capsys, overrides, named
+) -> None:
+    code, out = _simulate_with_overrides(tmp_path, overrides)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert named in err["message"]
+    assert not out.exists()
+
+
+def test_every_report_is_indented_sorted_json_ending_in_a_newline(tmp_path, capsys) -> None:
+    trace, config = _stage_fixture(tmp_path)
+    log = tmp_path / "run.jsonl"
+    assert main(["simulate", str(trace), str(config), str(log)]) == 0
+    refs = str(DATA / "refs_60s.jsonl")
+    assert main(["eval", str(log), refs, "--out", str(tmp_path / "eval.json")]) == 0
+    printed = capsys.readouterr().out
+    assert main(["bench", str(log), "--refs", refs, "--json", str(tmp_path / "bench.json")]) == 0
+    assert main(["datagen", str(_corpus(tmp_path)), str(tmp_path / "gen"), "--samples", "5"]) == 0
+    assert (tmp_path / "eval.json").read_text(encoding="utf-8") == printed
+    for name in ("run.jsonl.summary.json", "eval.json", "bench.json", "gen.stats.json"):
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name

@@ -22,9 +22,13 @@ from simulstream.core import (
     TimedWord,
     VirtualClock,
     check_emission_log,
+    check_word,
+    json_report,
     strict_json_loads,
 )
+from simulstream.datagen import Document
 from simulstream.metrics import read_emission_log, read_reference_segments
+from simulstream.mt_stream import MtStreamConfig, MtStreamController
 from simulstream.pipeline import apply_overrides, preset_config, read_trace
 from simulstream.wire import (
     decode_asr_request,
@@ -109,6 +113,34 @@ def test_timed_word_validation() -> None:
 def test_timed_word_rejects_sentinel() -> None:
     with pytest.raises(InvalidArgumentError):
         TimedWord(SENTINEL, 0.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "word, named",
+    [("", "bad word ''"), ("two words", "bad word 'two words'"), ("a\tb", "bad word"),
+     (SENTINEL, "reserved sentinel")],
+)
+def test_every_word_entry_point_applies_the_one_word_rule(word, named) -> None:
+    controller = MtStreamController(MtStreamConfig(), None, VirtualClock())
+    entries = {
+        "where": lambda: check_word(word, "where"),
+        "TimedWord.text": lambda: TimedWord(word, 0.0, 0.5),
+        "source word": lambda: controller.step([word]),
+        "document 'd'": lambda: Document(pairs=(((word,), ("t",)),), doc_id="d"),
+    }
+    for where, enter in entries.items():
+        with pytest.raises(InvalidArgumentError) as info:
+            enter()
+        assert str(info.value).startswith(f"{where}: ") and named in str(info.value)
+    check_word("ok", "where")
+
+
+def test_json_report_is_indented_sorted_and_ends_in_a_newline(tmp_path) -> None:
+    obj = {"b": [1, 2.5], "a": {"é": None}}
+    text = json_report(obj, tmp_path / "r.json")
+    assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == text
+    assert json_report(obj) == text
 
 
 def test_asr_hypothesis_requires_ordered_ends() -> None:
@@ -244,8 +276,8 @@ _READERS = {
     "overrides": (
         InvalidArgumentError,
         lambda tmp_path, obj: apply_overrides(preset_config("adapted"), obj),
-        {"waitk": {"k": 3}, "asr": {"min_chunk_s": 1.0}}, "overrides.",
-        {int: ("waitk", "k"), float: ("asr", "min_chunk_s")}, None,
+        {"mt": {"wait_k": 3}, "asr": {"min_chunk_s": 1.0}}, "overrides.",
+        {int: ("mt", "wait_k"), float: ("asr", "min_chunk_s")}, None,
     ),
     "backend_config": (
         InvalidArgumentError, lambda tmp_path, obj: _build_backends(obj, tmp_path),

@@ -16,7 +16,6 @@ from simulstream.core import (
     VirtualClock,
 )
 from simulstream.mt_stream import MtStreamConfig, MtStreamController
-from simulstream.policy import RalcpConfig, WaitKConfig
 
 
 def _controller(backend=None, **config_kwargs) -> MtStreamController:
@@ -36,7 +35,7 @@ def test_segment_source_examples() -> None:
 
 
 def test_full_sentence_closes_one_segment() -> None:
-    controller = _controller(waitk=WaitKConfig(k=3))
+    controller = _controller(wait_k=3)
     records = controller.step(["der", "hund", "lief", "nach", "hause."])
     tokens = [r.token for r in records]
     assert tokens == ["DER", "HUND", "LIEF", "NACH", "HAUSE.", SENTINEL]
@@ -51,7 +50,7 @@ def test_full_sentence_closes_one_segment() -> None:
 
 
 def test_one_step_closes_every_ready_segment() -> None:
-    controller = _controller(waitk=WaitKConfig(k=3))
+    controller = _controller(wait_k=3)
     records = controller.step(["eins", "zwei", "drei.", "vier", "fünf", "sechs."])
     assert [r.token for r in records] == [
         "EINS", "ZWEI", "DREI.", SENTINEL, "VIER", "FÜNF", "SECHS.", SENTINEL
@@ -65,7 +64,7 @@ def test_one_step_closes_every_ready_segment() -> None:
 def test_drain_stops_at_the_waitk_gate_and_charges_each_call() -> None:
     clock = VirtualClock()
     backend = MockMtBackend(MtScript(cost_base_s=0.5, cost_per_word_s=0.0))
-    controller = MtStreamController(MtStreamConfig(waitk=WaitKConfig(k=3)), backend, clock)
+    controller = MtStreamController(MtStreamConfig(wait_k=3), backend, clock)
     records = controller.step(["eins", "zwei.", "drei", "vier.", "fünf", "sechs"])
     # Once "vier." closes the second segment, the third has read only two
     # words, so wait-k holds "fünf sechs" for a later step.
@@ -90,7 +89,7 @@ def test_backend_failure_on_first_call_leaves_step_retryable() -> None:
                 raise BackendError("unavailable")
             return self.inner.translate(request)
 
-    controller = _controller(FailOnce(), waitk=WaitKConfig(k=3))
+    controller = _controller(FailOnce(), wait_k=3)
     words = ["eins", "zwei", "drei."]
     with pytest.raises(BackendError):
         controller.step(words)
@@ -100,7 +99,7 @@ def test_backend_failure_on_first_call_leaves_step_retryable() -> None:
 
 
 def test_waitk_gate_holds_short_input() -> None:
-    controller = _controller(waitk=WaitKConfig(k=3))
+    controller = _controller(wait_k=3)
     assert controller.step(["nur", "zwei"]) == []
     assert controller.translate_calls == 0
     # the third word opens the gate
@@ -109,7 +108,7 @@ def test_waitk_gate_holds_short_input() -> None:
 
 
 def test_waitk_gate_restarts_after_closure() -> None:
-    controller = _controller(waitk=WaitKConfig(k=3))
+    controller = _controller(wait_k=3)
     controller.step(["eins", "zwei", "drei."])
     assert controller.segment_ordinal == 1
     # New segment: a single word stays gated even though the stream is warm.
@@ -135,7 +134,7 @@ def test_emission_is_append_only_across_steps() -> None:
     rng = random.Random(71)
     backend = MockMtBackend(MtScript(tail_truncate_max=2, tail_perturb_prob=0.4, seed=7))
     controller = MtStreamController(
-        MtStreamConfig(ralcp=RalcpConfig(agreement_ratio=0.5, beam_size=10)),
+        MtStreamConfig(agreement_ratio=0.5, beam_size=10),
         backend,
         VirtualClock(),
     )
@@ -202,7 +201,7 @@ def test_out_of_range_cut_is_a_protocol_error(bad) -> None:
             beam = BeamHypothesis(("X", "Y"), 0.0, (0, cut))
             return MtResponse(BeamSet((beam,), request.beam_size), 0.0)
 
-    controller = _controller(BadBackend(), waitk=WaitKConfig(k=1))
+    controller = _controller(BadBackend(), wait_k=1)
     with pytest.raises(ProtocolError, match=r"cut outside the 2 active source words"):
         controller.step(["a", "b"])
     assert controller.history.active_target_committed == []
@@ -224,7 +223,7 @@ def test_beams_rewriting_committed_prefix_are_dropped() -> None:
             return MtResponse(BeamSet((good, bad), 2), 0.0)
 
     controller = _controller(
-        Rewriter(), ralcp=RalcpConfig(agreement_ratio=0.5, beam_size=2), waitk=WaitKConfig(k=1)
+        Rewriter(), agreement_ratio=0.5, beam_size=2, wait_k=1
     )
     controller.step(["a"])
     assert controller.history.active_target_committed == ["NEXT"]
@@ -234,7 +233,7 @@ def test_beams_rewriting_committed_prefix_are_dropped() -> None:
 
 
 def test_flush_translates_leftovers_without_waitk() -> None:
-    controller = _controller(waitk=WaitKConfig(k=5))
+    controller = _controller(wait_k=5)
     assert controller.step(["nur", "zwei."]) == []
     records = controller.flush()
     assert [r.token for r in records] == ["NUR", "ZWEI.", SENTINEL]

@@ -2,16 +2,20 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from helpers import DEEP_JSON, build_scripts, chunked_trace, offline_translation, synth_sentences
-from simulstream.backends import MockAsrBackend, MockMtBackend
-from simulstream.core import InvalidArgumentError, check_emission_log
+from simulstream.asr_stream import AsrStreamConfig
+from simulstream.backends import MockAsrBackend, MockMtBackend, load_mock_script
+from simulstream.core import InvalidArgumentError, check_emission_log, read_json_file
 from simulstream.metrics import strip_sentinels
+from simulstream.mt_stream import MtStreamConfig
 from simulstream.pipeline import (
     Pipeline,
+    PipelineConfig,
     TraceEvent,
     apply_overrides,
     override_keys,
@@ -36,10 +40,10 @@ def test_preset_matches_inference_defaults() -> None:
     assert adapted.asr.min_chunk_s == 1.0
     assert adapted.asr.max_window_s == 30.0
     assert adapted.asr.backend_beam == 5
-    assert adapted.asr.matcher.levenshtein_threshold == 2
-    assert adapted.mt.waitk.k == 3
-    assert adapted.mt.ralcp.agreement_ratio == 0.5
-    assert adapted.mt.ralcp.beam_size == 10
+    assert adapted.asr.levenshtein_threshold == 2
+    assert adapted.mt.wait_k == 3
+    assert adapted.mt.agreement_ratio == 0.5
+    assert adapted.mt.beam_size == 10
     assert adapted.mt.attention_layer_tag == "6"
     assert adapted.mt.max_buffer_words == 80
     assert adapted.mt.history_remove == "oldest_sentence_pair"
@@ -49,9 +53,11 @@ def test_preset_matches_inference_defaults() -> None:
     assert baseline.mt.history_remove_words == 20
     # everything else is shared between the two columns
     assert baseline.asr == adapted.asr
-    assert baseline.mt.ralcp == adapted.mt.ralcp
-    assert baseline.mt.waitk == adapted.mt.waitk
-    assert baseline.mt.max_buffer_words == adapted.mt.max_buffer_words
+    assert baseline.mt == replace(adapted.mt, history_remove="word_count")
+
+
+def test_adapted_preset_is_the_config_defaults() -> None:
+    assert preset_config("adapted") == PipelineConfig(AsrStreamConfig(), MtStreamConfig())
 
 
 def test_adapted_with_word_count_eviction_is_the_baseline() -> None:
@@ -230,17 +236,14 @@ def test_apply_overrides_nested_sections() -> None:
     updated = apply_overrides(
         config,
         {
-            "asr": {"min_chunk_s": 2.0},
-            "ralcp": {"agreement_ratio": 0.7},
-            "waitk": {"k": 5},
-            "mt": {"max_buffer_words": 40},
-            "matcher": {"levenshtein_threshold": 1},
+            "asr": {"min_chunk_s": 2.0, "levenshtein_threshold": 1},
+            "mt": {"max_buffer_words": 40, "agreement_ratio": 0.7, "wait_k": 5},
         },
     )
     assert updated.asr.min_chunk_s == 2.0
-    assert updated.asr.matcher.levenshtein_threshold == 1
-    assert updated.mt.ralcp.agreement_ratio == 0.7
-    assert updated.mt.waitk.k == 5
+    assert updated.asr.levenshtein_threshold == 1
+    assert updated.mt.agreement_ratio == 0.7
+    assert updated.mt.wait_k == 5
     assert updated.mt.max_buffer_words == 40
     with pytest.raises(InvalidArgumentError):
         apply_overrides(config, {"typo_section": {}})
@@ -255,23 +258,17 @@ def test_apply_overrides_nested_sections() -> None:
 # Every key a config file may set under "overrides", by section. Adding a
 # knob means editing this table and README's simulate section on purpose.
 OVERRIDE_KEYS = {
-    "asr": ["max_window_s", "min_chunk_s", "initial_wait_s", "backend_beam"],
-    "mt": ["max_buffer_words", "history_remove", "history_remove_words", "attention_layer_tag"],
-    "ralcp": ["agreement_ratio", "beam_size"],
-    "waitk": ["k"],
-    "matcher": ["levenshtein_threshold"],
+    "asr": ["max_window_s", "min_chunk_s", "initial_wait_s", "levenshtein_threshold", "backend_beam"],
+    "mt": [
+        "agreement_ratio", "beam_size", "wait_k", "max_buffer_words",
+        "history_remove", "history_remove_words", "attention_layer_tag",
+    ],
 }
 
 
 def test_override_keys_match_the_config_dataclasses_and_the_readme() -> None:
     config = preset_config("adapted")
-    sections = {
-        "asr": config.asr,
-        "mt": config.mt,
-        "ralcp": config.mt.ralcp,
-        "waitk": config.mt.waitk,
-        "matcher": config.asr.matcher,
-    }
+    sections = {"asr": config.asr, "mt": config.mt}
     assert {name: list(override_keys(c)) for name, c in sections.items()} == OVERRIDE_KEYS
     for name, section_config in sections.items():
         for key in OVERRIDE_KEYS[name]:
@@ -284,3 +281,21 @@ def test_override_keys_match_the_config_dataclasses_and_the_readme() -> None:
         for match in re.finditer(r"^ *- `(\w+)`: (.+)$", simulate, re.MULTILINE)
     }
     assert documented == OVERRIDE_KEYS
+
+
+def test_readme_simulate_config_example_runs(tmp_path) -> None:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    simulate = readme.split("\n### simulate\n", 1)[1].split("\n### ", 1)[0]
+    block = re.search(r"```json\n(.*?)```", simulate, re.DOTALL)[1]
+    data = Path(__file__).parent / "data"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(block, encoding="utf-8")
+    raw = read_json_file(config_path)
+    config = apply_overrides(preset_config(raw["table3"]), raw["overrides"])
+    assert config != preset_config(raw["table3"])
+    scripts = load_mock_script(data / "mock_script_60s.json")
+    pipeline = Pipeline(config, MockAsrBackend(scripts.asr), MockMtBackend(scripts.mt))
+    records, summary = pipeline.run_trace(read_trace(data / "trace_60s.jsonl"))
+    check_emission_log(records)
+    assert summary.tokens_emitted > 0
+    assert summary.max_buffered_words <= config.mt.max_buffer_words

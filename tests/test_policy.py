@@ -6,45 +6,38 @@ import pytest
 
 from helpers import make_beam_set, oracle_ralcp
 from simulstream.core import SENTINEL, BeamSet, InvalidArgumentError
-from simulstream.policy import (
-    RalcpConfig,
-    WaitKConfig,
-    agreed_prefix_len,
-    ralcp_emit,
-    votes_needed,
-    waitk_allows,
-)
-from simulstream.textnorm import MatchConfig
+from simulstream.mt_stream import MtStreamConfig
+from simulstream.policy import agreed_prefix_len, ralcp_emit, votes_needed, waitk_allows
+
+RELAXED = 2  # the preset's Levenshtein threshold
 
 
 def test_agreed_prefix_identical_lists() -> None:
     words = ["a", "b", "c", "d", "e"]
-    assert agreed_prefix_len(words, words, 0) == 5
+    assert agreed_prefix_len(words, words, 0, RELAXED) == 5
 
 
 def test_agreed_prefix_relaxed_and_length_limited() -> None:
     prev = ["Hello,", "world"]
     curr = ["hello", "world", "again"]
-    assert agreed_prefix_len(prev, curr, 0) == 2
+    assert agreed_prefix_len(prev, curr, 0, RELAXED) == 2
 
 
 def test_agreed_prefix_disagreement_at_committed() -> None:
     # Distance between the first words exceeds the relaxed threshold.
-    assert agreed_prefix_len(["alpha", "b"], ["romeo", "b"], 0) == 0
-    exact = MatchConfig(levenshtein_threshold=0)
-    assert agreed_prefix_len(["a", "b"], ["x", "b"], 0, exact) == 0
-    assert agreed_prefix_len(["cat", "b"], ["cap", "b"], 0, exact) == 0
+    assert agreed_prefix_len(["alpha", "b"], ["romeo", "b"], 0, RELAXED) == 0
+    assert agreed_prefix_len(["a", "b"], ["x", "b"], 0, 0) == 0
+    assert agreed_prefix_len(["cat", "b"], ["cap", "b"], 0, 0) == 0
 
 
 def test_agreed_prefix_skips_committed_region() -> None:
     # Disagreement inside the already-committed region is ignored.
-    assert agreed_prefix_len(["x", "b", "c"], ["y", "b", "c"], 1) == 3
+    assert agreed_prefix_len(["x", "b", "c"], ["y", "b", "c"], 1, RELAXED) == 3
     # committed beyond both lists just comes back unchanged
-    assert agreed_prefix_len(["a"], ["a"], 3) == 3
+    assert agreed_prefix_len(["a"], ["a"], 3, RELAXED) == 3
 
 
 def test_agreed_prefix_exact_mode_matches_plain_scan() -> None:
-    exact = MatchConfig(levenshtein_threshold=0)
     rng = random.Random(23)
     for _ in range(300):
         prev = [rng.choice("ab") for _ in range(rng.randint(0, 6))]
@@ -54,7 +47,7 @@ def test_agreed_prefix_exact_mode_matches_plain_scan() -> None:
             expected < min(len(prev), len(curr)) and prev[expected] == curr[expected]
         ):
             expected += 1
-        assert agreed_prefix_len(prev, curr, 0, exact) == expected
+        assert agreed_prefix_len(prev, curr, 0, 0) == expected
 
 
 def test_votes_needed_is_exact_for_awkward_ratios() -> None:
@@ -67,7 +60,7 @@ def test_votes_needed_is_exact_for_awkward_ratios() -> None:
 def test_ralcp_unanimous_beams_emit_through_sentinel() -> None:
     tokens = ("der", "hund", SENTINEL, "die")
     beams = make_beam_set([tokens] * 10)
-    out = ralcp_emit(beams, 0, RalcpConfig(agreement_ratio=0.5, beam_size=10))
+    out = ralcp_emit(beams, 0, 0.5)
     assert out == ["der", "hund", SENTINEL]
 
 
@@ -75,7 +68,7 @@ def test_ralcp_plurality_then_split() -> None:
     beams = make_beam_set(
         [("der", "x1"), ("der", "x2"), ("die", "x3"), ("das", "x4")]
     )
-    out = ralcp_emit(beams, 0, RalcpConfig(agreement_ratio=0.5, beam_size=4))
+    out = ralcp_emit(beams, 0, 0.5)
     assert out == ["der"]
 
 
@@ -85,24 +78,24 @@ def test_ralcp_preserved_vote_bar_blocks_few_survivors() -> None:
     full = ("tok", "next")
     empty = ()
     beams = make_beam_set([full] * 4 + [empty] * 6)
-    out = ralcp_emit(beams, 0, RalcpConfig(agreement_ratio=0.5, beam_size=10))
+    out = ralcp_emit(beams, 0, 0.5)
     assert out == []
 
 
 def test_ralcp_tie_broken_by_best_scoring_holder() -> None:
     beams = make_beam_set([("a",), ("b",), ("b",), ("a",)])
-    out = ralcp_emit(beams, 0, RalcpConfig(agreement_ratio=0.25, beam_size=4))
+    out = ralcp_emit(beams, 0, 0.25)
     assert out == ["a"]  # 2-2 tie; "a" is held by the top beam
 
 
 def test_ralcp_empty_beam_set_emits_nothing() -> None:
     empty = BeamSet((), 10)
-    assert ralcp_emit(empty, 0, RalcpConfig()) == []
+    assert ralcp_emit(empty, 0, 0.5) == []
 
 
 def test_ralcp_respects_committed_offset() -> None:
     beams = make_beam_set([("a", "b", "c")] * 3)
-    out = ralcp_emit(beams, 1, RalcpConfig(agreement_ratio=1.0, beam_size=3))
+    out = ralcp_emit(beams, 1, 1.0)
     assert out == ["b", "c"]
 
 
@@ -111,13 +104,12 @@ def test_ralcp_full_agreement_equals_exact_lcp() -> None:
     for _ in range(200):
         tokens = tuple(rng.choice("xyz") for _ in range(rng.randint(0, 5)))
         beams = make_beam_set([tokens] * 5)
-        config = RalcpConfig(agreement_ratio=1.0, beam_size=5)
         expected = []
         for t in tokens:
             expected.append(t)
             if t == SENTINEL:
                 break
-        assert ralcp_emit(beams, 0, config) == expected
+        assert ralcp_emit(beams, 0, 1.0) == expected
 
 
 def test_ralcp_matches_vote_oracle_on_random_sets() -> None:
@@ -132,36 +124,33 @@ def test_ralcp_matches_vote_oracle_on_random_sets() -> None:
         beams = make_beam_set(token_lists, requested_size=rng.randint(n, 6))
         committed = rng.randint(0, 2)
         ratio = rng.choice([0.3, 0.5, 0.7, 1.0])
-        config = RalcpConfig(agreement_ratio=ratio, beam_size=10)
-        assert ralcp_emit(beams, committed, config) == oracle_ralcp(
+        assert ralcp_emit(beams, committed, ratio) == oracle_ralcp(
             beams, committed, ratio
         )
 
 
 def test_waitk_gate() -> None:
-    config = WaitKConfig(k=3)
-    assert not waitk_allows(config, 0)
-    assert not waitk_allows(config, 2)
-    assert waitk_allows(config, 3)
-    assert waitk_allows(config, 4)
-    assert waitk_allows(WaitKConfig(k=1), 1)
+    assert not waitk_allows(3, 0)
+    assert not waitk_allows(3, 2)
+    assert waitk_allows(3, 3)
+    assert waitk_allows(3, 4)
+    assert waitk_allows(1, 1)
 
 
 def test_waitk_is_monotone() -> None:
-    config = WaitKConfig(k=5)
     opened = False
     for read in range(12):
-        now = waitk_allows(config, read)
+        now = waitk_allows(5, read)
         assert not (opened and not now)
         opened = opened or now
 
 
 def test_config_validation() -> None:
     with pytest.raises(InvalidArgumentError):
-        RalcpConfig(agreement_ratio=0.0)
+        MtStreamConfig(agreement_ratio=0.0)
     with pytest.raises(InvalidArgumentError):
-        RalcpConfig(agreement_ratio=1.5)
+        MtStreamConfig(agreement_ratio=1.5)
     with pytest.raises(InvalidArgumentError):
-        WaitKConfig(k=0)
+        MtStreamConfig(wait_k=0)
     with pytest.raises(InvalidArgumentError):
-        agreed_prefix_len(["a"], ["a"], -1)
+        agreed_prefix_len(["a"], ["a"], -1, RELAXED)

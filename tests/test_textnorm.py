@@ -5,7 +5,6 @@ import string
 
 from helpers import oracle_levenshtein
 from simulstream.textnorm import (
-    MatchConfig,
     is_sentence_terminal,
     levenshtein,
     normalize_word,
@@ -57,21 +56,19 @@ def test_levenshtein_is_a_metric_on_short_strings() -> None:
 
 
 def test_words_match_examples() -> None:
-    assert words_match("Hello,", "hello")
-    assert words_match("colour", "color")  # distance 1
-    assert not words_match("cat", "dogma")  # distance 4
-    exact = MatchConfig(levenshtein_threshold=0)
-    assert words_match("Hello,", "hello", exact)  # normalization is fixed
-    assert not words_match("colour", "color", exact)
+    assert words_match("Hello,", "hello", 2)
+    assert words_match("colour", "color", 2)  # distance 1
+    assert not words_match("cat", "dogma", 2)  # distance 4
+    assert words_match("Hello,", "hello", 0)  # normalization is fixed
+    assert not words_match("colour", "color", 0)
 
 
 def test_words_match_threshold_zero_is_normalized_equality() -> None:
-    config = MatchConfig(levenshtein_threshold=0)
     rng = random.Random(3)
     for _ in range(300):
         a = "".join(rng.choice("abC.") for _ in range(rng.randint(1, 5)))
         b = "".join(rng.choice("abC.") for _ in range(rng.randint(1, 5)))
-        assert words_match(a, b, config) == (
+        assert words_match(a, b, 0) == (
             normalize_word(a) == normalize_word(b)
         )
 
@@ -81,8 +78,8 @@ def test_words_match_is_symmetric_and_reflexive() -> None:
     for _ in range(200):
         a = "".join(rng.choice("abcd,.") for _ in range(rng.randint(1, 6)))
         b = "".join(rng.choice("abcd,.") for _ in range(rng.randint(1, 6)))
-        assert words_match(a, a)
-        assert words_match(a, b) == words_match(b, a)
+        assert words_match(a, a, 0)
+        assert words_match(a, b, 2) == words_match(b, a, 2)
 
 
 def test_sentence_terminal_marks_sentence_ends() -> None:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import io
 import json
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -29,6 +31,7 @@ from simulstream.wire import (
     encode_asr_response,
     encode_mt_request,
     encode_mt_response,
+    serve,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -263,7 +266,7 @@ def test_errors_quote_only_an_excerpt_of_a_huge_payload(line, named) -> None:
     assert len(message) < 500
 
 
-def _spawn_mock_server(tmp_path):
+def _mock_script(tmp_path):
     rng = random.Random(29)
     asr_script, mt_script, duration = build_scripts(synth_sentences(rng, 2), seed=4)
     payload = {
@@ -279,10 +282,12 @@ def _spawn_mock_server(tmp_path):
     }
     script_path = tmp_path / "script.json"
     script_path.write_text(json.dumps(payload), encoding="utf-8")
-    channel = WireChannel.spawn(
-        [sys.executable, "-m", "simulstream.wire_server", str(script_path)]
-    )
-    return channel, asr_script, mt_script
+    return [sys.executable, "-m", "simulstream.wire_server", str(script_path)], asr_script, mt_script
+
+
+def _spawn_mock_server(tmp_path):
+    command, asr_script, mt_script = _mock_script(tmp_path)
+    return WireChannel.spawn(command), asr_script, mt_script
 
 
 def test_wire_backends_match_in_process_mocks(tmp_path) -> None:
@@ -382,3 +387,42 @@ def test_server_exit_is_a_backend_error() -> None:
             backend.decode(AsrRequest("s", 0.0, 1.0, 5))
     finally:
         channel.close()
+
+
+def test_server_answers_bad_lines_with_errors_and_keeps_serving(tmp_path) -> None:
+    command, asr_script, _ = _mock_script(tmp_path)
+    valid = AsrRequest("s", 0.0, asr_script.audio_duration_s, 5)
+    beyond = AsrRequest("s", 0.0, asr_script.audio_duration_s + 10.0, 5)
+    lines = [b"garbage", encode_asr_request(valid).encode(), encode_asr_request(beyond).encode()]
+    done = subprocess.run(
+        command, input=b"\n".join(lines) + b"\n", capture_output=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    replies = done.stdout.decode("utf-8").splitlines()
+    assert [json.loads(r)["kind"] for r in replies] == ["error", "asr", "error"]
+    with pytest.raises(ProtocolError, match="server error: invalid JSON.*'garbage'"):
+        decode_asr_response(replies[0])
+    assert decode_asr_response(replies[1]) == mock_asr_decode(asr_script, valid)
+    with pytest.raises(ProtocolError, match="server error: window .* outside audio extent"):
+        decode_asr_response(replies[2])
+
+
+def test_server_error_reply_leaves_the_channel_usable(tmp_path) -> None:
+    channel, asr_script, _ = _spawn_mock_server(tmp_path)
+    try:
+        assert json.loads(channel.roundtrip("garbage", 20.0))["kind"] == "error"
+        asr = WireAsrBackend(channel, timeout_s=20.0)
+        with pytest.raises(ProtocolError, match="outside audio extent"):
+            asr.decode(AsrRequest("s", 0.0, asr_script.audio_duration_s + 10.0, 5))
+        request = AsrRequest("s", 0.0, asr_script.audio_duration_s, 5)
+        assert asr.decode(request) == mock_asr_decode(asr_script, request)
+    finally:
+        channel.close()
+
+
+def test_server_answers_a_non_utf8_line_with_an_error() -> None:
+    out = io.BytesIO()
+    serve(None, None, io.BytesIO(b"\xff\n"), out)
+    reply = json.loads(out.getvalue())
+    assert (reply["v"], reply["kind"]) == (2, "error")
+    assert reply["message"].startswith("request is not UTF-8")
