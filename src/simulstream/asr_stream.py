@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .backends import AsrBackend, AsrRequest
-from .core import AsrHypothesis, InvalidArgumentError, TimedWord, VirtualClock
+from .core import AsrHypothesis, InvalidArgumentError, TimedWord, VirtualClock, check_beam_size
 from .policy import agreed_prefix_len
 from .textnorm import is_sentence_terminal
 
@@ -43,8 +43,7 @@ class AsrStreamConfig:
             raise InvalidArgumentError(
                 f"levenshtein_threshold must be >= 0, got {self.levenshtein_threshold}"
             )
-        if self.backend_beam < 1:
-            raise InvalidArgumentError("backend_beam must be >= 1")
+        check_beam_size(self.backend_beam, "backend_beam")
 
 
 @dataclass

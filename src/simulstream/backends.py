@@ -22,14 +22,16 @@ from typing import Mapping, Protocol
 from .core import (
     SENTINEL,
     AsrHypothesis,
+    BackendError,
     BeamHypothesis,
     BeamSet,
     InvalidArgumentError,
     TimedWord,
     canonical_json,
+    check_beam_size,
     json_field,
-    must_be,
     read_json_file,
+    read_record,
 )
 from .textnorm import has_terminal_mark
 
@@ -40,6 +42,9 @@ class AsrRequest:
     window_start_s: float
     window_end_s: float
     beam_size: int
+
+    def __post_init__(self) -> None:
+        check_beam_size(self.beam_size, "beam_size")
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,9 @@ class MtRequest:
     committed_target: tuple[str, ...]
     beam_size: int
     attention_layer_tag: str
+
+    def __post_init__(self) -> None:
+        check_beam_size(self.beam_size, "beam_size")
 
 
 @dataclass(frozen=True)
@@ -81,10 +89,12 @@ class AsrScript:
     toggle, or a small character edit, never more than two raw edits);
     earlier words are returned verbatim. Perturbations depend only on
     (seed, window end, word), so identical requests get identical replies.
+    The audio lasts until the last word ends unless ``audio_duration_s``
+    says otherwise.
     """
 
-    words: tuple[TimedWord, ...]
-    audio_duration_s: float
+    words: tuple[TimedWord, ...] = ()
+    audio_duration_s: float | None = None
     stabilization_delay_s: float = 0.0
     seed: int = 0
     cost_base_s: float = 0.1
@@ -96,6 +106,9 @@ class AsrScript:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "words", tuple(self.words))
+        if self.audio_duration_s is None:
+            last_end = self.words[-1].end_s if self.words else 0.0
+            object.__setattr__(self, "audio_duration_s", last_end)
         if self.audio_duration_s < 0:
             raise InvalidArgumentError("audio_duration_s must be >= 0")
         if self.stabilization_delay_s < 0:
@@ -177,8 +190,12 @@ _EXTENT_SLACK_S = 1e-6  # absorbs float accumulation in long traces
 def mock_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
     """Decode a window of the scripted audio, perturbing the unstable tail."""
     start, end = request.window_start_s, request.window_end_s
-    if start < 0 or start > end or end > script.audio_duration_s + _EXTENT_SLACK_S:
-        raise InvalidArgumentError(
+    if start < 0 or start > end:
+        raise InvalidArgumentError(f"window [{start}, {end}] needs 0 <= start <= end")
+    if end > script.audio_duration_s + _EXTENT_SLACK_S:
+        # A well-formed request the scripted audio cannot answer: the
+        # backend fails, as a model server past the end of its audio would.
+        raise BackendError(
             f"window [{start}, {end}] outside audio extent "
             f"[0, {script.audio_duration_s}]"
         )
@@ -288,51 +305,18 @@ def load_mock_script(path: str | Path) -> MockScripts:
 def parse_mock_script(data: dict) -> MockScripts:
     """Build a mock script pair from a decoded JSON object.
 
-    Layout: {"seed": int, "asr": {"words": [{"text", "start_s", "end_s"}...],
-    "audio_duration_s": float, ...}, "mt": {"word_map": {...}, ...}} with all
-    perturbation and cost knobs optional. Keys it does not know are
-    ignored; a known key of the wrong type is an ``InvalidArgumentError``
-    naming it.
+    Layout: {"seed": int, "asr": {...}, "mt": {...}}. The keys of "asr"
+    and "mt" are the fields of ``AsrScript`` and ``MtScript``, each
+    optional with the dataclass default, except that a section's "seed"
+    defaults to the top-level one. Keys it does not know are ignored; a
+    known key of the wrong type is an ``InvalidArgumentError`` naming it.
     """
     seed = json_field(data, "seed", int, default=0)
-    asr_raw = json_field(data, "asr", dict, default={})
-    mt_raw = json_field(data, "mt", dict, default={})
-
-    words = []
-    for i, item in enumerate(json_field(asr_raw, "words", list, "asr", default=[], items=dict)):
-        where = f"asr.words[{i}]"
-        words.append(
-            TimedWord(
-                json_field(item, "text", str, where),
-                json_field(item, "start_s", float, where),
-                json_field(item, "end_s", float, where),
-            )
-        )
-    asr = AsrScript(
-        words=tuple(words),
-        audio_duration_s=json_field(
-            asr_raw, "audio_duration_s", float, "asr",
-            default=words[-1].end_s if words else 0.0,
-        ),
-        stabilization_delay_s=json_field(
-            asr_raw, "stabilization_delay_s", float, "asr", default=0.0
-        ),
-        seed=json_field(asr_raw, "seed", int, "asr", default=seed),
-        cost_base_s=json_field(asr_raw, "cost_base_s", float, "asr", default=0.1),
-        cost_per_audio_s=json_field(asr_raw, "cost_per_audio_s", float, "asr", default=0.01),
+    asr = json_field(data, "asr", dict, default={})
+    mt = json_field(data, "mt", dict, default={})
+    asr_seed = json_field(asr, "seed", int, "asr", default=seed)
+    mt_seed = json_field(mt, "seed", int, "mt", default=seed)
+    return MockScripts(
+        asr=read_record(AsrScript, asr, "asr", seed=asr_seed),
+        mt=read_record(MtScript, mt, "mt", seed=mt_seed),
     )
-
-    word_map = json_field(mt_raw, "word_map", dict, "mt", default={})
-    if not all(type(k) is str and type(v) is str for k, v in word_map.items()):
-        raise InvalidArgumentError(
-            must_be("mt.word_map", "an object of strings", word_map)
-        )
-    mt = MtScript(
-        word_map=dict(word_map),
-        tail_truncate_max=json_field(mt_raw, "tail_truncate_max", int, "mt", default=0),
-        tail_perturb_prob=json_field(mt_raw, "tail_perturb_prob", float, "mt", default=0.0),
-        seed=json_field(mt_raw, "seed", int, "mt", default=seed),
-        cost_base_s=json_field(mt_raw, "cost_base_s", float, "mt", default=0.1),
-        cost_per_word_s=json_field(mt_raw, "cost_per_word_s", float, "mt", default=0.01),
-    )
-    return MockScripts(asr=asr, mt=mt)

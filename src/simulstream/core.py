@@ -11,9 +11,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import NoReturn
+from types import UnionType
+from typing import NoReturn, Union, get_args, get_origin, get_type_hints
 
 SENTINEL = "[SEP]"
 
@@ -94,18 +97,18 @@ def json_field(
     name: str,
     kind: type,
     where: str = "",
-    error: type[Exception] = InvalidArgumentError,
     default=_MISSING,
     items: type | None = None,
 ):
-    """``obj[name]`` if it is a JSON value of ``kind``; ``error`` if not.
+    """``obj[name]`` if it is a JSON value of ``kind``; an error naming it if not.
 
     ``kind`` is one of bool, int, float, str, list and dict. A bool is
     never a number, an int field takes only integers, and a float field
     takes any finite JSON number and returns it as a float, so an integer
     too large for one fails. ``items`` is the kind of every item of a
-    list. A missing field is ``default`` if one is given. ``where`` is the
-    path of ``obj``, which the message puts before ``name``.
+    list, or of every value of an object. A missing field is ``default``
+    if one is given. ``where`` is the path of ``obj``, which the message
+    puts before ``name``.
     """
     value = obj.get(name, _MISSING)
     if type(value) is kind:
@@ -115,26 +118,29 @@ def json_field(
         elif items is None:
             return value
         else:
-            for i, item in enumerate(value):
+            for key, item in value.items() if kind is dict else enumerate(value):
                 if type(item) is not items:
                     path = f"{where}.{name}" if where else name
-                    raise error(must_be(f"{path}[{i}]", _KINDS[items], item))
+                    path += f".{key}" if kind is dict else f"[{key}]"
+                    raise InvalidArgumentError(must_be(path, _KINDS[items], item))
             return value
     elif kind is float and type(value) is int and -_FLOAT_MAX <= value <= _FLOAT_MAX:
         return float(value)
     elif value is _MISSING and default is not _MISSING:
         return default
-    raise error(must_be(f"{where}.{name}" if where else name, _KINDS[kind], value))
+    raise InvalidArgumentError(
+        must_be(f"{where}.{name}" if where else name, _KINDS[kind], value)
+    )
 
 
-def json_object(text: str, error: type[Exception] = InvalidArgumentError) -> dict:
+def json_object(text: str) -> dict:
     """``text`` decoded strictly (``strict_json_loads``) as one JSON object."""
     try:
         obj = strict_json_loads(text)
     except ValueError as exc:
-        raise error(f"invalid JSON: {exc}; payload: {quote(text)}") from exc
+        raise InvalidArgumentError(f"invalid JSON: {exc}; payload: {quote(text)}") from exc
     if type(obj) is not dict:
-        raise error(f"expected a JSON object, got {quote(text)}")
+        raise InvalidArgumentError(f"expected a JSON object, got {quote(text)}")
     return obj
 
 
@@ -170,9 +176,114 @@ def read_jsonl(path: str | Path, parse) -> list:
     return parsed
 
 
+# --- the record codec -----------------------------------------------------------
+# A record is a dataclass whose ``__init__`` fields are its JSON layout: one
+# key per field, under the field's name. Reading and writing both follow the
+# fields, so no record spells its layout out by hand.
+
+
+def _field_reader(owner: type, name: str, hint):
+    """(kind, reader) for field ``name`` of type ``hint``.
+
+    A scalar has its kind and no reader: ``json_field`` reads it. Any
+    other field has a reader ``(obj, where)``: ``tuple[T, ...]`` is a list
+    of T, read as a tuple, whose items are records when T is a dataclass;
+    ``Mapping[str, T]`` is an object of T. ``T | None`` reads as T, None
+    being only a default.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType) and len(args) == 2 and type(None) in args:
+        return _field_reader(owner, name, args[0] if args[1] is type(None) else args[1])
+    if hint in _KINDS:
+        return hint, None
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        item = args[0]
+        if item in _KINDS:
+            return None, lambda obj, where: tuple(json_field(obj, name, list, where, items=item))
+        if is_dataclass(item):
+
+            def read_items(obj: dict, where: str) -> tuple:
+                path = f"{where}.{name}" if where else name
+                values = json_field(obj, name, list, where, items=dict)
+                return tuple(
+                    read_record(item, value, f"{path}[{i}]") for i, value in enumerate(values)
+                )
+
+            return None, read_items
+    if origin in (dict, Mapping) and args[0] is str and args[1] in _KINDS:
+        return None, lambda obj, where: json_field(obj, name, dict, where, items=args[1])
+
+    def unreadable(obj: dict, where: str) -> NoReturn:
+        raise TypeError(f"{owner.__name__}.{name} has no JSON layout; pass it given")
+
+    return None, unreadable
+
+
+@cache
+def _schema(cls: type) -> tuple:
+    """(name, kind, reader, required) for each ``__init__`` field of a record."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (
+            f.name,
+            *_field_reader(cls, f.name, hints[f.name]),
+            f.default is MISSING and f.default_factory is MISSING,
+        )
+        for f in fields(cls)
+        if f.init
+    )
+
+
+def read_record(cls: type, obj: dict, where: str = "", **given):
+    """The record of class ``cls`` that a JSON object holds.
+
+    Each ``__init__`` field is read under its own name; a missing field
+    takes the dataclass default, and a field in ``given`` is passed through
+    unread. ``where`` is the path of ``obj``, and the items of a list of
+    records are read at ``<where>.<name>[i]``. An ``InvalidArgumentError``
+    from the class's own checks is re-raised naming ``where``.
+    """
+    for name, kind, read, required in _schema(cls):
+        if name in given or not (required or name in obj):
+            continue
+        given[name] = json_field(obj, name, kind, where) if read is None else read(obj, where)
+    try:
+        return cls(**given)
+    except InvalidArgumentError as exc:
+        if not where:
+            raise
+        raise InvalidArgumentError(f"field '{where}' invalid: {exc}") from exc
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    if not is_dataclass(cls):
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    return tuple(f.name for f in fields(cls) if f.init)
+
+
+def record_fields(record) -> dict:
+    """A record's ``__init__`` fields by name: the object it is written as."""
+    return {name: getattr(record, name) for name in _field_names(type(record))}
+
+
+# One shared encoder, as for decoding. A tuple is written as a list.
+_canonical_encode = json.JSONEncoder(
+    ensure_ascii=False, sort_keys=True, separators=(",", ":"), default=record_fields
+).encode
+
+
 def canonical_json(obj) -> str:
-    """``obj`` as canonical JSON: sorted keys, compact, UTF-8 kept."""
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    """``obj`` as canonical JSON: sorted keys, compact, UTF-8 kept.
+
+    A record (a dataclass) inside ``obj`` is written as its fields.
+    """
+    return _canonical_encode(obj)
+
+
+def dump_jsonl(records: Iterable) -> str:
+    """Records as canonical JSONL text, one line per record."""
+    return "".join(canonical_json(record) + "\n" for record in records)
 
 
 def json_report(obj, path: str | Path | None = None) -> str:
@@ -202,6 +313,17 @@ def check_word(word: str, where: str) -> None:
         raise InvalidArgumentError(
             f"{where}: the reserved sentinel {SENTINEL!r} cannot appear as a word"
         )
+
+
+MAX_BEAM_SIZE = 64  # a backend builds every beam asked for; presets ask for 10
+
+
+def check_beam_size(value: int, name: str) -> None:
+    """Reject a beam count outside 1..``MAX_BEAM_SIZE``, naming it ``name``."""
+    if value < 1:
+        raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
+    if value > MAX_BEAM_SIZE:
+        raise InvalidArgumentError(f"{name} must be <= {MAX_BEAM_SIZE}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import math
 import unicodedata
 from collections import Counter, namedtuple
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -20,9 +21,9 @@ from .core import (
     SENTINEL,
     EmissionRecord,
     InvalidArgumentError,
-    canonical_json,
-    json_field,
+    dump_jsonl,
     read_jsonl,
+    read_record,
 )
 
 _INF = float("inf")
@@ -398,70 +399,22 @@ def stream_laal(
 # --- file interfaces ---------------------------------------------------------
 
 
-def dump_emission_log(records: Sequence[EmissionRecord]) -> str:
-    """The emission log as canonical JSONL text, one line per record."""
-    return "".join(
-        canonical_json(
-            {
-                "token": r.token,
-                "segment_ordinal": r.segment_ordinal,
-                "nca_time_s": r.nca_time_s,
-                "ca_time_s": r.ca_time_s,
-            }
-        )
-        + "\n"
-        for r in records
-    )
-
-
 def write_emission_log(records: Sequence[EmissionRecord], path: str | Path) -> None:
-    Path(path).write_text(dump_emission_log(records), encoding="utf-8")
-
-
-def _emission_record(obj: dict) -> EmissionRecord:
-    return EmissionRecord(
-        token=json_field(obj, "token", str),
-        segment_ordinal=json_field(obj, "segment_ordinal", int),
-        nca_time_s=json_field(obj, "nca_time_s", float),
-        ca_time_s=json_field(obj, "ca_time_s", float),
-    )
+    Path(path).write_text(dump_jsonl(records), encoding="utf-8")
 
 
 def read_emission_log(path: str | Path) -> list[EmissionRecord]:
-    return read_jsonl(path, _emission_record)
-
-
-def dump_reference_segments(refs: Sequence[ReferenceSegment]) -> str:
-    """Reference segments as canonical JSONL text, one line per segment."""
-    return "".join(
-        canonical_json(
-            {
-                "tokens": list(r.tokens),
-                "source_start_s": r.source_start_s,
-                "source_end_s": r.source_end_s,
-            }
-        )
-        + "\n"
-        for r in refs
-    )
+    return read_jsonl(path, partial(read_record, EmissionRecord))
 
 
 def write_reference_segments(
     refs: Sequence[ReferenceSegment], path: str | Path
 ) -> None:
-    Path(path).write_text(dump_reference_segments(refs), encoding="utf-8")
-
-
-def _reference_segment(obj: dict) -> ReferenceSegment:
-    return ReferenceSegment(
-        tokens=json_field(obj, "tokens", list, items=str),
-        source_start_s=json_field(obj, "source_start_s", float),
-        source_end_s=json_field(obj, "source_end_s", float),
-    )
+    Path(path).write_text(dump_jsonl(refs), encoding="utf-8")
 
 
 def read_reference_segments(path: str | Path) -> list[ReferenceSegment]:
-    refs = read_jsonl(path, _reference_segment)
+    refs = read_jsonl(path, partial(read_record, ReferenceSegment))
     check_segments_ordered(refs)
     return refs
 

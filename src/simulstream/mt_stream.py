@@ -25,6 +25,7 @@ from .core import (
     ProtocolError,
     StreamHistory,
     VirtualClock,
+    check_beam_size,
     check_word,
     quote,
 )
@@ -56,8 +57,7 @@ class MtStreamConfig:
             raise InvalidArgumentError(
                 f"agreement_ratio must be in (0, 1], got {self.agreement_ratio}"
             )
-        if self.beam_size < 1:
-            raise InvalidArgumentError(f"beam_size must be >= 1, got {self.beam_size}")
+        check_beam_size(self.beam_size, "beam_size")
         if self.wait_k < 1:
             raise InvalidArgumentError(f"wait_k must be >= 1, got {self.wait_k}")
         if self.max_buffer_words < 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Sequence
 
 from .asr_stream import AsrStreamConfig, AsrStreamController
 from .backends import AsrBackend, MtBackend
@@ -23,6 +23,8 @@ from .core import (
     must_be,
     quote,
     read_jsonl,
+    read_record,
+    record_fields,
 )
 from .mt_stream import MtStreamConfig, MtStreamController
 
@@ -160,19 +162,18 @@ class Pipeline:
         return list(self.records), summary
 
 
-def override_keys(section_config) -> dict[str, type]:
-    """The keys an override section may set, with their declared types."""
-    hints = get_type_hints(type(section_config))
-    return {f.name: hints[f.name] for f in fields(section_config)}
+def override_keys(section_config) -> list[str]:
+    """The keys an override section may set: its config's fields."""
+    return [f.name for f in fields(section_config)]
 
 
 def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
     """Apply a nested override dict from a config file onto the preset.
 
-    Each section is a field of ``PipelineConfig`` ("asr", "mt");
-    ``override_keys`` lists each section's keys. Unknown sections and
-    keys, and values of the wrong type, are rejected so typos cannot
-    silently run with defaults.
+    Each section is a field of ``PipelineConfig`` ("asr", "mt"), read as
+    a record over the preset's values. Unknown sections and keys, and
+    values of the wrong type, are rejected so typos cannot silently run
+    with defaults.
     """
     if not isinstance(overrides, dict):
         raise InvalidArgumentError(must_be("overrides", "an object", overrides))
@@ -181,13 +182,14 @@ def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
         values = json_field(overrides, section, dict, "overrides")
         if section not in sections:
             raise InvalidArgumentError(f"unknown override section {quote(section)}")
-        keys = override_keys(sections[section])
-        checked = {}
+        preset = record_fields(sections[section])
         for key in values:
-            if key not in keys:
+            if key not in preset:
                 raise InvalidArgumentError(
                     f"unknown override key {quote(key)} in section {section!r}"
                 )
-            checked[key] = json_field(values, key, keys[key], f"overrides.{section}")
-        sections[section] = replace(sections[section], **checked)
+        kept = {key: value for key, value in preset.items() if key not in values}
+        sections[section] = read_record(
+            type(sections[section]), values, f"overrides.{section}", **kept
+        )
     return PipelineConfig(**sections)

@@ -33,8 +33,9 @@ def normalize_word(word: str) -> str:
 def levenshtein(a: Sequence, b: Sequence) -> int:
     """Unit-cost insert/delete/substitute edit distance.
 
-    Works on any element sequence, so it serves both character-level word
-    matching and word-level segment alignment.
+    Works on any element sequence; the library uses it on characters, for
+    relaxed word matching. Segment alignment (``metrics.resegment``) runs
+    its own banded word-level dynamic program.
     """
     n, m = len(a), len(b)
     if n > m:

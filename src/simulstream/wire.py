@@ -3,30 +3,21 @@
 One request is one UTF-8 JSON line; the server answers with one response
 line; exactly one request is in flight per connection. The schema is
 versioned with a ``v`` field and deliberately contains nothing but plain
-JSON types, so servers can be written in any language.
+JSON types, so servers can be written in any language. README "Wire
+protocol" shows one message of each kind.
 
-Request lines::
-
-    {"v":2,"kind":"asr","stream_id":...,"window_start_s":...,
-     "window_end_s":...,"beam_size":...}
-    {"v":2,"kind":"mt","history_source":"sent [SEP] sent",
-     "history_target":"sent [SEP] sent","active_source":[...],
-     "committed_target":[...],"beam_size":...,"attention_layer_tag":"6"}
-
-Response lines (a server that cannot answer a request replies
-``{"v":2,"kind":"error","message":...}`` instead)::
-
-    {"v":2,"kind":"asr","window_offset_s":...,
-     "words":[{"text":...,"start_s":...,"end_s":...},...],"compute_cost_s":...}
-    {"v":2,"kind":"mt","requested_size":...,
-     "beams":[{"tokens":[...],"score":...,"cuts":[...]},...],
-     "compute_cost_s":...}
-
-History sentences are joined with the sentinel marker because the sentinel
-is rejected in input words, which makes the joined form unambiguous.
-``cuts[j]`` is the active source position token j attends to most in the
-attention layer named by ``attention_layer_tag``, ties going to the
-largest index; the server takes this argmax next to the model.
+A message is ``{"v":2,"kind":"asr"|"mt", ...}`` plus the fields of the
+record it carries, under their own names (``core.read_record``): an
+``AsrRequest`` or ``MtRequest``, and in reply an ``AsrHypothesis`` or
+``BeamSet`` with ``compute_cost_s``. A server that cannot answer a
+request, or whose backend fails, replies
+``{"v":2,"kind":"error","message":...}``, which the client raises as a
+``BackendError``. An MT request's history sentences travel as one string
+each side, joined with the sentinel marker: the sentinel is rejected in
+input words, which makes the joined form unambiguous. ``cuts[j]`` is the
+active source position token j attends to most in the attention layer
+named by ``attention_layer_tag``, ties going to the largest index; the
+server takes this argmax next to the model.
 """
 
 from __future__ import annotations
@@ -44,59 +35,73 @@ from .backends import AsrRequest, AsrResponse, MtRequest, MtResponse
 from .core import (
     SENTINEL,
     AsrHypothesis,
-    BeamHypothesis,
     BeamSet,
     BackendError,
     InvalidArgumentError,
     ProtocolError,
-    TimedWord,
     canonical_json,
     json_field,
     json_object,
     must_be,
     quote,
+    read_record,
+    record_fields,
 )
 
 PROTOCOL_VERSION = 2
 DEFAULT_TIMEOUT_S = 60.0
 
 _HISTORY_JOIN = f" {SENTINEL} "
-_wire_field = partial(json_field, error=ProtocolError)
+
+
+def _encode(kind: str, record, **extras) -> str:
+    """A message line: the version, the kind, the record's fields and extras."""
+    return canonical_json(
+        {"v": PROTOCOL_VERSION, "kind": kind, **record_fields(record), **extras}
+    )
+
+
+def _decode(line: str, kind: str, build):
+    """``build`` of the message object of a line whose version and kind check.
+
+    Every schema fault is a ``ProtocolError``; an error reply from the
+    server is a ``BackendError`` carrying its message.
+    """
+    try:
+        obj = json_object(line)
+        version = json_field(obj, "v", int)
+        if version != PROTOCOL_VERSION:
+            raise InvalidArgumentError(must_be("v", str(PROTOCOL_VERSION), version))
+        got = json_field(obj, "kind", str)
+        if got == "error":
+            raise BackendError(f"server error: {json_field(obj, 'message', str)}")
+        if got != kind:
+            raise InvalidArgumentError(must_be("kind", repr(kind), got))
+        return build(obj)
+    except InvalidArgumentError as exc:
+        raise ProtocolError(str(exc)) from exc
 
 
 def _compute_cost(obj: dict) -> float:
-    cost = _wire_field(obj, "compute_cost_s", float)
+    cost = json_field(obj, "compute_cost_s", float)
     if cost < 0:
-        raise ProtocolError(must_be("compute_cost_s", ">= 0", cost))
+        raise InvalidArgumentError(must_be("compute_cost_s", ">= 0", cost))
     return cost
-
-
-def _checked(line: str, kind: str) -> dict:
-    """The message object of a line, its version and kind checked."""
-    obj = json_object(line, ProtocolError)
-    version = _wire_field(obj, "v", int)
-    if version != PROTOCOL_VERSION:
-        raise ProtocolError(must_be("v", str(PROTOCOL_VERSION), version))
-    got = _wire_field(obj, "kind", str)
-    if got == "error":
-        raise ProtocolError(f"server error: {_wire_field(obj, 'message', str)}")
-    if got != kind:
-        raise ProtocolError(must_be("kind", repr(kind), got))
-    return obj
 
 
 def _join_history(sentences: Sequence[Sequence[str]]) -> str:
     return _HISTORY_JOIN.join(" ".join(s) for s in sentences)
 
 
-def _split_history(text: str, path: str) -> tuple[tuple[str, ...], ...]:
+def _split_history(obj: dict, name: str) -> tuple[tuple[str, ...], ...]:
+    text = json_field(obj, name, str)
     if text == "":
         return ()
     sentences = []
     for chunk in text.split(_HISTORY_JOIN):
         words = tuple(chunk.split(" "))
         if any(not w for w in words):
-            raise ProtocolError(f"field '{path}' has an empty word: {quote(text)}")
+            raise InvalidArgumentError(f"field '{name}' has an empty word: {quote(text)}")
         sentences.append(words)
     return tuple(sentences)
 
@@ -105,139 +110,56 @@ def _split_history(text: str, path: str) -> tuple[tuple[str, ...], ...]:
 
 
 def encode_asr_request(request: AsrRequest) -> str:
-    return canonical_json(
-        {
-            "v": PROTOCOL_VERSION,
-            "kind": "asr",
-            "stream_id": request.stream_id,
-            "window_start_s": request.window_start_s,
-            "window_end_s": request.window_end_s,
-            "beam_size": request.beam_size,
-        }
-    )
+    return _encode("asr", request)
 
 
 def decode_asr_request(line: str) -> AsrRequest:
-    obj = _checked(line, "asr")
-    return AsrRequest(
-        stream_id=_wire_field(obj, "stream_id", str),
-        window_start_s=_wire_field(obj, "window_start_s", float),
-        window_end_s=_wire_field(obj, "window_end_s", float),
-        beam_size=_wire_field(obj, "beam_size", int),
-    )
+    return _decode(line, "asr", partial(read_record, AsrRequest))
 
 
 def encode_asr_response(response: AsrResponse) -> str:
-    return canonical_json(
-        {
-            "v": PROTOCOL_VERSION,
-            "kind": "asr",
-            "window_offset_s": response.hypothesis.window_offset_s,
-            "words": [
-                {"text": w.text, "start_s": w.start_s, "end_s": w.end_s}
-                for w in response.hypothesis.words
-            ],
-            "compute_cost_s": response.compute_cost_s,
-        }
-    )
+    return _encode("asr", response.hypothesis, compute_cost_s=response.compute_cost_s)
 
 
 def decode_asr_response(line: str) -> AsrResponse:
-    obj = _checked(line, "asr")
-    words = []
-    for i, item in enumerate(_wire_field(obj, "words", list, items=dict)):
-        where = f"words[{i}]"
-        try:
-            words.append(
-                TimedWord(
-                    text=_wire_field(item, "text", str, where),
-                    start_s=_wire_field(item, "start_s", float, where),
-                    end_s=_wire_field(item, "end_s", float, where),
-                )
-            )
-        except InvalidArgumentError as exc:
-            raise ProtocolError(f"field '{where}' invalid: {exc}") from exc
-    offset = _wire_field(obj, "window_offset_s", float)
-    cost = _compute_cost(obj)
-    try:
-        hypothesis = AsrHypothesis(tuple(words), offset)
-    except InvalidArgumentError as exc:
-        raise ProtocolError(f"field 'words' invalid: {exc}") from exc
-    return AsrResponse(hypothesis=hypothesis, compute_cost_s=cost)
+    return _decode(
+        line, "asr", lambda obj: AsrResponse(read_record(AsrHypothesis, obj), _compute_cost(obj))
+    )
 
 
 # --- MT messages --------------------------------------------------------------
 
 
 def encode_mt_request(request: MtRequest) -> str:
-    return canonical_json(
-        {
-            "v": PROTOCOL_VERSION,
-            "kind": "mt",
-            "history_source": _join_history(request.history_source),
-            "history_target": _join_history(request.history_target),
-            "active_source": list(request.active_source),
-            "committed_target": list(request.committed_target),
-            "beam_size": request.beam_size,
-            "attention_layer_tag": request.attention_layer_tag,
-        }
+    return _encode(
+        "mt",
+        request,
+        history_source=_join_history(request.history_source),
+        history_target=_join_history(request.history_target),
     )
 
 
 def decode_mt_request(line: str) -> MtRequest:
-    obj = _checked(line, "mt")
-    return MtRequest(
-        history_source=_split_history(
-            _wire_field(obj, "history_source", str), "history_source"
+    return _decode(
+        line,
+        "mt",
+        lambda obj: read_record(
+            MtRequest,
+            obj,
+            history_source=_split_history(obj, "history_source"),
+            history_target=_split_history(obj, "history_target"),
         ),
-        history_target=_split_history(
-            _wire_field(obj, "history_target", str), "history_target"
-        ),
-        active_source=tuple(_wire_field(obj, "active_source", list, items=str)),
-        committed_target=tuple(_wire_field(obj, "committed_target", list, items=str)),
-        beam_size=_wire_field(obj, "beam_size", int),
-        attention_layer_tag=_wire_field(obj, "attention_layer_tag", str),
     )
 
 
 def encode_mt_response(response: MtResponse) -> str:
-    return canonical_json(
-        {
-            "v": PROTOCOL_VERSION,
-            "kind": "mt",
-            "requested_size": response.beams.requested_size,
-            "beams": [
-                {
-                    "tokens": list(b.tokens),
-                    "score": b.score,
-                    "cuts": list(b.cuts),
-                }
-                for b in response.beams.beams
-            ],
-            "compute_cost_s": response.compute_cost_s,
-        }
-    )
+    return _encode("mt", response.beams, compute_cost_s=response.compute_cost_s)
 
 
 def decode_mt_response(line: str) -> MtResponse:
-    obj = _checked(line, "mt")
-    beams = []
-    for i, item in enumerate(_wire_field(obj, "beams", list, items=dict)):
-        where = f"beams[{i}]"
-        tokens = _wire_field(item, "tokens", list, where, items=str)
-        score = _wire_field(item, "score", float, where)
-        cuts = _wire_field(item, "cuts", list, where, items=int)
-        try:
-            beams.append(BeamHypothesis(tokens, score, cuts))
-        except InvalidArgumentError as exc:
-            raise ProtocolError(f"field '{where}' invalid: {exc}") from exc
-    requested = _wire_field(obj, "requested_size", int)
-    cost = _compute_cost(obj)
-    try:
-        beam_set = BeamSet(tuple(beams), requested)
-    except InvalidArgumentError as exc:
-        raise ProtocolError(f"field 'beams' invalid: {exc}") from exc
-    return MtResponse(beams=beam_set, compute_cost_s=cost)
+    return _decode(
+        line, "mt", lambda obj: MtResponse(read_record(BeamSet, obj), _compute_cost(obj))
+    )
 
 
 # --- the channel --------------------------------------------------------------
@@ -362,21 +284,22 @@ def _reply(asr_backend, mt_backend, raw: bytes) -> str:
     try:
         line = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ProtocolError(f"request is not UTF-8: {exc}") from exc
-    kind = _wire_field(json_object(line, ProtocolError), "kind", str)
+        raise InvalidArgumentError(f"request is not UTF-8: {exc}") from exc
+    kind = json_field(json_object(line), "kind", str)
     if kind == "asr":
         return encode_asr_response(asr_backend.decode(decode_asr_request(line)))
     if kind == "mt":
         return encode_mt_response(mt_backend.translate(decode_mt_request(line)))
-    raise ProtocolError(must_be("kind", "'asr' or 'mt'", kind))
+    raise InvalidArgumentError(must_be("kind", "'asr' or 'mt'", kind))
 
 
 def serve(asr_backend, mt_backend, stdin: BinaryIO, stdout: BinaryIO) -> None:
     """Reference server loop: answer each request line until EOF.
 
-    A request the server cannot answer gets an error reply,
-    {"v":2,"kind":"error","message":...}, and the loop goes on, so one
-    reply still answers each request and the client's channel stays usable.
+    A request the server cannot answer, or whose backend fails, gets an
+    error reply, {"v":2,"kind":"error","message":...}, and the loop goes
+    on, so one reply still answers each request and the client's channel
+    stays usable.
     """
     for raw in stdin:
         raw = raw.rstrip(b"\n")
@@ -384,7 +307,7 @@ def serve(asr_backend, mt_backend, stdin: BinaryIO, stdout: BinaryIO) -> None:
             continue
         try:
             reply = _reply(asr_backend, mt_backend, raw)
-        except (ProtocolError, InvalidArgumentError) as exc:
+        except (BackendError, InvalidArgumentError, ProtocolError) as exc:
             reply = canonical_json(
                 {"v": PROTOCOL_VERSION, "kind": "error", "message": str(exc)}
             )

@@ -28,6 +28,7 @@ from simulstream.backends import (
 from simulstream.core import (
     SENTINEL,
     AsrHypothesis,
+    BackendError,
     BeamHypothesis,
     BeamSet,
     InvalidArgumentError,
@@ -221,8 +222,10 @@ def oracle_laal(delays: list[float], span: float, ref_len: int) -> float:
 def oracle_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
     """The mock ASR decode as a scan over every script word, in script order."""
     start, end = request.window_start_s, request.window_end_s
-    if start < 0 or start > end or end > script.audio_duration_s + _EXTENT_SLACK_S:
-        raise InvalidArgumentError(
+    if start < 0 or start > end:
+        raise InvalidArgumentError(f"window [{start}, {end}] needs 0 <= start <= end")
+    if end > script.audio_duration_s + _EXTENT_SLACK_S:
+        raise BackendError(
             f"window [{start}, {end}] outside audio extent "
             f"[0, {script.audio_duration_s}]"
         )

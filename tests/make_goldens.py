@@ -31,12 +31,14 @@ from simulstream.backends import (  # noqa: E402
     MtScript,
     parse_mock_script,
 )
-from simulstream.core import AsrHypothesis, BeamHypothesis, BeamSet, TimedWord  # noqa: E402
-from simulstream.metrics import (  # noqa: E402
-    ReferenceSegment,
-    dump_emission_log,
-    dump_reference_segments,
+from simulstream.core import (  # noqa: E402
+    AsrHypothesis,
+    BeamHypothesis,
+    BeamSet,
+    TimedWord,
+    dump_jsonl,
 )
+from simulstream.metrics import ReferenceSegment  # noqa: E402
 from simulstream.pipeline import Pipeline, TraceEvent, preset_config  # noqa: E402
 from simulstream.wire import (  # noqa: E402
     encode_asr_request,
@@ -149,7 +151,7 @@ def build_fixtures() -> dict[str, str]:
                 source_end_s=segment_words[-1].end_s,
             )
         )
-    fixtures["refs_60s.jsonl"] = dump_reference_segments(refs)
+    fixtures["refs_60s.jsonl"] = dump_jsonl(refs)
 
     # The golden run goes through the same JSON the CLI would read.
     scripts = parse_mock_script(json.loads(fixtures["mock_script_60s.json"]))
@@ -160,7 +162,7 @@ def build_fixtures() -> dict[str, str]:
     )
     events = [TraceEvent(t=e["t"], duration_s=e["dur"]) for e in trace]
     records, summary = pipeline.run_trace(events)
-    fixtures["golden_log_60s.jsonl"] = dump_emission_log(records)
+    fixtures["golden_log_60s.jsonl"] = dump_jsonl(records)
     fixtures["golden_summary_60s.json"] = _json_file(summary.to_dict())
 
     fixtures.update(_wire_fixtures())

@@ -20,13 +20,14 @@ from simulstream.backends import (
     AsrResponse,
     AsrScript,
     MtRequest,
+    MockScripts,
     MtScript,
     load_mock_script,
     mock_asr_decode,
     mock_mt_translate,
     parse_mock_script,
 )
-from simulstream.core import SENTINEL, InvalidArgumentError, TimedWord
+from simulstream.core import SENTINEL, BackendError, InvalidArgumentError, TimedWord
 from simulstream.textnorm import has_terminal_mark, levenshtein, normalize_word
 
 
@@ -78,8 +79,10 @@ def test_asr_decode_perturbations_stay_within_two_edits() -> None:
 
 
 def test_asr_decode_outside_extent_is_rejected() -> None:
+    # A window past the scripted audio is a backend failure; a malformed
+    # window is the caller's fault.
     script = _asr_script()
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(BackendError, match="outside audio extent"):
         mock_asr_decode(script, AsrRequest("s", 0.0, script.audio_duration_s + 1, 5))
     with pytest.raises(InvalidArgumentError):
         mock_asr_decode(script, AsrRequest("s", -1.0, 1.0, 5))
@@ -119,8 +122,8 @@ def _random_window(rng: random.Random, script: AsrScript) -> tuple[float, float]
 def _decode_outcome(decode, script: AsrScript, request: AsrRequest):
     try:
         return decode(script, request)
-    except InvalidArgumentError as exc:
-        return str(exc)
+    except (BackendError, InvalidArgumentError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 def test_asr_decode_matches_the_linear_scan_oracle() -> None:
@@ -352,3 +355,13 @@ def test_load_mock_script_reports_deep_nesting(tmp_path) -> None:
     path.write_text(DEEP_JSON, encoding="utf-8")
     with pytest.raises(InvalidArgumentError, match="nested too deeply"):
         load_mock_script(path)
+
+
+def test_mock_script_defaults_come_from_the_script_dataclasses() -> None:
+    assert parse_mock_script({}) == MockScripts(AsrScript(), MtScript())
+    assert AsrScript().audio_duration_s == 0.0
+    words = [{"text": "a", "start_s": 0.0, "end_s": 0.5}, {"text": "b.", "start_s": 0.5, "end_s": 1.25}]
+    scripts = parse_mock_script({"seed": 3, "asr": {"words": words}, "mt": {"seed": 4}})
+    assert scripts.asr.audio_duration_s == 1.25  # the end of the last word
+    assert (scripts.asr.seed, scripts.mt.seed) == (3, 4)
+    assert scripts.mt == MtScript(seed=4)

@@ -530,3 +530,38 @@ def test_every_report_is_indented_sorted_json_ending_in_a_newline(tmp_path, caps
     for name in ("run.jsonl.summary.json", "eval.json", "bench.json", "gen.stats.json"):
         text = (tmp_path / name).read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+
+
+def test_simulate_huge_beam_override_exits_1_before_any_beam(tmp_path, capsys) -> None:
+    code, out = _simulate_with_overrides(tmp_path, {"mt": {"beam_size": 1_000_000_000}})
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert "field 'overrides.mt' invalid: beam_size must be <= 64" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("transport", ["mock", "wire"])
+def test_trace_past_the_script_audio_exits_2_on_both_transports(
+    tmp_path, capsys, transport
+) -> None:
+    _, config_path = _stage_fixture(tmp_path)
+    if transport == "wire":
+        config = json.loads(config_path.read_text())
+        script = str(tmp_path / "mock_script_60s.json")
+        config["backend"] = {
+            "kind": "wire",
+            "command": [sys.executable, "-m", "simulstream.wire_server", script],
+            "timeout_s": 30,
+        }
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+    trace = tmp_path / "trace_80s.jsonl"
+    trace.write_text(
+        "".join(json.dumps({"t": t, "kind": "audio", "dur": 1.0}) + "\n" for t in range(1, 81)),
+        encoding="utf-8",
+    )
+    code = main(["simulate", str(trace), str(config_path), str(tmp_path / "o.jsonl")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "backend-error"
+    assert "outside audio extent" in err["message"]

@@ -2,13 +2,21 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
 from helpers import DEEP_JSON
-from simulstream.backends import load_mock_script
+from simulstream.backends import (
+    AsrRequest,
+    AsrResponse,
+    MtRequest,
+    MtResponse,
+    MtScript,
+    load_mock_script,
+)
 from simulstream.cli import _build_backends
 from simulstream.core import (
     SENTINEL,
@@ -21,13 +29,21 @@ from simulstream.core import (
     StreamHistory,
     TimedWord,
     VirtualClock,
+    canonical_json,
     check_emission_log,
     check_word,
     json_report,
+    read_record,
     strict_json_loads,
 )
 from simulstream.datagen import Document
-from simulstream.metrics import read_emission_log, read_reference_segments
+from simulstream.metrics import (
+    ReferenceSegment,
+    read_emission_log,
+    read_reference_segments,
+    write_emission_log,
+    write_reference_segments,
+)
 from simulstream.mt_stream import MtStreamConfig, MtStreamController
 from simulstream.pipeline import apply_overrides, preset_config, read_trace
 from simulstream.wire import (
@@ -35,6 +51,10 @@ from simulstream.wire import (
     decode_asr_response,
     decode_mt_request,
     decode_mt_response,
+    encode_asr_request,
+    encode_asr_response,
+    encode_mt_request,
+    encode_mt_response,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -341,3 +361,98 @@ def test_file_readers_refuse_bad_utf8_naming_the_file(tmp_path, read, name, wher
     path.write_bytes(b"\n\xff{}\n")
     with pytest.raises(InvalidArgumentError, match=rf"{re.escape(where)}'utf-8' codec"):
         read(path)
+
+
+# --- the record codec: every record type round-trips through its fields -------
+
+# Tokens may hold U+2028, which ``str.splitlines`` would cut a JSONL line at.
+_TOKENS = ("ja", "Haus", "geht.", "a\u2028b", "schläft", "[SEP]")
+_WORDS = ("ja", "Haus", "geht.", "schläft", "x,y")
+
+
+def _time(rng: random.Random) -> float:
+    return rng.choice([0.0, 3.0, 1e6, rng.random() * 100, round(rng.random() * 10, 2)])
+
+
+def _seq(rng: random.Random, pool, most: int) -> tuple:
+    return tuple(rng.choice(pool) for _ in range(rng.randint(0, most)))
+
+
+def _records(rng: random.Random) -> dict[str, object]:
+    """One seeded value of each of the eight record types, empty tuples included."""
+    starts = sorted(_time(rng) for _ in range(rng.randint(0, 4)))
+    words = tuple(TimedWord(rng.choice(_WORDS), s, s + 0.5) for s in starts)
+    beams = []
+    scores = sorted((-float(rng.randint(0, 3)) for _ in range(rng.randint(0, 3))), reverse=True)
+    for score in scores:
+        tokens = _seq(rng, _TOKENS, 5)
+        beams.append(BeamHypothesis(tokens, score, tuple(rng.randint(0, 9) for _ in tokens)))
+    start = _time(rng)
+    history = tuple(_seq(rng, _WORDS, 3) or ("ja",) for _ in range(rng.randint(0, 3)))
+    return {
+        "TimedWord": TimedWord(rng.choice(_WORDS), start, start + _time(rng)),
+        "AsrHypothesis": AsrHypothesis(words, _time(rng)),
+        "BeamHypothesis": beams[0] if beams else BeamHypothesis((), 0.0, ()),
+        "BeamSet": BeamSet(tuple(beams), len(beams) + rng.randint(0, 2)),
+        "AsrRequest": AsrRequest("s ", start, start + _time(rng), rng.randint(1, 64)),
+        "MtRequest": MtRequest(
+            history,
+            history[::-1],
+            _seq(rng, _TOKENS, 4),
+            _seq(rng, _TOKENS, 4),
+            rng.randint(1, 64),
+            rng.choice(["6", ""]),
+        ),
+        "EmissionRecord": EmissionRecord(rng.choice(_TOKENS), rng.randint(0, 9), start, start + 1),
+        "ReferenceSegment": ReferenceSegment(_seq(rng, _TOKENS, 4), start, start + 2.0),
+    }
+
+
+def test_every_record_round_trips_through_its_fields() -> None:
+    rng = random.Random(20)
+    for _ in range(200):
+        records = _records(rng)
+        for name, record in records.items():
+            if name != "MtRequest":  # its history travels joined, not as fields
+                text = canonical_json(record)
+                assert read_record(type(record), strict_json_loads(text)) == record, text
+        asr = AsrResponse(records["AsrHypothesis"], _time(rng))
+        mt = MtResponse(records["BeamSet"], _time(rng))
+        asr_request, mt_request = records["AsrRequest"], records["MtRequest"]
+        assert decode_asr_request(encode_asr_request(asr_request)) == asr_request
+        assert decode_asr_response(encode_asr_response(asr)) == asr
+        assert decode_mt_request(encode_mt_request(mt_request)) == mt_request
+        assert decode_mt_response(encode_mt_response(mt)) == mt
+
+
+def test_file_records_round_trip_over_seeded_values(tmp_path) -> None:
+    rng = random.Random(21)
+    for i in range(20):
+        log = [EmissionRecord("a\u2028b", 0, 0.0, 3.0)]
+        log += [_records(rng)["EmissionRecord"] for _ in range(rng.randint(0, 5))]
+        refs, start = [], 0.0
+        for _ in range(rng.randint(0, 5)):
+            refs.append(ReferenceSegment(_seq(rng, _TOKENS, 4), start, start + 1.0))
+            start += rng.choice([1.0, 2.5])
+        write_emission_log(log, tmp_path / f"log{i}.jsonl")
+        write_reference_segments(refs, tmp_path / f"refs{i}.jsonl")
+        assert read_emission_log(tmp_path / f"log{i}.jsonl") == log
+        assert read_reference_segments(tmp_path / f"refs{i}.jsonl") == refs
+
+
+def test_canonical_json_refuses_an_object_that_is_not_a_record() -> None:
+    for value in (object(), {1, 2}, TimedWord):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            canonical_json({"x": value})
+
+
+def test_read_record_defaults_given_fields_and_names_a_bad_record() -> None:
+    script = read_record(MtScript, {"seed": 4}, "mt", word_map={"a": "b"})
+    assert script == MtScript(word_map={"a": "b"}, seed=4)
+    with pytest.raises(InvalidArgumentError, match=r"field 'mt.word_map.a' must be a string"):
+        read_record(MtScript, {"word_map": {"a": 1}}, "mt")
+    with pytest.raises(
+        InvalidArgumentError, match=r"^field 'beams\[0\]' invalid: beam has 1 tokens but 0 cuts$"
+    ):
+        read_record(BeamSet, {"beams": [{"tokens": ["x"], "score": 0.0, "cuts": []}],
+                              "requested_size": 1})

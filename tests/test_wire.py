@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from simulstream.backends import (
     mock_asr_decode,
     mock_mt_translate,
 )
-from simulstream.core import BackendError, ProtocolError
+from simulstream.core import BackendError, ProtocolError, canonical_json
 from simulstream.wire import (
     WireAsrBackend,
     WireChannel,
@@ -400,10 +401,10 @@ def test_server_answers_bad_lines_with_errors_and_keeps_serving(tmp_path) -> Non
     assert done.returncode == 0, done.stderr
     replies = done.stdout.decode("utf-8").splitlines()
     assert [json.loads(r)["kind"] for r in replies] == ["error", "asr", "error"]
-    with pytest.raises(ProtocolError, match="server error: invalid JSON.*'garbage'"):
+    with pytest.raises(BackendError, match="server error: invalid JSON.*'garbage'"):
         decode_asr_response(replies[0])
     assert decode_asr_response(replies[1]) == mock_asr_decode(asr_script, valid)
-    with pytest.raises(ProtocolError, match="server error: window .* outside audio extent"):
+    with pytest.raises(BackendError, match="server error: window .* outside audio extent"):
         decode_asr_response(replies[2])
 
 
@@ -412,7 +413,7 @@ def test_server_error_reply_leaves_the_channel_usable(tmp_path) -> None:
     try:
         assert json.loads(channel.roundtrip("garbage", 20.0))["kind"] == "error"
         asr = WireAsrBackend(channel, timeout_s=20.0)
-        with pytest.raises(ProtocolError, match="outside audio extent"):
+        with pytest.raises(BackendError, match="outside audio extent"):
             asr.decode(AsrRequest("s", 0.0, asr_script.audio_duration_s + 10.0, 5))
         request = AsrRequest("s", 0.0, asr_script.audio_duration_s, 5)
         assert asr.decode(request) == mock_asr_decode(asr_script, request)
@@ -426,3 +427,90 @@ def test_server_answers_a_non_utf8_line_with_an_error() -> None:
     reply = json.loads(out.getvalue())
     assert (reply["v"], reply["kind"]) == (2, "error")
     assert reply["message"].startswith("request is not UTF-8")
+
+
+class _Unreachable:
+    """A backend that a refused request must never reach."""
+
+    def decode(self, request):
+        raise AssertionError(f"reached the ASR backend with {request}")
+
+    def translate(self, request):
+        raise AssertionError(f"reached the MT backend with {request}")
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["asr", "mt"])
+def test_server_refuses_a_huge_beam_size_without_building_a_beam(kind) -> None:
+    line = _golden_lines("wire_requests.jsonl")[kind]
+    request = json.loads(line)
+    request["beam_size"] = 1_000_000_000
+    out = io.BytesIO()
+    stdin = io.BytesIO(json.dumps(request).encode() + b"\n")
+    serve(_Unreachable(), _Unreachable(), stdin, out)
+    reply = json.loads(out.getvalue())
+    assert (reply["v"], reply["kind"]) == (2, "error")
+    assert reply["message"] == "beam_size must be <= 64, got 1000000000"
+
+
+class _SlowOneShot:
+    """A channel that answers every request with one line after a pause."""
+
+    def __init__(self, line: str, pause_s: float) -> None:
+        self.line = line
+        self.pause_s = pause_s
+
+    def roundtrip(self, _line: str, _timeout: float) -> str:
+        time.sleep(self.pause_s)
+        return self.line
+
+
+@pytest.mark.parametrize(
+    "kind, backend, method, decode_request, decode_reply",
+    [
+        (0, WireAsrBackend, "decode", decode_asr_request, decode_asr_response),
+        (1, WireMtBackend, "translate", decode_mt_request, decode_mt_response),
+    ],
+    ids=["asr", "mt"],
+)
+def test_measure_compute_replaces_the_scripted_cost_with_host_time(
+    kind, backend, method, decode_request, decode_reply
+) -> None:
+    reply = _golden_lines("wire_responses.jsonl")[kind]
+    request = decode_request(_golden_lines("wire_requests.jsonl")[kind])
+    channel = _SlowOneShot(reply, pause_s=0.02)
+    scripted = decode_reply(reply)
+    assert getattr(backend(channel), method)(request) == scripted
+    assert getattr(backend(channel, measure_compute=False), method)(request) == scripted
+    measured = getattr(backend(channel, measure_compute=True), method)(request)
+    assert measured.compute_cost_s >= 0.02
+    assert measured.compute_cost_s != scripted.compute_cost_s
+    assert replace(measured, compute_cost_s=scripted.compute_cost_s) == scripted
+
+
+_WIRE_DECODERS = {
+    ("->", "asr"): (decode_asr_request, encode_asr_request),
+    ("<-", "asr"): (decode_asr_response, encode_asr_response),
+    ("->", "mt"): (decode_mt_request, encode_mt_request),
+    ("<-", "mt"): (decode_mt_response, encode_mt_response),
+}
+
+
+def _readme_wire_examples() -> list[tuple[str, str]]:
+    """Each ``->``/``<-`` line of README "Wire protocol", continuations joined."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Wire protocol", 1)[1].split("\n## ", 1)[0]
+    examples: list[list[str]] = []
+    for line in section.splitlines():
+        if line.startswith(("-> ", "<- ")):
+            examples.append([line[:2], line[3:]])
+        elif examples and line.startswith("    "):
+            examples[-1][1] += line.strip()
+    return [(direction, text) for direction, text in examples]
+
+
+def test_readme_wire_examples_decode_and_reencode_canonically() -> None:
+    examples = _readme_wire_examples()
+    assert sorted((d, json.loads(t)["kind"]) for d, t in examples) == sorted(_WIRE_DECODERS)
+    for direction, text in examples:
+        decode, encode = _WIRE_DECODERS[direction, json.loads(text)["kind"]]
+        assert encode(decode(text)) == canonical_json(json.loads(text)), text
