@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .backends import AsrBackend, AsrRequest
-from .core import AsrHypothesis, InvalidArgumentError, TimedWord, VirtualClock, check_beam_size
+from .core import (
+    AsrHypothesis,
+    InvalidArgumentError,
+    ProtocolError,
+    TimedWord,
+    VirtualClock,
+    check_beam_size,
+)
 from .policy import agreed_prefix_len
 from .textnorm import is_sentence_terminal
 
@@ -94,7 +101,8 @@ class AsrStreamController:
         ``initial_wait_s`` of total audio has arrived (audio never goes
         down, so once the first decode has passed that gate it stays open).
         A backend failure propagates with the state untouched, so the step
-        is retryable.
+        is retryable. A reply word outside the requested window is a
+        ``ProtocolError``, raised before the state changes.
         """
         audio = self.clock.audio_available_s
         if audio - self.state.decoded_upto_s < self.config.min_chunk_s:
@@ -124,10 +132,16 @@ class AsrStreamController:
             beam_size=self.config.backend_beam,
         )
         response = self.backend.decode(request)
+        current = response.hypothesis
+        for i, w in enumerate(current.words):
+            if w.start_s < request.window_start_s or w.end_s > request.window_end_s:
+                raise ProtocolError(
+                    f"field 'words[{i}]' lies outside the requested window "
+                    f"[{request.window_start_s}, {request.window_end_s}]: [{w.start_s}, {w.end_s}]"
+                )
         self.clock.charge_compute(response.compute_cost_s)
         self.decodes += 1
         state.decoded_upto_s = audio
-        current = response.hypothesis
 
         agreed = state.committed_in_window
         if state.prev_hypothesis is not None:

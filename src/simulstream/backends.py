@@ -80,6 +80,12 @@ class MtBackend(Protocol):
     def translate(self, request: MtRequest) -> MtResponse: ...
 
 
+def _check_non_negative(script, *names: str) -> None:
+    for name in names:
+        if getattr(script, name) < 0:
+            raise InvalidArgumentError(f"{name} must be >= 0, got {getattr(script, name)}")
+
+
 @dataclass(frozen=True)
 class AsrScript:
     """Ground truth for the mock ASR: the words that exist in the audio.
@@ -109,10 +115,9 @@ class AsrScript:
         if self.audio_duration_s is None:
             last_end = self.words[-1].end_s if self.words else 0.0
             object.__setattr__(self, "audio_duration_s", last_end)
-        if self.audio_duration_s < 0:
-            raise InvalidArgumentError("audio_duration_s must be >= 0")
-        if self.stabilization_delay_s < 0:
-            raise InvalidArgumentError("stabilization_delay_s must be >= 0")
+        _check_non_negative(
+            self, "audio_duration_s", "stabilization_delay_s", "cost_base_s", "cost_per_audio_s"
+        )
         for w in self.words:
             if not (math.isfinite(w.start_s) and math.isfinite(w.end_s)):
                 raise InvalidArgumentError(
@@ -150,8 +155,7 @@ class MtScript:
     cost_per_word_s: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.tail_truncate_max < 0:
-            raise InvalidArgumentError("tail_truncate_max must be >= 0")
+        _check_non_negative(self, "tail_truncate_max", "cost_base_s", "cost_per_word_s")
         if not 0 <= self.tail_perturb_prob <= 1:
             raise InvalidArgumentError("tail_perturb_prob must be in [0, 1]")
 
@@ -216,7 +220,7 @@ def mock_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
             text = _perturb_word(w.text, rng)
         words.append(TimedWord(text, w.start_s, w.end_s))
     cost = script.cost_base_s + script.cost_per_audio_s * (end - start)
-    return AsrResponse(AsrHypothesis(tuple(words), start), cost)
+    return AsrResponse(AsrHypothesis(tuple(words)), cost)
 
 
 def _mt_fingerprint(request: MtRequest) -> str:
@@ -238,7 +242,7 @@ def mock_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:
     active = list(request.active_source)
     cost = script.cost_base_s + script.cost_per_word_s * len(active)
     if not active:
-        return MtResponse(BeamSet((), request.beam_size), cost)
+        return MtResponse(BeamSet(()), cost)
 
     full_tokens: list[str] = []
     positions: list[int] = []
@@ -270,7 +274,7 @@ def mock_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:
         beams.append(
             BeamHypothesis(tuple(tokens), float(-(b - 1)), tuple(positions[: len(tokens)]))
         )
-    return MtResponse(BeamSet(tuple(beams), request.beam_size), cost)
+    return MtResponse(BeamSet(tuple(beams)), cost)
 
 
 class MockAsrBackend:

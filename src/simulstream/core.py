@@ -348,19 +348,14 @@ class TimedWord:
 class AsrHypothesis:
     """One incremental ASR decode over an audio window.
 
-    Timestamps are absolute: ``window_offset_s`` (the window start) has
-    already been applied to every word.
+    Timestamps are absolute source-audio seconds; the controller that sent
+    the request checks that every word lies inside its window.
     """
 
     words: tuple[TimedWord, ...]
-    window_offset_s: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "words", tuple(self.words))
-        if self.window_offset_s < 0:
-            raise InvalidArgumentError(
-                f"window_offset_s must be >= 0, got {self.window_offset_s}"
-            )
         for a, b in zip(self.words, self.words[1:]):
             if a.end_s > b.end_s:
                 raise InvalidArgumentError(
@@ -399,20 +394,13 @@ class BeamHypothesis:
 class BeamSet:
     """Beam search output, ordered by descending score.
 
-    Backends may return fewer beams than requested, never more.
+    At most the request's ``beam_size`` beams; the controller checks that.
     """
 
     beams: tuple[BeamHypothesis, ...]
-    requested_size: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beams", tuple(self.beams))
-        if self.requested_size < 0:
-            raise InvalidArgumentError("requested_size must be >= 0")
-        if len(self.beams) > self.requested_size:
-            raise InvalidArgumentError(
-                f"{len(self.beams)} beams exceed requested size {self.requested_size}"
-            )
         for a, b in zip(self.beams, self.beams[1:]):
             if a.score < b.score:
                 raise InvalidArgumentError("beams must be ordered by descending score")
@@ -434,9 +422,6 @@ class StreamHistory:
 
     def history_source_words(self) -> int:
         return sum(len(s) for s in self.source_sentences)
-
-    def history_target_words(self) -> int:
-        return sum(len(s) for s in self.target_sentences)
 
     def buffered_source_words(self) -> int:
         """History plus active source word count (the eviction budget)."""

@@ -70,9 +70,7 @@ class GenStats:
             "prefix_fraction": self.prefixed / self.samples if self.samples else 0.0,
             "context_clamped": self.context_clamped,
             "single_pair_docs": self.single_pair_docs,
-            "context_histogram": {
-                str(k): v for k, v in sorted(self.context_histogram.items())
-            },
+            "context_histogram": dict(sorted(self.context_histogram.items())),
         }
 
 

@@ -164,12 +164,18 @@ class MtStreamController:
         self.translate_calls += 1
         beams = self._validated(response.beams, request)
 
-        committed_before = len(history.active_target_committed)
-        emitted = ralcp_emit(beams, committed_before, self.config.agreement_ratio)
+        committed = len(history.active_target_committed)
+        emitted = ralcp_emit(beams, committed, self.config.agreement_ratio, self.config.beam_size)
         if flushing and not emitted and beams.beams:
-            emitted = list(beams.beams[0].tokens[committed_before:])
+            emitted = list(beams.beams[0].tokens[committed:])
             if SENTINEL in emitted:
                 del emitted[emitted.index(SENTINEL) + 1 :]
+        try:  # every emitted token but the sentinel must be a word
+            for token in emitted:
+                if token != SENTINEL:
+                    check_word(token, "emitted token")
+        except InvalidArgumentError as exc:
+            raise ProtocolError(str(exc)) from exc
         records = []
         for token in emitted:
             history.active_target_committed.append(token)
@@ -182,13 +188,14 @@ class MtStreamController:
                 )
             )
         if emitted and emitted[-1] == SENTINEL:
-            if not self._close_segment(beams):
-                records.pop()
+            self._close_segment(beams)
         self._evict()
         return records
 
     def _validated(self, beams: BeamSet, request: MtRequest) -> BeamSet:
         """Enforce the response contract; drop beams that rewrite history."""
+        if len(beams.beams) > request.beam_size:
+            raise ProtocolError(f"{len(beams.beams)} beams exceed beam_size {request.beam_size}")
         active_len = len(request.active_source)
         committed = request.committed_target
         kept = []
@@ -198,47 +205,32 @@ class MtStreamController:
                     f"beam {b} has a cut outside the {active_len} active source "
                     f"words: {list(beam.cuts)}"
                 )
-            if beam.tokens[: len(committed)] != committed and len(beam.tokens) > len(
-                committed
-            ):
+            if len(beam.tokens) > len(committed) and beam.tokens[: len(committed)] != committed:
                 self.dropped_beams += 1
                 continue
             kept.append(beam)
-        return BeamSet(tuple(kept), beams.requested_size)
+        return BeamSet(tuple(kept))
 
-    def _close_segment(self, beams: BeamSet) -> bool:
+    def _close_segment(self, beams: BeamSet) -> None:
         history = self.history
-        segment_tokens = tuple(history.active_target_committed)
-        sentinel_pos = len(segment_tokens) - 1
-        if sentinel_pos == 0:
-            # Degenerate: the sentinel opened the segment. Close an empty
-            # target segment against the first source word if one exists,
-            # otherwise drop the sentinel to avoid an unpaired entry.
-            if not history.active_source:
-                history.active_target_committed.clear()
-                return False
-            cut = 0
-        else:
+        target = history.active_target_committed[:-1]
+        # A sentinel that opens the segment closes an empty target against
+        # the first source word: a call only runs with active source.
+        cut = 0
+        if target:
+            pos = len(target)  # the sentinel's
             winner = next(
-                (
-                    b
-                    for b in beams.beams
-                    if len(b.tokens) > sentinel_pos and b.tokens[sentinel_pos] == SENTINEL
-                ),
-                None,
+                (b for b in beams.beams if len(b.tokens) > pos and b.tokens[pos] == SENTINEL), None
             )
             if winner is None:
-                raise ProtocolError(
-                    "no beam holds the committed sentinel; cannot segment source"
-                )
-            cut = winner.cuts[sentinel_pos - 1]
+                raise ProtocolError("no beam holds the committed sentinel; cannot segment source")
+            cut = winner.cuts[pos - 1]
         history.source_sentences.append(history.active_source[: cut + 1])
-        history.target_sentences.append(list(segment_tokens[:-1]))
+        history.target_sentences.append(target)
         history.active_source = history.active_source[cut + 1 :]
         history.active_target_committed.clear()
         history.check_paired()
         self.segment_ordinal += 1
-        return True
 
     def _evict(self) -> None:
         history = self.history

@@ -44,21 +44,21 @@ def votes_needed(agreement_ratio: float, pool: int) -> int:
     return math.ceil(Fraction(agreement_ratio) * pool)
 
 
-def ralcp_emit(beams: BeamSet, committed: int, agreement_ratio: float) -> list[str]:
+def ralcp_emit(beams: BeamSet, committed: int, agreement_ratio: float, pool: int) -> list[str]:
     """Vote the next tokens out of a beam set, never retracting.
 
     Walks positions starting at ``committed``; at each position the
     plurality token (ties broken by the highest-scoring beam holding the
     token) is emitted iff its vote count reaches the bar. The bar is
-    ceil(agreement_ratio * requested size), fixed however many beams come
-    back, the conservative guard against hallucination. A beam too short
-    to hold a position casts no vote there. Stops at the first failing
-    position, or right after emitting the sentinel, which closes the
-    segment for this call.
+    ceil(agreement_ratio * pool), ``pool`` being the beam count requested,
+    fixed however many beams come back: the conservative guard against
+    hallucination. A beam too short to hold a position casts no vote there.
+    Stops at the first failing position, or right after emitting the
+    sentinel, which closes the segment for this call.
     """
     if committed < 0:
         raise InvalidArgumentError(f"committed must be >= 0, got {committed}")
-    needed = votes_needed(agreement_ratio, beams.requested_size)
+    needed = votes_needed(agreement_ratio, pool)
 
     emitted: list[str] = []
     position = committed

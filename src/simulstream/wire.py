@@ -9,8 +9,10 @@ protocol" shows one message of each kind.
 A message is ``{"v":2,"kind":"asr"|"mt", ...}`` plus the fields of the
 record it carries, under their own names (``core.read_record``): an
 ``AsrRequest`` or ``MtRequest``, and in reply an ``AsrHypothesis`` or
-``BeamSet`` with ``compute_cost_s``. A server that cannot answer a
-request, or whose backend fails, replies
+``BeamSet`` with ``compute_cost_s``. A reply repeats nothing of its
+request; the controller that sent the request checks the reply, as it
+does an in-process backend's. A server that cannot answer a request, or
+whose backend fails, replies
 ``{"v":2,"kind":"error","message":...}``, which the client raises as a
 ``BackendError``. An MT request's history sentences travel as one string
 each side, joined with the sentinel marker: the sentinel is rejected in
@@ -61,6 +63,15 @@ def _encode(kind: str, record, **extras) -> str:
     )
 
 
+def _message(line: str) -> tuple[str, dict]:
+    """The kind and the object of a message line whose version checks."""
+    obj = json_object(line)
+    version = json_field(obj, "v", int)
+    if version != PROTOCOL_VERSION:
+        raise InvalidArgumentError(must_be("v", str(PROTOCOL_VERSION), version))
+    return json_field(obj, "kind", str), obj
+
+
 def _decode(line: str, kind: str, build):
     """``build`` of the message object of a line whose version and kind check.
 
@@ -68,11 +79,7 @@ def _decode(line: str, kind: str, build):
     server is a ``BackendError`` carrying its message.
     """
     try:
-        obj = json_object(line)
-        version = json_field(obj, "v", int)
-        if version != PROTOCOL_VERSION:
-            raise InvalidArgumentError(must_be("v", str(PROTOCOL_VERSION), version))
-        got = json_field(obj, "kind", str)
+        got, obj = _message(line)
         if got == "error":
             raise BackendError(f"server error: {json_field(obj, 'message', str)}")
         if got != kind:
@@ -139,17 +146,17 @@ def encode_mt_request(request: MtRequest) -> str:
     )
 
 
-def decode_mt_request(line: str) -> MtRequest:
-    return _decode(
-        line,
-        "mt",
-        lambda obj: read_record(
-            MtRequest,
-            obj,
-            history_source=_split_history(obj, "history_source"),
-            history_target=_split_history(obj, "history_target"),
-        ),
+def _read_mt_request(obj: dict) -> MtRequest:
+    return read_record(
+        MtRequest,
+        obj,
+        history_source=_split_history(obj, "history_source"),
+        history_target=_split_history(obj, "history_target"),
     )
+
+
+def decode_mt_request(line: str) -> MtRequest:
+    return _decode(line, "mt", _read_mt_request)
 
 
 def encode_mt_response(response: MtResponse) -> str:
@@ -264,15 +271,7 @@ class _WireBackend:
 
 class WireAsrBackend(_WireBackend):
     def decode(self, request: AsrRequest) -> AsrResponse:
-        response = self._roundtrip(encode_asr_request(request), decode_asr_response)
-        for i, word in enumerate(response.hypothesis.words):
-            if word.start_s < request.window_start_s or word.end_s > request.window_end_s:
-                raise ProtocolError(
-                    f"field 'words[{i}]' lies outside the requested window "
-                    f"[{request.window_start_s}, {request.window_end_s}]: "
-                    f"[{word.start_s}, {word.end_s}]"
-                )
-        return response
+        return self._roundtrip(encode_asr_request(request), decode_asr_response)
 
 
 class WireMtBackend(_WireBackend):
@@ -285,11 +284,11 @@ def _reply(asr_backend, mt_backend, raw: bytes) -> str:
         line = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidArgumentError(f"request is not UTF-8: {exc}") from exc
-    kind = json_field(json_object(line), "kind", str)
+    kind, obj = _message(line)
     if kind == "asr":
-        return encode_asr_response(asr_backend.decode(decode_asr_request(line)))
+        return encode_asr_response(asr_backend.decode(read_record(AsrRequest, obj)))
     if kind == "mt":
-        return encode_mt_response(mt_backend.translate(decode_mt_request(line)))
+        return encode_mt_response(mt_backend.translate(_read_mt_request(obj)))
     raise InvalidArgumentError(must_be("kind", "'asr' or 'mt'", kind))
 
 

@@ -66,7 +66,7 @@ def oracle_levenshtein(a, b) -> int:
     return result
 
 
-def oracle_ralcp(beams: BeamSet, committed: int, ratio: float) -> list[str]:
+def oracle_ralcp(beams: BeamSet, committed: int, ratio: float, pool: int) -> list[str]:
     """Brute-force beam vote simulator.
 
     Unlike the library, it first removes beams with nothing beyond the
@@ -77,7 +77,7 @@ def oracle_ralcp(beams: BeamSet, committed: int, ratio: float) -> list[str]:
     # Smallest vote count reaching the ratio of the requested pool, found by
     # linear search.
     needed = 0
-    target = Fraction(ratio) * beams.requested_size
+    target = Fraction(ratio) * pool
     while needed < target:
         needed += 1
     out: list[str] = []
@@ -241,7 +241,7 @@ def oracle_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
             text = _perturb_word(w.text, rng)
         words.append(TimedWord(text, w.start_s, w.end_s))
     cost = script.cost_base_s + script.cost_per_audio_s * (end - start)
-    return AsrResponse(AsrHypothesis(tuple(words), start), cost)
+    return AsrResponse(AsrHypothesis(tuple(words)), cost)
 
 
 def _one_hot(index: int, length: int, blur: float, rng: random.Random) -> tuple[float, ...]:
@@ -318,11 +318,11 @@ def make_beam(tokens, score: float = 0.0, src_len: int = 4) -> BeamHypothesis:
     return BeamHypothesis(tuple(tokens), score, cuts)
 
 
-def make_beam_set(token_lists, requested_size: int | None = None) -> BeamSet:
+def make_beam_set(token_lists) -> BeamSet:
     beams = [
         make_beam(tokens, score=float(-i)) for i, tokens in enumerate(token_lists)
     ]
-    return BeamSet(tuple(beams), requested_size or len(beams))
+    return BeamSet(tuple(beams))
 
 
 _VOCAB = (

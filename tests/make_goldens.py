@@ -77,7 +77,7 @@ def _wire_fixtures() -> dict[str, str]:
         attention_layer_tag="6",
     )
     asr_response = AsrResponse(
-        AsrHypothesis((TimedWord("Hello", 2.5, 3.0), TimedWord("world.", 3.1, 3.8)), 2.5),
+        AsrHypothesis((TimedWord("Hello", 2.5, 3.0), TimedWord("world.", 3.1, 3.8))),
         0.147,
     )
     cuts = (0, 1)
@@ -87,7 +87,6 @@ def _wire_fixtures() -> dict[str, str]:
                 BeamHypothesis(("we", "go"), 0.0, cuts),
                 BeamHypothesis(("we", "go"), -1.0, cuts),
             ),
-            2,
         ),
         0.1 + 0.01 * 2,  # the mock MT's cost for two active words
     )

@@ -218,12 +218,12 @@ def _token_sequences(alphabet, max_len):
     return out
 
 
-def _tiny_beam_set(token_lists, requested):
+def _tiny_beam_set(token_lists):
     beams = tuple(
         BeamHypothesis(tokens, float(-i), (0,) * len(tokens))
         for i, tokens in enumerate(token_lists)
     )
-    return BeamSet(beams, requested)
+    return BeamSet(beams)
 
 
 def test_c05_ralcp_matches_brute_force_voting() -> None:
@@ -232,9 +232,9 @@ def test_c05_ralcp_matches_brute_force_voting() -> None:
 
     def check(token_lists, requested, committed, ratio):
         nonlocal checked
-        beams = _tiny_beam_set(token_lists, requested)
-        assert ralcp_emit(beams, committed, ratio) == oracle_ralcp(
-            beams, committed, ratio
+        beams = _tiny_beam_set(token_lists)
+        assert ralcp_emit(beams, committed, ratio, requested) == oracle_ralcp(
+            beams, committed, ratio, requested
         )
         checked += 1
 

@@ -31,9 +31,7 @@ class ScriptedBackend:
             if w.start_s >= request.window_start_s and w.end_s <= request.window_end_s
         ]
         self.calls += 1
-        return AsrResponse(
-            AsrHypothesis(tuple(words), request.window_start_s), self.cost
-        )
+        return AsrResponse(AsrHypothesis(tuple(words)), self.cost)
 
 
 def _w(text: str, i: int, dur: float = 0.5) -> TimedWord:
@@ -95,9 +93,7 @@ def test_backend_failure_leaves_state_unchanged_and_is_retryable() -> None:
             self.calls += 1
             if self.calls == 1:
                 raise BackendError("boom")
-            return AsrResponse(
-                AsrHypothesis((_w("ok", 0),), request.window_start_s), 0.0
-            )
+            return AsrResponse(AsrHypothesis((_w("ok", 0),)), 0.0)
 
     controller, clock = _controller(Flaky())
     clock.advance_audio(1.0)
@@ -129,7 +125,7 @@ def test_unstable_tail_never_deadlocks_the_window() -> None:
             if words:
                 flip = "aaaaaa" if self.calls % 2 else "zzzzzz"
                 words[-1] = TimedWord(flip, words[-1].start_s, words[-1].end_s)
-            return AsrResponse(AsrHypothesis(tuple(words), request.window_start_s), 0.0)
+            return AsrResponse(AsrHypothesis(tuple(words)), 0.0)
 
     controller, clock = _controller(NeverStable(), max_window_s=30.0)
     transcript_sizes = []
@@ -147,7 +143,7 @@ def test_unstable_tail_never_deadlocks_the_window() -> None:
 def test_force_trim_with_nothing_committed_caps_window() -> None:
     class Empty:
         def decode(self, request: AsrRequest) -> AsrResponse:
-            return AsrResponse(AsrHypothesis((), request.window_start_s), 0.0)
+            return AsrResponse(AsrHypothesis(()), 0.0)
 
     controller, clock = _controller(Empty(), max_window_s=30.0)
     for _ in range(35):

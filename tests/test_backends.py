@@ -350,6 +350,23 @@ def test_mock_script_bad_optional_field_is_named(data, field) -> None:
         parse_mock_script(data)
 
 
+@pytest.mark.parametrize(
+    "section, field",
+    [
+        ("asr", "cost_base_s"),
+        ("asr", "cost_per_audio_s"),
+        ("mt", "cost_base_s"),
+        ("mt", "cost_per_word_s"),
+    ],
+)
+def test_load_mock_script_rejects_a_negative_cost(tmp_path, section, field) -> None:
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({section: {field: -1}}), encoding="utf-8")
+    message = f"{path}: field '{section}' invalid: {field} must be >= 0, got -1.0"
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+        load_mock_script(path)
+
+
 def test_load_mock_script_reports_deep_nesting(tmp_path) -> None:
     path = tmp_path / "deep.json"
     path.write_text(DEEP_JSON, encoding="utf-8")

@@ -166,7 +166,7 @@ def test_json_report_is_indented_sorted_and_ends_in_a_newline(tmp_path) -> None:
 def test_asr_hypothesis_requires_ordered_ends() -> None:
     words = (TimedWord("a", 0.0, 1.0), TimedWord("b", 0.5, 0.8))
     with pytest.raises(InvalidArgumentError):
-        AsrHypothesis(words, 0.0)
+        AsrHypothesis(words)
 
 
 def test_beam_hypothesis_needs_one_cut_per_token() -> None:
@@ -179,12 +179,10 @@ def test_beam_hypothesis_needs_one_cut_per_token() -> None:
 
 def test_beam_set_checks() -> None:
     beam = BeamHypothesis(("a",), 0.0, (0,))
-    BeamSet((beam,), 2)
-    with pytest.raises(InvalidArgumentError):
-        BeamSet((beam, beam, beam), 2)
+    assert BeamSet([beam, beam]).beams == (beam, beam)
     better = BeamHypothesis(("a",), 1.0, (0,))
     with pytest.raises(InvalidArgumentError):
-        BeamSet((beam, better), 2)  # ascending scores
+        BeamSet((beam, better))  # ascending scores
 
 
 def test_emission_record_requires_nca_before_ca() -> None:
@@ -391,9 +389,9 @@ def _records(rng: random.Random) -> dict[str, object]:
     history = tuple(_seq(rng, _WORDS, 3) or ("ja",) for _ in range(rng.randint(0, 3)))
     return {
         "TimedWord": TimedWord(rng.choice(_WORDS), start, start + _time(rng)),
-        "AsrHypothesis": AsrHypothesis(words, _time(rng)),
+        "AsrHypothesis": AsrHypothesis(words),
         "BeamHypothesis": beams[0] if beams else BeamHypothesis((), 0.0, ()),
-        "BeamSet": BeamSet(tuple(beams), len(beams) + rng.randint(0, 2)),
+        "BeamSet": BeamSet(tuple(beams)),
         "AsrRequest": AsrRequest("s ", start, start + _time(rng), rng.randint(1, 64)),
         "MtRequest": MtRequest(
             history,
@@ -454,5 +452,4 @@ def test_read_record_defaults_given_fields_and_names_a_bad_record() -> None:
     with pytest.raises(
         InvalidArgumentError, match=r"^field 'beams\[0\]' invalid: beam has 1 tokens but 0 cuts$"
     ):
-        read_record(BeamSet, {"beams": [{"tokens": ["x"], "score": 0.0, "cuts": []}],
-                              "requested_size": 1})
+        read_record(BeamSet, {"beams": [{"tokens": ["x"], "score": 0.0, "cuts": []}]})

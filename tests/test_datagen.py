@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from simulstream.core import SENTINEL, InvalidArgumentError
+from simulstream.core import SENTINEL, InvalidArgumentError, json_report
 from simulstream.datagen import (
     Document,
     GenConfig,
@@ -189,3 +191,9 @@ def test_write_samples_outputs(tmp_path) -> None:
     assert src.read_text(encoding="utf-8").count("\n") == 25
     assert tgt.read_text(encoding="utf-8").count("\n") == 25
     assert stats_path.exists()
+
+
+def test_stats_report_orders_the_context_histogram_by_number() -> None:
+    stats = GenStats(context_histogram={10: 1, 2: 3, 1: 4})
+    report = json.loads(json_report(stats.to_dict()))
+    assert list(report["context_histogram"]) == ["1", "2", "10"]

@@ -175,7 +175,7 @@ def test_eviction_baseline_drops_words_from_both_sides() -> None:
     controller._evict()
     # 90 source words -> one pass removes 20 from each side's history
     assert history.history_source_words() == 5
-    assert history.history_target_words() == 1
+    assert sum(len(s) for s in history.target_sentences) == 1
     assert len(history.source_sentences) == len(history.target_sentences)
     assert history.buffered_source_words() == 70
 
@@ -199,12 +199,26 @@ def test_out_of_range_cut_is_a_protocol_error(bad) -> None:
         def translate(self, request: MtRequest) -> MtResponse:
             cut = -1 if bad == "minus_one" else len(request.active_source)
             beam = BeamHypothesis(("X", "Y"), 0.0, (0, cut))
-            return MtResponse(BeamSet((beam,), request.beam_size), 0.0)
+            return MtResponse(BeamSet((beam,)), 0.0)
 
     controller = _controller(BadBackend(), wait_k=1)
     with pytest.raises(ProtocolError, match=r"cut outside the 2 active source words"):
         controller.step(["a", "b"])
     assert controller.history.active_target_committed == []
+
+
+def test_sentinel_opening_a_segment_closes_an_empty_target() -> None:
+    class SentinelFirst:
+        def translate(self, request: MtRequest) -> MtResponse:
+            return MtResponse(BeamSet((BeamHypothesis((SENTINEL,), 0.0, (0,)),)), 0.0)
+
+    controller = _controller(SentinelFirst(), beam_size=1, wait_k=1)
+    records = controller.step(["a", "b"])
+    assert [(r.token, r.segment_ordinal) for r in records] == [(SENTINEL, 0), (SENTINEL, 1)]
+    history = controller.history
+    assert history.source_sentences == [["a"], ["b"]]
+    assert history.target_sentences == [[], []]
+    assert history.active_source == [] and history.active_target_committed == []
 
 
 def test_beams_rewriting_committed_prefix_are_dropped() -> None:
@@ -220,7 +234,7 @@ def test_beams_rewriting_committed_prefix_are_dropped() -> None:
                 score=-1.0,
                 src_len=len(request.active_source),
             )
-            return MtResponse(BeamSet((good, bad), 2), 0.0)
+            return MtResponse(BeamSet((good, bad)), 0.0)
 
     controller = _controller(
         Rewriter(), agreement_ratio=0.5, beam_size=2, wait_k=1

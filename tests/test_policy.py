@@ -60,7 +60,7 @@ def test_votes_needed_is_exact_for_awkward_ratios() -> None:
 def test_ralcp_unanimous_beams_emit_through_sentinel() -> None:
     tokens = ("der", "hund", SENTINEL, "die")
     beams = make_beam_set([tokens] * 10)
-    out = ralcp_emit(beams, 0, 0.5)
+    out = ralcp_emit(beams, 0, 0.5, 10)
     assert out == ["der", "hund", SENTINEL]
 
 
@@ -68,7 +68,7 @@ def test_ralcp_plurality_then_split() -> None:
     beams = make_beam_set(
         [("der", "x1"), ("der", "x2"), ("die", "x3"), ("das", "x4")]
     )
-    out = ralcp_emit(beams, 0, 0.5)
+    out = ralcp_emit(beams, 0, 0.5, 4)
     assert out == ["der"]
 
 
@@ -78,24 +78,23 @@ def test_ralcp_preserved_vote_bar_blocks_few_survivors() -> None:
     full = ("tok", "next")
     empty = ()
     beams = make_beam_set([full] * 4 + [empty] * 6)
-    out = ralcp_emit(beams, 0, 0.5)
+    out = ralcp_emit(beams, 0, 0.5, 10)
     assert out == []
 
 
 def test_ralcp_tie_broken_by_best_scoring_holder() -> None:
     beams = make_beam_set([("a",), ("b",), ("b",), ("a",)])
-    out = ralcp_emit(beams, 0, 0.25)
+    out = ralcp_emit(beams, 0, 0.25, 4)
     assert out == ["a"]  # 2-2 tie; "a" is held by the top beam
 
 
 def test_ralcp_empty_beam_set_emits_nothing() -> None:
-    empty = BeamSet((), 10)
-    assert ralcp_emit(empty, 0, 0.5) == []
+    assert ralcp_emit(BeamSet(()), 0, 0.5, 10) == []
 
 
 def test_ralcp_respects_committed_offset() -> None:
     beams = make_beam_set([("a", "b", "c")] * 3)
-    out = ralcp_emit(beams, 1, 1.0)
+    out = ralcp_emit(beams, 1, 1.0, 3)
     assert out == ["b", "c"]
 
 
@@ -109,7 +108,7 @@ def test_ralcp_full_agreement_equals_exact_lcp() -> None:
             expected.append(t)
             if t == SENTINEL:
                 break
-        assert ralcp_emit(beams, 0, 1.0) == expected
+        assert ralcp_emit(beams, 0, 1.0, 5) == expected
 
 
 def test_ralcp_matches_vote_oracle_on_random_sets() -> None:
@@ -121,11 +120,12 @@ def test_ralcp_matches_vote_oracle_on_random_sets() -> None:
             tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
             for _ in range(n)
         ]
-        beams = make_beam_set(token_lists, requested_size=rng.randint(n, 6))
+        beams = make_beam_set(token_lists)
+        pool = rng.randint(n, 6)
         committed = rng.randint(0, 2)
         ratio = rng.choice([0.3, 0.5, 0.7, 1.0])
-        assert ralcp_emit(beams, committed, ratio) == oracle_ralcp(
-            beams, committed, ratio
+        assert ralcp_emit(beams, committed, ratio, pool) == oracle_ralcp(
+            beams, committed, ratio, pool
         )
 
 

@@ -13,13 +13,26 @@ import pytest
 
 from helpers import DEEP_JSON, build_scripts, synth_sentences
 
+from simulstream.asr_stream import AsrStreamConfig, AsrStreamController
 from simulstream.backends import (
     AsrRequest,
+    AsrResponse,
     MtRequest,
+    MtResponse,
     mock_asr_decode,
     mock_mt_translate,
 )
-from simulstream.core import BackendError, ProtocolError, canonical_json
+from simulstream.core import (
+    AsrHypothesis,
+    BackendError,
+    BeamHypothesis,
+    BeamSet,
+    ProtocolError,
+    TimedWord,
+    VirtualClock,
+    canonical_json,
+)
+from simulstream.mt_stream import MtStreamConfig, MtStreamController
 from simulstream.wire import (
     WireAsrBackend,
     WireChannel,
@@ -146,7 +159,6 @@ _HUGE_INT = "1" + "0" * 400
             f'"window_start_s":{_HUGE_INT}',
             "window_start_s",
         ),
-        (decode_asr_response, '"window_offset_s":2.5', '"window_offset_s":1e999', "window_offset_s"),
         (
             decode_asr_response,
             '"end_s":3.8,"start_s":3.1',
@@ -161,7 +173,6 @@ _HUGE_INT = "1" + "0" * 400
         "asr_request.window_start_s",
         "asr_request.window_end_s",
         "asr_request.window_start_s_huge_int",
-        "asr_response.window_offset_s",
         "asr_response.words.start_s",
         "asr_response.words.end_s",
         "mt_response.beams.score",
@@ -364,20 +375,114 @@ def test_channel_never_returns_a_late_reply_after_a_timeout() -> None:
         channel.close()
 
 
+class OneShot:
+    """A channel that answers every request with one line, after a pause if given."""
+
+    def __init__(self, line: str, pause_s: float = 0.0) -> None:
+        self.line = line
+        self.pause_s = pause_s
+
+    def roundtrip(self, _line: str, _timeout: float) -> str:
+        time.sleep(self.pause_s)
+        return self.line
+
+
 def test_words_outside_requested_window_are_rejected() -> None:
     reply = (DATA / "wire_responses.jsonl").read_text(encoding="utf-8").splitlines()[0]
-
-    class OneShot:
-        def __init__(self, line: str) -> None:
-            self.line = line
-
-        def roundtrip(self, _line: str, _timeout: float) -> str:
-            return self.line
-
-    backend = WireAsrBackend(OneShot(reply))
-    # The golden response covers [2.5, 3.8]; ask for a narrower window.
+    clock = VirtualClock()
+    controller = AsrStreamController(AsrStreamConfig(), WireAsrBackend(OneShot(reply)), clock)
+    # The golden response covers [2.5, 3.8]; the controller asks for [0, 3.5].
+    clock.advance_audio(3.5)
     with pytest.raises(ProtocolError, match=r"words\[1\].*window"):
-        backend.decode(AsrRequest("s", 2.5, 3.5, 5))
+        controller.step()
+    assert controller.state.committed == []
+    assert controller.state.decoded_upto_s == 0.0
+
+
+def test_replies_that_still_echo_the_request_decode_as_before() -> None:
+    asr, mt = _golden_lines("wire_responses.jsonl")
+    echoed_asr = canonical_json({**json.loads(asr), "window_offset_s": 2.5})
+    echoed_mt = canonical_json({**json.loads(mt), "requested_size": 2})
+    assert decode_asr_response(echoed_asr) == decode_asr_response(asr)
+    assert decode_mt_response(echoed_mt) == decode_mt_response(mt)
+
+
+class _Answers:
+    """An in-process backend that answers every request with one response."""
+
+    def __init__(self, response) -> None:
+        self.response = response
+
+    def decode(self, _request: AsrRequest) -> AsrResponse:
+        return self.response
+
+    def translate(self, _request: MtRequest) -> MtResponse:
+        return self.response
+
+
+def _beams(tokens: tuple[str, ...], count: int) -> BeamSet:
+    return BeamSet((BeamHypothesis(tokens, 0.0, (0,) * len(tokens)),) * count)
+
+
+# fault -> (controller call, reply, keys added on the wire, error or None).
+# The controller asks for 10 beams over [0, 2] s of audio.
+_FAULTS = {
+    # The vote bar stays ceil(0.5 * 10) = 5 beams, whatever the reply says.
+    "one_beam": ("mt_step", MtResponse(_beams(("A", "B"), 1), 0.1), {"requested_size": 1}, None),
+    "too_many_beams": (
+        "mt_step", MtResponse(_beams(("A",), 11), 0.1), {}, "^11 beams exceed beam_size 10$"
+    ),
+    "word_outside_window": (
+        "asr_step",
+        AsrResponse(AsrHypothesis((TimedWord("late", 2.5, 3.0),)), 0.1),
+        {"window_offset_s": 0.0},
+        r"^field 'words\[0\]' lies outside the requested window \[0.0, 2.0\]: \[2.5, 3.0\]$",
+    ),
+    "non_word_voted": (
+        "mt_step",
+        MtResponse(_beams(("two words",), 10), 0.1),
+        {},
+        "emitted token: bad word 'two words'",
+    ),
+    "non_word_flushed": (
+        "mt_flush", MtResponse(_beams(("",), 1), 0.1), {}, "emitted token: bad word ''"
+    ),
+}
+
+
+def _drive(call: str, backend) -> list:
+    """Run one controller call against ``backend``; what it committed."""
+    clock = VirtualClock()
+    if call == "asr_step":
+        asr = AsrStreamController(AsrStreamConfig(), backend, clock)
+        clock.advance_audio(2.0)
+        asr.step()
+        return asr.state.committed
+    # With wait-k 3 the step holds two words back and only the flush translates.
+    config = MtStreamConfig(beam_size=10, wait_k=1 if call == "mt_step" else 3)
+    mt = MtStreamController(config, backend, clock)
+    mt.step(["a", "b"])
+    if call == "mt_flush":
+        mt.flush()
+    return mt.history.active_target_committed
+
+
+@pytest.mark.parametrize("transport", ["in_process", "wire"])
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_reply_faults_are_checked_by_the_controller_on_both_transports(fault, transport) -> None:
+    call, response, echoed, error = _FAULTS[fault]
+    backend = _Answers(response)
+    if transport == "wire":
+        if call == "asr_step":
+            encode, wire = encode_asr_response, WireAsrBackend
+        else:
+            encode, wire = encode_mt_response, WireMtBackend
+        backend = wire(OneShot(canonical_json({**json.loads(encode(response)), **echoed})))
+    if error is None:
+        assert _drive(call, backend) == []
+    else:
+        with pytest.raises(ProtocolError, match=error):
+            _drive(call, backend)
 
 
 def test_server_exit_is_a_backend_error() -> None:
@@ -452,18 +557,6 @@ def test_server_refuses_a_huge_beam_size_without_building_a_beam(kind) -> None:
     assert reply["message"] == "beam_size must be <= 64, got 1000000000"
 
 
-class _SlowOneShot:
-    """A channel that answers every request with one line after a pause."""
-
-    def __init__(self, line: str, pause_s: float) -> None:
-        self.line = line
-        self.pause_s = pause_s
-
-    def roundtrip(self, _line: str, _timeout: float) -> str:
-        time.sleep(self.pause_s)
-        return self.line
-
-
 @pytest.mark.parametrize(
     "kind, backend, method, decode_request, decode_reply",
     [
@@ -477,7 +570,7 @@ def test_measure_compute_replaces_the_scripted_cost_with_host_time(
 ) -> None:
     reply = _golden_lines("wire_responses.jsonl")[kind]
     request = decode_request(_golden_lines("wire_requests.jsonl")[kind])
-    channel = _SlowOneShot(reply, pause_s=0.02)
+    channel = OneShot(reply, pause_s=0.02)
     scripted = decode_reply(reply)
     assert getattr(backend(channel), method)(request) == scripted
     assert getattr(backend(channel, measure_compute=False), method)(request) == scripted
