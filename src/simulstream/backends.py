@@ -29,7 +29,9 @@ from .core import (
     TimedWord,
     canonical_json,
     check_beam_size,
+    check_word,
     json_field,
+    quote,
     read_json_file,
     read_record,
 )
@@ -140,7 +142,8 @@ class MtScript:
     """Deterministic word-for-word translator behind the mock MT.
 
     Beam 1 maps each remaining active source word through ``word_map``
-    (unmapped words are uppercased) and appends the sentinel after
+    (unmapped words are uppercased; every value must pass
+    ``core.check_word``) and appends the sentinel after
     sentence-final source words. Beams 2..N truncate and/or perturb the
     tail of that continuation according to the seeded schedule. Each
     token's source cut is the word it translates (the sentinel's is the
@@ -158,6 +161,8 @@ class MtScript:
         _check_non_negative(self, "tail_truncate_max", "cost_base_s", "cost_per_word_s")
         if not 0 <= self.tail_perturb_prob <= 1:
             raise InvalidArgumentError("tail_perturb_prob must be in [0, 1]")
+        for source, target in self.word_map.items():
+            check_word(target, f"word_map[{quote(source)}]")
 
     def map_word(self, word: str) -> str:
         return self.word_map.get(word, word.upper())
@@ -214,11 +219,12 @@ def mock_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
         w = script.words[i]
         if w.end_s > end:
             continue
-        text = w.text
         if w.end_s > stable_before:
             rng = random.Random(f"{script.seed}:asr:{end!r}:{i}:{w.text}")
             text = _perturb_word(w.text, rng)
-        words.append(TimedWord(text, w.start_s, w.end_s))
+            if text != w.text:
+                w = TimedWord(text, w.start_s, w.end_s)
+        words.append(w)
     cost = script.cost_base_s + script.cost_per_audio_s * (end - start)
     return AsrResponse(AsrHypothesis(tuple(words)), cost)
 
@@ -253,27 +259,30 @@ def mock_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:
             full_tokens.append(SENTINEL)
             positions.append(i)
 
-    committed = list(request.committed_target)
+    committed = tuple(request.committed_target)
     n_committed = len(committed)
-    continuation = full_tokens[n_committed:]
+    tokens = committed + tuple(full_tokens[n_committed:])
     # Committed tokens beyond this translation cut at the last active word.
     positions += [len(active) - 1] * (n_committed - len(positions))
-    fingerprint = _mt_fingerprint(request)
+    cuts = tuple(positions[: len(tokens)])
+    # Only beams 2..N of a noisy script draw, so only they seed an RNG and
+    # build tuples of their own; the others share beam 1's.
+    draws = script.tail_truncate_max > 0 or script.tail_perturb_prob > 0
+    if draws and request.beam_size > 1:
+        fingerprint = _mt_fingerprint(request)
 
     beams = []
     for b in range(1, request.beam_size + 1):
-        rng = random.Random(f"{script.seed}:mt:{fingerprint}:{b}")
-        tail = list(continuation)
-        if b > 1 and script.tail_truncate_max > 0:
-            cut = rng.randint(0, min(script.tail_truncate_max, len(tail)))
-            if cut:
-                tail = tail[:-cut]
-        if b > 1 and tail and rng.random() < script.tail_perturb_prob:
-            tail[-1] = tail[-1] + "~"
-        tokens = committed + tail
-        beams.append(
-            BeamHypothesis(tuple(tokens), float(-(b - 1)), tuple(positions[: len(tokens)]))
-        )
+        beam_tokens, beam_cuts = tokens, cuts
+        if b > 1 and draws:
+            rng = random.Random(f"{script.seed}:mt:{fingerprint}:{b}")
+            end = len(tokens)
+            if script.tail_truncate_max > 0:
+                end -= rng.randint(0, min(script.tail_truncate_max, end - n_committed))
+            beam_tokens, beam_cuts = tokens[:end], cuts[:end]
+            if end > n_committed and rng.random() < script.tail_perturb_prob:
+                beam_tokens = tokens[: end - 1] + (tokens[end - 1] + "~",)
+        beams.append(BeamHypothesis(beam_tokens, float(1 - b), beam_cuts))
     return MtResponse(BeamSet(tuple(beams)), cost)
 
 

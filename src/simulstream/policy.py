@@ -64,16 +64,15 @@ def ralcp_emit(beams: BeamSet, committed: int, agreement_ratio: float, pool: int
     position = committed
     while True:
         counts: dict[str, int] = {}
-        first_holder: dict[str, int] = {}
-        for rank, beam in enumerate(beams.beams):
+        for beam in beams.beams:
             if len(beam.tokens) > position:
                 token = beam.tokens[position]
                 counts[token] = counts.get(token, 0) + 1
-                if token not in first_holder:
-                    first_holder[token] = rank
         if not counts:
             break
-        winner = max(counts, key=lambda t: (counts[t], -first_holder[t]))
+        # Beams come in rank order, so tokens enter ``counts`` in the order
+        # of their highest-ranked holder, and ``max`` keeps the first of a tie.
+        winner = max(counts, key=counts.__getitem__)
         if counts[winner] < needed:
             break
         emitted.append(winner)

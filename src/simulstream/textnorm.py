@@ -54,6 +54,8 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
 
 def words_match(a: str, b: str, threshold: int) -> bool:
     """True when the normalized forms are at most ``threshold`` edits apart."""
+    if a == b:  # equal raw words normalize equal: distance 0
+        return threshold >= 0
     return levenshtein(normalize_word(a), normalize_word(b)) <= threshold
 
 

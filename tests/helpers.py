@@ -21,6 +21,7 @@ from simulstream.backends import (
     AsrResponse,
     AsrScript,
     MtRequest,
+    MtResponse,
     MtScript,
     _mt_fingerprint,
     _perturb_word,
@@ -242,6 +243,47 @@ def oracle_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
         words.append(TimedWord(text, w.start_s, w.end_s))
     cost = script.cost_base_s + script.cost_per_audio_s * (end - start)
     return AsrResponse(AsrHypothesis(tuple(words)), cost)
+
+
+def oracle_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:
+    """The mock MT as it was before it seeded lazily: every beam seeds an RNG
+    from the request fingerprint and builds its own token and cut tuples."""
+    active = list(request.active_source)
+    cost = script.cost_base_s + script.cost_per_word_s * len(active)
+    if not active:
+        return MtResponse(BeamSet(()), cost)
+
+    full_tokens: list[str] = []
+    positions: list[int] = []
+    for i, word in enumerate(active):
+        full_tokens.append(script.map_word(word))
+        positions.append(i)
+        if has_terminal_mark(word):
+            full_tokens.append(SENTINEL)
+            positions.append(i)
+
+    committed = list(request.committed_target)
+    n_committed = len(committed)
+    continuation = full_tokens[n_committed:]
+    # Committed tokens beyond this translation cut at the last active word.
+    positions += [len(active) - 1] * (n_committed - len(positions))
+    fingerprint = _mt_fingerprint(request)
+
+    beams = []
+    for b in range(1, request.beam_size + 1):
+        rng = random.Random(f"{script.seed}:mt:{fingerprint}:{b}")
+        tail = list(continuation)
+        if b > 1 and script.tail_truncate_max > 0:
+            cut = rng.randint(0, min(script.tail_truncate_max, len(tail)))
+            if cut:
+                tail = tail[:-cut]
+        if b > 1 and tail and rng.random() < script.tail_perturb_prob:
+            tail[-1] = tail[-1] + "~"
+        tokens = committed + tail
+        beams.append(
+            BeamHypothesis(tuple(tokens), float(-(b - 1)), tuple(positions[: len(tokens)]))
+        )
+    return MtResponse(BeamSet(tuple(beams)), cost)
 
 
 def _one_hot(index: int, length: int, blur: float, rng: random.Random) -> tuple[float, ...]:

@@ -3,32 +3,49 @@ from __future__ import annotations
 import json
 import random
 import re
+from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import (
     DEEP_JSON,
     build_scripts,
+    chunked_trace,
     oracle_asr_decode,
     oracle_mt_rows,
+    oracle_mt_translate,
     segment_source,
     synth_sentences,
     timed_words,
 )
+from simulstream import backends
 from simulstream.backends import (
     AsrRequest,
     AsrResponse,
     AsrScript,
-    MtRequest,
+    MockAsrBackend,
+    MockMtBackend,
     MockScripts,
+    MtRequest,
     MtScript,
     load_mock_script,
     mock_asr_decode,
     mock_mt_translate,
     parse_mock_script,
 )
-from simulstream.core import SENTINEL, BackendError, InvalidArgumentError, TimedWord
+from simulstream.core import (
+    SENTINEL,
+    BackendError,
+    InvalidArgumentError,
+    TimedWord,
+    canonical_json,
+)
+from simulstream.pipeline import Pipeline, preset_config, read_trace
 from simulstream.textnorm import has_terminal_mark, levenshtein, normalize_word
+
+DATA = Path(__file__).parent / "data"
 
 
 def _asr_script(delay: float = 0.0, seed: int = 0) -> AsrScript:
@@ -165,14 +182,19 @@ def test_mt_translate_cuts_surplus_committed_tokens_at_the_last_word() -> None:
 _BLURS = (0.0, 0.05, 0.1, 0.2, 0.5, 0.9, 0.999)
 
 
-def _random_mt_request(rng: random.Random, script: MtScript) -> MtRequest:
-    words = [w for s in synth_sentences(rng, rng.randint(1, 3), 1, 5) for w in s]
-    active = tuple(words[: rng.randint(1, len(words))])
+def _translation(script: MtScript, active) -> list[str]:
     translation = []
     for word in active:
         translation.append(script.map_word(word))
         if has_terminal_mark(word):
             translation.append(SENTINEL)
+    return translation
+
+
+def _random_mt_request(rng: random.Random, script: MtScript) -> MtRequest:
+    words = [w for s in synth_sentences(rng, rng.randint(1, 3), 1, 5) for w in s]
+    active = tuple(words[: rng.randint(1, len(words))])
+    translation = _translation(script, active)
     kind = rng.randrange(3)
     if kind == 0:  # the controller's case: a prefix of the translation
         committed = translation[: rng.randint(0, len(translation))]
@@ -218,6 +240,114 @@ def test_mock_cuts_are_the_argmax_of_the_dense_rows_it_used_to_build() -> None:
             requests += 1
     assert requests >= 5000
     assert cuts_checked > 50_000
+
+
+def test_mock_mt_matches_the_eager_oracle_byte_for_byte() -> None:
+    # The mock seeds an RNG only for a beam that can draw; the oracle seeds
+    # every beam. Replies must not differ by a byte.
+    rng = random.Random(4099)
+    kinds = dict.fromkeys(("empty", "prefix", "longer", "foreign", "noisy_beams"), 0)
+    for truncate in (0, 1, 2, 3):
+        for perturb in (0.0, 0.3, 1.0):
+            for beam_size in (1, 2, 10, 64):
+                for _ in range(25):
+                    script = MtScript(
+                        tail_truncate_max=truncate,
+                        tail_perturb_prob=perturb,
+                        seed=rng.randrange(1000),
+                    )
+                    request = replace(_random_mt_request(rng, script), beam_size=beam_size)
+                    if rng.random() < 0.2:
+                        request = replace(request, active_source=())
+                    expected = oracle_mt_translate(script, request)
+                    got = mock_mt_translate(script, request)
+                    assert got == expected
+                    assert canonical_json(got) == canonical_json(expected)
+                    translation = tuple(_translation(script, request.active_source))
+                    committed = request.committed_target
+                    if not request.active_source:
+                        kinds["empty"] += 1
+                    elif len(committed) > len(translation):
+                        kinds["longer"] += 1
+                    elif translation[: len(committed)] == committed:
+                        kinds["prefix"] += 1
+                    else:
+                        kinds["foreign"] += 1
+                    if len({b.tokens for b in got.beams.beams}) > 1:
+                        kinds["noisy_beams"] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
+def _count_seeds(monkeypatch) -> tuple[list, list]:
+    """Record every RNG the mocks seed, per backend call.
+
+    Returns (asr_calls, mt_calls), each a list of (request, reply, seeds)
+    filled in as the mocks run.
+    """
+    seeds: list[str] = []
+
+    def counting_random(seed):
+        seeds.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(backends, "random", SimpleNamespace(Random=counting_random))
+    asr_calls: list = []
+    mt_calls: list = []
+    for name, calls in (("mock_asr_decode", asr_calls), ("mock_mt_translate", mt_calls)):
+        original = getattr(backends, name)
+
+        def counted(script, request, original=original, calls=calls):
+            before = len(seeds)
+            reply = original(script, request)
+            calls.append((request, reply, seeds[before:]))
+            return reply
+
+        monkeypatch.setattr(backends, name, counted)
+    return asr_calls, mt_calls
+
+
+def _check_asr_seeds(script: AsrScript, asr_calls: list) -> int:
+    """Each decode seeds one RNG per unstable word it returns; return the total."""
+    total = 0
+    for request, reply, seeds in asr_calls:
+        stable_before = min(request.window_end_s, script.audio_duration_s) - (
+            script.stabilization_delay_s
+        )
+        unstable = sum(w.end_s > stable_before for w in reply.hypothesis.words)
+        assert len(seeds) == unstable
+        assert all(":asr:" in seed for seed in seeds)
+        total += unstable
+    return total
+
+
+def test_mocks_seed_no_rng_on_the_golden_talk(monkeypatch) -> None:
+    asr_calls, mt_calls = _count_seeds(monkeypatch)
+    scripts = load_mock_script(DATA / "mock_script_60s.json")
+    pipeline = Pipeline(
+        preset_config("adapted"), MockAsrBackend(scripts.asr), MockMtBackend(scripts.mt)
+    )
+    pipeline.run_trace(read_trace(DATA / "trace_60s.jsonl"))
+    assert len(mt_calls) == pipeline.mt.translate_calls > 0
+    assert [seeds for _, _, seeds in mt_calls if seeds] == []
+    assert len(asr_calls) == pipeline.asr.decodes > 0
+    assert _check_asr_seeds(scripts.asr, asr_calls) == 0  # no stabilization delay
+
+
+def test_noisy_mock_mt_seeds_one_rng_per_lower_beam(monkeypatch) -> None:
+    asr_calls, mt_calls = _count_seeds(monkeypatch)
+    asr_script, mt_script, duration = build_scripts(
+        synth_sentences(random.Random(8), 24), seed=8, stabilization_delay_s=0.6,
+        tail_truncate_max=2, tail_perturb_prob=0.3,
+    )
+    pipeline = Pipeline(
+        preset_config("adapted"), MockAsrBackend(asr_script), MockMtBackend(mt_script)
+    )
+    pipeline.run_trace(chunked_trace(duration))
+    assert len(mt_calls) == pipeline.mt.translate_calls > 20
+    for request, _, seeds in mt_calls:
+        assert len(seeds) == (request.beam_size - 1 if request.active_source else 0)
+        assert all(":mt:" in seed for seed in seeds)
+    assert _check_asr_seeds(asr_script, asr_calls) > 50
 
 
 def test_mt_translate_everything_committed_gives_empty_continuation() -> None:

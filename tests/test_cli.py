@@ -138,6 +138,29 @@ def test_simulate_unreadable_input_exits_1(tmp_path, capsys, target, text, messa
     assert re.search(message, err["message"])
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("two words", "bad word 'two words'"), (SENTINEL, "reserved sentinel")],
+    ids=["two_words", "sentinel"],
+)
+def test_simulate_bad_word_map_value_exits_1_naming_the_script(
+    tmp_path, capsys, value, message
+) -> None:
+    trace, config = _stage_fixture(tmp_path)
+    script_path = tmp_path / "mock_script_60s.json"
+    script = json.loads(script_path.read_text(encoding="utf-8"))
+    script["mt"]["word_map"]["alpha"] = value
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    code = main(["simulate", str(trace), str(config), str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert err["message"].startswith(f"{script_path}: field 'mt' invalid: word_map['alpha']: ")
+    assert message in err["message"]
+
+
 # Stand-in servers that read one request and answer it with a bad line.
 _V1_REPLY_SERVER = (
     "import json, sys; sys.stdin.readline(); print(json.dumps({'v': 1, 'kind': 'asr', "

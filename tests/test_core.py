@@ -147,6 +147,7 @@ def test_every_word_entry_point_applies_the_one_word_rule(word, named) -> None:
         "TimedWord.text": lambda: TimedWord(word, 0.0, 0.5),
         "source word": lambda: controller.step([word]),
         "document 'd'": lambda: Document(pairs=(((word,), ("t",)),), doc_id="d"),
+        "word_map['hund']": lambda: MtScript(word_map={"hund": word}),
     }
     for where, enter in entries.items():
         with pytest.raises(InvalidArgumentError) as info:

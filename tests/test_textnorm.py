@@ -82,6 +82,27 @@ def test_words_match_is_symmetric_and_reflexive() -> None:
         assert words_match(a, b, 2) == words_match(b, a, 2)
 
 
+def test_words_match_agrees_with_the_oracle_distance_of_normalized_words() -> None:
+    rng = random.Random(19)
+    alphabet = "abcdeAB"
+    pairs = []
+    for _ in range(200):
+        word = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 7)))
+        pairs.append((word, word))  # equal raw strings
+        # Differs only in case and punctuation: normalizes to the same word.
+        variant = "".join(ch.swapcase() if rng.random() < 0.5 else ch for ch in word)
+        pairs.append((word, rng.choice(("", "¿", "'")) + variant + rng.choice(("", ".", ",", "!”"))))
+        unrelated = "".join(rng.choice(alphabet + ".,") for _ in range(rng.randint(1, 7)))
+        pairs.append((word, unrelated))
+    pairs += [(",", ","), (",", "."), ("—", "a")]  # all punctuation
+    for a, b in pairs:
+        distance = oracle_levenshtein(normalize_word(a), normalize_word(b))
+        for threshold in (-1, 0, 1, 2, 3):
+            assert words_match(a, b, threshold) == (distance <= threshold), (a, b, threshold)
+    assert not words_match("same", "same", -1)
+    assert words_match("same", "same", 0)
+
+
 def test_sentence_terminal_marks_sentence_ends() -> None:
     words = ["We", "agree.", "Dr.", "Smith", "spoke.", "One.", "no", "boundary", "here"]
     ends = [w for w in words if is_sentence_terminal(w)]
