@@ -59,7 +59,8 @@ with tempfile.TemporaryDirectory() as tmp:
         response = WireMtBackend(channel).translate(mt_request)
         top = response.beams.beams[0]
         print("<<", list(top.tokens), f"cost {response.compute_cost_s:.3f}s")
-        print("\nhistory sentences travel joined by the sentinel marker;")
-        print("the schema is plain JSON, so any language can serve it.")
+        print("\neach history side travels as a list of sentences, each a list")
+        print("of words (an empty sentence included); the schema is plain JSON,")
+        print("so any language can serve it.")
     finally:
         channel.close()

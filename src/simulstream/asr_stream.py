@@ -84,10 +84,6 @@ class AsrStreamController:
         self.force_trims = 0
 
     @property
-    def pending_audio_s(self) -> float:
-        return self.clock.audio_available_s - self.state.decoded_upto_s
-
-    @property
     def window_length_s(self) -> float:
         return self.clock.audio_available_s - self.state.window_start_s
 

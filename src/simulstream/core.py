@@ -182,41 +182,58 @@ def read_jsonl(path: str | Path, parse) -> list:
 # fields, so no record spells its layout out by hand.
 
 
+def _item_of(hint):
+    """T of ``tuple[T, ...]``; None for any other type."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple and len(args) == 2 and args[1] is Ellipsis:
+        return args[0]
+    return None
+
+
 def _field_reader(owner: type, name: str, hint):
     """(kind, reader) for field ``name`` of type ``hint``.
 
     A scalar has its kind and no reader: ``json_field`` reads it. Any
     other field has a reader ``(obj, where)``: ``tuple[T, ...]`` is a list
-    of T, read as a tuple, whose items are records when T is a dataclass;
-    ``Mapping[str, T]`` is an object of T. ``T | None`` reads as T, None
-    being only a default.
+    of T, read as a tuple, whose items are records when T is a dataclass
+    and lists of a scalar S when T is ``tuple[S, ...]``; ``Mapping[str, T]``
+    is an object of T. ``T | None`` reads as T, None being only a default.
+    A field of any other type is a ``TypeError`` when the schema is built.
     """
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType) and len(args) == 2 and type(None) in args:
         return _field_reader(owner, name, args[0] if args[1] is type(None) else args[1])
     if hint in _KINDS:
         return hint, None
-    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        item = args[0]
-        if item in _KINDS:
-            return None, lambda obj, where: tuple(json_field(obj, name, list, where, items=item))
-        if is_dataclass(item):
+    item = _item_of(hint)
+    if item in _KINDS:
+        return None, lambda obj, where: tuple(json_field(obj, name, list, where, items=item))
+    if is_dataclass(item):
 
-            def read_items(obj: dict, where: str) -> tuple:
-                path = f"{where}.{name}" if where else name
-                values = json_field(obj, name, list, where, items=dict)
-                return tuple(
-                    read_record(item, value, f"{path}[{i}]") for i, value in enumerate(values)
-                )
+        def read_items(obj: dict, where: str) -> tuple:
+            path = f"{where}.{name}" if where else name
+            values = json_field(obj, name, list, where, items=dict)
+            return tuple(
+                read_record(item, value, f"{path}[{i}]") for i, value in enumerate(values)
+            )
 
-            return None, read_items
+        return None, read_items
+    scalar = _item_of(item)
+    if scalar in _KINDS:
+
+        def read_rows(obj: dict, where: str) -> tuple:
+            # Row i is read as a field named ``name[i]``, so a bad item is
+            # named at ``name[i][j]``.
+            rows = json_field(obj, name, list, where, items=list)
+            return tuple(
+                tuple(json_field({f"{name}[{i}]": row}, f"{name}[{i}]", list, where, items=scalar))
+                for i, row in enumerate(rows)
+            )
+
+        return None, read_rows
     if origin in (dict, Mapping) and args[0] is str and args[1] in _KINDS:
         return None, lambda obj, where: json_field(obj, name, dict, where, items=args[1])
-
-    def unreadable(obj: dict, where: str) -> NoReturn:
-        raise TypeError(f"{owner.__name__}.{name} has no JSON layout; pass it given")
-
-    return None, unreadable
+    raise TypeError(f"{owner.__name__}.{name} has no JSON layout")
 
 
 @cache

@@ -162,11 +162,6 @@ class Pipeline:
         return list(self.records), summary
 
 
-def override_keys(section_config) -> list[str]:
-    """The keys an override section may set: its config's fields."""
-    return [f.name for f in fields(section_config)]
-
-
 def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
     """Apply a nested override dict from a config file onto the preset.
 

@@ -6,20 +6,19 @@ versioned with a ``v`` field and deliberately contains nothing but plain
 JSON types, so servers can be written in any language. README "Wire
 protocol" shows one message of each kind.
 
-A message is ``{"v":2,"kind":"asr"|"mt", ...}`` plus the fields of the
+A message is ``{"v":3,"kind":"asr"|"mt", ...}`` plus the fields of the
 record it carries, under their own names (``core.read_record``): an
 ``AsrRequest`` or ``MtRequest``, and in reply an ``AsrHypothesis`` or
-``BeamSet`` with ``compute_cost_s``. A reply repeats nothing of its
+``BeamSet`` with ``compute_cost_s``. A word list is a JSON list of
+strings; an MT request's history is, on each side, a list of such
+sentences, and a sentence may be empty. A reply repeats nothing of its
 request; the controller that sent the request checks the reply, as it
 does an in-process backend's. A server that cannot answer a request, or
-whose backend fails, replies
-``{"v":2,"kind":"error","message":...}``, which the client raises as a
-``BackendError``. An MT request's history sentences travel as one string
-each side, joined with the sentinel marker: the sentinel is rejected in
-input words, which makes the joined form unambiguous. ``cuts[j]`` is the
-active source position token j attends to most in the attention layer
-named by ``attention_layer_tag``, ties going to the largest index; the
-server takes this argmax next to the model.
+whose backend fails, replies ``{"v":3,"kind":"error","message":...}``,
+which the client raises as a ``BackendError``. ``cuts[j]`` is the active
+source position token j attends to most in the attention layer named by
+``attention_layer_tag``, ties going to the largest index; the server
+takes this argmax next to the model.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from typing import BinaryIO, Sequence
 
 from .backends import AsrRequest, AsrResponse, MtRequest, MtResponse
 from .core import (
-    SENTINEL,
     AsrHypothesis,
     BeamSet,
     BackendError,
@@ -45,15 +43,12 @@ from .core import (
     json_field,
     json_object,
     must_be,
-    quote,
     read_record,
     record_fields,
 )
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 DEFAULT_TIMEOUT_S = 60.0
-
-_HISTORY_JOIN = f" {SENTINEL} "
 
 
 def _encode(kind: str, record, **extras) -> str:
@@ -96,23 +91,6 @@ def _compute_cost(obj: dict) -> float:
     return cost
 
 
-def _join_history(sentences: Sequence[Sequence[str]]) -> str:
-    return _HISTORY_JOIN.join(" ".join(s) for s in sentences)
-
-
-def _split_history(obj: dict, name: str) -> tuple[tuple[str, ...], ...]:
-    text = json_field(obj, name, str)
-    if text == "":
-        return ()
-    sentences = []
-    for chunk in text.split(_HISTORY_JOIN):
-        words = tuple(chunk.split(" "))
-        if any(not w for w in words):
-            raise InvalidArgumentError(f"field '{name}' has an empty word: {quote(text)}")
-        sentences.append(words)
-    return tuple(sentences)
-
-
 # --- ASR messages -------------------------------------------------------------
 
 
@@ -138,25 +116,11 @@ def decode_asr_response(line: str) -> AsrResponse:
 
 
 def encode_mt_request(request: MtRequest) -> str:
-    return _encode(
-        "mt",
-        request,
-        history_source=_join_history(request.history_source),
-        history_target=_join_history(request.history_target),
-    )
-
-
-def _read_mt_request(obj: dict) -> MtRequest:
-    return read_record(
-        MtRequest,
-        obj,
-        history_source=_split_history(obj, "history_source"),
-        history_target=_split_history(obj, "history_target"),
-    )
+    return _encode("mt", request)
 
 
 def decode_mt_request(line: str) -> MtRequest:
-    return _decode(line, "mt", _read_mt_request)
+    return _decode(line, "mt", partial(read_record, MtRequest))
 
 
 def encode_mt_response(response: MtResponse) -> str:
@@ -288,7 +252,7 @@ def _reply(asr_backend, mt_backend, raw: bytes) -> str:
     if kind == "asr":
         return encode_asr_response(asr_backend.decode(read_record(AsrRequest, obj)))
     if kind == "mt":
-        return encode_mt_response(mt_backend.translate(_read_mt_request(obj)))
+        return encode_mt_response(mt_backend.translate(read_record(MtRequest, obj)))
     raise InvalidArgumentError(must_be("kind", "'asr' or 'mt'", kind))
 
 
@@ -296,7 +260,7 @@ def serve(asr_backend, mt_backend, stdin: BinaryIO, stdout: BinaryIO) -> None:
     """Reference server loop: answer each request line until EOF.
 
     A request the server cannot answer, or whose backend fails, gets an
-    error reply, {"v":2,"kind":"error","message":...}, and the loop goes
+    error reply, {"v":3,"kind":"error","message":...}, and the loop goes
     on, so one reply still answers each request and the client's channel
     stays usable.
     """

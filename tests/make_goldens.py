@@ -64,13 +64,17 @@ def _json_file(obj: dict) -> str:
 
 
 def _wire_fixtures() -> dict[str, str]:
-    """One request and one reply of each kind, as the README shows them."""
+    """One request and one reply of each kind, as the README shows them.
+
+    The MT request's oldest history pair has an empty target side, as
+    word-count eviction leaves it when a target sentence is the shorter.
+    """
     asr_request = AsrRequest(
         stream_id="talk01", window_start_s=2.5, window_end_s=7.25, beam_size=5
     )
     mt_request = MtRequest(
-        history_source=(("der", "hund", "bellt."), ("die", "katze", "schläft."), ("es", "regnet.")),
-        history_target=(("the", "dog", "barks."), ("the", "cat", "sleeps."), ("it", "rains.")),
+        history_source=(("bellt.",), ("die", "katze", "schläft."), ("es", "regnet.")),
+        history_target=((), ("the", "cat", "sleeps."), ("it", "rains.")),
         active_source=("wir", "gehen"),
         committed_target=("we",),
         beam_size=10,

@@ -140,10 +140,8 @@ def _randomized_run(seed: int) -> dict:
             # may transiently carry the undecoded sub-chunk tail.
             assert pipeline.asr.window_length_s <= max_window + WINDOW_SLACK_S
         else:
-            assert (
-                pipeline.asr.window_length_s
-                <= max_window + pipeline.asr.pending_audio_s + WINDOW_SLACK_S
-            )
+            pending_s = pipeline.clock.audio_available_s - pipeline.asr.state.decoded_upto_s
+            assert pipeline.asr.window_length_s <= max_window + pending_s + WINDOW_SLACK_S
         if adapted:
             assert pipeline.mt.history.buffered_source_words() <= max_buffer
         transcript = pipeline.asr.transcript()

@@ -175,7 +175,7 @@ _DEEP_REPLY_SERVER = (
 
 @pytest.mark.parametrize(
     "server, message",
-    [(_V1_REPLY_SERVER, "field 'v' must be 2, got 1"), (_DEEP_REPLY_SERVER, "nested too deeply")],
+    [(_V1_REPLY_SERVER, "field 'v' must be 3, got 1"), (_DEEP_REPLY_SERVER, "nested too deeply")],
     ids=["v1_reply", "nested_reply"],
 )
 def test_simulate_bad_wire_reply_exits_2(tmp_path, capsys, server, message) -> None:

@@ -4,6 +4,7 @@ import copy
 import json
 import random
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -230,9 +231,10 @@ _BAD_VALUES = {  # value: (kinds of field it goes in, first one the reader has)
     "string_for_number": ((float,), "1"),
     "huge_integer_for_number": ((float,), 10**400),
     "huge_string": ((float, int), "x" * 100_000),
+    "integer_for_string": ((str,), 5),
     "missing": (("required",), _MISSING),
 }
-_KIND_NAMES = {int: "an integer", float: "a number", list: "a list"}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
 
 
 def _golden(name: str, index: int) -> dict:
@@ -265,7 +267,7 @@ _READERS = {
     ),
     "mt_request": (
         ProtocolError, _line_reader(decode_mt_request), _golden("wire_requests.jsonl", 1), "",
-        {int: ("beam_size",)}, (int, ("beam_size",)),
+        {int: ("beam_size",), str: ("history_target", 1, 0)}, (int, ("beam_size",)),
     ),
     "mt_response": (
         ProtocolError, _line_reader(decode_mt_response), _golden("wire_responses.jsonl", 1), "",
@@ -378,7 +380,7 @@ def _seq(rng: random.Random, pool, most: int) -> tuple:
 
 
 def _records(rng: random.Random) -> dict[str, object]:
-    """One seeded value of each of the eight record types, empty tuples included."""
+    """One seeded value of each of the eight record types, empty tuples and sentences included."""
     starts = sorted(_time(rng) for _ in range(rng.randint(0, 4)))
     words = tuple(TimedWord(rng.choice(_WORDS), s, s + 0.5) for s in starts)
     beams = []
@@ -387,7 +389,7 @@ def _records(rng: random.Random) -> dict[str, object]:
         tokens = _seq(rng, _TOKENS, 5)
         beams.append(BeamHypothesis(tokens, score, tuple(rng.randint(0, 9) for _ in tokens)))
     start = _time(rng)
-    history = tuple(_seq(rng, _WORDS, 3) or ("ja",) for _ in range(rng.randint(0, 3)))
+    history = tuple(_seq(rng, _WORDS, 3) for _ in range(rng.randint(0, 3)))
     return {
         "TimedWord": TimedWord(rng.choice(_WORDS), start, start + _time(rng)),
         "AsrHypothesis": AsrHypothesis(words),
@@ -396,7 +398,7 @@ def _records(rng: random.Random) -> dict[str, object]:
         "AsrRequest": AsrRequest("s ", start, start + _time(rng), rng.randint(1, 64)),
         "MtRequest": MtRequest(
             history,
-            history[::-1],
+            tuple(_seq(rng, _WORDS, 2) for _ in history),
             _seq(rng, _TOKENS, 4),
             _seq(rng, _TOKENS, 4),
             rng.randint(1, 64),
@@ -407,14 +409,24 @@ def _records(rng: random.Random) -> dict[str, object]:
     }
 
 
+def _history_shape(side: tuple[tuple[str, ...], ...]) -> str:
+    if not side:
+        return "no sentence"
+    if side == ((),):
+        return "one empty sentence"
+    return "an empty sentence" if () in side else "words"
+
+
 def test_every_record_round_trips_through_its_fields() -> None:
     rng = random.Random(20)
+    history_shapes = set()
     for _ in range(200):
         records = _records(rng)
-        for name, record in records.items():
-            if name != "MtRequest":  # its history travels joined, not as fields
-                text = canonical_json(record)
-                assert read_record(type(record), strict_json_loads(text)) == record, text
+        for side in (records["MtRequest"].history_source, records["MtRequest"].history_target):
+            history_shapes.add(_history_shape(side))
+        for record in records.values():
+            text = canonical_json(record)
+            assert read_record(type(record), strict_json_loads(text)) == record, text
         asr = AsrResponse(records["AsrHypothesis"], _time(rng))
         mt = MtResponse(records["BeamSet"], _time(rng))
         asr_request, mt_request = records["AsrRequest"], records["MtRequest"]
@@ -422,6 +434,7 @@ def test_every_record_round_trips_through_its_fields() -> None:
         assert decode_asr_response(encode_asr_response(asr)) == asr
         assert decode_mt_request(encode_mt_request(mt_request)) == mt_request
         assert decode_mt_response(encode_mt_response(mt)) == mt
+    assert history_shapes == {"no sentence", "one empty sentence", "an empty sentence", "words"}
 
 
 def test_file_records_round_trip_over_seeded_values(tmp_path) -> None:
@@ -443,6 +456,19 @@ def test_canonical_json_refuses_an_object_that_is_not_a_record() -> None:
     for value in (object(), {1, 2}, TimedWord):
         with pytest.raises(TypeError, match="is not JSON serializable"):
             canonical_json({"x": value})
+
+
+@dataclass(frozen=True)
+class _NoLayout:
+    words: tuple[str, ...]
+    pairs: tuple[tuple[str, str], ...]
+
+
+def test_a_field_without_a_json_layout_fails_when_the_schema_is_built() -> None:
+    with pytest.raises(TypeError, match=r"^_NoLayout\.pairs has no JSON layout$"):
+        read_record(_NoLayout, {"words": []})
+    with pytest.raises(TypeError, match=r"^_NoLayout\.pairs has no JSON layout$"):
+        read_record(_NoLayout, {"words": []}, pairs=(("a", "b"),))
 
 
 def test_read_record_defaults_given_fields_and_names_a_bad_record() -> None:

@@ -10,7 +10,12 @@ import pytest
 from helpers import DEEP_JSON, build_scripts, chunked_trace, offline_translation, synth_sentences
 from simulstream.asr_stream import AsrStreamConfig
 from simulstream.backends import MockAsrBackend, MockMtBackend, load_mock_script
-from simulstream.core import InvalidArgumentError, check_emission_log, read_json_file
+from simulstream.core import (
+    InvalidArgumentError,
+    check_emission_log,
+    read_json_file,
+    record_fields,
+)
 from simulstream.metrics import strip_sentinels
 from simulstream.mt_stream import MtStreamConfig
 from simulstream.pipeline import (
@@ -18,7 +23,6 @@ from simulstream.pipeline import (
     PipelineConfig,
     TraceEvent,
     apply_overrides,
-    override_keys,
     preset_config,
     read_trace,
 )
@@ -269,7 +273,7 @@ OVERRIDE_KEYS = {
 def test_override_keys_match_the_config_dataclasses_and_the_readme() -> None:
     config = preset_config("adapted")
     sections = {"asr": config.asr, "mt": config.mt}
-    assert {name: list(override_keys(c)) for name, c in sections.items()} == OVERRIDE_KEYS
+    assert {name: list(record_fields(c)) for name, c in sections.items()} == OVERRIDE_KEYS
     for name, section_config in sections.items():
         for key in OVERRIDE_KEYS[name]:
             same = {name: {key: getattr(section_config, key)}}

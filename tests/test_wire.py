@@ -17,8 +17,10 @@ from simulstream.asr_stream import AsrStreamConfig, AsrStreamController
 from simulstream.backends import (
     AsrRequest,
     AsrResponse,
+    MockMtBackend,
     MtRequest,
     MtResponse,
+    MtScript,
     mock_asr_decode,
     mock_mt_translate,
 )
@@ -63,16 +65,14 @@ def test_golden_responses_roundtrip_byte_identically() -> None:
     assert encode_mt_response(decode_mt_response(lines[1])) == lines[1]
 
 
-def test_mt_request_history_is_sentinel_joined() -> None:
+def test_mt_request_history_travels_as_lists_of_words() -> None:
     lines = (DATA / "wire_requests.jsonl").read_text(encoding="utf-8").splitlines()
     obj = json.loads(lines[1])
-    assert obj["history_source"].count("[SEP]") == 2  # three sentences
+    assert obj["history_source"] == [["bellt."], ["die", "katze", "schläft."], ["es", "regnet."]]
+    assert obj["history_target"] == [[], ["the", "cat", "sleeps."], ["it", "rains."]]
     request = decode_mt_request(lines[1])
-    assert request.history_source == (
-        ("der", "hund", "bellt."),
-        ("die", "katze", "schläft."),
-        ("es", "regnet."),
-    )
+    assert request.history_source == (("bellt.",), ("die", "katze", "schläft."), ("es", "regnet."))
+    assert request.history_target == ((), ("the", "cat", "sleeps."), ("it", "rains."))
 
 
 def test_truncated_line_is_a_protocol_error() -> None:
@@ -228,8 +228,28 @@ _V1_MT_REPLY = (
 
 
 def test_v1_mt_reply_is_rejected_naming_v() -> None:
-    with pytest.raises(ProtocolError, match="field 'v' must be 2, got 1"):
+    with pytest.raises(ProtocolError, match="field 'v' must be 3, got 1"):
         decode_mt_response(_V1_MT_REPLY)
+
+
+# The MT request golden of protocol version 2, which joined each history side
+# into one string with the sentinel.
+_V2_MT_REQUEST = (
+    '{"active_source":["wir","gehen"],"attention_layer_tag":"6","beam_size":10,'
+    '"committed_target":["we"],"history_source":"der hund bellt. [SEP] die katze schläft. '
+    '[SEP] es regnet.","history_target":"the dog barks. [SEP] the cat sleeps. [SEP] it rains.",'
+    '"kind":"mt","v":2}'
+)
+
+
+def test_v2_mt_request_is_rejected_naming_v() -> None:
+    with pytest.raises(ProtocolError, match="field 'v' must be 3, got 2"):
+        decode_mt_request(_V2_MT_REQUEST)
+    out = io.BytesIO()
+    serve(_Unreachable(), _Unreachable(), io.BytesIO(_V2_MT_REQUEST.encode() + b"\n"), out)
+    assert json.loads(out.getvalue()) == {
+        "kind": "error", "message": "field 'v' must be 3, got 2", "v": 3
+    }
 
 
 @pytest.mark.parametrize(
@@ -320,6 +340,79 @@ def test_wire_backends_match_in_process_mocks(tmp_path) -> None:
         assert mt.translate(mt_request) == mock_mt_translate(mt_script, mt_request)
     finally:
         channel.close()
+
+
+def test_measure_compute_reports_host_time_from_the_reference_server(tmp_path) -> None:
+    channel, _, mt_script = _spawn_mock_server(tmp_path)
+    try:
+        request = MtRequest((("alte", "satz."),), ((),), ("neue", "wörter."), (), 4, "6")
+        scripted = mock_mt_translate(mt_script, request)
+        backend = WireMtBackend(channel, timeout_s=20.0, measure_compute=True)
+        started = time.monotonic()
+        measured = backend.translate(request)
+        elapsed = time.monotonic() - started
+    finally:
+        channel.close()
+    assert 0 < measured.compute_cost_s <= elapsed
+    assert measured.compute_cost_s != scripted.compute_cost_s
+    assert measured.beams == scripted.beams
+
+
+class _Recorder:
+    """An MT backend that records each request and answers with ``translate``."""
+
+    def __init__(self, translate) -> None:
+        self.answer = translate
+        self.requests: list[MtRequest] = []
+
+    def translate(self, request: MtRequest) -> MtResponse:
+        self.requests.append(request)
+        return self.answer(request)
+
+
+def _half_rate(request: MtRequest) -> MtResponse:
+    """One target token per two source words of a sentence, then the sentinel.
+
+    Its target sentences are about half as long as their sources, so
+    word-count eviction empties a target side before its source side.
+    """
+    tokens, cuts = [], []
+    for i, word in enumerate(request.active_source):
+        if i % 2 == 1 or word.endswith("."):
+            tokens.append(word.upper())
+            cuts.append(i)
+        if word.endswith("."):
+            tokens.append("[SEP]")
+            cuts.append(i)
+            break
+    beam = BeamHypothesis(tuple(tokens), 0.0, tuple(cuts))
+    return MtResponse(BeamSet((beam,) * request.beam_size), 0.1)
+
+
+def test_word_count_eviction_requests_cross_the_wire_to_the_mock_mt() -> None:
+    sent = _Recorder(_half_rate)
+    config = MtStreamConfig(
+        history_remove="word_count", max_buffer_words=10, history_remove_words=3
+    )
+    mt = MtStreamController(config, sent, VirtualClock())
+    for sentence in range(8):
+        words = [f"w{sentence}{i}" for i in range(3 + sentence % 3)]
+        for word in words[:-1] + [words[-1] + "."]:
+            mt.step([word])
+    mt.flush()
+    requests = sent.requests
+    empty = [r for r in requests if () in r.history_source + r.history_target]
+    assert len(empty) >= 5, [r.history_target for r in requests]
+
+    mock = MockMtBackend(MtScript())
+    served = _Recorder(mock.translate)
+    lines = "".join(encode_mt_request(r) + "\n" for r in requests).encode("utf-8")
+    out = io.BytesIO()
+    serve(_Unreachable(), served, io.BytesIO(lines), out)
+    replies = out.getvalue().decode("utf-8").splitlines()
+    assert [json.loads(r)["kind"] for r in replies] == ["mt"] * len(requests)
+    assert served.requests == requests
+    assert [decode_mt_response(r) for r in replies] == [mock.translate(r) for r in requests]
 
 
 def test_timeout_is_a_backend_error() -> None:
@@ -530,7 +623,7 @@ def test_server_answers_a_non_utf8_line_with_an_error() -> None:
     out = io.BytesIO()
     serve(None, None, io.BytesIO(b"\xff\n"), out)
     reply = json.loads(out.getvalue())
-    assert (reply["v"], reply["kind"]) == (2, "error")
+    assert (reply["v"], reply["kind"]) == (3, "error")
     assert reply["message"].startswith("request is not UTF-8")
 
 
@@ -553,7 +646,7 @@ def test_server_refuses_a_huge_beam_size_without_building_a_beam(kind) -> None:
     stdin = io.BytesIO(json.dumps(request).encode() + b"\n")
     serve(_Unreachable(), _Unreachable(), stdin, out)
     reply = json.loads(out.getvalue())
-    assert (reply["v"], reply["kind"]) == (2, "error")
+    assert (reply["v"], reply["kind"]) == (3, "error")
     assert reply["message"] == "beam_size must be <= 64, got 1000000000"
 
 
