@@ -10,10 +10,10 @@ measured on the virtual wall clock, which includes compute cost).
 from __future__ import annotations
 
 import math
-import unicodedata
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -21,10 +21,12 @@ from .core import (
     SENTINEL,
     EmissionRecord,
     InvalidArgumentError,
+    check_word,
     dump_jsonl,
     read_jsonl,
     read_record,
 )
+from .textnorm import is_punctuation
 
 _INF = float("inf")
 # Half-width of the first diagonal band resegment tries; it widens until
@@ -42,6 +44,8 @@ class ReferenceSegment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
+        for token in self.tokens:
+            check_word(token, "reference token")
         if not self.source_start_s < self.source_end_s:
             raise InvalidArgumentError(
                 f"need source_start_s < source_end_s, got "
@@ -249,51 +253,50 @@ def _cost_at(layer: tuple[int, list[float]], j: int) -> float:
     return costs[i] if 0 <= i < len(costs) else _INF
 
 
-def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
-    return Counter(
-        tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1)
-    )
+MAX_ORDER = 4  # BLEU counts n-grams of orders 1 to 4
 
 
 def corpus_bleu(
     hyp_segments: Sequence[Sequence[str]],
     ref_segments: Sequence[Sequence[str]],
-    max_order: int = 4,
 ) -> float:
     """Corpus-level BLEU in [0, 100] with exponential smoothing.
 
-    N-gram counts are pooled across segments. An order with zero matches
-    but a nonzero denominator contributes 1 / (2^z * possible) where z
-    counts the zero orders seen so far (the classic exponential fallback);
-    an order where no n-gram was possible at all (hypothesis shorter than
-    the order everywhere) is skipped, so a perfect match scores exactly 100
-    whatever the segment lengths. The brevity penalty uses pooled lengths.
-    Empty hypothesis segments contribute zero matches and full reference
-    length.
+    Clipped n-gram counts of orders 1 to ``MAX_ORDER`` are pooled across
+    segments. An order with zero matches but a nonzero denominator
+    contributes 1 / (2^z * possible) where z counts the zero orders seen so
+    far (the classic exponential fallback); an order where no n-gram was
+    possible at all (hypothesis shorter than the order everywhere) is
+    skipped, so a perfect match scores exactly 100 whatever the segment
+    lengths. The brevity penalty uses pooled lengths. Empty hypothesis
+    segments contribute zero matches and full reference length.
+
+    A hypothesis segment equal to its reference matches every n-gram it
+    has, so it adds its possible counts as matches without counting them.
+    Equal means ``==``: a list and a tuple of the same tokens are counted.
     """
     if len(hyp_segments) != len(ref_segments):
         raise InvalidArgumentError(
             f"segment count mismatch: {len(hyp_segments)} hypothesis vs "
             f"{len(ref_segments)} reference"
         )
-    matches = [0] * max_order
-    possible = [0] * max_order
+    matches = [0] * MAX_ORDER
+    possible = [0] * MAX_ORDER
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hyp_segments, ref_segments):
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for order in range(1, max_order + 1):
-            if len(hyp) < order:
-                continue
-            overlap = _ngram_counts(hyp, order) & _ngram_counts(ref, order)
-            matches[order - 1] += sum(overlap.values())
-            possible[order - 1] += len(hyp) - order + 1
+        same = hyp == ref
+        for order in range(1, min(len(hyp), MAX_ORDER) + 1):
+            count = len(hyp) - order + 1
+            possible[order - 1] += count
+            matches[order - 1] += count if same else _clipped_matches(hyp, ref, order)
     if hyp_len == 0:
         return 0.0
     smooth = 1.0
     logs = []
-    for order in range(max_order):
+    for order in range(MAX_ORDER):
         if possible[order] == 0:
             continue
         if matches[order] == 0:
@@ -306,6 +309,23 @@ def corpus_bleu(
     return 100.0 * brevity * math.exp(sum(logs) / len(logs))
 
 
+def _clipped_matches(hyp: Sequence[str], ref: Sequence[str], order: int) -> int:
+    """The n-grams of ``hyp`` found in ``ref``, each counted at most as often
+    as ``ref`` has it: the sum over shared n-grams of the lesser count.
+
+    When either side repeats no n-gram, every lesser count is 1 and the
+    sets give the sum; the counts are built only when both sides repeat one.
+    """
+    hyp_grams = list(zip(*(hyp[i:] for i in range(order))))
+    ref_grams = list(zip(*(ref[i:] for i in range(order))))
+    hyp_set, ref_set = set(hyp_grams), set(ref_grams)
+    shared = hyp_set & ref_set
+    if len(hyp_set) == len(hyp_grams) or len(ref_set) == len(ref_grams):
+        return len(shared)
+    hyp_counts, ref_counts = Counter(hyp_grams), Counter(ref_grams)
+    return sum(map(min, map(hyp_counts.__getitem__, shared), map(ref_counts.__getitem__, shared)))
+
+
 def bleu_tokenize(tokens: Iterable[str]) -> list[str]:
     """Simplified scoring tokenizer: split off leading/trailing punctuation.
 
@@ -315,9 +335,9 @@ def bleu_tokenize(tokens: Iterable[str]) -> list[str]:
     for token in tokens:
         head = 0
         tail = len(token)
-        while head < tail and unicodedata.category(token[head]).startswith("P"):
+        while head < tail and is_punctuation(token[head]):
             head += 1
-        while tail > head and unicodedata.category(token[tail - 1]).startswith("P"):
+        while tail > head and is_punctuation(token[tail - 1]):
             tail -= 1
         if head == tail:
             out.append(token)
@@ -425,10 +445,17 @@ def evaluate(
     """Full metrics report: resegment, then BLEU and both latency modes."""
     hyp_tokens = strip_sentinels(r.token for r in log)
     slices = resegment(hyp_tokens, refs)
-    bleu = corpus_bleu(
-        [bleu_tokenize(s) for s in slices],
-        [bleu_tokenize(r.tokens) for r in refs],
-    )
+    # Each distinct token is split once; the segments are mapped through
+    # the table, which gives bleu_tokenize's lists segment by segment.
+    pieces = {
+        token: bleu_tokenize((token,))
+        for token in set(hyp_tokens).union(*(r.tokens for r in refs))
+    }
+
+    def split(tokens: Sequence[str]) -> list[str]:
+        return list(chain.from_iterable(map(pieces.__getitem__, tokens)))
+
+    bleu = corpus_bleu([split(s) for s in slices], [split(r.tokens) for r in refs])
     return {
         "bleu": bleu,
         "segments": len(refs),

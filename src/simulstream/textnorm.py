@@ -18,7 +18,8 @@ _TERMINALS = ".!?…"
 _CLOSERS = "\"'”’»)]}"
 
 
-def _is_punctuation(ch: str) -> bool:
+def is_punctuation(ch: str) -> bool:
+    """True for a character of a Unicode punctuation category (P*)."""
     return unicodedata.category(ch).startswith("P")
 
 
@@ -27,7 +28,7 @@ def normalize_word(word: str) -> str:
 
     May return "" when the word was entirely punctuation.
     """
-    return "".join(ch for ch in word.lower() if not _is_punctuation(ch))
+    return "".join(ch for ch in word.lower() if not is_punctuation(ch))
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:

@@ -11,9 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import unicodedata
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from simulstream.backends import (
     _EXTENT_SLACK_S,
@@ -204,6 +206,88 @@ def oracle_resegment(
         slices.append(hyp[start:end])
         start = end
     return slices
+
+
+def _oracle_ngram_counts(tokens: Sequence[str], order: int) -> Counter:
+    return Counter(
+        tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1)
+    )
+
+
+def oracle_corpus_bleu(
+    hyp_segments: Sequence[Sequence[str]],
+    ref_segments: Sequence[Sequence[str]],
+    max_order: int = 4,
+) -> float:
+    """The scorer's BLEU as first written: every segment's n-grams counted
+    one tuple at a time and clipped with ``Counter.__and__``.
+
+    Corpus-level BLEU in [0, 100] with exponential smoothing.
+    N-gram counts are pooled across segments. An order with zero matches
+    but a nonzero denominator contributes 1 / (2^z * possible) where z
+    counts the zero orders seen so far (the classic exponential fallback);
+    an order where no n-gram was possible at all (hypothesis shorter than
+    the order everywhere) is skipped, so a perfect match scores exactly 100
+    whatever the segment lengths. The brevity penalty uses pooled lengths.
+    Empty hypothesis segments contribute zero matches and full reference
+    length.
+    """
+    if len(hyp_segments) != len(ref_segments):
+        raise InvalidArgumentError(
+            f"segment count mismatch: {len(hyp_segments)} hypothesis vs "
+            f"{len(ref_segments)} reference"
+        )
+    matches = [0] * max_order
+    possible = [0] * max_order
+    hyp_len = 0
+    ref_len = 0
+    for hyp, ref in zip(hyp_segments, ref_segments):
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for order in range(1, max_order + 1):
+            if len(hyp) < order:
+                continue
+            overlap = _oracle_ngram_counts(hyp, order) & _oracle_ngram_counts(ref, order)
+            matches[order - 1] += sum(overlap.values())
+            possible[order - 1] += len(hyp) - order + 1
+    if hyp_len == 0:
+        return 0.0
+    smooth = 1.0
+    logs = []
+    for order in range(max_order):
+        if possible[order] == 0:
+            continue
+        if matches[order] == 0:
+            smooth *= 2.0
+            precision = 1.0 / (smooth * possible[order])
+        else:
+            precision = matches[order] / possible[order]
+        logs.append(math.log(precision))
+    brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * brevity * math.exp(sum(logs) / len(logs))
+
+
+def oracle_bleu_tokenize(tokens: Iterable[str]) -> list[str]:
+    """The scorer's tokenizer as first written, with its own punctuation test.
+
+    Simplified scoring tokenizer: split off leading/trailing punctuation.
+    "cat," becomes ["cat", ","]; an all-punctuation token stays whole.
+    """
+    out: list[str] = []
+    for token in tokens:
+        head = 0
+        tail = len(token)
+        while head < tail and unicodedata.category(token[head]).startswith("P"):
+            head += 1
+        while tail > head and unicodedata.category(token[tail - 1]).startswith("P"):
+            tail -= 1
+        if head == tail:
+            out.append(token)
+            continue
+        out.extend(token[:head])
+        out.append(token[head:tail])
+        out.extend(token[tail:])
+    return out
 
 
 def oracle_laal(delays: list[float], span: float, ref_len: int) -> float:

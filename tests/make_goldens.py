@@ -14,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -32,13 +33,14 @@ from simulstream.backends import (  # noqa: E402
     parse_mock_script,
 )
 from simulstream.core import (  # noqa: E402
+    SENTINEL,
     AsrHypothesis,
     BeamHypothesis,
     BeamSet,
     TimedWord,
     dump_jsonl,
 )
-from simulstream.metrics import ReferenceSegment  # noqa: E402
+from simulstream.metrics import ReferenceSegment, evaluate  # noqa: E402
 from simulstream.pipeline import Pipeline, TraceEvent, preset_config  # noqa: E402
 from simulstream.wire import (  # noqa: E402
     encode_asr_request,
@@ -100,6 +102,32 @@ def _wire_fixtures() -> dict[str, str]:
         "wire_responses.jsonl": f"{encode_asr_response(asr_response)}\n"
         f"{encode_mt_response(mt_response)}\n",
     }
+
+
+def _edited_log(records: list) -> list:
+    """The golden log with about a quarter of its tokens edited.
+
+    Each token is kept, dropped, repeated (which gives the hypothesis
+    n-grams its reference has fewer of), or replaced by its lowercase form,
+    by itself with a trailing comma, or by another word of the map.
+    Sentinels are kept, and a repeat keeps the token's times, so the log
+    stays monotone.
+    """
+    rng = random.Random(60)
+    words = sorted(WORD_MAP.values())
+    edited = []
+    for record in records:
+        draw = rng.random()
+        if record.token == SENTINEL or draw >= 0.24:
+            edited.append(record)
+        elif draw < 0.08:
+            continue
+        elif draw < 0.16:
+            edited += [record, record]
+        else:
+            token = rng.choice([record.token.lower(), record.token + ",", rng.choice(words)])
+            edited.append(replace(record, token=token))
+    return edited
 
 
 def build_fixtures() -> dict[str, str]:
@@ -167,6 +195,9 @@ def build_fixtures() -> dict[str, str]:
     records, summary = pipeline.run_trace(events)
     fixtures["golden_log_60s.jsonl"] = dump_jsonl(records)
     fixtures["golden_summary_60s.json"] = _json_file(summary.to_dict())
+    # Every segment of the golden log equals its reference (BLEU 100), so
+    # the scorer is pinned on an edited copy whose segments mostly differ.
+    fixtures["golden_eval_60s.json"] = _json_file(evaluate(_edited_log(records), refs))
 
     fixtures.update(_wire_fixtures())
     return fixtures

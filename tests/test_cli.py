@@ -274,6 +274,10 @@ _GOOD_SEGMENT = '{"source_end_s":2.0,"source_start_s":0.0,"tokens":["ja"]}'
         ("refs", '{"source_end_s":"4.0","source_start_s":"2.0","tokens":["hi"]}'),
         ("refs", '{"source_end_s":NaN,"source_start_s":2.0,"tokens":["hi"]}'),
         ("refs", '{"source_end_s":4.0,"source_start_s":-Infinity,"tokens":["hi"]}'),
+        # Scoring strips the log's sentinels, so a reference [SEP] could never match.
+        ("refs", '{"source_end_s":4.0,"source_start_s":2.0,"tokens":["ja","[SEP]"]}'),
+        ("refs", '{"source_end_s":4.0,"source_start_s":2.0,"tokens":["hi",""]}'),
+        ("refs", '{"source_end_s":4.0,"source_start_s":2.0,"tokens":["hi there"]}'),
         ("log", DEEP_JSON),
         ("refs", DEEP_JSON),
     ],
@@ -290,6 +294,9 @@ _GOOD_SEGMENT = '{"source_end_s":2.0,"source_start_s":0.0,"tokens":["ja"]}'
         "string_bounds",
         "nan_bound",
         "infinity_bound",
+        "sentinel_token",
+        "empty_token",
+        "spaced_token",
         "log_nested_too_deeply",
         "refs_nested_too_deeply",
     ],

@@ -368,6 +368,7 @@ def test_file_readers_refuse_bad_utf8_naming_the_file(tmp_path, read, name, wher
 
 # Tokens may hold U+2028, which ``str.splitlines`` would cut a JSONL line at.
 _TOKENS = ("ja", "Haus", "geht.", "a\u2028b", "schläft", "[SEP]")
+# Words pass ``check_word``, as source words and reference tokens must.
 _WORDS = ("ja", "Haus", "geht.", "schläft", "x,y")
 
 
@@ -405,7 +406,7 @@ def _records(rng: random.Random) -> dict[str, object]:
             rng.choice(["6", ""]),
         ),
         "EmissionRecord": EmissionRecord(rng.choice(_TOKENS), rng.randint(0, 9), start, start + 1),
-        "ReferenceSegment": ReferenceSegment(_seq(rng, _TOKENS, 4), start, start + 2.0),
+        "ReferenceSegment": ReferenceSegment(_seq(rng, _WORDS, 4), start, start + 2.0),
     }
 
 
@@ -444,7 +445,7 @@ def test_file_records_round_trip_over_seeded_values(tmp_path) -> None:
         log += [_records(rng)["EmissionRecord"] for _ in range(rng.randint(0, 5))]
         refs, start = [], 0.0
         for _ in range(rng.randint(0, 5)):
-            refs.append(ReferenceSegment(_seq(rng, _TOKENS, 4), start, start + 1.0))
+            refs.append(ReferenceSegment(_seq(rng, _WORDS, 4), start, start + 1.0))
             start += rng.choice([1.0, 2.5])
         write_emission_log(log, tmp_path / f"log{i}.jsonl")
         write_reference_segments(refs, tmp_path / f"refs{i}.jsonl")

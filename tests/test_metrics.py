@@ -7,6 +7,8 @@ import random
 import pytest
 
 from helpers import (
+    oracle_bleu_tokenize,
+    oracle_corpus_bleu,
     oracle_laal,
     oracle_levenshtein,
     oracle_resegment,
@@ -365,6 +367,77 @@ def test_bleu_segment_count_mismatch_rejected() -> None:
         corpus_bleu([["a"]], [["a"], ["b"]])
 
 
+def _bleu_segments(rng: random.Random) -> tuple[list[list[str]], list[list[str]]]:
+    """A seeded set of hypothesis and reference segments for BLEU.
+
+    The vocabulary is small, so n-grams repeat inside a segment and
+    clipping applies; some tokens carry punctuation. Each pair is one of:
+    identical, an empty hypothesis, a hypothesis under 4 tokens, a copy
+    with a few tokens edited, or two unrelated lengths (either side may be
+    much the longer).
+    """
+    vocab = ["a", "b", "c", "d", "e", "a,", "b.", "«c»", "—"]
+
+    def segment(most: int) -> list[str]:
+        return [rng.choice(vocab) for _ in range(rng.randint(1, most))]
+
+    hyps, refs = [], []
+    for _ in range(rng.randint(1, 8)):
+        ref = segment(12)
+        kind = rng.randrange(5)
+        if kind == 0:
+            hyp = list(ref)
+        elif kind == 1:
+            hyp = []
+        elif kind == 2:
+            hyp = segment(3)
+        elif kind == 3:
+            hyp = [rng.choice(vocab) if rng.random() < 0.3 else t for t in ref]
+        else:
+            hyp, ref = segment(rng.choice([2, 20])), segment(rng.choice([2, 20]))
+        hyps.append(hyp)
+        refs.append(ref)
+    return hyps, refs
+
+
+def test_bleu_equals_the_oracle_exactly_over_seeded_segments() -> None:
+    rng = random.Random(14)
+    scores = set()
+    for _ in range(400):
+        hyps, refs = _bleu_segments(rng)
+        value = corpus_bleu(hyps, refs)
+        assert value == oracle_corpus_bleu(hyps, refs), (hyps, refs)
+        scores.add(value)
+    # The segment sets reach 0, 100 and the smoothed orders between.
+    assert 0.0 in scores and 100.0 in scores and len(scores) > 300
+
+
+def test_evaluate_splits_tokens_as_the_oracle_tokenizer_does(monkeypatch) -> None:
+    seen = []
+
+    def record(hyps, refs):
+        seen.append((hyps, refs))
+        return oracle_corpus_bleu(hyps, refs)
+
+    monkeypatch.setattr(metrics, "corpus_bleu", record)
+    rng = random.Random(15)
+    words = ["der", "hund,", "«die»", "katze.", "—", "...", "x!y"]
+    for _ in range(50):
+        refs, log, start = [], [], 0.0
+        for ordinal in range(rng.randint(1, 5)):
+            tokens = [rng.choice(words) for _ in range(rng.randint(1, 6))]
+            refs.append(ReferenceSegment(tuple(tokens), start, start + 2.0))
+            emitted = [t for t in tokens if rng.random() < 0.8] + [rng.choice(words)]
+            log += [_record(t, start + 1.0, ordinal) for t in emitted]
+            log.append(_record(SENTINEL, start + 1.0, ordinal))
+            start += 2.0
+        evaluate(log, refs)
+        slices = resegment(strip_sentinels(r.token for r in log), refs)
+        hyps, ref_tokens = seen.pop()
+        assert hyps == [oracle_bleu_tokenize(s) for s in slices]
+        assert ref_tokens == [oracle_bleu_tokenize(r.tokens) for r in refs]
+
+
 def test_bleu_tokenize_splits_edge_punctuation() -> None:
     assert bleu_tokenize(["cat,"]) == ["cat", ","]
     assert bleu_tokenize(["«Hi»!"]) == ["«", "Hi", "»", "!"]
@@ -512,6 +585,23 @@ def test_reference_roundtrip_and_ordering(tmp_path) -> None:
     bad = _refs((["a"], 0.0, 2.0), (["b"], 1.0, 2.5))
     write_reference_segments(bad, path)
     with pytest.raises(InvalidArgumentError):
+        read_reference_segments(path)
+
+
+@pytest.mark.parametrize(
+    "token, problem",
+    [(SENTINEL, "the reserved sentinel"), ("", "bad word ''"), ("a b", "bad word 'a b'")],
+    ids=["sentinel", "empty", "spaced"],
+)
+def test_reference_tokens_follow_the_word_rule(tmp_path, token, problem) -> None:
+    with pytest.raises(InvalidArgumentError, match=f"^reference token: {problem}"):
+        ReferenceSegment(("a", token), 0.0, 1.0)
+    path = tmp_path / "refs.jsonl"
+    write_reference_segments(_refs((["a"], 0.0, 1.0)), path)
+    line = json.dumps({"tokens": ["a", token], "source_start_s": 1.0, "source_end_s": 2.0})
+    with path.open("a", encoding="utf-8") as f:
+        f.write(line + "\n")
+    with pytest.raises(InvalidArgumentError, match=f"refs.jsonl:2: reference token: {problem}"):
         read_reference_segments(path)
 
 
