@@ -14,6 +14,7 @@ import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
+from itertools import chain
 from pathlib import Path
 from types import UnionType
 from typing import NoReturn, Union, get_args, get_origin, get_type_hints
@@ -26,8 +27,11 @@ def _reject_non_finite(name: str) -> NoReturn:
 
 
 # One shared decoder, since ``json.loads`` builds one per call when given a
-# keyword.
-_strict_decode = json.JSONDecoder(parse_constant=_reject_non_finite).decode
+# keyword. ``read_jsonl`` calls its C scanner directly: it reads one value
+# from an index and returns where the value ends.
+_strict_decoder = json.JSONDecoder(parse_constant=_reject_non_finite)
+_strict_decode = _strict_decoder.decode
+_scan_once = _strict_decoder.scan_once
 
 
 def strict_json_loads(text: str):
@@ -117,13 +121,14 @@ def json_field(
                 return value
         elif items is None:
             return value
-        else:
+        elif set(map(type, value.values() if kind is dict else value)) <= {items}:
+            return value
+        else:  # some item is of another kind: walk the items to name it
             for key, item in value.items() if kind is dict else enumerate(value):
                 if type(item) is not items:
                     path = f"{where}.{name}" if where else name
                     path += f".{key}" if kind is dict else f"[{key}]"
                     raise InvalidArgumentError(must_be(path, _KINDS[items], item))
-            return value
     elif kind is float and type(value) is int and -_FLOAT_MAX <= value <= _FLOAT_MAX:
         return float(value)
     elif value is _MISSING and default is not _MISSING:
@@ -157,6 +162,9 @@ def read_json_file(path: str | Path, parse=None):
         raise InvalidArgumentError(f"{path}: {exc}") from exc
 
 
+_BLANK = " \t\n\r\x0b\x0c"  # what ``bytes.strip`` strips: a line of only these is blank
+
+
 def read_jsonl(path: str | Path, parse) -> list:
     """``parse`` of each JSON object line of a file, blank lines skipped.
 
@@ -164,13 +172,37 @@ def read_jsonl(path: str | Path, parse) -> list:
     ``InvalidArgumentError`` naming ``path:line``. Lines end at ``\n``
     only: canonical JSON keeps characters such as U+2028 raw inside
     strings, and ``str.splitlines`` would cut a line there.
+
+    The file is decoded once, and a line that is exactly one object is
+    read by the decoder's C scanner. Any other line is skipped if blank and
+    otherwise read or refused by ``json_object``, as a line read on its own
+    would be.
     """
+    data = Path(path).read_bytes()
+    bad_line = None
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        # Read the lines before the bad one, then decode that line alone, so
+        # its error counts the byte position from the start of the line.
+        head = data.rfind(b"\n", 0, exc.start) + 1
+        lines = data[:head].decode("utf-8").split("\n")  # ends in "" where the bad line was
+        bad_line = data[head:].split(b"\n", 1)[0]
     parsed = []
     lineno = 0
     try:
-        for lineno, line in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
-            if line.strip():
-                parsed.append(parse(json_object(line.decode("utf-8"))))
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                obj, end = _scan_once(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(line) or type(obj) is not dict:
+                if not line.strip(_BLANK):
+                    continue
+                obj = json_object(line)
+            parsed.append(parse(obj))
+        if bad_line is not None:
+            bad_line.decode("utf-8")  # raises, and ``lineno`` is its line
     except ValueError as exc:
         raise InvalidArgumentError(f"{path}:{lineno}: {exc}") from exc
     return parsed
@@ -179,7 +211,11 @@ def read_jsonl(path: str | Path, parse) -> list:
 # --- the record codec -----------------------------------------------------------
 # A record is a dataclass whose ``__init__`` fields are its JSON layout: one
 # key per field, under the field's name. Reading and writing both follow the
-# fields, so no record spells its layout out by hand.
+# fields, so no record spells its layout out by hand. The per-value work is
+# left to C where one path can: a scalar already of its field's kind is taken
+# as decoded, the kinds of a list's items are checked as one set, and a record
+# is written from its ``__dict__`` by the C encoder. Python walks the items
+# only to name a bad one.
 
 
 def _item_of(hint):
@@ -225,10 +261,10 @@ def _field_reader(owner: type, name: str, hint):
             # Row i is read as a field named ``name[i]``, so a bad item is
             # named at ``name[i][j]``.
             rows = json_field(obj, name, list, where, items=list)
-            return tuple(
-                tuple(json_field({f"{name}[{i}]": row}, f"{name}[{i}]", list, where, items=scalar))
-                for i, row in enumerate(rows)
-            )
+            if not set(map(type, chain.from_iterable(rows))) <= {scalar}:
+                for i, row in enumerate(rows):  # raises at the first bad item
+                    json_field({f"{name}[{i}]": row}, f"{name}[{i}]", list, where, items=scalar)
+            return tuple(map(tuple, rows))
 
         return None, read_rows
     if origin in (dict, Mapping) and args[0] is str and args[1] in _KINDS:
@@ -261,9 +297,15 @@ def read_record(cls: type, obj: dict, where: str = "", **given):
     from the class's own checks is re-raised naming ``where``.
     """
     for name, kind, read, required in _schema(cls):
-        if name in given or not (required or name in obj):
+        if name in given:
             continue
-        given[name] = json_field(obj, name, kind, where) if read is None else read(obj, where)
+        value = obj.get(name, _MISSING)
+        # A scalar of its field's kind is taken as it is (a float only if
+        # finite); anything else goes through ``json_field`` or the reader.
+        if type(value) is kind and (kind is not float or -_FLOAT_MAX <= value <= _FLOAT_MAX):
+            given[name] = value
+        elif required or value is not _MISSING:
+            given[name] = json_field(obj, name, kind, where) if read is None else read(obj, where)
     try:
         return cls(**given)
     except InvalidArgumentError as exc:
@@ -279,23 +321,40 @@ def _field_names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls) if f.init)
 
 
+@cache
+def _field_set(cls: type) -> frozenset[str]:
+    return frozenset(_field_names(cls))
+
+
 def record_fields(record) -> dict:
     """A record's ``__init__`` fields by name: the object it is written as."""
     return {name: getattr(record, name) for name in _field_names(type(record))}
 
 
-# One shared encoder, as for decoding. A tuple is written as a list.
-_canonical_encode = json.JSONEncoder(
-    ensure_ascii=False, sort_keys=True, separators=(",", ":"), default=record_fields
-).encode
+def _record_object(record) -> dict:
+    """``record_fields``, or the record's ``__dict__`` when that holds
+    exactly its ``__init__`` fields, as it does for most records."""
+    attrs = getattr(record, "__dict__", None)
+    if attrs is not None and attrs.keys() == _field_set(type(record)):
+        return attrs
+    return record_fields(record)
+
+
+_make_encoder = json.encoder.c_make_encoder
+_encode_string = json.encoder.encode_basestring
 
 
 def canonical_json(obj) -> str:
     """``obj`` as canonical JSON: sorted keys, compact, UTF-8 kept.
 
-    A record (a dataclass) inside ``obj`` is written as its fields.
+    A record (a dataclass) inside ``obj`` is written as its fields. A tuple
+    is written as a list.
     """
-    return _canonical_encode(obj)
+    # The C encoder that ``JSONEncoder.encode`` builds, without its Python
+    # set-up. Each call gets a fresh ``markers`` dict: an encode that fails
+    # leaves ids in it, which a later encode would take for a cycle.
+    encode = _make_encoder({}, _record_object, _encode_string, None, ":", ",", True, False, True)
+    return "".join(encode(obj, 0))
 
 
 def dump_jsonl(records: Iterable) -> str:

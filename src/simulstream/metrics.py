@@ -14,6 +14,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -21,6 +22,7 @@ from .core import (
     SENTINEL,
     EmissionRecord,
     InvalidArgumentError,
+    check_emission_log,
     check_word,
     dump_jsonl,
     read_jsonl,
@@ -380,14 +382,22 @@ def stream_laal(
     if not refs:
         raise InvalidArgumentError("stream_laal needs at least one segment")
     records = [r for r in log if r.token != SENTINEL]
-    flat = [t for seg in hyp_segments for t in seg]
-    if len(records) != len(flat) or any(
-        r.token != t for r, t in zip(records, flat)
-    ):
+    if [r.token for r in records] != list(chain.from_iterable(hyp_segments)):
         raise InvalidArgumentError(
             "emission log does not match the hypothesis segments token for token"
         )
+    return _laal(records, refs, hyp_segments, mode)
 
+
+def _laal(
+    records: Sequence[EmissionRecord],
+    refs: Sequence[ReferenceSegment],
+    hyp_segments: Sequence[Sequence[str]],
+    mode: str,
+) -> LatencyReport:
+    """``stream_laal`` past its checks: ``records`` are the log's records
+    without sentinels, one per token of ``hyp_segments``."""
+    times = list(map(attrgetter(f"{mode}_time_s"), records))
     per_segment = []
     cursor = 0
     for index, (ref, seg) in enumerate(zip(refs, hyp_segments)):
@@ -396,14 +406,8 @@ def stream_laal(
         if y == 0:
             per_segment.append((index, span))
             continue
-        times = [
-            records[cursor + i].nca_time_s
-            if mode == "nca"
-            else records[cursor + i].ca_time_s
-            for i in range(y)
-        ]
+        delays = [t - ref.source_start_s for t in times[cursor : cursor + y]]
         cursor += y
-        delays = [t - ref.source_start_s for t in times]
         tau = y
         for i, d in enumerate(delays, start=1):
             if d >= span:
@@ -424,7 +428,17 @@ def write_emission_log(records: Sequence[EmissionRecord], path: str | Path) -> N
 
 
 def read_emission_log(path: str | Path) -> list[EmissionRecord]:
-    return read_jsonl(path, partial(read_record, EmissionRecord))
+    """The records of a log file, whose NCA times must not fall
+    (``check_emission_log``); an error names the file and line."""
+    log = read_jsonl(path, partial(read_record, EmissionRecord))
+    try:
+        check_emission_log(log)
+    except InvalidArgumentError as exc:
+        # Name the line of the first record that falls; blank lines hold none.
+        fall = next(k for k in range(1, len(log)) if log[k - 1].nca_time_s > log[k].nca_time_s)
+        lines = [n for n, line in enumerate(Path(path).read_bytes().split(b"\n"), 1) if line.strip()]
+        raise InvalidArgumentError(f"{path}:{lines[fall]}: {exc}") from exc
+    return log
 
 
 def write_reference_segments(
@@ -442,8 +456,13 @@ def read_reference_segments(path: str | Path) -> list[ReferenceSegment]:
 def evaluate(
     log: Sequence[EmissionRecord], refs: Sequence[ReferenceSegment]
 ) -> dict:
-    """Full metrics report: resegment, then BLEU and both latency modes."""
-    hyp_tokens = strip_sentinels(r.token for r in log)
+    """Full metrics report: resegment, then BLEU and both latency modes.
+
+    The sentinels are stripped once, and the log is checked against the
+    resegmented slices once, by the NCA ``stream_laal`` call.
+    """
+    records = [r for r in log if r.token != SENTINEL]
+    hyp_tokens = [r.token for r in records]
     slices = resegment(hyp_tokens, refs)
     # Each distinct token is split once; the segments are mapped through
     # the table, which gives bleu_tokenize's lists segment by segment.
@@ -456,10 +475,12 @@ def evaluate(
         return list(chain.from_iterable(map(pieces.__getitem__, tokens)))
 
     bleu = corpus_bleu([split(s) for s in slices], [split(r.tokens) for r in refs])
+    # The NCA call checks the records against the slices; CA relies on it.
+    nca = stream_laal(records, refs, slices, "nca")
     return {
         "bleu": bleu,
         "segments": len(refs),
         "empty_segments": sum(1 for s in slices if not s),
-        "nca": stream_laal(log, refs, slices, "nca").to_dict(),
-        "ca": stream_laal(log, refs, slices, "ca").to_dict(),
+        "nca": nca.to_dict(),
+        "ca": _laal(records, refs, slices, "ca").to_dict(),
     }

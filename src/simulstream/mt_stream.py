@@ -193,7 +193,10 @@ class MtStreamController:
         return records
 
     def _validated(self, beams: BeamSet, request: MtRequest) -> BeamSet:
-        """Enforce the response contract; drop beams that rewrite history."""
+        """Enforce the response contract; drop beams that rewrite history.
+
+        The reply's own beam set comes back when every beam is kept.
+        """
         if len(beams.beams) > request.beam_size:
             raise ProtocolError(f"{len(beams.beams)} beams exceed beam_size {request.beam_size}")
         active_len = len(request.active_source)
@@ -209,7 +212,7 @@ class MtStreamController:
                 self.dropped_beams += 1
                 continue
             kept.append(beam)
-        return BeamSet(tuple(kept))
+        return beams if len(kept) == len(beams.beams) else BeamSet(tuple(kept))
 
     def _close_segment(self, beams: BeamSet) -> None:
         history = self.history

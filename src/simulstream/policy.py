@@ -12,8 +12,6 @@ Three gates decide when text may leave the system:
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Sequence
 
 from .core import SENTINEL, BeamSet, InvalidArgumentError
@@ -39,9 +37,13 @@ def agreed_prefix_len(
 
 
 def votes_needed(agreement_ratio: float, pool: int) -> int:
-    # Fraction keeps ceil exact for ratios like 0.6 whose float products
-    # round up (0.6 * 5 -> 3.0000000000000004).
-    return math.ceil(Fraction(agreement_ratio) * pool)
+    """ceil(agreement_ratio * pool), exact.
+
+    The float product can round up (0.6 * 5 -> 3.0000000000000004), so the
+    ceiling is taken in integers over the ratio's exact value p / q.
+    """
+    p, q = agreement_ratio.as_integer_ratio()
+    return -(-p * pool // q)
 
 
 def ralcp_emit(beams: BeamSet, committed: int, agreement_ratio: float, pool: int) -> list[str]:

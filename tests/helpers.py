@@ -9,12 +9,14 @@ not tautology.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import unicodedata
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from simulstream.backends import (
@@ -36,6 +38,8 @@ from simulstream.core import (
     BeamSet,
     InvalidArgumentError,
     TimedWord,
+    json_object,
+    record_fields,
 )
 from simulstream.metrics import ReferenceSegment
 from simulstream.pipeline import TraceEvent
@@ -69,6 +73,39 @@ def oracle_levenshtein(a, b) -> int:
     return result
 
 
+def oracle_votes_needed(ratio: float, pool: int) -> int:
+    """Smallest vote count reaching ``ratio`` of ``pool``, found by linear
+    search over exact fractions."""
+    needed = 0
+    target = Fraction(ratio) * pool
+    while needed < target:
+        needed += 1
+    return needed
+
+
+def oracle_read_jsonl(path, parse) -> list:
+    """The line-by-line JSONL reader the library's ``read_jsonl`` replaced:
+    each non-blank line decoded from UTF-8 and read by ``json_object`` on
+    its own."""
+    parsed = []
+    lineno = 0
+    try:
+        for lineno, line in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
+            if line.strip():
+                parsed.append(parse(json_object(line.decode("utf-8"))))
+    except ValueError as exc:
+        raise InvalidArgumentError(f"{path}:{lineno}: {exc}") from exc
+    return parsed
+
+
+def oracle_canonical_json(obj) -> str:
+    """Canonical JSON through the standard ``JSONEncoder.encode``, with
+    records written by ``record_fields``."""
+    return json.JSONEncoder(
+        ensure_ascii=False, sort_keys=True, separators=(",", ":"), default=record_fields
+    ).encode(obj)
+
+
 def oracle_ralcp(beams: BeamSet, committed: int, ratio: float, pool: int) -> list[str]:
     """Brute-force beam vote simulator.
 
@@ -77,12 +114,7 @@ def oracle_ralcp(beams: BeamSet, committed: int, ratio: float, pool: int) -> lis
     vote under the fixed bar.
     """
     voters = [list(b.tokens) for b in beams.beams if len(b.tokens) > committed]
-    # Smallest vote count reaching the ratio of the requested pool, found by
-    # linear search.
-    needed = 0
-    target = Fraction(ratio) * pool
-    while needed < target:
-        needed += 1
+    needed = oracle_votes_needed(ratio, pool)
     out: list[str] = []
     p = committed
     while True:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -280,6 +282,8 @@ _GOOD_SEGMENT = '{"source_end_s":2.0,"source_start_s":0.0,"tokens":["ja"]}'
         ("refs", '{"source_end_s":4.0,"source_start_s":2.0,"tokens":["hi there"]}'),
         ("log", DEEP_JSON),
         ("refs", DEEP_JSON),
+        # The good record's NCA time is 1.0: a log's NCA times never fall.
+        ("log", '{"ca_time_s":1.5,"nca_time_s":0.5,"segment_ordinal":0,"token":"x"}'),
     ],
     ids=[
         "token_not_string",
@@ -299,6 +303,7 @@ _GOOD_SEGMENT = '{"source_end_s":2.0,"source_start_s":0.0,"tokens":["ja"]}'
         "spaced_token",
         "log_nested_too_deeply",
         "refs_nested_too_deeply",
+        "nca_time_falls",
     ],
 )
 def test_eval_bad_record_exits_1_naming_the_line(tmp_path, capsys, bad_file, bad_line) -> None:
@@ -311,6 +316,37 @@ def test_eval_bad_record_exits_1_naming_the_line(tmp_path, capsys, bad_file, bad
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invalid-argument"
     assert f"{paths[bad_file]}:2:" in err["message"]
+
+
+def test_bench_exits_1_naming_the_line_where_a_log_falls(tmp_path, capsys) -> None:
+    log, refs = tmp_path / "log.jsonl", tmp_path / "refs.jsonl"
+    # A blank line holds no record, and the line count still counts it.
+    log.write_text(
+        _GOOD_RECORD + "\n\n" + _GOOD_RECORD.replace('"nca_time_s":1.0', '"nca_time_s":0.25') + "\n",
+        encoding="utf-8",
+    )
+    refs.write_text(_GOOD_SEGMENT + "\n", encoding="utf-8")
+    assert main(["bench", str(log), "--refs", str(refs)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert err["message"] == (
+        f"{log}:3: emission log not monotone: 'ja' at 1.0 precedes 'ja' at 0.25"
+    )
+
+
+def test_the_cli_and_the_wire_server_load_no_fractions_module() -> None:
+    # ``fractions`` (with ``decimal``) costs milliseconds of every cold start.
+    root = Path(__file__).resolve().parent.parent
+    for module in ("simulstream.cli", "simulstream.wire_server"):
+        result = subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; print('fractions' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n", module
 
 
 @pytest.mark.parametrize(

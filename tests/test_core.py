@@ -4,15 +4,18 @@ import copy
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from helpers import DEEP_JSON
+from helpers import DEEP_JSON, oracle_canonical_json, oracle_read_jsonl
 from simulstream.backends import (
     AsrRequest,
     AsrResponse,
+    AsrScript,
     MtRequest,
     MtResponse,
     MtScript,
@@ -34,6 +37,7 @@ from simulstream.core import (
     check_emission_log,
     check_word,
     json_report,
+    read_jsonl,
     read_record,
     strict_json_loads,
 )
@@ -442,7 +446,9 @@ def test_file_records_round_trip_over_seeded_values(tmp_path) -> None:
     rng = random.Random(21)
     for i in range(20):
         log = [EmissionRecord("a\u2028b", 0, 0.0, 3.0)]
-        log += [_records(rng)["EmissionRecord"] for _ in range(rng.randint(0, 5))]
+        # Reading a log checks that its NCA times never fall.
+        records = [_records(rng)["EmissionRecord"] for _ in range(rng.randint(0, 5))]
+        log += sorted(records, key=lambda r: r.nca_time_s)
         refs, start = [], 0.0
         for _ in range(rng.randint(0, 5)):
             refs.append(ReferenceSegment(_seq(rng, _WORDS, 4), start, start + 1.0))
@@ -457,6 +463,122 @@ def test_canonical_json_refuses_an_object_that_is_not_a_record() -> None:
     for value in (object(), {1, 2}, TimedWord):
         with pytest.raises(TypeError, match="is not JSON serializable"):
             canonical_json({"x": value})
+
+
+# --- the record codec against the standard library's encoder and line reader --
+
+# Strings that JSON escapes or, under ``ensure_ascii=False``, keeps raw
+# (U+2028 and U+0085 included), and numbers with odd shortest forms.
+_ODD_STRINGS = ("schläft", "a\u2028b", "x\u0085y", "\x00\x08\x1f\x7f", 'q"\\/', "\U0001f600", "\ufeff")
+_ODD_FLOATS = (-0.0, 0.0, 1e-7, 1e16, 0.1, 1.5e300, 5e-324, 123456789.125)
+_ODD_INTS = (0, 2**53 + 1, 2**63, 10**30)
+
+
+def _odd_records(rng: random.Random) -> list:
+    """A value of each record class, with odd strings and numbers."""
+    text = rng.choice(_ODD_STRINGS)
+    time = rng.choice(_ODD_FLOATS)
+    big = rng.choice(_ODD_INTS)
+    words = _records(rng)["AsrHypothesis"].words
+    beam = BeamHypothesis((text, SENTINEL), rng.choice(_ODD_FLOATS), (big, 0))
+    history = rng.choice([(), ((),), (("ja",), ()), ((), (text, "x"))])
+    return [
+        *_records(rng).values(),
+        EmissionRecord(text, big, time, time),
+        MtResponse(BeamSet((beam,)), time),
+        AsrResponse(AsrHypothesis(words), time),
+        MtRequest(history, history, (text,), (), 64, text),
+        AsrRequest(text, 0.0, time, 1),
+        AsrScript(words, seed=big),  # has fields that __init__ does not take
+        MtScript({text: "ja", "": "Haus"}, seed=-big),  # a Mapping field
+        StreamHistory([list(s) for s in history], [list(s) for s in history], [text], []),
+        preset_config(rng.choice(["adapted", "baseline"])),
+    ]
+
+
+def test_canonical_json_matches_the_standard_encoder_on_every_record_class() -> None:
+    rng = random.Random(23)
+    classes = set()
+    for _ in range(300):
+        values = _odd_records(rng)
+        classes.update(type(v) for v in values)
+        for value in values:
+            assert canonical_json(value) == oracle_canonical_json(value)
+        message = {"v": 3, "kind": rng.choice(_ODD_STRINGS), "values": values, "n": (-0.0, 1e16)}
+        assert canonical_json(message) == oracle_canonical_json(message)
+    assert len(classes) == 14
+
+
+def test_a_failed_encode_leaves_later_encodes_whole() -> None:
+    # A failed encode leaves the containers it was inside in its ``markers``
+    # dict, so an encoder that shared the dict across calls would take each
+    # of them for a cycle when it met it again.
+    words = ["ja", object()]
+    message = {"words": words}
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        canonical_json(message)
+    words[1] = "Haus"
+    assert canonical_json(message) == '{"words":["ja","Haus"]}'
+    assert canonical_json([message, words]) == '[{"words":["ja","Haus"]},["ja","Haus"]]'
+
+
+_ODD_LINES = (
+    '{"a":1}{"b":2}',  # two objects on one line
+    '{"a":1} x',  # trailing garbage
+    '  {"a":1}',
+    '{"a":1}\t ',
+    "\u00a0",  # not blank: only ASCII whitespace is
+    "\x1c",
+    "\u2028",
+    "\x0c\x0b \t",  # blank
+    "",
+    '{"a":NaN}',
+    '{"a":[-Infinity]}',
+    DEEP_JSON,
+    "[1]",
+    '"x"',
+    "null",
+    '{"a":1',
+    '{"a":"\x01"}',  # a raw control character in a string
+    "\ufeff{}",
+)
+_BAD_UTF8 = (b'{"token":"\xff"}', b"\xe2\x82", b"  \xc3(", b'{"a":"\xed\xa0\x80"}')
+
+
+def _odd_jsonl(rng: random.Random) -> bytes:
+    """Lines of JSONL, mostly canonical records and some odd or bad."""
+    lines = []
+    for _ in range(rng.randint(0, 6)):
+        pick = rng.random()
+        if pick < 0.6:
+            line = canonical_json(_odd_records(rng)[8]).encode()  # an EmissionRecord
+        elif pick < 0.95:
+            line = rng.choice(_ODD_LINES).encode()
+        else:
+            line = rng.choice(_BAD_UTF8)
+        lines.append(line + rng.choice([b"\n", b"\r\n"]))
+    return b"".join(lines) + rng.choice([b"", b"\n", b"{}"])
+
+
+def _outcome(read, path, parse):
+    try:
+        return read(path, parse)
+    except InvalidArgumentError as exc:
+        return str(exc)
+
+
+def test_read_jsonl_matches_the_line_by_line_reader(tmp_path) -> None:
+    rng = random.Random(24)
+    path = tmp_path / "odd.jsonl"
+    outcomes = Counter()
+    for _ in range(600):
+        path.write_bytes(_odd_jsonl(rng))
+        for parse in (dict, partial(read_record, EmissionRecord)):
+            mine = _outcome(read_jsonl, path, parse)
+            assert mine == _outcome(oracle_read_jsonl, path, parse)
+            outcomes[type(mine).__name__, parse is dict] += 1
+    # Both readers succeed and fail often, on plain objects and on records.
+    assert min(outcomes.values()) > 100, outcomes
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import make_beam_set, oracle_ralcp
+from helpers import make_beam_set, oracle_ralcp, oracle_votes_needed
 from simulstream.core import SENTINEL, BeamSet, InvalidArgumentError
 from simulstream.mt_stream import MtStreamConfig
 from simulstream.policy import agreed_prefix_len, ralcp_emit, votes_needed, waitk_allows
@@ -55,6 +55,15 @@ def test_votes_needed_is_exact_for_awkward_ratios() -> None:
     assert votes_needed(0.6, 5) == 3  # float product would round up to 4
     assert votes_needed(1.0, 7) == 7
     assert votes_needed(0.34, 3) == 2
+
+
+def test_votes_needed_matches_the_fraction_oracle() -> None:
+    rng = random.Random(53)
+    ratios = [k / 100 for k in range(101)] + [rng.random() for _ in range(200)]
+    ratios += [0.1 + 0.2, 1 / 3, 2 / 3, 5e-324, 1.0 - 2**-53]
+    for ratio in ratios:
+        for pool in range(1, 65):
+            assert votes_needed(ratio, pool) == oracle_votes_needed(ratio, pool), (ratio, pool)
 
 
 def test_ralcp_unanimous_beams_emit_through_sentinel() -> None:
