@@ -26,14 +26,14 @@ refs = [
 # A plausible emission log: tokens arrive a little after their audio, and
 # the CA clock trails the NCA clock by the decoder's compute cost.
 log = [
-    EmissionRecord("das", 0, 1.0, 1.15),
-    EmissionRecord("wetter", 0, 1.0, 1.15),
-    EmissionRecord("ist", 0, 1.8, 2.05),
-    EmissionRecord("gut.", 0, 2.4, 2.70),
-    EmissionRecord(SENTINEL, 0, 2.4, 2.70),
-    EmissionRecord("wir", 1, 3.2, 3.55),
-    EmissionRecord("gehen", 1, 3.9, 4.30),
-    EmissionRecord("raus.", 1, 4.5, 4.95),
+    EmissionRecord("das", 1.0, 1.15),
+    EmissionRecord("wetter", 1.0, 1.15),
+    EmissionRecord("ist", 1.8, 2.05),
+    EmissionRecord("gut.", 2.4, 2.70),
+    EmissionRecord(SENTINEL, 2.4, 2.70),
+    EmissionRecord("wir", 3.2, 3.55),
+    EmissionRecord("gehen", 3.9, 4.30),
+    EmissionRecord("raus.", 4.5, 4.95),
 ]
 
 tokens = strip_sentinels(r.token for r in log)

@@ -72,12 +72,10 @@ class AsrStreamController:
         config: AsrStreamConfig,
         backend: AsrBackend,
         clock: VirtualClock,
-        stream_id: str = "stream0",
     ) -> None:
         self.config = config
         self.backend = backend
         self.clock = clock
-        self.stream_id = stream_id
         self.state = AsrStreamState()
         self.decodes = 0
         self.sentence_trims = 0
@@ -122,7 +120,7 @@ class AsrStreamController:
         state = self.state
         audio = self.clock.audio_available_s
         request = AsrRequest(
-            stream_id=self.stream_id,
+            stream_id="stream0",
             window_start_s=state.window_start_s,
             window_end_s=audio,
             beam_size=self.config.backend_beam,

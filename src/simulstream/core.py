@@ -517,16 +517,15 @@ class EmissionRecord:
 
     NCA time is the source audio consumed when the token was committed; CA
     time is the virtual wall clock, which additionally counts compute cost.
+    A token's segment is the number of ``SENTINEL`` records before it in
+    the log.
     """
 
     token: str
-    segment_ordinal: int
     nca_time_s: float
     ca_time_s: float
 
     def __post_init__(self) -> None:
-        if self.segment_ordinal < 0:
-            raise InvalidArgumentError("segment_ordinal must be >= 0")
         if self.nca_time_s > self.ca_time_s:
             raise InvalidArgumentError(
                 f"nca_time_s {self.nca_time_s} > ca_time_s {self.ca_time_s} "

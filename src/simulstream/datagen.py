@@ -131,6 +131,8 @@ def generate_samples(
     documents: list[Document], config: GenConfig, count: int
 ) -> tuple[list[tuple[str, str]], GenStats]:
     """Generate ``count`` samples cycling through the documents in order."""
+    if count < 0:
+        raise InvalidArgumentError(f"sample count must be >= 0, got {count}")
     if not documents:
         raise InvalidArgumentError("no documents to sample from")
     stats = GenStats()

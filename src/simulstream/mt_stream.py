@@ -182,7 +182,6 @@ class MtStreamController:
             records.append(
                 EmissionRecord(
                     token=token,
-                    segment_ordinal=self.segment_ordinal,
                     nca_time_s=self.clock.audio_available_s,
                     ca_time_s=self.clock.now_s,
                 )

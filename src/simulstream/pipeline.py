@@ -56,34 +56,28 @@ def preset_config(mode: str) -> PipelineConfig:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    t: float
+    """``duration_s`` more seconds of audio; the audio front is their sum."""
+
     duration_s: float
 
     def __post_init__(self) -> None:
         if self.duration_s < 0:
             raise InvalidArgumentError("event duration must be >= 0")
-        if self.t < 0:
-            raise InvalidArgumentError("event time must be >= 0")
+
+
+def _audio_event(obj: dict) -> TraceEvent:
+    kind = json_field(obj, "kind", str)
+    if kind != "audio":
+        raise InvalidArgumentError(must_be("kind", "'audio'", kind))
+    return TraceEvent(json_field(obj, "dur", float))
 
 
 def read_trace(path: str | Path) -> list[TraceEvent]:
-    """Load a JSONL trace of {"t": s, "kind": "audio", "dur": s} events."""
-    last_t = 0.0
+    """Load a JSONL trace of {"kind": "audio", "dur": s} events.
 
-    def audio_event(obj: dict) -> TraceEvent:
-        nonlocal last_t
-        kind = json_field(obj, "kind", str)
-        if kind != "audio":
-            raise InvalidArgumentError(must_be("kind", "'audio'", kind))
-        event = TraceEvent(
-            t=json_field(obj, "t", float), duration_s=json_field(obj, "dur", float)
-        )
-        if event.t < last_t:
-            raise InvalidArgumentError("event times must be non-decreasing")
-        last_t = event.t
-        return event
-
-    return read_jsonl(path, audio_event)
+    Any other key on a line, such as an event time ``t``, is ignored.
+    """
+    return read_jsonl(path, _audio_event)
 
 
 @dataclass
@@ -114,11 +108,10 @@ class Pipeline:
         config: PipelineConfig,
         asr_backend: AsrBackend,
         mt_backend: MtBackend,
-        stream_id: str = "stream0",
     ) -> None:
         self.config = config
         self.clock = VirtualClock()
-        self.asr = AsrStreamController(config.asr, asr_backend, self.clock, stream_id)
+        self.asr = AsrStreamController(config.asr, asr_backend, self.clock)
         self.mt = MtStreamController(config.mt, mt_backend, self.clock)
         self.records: list[EmissionRecord] = []
 

@@ -548,7 +548,7 @@ def chunked_trace(duration_s: float, chunk_s: float = 1.0) -> list[TraceEvent]:
     while t < duration_s:
         step = min(chunk_s, duration_s - t)
         t += step
-        events.append(TraceEvent(t=t, duration_s=step))
+        events.append(TraceEvent(step))
     return events
 
 

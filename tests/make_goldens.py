@@ -155,7 +155,7 @@ def build_fixtures() -> dict[str, str]:
     }
     fixtures = {"mock_script_60s.json": _json_file(script)}
 
-    trace = [{"t": float(i + 1), "kind": "audio", "dur": 1.0} for i in range(60)]
+    trace = [{"kind": "audio", "dur": 1.0} for _ in range(60)]
     fixtures["trace_60s.jsonl"] = "".join(json.dumps(e) + "\n" for e in trace)
 
     fixtures["config_adapted.json"] = _json_file(
@@ -191,7 +191,7 @@ def build_fixtures() -> dict[str, str]:
         MockAsrBackend(scripts.asr),
         MockMtBackend(scripts.mt),
     )
-    events = [TraceEvent(t=e["t"], duration_s=e["dur"]) for e in trace]
+    events = [TraceEvent(e["dur"]) for e in trace]
     records, summary = pipeline.run_trace(events)
     fixtures["golden_log_60s.jsonl"] = dump_jsonl(records)
     fixtures["golden_summary_60s.json"] = _json_file(summary.to_dict())

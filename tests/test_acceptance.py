@@ -339,7 +339,7 @@ def test_c08_bleu_goldens() -> None:
 
 def test_c09_stream_laal_oracle() -> None:
     refs = [ReferenceSegment(("t1", "t2", "t3", "t4"), 0.0, 4.0)]
-    log = [EmissionRecord(f"t{i}", 0, float(i), float(i)) for i in range(1, 5)]
+    log = [EmissionRecord(f"t{i}", float(i), float(i)) for i in range(1, 5)]
     report = stream_laal(log, refs, [["t1", "t2", "t3", "t4"]], "nca")
     assert report.mean_s == pytest.approx(1.0, abs=1e-12)
 
@@ -363,7 +363,7 @@ def test_c09_stream_laal_oracle() -> None:
             tokens = [f"h{i}_{j}" for j in range(y)]
             segments.append(tokens)
             for tok, when in zip(tokens, times):
-                log.append(EmissionRecord(tok, i, when, when + rng.uniform(0, 2)))
+                log.append(EmissionRecord(tok, when, when + rng.uniform(0, 2)))
         for mode in ("nca", "ca"):
             report = stream_laal(log, refs, segments, mode)
             cursor = 0

@@ -10,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
+import make_goldens
 from helpers import DEEP_JSON
 from simulstream.cli import main
-from simulstream.core import SENTINEL, EmissionRecord
+from simulstream.core import SENTINEL, EmissionRecord, canonical_json, record_fields
 from simulstream.metrics import (
     ReferenceSegment,
+    read_emission_log,
     write_emission_log,
     write_reference_segments,
 )
@@ -110,8 +112,8 @@ def test_simulate_dead_wire_backend_exits_2(tmp_path, capsys) -> None:
     [
         ("config", DEEP_JSON, r"config_adapted\.json: invalid JSON: .*nested too deeply"),
         ("trace", DEEP_JSON, r"trace\.jsonl:1: invalid JSON: .*nested too deeply"),
-        ("trace", '{"t": 1.0, "kind": "audio", "dur": NaN}', r"trace\.jsonl:1: invalid JSON: .*NaN"),
-        ("trace", '{"t": 1.0, "kind": "audio", "dur": "1.0"}', r"trace\.jsonl:1: field 'dur' must be a number, got '1\.0'"),
+        ("trace", '{"kind": "audio", "dur": NaN}', r"trace\.jsonl:1: invalid JSON: .*NaN"),
+        ("trace", '{"kind": "audio", "dur": "1.0"}', r"trace\.jsonl:1: field 'dur' must be a number, got '1\.0'"),
         ("script", DEEP_JSON, r"mock_script_60s\.json: invalid JSON: .*nested too deeply"),
         ("script", '{"seed": "abc"}', r"mock_script_60s\.json: field 'seed' must be an integer, got 'abc'"),
     ],
@@ -211,16 +213,44 @@ def test_eval_reports_quality_and_latency(tmp_path, capsys) -> None:
     assert printed["nca"]["mean_s"] <= printed["ca"]["mean_s"]
 
 
+def _with_segment_ordinals(records) -> str:
+    """Records as JSONL in the older log layout, whose every line also held
+    ``segment_ordinal``: the number of sentinels before the record."""
+    lines, ordinal = [], 0
+    for record in records:
+        lines.append(canonical_json({**record_fields(record), "segment_ordinal": ordinal}) + "\n")
+        ordinal += record.token == SENTINEL
+    return "".join(lines)
+
+
+def test_eval_scores_a_log_in_the_older_layout_byte_for_byte_the_same(tmp_path, capsys) -> None:
+    golden = read_emission_log(DATA / "golden_log_60s.jsonl")
+    refs = str(DATA / "refs_60s.jsonl")
+
+    def eval_bytes(path: Path) -> bytes:
+        out = path.with_suffix(".eval.json")
+        assert main(["eval", str(path), refs, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    for name, records in (("golden", golden), ("edited", make_goldens._edited_log(golden))):
+        new, old = tmp_path / f"{name}.jsonl", tmp_path / f"{name}_old.jsonl"
+        write_emission_log(records, new)
+        old.write_text(_with_segment_ordinals(records), encoding="utf-8")
+        assert read_emission_log(old) == records
+        assert eval_bytes(old) == eval_bytes(new)
+    assert eval_bytes(tmp_path / "edited_old.jsonl") == (DATA / "golden_eval_60s.json").read_bytes()
+
+
 def test_eval_instant_emission_gives_perfect_bleu_and_nonpositive_lag(tmp_path, capsys) -> None:
     refs = [
         ReferenceSegment(("ja", "genau"), 0.0, 2.0),
         ReferenceSegment(("stimmt",), 2.0, 4.0),
     ]
     log = [
-        EmissionRecord("ja", 0, 0.0, 0.0),
-        EmissionRecord("genau", 0, 0.0, 0.0),
-        EmissionRecord(SENTINEL, 0, 0.0, 0.0),
-        EmissionRecord("stimmt", 1, 2.0, 2.0),
+        EmissionRecord("ja", 0.0, 0.0),
+        EmissionRecord("genau", 0.0, 0.0),
+        EmissionRecord(SENTINEL, 0.0, 0.0),
+        EmissionRecord("stimmt", 2.0, 2.0),
     ]
     log_path = tmp_path / "log.jsonl"
     refs_path = tmp_path / "refs.jsonl"
@@ -252,25 +282,23 @@ def test_eval_misaligned_inputs_exit_1(tmp_path, capsys) -> None:
     refs_path = tmp_path / "refs.jsonl"
     write_reference_segments([], refs_path)
     log_path = tmp_path / "log.jsonl"
-    write_emission_log([EmissionRecord("x", 0, 0.0, 0.0)], log_path)
+    write_emission_log([EmissionRecord("x", 0.0, 0.0)], log_path)
     assert main(["eval", str(log_path), str(refs_path)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-argument"
 
 
-_GOOD_RECORD = '{"ca_time_s":1.5,"nca_time_s":1.0,"segment_ordinal":0,"token":"ja"}'
+_GOOD_RECORD = '{"ca_time_s":1.5,"nca_time_s":1.0,"token":"ja"}'
 _GOOD_SEGMENT = '{"source_end_s":2.0,"source_start_s":0.0,"tokens":["ja"]}'
 
 
 @pytest.mark.parametrize(
     "bad_file, bad_line",
     [
-        ("log", '{"ca_time_s":2.0,"nca_time_s":2.0,"segment_ordinal":0,"token":5}'),
-        ("log", '{"ca_time_s":2.0,"nca_time_s":2.0,"segment_ordinal":1.5,"token":"x"}'),
-        ("log", '{"ca_time_s":2.0,"nca_time_s":2.0,"segment_ordinal":true,"token":"x"}'),
-        ("log", '{"ca_time_s":"2.0","nca_time_s":"1.0","segment_ordinal":0,"token":"x"}'),
-        ("log", '{"ca_time_s":2.0,"nca_time_s":NaN,"segment_ordinal":0,"token":"x"}'),
-        ("log", '{"ca_time_s":Infinity,"nca_time_s":2.0,"segment_ordinal":0,"token":"x"}'),
-        ("log", '{"ca_time_s":1e999,"nca_time_s":1e999,"segment_ordinal":0,"token":"x"}'),
+        ("log", '{"ca_time_s":2.0,"nca_time_s":2.0,"token":5}'),
+        ("log", '{"ca_time_s":"2.0","nca_time_s":"1.0","token":"x"}'),
+        ("log", '{"ca_time_s":2.0,"nca_time_s":NaN,"token":"x"}'),
+        ("log", '{"ca_time_s":Infinity,"nca_time_s":2.0,"token":"x"}'),
+        ("log", '{"ca_time_s":1e999,"nca_time_s":1e999,"token":"x"}'),
         ("refs", '{"source_end_s":4.0,"source_start_s":2.0,"tokens":"hi there"}'),
         ("refs", '{"source_end_s":4.0,"source_start_s":2.0,"tokens":["hi",1]}'),
         ("refs", '{"source_end_s":"4.0","source_start_s":"2.0","tokens":["hi"]}'),
@@ -283,12 +311,10 @@ _GOOD_SEGMENT = '{"source_end_s":2.0,"source_start_s":0.0,"tokens":["ja"]}'
         ("log", DEEP_JSON),
         ("refs", DEEP_JSON),
         # The good record's NCA time is 1.0: a log's NCA times never fall.
-        ("log", '{"ca_time_s":1.5,"nca_time_s":0.5,"segment_ordinal":0,"token":"x"}'),
+        ("log", '{"ca_time_s":1.5,"nca_time_s":0.5,"token":"x"}'),
     ],
     ids=[
         "token_not_string",
-        "ordinal_float",
-        "ordinal_bool",
         "string_times",
         "nan_time",
         "infinity_time",
@@ -529,8 +555,8 @@ def test_bench_dominating_log_orders_every_column(tmp_path, capsys) -> None:
     refs = [ReferenceSegment((f"t{i}",), float(i), float(i + 1)) for i in range(6)]
     refs_path = tmp_path / "refs.jsonl"
     write_reference_segments(refs, refs_path)
-    fast = [EmissionRecord(f"t{i}", i, i + 0.2, i + 0.3) for i in range(6)]
-    slow = [EmissionRecord(f"t{i}", i, i + 0.9, i + 1.4) for i in range(6)]
+    fast = [EmissionRecord(f"t{i}", i + 0.2, i + 0.3) for i in range(6)]
+    slow = [EmissionRecord(f"t{i}", i + 0.9, i + 1.4) for i in range(6)]
     fast_path = tmp_path / "fast.jsonl"
     slow_path = tmp_path / "slow.jsonl"
     write_emission_log(fast, fast_path)
@@ -555,6 +581,17 @@ def test_datagen_corpus_with_bad_utf8_exits_1_naming_the_file(tmp_path, capsys) 
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invalid-argument"
     assert str(corpus) in err["message"] and "utf-8" in err["message"]
+
+
+def test_datagen_negative_sample_count_exits_1_and_zero_writes_none(tmp_path, capsys) -> None:
+    corpus = _corpus(tmp_path)
+    assert main(["datagen", str(corpus), str(tmp_path / "bad"), "--samples", "-1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert "sample count must be >= 0, got -1" in err["message"]
+    assert not (tmp_path / "bad.src").exists()
+    assert main(["datagen", str(corpus), str(tmp_path / "none"), "--samples", "0"]) == 0
+    assert (tmp_path / "none.src").read_text(encoding="utf-8") == ""
 
 
 @pytest.mark.parametrize(
@@ -623,7 +660,7 @@ def test_trace_past_the_script_audio_exits_2_on_both_transports(
         config_path.write_text(json.dumps(config), encoding="utf-8")
     trace = tmp_path / "trace_80s.jsonl"
     trace.write_text(
-        "".join(json.dumps({"t": t, "kind": "audio", "dur": 1.0}) + "\n" for t in range(1, 81)),
+        (json.dumps({"kind": "audio", "dur": 1.0}) + "\n") * 80,
         encoding="utf-8",
     )
     code = main(["simulate", str(trace), str(config_path), str(tmp_path / "o.jsonl")])

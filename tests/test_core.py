@@ -192,15 +192,15 @@ def test_beam_set_checks() -> None:
 
 
 def test_emission_record_requires_nca_before_ca() -> None:
-    EmissionRecord("tok", 0, 1.0, 1.5)
+    EmissionRecord("tok", 1.0, 1.5)
     with pytest.raises(InvalidArgumentError):
-        EmissionRecord("tok", 0, 2.0, 1.5)
+        EmissionRecord("tok", 2.0, 1.5)
 
 
 def test_emission_log_monotonicity() -> None:
-    log = [EmissionRecord("a", 0, 1.0, 1.5), EmissionRecord("b", 0, 2.0, 2.0)]
+    log = [EmissionRecord("a", 1.0, 1.5), EmissionRecord("b", 2.0, 2.0)]
     check_emission_log(log)
-    bad = [EmissionRecord("a", 0, 2.0, 2.5), EmissionRecord("b", 0, 1.0, 1.5)]
+    bad = [EmissionRecord("a", 2.0, 2.5), EmissionRecord("b", 1.0, 1.5)]
     with pytest.raises(InvalidArgumentError):
         check_emission_log(bad)
 
@@ -285,13 +285,13 @@ _READERS = {
     ),
     "trace": (
         InvalidArgumentError, _file_reader(read_trace, ".jsonl"),
-        {"t": 0.5, "kind": "audio", "dur": 0.5}, "",
-        {float: ("dur",)}, (float, ("t",)),
+        {"kind": "audio", "dur": 0.5}, "",
+        {float: ("dur",), str: ("kind",)}, (float, ("dur",)),
     ),
     "emission_log": (
         InvalidArgumentError, _file_reader(read_emission_log, ".jsonl"),
-        {"token": "ja", "segment_ordinal": 0, "nca_time_s": 1.0, "ca_time_s": 1.5}, "",
-        {int: ("segment_ordinal",), float: ("ca_time_s",)}, (float, ("nca_time_s",)),
+        {"token": "ja", "nca_time_s": 1.0, "ca_time_s": 1.5}, "",
+        {str: ("token",), float: ("ca_time_s",)}, (float, ("nca_time_s",)),
     ),
     "references": (
         InvalidArgumentError, _file_reader(read_reference_segments, ".jsonl"),
@@ -409,7 +409,7 @@ def _records(rng: random.Random) -> dict[str, object]:
             rng.randint(1, 64),
             rng.choice(["6", ""]),
         ),
-        "EmissionRecord": EmissionRecord(rng.choice(_TOKENS), rng.randint(0, 9), start, start + 1),
+        "EmissionRecord": EmissionRecord(rng.choice(_TOKENS), start, start + 1),
         "ReferenceSegment": ReferenceSegment(_seq(rng, _WORDS, 4), start, start + 2.0),
     }
 
@@ -445,7 +445,7 @@ def test_every_record_round_trips_through_its_fields() -> None:
 def test_file_records_round_trip_over_seeded_values(tmp_path) -> None:
     rng = random.Random(21)
     for i in range(20):
-        log = [EmissionRecord("a\u2028b", 0, 0.0, 3.0)]
+        log = [EmissionRecord("a\u2028b", 0.0, 3.0)]
         # Reading a log checks that its NCA times never fall.
         records = [_records(rng)["EmissionRecord"] for _ in range(rng.randint(0, 5))]
         log += sorted(records, key=lambda r: r.nca_time_s)
@@ -484,7 +484,7 @@ def _odd_records(rng: random.Random) -> list:
     history = rng.choice([(), ((),), (("ja",), ()), ((), (text, "x"))])
     return [
         *_records(rng).values(),
-        EmissionRecord(text, big, time, time),
+        EmissionRecord(text, time, time),
         MtResponse(BeamSet((beam,)), time),
         AsrResponse(AsrHypothesis(words), time),
         MtRequest(history, history, (text,), (), 64, text),

@@ -41,8 +41,8 @@ def _refs(*segments: tuple[list[str], float, float]) -> list[ReferenceSegment]:
     return [ReferenceSegment(tuple(t), a, b) for t, a, b in segments]
 
 
-def _record(token: str, t: float, ordinal: int = 0, lag: float = 0.0) -> EmissionRecord:
-    return EmissionRecord(token, ordinal, t, t + lag)
+def _record(token: str, t: float, lag: float = 0.0) -> EmissionRecord:
+    return EmissionRecord(token, t, t + lag)
 
 
 # --- latency_stats ------------------------------------------------------------
@@ -424,12 +424,12 @@ def test_evaluate_splits_tokens_as_the_oracle_tokenizer_does(monkeypatch) -> Non
     words = ["der", "hund,", "«die»", "katze.", "—", "...", "x!y"]
     for _ in range(50):
         refs, log, start = [], [], 0.0
-        for ordinal in range(rng.randint(1, 5)):
+        for _ in range(rng.randint(1, 5)):
             tokens = [rng.choice(words) for _ in range(rng.randint(1, 6))]
             refs.append(ReferenceSegment(tuple(tokens), start, start + 2.0))
             emitted = [t for t in tokens if rng.random() < 0.8] + [rng.choice(words)]
-            log += [_record(t, start + 1.0, ordinal) for t in emitted]
-            log.append(_record(SENTINEL, start + 1.0, ordinal))
+            log += [_record(t, start + 1.0) for t in emitted]
+            log.append(_record(SENTINEL, start + 1.0))
             start += 2.0
         evaluate(log, refs)
         slices = resegment(strip_sentinels(r.token for r in log), refs)
@@ -479,7 +479,7 @@ def test_laal_all_tokens_at_zero_closed_form() -> None:
 
 def test_laal_ca_equals_nca_when_times_agree() -> None:
     refs = _refs((["a", "b"], 0.0, 2.0), (["c"], 2.0, 3.0))
-    log = [_record("a", 0.5), _record("b", 1.0), _record("c", 2.5, ordinal=1)]
+    log = [_record("a", 0.5), _record("b", 1.0), _record("c", 2.5)]
     segs = [["a", "b"], ["c"]]
     assert stream_laal(log, refs, segs, "nca") == stream_laal(log, refs, segs, "ca")
 
@@ -489,8 +489,8 @@ def test_laal_ca_dominates_with_compute_lag() -> None:
     log = [
         _record("a", 0.5, lag=0.3),
         _record("b", 1.0, lag=0.4),
-        _record("c", 2.5, ordinal=1, lag=0.2),
-        _record("d", 4.0, ordinal=1, lag=0.8),
+        _record("c", 2.5, lag=0.2),
+        _record("d", 4.0, lag=0.8),
     ]
     segs = [["a", "b"], ["c", "d"]]
     nca = stream_laal(log, refs, segs, "nca")
@@ -534,7 +534,7 @@ def test_laal_matches_brute_force_on_random_logs() -> None:
             tokens = [f"h{j}" for j in range(y)]
             segments.append(tokens)
             for tok, time in zip(tokens, times):
-                log.append(EmissionRecord(tok, i, time, time + rng.uniform(0, 1)))
+                log.append(EmissionRecord(tok, time, time + rng.uniform(0, 1)))
         report = stream_laal(log, refs, segments, "nca")
         cursor = 0
         for i, (ref, seg) in enumerate(zip(refs, segments)):
@@ -562,11 +562,11 @@ def test_laal_validates_log_alignment() -> None:
 
 def test_emission_log_roundtrip(tmp_path) -> None:
     log = [
-        EmissionRecord("hallo", 0, 1.25, 1.5),
-        EmissionRecord(SENTINEL, 0, 1.25, 1.5),
-        EmissionRecord("welt", 1, 2.0, 2.75),
+        EmissionRecord("hallo", 1.25, 1.5),
+        EmissionRecord(SENTINEL, 1.25, 1.5),
+        EmissionRecord("welt", 2.0, 2.75),
         # Canonical JSON writes these raw; a line must not end at them.
-        EmissionRecord("a\u2028b\x85c", 1, 2.0, 2.75),
+        EmissionRecord("a\u2028b\x85c", 2.0, 2.75),
     ]
     path = tmp_path / "log.jsonl"
     write_emission_log(log, path)
@@ -615,7 +615,7 @@ def test_read_emission_log_reports_line_numbers(tmp_path) -> None:
 @pytest.mark.parametrize(
     "read, line, named",
     [
-        (read_emission_log, {"token": ["x" * 100_000], "segment_ordinal": 0}, "field 'token' must be a string"),
+        (read_emission_log, {"token": ["x" * 100_000]}, "field 'token' must be a string"),
         (read_reference_segments, {"tokens": "y" * 100_000}, "field 'tokens' must be a list"),
     ],
     ids=["log", "refs"],
@@ -636,8 +636,8 @@ def test_evaluate_report_shape() -> None:
         _record("der", 0.8),
         _record("hund", 1.5),
         _record(SENTINEL, 1.5),
-        _record("die", 2.9, ordinal=1),
-        _record("katze", 3.5, ordinal=1),
+        _record("die", 2.9),
+        _record("katze", 3.5),
     ]
     report = evaluate(log, refs)
     assert report["bleu"] == pytest.approx(100.0)

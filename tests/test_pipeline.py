@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import re
 from dataclasses import replace
@@ -182,37 +183,44 @@ def test_noisy_flush_streams_the_whole_translation() -> None:
 def test_read_trace_validates(tmp_path) -> None:
     path = tmp_path / "trace.jsonl"
     path.write_text(
-        '{"t": 1.0, "kind": "audio", "dur": 1.0}\n{"t": 2.0, "kind": "audio", "dur": 0.5}\n',
-        encoding="utf-8",
+        '{"kind": "audio", "dur": 1.0}\n{"kind": "audio", "dur": 0.5}\n', encoding="utf-8"
     )
-    events = read_trace(path)
-    assert events == [TraceEvent(1.0, 1.0), TraceEvent(2.0, 0.5)]
-    path.write_text('{"t": 1.0, "kind": "video", "dur": 1.0}\n', encoding="utf-8")
+    assert read_trace(path) == [TraceEvent(1.0), TraceEvent(0.5)]
+    path.write_text('{"kind": "video", "dur": 1.0}\n', encoding="utf-8")
     with pytest.raises(InvalidArgumentError):
         read_trace(path)
-    path.write_text(
-        '{"t": 2.0, "kind": "audio", "dur": 1.0}\n{"t": 1.0, "kind": "audio", "dur": 1.0}\n',
+
+
+def test_read_trace_ignores_event_times(tmp_path) -> None:
+    durations = [0.5, 1.25, 0.0, 2.0]
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    lines, t = [], 0.0
+    for dur in durations:  # as perfbench/gen.py writes a trace
+        t += dur
+        lines.append(json.dumps({"t": t, "kind": "audio", "dur": dur}))
+    old.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    new.write_text(
+        "".join(json.dumps({"kind": "audio", "dur": dur}) + "\n" for dur in durations),
         encoding="utf-8",
     )
-    with pytest.raises(InvalidArgumentError):
-        read_trace(path)
+    assert read_trace(old) == read_trace(new) == [TraceEvent(dur) for dur in durations]
 
 
 @pytest.mark.parametrize(
     "line, match",
     [
-        ('{"t": 1.0, "kind": "audio", "dur": NaN}', "NaN"),
-        ('{"t": 1.0, "kind": "audio", "dur": "1.0"}', "field 'dur' must be a number"),
-        ('{"t": 1.0, "kind": "audio", "dur": 1e999}', "field 'dur' must be a number"),
-        ('{"t": true, "kind": "audio", "dur": 1.0}', "field 't' must be a number"),
-        ('{"t": 1.0, "kind": "audio"}', "'dur'"),
+        ('{"kind": "audio", "dur": NaN}', "NaN"),
+        ('{"kind": "audio", "dur": "1.0"}', "field 'dur' must be a number"),
+        ('{"kind": "audio", "dur": 1e999}', "field 'dur' must be a number"),
+        ('{"kind": "audio", "dur": true}', "field 'dur' must be a number"),
+        ('{"kind": "audio"}', "'dur'"),
         (DEEP_JSON, "nested too deeply"),
     ],
     ids=["nan", "string", "overflow", "bool", "missing", "deep"],
 )
 def test_read_trace_rejects_bad_numbers_naming_the_line(tmp_path, line, match) -> None:
     path = tmp_path / "trace.jsonl"
-    path.write_text('{"t": 0.5, "kind": "audio", "dur": 0.5}\n' + line + "\n", encoding="utf-8")
+    path.write_text('{"kind": "audio", "dur": 0.5}\n' + line + "\n", encoding="utf-8")
     with pytest.raises(InvalidArgumentError, match=rf"trace\.jsonl:2: .*{match}"):
         read_trace(path)
 
@@ -220,8 +228,8 @@ def test_read_trace_rejects_bad_numbers_naming_the_line(tmp_path, line, match) -
 @pytest.mark.parametrize(
     "line, named",
     [
-        ('{"t": 1.0, "kind": "video", "pad": "' + "x" * 200_000 + '"}', "field 'kind' must be 'audio', got 'video'"),
-        ('{"t": 1.0, "kind": "audio", "dur": "' + "1" * 200_000 + '"}', "field 'dur' must be a number"),
+        ('{"kind": "video", "pad": "' + "x" * 200_000 + '"}', "field 'kind' must be 'audio', got 'video'"),
+        ('{"kind": "audio", "dur": "' + "1" * 200_000 + '"}', "field 'dur' must be a number"),
     ],
     ids=["not_audio", "bad_number"],
 )
