@@ -127,9 +127,14 @@ def resegment(
     and reference token position); among optimal placements the earliest
     boundaries win. Sentinels must already be stripped from ``hyp_tokens``.
 
-    The result is exact, but the suffix table only covers a band around the
-    diagonal of the grid, widened until the optimum provably lies inside it
-    (Ukkonen 1985), so near-diagonal alignments cost
+    Boundaries cost nothing, so the optimum is the plain edit distance D
+    between the hypothesis and the joined references, and boundary k is
+    looked up: the least hyp position whose prefix and suffix costs at
+    segment k's first reference position sum to D. ``_banded_suffix``
+    gives the suffix costs and, run over the reversed input, the prefix
+    costs. The result is exact, but both passes cover only a band around
+    the diagonal of the grid, widened until the optimum provably lies
+    inside it (Ukkonen 1985), so near-diagonal alignments cost
     O((|hyp| + sum |ref|) * band) rather than O(|hyp| * sum |ref|).
     """
     hyp = list(hyp_tokens)
@@ -144,12 +149,14 @@ def resegment(
     # reference position g pays at least |j - g| + |(n - total) - (j - g)|
     # insertions and deletions, which exceeds skew + 2 * width outside the
     # band. So once the banded optimum is within that, every optimal path
-    # lies inside the band and the walk below finds the same boundaries.
-    total = sum(len(r.tokens) for r in refs)
+    # lies inside the band and both passes see it whole. The band holds the
+    # path from (0, 0) along the diagonal to (n, total), so best is finite.
+    tokens = [r.tokens for r in refs]
+    total = sum(map(len, tokens))
     skew = abs(n - total)
     width = _BAND_START
     while True:
-        suffix = _banded_suffix(hyp, refs, total, width)
+        suffix = _banded_suffix(hyp, tokens, total, width)
         best = _cost_at(suffix[0], 0)
         if best <= skew + 2 * width or width >= min(n, total):
             break
@@ -161,55 +168,40 @@ def resegment(
         sure = math.ceil((best - skew) / 2)
         width = min(2 * width if 16 * width < sure else sure, n, total)
 
-    if math.isinf(best):
-        raise InvalidArgumentError("resegmentation found no feasible split")
-
-    # Forward greedy walk: for each segment take the earliest end position
-    # that still achieves the optimal total cost, growing an incremental
-    # edit-distance row dist[t] = edit(hyp[start:j], ref[:t]).
-    slices: list[list[str]] = []
-    start = 0
-    for k in range(m):
-        ref = refs[k].tokens
-        target = _cost_at(suffix[k], start)
-        dist = list(range(len(ref) + 1))
-        end = None
-        j = start
-        while True:
-            if dist[len(ref)] + _cost_at(suffix[k + 1], j) == target:
-                end = j
-                break
-            if j == n:
-                break
-            new = [dist[0] + 1] + [0] * len(ref)
-            for t in range(1, len(ref) + 1):
-                new[t] = min(
-                    dist[t] + 1,
-                    new[t - 1] + 1,
-                    dist[t - 1] + (hyp[j] != ref[t - 1]),
-                )
-            dist = new
-            j += 1
-        if end is None:
-            raise InvalidArgumentError("resegmentation walk diverged from DP table")
-        slices.append(hyp[start:end])
-        start = end
-    return slices
+    # Reversal maps j - g to (n - total) - (j - g), which maps the band onto
+    # itself, so the reversed pass at this width is exact too. Its layer
+    # m - k at n - j is the cost of hyp[:j] against the references before
+    # segment k. Only layer m of each pass (no segment left) is not closed
+    # under insertions, and an inner boundary reads neither.
+    prefix = _banded_suffix(hyp[::-1], [t[::-1] for t in reversed(tokens)], total, width)
+    cuts = [0]
+    for k in range(1, m):
+        lo, costs = suffix[k]
+        before = prefix[m - k]
+        cut = next((j for j, c in enumerate(costs, lo) if c + _cost_at(before, n - j) == best), None)
+        if cut is None:
+            raise InvalidArgumentError(f"resegmentation found no optimal boundary of segment {k}")
+        cuts.append(cut)
+    cuts.append(n)
+    return [hyp[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _banded_suffix(
-    hyp: list[str], refs: Sequence[ReferenceSegment], total: int, width: int
+    hyp: list[str], token_lists: Sequence[tuple[str, ...]], total: int, width: int
 ) -> list[tuple[int, list[float]]]:
     """The suffix table of ``resegment`` restricted to a diagonal band.
 
     Entry k is (lo, costs): costs[i] is the minimum total cost of aligning
-    hyp[lo + i:] with segments k..m-1 along paths whose every cell (j, g)
-    has min(0, n - total) - width <= j - g <= max(0, n - total) + width;
+    hyp[lo + i:] with segments k..m-1 (``token_lists[k:]``, ``total``
+    tokens in all) along paths whose every cell (j, g) has
+    min(0, n - total) - width <= j - g <= max(0, n - total) + width;
     cells outside the band read as +inf.
     Each layer is computed as an edit-distance DP over reference positions
     t, from the segment's end back to its start; once a segment's
     reference is fully consumed the slice may still absorb hyp tokens at
     insertion cost before the free handoff to the next segment.
+    Run on the reversed hypothesis and the reversed segments, reversed
+    each, the same pass gives the prefix costs.
     """
     n = len(hyp)
     below = min(0, n - total) - width  # the band's least j - g
@@ -220,12 +212,11 @@ def _banded_suffix(
     row: list[float] = [_INF] * (hi - lo + 1)
     row[n - lo] = 0
     suffix = [(lo, row)]
-    for k in range(len(refs) - 1, -1, -1):
+    for ref in reversed(token_lists):
         row = row[:]
         for i in range(len(row) - 2, -1, -1):
             if row[i + 1] + 1 < row[i]:
                 row[i] = row[i + 1] + 1
-        ref = refs[k].tokens
         for t in range(len(ref) - 1, -1, -1):
             g -= 1
             token = ref[t]
@@ -448,7 +439,11 @@ def write_reference_segments(
 
 
 def read_reference_segments(path: str | Path) -> list[ReferenceSegment]:
+    """The segments of a references file, in order; a file with none is
+    refused, naming it, since no log can be scored against it."""
     refs = read_jsonl(path, partial(read_record, ReferenceSegment))
+    if not refs:
+        raise InvalidArgumentError(f"{path}: no reference segment")
     check_segments_ordered(refs)
     return refs
 

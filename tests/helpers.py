@@ -41,6 +41,7 @@ from simulstream.core import (
     json_object,
     record_fields,
 )
+from simulstream import metrics
 from simulstream.metrics import ReferenceSegment
 from simulstream.pipeline import TraceEvent
 from simulstream.textnorm import has_terminal_mark
@@ -158,7 +159,12 @@ def oracle_resegment_cost(hyp: list[str], ref_token_lists: list[tuple[str, ...]]
 def oracle_resegment(
     hyp_tokens: Sequence[str], refs: Sequence[ReferenceSegment]
 ) -> list[list[str]]:
-    """Full-table resegmentation: the library's DP without the diagonal band.
+    """Full-table resegmentation: the suffix table over the whole grid, then a
+    forward greedy walk that grows an edit-distance row per segment.
+
+    The library bands its table and looks each boundary up from a prefix
+    and a suffix pass instead; this route is kept as the reference it is
+    judged against.
 
     Splits the hypothesis into one contiguous slice per reference segment.
     Boundaries minimize the total word-level edit distance between each
@@ -238,6 +244,20 @@ def oracle_resegment(
         slices.append(hyp[start:end])
         start = end
     return slices
+
+
+def band_passes(monkeypatch) -> list[tuple[list[str], list[tuple[str, ...]], int]]:
+    """Record the hypothesis, token lists and band width of every suffix
+    pass ``metrics.resegment`` makes."""
+    passes: list[tuple[list[str], list[tuple[str, ...]], int]] = []
+    banded = metrics._banded_suffix
+
+    def spy(hyp, token_lists, total, width):
+        passes.append((list(hyp), list(token_lists), width))
+        return banded(hyp, token_lists, total, width)
+
+    monkeypatch.setattr(metrics, "_banded_suffix", spy)
+    return passes
 
 
 def _oracle_ngram_counts(tokens: Sequence[str], order: int) -> Counter:

@@ -318,6 +318,8 @@ def test_c07_resegmentation_matches_exhaustive_boundaries() -> None:
                 )
                 best_cost, best_cuts = oracle_resegment_cost(hyp, token_lists)
                 assert got_cost == best_cost
+                # Boundaries are free: the optimum is the plain edit distance.
+                assert best_cost == oracle_levenshtein(hyp, [t for r in token_lists for t in r])
                 cuts = [0]
                 for s in slices:
                     cuts.append(cuts[-1] + len(s))

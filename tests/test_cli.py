@@ -287,6 +287,23 @@ def test_eval_misaligned_inputs_exit_1(tmp_path, capsys) -> None:
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-argument"
 
 
+@pytest.mark.parametrize(
+    "command, log_lines",
+    [("eval", []), ("eval", ["x"]), ("bench", []), ("bench", ["x"])],
+    ids=["eval_empty_log", "eval_log", "bench_empty_log", "bench_log"],
+)
+def test_refs_file_without_segments_exits_1_naming_it(tmp_path, capsys, command, log_lines) -> None:
+    refs_path = tmp_path / "refs.jsonl"
+    refs_path.write_text("\n", encoding="utf-8")  # a blank line holds no segment
+    log_path = tmp_path / "log.jsonl"
+    write_emission_log([EmissionRecord(t, 0.0, 0.0) for t in log_lines], log_path)
+    args = [str(log_path), str(refs_path)] if command == "eval" else [str(log_path), "--refs", str(refs_path)]
+    assert main([command, *args]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert err["message"] == f"{refs_path}: no reference segment"
+
+
 _GOOD_RECORD = '{"ca_time_s":1.5,"nca_time_s":1.0,"token":"ja"}'
 _GOOD_SEGMENT = '{"source_end_s":2.0,"source_start_s":0.0,"tokens":["ja"]}'
 

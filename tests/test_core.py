@@ -456,7 +456,11 @@ def test_file_records_round_trip_over_seeded_values(tmp_path) -> None:
         write_emission_log(log, tmp_path / f"log{i}.jsonl")
         write_reference_segments(refs, tmp_path / f"refs{i}.jsonl")
         assert read_emission_log(tmp_path / f"log{i}.jsonl") == log
-        assert read_reference_segments(tmp_path / f"refs{i}.jsonl") == refs
+        if refs:
+            assert read_reference_segments(tmp_path / f"refs{i}.jsonl") == refs
+        else:  # a references file with no segment is refused
+            with pytest.raises(InvalidArgumentError, match="no reference segment"):
+                read_reference_segments(tmp_path / f"refs{i}.jsonl")
 
 
 def test_canonical_json_refuses_an_object_that_is_not_a_record() -> None:

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from helpers import (
+    band_passes,
     oracle_bleu_tokenize,
     oracle_corpus_bleu,
     oracle_laal,
@@ -160,6 +161,8 @@ def test_resegment_matches_brute_force_on_random_cases() -> None:
         got_cost = sum(oracle_levenshtein(s, t) for s, t in zip(slices, token_lists))
         best_cost, best_cuts = oracle_resegment_cost(hyp, token_lists)
         assert got_cost == best_cost
+        # Boundaries are free: the optimum is the plain edit distance.
+        assert best_cost == oracle_levenshtein(hyp, [t for r in token_lists for t in r])
         got_cuts = [0]
         for s in slices:
             got_cuts.append(got_cuts[-1] + len(s))
@@ -190,17 +193,19 @@ def _random_refs(rng: random.Random, segments: int, max_len: int, alphabet: str)
     return _refs(*((t, float(i), float(i + 1)) for i, t in enumerate(token_lists)))
 
 
-def _band_widths(monkeypatch) -> list[int]:
-    """Record the band width of every suffix pass resegment makes."""
-    widths: list[int] = []
-    banded = metrics._banded_suffix
-
-    def spy(hyp, refs, total, width):
-        widths.append(width)
-        return banded(hyp, refs, total, width)
-
-    monkeypatch.setattr(metrics, "_banded_suffix", spy)
-    return widths
+def _band_widths(passes, hyp, refs) -> tuple[list[int], list[int]]:
+    """The band widths of the recorded passes over ``hyp`` and ``refs`` as
+    given (the widening passes), and over both reversed (the prefix passes).
+    Every pass must be one of the two."""
+    forward = (list(hyp), [r.tokens for r in refs])
+    backward = (forward[0][::-1], [t[::-1] for t in reversed(forward[1])])
+    assert forward != backward  # a palindromic input would hide the direction
+    widening: list[int] = []
+    prefix: list[int] = []
+    for tokens, token_lists, width in passes:
+        assert (tokens, token_lists) in (forward, backward)
+        (widening if (tokens, token_lists) == forward else prefix).append(width)
+    return widening, prefix
 
 
 def test_banded_resegment_matches_full_table_on_near_copies() -> None:
@@ -214,14 +219,16 @@ def test_banded_resegment_matches_full_table_on_near_copies() -> None:
 
 
 def test_banded_resegment_widens_the_band_on_unrelated_hypotheses(monkeypatch) -> None:
-    widths = _band_widths(monkeypatch)
+    passes = band_passes(monkeypatch)
     rng = random.Random(43)
     for _ in range(150):
         refs = _random_refs(rng, rng.randint(3, 10), 8, "abc")
         total = sum(len(r.tokens) for r in refs)
         hyp = [rng.choice("xyz") for _ in range(total + rng.randint(-3, 3))]
-        widths.clear()
+        passes.clear()
         assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
+        widths, prefix = _band_widths(passes, hyp, refs)
+        assert prefix == [widths[-1]]
         # Nothing matches, so the optimum costs max(n, total) and only a band
         # covering at least half the grid can prove it.
         assert widths[0] == metrics._BAND_START
@@ -249,11 +256,13 @@ def _long_refs(rng: random.Random, alphabet: str):
 def test_banded_resegment_jumps_to_a_sure_band_on_an_unrelated_long_stream(
     monkeypatch,
 ) -> None:
-    widths = _band_widths(monkeypatch)
+    passes = band_passes(monkeypatch)
     refs = _long_refs(random.Random(61), "abcdefghijklmnop")
     total = sum(len(r.tokens) for r in refs)
     hyp = ["z"] * total
     assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
+    widths, prefix = _band_widths(passes, hyp, refs)
+    assert prefix == [widths[-1]]
     # The optimum, total substitutions, needs half-width total / 2. Doubling
     # stops well short of it and one pass jumps there; the guesses before
     # it are narrower than a quarter of that band.
@@ -264,7 +273,7 @@ def test_banded_resegment_jumps_to_a_sure_band_on_an_unrelated_long_stream(
 def test_banded_resegment_doubles_for_a_long_stretch_off_the_diagonal(
     monkeypatch,
 ) -> None:
-    widths = _band_widths(monkeypatch)
+    passes = band_passes(monkeypatch)
     refs = _long_refs(random.Random(67), "abcdefghijklmnop")
     flat = [t for r in refs for t in r.tokens]
     # Ten tokens inserted near the start and ten deleted near the end: the
@@ -273,7 +282,9 @@ def test_banded_resegment_doubles_for_a_long_stretch_off_the_diagonal(
     a, b = len(flat) // 10, 9 * len(flat) // 10
     hyp = flat[:a] + ["z"] * 10 + flat[a:b] + flat[b + 10 :]
     assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
+    widths, prefix = _band_widths(passes, hyp, refs)
     assert widths == [4, 8, 16]
+    assert prefix == [16]
 
 
 def test_banded_resegment_keeps_an_optimal_path_on_the_band_edge() -> None:
@@ -307,7 +318,7 @@ def test_banded_resegment_handles_empty_sides_and_skewed_lengths() -> None:
 
 
 def test_banded_resegment_matches_full_table_on_a_long_stream(monkeypatch) -> None:
-    widths = _band_widths(monkeypatch)
+    passes = band_passes(monkeypatch)
     rng = random.Random(53)
     token_lists = [
         [rng.choice("abcdefghijklmnop") for _ in range(rng.randint(3, 8))]
@@ -318,7 +329,9 @@ def test_banded_resegment_matches_full_table_on_a_long_stream(monkeypatch) -> No
     assert 900 <= len(flat) <= 1100
     hyp = _edited(rng, flat, 40, "abcdefghijklmnopz")
     assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
+    widths, prefix = _band_widths(passes, hyp, refs)
     assert widths[-1] <= 32  # a few dozen edits keep the band narrow
+    assert prefix == [widths[-1]]
 
 
 def test_resegment_rejects_tokens_without_segments() -> None:

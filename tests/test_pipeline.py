@@ -4,20 +4,31 @@ import json
 import random
 import re
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
-from helpers import DEEP_JSON, build_scripts, chunked_trace, offline_translation, synth_sentences
+from helpers import (
+    DEEP_JSON,
+    band_passes,
+    build_scripts,
+    chunked_trace,
+    offline_translation,
+    oracle_resegment,
+    synth_sentences,
+)
+from simulstream import metrics
 from simulstream.asr_stream import AsrStreamConfig
 from simulstream.backends import MockAsrBackend, MockMtBackend, load_mock_script
 from simulstream.core import (
     InvalidArgumentError,
+    canonical_json,
     check_emission_log,
     read_json_file,
     record_fields,
 )
-from simulstream.metrics import strip_sentinels
+from simulstream.metrics import ReferenceSegment, strip_sentinels
 from simulstream.mt_stream import MtStreamConfig
 from simulstream.pipeline import (
     Pipeline,
@@ -178,6 +189,43 @@ def test_noisy_flush_streams_the_whole_translation() -> None:
         ):
             short.append(seed)
     assert short == []
+
+
+@pytest.mark.parametrize("mode", ["adapted", "baseline"])
+def test_noisy_talk_reports_match_the_full_table_resegmentation(mode, monkeypatch) -> None:
+    # The banded lookup against the full table and forward walk on real
+    # streams: once against the mapped source sentences, once against copies
+    # with about a fifth of their tokens replaced by zero, one or two others,
+    # which widens the band and leaves optimal boundaries to tie.
+    passes = band_passes(monkeypatch)
+    for seed in range(4):
+        sentences = synth_sentences(random.Random(seed), 24)
+        pipeline, records, _ = _run(sentences, mode=mode, seed=seed, **NOISY)
+        words = iter(pipeline.asr.backend.script.words)
+        mapped = []
+        for sentence in sentences:
+            segment = [next(words) for _ in sentence]
+            mapped.append(ReferenceSegment(
+                tuple(pipeline.mt.backend.script.map_word(w.text) for w in segment),
+                segment[0].start_s,
+                segment[-1].end_s,
+            ))
+        rng = random.Random(seed)
+        edited = [
+            replace(r, tokens=tuple(chain.from_iterable(
+                [f"x{rng.randrange(50)}"] * rng.randrange(3) if rng.random() < 0.2 else [t]
+                for t in r.tokens
+            )))
+            for r in mapped
+        ]
+        for refs in (mapped, edited):
+            passes.clear()
+            report = canonical_json(metrics.evaluate(records, refs))
+            if refs is edited:
+                assert max(width for *_, width in passes) > metrics._BAND_START
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "resegment", oracle_resegment)
+                assert report == canonical_json(metrics.evaluate(records, refs))
 
 
 def test_read_trace_validates(tmp_path) -> None:
