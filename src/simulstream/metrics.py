@@ -1,15 +1,18 @@
 """Stream-level quality and latency evaluation.
 
 The long-form hypothesis is first split against timed reference segments
-(minimum-edit-distance resegmentation), then scored: corpus BLEU for
-quality, and per-segment length-adaptive average lagging for latency, in
-two flavors: NCA (delays measured in source audio consumed) and CA (delays
-measured on the virtual wall clock, which includes compute cost).
+(minimum-edit-distance resegmentation, in O(n + sum |ref| + D^2) time and
+O(D^2) machine ints for n hypothesis tokens and edit distance D), then
+scored: corpus BLEU for quality, and per-segment length-adaptive average
+lagging for latency, in two flavors: NCA (delays measured in source audio
+consumed) and CA (delays measured on the virtual wall clock, which
+includes compute cost).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import partial
@@ -29,11 +32,6 @@ from .core import (
     read_record,
 )
 from .textnorm import is_punctuation
-
-_INF = float("inf")
-# Half-width of the first diagonal band resegment tries; it widens until
-# the optimum provably lies inside.
-_BAND_START = 4
 
 
 @dataclass(frozen=True)
@@ -57,16 +55,6 @@ class ReferenceSegment:
     @property
     def duration_s(self) -> float:
         return self.source_end_s - self.source_start_s
-
-
-def check_segments_ordered(refs: Sequence[ReferenceSegment]) -> None:
-    for a, b in zip(refs, refs[1:]):
-        if a.source_end_s > b.source_start_s:
-            raise InvalidArgumentError(
-                f"reference segments overlap or are out of order at "
-                f"[{a.source_start_s}, {a.source_end_s}] / "
-                f"[{b.source_start_s}, {b.source_end_s}]"
-            )
 
 
 class LatencyStats(NamedTuple):
@@ -129,13 +117,12 @@ def resegment(
 
     Boundaries cost nothing, so the optimum is the plain edit distance D
     between the hypothesis and the joined references, and boundary k is
-    looked up: the least hyp position whose prefix and suffix costs at
-    segment k's first reference position sum to D. ``_banded_suffix``
-    gives the suffix costs and, run over the reversed input, the prefix
-    costs. The result is exact, but both passes cover only a band around
-    the diagonal of the grid, widened until the optimum provably lies
-    inside it (Ukkonen 1985), so near-diagonal alignments cost
-    O((|hyp| + sum |ref|) * band) rather than O(|hyp| * sum |ref|).
+    looked up: the least hyp position whose prefix cost F and suffix cost B
+    at segment k's first reference position sum to D. ``_waves`` gives F,
+    and, run over the reversed input, B; it pays per unit of edit rather
+    than per cell (Ukkonen 1985, Myers 1986), so a call takes
+    O(n + sum |ref| + D^2) time and holds O(D^2) machine ints. With one
+    segment there is nothing to look up and neither pass runs.
     """
     hyp = list(hyp_tokens)
     n = len(hyp)
@@ -144,106 +131,114 @@ def resegment(
         if hyp:
             raise InvalidArgumentError("cannot resegment tokens against zero segments")
         return []
+    if m == 1:
+        return [hyp]
 
-    # A path through cell (j, g) of the grid of hyp position j and global
-    # reference position g pays at least |j - g| + |(n - total) - (j - g)|
-    # insertions and deletions, which exceeds skew + 2 * width outside the
-    # band. So once the banded optimum is within that, every optimal path
-    # lies inside the band and both passes see it whole. The band holds the
-    # path from (0, 0) along the diagonal to (n, total), so best is finite.
-    tokens = [r.tokens for r in refs]
-    total = sum(map(len, tokens))
-    skew = abs(n - total)
-    width = _BAND_START
-    while True:
-        suffix = _banded_suffix(hyp, tokens, total, width)
-        best = _cost_at(suffix[0], 0)
-        if best <= skew + 2 * width or width >= min(n, total):
-            break
-        # A wider band keeps every path of this one, so its optimum is at
-        # most best, and a half-width of (best - skew) / 2 is sure to pass
-        # the test above. Doubling wins when the optimal path strays little
-        # from the diagonal, so it is tried only while the doubled band
-        # stays under an eighth of the sure one.
-        sure = math.ceil((best - skew) / 2)
-        width = min(2 * width if 16 * width < sure else sure, n, total)
+    ref = list(chain.from_iterable(r.tokens for r in refs))
+    total = len(ref)
+    forward = _waves(hyp, ref)
+    backward = _waves(hyp[::-1], ref[::-1])
+    best = len(forward) - 1
+    skew = n - total
 
-    # Reversal maps j - g to (n - total) - (j - g), which maps the band onto
-    # itself, so the reversed pass at this width is exact too. Its layer
-    # m - k at n - j is the cost of hyp[:j] against the references before
-    # segment k. Only layer m of each pass (no segment left) is not closed
-    # under insertions, and an inner boundary reads neither.
-    prefix = _banded_suffix(hyp[::-1], [t[::-1] for t in reversed(tokens)], total, width)
+    def cost(waves: list[array], d: int, g: int) -> int:
+        """The least e <= best whose wave reaches row g on diagonal d, or
+        best + 1: the cost of cell (g + d, g), capped. Reach never falls as
+        e grows, and no cell of diagonal d costs less than |d|."""
+        lo, hi = min(abs(d), best + 1), best + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if waves[mid][d + min(mid, total)] >= g:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    # F + B >= D at every cell, and each of F and B moves by at most one per
+    # hyp position, so an excess x rules out the next ceil(x / 2) - 1
+    # positions. No cell of row g with j < g - D costs D or less.
     cuts = [0]
-    for k in range(1, m):
-        lo, costs = suffix[k]
-        before = prefix[m - k]
-        cut = next((j for j, c in enumerate(costs, lo) if c + _cost_at(before, n - j) == best), None)
-        if cut is None:
-            raise InvalidArgumentError(f"resegmentation found no optimal boundary of segment {k}")
-        cuts.append(cut)
+    g = 0
+    for r in refs[:-1]:
+        g += len(r.tokens)
+        j = max(cuts[-1], g - best)
+        while excess := cost(forward, j - g, g) + cost(backward, skew - j + g, total - g) - best:
+            j += (excess + 1) // 2
+        cuts.append(j)
     cuts.append(n)
     return [hyp[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _banded_suffix(
-    hyp: list[str], token_lists: Sequence[tuple[str, ...]], total: int, width: int
-) -> list[tuple[int, list[float]]]:
-    """The suffix table of ``resegment`` restricted to a diagonal band.
+def _waves(a: Sequence[str], b: Sequence[str]) -> list[array]:
+    """The furthest-reaching waves of the edit distance of ``a`` and ``b``.
 
-    Entry k is (lo, costs): costs[i] is the minimum total cost of aligning
-    hyp[lo + i:] with segments k..m-1 (``token_lists[k:]``, ``total``
-    tokens in all) along paths whose every cell (j, g) has
-    min(0, n - total) - width <= j - g <= max(0, n - total) + width;
-    cells outside the band read as +inf.
-    Each layer is computed as an edit-distance DP over reference positions
-    t, from the segment's end back to its start; once a segment's
-    reference is fully consumed the slice may still absorb hyp tokens at
-    insertion cost before the free handoff to the next segment.
-    Run on the reversed hypothesis and the reversed segments, reversed
-    each, the same pass gives the prefix costs.
+    Wave e holds, for each diagonal d = j - g from -min(e, len(b)) to
+    min(e, len(a)), the greatest g such that a[:g + d] and b[:g] are at
+    most e edits apart. The waves stop at the first that reaches the
+    corner, so the edit distance is the number of waves less one, and
+    a[:j] and b[:g] are at most e apart exactly when wave e reaches row g on
+    diagonal j - g. Each wave is built from the one before in one step per
+    diagonal; runs of equal tokens are skipped by ``_run``.
     """
-    n = len(hyp)
-    below = min(0, n - total) - width  # the band's least j - g
-    above = max(0, n - total) + width  # and its greatest
-    padded = [*hyp, None]  # j == n has no token; its substitution reads +inf
-    g = total
-    lo, hi = max(0, g + below), min(n, g + above)
-    row: list[float] = [_INF] * (hi - lo + 1)
-    row[n - lo] = 0
-    suffix = [(lo, row)]
-    for ref in reversed(token_lists):
-        row = row[:]
-        for i in range(len(row) - 2, -1, -1):
-            if row[i + 1] + 1 < row[i]:
-                row[i] = row[i + 1] + 1
-        for t in range(len(ref) - 1, -1, -1):
-            g -= 1
-            token = ref[t]
-            new_lo, new_hi = max(0, g + below), min(n, g + above)
-            # Layer t + 1 at j = new_lo .. new_hi + 1, +inf past its band.
-            prev = [_INF] * (lo - new_lo) + row + [_INF] * (new_hi + 1 - hi)
-            words = padded[new_lo : new_hi + 1]
-            row = [_INF] * len(words)
-            right = _INF  # row at j + 1
-            for i in range(len(words) - 1, -1, -1):
-                best = prev[i] + 1  # delete ref token t
-                step = prev[i + 1] + (words[i] != token)
-                if step < best:
-                    best = step
-                if right + 1 < best:  # insert hyp token j
-                    best = right + 1
-                row[i] = right = best
-            lo, hi = new_lo, new_hi
-        suffix.append((lo, row))
-    suffix.reverse()
-    return suffix
+    n, t = len(a), len(b)
+    # reach[t + 1 + d] is the current wave's reach on diagonal d; diagonals
+    # it does not hold read -2, which no move can carry past -1.
+    off = t + 1
+    end = n + off  # the cap on diagonal d's rows, n - d, is end - i
+    reach = [-2] * (n + t + 3)
+    reach[off] = _run(a, 0, b, 0)
+    waves = [array("i", reach[off : off + 1])]
+    corner = off + n - t
+    e = 0
+    while reach[corner] < t:
+        e += 1
+        lo, hi = off - min(e, t), off + min(e, n)
+        left = reach[lo - 1]  # the previous wave's reach on diagonal d - 1
+        for i in range(lo, hi + 1):
+            here = reach[i]
+            g = here + 1  # substitute
+            if left > g:
+                g = left  # insert a[j - 1]
+            if reach[i + 1] >= g:
+                g = reach[i + 1] + 1  # delete b[g - 1]
+            left = here
+            if g > t:
+                g = t
+            if g > end - i:
+                g = end - i
+            j = g + i - off
+            if j < n and g < t and a[j] == b[g]:
+                g += _run(a, j, b, g)
+            reach[i] = g
+        waves.append(array("i", reach[lo : hi + 1]))
+    return waves
 
 
-def _cost_at(layer: tuple[int, list[float]], j: int) -> float:
-    lo, costs = layer
-    i = j - lo
-    return costs[i] if 0 <= i < len(costs) else _INF
+def _run(a: Sequence[str], i: int, b: Sequence[str], k: int) -> int:
+    """The length of the common prefix of a[i:] and b[k:].
+
+    Blocks of doubling length are compared as slices until one differs,
+    then that block is bisected, so a run of length r costs O(log r)
+    C-level comparisons.
+    """
+    limit = min(len(a) - i, len(b) - k)
+    lo, step = 0, 1
+    while lo < limit:
+        hi = min(lo + step, limit)
+        if a[i + lo : i + hi] != b[k + lo : k + hi]:
+            break
+        lo = hi
+        step *= 2
+    else:
+        return lo
+    # a[i + lo : i + hi] and b[k + lo : k + hi] differ.
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[i + lo : i + mid] == b[k + lo : k + mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 MAX_ORDER = 4  # BLEU counts n-grams of orders 1 to 4
@@ -425,11 +420,16 @@ def read_emission_log(path: str | Path) -> list[EmissionRecord]:
     try:
         check_emission_log(log)
     except InvalidArgumentError as exc:
-        # Name the line of the first record that falls; blank lines hold none.
         fall = next(k for k in range(1, len(log)) if log[k - 1].nca_time_s > log[k].nca_time_s)
-        lines = [n for n, line in enumerate(Path(path).read_bytes().split(b"\n"), 1) if line.strip()]
-        raise InvalidArgumentError(f"{path}:{lines[fall]}: {exc}") from exc
+        raise InvalidArgumentError(f"{path}:{_record_line(path, fall)}: {exc}") from exc
     return log
+
+
+def _record_line(path: str | Path, index: int) -> int:
+    """The line of a JSONL file that holds its record ``index``; blank
+    lines hold none."""
+    lines = [n for n, line in enumerate(Path(path).read_bytes().split(b"\n"), 1) if line.strip()]
+    return lines[index]
 
 
 def write_reference_segments(
@@ -440,11 +440,20 @@ def write_reference_segments(
 
 def read_reference_segments(path: str | Path) -> list[ReferenceSegment]:
     """The segments of a references file, in order; a file with none is
-    refused, naming it, since no log can be scored against it."""
+    refused, naming it, since no log can be scored against it, and a
+    segment that starts before the one above it ends is refused, naming
+    its line."""
     refs = read_jsonl(path, partial(read_record, ReferenceSegment))
     if not refs:
         raise InvalidArgumentError(f"{path}: no reference segment")
-    check_segments_ordered(refs)
+    for k in range(1, len(refs)):
+        a, b = refs[k - 1], refs[k]
+        if a.source_end_s > b.source_start_s:
+            raise InvalidArgumentError(
+                f"{path}:{_record_line(path, k)}: reference segments overlap or are "
+                f"out of order at [{a.source_start_s}, {a.source_end_s}] / "
+                f"[{b.source_start_s}, {b.source_end_s}]"
+            )
     return refs
 
 

@@ -36,7 +36,7 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
 
     Works on any element sequence; the library uses it on characters, for
     relaxed word matching. Segment alignment (``metrics.resegment``) runs
-    its own banded word-level dynamic program.
+    its own word-level edit distance along diagonals.
     """
     n, m = len(a), len(b)
     if n > m:

@@ -162,9 +162,9 @@ def oracle_resegment(
     """Full-table resegmentation: the suffix table over the whole grid, then a
     forward greedy walk that grows an edit-distance row per segment.
 
-    The library bands its table and looks each boundary up from a prefix
-    and a suffix pass instead; this route is kept as the reference it is
-    judged against.
+    The library computes the edit distance along diagonals and looks each
+    boundary up from a prefix and a suffix pass instead; this route is kept
+    as the reference it is judged against.
 
     Splits the hypothesis into one contiguous slice per reference segment.
     Boundaries minimize the total word-level edit distance between each
@@ -246,17 +246,19 @@ def oracle_resegment(
     return slices
 
 
-def band_passes(monkeypatch) -> list[tuple[list[str], list[tuple[str, ...]], int]]:
-    """Record the hypothesis, token lists and band width of every suffix
-    pass ``metrics.resegment`` makes."""
-    passes: list[tuple[list[str], list[tuple[str, ...]], int]] = []
-    banded = metrics._banded_suffix
+def reach_passes(monkeypatch) -> list[tuple[list[str], list[str], int, int]]:
+    """Record the two token lists, the edit distance D and the number of
+    wave entries of every furthest-reaching pass ``metrics.resegment``
+    makes."""
+    passes: list[tuple[list[str], list[str], int, int]] = []
+    waves = metrics._waves
 
-    def spy(hyp, token_lists, total, width):
-        passes.append((list(hyp), list(token_lists), width))
-        return banded(hyp, token_lists, total, width)
+    def spy(a, b):
+        out = waves(a, b)
+        passes.append((list(a), list(b), len(out) - 1, sum(map(len, out))))
+        return out
 
-    monkeypatch.setattr(metrics, "_banded_suffix", spy)
+    monkeypatch.setattr(metrics, "_waves", spy)
     return passes
 
 

@@ -377,6 +377,29 @@ def test_bench_exits_1_naming_the_line_where_a_log_falls(tmp_path, capsys) -> No
     )
 
 
+@pytest.mark.parametrize("command", ["eval", "bench"])
+@pytest.mark.parametrize("span", [(3.0, 5.0), (0.0, 1.0)], ids=["overlapping", "out_of_order"])
+def test_refs_file_with_unordered_segments_exits_1_naming_the_line(
+    tmp_path, capsys, command, span
+) -> None:
+    log, refs = tmp_path / "log.jsonl", tmp_path / "refs.jsonl"
+    log.write_text(_GOOD_RECORD + "\n", encoding="utf-8")
+    start, end = span
+    # A blank line holds no segment, and the line count still counts it.
+    refs.write_text(
+        '{"source_end_s":4.0,"source_start_s":2.0,"tokens":["ja"]}\n\n'
+        f'{{"source_end_s":{end},"source_start_s":{start},"tokens":["ja"]}}\n',
+        encoding="utf-8",
+    )
+    args = [str(log), str(refs)] if command == "eval" else [str(log), "--refs", str(refs)]
+    assert main([command, *args]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert err["message"] == (
+        f"{refs}:3: reference segments overlap or are out of order at [2.0, 4.0] / [{start}, {end}]"
+    )
+
+
 def test_the_cli_and_the_wire_server_load_no_fractions_module() -> None:
     # ``fractions`` (with ``decimal``) costs milliseconds of every cold start.
     root = Path(__file__).resolve().parent.parent

@@ -7,13 +7,13 @@ import random
 import pytest
 
 from helpers import (
-    band_passes,
     oracle_bleu_tokenize,
     oracle_corpus_bleu,
     oracle_laal,
     oracle_levenshtein,
     oracle_resegment,
     oracle_resegment_cost,
+    reach_passes,
 )
 from simulstream import metrics
 from simulstream.core import SENTINEL, EmissionRecord, InvalidArgumentError
@@ -193,19 +193,27 @@ def _random_refs(rng: random.Random, segments: int, max_len: int, alphabet: str)
     return _refs(*((t, float(i), float(i + 1)) for i, t in enumerate(token_lists)))
 
 
-def _band_widths(passes, hyp, refs) -> tuple[list[int], list[int]]:
-    """The band widths of the recorded passes over ``hyp`` and ``refs`` as
-    given (the widening passes), and over both reversed (the prefix passes).
-    Every pass must be one of the two."""
-    forward = (list(hyp), [r.tokens for r in refs])
-    backward = (forward[0][::-1], [t[::-1] for t in reversed(forward[1])])
+def _pass_costs(passes, hyp, refs) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The edit distance and wave entries of the recorded passes over
+    ``hyp`` and the joined references as given (the prefix passes), and
+    over both reversed (the suffix passes). Every pass must be one of the
+    two."""
+    forward = (list(hyp), [t for r in refs for t in r.tokens])
+    backward = (forward[0][::-1], forward[1][::-1])
     assert forward != backward  # a palindromic input would hide the direction
-    widening: list[int] = []
-    prefix: list[int] = []
-    for tokens, token_lists, width in passes:
-        assert (tokens, token_lists) in (forward, backward)
-        (widening if (tokens, token_lists) == forward else prefix).append(width)
-    return widening, prefix
+    prefix: list[tuple[int, int]] = []
+    suffix: list[tuple[int, int]] = []
+    for a, b, distance, entries in passes:
+        assert (a, b) in (forward, backward)
+        (prefix if (a, b) == forward else suffix).append((distance, entries))
+    return prefix, suffix
+
+
+def _slice_cost(hyp, refs) -> int:
+    """The total cost of the full-table split, which is the edit distance of
+    ``hyp`` and the joined references: boundaries cost nothing."""
+    slices = oracle_resegment(hyp, refs)
+    return sum(oracle_levenshtein(s, r.tokens) for s, r in zip(slices, refs))
 
 
 def test_banded_resegment_matches_full_table_on_near_copies() -> None:
@@ -218,8 +226,29 @@ def test_banded_resegment_matches_full_table_on_near_copies() -> None:
         assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
 
 
-def test_banded_resegment_widens_the_band_on_unrelated_hypotheses(monkeypatch) -> None:
-    passes = band_passes(monkeypatch)
+def test_resegment_runs_no_pass_for_one_segment_and_one_each_way_for_more(monkeypatch) -> None:
+    passes = reach_passes(monkeypatch)
+    rng = random.Random(71)
+    for _ in range(200):
+        refs = _random_refs(rng, rng.randint(1, 4), 6, "abc")
+        flat = [t for r in refs for t in r.tokens]
+        hyp = _edited(rng, flat, rng.randint(0, 8), "abcz")
+        if hyp == hyp[::-1] and flat == flat[::-1]:
+            continue  # the two directions would look alike
+        passes.clear()
+        assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
+        prefix, suffix = _pass_costs(passes, hyp, refs)
+        if len(refs) == 1:
+            assert prefix == suffix == []  # the one slice is the whole hypothesis
+            continue
+        assert len(prefix) == len(suffix) == 1
+        distance = oracle_levenshtein(hyp, flat)
+        assert prefix[0][0] == suffix[0][0] == distance
+        assert prefix[0][1] <= (distance + 1) ** 2
+
+
+def test_resegment_matches_full_table_on_unrelated_hypotheses(monkeypatch) -> None:
+    passes = reach_passes(monkeypatch)
     rng = random.Random(43)
     for _ in range(150):
         refs = _random_refs(rng, rng.randint(3, 10), 8, "abc")
@@ -227,12 +256,12 @@ def test_banded_resegment_widens_the_band_on_unrelated_hypotheses(monkeypatch) -
         hyp = [rng.choice("xyz") for _ in range(total + rng.randint(-3, 3))]
         passes.clear()
         assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
-        widths, prefix = _band_widths(passes, hyp, refs)
-        assert prefix == [widths[-1]]
-        # Nothing matches, so the optimum costs max(n, total) and only a band
-        # covering at least half the grid can prove it.
-        assert widths[0] == metrics._BAND_START
-        assert 2 * widths[-1] >= min(len(hyp), total)
+        prefix, suffix = _pass_costs(passes, hyp, refs)
+        # Nothing matches, so the optimum costs max(n, total) edits.
+        distance = max(len(hyp), total)
+        assert oracle_levenshtein(hyp, [t for r in refs for t in r.tokens]) == distance
+        assert [d for d, _ in prefix] == [d for d, _ in suffix] == [distance]
+        assert prefix[0][1] <= (distance + 1) ** 2
 
 
 def test_banded_resegment_matches_full_table_on_heavy_edits() -> None:
@@ -246,52 +275,48 @@ def test_banded_resegment_matches_full_table_on_heavy_edits() -> None:
         assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
 
 
-def _long_refs(rng: random.Random, alphabet: str):
+def _long_refs(rng: random.Random, alphabet: str, segments: int = 180):
     token_lists = [
-        [rng.choice(alphabet) for _ in range(rng.randint(3, 8))] for _ in range(180)
+        [rng.choice(alphabet) for _ in range(rng.randint(3, 8))] for _ in range(segments)
     ]
     return _refs(*((t, float(i), float(i + 1)) for i, t in enumerate(token_lists)))
 
 
-def test_banded_resegment_jumps_to_a_sure_band_on_an_unrelated_long_stream(
-    monkeypatch,
-) -> None:
-    passes = band_passes(monkeypatch)
+def test_resegment_matches_full_table_on_an_unrelated_long_stream(monkeypatch) -> None:
+    passes = reach_passes(monkeypatch)
     refs = _long_refs(random.Random(61), "abcdefghijklmnop")
     total = sum(len(r.tokens) for r in refs)
     hyp = ["z"] * total
     assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
-    widths, prefix = _band_widths(passes, hyp, refs)
-    assert prefix == [widths[-1]]
-    # The optimum, total substitutions, needs half-width total / 2. Doubling
-    # stops well short of it and one pass jumps there; the guesses before
-    # it are narrower than a quarter of that band.
-    assert widths[-1] == (total + 1) // 2
-    assert sum(widths[1:-1]) < widths[-1] / 4
+    prefix, suffix = _pass_costs(passes, hyp, refs)
+    # Every token is substituted; the waves cover the grid's diagonals.
+    assert _slice_cost(hyp, refs) == total
+    assert [d for d, _ in prefix] == [d for d, _ in suffix] == [total]
+    assert prefix[0][1] <= (total + 1) ** 2
 
 
-def test_banded_resegment_doubles_for_a_long_stretch_off_the_diagonal(
-    monkeypatch,
-) -> None:
-    passes = band_passes(monkeypatch)
+def test_resegment_pays_per_edit_for_a_long_stretch_off_the_diagonal(monkeypatch) -> None:
+    passes = reach_passes(monkeypatch)
     refs = _long_refs(random.Random(67), "abcdefghijklmnop")
     flat = [t for r in refs for t in r.tokens]
     # Ten tokens inserted near the start and ten deleted near the end: the
-    # optimal path runs ten cells off the diagonal for most of the grid, so
-    # a narrow band pays a substitution for nearly every token between.
+    # optimal path runs ten cells off the diagonal for most of the grid,
+    # where equal tokens are skipped in runs.
     a, b = len(flat) // 10, 9 * len(flat) // 10
     hyp = flat[:a] + ["z"] * 10 + flat[a:b] + flat[b + 10 :]
     assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
-    widths, prefix = _band_widths(passes, hyp, refs)
-    assert widths == [4, 8, 16]
-    assert prefix == [16]
+    prefix, suffix = _pass_costs(passes, hyp, refs)
+    distance = _slice_cost(hyp, refs)
+    assert distance <= 20
+    assert [d for d, _ in prefix] == [d for d, _ in suffix] == [distance]
+    assert max(prefix[0][1], suffix[0][1]) <= (distance + 1) ** 2
 
 
 def test_banded_resegment_keeps_an_optimal_path_on_the_band_edge() -> None:
-    # Every split of b^w a^w against (a^w, b^w) costs 2w, the most the first
-    # band can prove. The earliest one leaves the first slice empty, and its
-    # path deletes all of a^w before it matches: it runs along the band's edge.
-    for width in (metrics._BAND_START, 2 * metrics._BAND_START):
+    # Every split of b^w a^w against (a^w, b^w) costs 2w. The earliest one
+    # leaves the first slice empty, and its path deletes all of a^w before
+    # it matches: it runs w diagonals off the main one.
+    for width in (4, 8):
         refs = _refs((["a"] * width, 0.0, 1.0), (["b"] * width, 1.0, 2.0))
         hyp = ["b"] * width + ["a"] * width
         assert resegment(hyp, refs) == oracle_resegment(hyp, refs) == [[], hyp]
@@ -317,8 +342,8 @@ def test_banded_resegment_handles_empty_sides_and_skewed_lengths() -> None:
         assert resegment(hyp, only_empty) == oracle_resegment(hyp, only_empty)
 
 
-def test_banded_resegment_matches_full_table_on_a_long_stream(monkeypatch) -> None:
-    passes = band_passes(monkeypatch)
+def test_resegment_stays_within_d_plus_one_squared_entries_on_a_long_stream(monkeypatch) -> None:
+    passes = reach_passes(monkeypatch)
     rng = random.Random(53)
     token_lists = [
         [rng.choice("abcdefghijklmnop") for _ in range(rng.randint(3, 8))]
@@ -329,9 +354,41 @@ def test_banded_resegment_matches_full_table_on_a_long_stream(monkeypatch) -> No
     assert 900 <= len(flat) <= 1100
     hyp = _edited(rng, flat, 40, "abcdefghijklmnopz")
     assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
-    widths, prefix = _band_widths(passes, hyp, refs)
-    assert widths[-1] <= 32  # a few dozen edits keep the band narrow
-    assert prefix == [widths[-1]]
+    prefix, suffix = _pass_costs(passes, hyp, refs)
+    distance = _slice_cost(hyp, refs)
+    assert 0 < distance <= 40
+    assert [d for d, _ in prefix] == [d for d, _ in suffix] == [distance]
+    for _, entries in prefix + suffix:
+        assert entries <= (distance + 1) ** 2
+
+
+@pytest.mark.parametrize("segments", [180, 2900], ids=["1k_tokens", "16k_tokens"])
+def test_resegment_takes_one_wave_per_pass_on_a_clean_stream(monkeypatch, segments) -> None:
+    passes = reach_passes(monkeypatch)
+    refs = _long_refs(random.Random(73), "abcdefghijklmnop", segments)
+    flat = [t for r in refs for t in r.tokens]
+    assert resegment(flat, refs) == [list(r.tokens) for r in refs]
+    prefix, suffix = _pass_costs(passes, flat, refs)
+    assert prefix == suffix == [(0, 1)]
+
+
+def test_run_matches_a_token_by_token_loop() -> None:
+    rng = random.Random(79)
+    seen = set()
+    for _ in range(100):
+        a = [rng.choice("ab") for _ in range(rng.randint(0, 40))]
+        b = _edited(rng, a, rng.randint(0, 3), "abz")
+        for i in range(len(a) + 1):
+            for k in range(len(b) + 1):
+                run = 0
+                while i + run < len(a) and k + run < len(b) and a[i + run] == b[k + run]:
+                    run += 1
+                assert metrics._run(a, i, b, k) == run
+                seen.add((run, i + run == len(a), k + run == len(b)))
+    # Runs of lengths that are not powers of two, stopped by a mismatch
+    # and by the end of either list.
+    for ends in ((False, False), (True, False), (False, True), (True, True)):
+        assert {run for run, *at_end in seen if tuple(at_end) == ends} >= {3, 5, 6, 7, 9, 11}
 
 
 def test_resegment_rejects_tokens_without_segments() -> None:

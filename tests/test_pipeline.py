@@ -11,11 +11,11 @@ import pytest
 
 from helpers import (
     DEEP_JSON,
-    band_passes,
     build_scripts,
     chunked_trace,
     offline_translation,
     oracle_resegment,
+    reach_passes,
     synth_sentences,
 )
 from simulstream import metrics
@@ -193,11 +193,12 @@ def test_noisy_flush_streams_the_whole_translation() -> None:
 
 @pytest.mark.parametrize("mode", ["adapted", "baseline"])
 def test_noisy_talk_reports_match_the_full_table_resegmentation(mode, monkeypatch) -> None:
-    # The banded lookup against the full table and forward walk on real
+    # The boundary lookup against the full table and forward walk on real
     # streams: once against the mapped source sentences, once against copies
     # with about a fifth of their tokens replaced by zero, one or two others,
-    # which widens the band and leaves optimal boundaries to tie.
-    passes = band_passes(monkeypatch)
+    # which takes the edit distance off zero and leaves optimal boundaries
+    # to tie.
+    passes = reach_passes(monkeypatch)
     for seed in range(4):
         sentences = synth_sentences(random.Random(seed), 24)
         pipeline, records, _ = _run(sentences, mode=mode, seed=seed, **NOISY)
@@ -221,8 +222,10 @@ def test_noisy_talk_reports_match_the_full_table_resegmentation(mode, monkeypatc
         for refs in (mapped, edited):
             passes.clear()
             report = canonical_json(metrics.evaluate(records, refs))
+            distances = [distance for *_, distance, _ in passes]
+            assert distances == [distances[0]] * 2  # one pass each way
             if refs is edited:
-                assert max(width for *_, width in passes) > metrics._BAND_START
+                assert distances[0] > 0
             with monkeypatch.context() as patch:
                 patch.setattr(metrics, "resegment", oracle_resegment)
                 assert report == canonical_json(metrics.evaluate(records, refs))
