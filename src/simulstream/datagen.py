@@ -173,7 +173,10 @@ def load_corpus(path: str | Path) -> CorpusLoadResult:
             )
             pending = []
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" alone (read_text has turned "\r\n" and "\r" into it):
+    # str.splitlines would also cut at \x0c, U+2028 and other breaks, which
+    # str.split reads as spaces inside a sentence.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             close_document()
             continue

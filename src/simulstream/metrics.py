@@ -17,7 +17,6 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -69,16 +68,10 @@ class LatencyStats(NamedTuple):
 class LatencyReport(
     namedtuple("LatencyReport", [*LatencyStats._fields, "per_segment"])
 ):
-    """``LatencyStats`` of per-segment values, plus ``per_segment``: their
-    (segment index, value) pairs."""
+    """``LatencyStats`` of per-segment values, plus ``per_segment``: the
+    values in segment order."""
 
     __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {
-            **self._asdict(),
-            "per_segment": [[i, v] for i, v in self.per_segment],
-        }
 
 
 def latency_stats(values: Sequence[float]) -> LatencyStats:
@@ -344,9 +337,10 @@ def stream_laal(
     log: Sequence[EmissionRecord],
     refs: Sequence[ReferenceSegment],
     hyp_segments: Sequence[Sequence[str]],
-    mode: str,
-) -> LatencyReport:
-    """Per-segment length-adaptive average lagging over the emission log.
+) -> tuple[LatencyReport, LatencyReport]:
+    """Per-segment length-adaptive average lagging over the emission log,
+    as the (NCA, CA) reports: delays on audio consumed, then on the
+    virtual wall clock.
 
     For segment s with source span T and hypothesis/reference lengths
     y/y*, token delays are d_i = emission time - segment source start, and
@@ -355,11 +349,8 @@ def stream_laal(
 
     where tau is the first index whose delay reaches T (all of them if none
     does). An empty hypothesis segment scores the full span T, so silence
-    can never look fast. ``mode`` selects which timestamp the delays use:
-    "nca" for audio consumed, "ca" for the virtual wall clock.
+    can never look fast.
     """
-    if mode not in ("nca", "ca"):
-        raise InvalidArgumentError(f"mode must be 'nca' or 'ca', got {mode!r}")
     if len(refs) != len(hyp_segments):
         raise InvalidArgumentError(
             f"segment count mismatch: {len(refs)} references vs "
@@ -372,25 +363,26 @@ def stream_laal(
         raise InvalidArgumentError(
             "emission log does not match the hypothesis segments token for token"
         )
-    return _laal(records, refs, hyp_segments, mode)
+    return (
+        _laal([r.nca_time_s for r in records], refs, hyp_segments),
+        _laal([r.ca_time_s for r in records], refs, hyp_segments),
+    )
 
 
 def _laal(
-    records: Sequence[EmissionRecord],
+    times: Sequence[float],
     refs: Sequence[ReferenceSegment],
     hyp_segments: Sequence[Sequence[str]],
-    mode: str,
 ) -> LatencyReport:
-    """``stream_laal`` past its checks: ``records`` are the log's records
-    without sentinels, one per token of ``hyp_segments``."""
-    times = list(map(attrgetter(f"{mode}_time_s"), records))
+    """One clock's report: ``times`` holds one emission time per token of
+    ``hyp_segments``."""
     per_segment = []
     cursor = 0
-    for index, (ref, seg) in enumerate(zip(refs, hyp_segments)):
+    for ref, seg in zip(refs, hyp_segments):
         span = ref.duration_s
         y = len(seg)
         if y == 0:
-            per_segment.append((index, span))
+            per_segment.append(span)
             continue
         delays = [t - ref.source_start_s for t in times[cursor : cursor + y]]
         cursor += y
@@ -401,9 +393,8 @@ def _laal(
                 break
         denom = max(y, len(ref.tokens))
         total = sum(delays[i - 1] - (i - 1) * span / denom for i in range(1, tau + 1))
-        per_segment.append((index, total / tau))
-    stats = latency_stats([v for _, v in per_segment])
-    return LatencyReport(*stats, per_segment=tuple(per_segment))
+        per_segment.append(total / tau)
+    return LatencyReport(*latency_stats(per_segment), per_segment=per_segment)
 
 
 # --- file interfaces ---------------------------------------------------------
@@ -460,10 +451,11 @@ def read_reference_segments(path: str | Path) -> list[ReferenceSegment]:
 def evaluate(
     log: Sequence[EmissionRecord], refs: Sequence[ReferenceSegment]
 ) -> dict:
-    """Full metrics report: resegment, then BLEU and both latency modes.
+    """Full metrics report: resegment, then BLEU and, from one
+    ``stream_laal`` call, the NCA and CA latency reports.
 
     The sentinels are stripped once, and the log is checked against the
-    resegmented slices once, by the NCA ``stream_laal`` call.
+    resegmented slices once, by ``stream_laal``.
     """
     records = [r for r in log if r.token != SENTINEL]
     hyp_tokens = [r.token for r in records]
@@ -479,12 +471,11 @@ def evaluate(
         return list(chain.from_iterable(map(pieces.__getitem__, tokens)))
 
     bleu = corpus_bleu([split(s) for s in slices], [split(r.tokens) for r in refs])
-    # The NCA call checks the records against the slices; CA relies on it.
-    nca = stream_laal(records, refs, slices, "nca")
+    nca, ca = stream_laal(records, refs, slices)
     return {
         "bleu": bleu,
         "segments": len(refs),
         "empty_segments": sum(1 for s in slices if not s),
-        "nca": nca.to_dict(),
-        "ca": _laal(records, refs, slices, "ca").to_dict(),
+        "nca": nca._asdict(),
+        "ca": ca._asdict(),
     }

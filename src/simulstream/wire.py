@@ -195,7 +195,10 @@ class WireChannel:
                 raise BackendError("backend closed the connection")
             self._buffer += chunk
         line, _, self._buffer = self._buffer.partition(b"\n")
-        return line.decode("utf-8")
+        try:
+            return line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"response is not UTF-8: {exc}") from exc
 
     def close(self) -> None:
         self._selector.close()
@@ -204,7 +207,11 @@ class WireChannel:
         except OSError:
             pass
         self._proc.terminate()
-        self._proc.wait(timeout=5)
+        try:
+            self._proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
         self._proc.stdout.close()
 
 

@@ -83,6 +83,33 @@ def test_simulate_through_wire_server_matches_mock(tmp_path) -> None:
     assert out.read_bytes() == (DATA / "golden_log_60s.jsonl").read_bytes()
 
 
+def test_simulate_keeps_its_log_when_the_server_ignores_sigterm(tmp_path) -> None:
+    # The server answers until its input closes, then outlives the closing
+    # channel's SIGTERM: the channel kills it, and the run's log is written.
+    trace, config_path = _stage_fixture(tmp_path)
+    pid_file = tmp_path / "server.pid"
+    server = (
+        "import os, signal, sys, time; signal.signal(signal.SIGTERM, signal.SIG_IGN); "
+        "open(sys.argv[2], 'w').write(str(os.getpid())); "
+        "from simulstream.wire import main; main(sys.argv[1:2]); time.sleep(60)"
+    )
+    config = json.loads(config_path.read_text())
+    config["backend"] = {
+        "kind": "wire",
+        "command": [
+            sys.executable, "-c", server, str(tmp_path / "mock_script_60s.json"), str(pid_file)
+        ],
+        "timeout_s": 30,
+    }
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "wire.jsonl"
+    assert main(["simulate", str(trace), str(config_path), str(out)]) == 0
+    assert out.read_bytes() == (DATA / "golden_log_60s.jsonl").read_bytes()
+    assert (tmp_path / "wire.jsonl.summary.json").exists()
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(int(pid_file.read_text()), 0)
+
+
 def test_simulate_missing_trace_exits_1(tmp_path, capsys) -> None:
     _, config = _stage_fixture(tmp_path)
     code = main(["simulate", str(tmp_path / "nope.jsonl"), str(config), str(tmp_path / "o")])
@@ -175,12 +202,20 @@ _DEEP_REPLY_SERVER = (
     "import sys; sys.stdin.readline(); "
     "print('[' * 200000 + ']' * 200000, flush=True); sys.stdin.readline()"
 )
+_NOT_UTF8_REPLY_SERVER = (
+    "import sys; sys.stdin.readline(); sys.stdout.buffer.write(b'\\xff\\n'); "
+    "sys.stdout.flush(); sys.stdin.readline()"
+)
 
 
 @pytest.mark.parametrize(
     "server, message",
-    [(_V1_REPLY_SERVER, "field 'v' must be 3, got 1"), (_DEEP_REPLY_SERVER, "nested too deeply")],
-    ids=["v1_reply", "nested_reply"],
+    [
+        (_V1_REPLY_SERVER, "field 'v' must be 3, got 1"),
+        (_DEEP_REPLY_SERVER, "nested too deeply"),
+        (_NOT_UTF8_REPLY_SERVER, "response is not UTF-8"),
+    ],
+    ids=["v1_reply", "nested_reply", "not_utf8_reply"],
 )
 def test_simulate_bad_wire_reply_exits_2(tmp_path, capsys, server, message) -> None:
     trace, config_path = _stage_fixture(tmp_path)
@@ -275,7 +310,7 @@ def test_eval_empty_log_scores_zero_and_full_lag(tmp_path, capsys) -> None:
     report = json.loads(capsys.readouterr().out)
     assert report["bleu"] == 0.0
     assert report["empty_segments"] == 2
-    assert [v for _, v in report["nca"]["per_segment"]] == [3.0, 2.0]
+    assert report["nca"]["per_segment"] == report["ca"]["per_segment"] == [3.0, 2.0]
 
 
 def test_eval_misaligned_inputs_exit_1(tmp_path, capsys) -> None:

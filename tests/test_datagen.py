@@ -169,6 +169,18 @@ def test_load_corpus_reports_malformed_lines(tmp_path) -> None:
     assert [line for line, _ in result.malformed] == [2, 3]
 
 
+def test_load_corpus_cuts_lines_at_newlines_only(tmp_path) -> None:
+    path = tmp_path / "corpus.txt"
+    breaks = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    text = "".join(f"a{c}b ||| x y{c}z\n" for c in breaks) + "broken\r\nc ||| d\r"
+    path.write_text(text, encoding="utf-8", newline="")
+    result = load_corpus(path)
+    assert [d.pairs for d in result.documents] == [
+        ((("a", "b"), ("x", "y", "z")),) * len(breaks) + ((("c",), ("d",)),)
+    ]
+    assert result.malformed == [(len(breaks) + 1, "missing ' ||| ' separator")]
+
+
 def test_load_corpus_rejects_empty(tmp_path) -> None:
     path = tmp_path / "corpus.txt"
     path.write_text("only broken\n", encoding="utf-8")

@@ -518,31 +518,29 @@ def test_bleu_tokenize_splits_edge_punctuation() -> None:
 # --- stream_laal --------------------------------------------------------------
 
 
-def test_latency_report_to_dict_keeps_keys_and_values() -> None:
-    report = stream_laal(
-        [_record("a", 1.0), _record("b", 2.5)],
-        _refs((["a"], 0.0, 1.0), (["b"], 1.0, 2.0)),
-        [["a"], ["b"]],
-        "nca",
-    )
-    assert json.dumps(report.to_dict()) == (
+def test_latency_report_json_lists_the_values_in_segment_order() -> None:
+    log = [_record("a", 1.0), _record("b", 2.5)]
+    refs = _refs((["a"], 0.0, 1.0), (["b"], 1.0, 2.0))
+    report = evaluate(log, refs)
+    assert json.dumps(report["nca"]) == (
         '{"mean_s": 1.25, "median_s": 1.0, "p90_s": 1.5, "p95_s": 1.5, '
-        '"p99_s": 1.5, "max_s": 1.5, "per_segment": [[0, 1.0], [1, 1.5]]}'
+        '"p99_s": 1.5, "max_s": 1.5, "per_segment": [1.0, 1.5]}'
     )
+    assert json.loads(json.dumps(report)) == report
 
 
 def test_laal_token_per_second_case() -> None:
     refs = _refs((["t1", "t2", "t3", "t4"], 0.0, 4.0))
     log = [_record(f"t{i}", float(i)) for i in range(1, 5)]
-    report = stream_laal(log, refs, [["t1", "t2", "t3", "t4"]], "nca")
+    report, _ = stream_laal(log, refs, [["t1", "t2", "t3", "t4"]])
     assert report.mean_s == pytest.approx(1.0)
-    assert report.per_segment == ((0, pytest.approx(1.0)),)
+    assert report.per_segment == [pytest.approx(1.0)]
 
 
 def test_laal_all_tokens_at_zero_closed_form() -> None:
     refs = _refs((["t1", "t2", "t3", "t4"], 0.0, 4.0))
     log = [_record(f"t{i}", 0.0) for i in range(1, 5)]
-    report = stream_laal(log, refs, [["t1", "t2", "t3", "t4"]], "nca")
+    report, _ = stream_laal(log, refs, [["t1", "t2", "t3", "t4"]])
     # -(T/y) * (tau - 1)/2 with tau = y = 4, T = 4
     assert report.mean_s == pytest.approx(-1.5)
 
@@ -551,7 +549,8 @@ def test_laal_ca_equals_nca_when_times_agree() -> None:
     refs = _refs((["a", "b"], 0.0, 2.0), (["c"], 2.0, 3.0))
     log = [_record("a", 0.5), _record("b", 1.0), _record("c", 2.5)]
     segs = [["a", "b"], ["c"]]
-    assert stream_laal(log, refs, segs, "nca") == stream_laal(log, refs, segs, "ca")
+    nca, ca = stream_laal(log, refs, segs)
+    assert nca == ca
 
 
 def test_laal_ca_dominates_with_compute_lag() -> None:
@@ -563,24 +562,23 @@ def test_laal_ca_dominates_with_compute_lag() -> None:
         _record("d", 4.0, lag=0.8),
     ]
     segs = [["a", "b"], ["c", "d"]]
-    nca = stream_laal(log, refs, segs, "nca")
-    ca = stream_laal(log, refs, segs, "ca")
+    nca, ca = stream_laal(log, refs, segs)
     assert ca.mean_s >= nca.mean_s
-    for (_, n), (_, c) in zip(nca.per_segment, ca.per_segment):
+    for n, c in zip(nca.per_segment, ca.per_segment):
         assert c >= n
 
 
 def test_laal_empty_segment_scores_full_span() -> None:
     refs = _refs((["a"], 0.0, 2.0), (["b", "c"], 2.0, 6.0))
     log = [_record("a", 1.0)]
-    report = stream_laal(log, refs, [["a"], []], "nca")
-    assert report.per_segment[1] == (1, 6.0 - 2.0)
+    nca, ca = stream_laal(log, refs, [["a"], []])
+    assert nca.per_segment[1] == ca.per_segment[1] == 6.0 - 2.0
 
 
 def test_laal_sentinels_are_ignored_in_the_log() -> None:
     refs = _refs((["a"], 0.0, 1.0),)
     log = [_record("a", 0.5), _record(SENTINEL, 0.5)]
-    report = stream_laal(log, refs, [["a"]], "nca")
+    report, _ = stream_laal(log, refs, [["a"]])
     assert report.mean_s == pytest.approx(0.5)
 
 
@@ -605,26 +603,27 @@ def test_laal_matches_brute_force_on_random_logs() -> None:
             segments.append(tokens)
             for tok, time in zip(tokens, times):
                 log.append(EmissionRecord(tok, time, time + rng.uniform(0, 1)))
-        report = stream_laal(log, refs, segments, "nca")
+        nca, ca = stream_laal(log, refs, segments)
         cursor = 0
         for i, (ref, seg) in enumerate(zip(refs, segments)):
-            delays = [
-                log[cursor + j].nca_time_s - ref.source_start_s for j in range(len(seg))
-            ]
+            emitted = log[cursor : cursor + len(seg)]
             cursor += len(seg)
-            expected = oracle_laal(delays, ref.duration_s, len(ref.tokens))
-            assert report.per_segment[i][1] == pytest.approx(expected, abs=1e-12)
+            for report, times in (
+                (nca, [r.nca_time_s for r in emitted]),
+                (ca, [r.ca_time_s for r in emitted]),
+            ):
+                delays = [t - ref.source_start_s for t in times]
+                expected = oracle_laal(delays, ref.duration_s, len(ref.tokens))
+                assert report.per_segment[i] == pytest.approx(expected, abs=1e-12)
 
 
 def test_laal_validates_log_alignment() -> None:
     refs = _refs((["a"], 0.0, 1.0),)
     log = [_record("a", 0.5)]
     with pytest.raises(InvalidArgumentError):
-        stream_laal(log, refs, [["b"]], "nca")
+        stream_laal(log, refs, [["b"]])
     with pytest.raises(InvalidArgumentError):
-        stream_laal(log, refs, [["a"], ["b"]], "nca")
-    with pytest.raises(InvalidArgumentError):
-        stream_laal(log, refs, [["a"]], "weird")
+        stream_laal(log, refs, [["a"], ["b"]])
 
 
 # --- file round-trips and the report ------------------------------------------
@@ -700,7 +699,7 @@ def test_readers_quote_only_an_excerpt_of_a_huge_field(tmp_path, read, line, nam
     assert len(message) < 500
 
 
-def test_evaluate_report_shape() -> None:
+def test_evaluate_report_shape(monkeypatch) -> None:
     refs = _refs((["der", "hund"], 0.0, 2.0), (["die", "katze"], 2.0, 4.0))
     log = [
         _record("der", 0.8),
@@ -709,12 +708,21 @@ def test_evaluate_report_shape() -> None:
         _record("die", 2.9),
         _record("katze", 3.5),
     ]
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return stream_laal(*args)
+
+    monkeypatch.setattr(metrics, "stream_laal", spy)
     report = evaluate(log, refs)
+    assert len(calls) == 1  # one call scores both clocks
     assert report["bleu"] == pytest.approx(100.0)
     assert report["empty_segments"] == 0
     assert report["segments"] == 2
     assert report["nca"]["mean_s"] <= report["ca"]["mean_s"]
     assert isinstance(report["nca"], dict)
+    assert type(report["ca"]["per_segment"]) is list
 
 
 def test_strip_sentinels() -> None:
