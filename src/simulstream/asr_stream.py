@@ -95,7 +95,8 @@ class AsrStreamController:
         ``initial_wait_s`` of total audio has arrived (audio never goes
         down, so once the first decode has passed that gate it stays open).
         A backend failure propagates with the state untouched, so the step
-        is retryable. A reply word outside the requested window is a
+        is retryable. A reply word outside the requested window, or a cost
+        that would take the clock past the largest float, is a
         ``ProtocolError``, raised before the state changes.
         """
         audio = self.clock.audio_available_s
@@ -133,7 +134,10 @@ class AsrStreamController:
                     f"field 'words[{i}]' lies outside the requested window "
                     f"[{request.window_start_s}, {request.window_end_s}]: [{w.start_s}, {w.end_s}]"
                 )
-        self.clock.charge_compute(response.compute_cost_s)
+        try:  # a reported cost the clock cannot take is the backend's fault
+            self.clock.charge_compute(response.compute_cost_s)
+        except InvalidArgumentError as exc:
+            raise ProtocolError(str(exc)) from exc
         self.decodes += 1
         state.decoded_upto_s = audio
 

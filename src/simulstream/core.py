@@ -35,14 +35,24 @@ _scan_once = _strict_decoder.scan_once
 
 
 def strict_json_loads(text: str):
-    """``json.loads`` minus the NaN and Infinity literals JSON lacks.
+    """``json.loads`` minus the NaN and Infinity literals JSON lacks, and
+    minus unpaired surrogates, which no UTF-8 writer can encode.
 
     Every failure is a ``ValueError``, nesting too deep to decode included.
+    Text decoded from UTF-8 holds no surrogate, so only a ``\\u`` escape
+    can spell one, and only text with a backslash is checked.
     """
     try:
-        return _strict_decode(text)
+        obj = _strict_decode(text)
+        if "\\" in text:  # a one-character search: "\\u" scans about 100x slower
+            canonical_json(obj).encode("utf-8")
+        return obj
     except RecursionError:
         raise ValueError("JSON nested too deeply to decode") from None
+    except UnicodeEncodeError as exc:
+        raise ValueError(
+            f"unpaired surrogate {quote(exc.object[exc.start : exc.end])} is not text"
+        ) from None
 
 
 _QUOTE_CHARS = 200
@@ -174,20 +184,23 @@ def read_jsonl(path: str | Path, parse) -> list:
     strings, and ``str.splitlines`` would cut a line there.
 
     The file is decoded once, and a line that is exactly one object is
-    read by the decoder's C scanner. Any other line is skipped if blank and
-    otherwise read or refused by ``json_object``, as a line read on its own
-    would be.
+    read by the decoder's C scanner. Any other line, and any line with a
+    backslash (an escape, which ``json_object`` checks for surrogates), is
+    skipped if blank and otherwise read or refused by ``json_object``, as a
+    line read on its own would be.
     """
     data = Path(path).read_bytes()
     bad_line = None
     try:
-        lines = data.decode("utf-8").split("\n")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # Read the lines before the bad one, then decode that line alone, so
         # its error counts the byte position from the start of the line.
         head = data.rfind(b"\n", 0, exc.start) + 1
-        lines = data[:head].decode("utf-8").split("\n")  # ends in "" where the bad line was
+        text = data[:head].decode("utf-8")  # its last line, "", is where the bad one was
         bad_line = data[head:].split(b"\n", 1)[0]
+    lines = text.split("\n")
+    escaped = "\\" in text
     parsed = []
     lineno = 0
     try:
@@ -196,7 +209,7 @@ def read_jsonl(path: str | Path, parse) -> list:
                 obj, end = _scan_once(line, 0)
             except (StopIteration, ValueError, RecursionError):
                 end = -1
-            if end != len(line) or type(obj) is not dict:
+            if end != len(line) or type(obj) is not dict or (escaped and "\\" in line):
                 if not line.strip(_BLANK):
                     continue
                 obj = json_object(line)
@@ -558,14 +571,19 @@ class VirtualClock:
     now_s: float = 0.0
 
     def advance_audio(self, delta_s: float) -> None:
-        if delta_s < 0:
-            raise InvalidArgumentError(f"audio delta must be >= 0, got {delta_s}")
-        self.audio_available_s += delta_s
+        self.audio_available_s = _clock_step(self.audio_available_s, delta_s, "audio delta")
         self.now_s = max(self.now_s, self.audio_available_s)
 
     def charge_compute(self, cost_s: float) -> None:
-        if not 0 <= cost_s < math.inf:
-            raise InvalidArgumentError(
-                f"compute cost must be finite and >= 0, got {cost_s}"
-            )
-        self.now_s += cost_s
+        self.now_s = _clock_step(self.now_s, cost_s, "compute cost")
+
+
+def _clock_step(start: float, delta: float, name: str) -> float:
+    """``start + delta``, refused unless ``delta >= 0`` and the sum is finite:
+    finite steps can still sum past the largest float."""
+    end = start + delta
+    if not (delta >= 0 and end < math.inf):
+        raise InvalidArgumentError(
+            f"{name} must be >= 0 and keep the clock finite, got {start} + {delta}"
+        )
+    return end

@@ -1,8 +1,9 @@
 """Stream-level quality and latency evaluation.
 
 The long-form hypothesis is first split against timed reference segments
-(minimum-edit-distance resegmentation, in O(n + sum |ref| + D^2) time and
-O(D^2) machine ints for n hypothesis tokens and edit distance D), then
+(minimum-edit-distance resegmentation on the wave pass of ``textnorm``, in
+O(n + sum |ref| + D^2) time and O(D^2) machine ints for n hypothesis
+tokens and edit distance D), then
 scored: corpus BLEU for quality, and per-segment length-adaptive average
 lagging for latency, in two flavors: NCA (delays measured in source audio
 consumed) and CA (delays measured on the virtual wall clock, which
@@ -30,7 +31,7 @@ from .core import (
     read_jsonl,
     read_record,
 )
-from .textnorm import is_punctuation
+from .textnorm import _waves, is_punctuation
 
 
 @dataclass(frozen=True)
@@ -160,78 +161,6 @@ def resegment(
         cuts.append(j)
     cuts.append(n)
     return [hyp[a:b] for a, b in zip(cuts, cuts[1:])]
-
-
-def _waves(a: Sequence[str], b: Sequence[str]) -> list[array]:
-    """The furthest-reaching waves of the edit distance of ``a`` and ``b``.
-
-    Wave e holds, for each diagonal d = j - g from -min(e, len(b)) to
-    min(e, len(a)), the greatest g such that a[:g + d] and b[:g] are at
-    most e edits apart. The waves stop at the first that reaches the
-    corner, so the edit distance is the number of waves less one, and
-    a[:j] and b[:g] are at most e apart exactly when wave e reaches row g on
-    diagonal j - g. Each wave is built from the one before in one step per
-    diagonal; runs of equal tokens are skipped by ``_run``.
-    """
-    n, t = len(a), len(b)
-    # reach[t + 1 + d] is the current wave's reach on diagonal d; diagonals
-    # it does not hold read -2, which no move can carry past -1.
-    off = t + 1
-    end = n + off  # the cap on diagonal d's rows, n - d, is end - i
-    reach = [-2] * (n + t + 3)
-    reach[off] = _run(a, 0, b, 0)
-    waves = [array("i", reach[off : off + 1])]
-    corner = off + n - t
-    e = 0
-    while reach[corner] < t:
-        e += 1
-        lo, hi = off - min(e, t), off + min(e, n)
-        left = reach[lo - 1]  # the previous wave's reach on diagonal d - 1
-        for i in range(lo, hi + 1):
-            here = reach[i]
-            g = here + 1  # substitute
-            if left > g:
-                g = left  # insert a[j - 1]
-            if reach[i + 1] >= g:
-                g = reach[i + 1] + 1  # delete b[g - 1]
-            left = here
-            if g > t:
-                g = t
-            if g > end - i:
-                g = end - i
-            j = g + i - off
-            if j < n and g < t and a[j] == b[g]:
-                g += _run(a, j, b, g)
-            reach[i] = g
-        waves.append(array("i", reach[lo : hi + 1]))
-    return waves
-
-
-def _run(a: Sequence[str], i: int, b: Sequence[str], k: int) -> int:
-    """The length of the common prefix of a[i:] and b[k:].
-
-    Blocks of doubling length are compared as slices until one differs,
-    then that block is bisected, so a run of length r costs O(log r)
-    C-level comparisons.
-    """
-    limit = min(len(a) - i, len(b) - k)
-    lo, step = 0, 1
-    while lo < limit:
-        hi = min(lo + step, limit)
-        if a[i + lo : i + hi] != b[k + lo : k + hi]:
-            break
-        lo = hi
-        step *= 2
-    else:
-        return lo
-    # a[i + lo : i + hi] and b[k + lo : k + hi] differ.
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if a[i + lo : i + mid] == b[k + lo : k + mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 MAX_ORDER = 4  # BLEU counts n-grams of orders 1 to 4

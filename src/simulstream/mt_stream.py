@@ -160,7 +160,10 @@ class MtStreamController:
             attention_layer_tag=self.config.attention_layer_tag,
         )
         response = self.backend.translate(request)
-        self.clock.charge_compute(response.compute_cost_s)
+        try:  # a reported cost the clock cannot take is the backend's fault
+            self.clock.charge_compute(response.compute_cost_s)
+        except InvalidArgumentError as exc:
+            raise ProtocolError(str(exc)) from exc
         self.translate_calls += 1
         beams = self._validated(response.beams, request)
 

@@ -2,12 +2,15 @@
 
 These are the primitives behind relaxed word agreement: casing, punctuation
 and small spelling differences between consecutive ASR hypotheses should not
-stall commitment.
+stall commitment. The package's one edit distance lives here too: the
+furthest-reaching wave pass ``_waves`` measures words on characters for
+``words_match`` and, on tokens, places ``metrics.resegment``'s boundaries.
 """
 
 from __future__ import annotations
 
 import unicodedata
+from array import array
 from typing import Sequence
 
 _ABBREVIATIONS = frozenset(
@@ -31,26 +34,86 @@ def normalize_word(word: str) -> str:
     return "".join(ch for ch in word.lower() if not is_punctuation(ch))
 
 
-def levenshtein(a: Sequence, b: Sequence) -> int:
-    """Unit-cost insert/delete/substitute edit distance.
+def levenshtein(a: str, b: str) -> int:
+    """Unit-cost insert/delete/substitute edit distance of two strings."""
+    return len(_waves(a, b)) - 1
 
-    Works on any element sequence; the library uses it on characters, for
-    relaxed word matching. Segment alignment (``metrics.resegment``) runs
-    its own word-level edit distance along diagonals.
+
+def _waves(a: Sequence[str], b: Sequence[str]) -> list[array]:
+    """The furthest-reaching waves of the edit distance of ``a`` and ``b``.
+
+    Wave e holds, for each diagonal d = j - g from -min(e, len(b)) to
+    min(e, len(a)), the greatest g such that a[:g + d] and b[:g] are at
+    most e edits apart. The waves stop at the first that reaches the
+    corner, so the edit distance is the number of waves less one, and
+    a[:j] and b[:g] are at most e apart exactly when wave e reaches row g on
+    diagonal j - g. Each wave is built from the one before in one step per
+    diagonal; runs of equal tokens are skipped by ``_run``, so a call takes
+    O(|a| + |b| + D^2) time and holds O(D^2) ints for edit distance D.
+
+    ``a`` and ``b`` must be of the same sequence type (two strings, or two
+    lists): ``_run`` compares their slices, and a list slice never equals
+    a tuple or string slice.
     """
-    n, m = len(a), len(b)
-    if n > m:
-        a, b = b, a
-        n, m = m, n
-    current = list(range(n + 1))
-    for i in range(1, m + 1):
-        previous, current = current, [i] + [0] * n
-        for j in range(1, n + 1):
-            add = previous[j] + 1
-            delete = current[j - 1] + 1
-            change = previous[j - 1] + (a[j - 1] != b[i - 1])
-            current[j] = min(add, delete, change)
-    return current[n]
+    n, t = len(a), len(b)
+    # reach[t + 1 + d] is the current wave's reach on diagonal d; diagonals
+    # it does not hold read -2, which no move can carry past -1.
+    off = t + 1
+    end = n + off  # the cap on diagonal d's rows, n - d, is end - i
+    reach = [-2] * (n + t + 3)
+    reach[off] = _run(a, 0, b, 0)
+    waves = [array("i", reach[off : off + 1])]
+    corner = off + n - t
+    e = 0
+    while reach[corner] < t:
+        e += 1
+        lo, hi = off - min(e, t), off + min(e, n)
+        left = reach[lo - 1]  # the previous wave's reach on diagonal d - 1
+        for i in range(lo, hi + 1):
+            here = reach[i]
+            g = here + 1  # substitute
+            if left > g:
+                g = left  # insert a[j - 1]
+            if reach[i + 1] >= g:
+                g = reach[i + 1] + 1  # delete b[g - 1]
+            left = here
+            if g > t:
+                g = t
+            if g > end - i:
+                g = end - i
+            j = g + i - off
+            if j < n and g < t and a[j] == b[g]:
+                g += _run(a, j, b, g)
+            reach[i] = g
+        waves.append(array("i", reach[lo : hi + 1]))
+    return waves
+
+
+def _run(a: Sequence[str], i: int, b: Sequence[str], k: int) -> int:
+    """The length of the common prefix of a[i:] and b[k:].
+
+    Blocks of doubling length are compared as slices until one differs,
+    then that block is bisected, so a run of length r costs O(log r)
+    C-level comparisons.
+    """
+    limit = min(len(a) - i, len(b) - k)
+    lo, step = 0, 1
+    while lo < limit:
+        hi = min(lo + step, limit)
+        if a[i + lo : i + hi] != b[k + lo : k + hi]:
+            break
+        lo = hi
+        step *= 2
+    else:
+        return lo
+    # a[i + lo : i + hi] and b[k + lo : k + hi] differ.
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[i + lo : i + mid] == b[k + lo : k + mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def words_match(a: str, b: str, threshold: int) -> bool:

@@ -12,8 +12,16 @@ import pytest
 
 import make_goldens
 from helpers import DEEP_JSON
+from simulstream import cli
+from simulstream.backends import AsrResponse, MockMtBackend, load_mock_script
 from simulstream.cli import main
-from simulstream.core import SENTINEL, EmissionRecord, canonical_json, record_fields
+from simulstream.core import (
+    SENTINEL,
+    AsrHypothesis,
+    EmissionRecord,
+    canonical_json,
+    record_fields,
+)
 from simulstream.metrics import (
     ReferenceSegment,
     read_emission_log,
@@ -192,6 +200,70 @@ def test_simulate_bad_word_map_value_exits_1_naming_the_script(
     assert message in err["message"]
 
 
+@pytest.mark.parametrize("where", ["asr_word", "asr_word_truncating_mt", "wire_config"])
+def test_simulate_refuses_an_unpaired_surrogate_naming_the_file(tmp_path, capsys, where) -> None:
+    trace, config_path = _stage_fixture(tmp_path)
+    script_path = tmp_path / "mock_script_60s.json"
+    script = json.loads(script_path.read_text(encoding="utf-8"))
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    if where == "wire_config":
+        command = [sys.executable, "-m", "simulstream.wire_server", str(script_path)]
+        config["backend"] = {"kind": "wire", "command": command, "timeout_s": 30}
+        config["overrides"] = {"mt": {"attention_layer_tag": "\ud800"}}
+        named = config_path
+    else:
+        script["asr"]["words"][0]["text"] = "hello\ud800."
+        if where == "asr_word_truncating_mt":
+            script["mt"]["tail_truncate_max"] = 1
+        named = script_path
+    # ``json.dumps`` escapes the lone surrogate as \ud800, which is ASCII.
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    code = main(["simulate", str(trace), str(config_path), str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert err["message"].startswith(f"{named}: invalid JSON: unpaired surrogate '\\ud800'")
+
+
+class _CostlyAsr:
+    """An in-process ASR backend that hears nothing at a fixed reported cost."""
+
+    def __init__(self, cost_s: float) -> None:
+        self.cost_s = cost_s
+
+    def decode(self, request):
+        return AsrResponse(AsrHypothesis(()), self.cost_s)
+
+
+@pytest.mark.parametrize(
+    "cost_s, dur, code, error, message",
+    [
+        (1e308, 1.0, 2, "protocol-error", "compute cost must be >= 0 and keep the clock finite"),
+        (0.0, 1e308, 1, "invalid-argument", "audio delta must be >= 0 and keep the clock finite"),
+    ],
+    ids=["backend_cost", "trace_durations"],
+)
+def test_simulate_refuses_a_clock_that_would_overflow(
+    tmp_path, capsys, monkeypatch, cost_s, dur, code, error, message
+) -> None:
+    _, config_path = _stage_fixture(tmp_path)
+    scripts = load_mock_script(tmp_path / "mock_script_60s.json")
+    monkeypatch.setattr(
+        cli, "_build_backends", lambda *_: (_CostlyAsr(cost_s), MockMtBackend(scripts.mt), [])
+    )
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text((json.dumps({"kind": "audio", "dur": dur}) + "\n") * 3, encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    assert main(["simulate", str(trace), str(config_path), str(out)]) == code
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error
+    assert message in err["message"]
+
+
 # Stand-in servers that read one request and answer it with a bad line.
 _V1_REPLY_SERVER = (
     "import json, sys; sys.stdin.readline(); print(json.dumps({'v': 1, 'kind': 'asr', "
@@ -201,6 +273,11 @@ _V1_REPLY_SERVER = (
 _DEEP_REPLY_SERVER = (
     "import sys; sys.stdin.readline(); "
     "print('[' * 200000 + ']' * 200000, flush=True); sys.stdin.readline()"
+)
+_SURROGATE_REPLY_SERVER = (
+    "import sys; sys.stdin.readline(); print('{\"compute_cost_s\":0.1,\"kind\":\"asr\",\"v\":3,'"
+    " '\"words\":[{\"end_s\":0.3,\"start_s\":0.0,\"text\":\"a\\\\ud800\"}]}', flush=True); "
+    "sys.stdin.readline()"
 )
 _NOT_UTF8_REPLY_SERVER = (
     "import sys; sys.stdin.readline(); sys.stdout.buffer.write(b'\\xff\\n'); "
@@ -214,8 +291,9 @@ _NOT_UTF8_REPLY_SERVER = (
         (_V1_REPLY_SERVER, "field 'v' must be 3, got 1"),
         (_DEEP_REPLY_SERVER, "nested too deeply"),
         (_NOT_UTF8_REPLY_SERVER, "response is not UTF-8"),
+        (_SURROGATE_REPLY_SERVER, "unpaired surrogate"),
     ],
-    ids=["v1_reply", "nested_reply", "not_utf8_reply"],
+    ids=["v1_reply", "nested_reply", "not_utf8_reply", "surrogate_reply"],
 )
 def test_simulate_bad_wire_reply_exits_2(tmp_path, capsys, server, message) -> None:
     trace, config_path = _stage_fixture(tmp_path)
@@ -364,6 +442,8 @@ _GOOD_SEGMENT = '{"source_end_s":2.0,"source_start_s":0.0,"tokens":["ja"]}'
         ("refs", DEEP_JSON),
         # The good record's NCA time is 1.0: a log's NCA times never fall.
         ("log", '{"ca_time_s":1.5,"nca_time_s":0.5,"token":"x"}'),
+        ("log", r'{"ca_time_s":2.0,"nca_time_s":2.0,"token":"x\ud800"}'),
+        ("refs", r'{"source_end_s":4.0,"source_start_s":2.0,"tokens":["\udc00"]}'),
     ],
     ids=[
         "token_not_string",
@@ -382,6 +462,8 @@ _GOOD_SEGMENT = '{"source_end_s":2.0,"source_start_s":0.0,"tokens":["ja"]}'
         "log_nested_too_deeply",
         "refs_nested_too_deeply",
         "nca_time_falls",
+        "log_unpaired_surrogate",
+        "refs_unpaired_surrogate",
     ],
 )
 def test_eval_bad_record_exits_1_naming_the_line(tmp_path, capsys, bad_file, bad_line) -> None:

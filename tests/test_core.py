@@ -36,6 +36,7 @@ from simulstream.core import (
     canonical_json,
     check_emission_log,
     check_word,
+    json_object,
     json_report,
     read_jsonl,
     read_record,
@@ -121,6 +122,23 @@ def test_clock_rejects_non_finite_compute_cost(cost) -> None:
     with pytest.raises(InvalidArgumentError):
         clock.charge_compute(cost)
     assert clock.now_s == 5.0
+
+
+@pytest.mark.parametrize("step", ["advance_audio", "charge_compute"])
+def test_clock_refuses_finite_steps_that_sum_past_the_largest_float(step) -> None:
+    clock = VirtualClock()
+    getattr(clock, step)(1e308)
+    before = (clock.audio_available_s, clock.now_s)
+    with pytest.raises(InvalidArgumentError, match="keep the clock finite, got 1e\\+308 \\+ 1e\\+308"):
+        getattr(clock, step)(1e308)
+    assert (clock.audio_available_s, clock.now_s) == before
+
+
+def test_clock_refuses_a_nan_audio_delta() -> None:
+    clock = VirtualClock()
+    with pytest.raises(InvalidArgumentError, match="audio delta"):
+        clock.advance_audio(float("nan"))
+    assert (clock.audio_available_s, clock.now_s) == (0.0, 0.0)
 
 
 def test_timed_word_validation() -> None:
@@ -583,6 +601,27 @@ def test_read_jsonl_matches_the_line_by_line_reader(tmp_path) -> None:
             outcomes[type(mine).__name__, parse is dict] += 1
     # Both readers succeed and fail often, on plain objects and on records.
     assert min(outcomes.values()) > 100, outcomes
+
+
+# Only a \\u escape can spell a surrogate in text decoded from UTF-8.
+_LONE_SURROGATES = (r'"hello\ud800."', r'"\udc00"', r'"\ud800\ud800"', r'"\ud800\\udc00"')
+_ESCAPED_TEXT = {r'"\ud83d\ude00"': "\U0001f600", r'"\\ud800"': "\\ud800", r'"\u00e9"': "\u00e9"}
+
+
+def test_an_unpaired_surrogate_escape_is_refused_at_the_json_boundary(tmp_path) -> None:
+    path = tmp_path / "log.jsonl"
+    for value in _LONE_SURROGATES:
+        line = f'{{"token":{value}}}'
+        with pytest.raises(InvalidArgumentError, match="^invalid JSON: unpaired surrogate"):
+            json_object(line)
+        path.write_text('{"a":1}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(str(path))}:2: .*unpaired surrogate"):
+            read_jsonl(path, dict)
+    for value, text in _ESCAPED_TEXT.items():
+        line = f'{{"token":{value}}}'
+        assert json_object(line) == {"token": text}
+        path.write_text('{"a":1}\n' + line + "\n", encoding="utf-8")
+        assert read_jsonl(path, dict) == [{"a": 1}, {"token": text}]
 
 
 @dataclass(frozen=True)

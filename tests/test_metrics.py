@@ -31,6 +31,7 @@ from simulstream.metrics import (
     write_emission_log,
     write_reference_segments,
 )
+from simulstream.textnorm import _run
 
 # Hand-derived: p1..p3 = 1, the 4-gram order is skipped (no 4-gram is
 # possible in a 3-token hypothesis), brevity penalty exp(1 - 4/3):
@@ -383,7 +384,7 @@ def test_run_matches_a_token_by_token_loop() -> None:
                 run = 0
                 while i + run < len(a) and k + run < len(b) and a[i + run] == b[k + run]:
                     run += 1
-                assert metrics._run(a, i, b, k) == run
+                assert _run(a, i, b, k) == run
                 seen.add((run, i + run == len(a), k + run == len(b)))
     # Runs of lengths that are not powers of two, stopped by a mismatch
     # and by the end of either list.

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 import string
 
-from helpers import oracle_levenshtein
+from helpers import oracle_levenshtein, reach_passes
 from simulstream.textnorm import (
     is_sentence_terminal,
     levenshtein,
@@ -35,12 +35,34 @@ def test_levenshtein_basics() -> None:
     assert levenshtein("kitten", "sitting") == 3
 
 
+def _edit(rng: random.Random, word: str, edits: int, alphabet: str) -> str:
+    chars = list(word)
+    for _ in range(edits):
+        i = rng.randint(0, len(chars))
+        op = rng.choice(("insert", "delete", "substitute")) if i < len(chars) else "insert"
+        if op == "insert":
+            chars.insert(i, rng.choice(alphabet))
+        elif op == "delete":
+            del chars[i]
+        else:
+            chars[i] = rng.choice(alphabet)
+    return "".join(chars)
+
+
 def test_levenshtein_matches_recursive_oracle() -> None:
     rng = random.Random(7)
-    for _ in range(400):
-        a = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 8)))
-        b = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 8)))
-        assert levenshtein(a, b) == oracle_levenshtein(a, b)
+    # Non-BMP characters are one code point each, as ASCII ones are.
+    for alphabet in ("abcd", "aé😀𝔸"):
+        for _ in range(400):
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+            b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+            assert levenshtein(a, b) == oracle_levenshtein(a, b)
+    # Long, nearly equal strings: the wave pass skips their equal runs.
+    for alphabet in ("abcd", "aé😀𝔸"):
+        for _ in range(15):
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randint(64, 100)))
+            b = _edit(rng, a, rng.randint(0, 3), alphabet)
+            assert levenshtein(a, b) == oracle_levenshtein(a, b)
 
 
 def test_levenshtein_is_a_metric_on_short_strings() -> None:
@@ -101,6 +123,13 @@ def test_words_match_agrees_with_the_oracle_distance_of_normalized_words() -> No
             assert words_match(a, b, threshold) == (distance <= threshold), (a, b, threshold)
     assert not words_match("same", "same", -1)
     assert words_match("same", "same", 0)
+
+
+def test_words_match_makes_no_resegmentation_pass(monkeypatch) -> None:
+    passes = reach_passes(monkeypatch)
+    assert words_match("colour", "color", 2)
+    assert not words_match("cat", "dogma", 2)
+    assert passes == []
 
 
 def test_sentence_terminal_marks_sentence_ends() -> None:

@@ -113,6 +113,20 @@ def test_invalid_word_payload_is_a_protocol_error() -> None:
         decode_asr_response(json.dumps(obj))
 
 
+def test_unpaired_surrogate_is_a_protocol_error_and_an_error_reply() -> None:
+    reply = _golden_lines("wire_responses.jsonl")[1].replace('"we"', r'"we\ud800"', 1)
+    with pytest.raises(ProtocolError, match=r"unpaired surrogate '\\ud800'"):
+        decode_mt_response(reply)
+    request = _golden_lines("wire_requests.jsonl")[1]
+    assert '"attention_layer_tag":"' in request
+    request = request.replace('"attention_layer_tag":"', r'"attention_layer_tag":"\ud800', 1)
+    out = io.BytesIO()
+    serve(_Unreachable(), _Unreachable(), io.BytesIO(request.encode() + b"\n"), out)
+    reply = json.loads(out.getvalue())
+    assert (reply["v"], reply["kind"]) == (3, "error")
+    assert "unpaired surrogate" in reply["message"]
+
+
 def _golden_lines(name: str) -> list[str]:
     return (DATA / name).read_text(encoding="utf-8").splitlines()
 
