@@ -98,7 +98,9 @@ class AsrScript:
     earlier words are returned verbatim. Perturbations depend only on
     (seed, window end, word), so identical requests get identical replies.
     The audio lasts until the last word ends unless ``audio_duration_s``
-    says otherwise.
+    says otherwise. A decode costs ``cost_base_s`` plus ``cost_per_audio_s``
+    per second of window, which must stay finite for a window as long as
+    the audio.
     """
 
     words: tuple[TimedWord, ...] = ()
@@ -120,6 +122,12 @@ class AsrScript:
         _check_non_negative(
             self, "audio_duration_s", "stabilization_delay_s", "cost_base_s", "cost_per_audio_s"
         )
+        # Every window lies within the audio, so no reply costs more than this.
+        if not self.cost_base_s + self.cost_per_audio_s * self.audio_duration_s < math.inf:
+            raise InvalidArgumentError(
+                "cost_base_s + cost_per_audio_s * audio_duration_s must be finite, got "
+                f"{self.cost_base_s} + {self.cost_per_audio_s} * {self.audio_duration_s}"
+            )
         for w in self.words:
             if not (math.isfinite(w.start_s) and math.isfinite(w.end_s)):
                 raise InvalidArgumentError(

@@ -15,6 +15,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from types import UnionType
 from typing import NoReturn, Union, get_args, get_origin, get_type_hints
@@ -175,8 +176,9 @@ def read_json_file(path: str | Path, parse=None):
 _BLANK = " \t\n\r\x0b\x0c"  # what ``bytes.strip`` strips: a line of only these is blank
 
 
-def read_jsonl(path: str | Path, parse) -> list:
-    """``parse`` of each JSON object line of a file, blank lines skipped.
+def read_jsonl(path: str | Path, parse=None) -> list:
+    """``parse`` of each JSON object line of a file, or the object itself
+    when ``parse`` is None; blank lines are skipped.
 
     Any ``ValueError`` on a line, bad UTF-8 included, becomes an
     ``InvalidArgumentError`` naming ``path:line``. Lines end at ``\n``
@@ -213,7 +215,7 @@ def read_jsonl(path: str | Path, parse) -> list:
                 if not line.strip(_BLANK):
                     continue
                 obj = json_object(line)
-            parsed.append(parse(obj))
+            parsed.append(obj if parse is None else parse(obj))
         if bad_line is not None:
             bad_line.decode("utf-8")  # raises, and ``lineno`` is its line
     except ValueError as exc:
@@ -227,8 +229,11 @@ def read_jsonl(path: str | Path, parse) -> list:
 # fields, so no record spells its layout out by hand. The per-value work is
 # left to C where one path can: a scalar already of its field's kind is taken
 # as decoded, the kinds of a list's items are checked as one set, and a record
-# is written from its ``__dict__`` by the C encoder. Python walks the items
-# only to name a bad one.
+# is written from its ``__dict__`` by the C encoder. A list of records is read
+# by column (``read_records``): each field's values are taken with one
+# ``itemgetter`` pass and their kinds checked as one set, and the records are
+# built with ``map(cls, *columns)``. Python walks the items only to name a bad
+# one, and a list that is not read by column is read item by item.
 
 
 def _item_of(hint):
@@ -240,33 +245,31 @@ def _item_of(hint):
 
 
 def _field_reader(owner: type, name: str, hint):
-    """(kind, reader) for field ``name`` of type ``hint``.
+    """(kind, items, reader) for field ``name`` of type ``hint``.
 
     A scalar has its kind and no reader: ``json_field`` reads it. Any
     other field has a reader ``(obj, where)``: ``tuple[T, ...]`` is a list
     of T, read as a tuple, whose items are records when T is a dataclass
     and lists of a scalar S when T is ``tuple[S, ...]``; ``Mapping[str, T]``
-    is an object of T. ``T | None`` reads as T, None being only a default.
-    A field of any other type is a ``TypeError`` when the schema is built.
+    is an object of T. ``items`` is T when T is a scalar, and None
+    otherwise. ``T | None`` reads as T, None being only a default. A field
+    of any other type is a ``TypeError`` when the schema is built.
     """
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType) and len(args) == 2 and type(None) in args:
         return _field_reader(owner, name, args[0] if args[1] is type(None) else args[1])
     if hint in _KINDS:
-        return hint, None
+        return hint, None, None
     item = _item_of(hint)
     if item in _KINDS:
-        return None, lambda obj, where: tuple(json_field(obj, name, list, where, items=item))
+        return None, item, lambda obj, where: tuple(json_field(obj, name, list, where, items=item))
     if is_dataclass(item):
 
         def read_items(obj: dict, where: str) -> tuple:
-            path = f"{where}.{name}" if where else name
             values = json_field(obj, name, list, where, items=dict)
-            return tuple(
-                read_record(item, value, f"{path}[{i}]") for i, value in enumerate(values)
-            )
+            return tuple(read_records(item, values, f"{where}.{name}" if where else name))
 
-        return None, read_items
+        return None, None, read_items
     scalar = _item_of(item)
     if scalar in _KINDS:
 
@@ -279,15 +282,15 @@ def _field_reader(owner: type, name: str, hint):
                     json_field({f"{name}[{i}]": row}, f"{name}[{i}]", list, where, items=scalar)
             return tuple(map(tuple, rows))
 
-        return None, read_rows
+        return None, None, read_rows
     if origin in (dict, Mapping) and args[0] is str and args[1] in _KINDS:
-        return None, lambda obj, where: json_field(obj, name, dict, where, items=args[1])
+        return None, None, lambda obj, where: json_field(obj, name, dict, where, items=args[1])
     raise TypeError(f"{owner.__name__}.{name} has no JSON layout")
 
 
 @cache
 def _schema(cls: type) -> tuple:
-    """(name, kind, reader, required) for each ``__init__`` field of a record."""
+    """(name, kind, items, reader, required) for each ``__init__`` field of a record."""
     hints = get_type_hints(cls)
     return tuple(
         (
@@ -309,7 +312,7 @@ def read_record(cls: type, obj: dict, where: str = "", **given):
     records are read at ``<where>.<name>[i]``. An ``InvalidArgumentError``
     from the class's own checks is re-raised naming ``where``.
     """
-    for name, kind, read, required in _schema(cls):
+    for name, kind, _, read, required in _schema(cls):
         if name in given:
             continue
         value = obj.get(name, _MISSING)
@@ -325,6 +328,51 @@ def read_record(cls: type, obj: dict, where: str = "", **given):
         if not where:
             raise
         raise InvalidArgumentError(f"field '{where}' invalid: {exc}") from exc
+
+
+def _columns(cls: type, objects: list) -> list | None:
+    """The values of each field of ``cls`` across ``objects``, in field
+    order, a list field's as tuples; None if any value is missing or is not
+    one ``read_record`` takes as decoded, or a field is neither a scalar
+    nor a list of one."""
+    columns = []
+    for name, kind, items, _, _ in _schema(cls):
+        try:
+            column = list(map(itemgetter(name), objects))
+        except (KeyError, TypeError):  # a missing field, or an item that is no object
+            return None
+        kinds = set(map(type, column))
+        if kind is None:  # a list of ``items``, checked as ``json_field`` checks it
+            if items is None or not kinds <= {list}:
+                return None
+            if not set(map(type, chain.from_iterable(column))) <= {items}:
+                return None
+            column = list(map(tuple, column))
+        elif not kinds <= {kind}:
+            return None
+        elif kind is float and not -_FLOAT_MAX <= sum(column) <= _FLOAT_MAX:
+            return None  # a sum of floats is finite only if every term is
+        columns.append(column)
+    return columns
+
+
+def read_records(cls: type, objects: list, where: str = "") -> list:
+    """The records of class ``cls`` that a list of JSON objects holds.
+
+    The same records and errors as ``read_record`` of each item at
+    ``<where>[i]``, read a field at a time where every value can be taken as
+    decoded: every scalar of its field's kind (a float only if finite) and
+    every ``tuple[S, ...]`` field a list of S. Any other list, one with a
+    missing field or a record the class refuses included, is read item by
+    item, so an error names the bad item.
+    """
+    columns = _columns(cls, objects)
+    if columns is not None:
+        try:
+            return list(map(cls, *columns))
+        except InvalidArgumentError:
+            pass  # read again item by item, which names the item
+    return [read_record(cls, obj, f"{where}[{i}]") for i, obj in enumerate(objects)]
 
 
 @cache
@@ -357,22 +405,30 @@ _make_encoder = json.encoder.c_make_encoder
 _encode_string = json.encoder.encode_basestring
 
 
+def _canonical_encoder():
+    """The C encoder that ``JSONEncoder.encode`` builds for canonical JSON,
+    without its Python set-up. Each one gets a fresh ``markers`` dict: an
+    encode that fails leaves ids in it, which a later encode would take for
+    a cycle."""
+    return _make_encoder({}, _record_object, _encode_string, None, ":", ",", True, False, True)
+
+
 def canonical_json(obj) -> str:
     """``obj`` as canonical JSON: sorted keys, compact, UTF-8 kept.
 
     A record (a dataclass) inside ``obj`` is written as its fields. A tuple
     is written as a list.
     """
-    # The C encoder that ``JSONEncoder.encode`` builds, without its Python
-    # set-up. Each call gets a fresh ``markers`` dict: an encode that fails
-    # leaves ids in it, which a later encode would take for a cycle.
-    encode = _make_encoder({}, _record_object, _encode_string, None, ":", ",", True, False, True)
-    return "".join(encode(obj, 0))
+    return "".join(_canonical_encoder()(obj, 0))
 
 
 def dump_jsonl(records: Iterable) -> str:
-    """Records as canonical JSONL text, one line per record."""
-    return "".join(canonical_json(record) + "\n" for record in records)
+    """Records as canonical JSONL text, one line per record.
+
+    One encoder writes every line, given each record's field object.
+    """
+    encode = _canonical_encoder()
+    return "".join(["".join(encode(_record_object(record), 0)) + "\n" for record in records])
 
 
 def json_report(obj, path: str | Path | None = None) -> str:

@@ -30,6 +30,7 @@ from .core import (
     dump_jsonl,
     read_jsonl,
     read_record,
+    read_records,
 )
 from .textnorm import _waves, is_punctuation
 
@@ -333,10 +334,27 @@ def write_emission_log(records: Sequence[EmissionRecord], path: str | Path) -> N
     Path(path).write_text(dump_jsonl(records), encoding="utf-8")
 
 
+def _read_record_lines(path: str | Path, cls: type) -> list:
+    """The records of class ``cls`` that a JSONL file holds, one per line.
+
+    The decoded lines are read by column (``read_records``). On any fault
+    the file is read again line by line, so the error names ``path:line``.
+    """
+    try:
+        return read_records(cls, read_jsonl(path))
+    except InvalidArgumentError:
+        return read_jsonl(path, partial(read_record, cls))
+
+
 def read_emission_log(path: str | Path) -> list[EmissionRecord]:
     """The records of a log file, whose NCA times must not fall
-    (``check_emission_log``); an error names the file and line."""
-    log = read_jsonl(path, partial(read_record, EmissionRecord))
+    (``check_emission_log``); an error names the file and line.
+
+    The lines are read by column when every value is as a log writes it;
+    a log with any other line, an integer time say, is read line by line,
+    as are its errors (``_read_record_lines``).
+    """
+    log = _read_record_lines(path, EmissionRecord)
     try:
         check_emission_log(log)
     except InvalidArgumentError as exc:
@@ -362,8 +380,12 @@ def read_reference_segments(path: str | Path) -> list[ReferenceSegment]:
     """The segments of a references file, in order; a file with none is
     refused, naming it, since no log can be scored against it, and a
     segment that starts before the one above it ends is refused, naming
-    its line."""
-    refs = read_jsonl(path, partial(read_record, ReferenceSegment))
+    its line.
+
+    The lines are read by column or, when any value is not as a writer
+    leaves it, line by line, as ``read_emission_log`` reads a log.
+    """
+    refs = _read_record_lines(path, ReferenceSegment)
     if not refs:
         raise InvalidArgumentError(f"{path}: no reference segment")
     for k in range(1, len(refs)):

@@ -9,6 +9,7 @@ scripts yields a byte-identical emission log.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -75,9 +76,24 @@ def _audio_event(obj: dict) -> TraceEvent:
 def read_trace(path: str | Path) -> list[TraceEvent]:
     """Load a JSONL trace of {"kind": "audio", "dur": s} events.
 
-    Any other key on a line, such as an event time ``t``, is ignored.
+    Any other key on a line, such as an event time ``t``, is ignored. The
+    audio front, the running sum of ``dur`` that the clock makes, must stay
+    finite: the first line that takes it past the largest float is refused.
     """
-    return read_jsonl(path, _audio_event)
+    front = 0.0
+
+    def finite_event(obj: dict) -> TraceEvent:
+        nonlocal front
+        event = _audio_event(obj)
+        end = front + event.duration_s
+        if not end < math.inf:
+            raise InvalidArgumentError(
+                f"field 'dur' must keep the audio front finite, got {front} + {event.duration_s}"
+            )
+        front = end
+        return event
+
+    return read_jsonl(path, finite_event)
 
 
 @dataclass

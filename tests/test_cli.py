@@ -200,6 +200,27 @@ def test_simulate_bad_word_map_value_exits_1_naming_the_script(
     assert message in err["message"]
 
 
+def test_simulate_refuses_an_asr_cost_that_would_overflow_naming_the_script(
+    tmp_path, capsys
+) -> None:
+    # No window reaches past the audio, so the script's own rates bound
+    # every reply's cost; one that cannot stay finite is the script's fault.
+    trace, config = _stage_fixture(tmp_path)
+    script_path = tmp_path / "mock_script_60s.json"
+    script = json.loads(script_path.read_text(encoding="utf-8"))
+    script["asr"]["cost_per_audio_s"] = 1e308
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    assert main(["simulate", str(trace), str(config), str(out)]) == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert err["message"].startswith(
+        f"{script_path}: field 'asr' invalid: cost_base_s + cost_per_audio_s * "
+        "audio_duration_s must be finite, got 0.1 + 1e+308 * "
+    )
+
+
 @pytest.mark.parametrize("where", ["asr_word", "asr_word_truncating_mt", "wire_config"])
 def test_simulate_refuses_an_unpaired_surrogate_naming_the_file(tmp_path, capsys, where) -> None:
     trace, config_path = _stage_fixture(tmp_path)
@@ -242,7 +263,13 @@ class _CostlyAsr:
     "cost_s, dur, code, error, message",
     [
         (1e308, 1.0, 2, "protocol-error", "compute cost must be >= 0 and keep the clock finite"),
-        (0.0, 1e308, 1, "invalid-argument", "audio delta must be >= 0 and keep the clock finite"),
+        (
+            0.0,
+            1e308,
+            1,
+            "invalid-argument",
+            "{trace}:2: field 'dur' must keep the audio front finite, got 1e+308 + 1e+308",
+        ),
     ],
     ids=["backend_cost", "trace_durations"],
 )
@@ -261,7 +288,7 @@ def test_simulate_refuses_a_clock_that_would_overflow(
     assert not out.exists()
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error
-    assert message in err["message"]
+    assert message.format(trace=trace) in err["message"]
 
 
 # Stand-in servers that read one request and answer it with a bad line.

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from helpers import DEEP_JSON, oracle_canonical_json, oracle_read_jsonl
+from simulstream import core
 from simulstream.backends import (
     AsrRequest,
     AsrResponse,
@@ -36,10 +37,12 @@ from simulstream.core import (
     canonical_json,
     check_emission_log,
     check_word,
+    dump_jsonl,
     json_object,
     json_report,
     read_jsonl,
     read_record,
+    read_records,
     strict_json_loads,
 )
 from simulstream.datagen import Document
@@ -646,3 +649,198 @@ def test_read_record_defaults_given_fields_and_names_a_bad_record() -> None:
         InvalidArgumentError, match=r"^field 'beams\[0\]' invalid: beam has 1 tokens but 0 cuts$"
     ):
         read_record(BeamSet, {"beams": [{"tokens": ["x"], "score": 0.0, "cuts": []}]})
+
+
+# --- a list of records read by column against the item-by-item reader --------
+
+# The float and list fields of each class read by column; the rest are strings.
+_COLUMN_FIELDS = {
+    EmissionRecord: (("nca_time_s", "ca_time_s"), ()),
+    ReferenceSegment: (("source_start_s", "source_end_s"), ("tokens",)),
+    TimedWord: (("start_s", "end_s"), ()),
+    BeamHypothesis: (("score",), ("tokens", "cuts")),
+}
+
+
+def _refused_by_class(cls, obj: dict) -> None:
+    """Make ``obj`` break a check of the class itself, not of a field's kind."""
+    if cls is EmissionRecord:
+        obj["nca_time_s"] = obj["ca_time_s"] + 1.0
+    elif cls is ReferenceSegment:
+        obj["source_end_s"] = obj["source_start_s"]
+    elif cls is TimedWord:
+        obj["text"] = "two words"
+    else:
+        obj["cuts"] = obj["cuts"] + [0]
+
+
+def _fault(rng: random.Random, cls, obj: dict) -> str | None:
+    """Break one value of ``obj`` in one of the ways a column can be
+    refused, or change it in a way both readers take; the fault's name, or
+    None if ``cls`` has no field it applies to."""
+    floats, lists = _COLUMN_FIELDS[cls]
+    name = rng.choice(
+        ["missing", "wrong_kind", "bool", "int_in_float", "1e400", "nan", "non_list",
+         "bad_item", "refused_by_class", "extra_key"]
+    )
+    field = rng.choice(sorted(obj))
+    if name == "missing":
+        del obj[field]
+    elif name == "wrong_kind":
+        obj[field] = rng.choice([None, {}, 7 if type(obj[field]) is str else "7"])
+    elif name == "bool":  # a bool in a float column, or in the int items of ``cuts``
+        if "cuts" in lists and rng.random() < 0.5:
+            obj["cuts"] = [*obj["cuts"], True]
+        else:
+            obj[rng.choice(floats)] = rng.choice([True, False])
+    elif name == "int_in_float":  # read item by item it is a float, unless too large for one
+        obj[rng.choice(floats)] = rng.choice([0, 3, 10**400])
+    elif name == "1e400":  # decodes to an infinite float
+        obj[rng.choice(floats)] = strict_json_loads(rng.choice(["1e400", "-1e400"]))
+    elif name == "nan":  # no JSON spells it, but no column may let it through
+        obj[rng.choice(floats)] = float("nan")
+    elif name in ("non_list", "bad_item"):
+        if not lists:
+            return None
+        field = rng.choice(lists)
+        if name == "non_list":
+            obj[field] = rng.choice(["ab", {"a": 1}, 0])
+        else:
+            obj[field] = [*obj[field], rng.choice([1.5, None, [], "x" if field == "cuts" else 1])]
+    elif name == "refused_by_class":
+        _refused_by_class(cls, obj)
+    else:
+        obj[rng.choice(["extra", "segment_ordinal"])] = rng.choice([1, None, "x"])
+    return name
+
+
+def _read_outcome(read, *args):
+    try:
+        return read(*args)
+    except Exception as exc:  # the exception's type and message must agree
+        return type(exc), str(exc)
+
+
+def test_read_records_matches_reading_each_item(monkeypatch) -> None:
+    rng = random.Random(25)
+    item_reads = []
+    real_read_record = core.read_record
+
+    def counted(cls, obj, where="", **given):
+        item_reads.append(where)
+        return real_read_record(cls, obj, where, **given)
+
+    monkeypatch.setattr(core, "read_record", counted)
+    seen = Counter()
+    for _ in range(3000):
+        cls = rng.choice(list(_COLUMN_FIELDS))
+        objects = [
+            json.loads(canonical_json(_records(rng)[cls.__name__]))
+            for _ in range(rng.choice([0, 1, 2, 5, 9]))
+        ]
+        faults = []  # at most one to an item, so each breaks a valid object
+        if rng.random() < 0.1:
+            # Finite floats whose sum is not: the column is refused, every item taken.
+            for obj in objects:
+                for field, value in zip(_COLUMN_FIELDS[cls][0], (1.7e308, 1.75e308)):
+                    obj[field] = value
+            faults.append((-1, "largest_floats"))
+        for k in rng.sample(range(len(objects)), min(len(objects), rng.choice([0, 0, 1, 2]))):
+            fault = _fault(rng, cls, objects[k])
+            if fault:
+                faults.append((k, fault))
+        where = rng.choice(["", "words", "beams"])
+        expected = _read_outcome(
+            lambda: [real_read_record(cls, o, f"{where}[{i}]") for i, o in enumerate(objects)]
+        )
+        del item_reads[:]
+        got = _read_outcome(read_records, cls, objects, where)
+        assert got == expected, (cls.__name__, faults, objects)
+        if not faults:  # a list as a writer leaves it is read by column alone
+            assert item_reads == [], (cls.__name__, objects)
+        first = min(faults)[1] if faults else "none"
+        seen[cls.__name__, first, "refused" if type(got) is tuple else "read"] += 1
+    # Every fault was tried on every class it applies to, and the ones both
+    # readers take were taken.
+    for cls in _COLUMN_FIELDS:
+        names = {fault for (c, fault, _) in seen if c == cls.__name__}
+        assert names >= {
+            "none", "missing", "wrong_kind", "bool", "int_in_float", "1e400", "nan",
+            "refused_by_class", "extra_key", "largest_floats",
+        }, (cls.__name__, names)
+        if _COLUMN_FIELDS[cls][1]:
+            assert {"non_list", "bad_item"} <= names, cls.__name__
+        for taken in ("none", "int_in_float", "extra_key", "largest_floats"):
+            assert seen[cls.__name__, taken, "read"] > 0, (cls.__name__, taken)
+        for refused in ("missing", "wrong_kind", "1e400", "nan", "refused_by_class"):
+            assert seen[cls.__name__, refused, "refused"] > 0, (cls.__name__, refused)
+
+
+@dataclass(frozen=True)
+class _Kept:
+    """A record that keeps its fields as given."""
+
+    words: tuple[str, ...]
+    at_s: float
+
+
+def test_read_records_gives_a_list_field_as_a_tuple_as_read_record_does() -> None:
+    objects = [{"words": ["ja", "Haus"], "at_s": 1.0}, {"words": [], "at_s": 2.5}]
+    records = read_records(_Kept, objects)
+    assert records == [read_record(_Kept, obj) for obj in objects]
+    assert [type(r.words) for r in records] == [tuple, tuple]
+
+
+def test_a_bad_item_of_a_wire_reply_is_named_by_its_place() -> None:
+    beam = {"tokens": ["we", "go"], "score": 0.0, "cuts": [0, 1]}
+    reply = {"v": 3, "kind": "mt", "compute_cost_s": 0.1, "beams": [beam, beam, beam, beam]}
+    reply["beams"][2] = {**beam, "cuts": [0, "1"]}
+    with pytest.raises(ProtocolError, match=r"^field 'beams\[2\]\.cuts\[1\]' must be an integer, got '1'$"):
+        decode_mt_response(json.dumps(reply))
+    reply["beams"][2] = {**beam, "cuts": [0]}
+    with pytest.raises(
+        ProtocolError, match=r"^field 'beams\[2\]' invalid: beam has 2 tokens but 1 cuts$"
+    ):
+        decode_mt_response(json.dumps(reply))
+    word = {"text": "a", "start_s": 0.0, "end_s": 0.5}
+    reply = {"v": 3, "kind": "asr", "compute_cost_s": 0.1, "words": [word, {**word, "end_s": 1}]}
+    assert decode_asr_response(json.dumps(reply)).hypothesis.words[1].end_s == 1.0
+    reply["words"][1] = {**word, "start_s": True}
+    with pytest.raises(ProtocolError, match=r"^field 'words\[1\]\.start_s' must be a number, got True$"):
+        decode_asr_response(json.dumps(reply))
+
+
+def _rewrite_wire(path: Path, codecs: dict) -> str:
+    """Each message line of a wire file decoded and encoded again by the
+    codec pair of its kind."""
+    lines = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        decode, encode = codecs[json.loads(line)["kind"]]
+        lines.append(encode(decode(line)) + "\n")
+    return "".join(lines)
+
+
+_REWRITES = {
+    "golden_log_60s.jsonl": lambda path: dump_jsonl(read_emission_log(path)),
+    "refs_60s.jsonl": lambda path: dump_jsonl(read_reference_segments(path)),
+    "wire_requests.jsonl": partial(
+        _rewrite_wire,
+        codecs={
+            "asr": (decode_asr_request, encode_asr_request),
+            "mt": (decode_mt_request, encode_mt_request),
+        },
+    ),
+    "wire_responses.jsonl": partial(
+        _rewrite_wire,
+        codecs={
+            "asr": (decode_asr_response, encode_asr_response),
+            "mt": (decode_mt_response, encode_mt_response),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REWRITES))
+def test_every_jsonl_fixture_reads_and_writes_back_byte_for_byte(name) -> None:
+    path = DATA / name
+    assert _REWRITES[name](path).encode("utf-8") == path.read_bytes()
