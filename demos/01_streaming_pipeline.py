@@ -53,8 +53,8 @@ for record in pipeline.finalize():
     print(f"         -> emit {record.token!r}")
 
 print("\nhistory after the run:")
-for src, tgt in zip(pipeline.mt.history.source_sentences,
-                    pipeline.mt.history.target_sentences):
+for src, tgt in zip(pipeline.mt.history.history_source,
+                    pipeline.mt.history.history_target):
     print(f"  {' '.join(src)!r}  =>  {' '.join(tgt)!r}")
 print(f"\nsegments closed: {pipeline.mt.segment_ordinal}, "
       f"ASR decodes: {pipeline.asr.decodes}, "

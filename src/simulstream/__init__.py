@@ -17,7 +17,6 @@ from .core import (
     EmissionRecord,
     InvalidArgumentError,
     ProtocolError,
-    StreamHistory,
     TimedWord,
     VirtualClock,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "Pipeline",
     "PipelineConfig",
     "ProtocolError",
-    "StreamHistory",
     "TimedWord",
     "VirtualClock",
     "preset_config",

@@ -34,6 +34,7 @@ from .core import (
     quote,
     read_json_file,
     read_record,
+    record_fields,
 )
 from .textnorm import has_terminal_mark
 
@@ -57,6 +58,12 @@ class AsrResponse:
 
 @dataclass(frozen=True)
 class MtRequest:
+    """A translation request, and the MT controller's state between calls.
+
+    ``history_source[i]`` translates to ``history_target[i]``, so the sides
+    stay the same length and the oldest pairs are evicted together.
+    """
+
     history_source: tuple[tuple[str, ...], ...]
     history_target: tuple[tuple[str, ...], ...]
     active_source: tuple[str, ...]
@@ -66,6 +73,18 @@ class MtRequest:
 
     def __post_init__(self) -> None:
         check_beam_size(self.beam_size, "beam_size")
+        if len(self.history_source) != len(self.history_target):
+            raise InvalidArgumentError(
+                f"history desynchronized: {len(self.history_source)} source "
+                f"vs {len(self.history_target)} target sentences"
+            )
+
+    def history_source_words(self) -> int:
+        return sum(map(len, self.history_source))
+
+    def buffered_source_words(self) -> int:
+        """History plus active source word count (the eviction budget)."""
+        return self.history_source_words() + len(self.active_source)
 
 
 @dataclass(frozen=True)
@@ -238,23 +257,20 @@ def mock_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
 
 
 def _mt_fingerprint(request: MtRequest) -> str:
-    # Holds no object, so sorting keys leaves the bytes as they were seeded.
-    return canonical_json(
-        [
-            [list(s) for s in request.history_source],
-            [list(s) for s in request.history_target],
-            list(request.active_source),
-            list(request.committed_target),
-            request.beam_size,
-            request.attention_layer_tag,
-        ]
-    )
+    # The fields in field order, as a list: holding no object, it keeps the
+    # bytes the draws were seeded with.
+    return canonical_json(list(record_fields(request).values()))
 
 
 def mock_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:
     """Translate the uncovered active source into a scripted beam set."""
     active = list(request.active_source)
     cost = script.cost_base_s + script.cost_per_word_s * len(active)
+    if not cost < math.inf:
+        raise InvalidArgumentError(
+            f"cost_base_s + cost_per_word_s * {len(active)} active words must be finite, "
+            f"got {script.cost_base_s} + {script.cost_per_word_s} * {len(active)}"
+        )
     if not active:
         return MtResponse(BeamSet(()), cost)
 

@@ -22,6 +22,7 @@ from .core import (
     json_report,
     must_be,
     read_json_file,
+    report_error,
 )
 from .datagen import GenConfig, generate_samples, load_corpus, write_samples
 from .metrics import (
@@ -189,14 +190,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BackendError, ProtocolError) as exc:
-        kind = "backend-error" if isinstance(exc, BackendError) else "protocol-error"
-        print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
-        return 2
-    except (InvalidArgumentError, OSError) as exc:
-        kind = "io-error" if isinstance(exc, OSError) else "invalid-argument"
-        print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
-        return 1
+    except (BackendError, ProtocolError, InvalidArgumentError, OSError) as exc:
+        return report_error(exc)
 
 
 if __name__ == "__main__":

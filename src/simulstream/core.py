@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Mapping
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache
 from itertools import chain
 from operator import itemgetter
@@ -83,6 +83,17 @@ class BackendError(RuntimeError):
 
 class ProtocolError(RuntimeError):
     """A backend reply violated the wire schema or an in-process contract."""
+
+
+def report_error(exc: Exception) -> int:
+    """Write a command's failure as one JSON error line on stderr; return
+    its exit code: 2 for a backend's fault, 1 for bad input or IO."""
+    if isinstance(exc, (BackendError, ProtocolError)):
+        kind, code = "backend-error" if isinstance(exc, BackendError) else "protocol-error", 2
+    else:
+        kind, code = "io-error" if isinstance(exc, OSError) else "invalid-argument", 1
+    print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
+    return code
 
 
 # --- the JSON boundary ----------------------------------------------------------
@@ -549,35 +560,6 @@ class BeamSet:
         for a, b in zip(self.beams, self.beams[1:]):
             if a.score < b.score:
                 raise InvalidArgumentError("beams must be ordered by descending score")
-
-
-@dataclass
-class StreamHistory:
-    """Paired source/target sentence history plus the active (open) chunk.
-
-    ``source_sentences[i]`` translates to ``target_sentences[i]``; the lists
-    stay the same length so the oldest pairs can be evicted together without
-    desynchronizing the stream.
-    """
-
-    source_sentences: list[list[str]] = field(default_factory=list)
-    target_sentences: list[list[str]] = field(default_factory=list)
-    active_source: list[str] = field(default_factory=list)
-    active_target_committed: list[str] = field(default_factory=list)
-
-    def history_source_words(self) -> int:
-        return sum(len(s) for s in self.source_sentences)
-
-    def buffered_source_words(self) -> int:
-        """History plus active source word count (the eviction budget)."""
-        return self.history_source_words() + len(self.active_source)
-
-    def check_paired(self) -> None:
-        if len(self.source_sentences) != len(self.target_sentences):
-            raise InvalidArgumentError(
-                f"history desynchronized: {len(self.source_sentences)} source "
-                f"vs {len(self.target_sentences)} target sentences"
-            )
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,10 @@ from typing import Sequence
 from .backends import MtBackend, MtRequest
 from .core import (
     SENTINEL,
-    BackendError,
     BeamSet,
     EmissionRecord,
     InvalidArgumentError,
     ProtocolError,
-    StreamHistory,
     VirtualClock,
     check_beam_size,
     check_word,
@@ -72,7 +70,11 @@ class MtStreamConfig:
 
 
 class MtStreamController:
-    """One streaming translation session over a shared virtual clock."""
+    """One streaming translation session over a shared virtual clock.
+
+    Its state is ``segment_ordinal`` and ``history``, the next request to
+    send; each change builds a new one, so a failed call can put it back.
+    """
 
     def __init__(
         self, config: MtStreamConfig, backend: MtBackend, clock: VirtualClock
@@ -80,7 +82,7 @@ class MtStreamController:
         self.config = config
         self.backend = backend
         self.clock = clock
-        self.history = StreamHistory()
+        self.history = MtRequest((), (), (), (), config.beam_size, config.attention_layer_tag)
         self.segment_ordinal = 0
         self.translate_calls = 0
         self.evictions = 0
@@ -99,35 +101,37 @@ class MtStreamController:
         segment waits for later audio. Each call charges its compute to the
         clock.
 
-        If the first backend call fails with a ``BackendError``, the words
-        are taken back out before the error propagates, so the step is
-        retryable. A failure in a later call propagates too, but the
-        segments closed before it stay closed and their tokens are lost to
-        the caller: the stream cannot continue.
+        If anything in the step raises, ``history`` and ``segment_ordinal``
+        are put back as they were before it and the error propagates, so
+        the step can be retried. The clock keeps the compute already
+        charged, and the counters keep the work already done.
         """
         if not new_source_words:
             return []
         for word in new_source_words:
             check_word(word, "source word")
-        history = self.history
-        count = len(new_source_words)
+        before, ordinal = self.history, self.segment_ordinal
         # The active chunk holds exactly the words the open segment has read,
         # those a closure left unconsumed included, so wait-k counts it.
-        history.active_source.extend(new_source_words)
-        if not waitk_allows(self.config.wait_k, len(history.active_source)):
-            return []
-        closed = self.segment_ordinal
+        self.history = MtRequest(
+            before.history_source,
+            before.history_target,
+            before.active_source + tuple(new_source_words),
+            before.committed_target,
+            before.beam_size,
+            before.attention_layer_tag,
+        )
+        records: list[EmissionRecord] = []
         try:
-            records = self._translate_and_emit()
-        except BackendError:
-            del history.active_source[-count:]
+            # Terminates: every closure consumes at least one active word.
+            while waitk_allows(self.config.wait_k, len(self.history.active_source)):
+                closed = self.segment_ordinal
+                records += self._translate_and_emit()
+                if self.segment_ordinal == closed:
+                    break
+        except BaseException:
+            self.history, self.segment_ordinal = before, ordinal
             raise
-        # Terminates: every closure consumes at least one active word.
-        while self.segment_ordinal > closed and waitk_allows(
-            self.config.wait_k, len(history.active_source)
-        ):
-            closed = self.segment_ordinal
-            records += self._translate_and_emit()
         return records
 
     def flush(self) -> list[EmissionRecord]:
@@ -137,28 +141,26 @@ class MtStreamController:
         output back no longer prevents anything. For the same reason a
         stalled vote can never recover, so a round whose vote emits nothing
         emits the best beam's continuation through its first sentinel
-        instead. Stops at the first round that emits nothing even so.
+        instead. Stops at the first round that emits nothing even so. A
+        failure rolls the state back as in ``step``.
         """
+        before, ordinal = self.history, self.segment_ordinal
         records: list[EmissionRecord] = []
-        for _ in range(_FLUSH_MAX_ROUNDS):
-            if not self.history.active_source:
-                break
-            emitted = self._translate_and_emit(flushing=True)
-            records.extend(emitted)
-            if not emitted:
-                break
+        try:
+            for _ in range(_FLUSH_MAX_ROUNDS):
+                if not self.history.active_source:
+                    break
+                emitted = self._translate_and_emit(flushing=True)
+                records.extend(emitted)
+                if not emitted:
+                    break
+        except BaseException:
+            self.history, self.segment_ordinal = before, ordinal
+            raise
         return records
 
     def _translate_and_emit(self, flushing: bool = False) -> list[EmissionRecord]:
-        history = self.history
-        request = MtRequest(
-            history_source=tuple(tuple(s) for s in history.source_sentences),
-            history_target=tuple(tuple(s) for s in history.target_sentences),
-            active_source=tuple(history.active_source),
-            committed_target=tuple(history.active_target_committed),
-            beam_size=self.config.beam_size,
-            attention_layer_tag=self.config.attention_layer_tag,
-        )
+        request = self.history
         response = self.backend.translate(request)
         try:  # a reported cost the clock cannot take is the backend's fault
             self.clock.charge_compute(response.compute_cost_s)
@@ -167,7 +169,7 @@ class MtStreamController:
         self.translate_calls += 1
         beams = self._validated(response.beams, request)
 
-        committed = len(history.active_target_committed)
+        committed = len(request.committed_target)
         emitted = ralcp_emit(beams, committed, self.config.agreement_ratio, self.config.beam_size)
         if flushing and not emitted and beams.beams:
             emitted = list(beams.beams[0].tokens[committed:])
@@ -179,18 +181,10 @@ class MtStreamController:
                     check_word(token, "emitted token")
         except InvalidArgumentError as exc:
             raise ProtocolError(str(exc)) from exc
-        records = []
-        for token in emitted:
-            history.active_target_committed.append(token)
-            records.append(
-                EmissionRecord(
-                    token=token,
-                    nca_time_s=self.clock.audio_available_s,
-                    ca_time_s=self.clock.now_s,
-                )
-            )
-        if emitted and emitted[-1] == SENTINEL:
-            self._close_segment(beams)
+        nca_time_s, ca_time_s = self.clock.audio_available_s, self.clock.now_s
+        records = [EmissionRecord(token, nca_time_s, ca_time_s) for token in emitted]
+        if emitted:
+            self._commit(beams, request.committed_target + tuple(emitted))
         self._evict()
         return records
 
@@ -216,61 +210,71 @@ class MtStreamController:
             kept.append(beam)
         return beams if len(kept) == len(beams.beams) else BeamSet(tuple(kept))
 
-    def _close_segment(self, beams: BeamSet) -> None:
-        history = self.history
-        target = history.active_target_committed[:-1]
-        # A sentinel that opens the segment closes an empty target against
-        # the first source word: a call only runs with active source.
-        cut = 0
-        if target:
-            pos = len(target)  # the sentinel's
-            winner = next(
-                (b for b in beams.beams if len(b.tokens) > pos and b.tokens[pos] == SENTINEL), None
-            )
-            if winner is None:
-                raise ProtocolError("no beam holds the committed sentinel; cannot segment source")
-            cut = winner.cuts[pos - 1]
-        history.source_sentences.append(history.active_source[: cut + 1])
-        history.target_sentences.append(target)
-        history.active_source = history.active_source[cut + 1 :]
-        history.active_target_committed.clear()
-        history.check_paired()
-        self.segment_ordinal += 1
-
-    def _evict(self) -> None:
-        history = self.history
-        config = self.config
-        while history.buffered_source_words() > config.max_buffer_words:
-            if config.history_remove == "oldest_sentence_pair":
-                if not history.source_sentences:
-                    self.budget_overflows += 1
-                    break
-                history.source_sentences.pop(0)
-                history.target_sentences.pop(0)
-            else:
-                if history.history_source_words() == 0:
-                    self.budget_overflows += 1
-                    break
-                _drop_oldest_words(history.source_sentences, config.history_remove_words)
-                _drop_oldest_words(history.target_sentences, config.history_remove_words)
-                while (
-                    history.source_sentences
-                    and not history.source_sentences[0]
-                    and not history.target_sentences[0]
-                ):
-                    history.source_sentences.pop(0)
-                    history.target_sentences.pop(0)
-            self.evictions += 1
-        self.max_buffered_words = max(
-            self.max_buffered_words, history.buffered_source_words()
+    def _commit(self, beams: BeamSet, target: tuple[str, ...]) -> None:
+        """Make ``target`` the open segment's committed tokens; a closing
+        sentinel moves the segment, up to its source cut, into the history."""
+        h = self.history
+        source_history, target_history, active = h.history_source, h.history_target, h.active_source
+        if target[-1] == SENTINEL:
+            end = _source_cut(beams, len(target) - 1) + 1
+            source_history += (active[:end],)
+            target_history += (target[:-1],)
+            active, target = active[end:], ()
+            self.segment_ordinal += 1
+        self.history = MtRequest(
+            source_history, target_history, active, target, h.beam_size, h.attention_layer_tag
         )
 
+    def _evict(self) -> None:
+        h = self.history
+        config = self.config
+        while h.buffered_source_words() > config.max_buffer_words:
+            if config.history_remove == "oldest_sentence_pair":
+                if not h.history_source:
+                    self.budget_overflows += 1
+                    break
+                source, target = h.history_source[1:], h.history_target[1:]
+            else:
+                if h.history_source_words() == 0:
+                    self.budget_overflows += 1
+                    break
+                source = _drop_oldest_words(h.history_source, config.history_remove_words)
+                target = _drop_oldest_words(h.history_target, config.history_remove_words)
+                while source and not source[0] and not target[0]:
+                    source, target = source[1:], target[1:]
+            h = MtRequest(
+                source,
+                target,
+                h.active_source,
+                h.committed_target,
+                h.beam_size,
+                h.attention_layer_tag,
+            )
+            self.evictions += 1
+        self.history = h
+        self.max_buffered_words = max(self.max_buffered_words, h.buffered_source_words())
 
-def _drop_oldest_words(sentences: list[list[str]], count: int) -> None:
-    remaining = count
-    for sentence in sentences:
-        if remaining <= 0:
+
+def _source_cut(beams: BeamSet, pos: int) -> int:
+    """The last active source word of a segment whose sentinel is at ``pos``."""
+    # A sentinel that opens the segment closes an empty target against the
+    # first source word: a call only runs with active source.
+    if pos == 0:
+        return 0
+    winner = next(
+        (b for b in beams.beams if len(b.tokens) > pos and b.tokens[pos] == SENTINEL), None
+    )
+    if winner is None:
+        raise ProtocolError("no beam holds the committed sentinel; cannot segment source")
+    return winner.cuts[pos - 1]
+
+
+def _drop_oldest_words(sentences: tuple[tuple[str, ...], ...], count: int) -> tuple:
+    """``sentences`` less their oldest ``count`` words; emptied ones stay."""
+    kept = list(sentences)
+    for i, sentence in enumerate(kept):
+        if count <= 0:
             break
-        taken = min(len(sentence), remaining)
-        del sentence[:taken]
-        remaining -= taken
+        kept[i] = sentence[count:]
+        count -= len(sentence)
+    return tuple(kept)

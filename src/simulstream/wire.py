@@ -45,6 +45,7 @@ from .core import (
     must_be,
     read_record,
     record_fields,
+    report_error,
 )
 
 PROTOCOL_VERSION = 3
@@ -293,7 +294,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if len(args) != 1:
         print("usage: python -m simulstream.wire_server SCRIPT.json", file=sys.stderr)
         return 1
-    scripts = load_mock_script(args[0])
+    try:
+        scripts = load_mock_script(args[0])
+    except (InvalidArgumentError, OSError) as exc:
+        return report_error(exc)
     serve(
         MockAsrBackend(scripts.asr),
         MockMtBackend(scripts.mt),

@@ -287,8 +287,8 @@ def test_c06_attention_argmax_segmentation() -> None:
         history = pipeline.mt.history
         # These talks never evict, so the history holds every closed pair.
         assert pipeline.mt.evictions == 0
-        assert len(history.source_sentences) == pipeline.mt.segment_ordinal
-        for source, target in zip(history.source_sentences, history.target_sentences):
+        assert len(history.history_source) == pipeline.mt.segment_ordinal
+        for source, target in zip(history.history_source, history.history_target):
             # 1:1 word map: moved source length == target tokens before [SEP]
             assert len(source) == len(target)
             closures_seen += 1

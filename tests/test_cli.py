@@ -221,6 +221,25 @@ def test_simulate_refuses_an_asr_cost_that_would_overflow_naming_the_script(
     )
 
 
+def test_simulate_refuses_an_mt_cost_that_would_overflow(tmp_path, capsys) -> None:
+    # A request's length is not known at load, so the mock refuses the first
+    # request its rate cannot price, naming the rate and the word count.
+    trace, config = _stage_fixture(tmp_path)
+    script_path = tmp_path / "mock_script_60s.json"
+    script = json.loads(script_path.read_text(encoding="utf-8"))
+    script["mt"]["cost_per_word_s"] = 1e308
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    assert main(["simulate", str(trace), str(config), str(out)]) == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "invalid-argument",
+        "message": "cost_base_s + cost_per_word_s * 3 active words must be finite, "
+        "got 0.1 + 1e+308 * 3",
+    }
+
+
 @pytest.mark.parametrize("where", ["asr_word", "asr_word_truncating_mt", "wire_config"])
 def test_simulate_refuses_an_unpaired_surrogate_naming_the_file(tmp_path, capsys, where) -> None:
     trace, config_path = _stage_fixture(tmp_path)

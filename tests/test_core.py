@@ -5,7 +5,7 @@ import json
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -31,7 +31,6 @@ from simulstream.core import (
     EmissionRecord,
     InvalidArgumentError,
     ProtocolError,
-    StreamHistory,
     TimedWord,
     VirtualClock,
     canonical_json,
@@ -227,18 +226,18 @@ def test_emission_log_monotonicity() -> None:
 
 
 def test_stream_history_counts_and_pairing() -> None:
-    history = StreamHistory(
-        source_sentences=[["a", "b"], ["c"]],
-        target_sentences=[["x"], ["y", "z"]],
-        active_source=["d", "e"],
-        active_target_committed=["w"],
+    history = MtRequest(
+        history_source=(("a", "b"), ("c",)),
+        history_target=(("x",), ("y", "z")),
+        active_source=("d", "e"),
+        committed_target=("w",),
+        beam_size=10,
+        attention_layer_tag="6",
     )
     assert history.history_source_words() == 3
     assert history.buffered_source_words() == 5
-    history.check_paired()
-    history.target_sentences.pop()
-    with pytest.raises(InvalidArgumentError):
-        history.check_paired()
+    with pytest.raises(InvalidArgumentError, match="history desynchronized: 2 source vs 1 target"):
+        replace(history, history_target=history.history_target[:-1])
 
 
 def test_strict_json_loads_reports_deep_nesting_as_value_error() -> None:
@@ -516,7 +515,6 @@ def _odd_records(rng: random.Random) -> list:
         AsrRequest(text, 0.0, time, 1),
         AsrScript(words, seed=big),  # has fields that __init__ does not take
         MtScript({text: "ja", "": "Haus"}, seed=-big),  # a Mapping field
-        StreamHistory([list(s) for s in history], [list(s) for s in history], [text], []),
         preset_config(rng.choice(["adapted", "baseline"])),
     ]
 
@@ -531,7 +529,7 @@ def test_canonical_json_matches_the_standard_encoder_on_every_record_class() -> 
             assert canonical_json(value) == oracle_canonical_json(value)
         message = {"v": 3, "kind": rng.choice(_ODD_STRINGS), "values": values, "n": (-0.0, 1e16)}
         assert canonical_json(message) == oracle_canonical_json(message)
-    assert len(classes) == 14
+    assert len(classes) == 13
 
 
 def test_a_failed_encode_leaves_later_encodes_whole() -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -39,13 +40,13 @@ def test_full_sentence_closes_one_segment() -> None:
     records = controller.step(["der", "hund", "lief", "nach", "hause."])
     tokens = [r.token for r in records]
     assert tokens == ["DER", "HUND", "LIEF", "NACH", "HAUSE.", SENTINEL]
-    assert controller.history.source_sentences == [
-        ["der", "hund", "lief", "nach", "hause."]
-    ]
-    assert controller.history.target_sentences == [
-        ["DER", "HUND", "LIEF", "NACH", "HAUSE."]
-    ]
-    assert controller.history.active_source == []
+    assert controller.history.history_source == (
+        ("der", "hund", "lief", "nach", "hause."),
+    )
+    assert controller.history.history_target == (
+        ("DER", "HUND", "LIEF", "NACH", "HAUSE."),
+    )
+    assert controller.history.active_source == ()
     assert controller.segment_ordinal == 1
 
 
@@ -57,7 +58,7 @@ def test_one_step_closes_every_ready_segment() -> None:
     ]
     assert controller.segment_ordinal == 2
     assert controller.translate_calls == 2
-    assert controller.history.active_source == []
+    assert controller.history.active_source == ()
 
 
 def test_drain_stops_at_the_waitk_gate_and_charges_each_call() -> None:
@@ -71,7 +72,7 @@ def test_drain_stops_at_the_waitk_gate_and_charges_each_call() -> None:
         "EINS", "ZWEI.", SENTINEL, "DREI", "VIER.", SENTINEL
     ]
     assert controller.translate_calls == 2
-    assert controller.history.active_source == ["fünf", "sechs"]
+    assert controller.history.active_source == ("fünf", "sechs")
     assert [r.ca_time_s for r in records] == [0.5] * 3 + [1.0] * 3
     assert clock.now_s == 1.0
 
@@ -92,9 +93,68 @@ def test_backend_failure_on_first_call_leaves_step_retryable() -> None:
     words = ["eins", "zwei", "drei."]
     with pytest.raises(BackendError):
         controller.step(words)
-    assert controller.history.active_source == []
+    assert controller.history.active_source == ()
     records = controller.step(words)
     assert [r.token for r in records] == ["EINS", "ZWEI", "DREI.", SENTINEL]
+
+
+class _FailsOnCall:
+    """The clean mock MT, except that call ``n`` raises a ``BackendError``
+    or answers with beam 0's cuts past the active source."""
+
+    def __init__(self, n: int, fault: str) -> None:
+        self.inner = MockMtBackend(MtScript())
+        self.n, self.fault, self.calls = n, fault, 0
+
+    def translate(self, request: MtRequest) -> MtResponse:
+        self.calls += 1
+        response = self.inner.translate(request)
+        if self.calls != self.n:
+            return response
+        if self.fault == "backend_error":
+            raise BackendError("unavailable")
+        first, *rest = response.beams.beams
+        past = tuple(c + len(request.active_source) for c in first.cuts)
+        return replace(response, beams=BeamSet((replace(first, cuts=past), *rest)))
+
+
+@pytest.mark.parametrize("fault", ["backend_error", "bad_cut"])
+@pytest.mark.parametrize("call", ["step", "flush"])
+def test_a_failure_on_a_later_call_rolls_the_whole_call_back(call, fault) -> None:
+    # wait-k 2 lets the step drain both sentences; wait-k 5 holds them for
+    # the flush. Either way the call's first translation closes a segment
+    # and its second fails.
+    wait_k = 2 if call == "step" else 5
+    words = ["eins", "zwei.", "drei", "vier."]
+    flaky = _FailsOnCall(3, fault)
+    controller = _controller(flaky, wait_k=wait_k)
+    healthy = _controller(wait_k=wait_k)
+    for c in (controller, healthy):
+        c.clock.advance_audio(1.0)
+        assert len(c.step(["null"] * (wait_k - 1) + ["null."])) == wait_k + 1
+        c.clock.advance_audio(1.0)
+        if call == "flush":
+            assert c.step(words) == []
+
+    def run(c: MtStreamController):
+        return c.step(words) if call == "step" else c.flush()
+
+    before = controller.history
+    with pytest.raises(BackendError if fault == "backend_error" else ProtocolError):
+        run(controller)
+    assert flaky.calls == 3
+    assert controller.history is before
+    assert controller.segment_ordinal == 1
+    # The counters keep the work done: a refused reply was still a call.
+    assert controller.translate_calls == (2 if fault == "backend_error" else 3)
+    controller.backend = MockMtBackend(MtScript())
+    retried, expected = run(controller), run(healthy)
+    assert [(r.token, r.nca_time_s) for r in retried] == [
+        (r.token, r.nca_time_s) for r in expected
+    ]
+    assert [r.token for r in expected].count(SENTINEL) == 2
+    assert controller.history == healthy.history
+    assert controller.segment_ordinal == healthy.segment_ordinal == 3
 
 
 def test_waitk_gate_holds_short_input() -> None:
@@ -145,48 +205,53 @@ def test_emission_is_append_only_across_steps() -> None:
         for r in records:
             emitted.append(r.token)
         # Committed target of the open segment always extends what we saw.
-        segment = controller.history.active_target_committed
+        segment = controller.history.committed_target
         if segment:
-            assert emitted[-len(segment) :] == segment
+            assert tuple(emitted[-len(segment) :]) == segment
+
+
+def _with_history(controller, source, target, active) -> None:
+    """Set the controller's history sides and active source."""
+    config = controller.config
+    controller.history = MtRequest(
+        source, target, active, (), config.beam_size, config.attention_layer_tag
+    )
 
 
 def test_eviction_adapted_drops_oldest_pair() -> None:
     controller = _controller(max_buffer_words=80)
-    history = controller.history
-    history.source_sentences = [["w"] * 15, ["w"] * 10]
-    history.target_sentences = [["t"] * 15, ["t"] * 10]
-    history.active_source = ["w"] * 65  # 90 buffered in total
+    # 90 buffered in total
+    _with_history(controller, (("w",) * 15, ("w",) * 10), (("t",) * 15, ("t",) * 10), ("w",) * 65)
     controller._evict()
-    assert history.source_sentences == [["w"] * 10]
+    history = controller.history
+    assert history.history_source == (("w",) * 10,)
     assert history.buffered_source_words() == 75
     assert controller.evictions == 1
-    history.check_paired()
+    assert len(history.history_source) == len(history.history_target)
 
 
 def test_eviction_baseline_drops_words_from_both_sides() -> None:
     controller = _controller(
         max_buffer_words=80, history_remove="word_count", history_remove_words=20
     )
-    history = controller.history
-    history.source_sentences = [["s"] * 15, ["s"] * 10]
-    history.target_sentences = [["t"] * 12, ["t"] * 9]
-    history.active_source = ["w"] * 65
+    _with_history(controller, (("s",) * 15, ("s",) * 10), (("t",) * 12, ("t",) * 9), ("w",) * 65)
     controller._evict()
+    history = controller.history
     # 90 source words -> one pass removes 20 from each side's history
     assert history.history_source_words() == 5
-    assert sum(len(s) for s in history.target_sentences) == 1
-    assert len(history.source_sentences) == len(history.target_sentences)
+    assert sum(len(s) for s in history.history_target) == 1
+    assert len(history.history_source) == len(history.history_target)
     assert history.buffered_source_words() == 70
 
 
 def test_eviction_stops_when_only_active_remains() -> None:
     controller = _controller(max_buffer_words=10)
-    controller.history.active_source = ["w"] * 25
+    _with_history(controller, (), (), ("w",) * 25)
     controller._evict()  # nothing evictable; must not spin forever
     assert controller.history.buffered_source_words() == 25
     assert controller.budget_overflows == 1
     assert controller.max_buffered_words == 25
-    controller.history.active_source = ["w"] * 5
+    _with_history(controller, (), (), ("w",) * 5)
     controller._evict()
     assert controller.budget_overflows == 1
     assert controller.max_buffered_words == 25
@@ -203,7 +268,7 @@ def test_out_of_range_cut_is_a_protocol_error(bad) -> None:
     controller = _controller(BadBackend(), wait_k=1)
     with pytest.raises(ProtocolError, match=r"cut outside the 2 active source words"):
         controller.step(["a", "b"])
-    assert controller.history.active_target_committed == []
+    assert controller.history.committed_target == ()
 
 
 def test_sentinel_opening_a_segment_closes_an_empty_target() -> None:
@@ -216,9 +281,9 @@ def test_sentinel_opening_a_segment_closes_an_empty_target() -> None:
     assert [r.token for r in records] == [SENTINEL, SENTINEL]
     assert controller.segment_ordinal == 2
     history = controller.history
-    assert history.source_sentences == [["a"], ["b"]]
-    assert history.target_sentences == [[], []]
-    assert history.active_source == [] and history.active_target_committed == []
+    assert history.history_source == (("a",), ("b",))
+    assert history.history_target == ((), ())
+    assert history.active_source == () and history.committed_target == ()
 
 
 def test_beams_rewriting_committed_prefix_are_dropped() -> None:
@@ -240,7 +305,7 @@ def test_beams_rewriting_committed_prefix_are_dropped() -> None:
         Rewriter(), agreement_ratio=0.5, beam_size=2, wait_k=1
     )
     controller.step(["a"])
-    assert controller.history.active_target_committed == ["NEXT"]
+    assert controller.history.committed_target == ("NEXT",)
     records = controller.step(["b"])
     assert controller.dropped_beams >= 1
     assert all(r.token != "ROGUE" for r in records)
@@ -251,7 +316,7 @@ def test_flush_translates_leftovers_without_waitk() -> None:
     assert controller.step(["nur", "zwei."]) == []
     records = controller.flush()
     assert [r.token for r in records] == ["NUR", "ZWEI.", SENTINEL]
-    assert controller.history.active_source == []
+    assert controller.history.active_source == ()
 
 
 def test_records_carry_clock_times() -> None:

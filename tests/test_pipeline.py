@@ -38,6 +38,7 @@ from simulstream.pipeline import (
     preset_config,
     read_trace,
 )
+from simulstream.wire import decode_mt_request, encode_mt_request
 from simulstream.textnorm import has_terminal_mark
 
 
@@ -158,8 +159,8 @@ def test_long_stream_invariants_hold_after_every_step(mode, noisy) -> None:
         transcript = committed
         tokens += [r.token for r in emitted]
         assert [r.token for r in pipeline.records] == tokens
-        segment = pipeline.mt.history.active_target_committed
-        assert tokens[len(tokens) - len(segment) :] == segment
+        segment = pipeline.mt.history.committed_target
+        assert tuple(tokens[len(tokens) - len(segment) :]) == segment
         if not noisy:
             # Every ready segment closed within the step that made it ready.
             assert not any(has_terminal_mark(w) for w in pipeline.mt.history.active_source)
@@ -173,6 +174,23 @@ def test_long_stream_invariants_hold_after_every_step(mode, noisy) -> None:
         streamed = strip_sentinels([r.token for r in pipeline.records])
         assert streamed == offline_translation(mt_script, pipeline.asr.transcript())
         assert pipeline.mt.segment_ordinal == len(sentences)
+
+
+@pytest.mark.parametrize("mode", ["adapted", "baseline"])
+def test_the_mt_state_round_trips_through_the_wire_after_every_step(mode) -> None:
+    # The controller's state is the request it sends next, so the wire codec
+    # writes and reads it whole, after evictions too.
+    for seed in range(3):
+        sentences = synth_sentences(random.Random(400 + seed), 60)
+        asr_script, mt_script, duration = build_scripts(sentences, seed=seed, **NOISY)
+        pipeline = Pipeline(
+            preset_config(mode), MockAsrBackend(asr_script), MockMtBackend(mt_script)
+        )
+        for event in chunked_trace(duration):
+            pipeline.feed_audio(event.duration_s)
+            history = pipeline.mt.history
+            assert decode_mt_request(encode_mt_request(history)) == history
+        assert pipeline.mt.evictions > 0
 
 
 def test_noisy_flush_streams_the_whole_translation() -> None:

@@ -47,6 +47,7 @@ from simulstream.wire import (
     encode_asr_response,
     encode_mt_request,
     encode_mt_response,
+    main,
     serve,
 )
 
@@ -571,7 +572,7 @@ def _drive(call: str, backend) -> list:
     mt.step(["a", "b"])
     if call == "mt_flush":
         mt.flush()
-    return mt.history.active_target_committed
+    return list(mt.history.committed_target)
 
 
 @pytest.mark.parametrize("transport", ["in_process", "wire"])
@@ -618,6 +619,34 @@ def test_server_answers_bad_lines_with_errors_and_keeps_serving(tmp_path) -> Non
     assert decode_asr_response(replies[1]) == mock_asr_decode(asr_script, valid)
     with pytest.raises(BackendError, match="server error: window .* outside audio extent"):
         decode_asr_response(replies[2])
+
+
+@pytest.mark.parametrize("fault", ["missing", "bad_field"])
+def test_server_refuses_a_script_it_cannot_load_as_the_cli_does(tmp_path, capsys, fault) -> None:
+    script_path = tmp_path / "script.json"
+    if fault == "bad_field":
+        script_path.write_text('{"mt": {"cost_per_word_s": "x"}}', encoding="utf-8")
+    assert main([str(script_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    if fault == "missing":
+        assert err["error"] == "io-error"
+        assert str(script_path) in err["message"]
+    else:
+        assert err == {
+            "error": "invalid-argument",
+            "message": f"{script_path}: field 'mt.cost_per_word_s' must be a number, got 'x'",
+        }
+
+
+def test_an_unpaired_history_is_a_protocol_error() -> None:
+    request = json.loads(_golden_lines("wire_requests.jsonl")[1])
+    request["history_source"] = [["a"], ["b."]]
+    request["history_target"] = [["A"]]
+    with pytest.raises(ProtocolError, match="history desynchronized: 2 source vs 1 target"):
+        decode_mt_request(canonical_json(request))
 
 
 def test_server_error_reply_leaves_the_channel_usable(tmp_path) -> None:
