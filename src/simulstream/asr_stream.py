@@ -45,7 +45,7 @@ class AsrStreamConfig:
                 f"{self.min_chunk_s} / {self.max_window_s}"
             )
         if self.initial_wait_s < 0:
-            raise InvalidArgumentError("initial_wait_s must be >= 0")
+            raise InvalidArgumentError(f"initial_wait_s must be >= 0, got {self.initial_wait_s}")
         if self.levenshtein_threshold < 0:
             raise InvalidArgumentError(
                 f"levenshtein_threshold must be >= 0, got {self.levenshtein_threshold}"
@@ -96,8 +96,8 @@ class AsrStreamController:
         down, so once the first decode has passed that gate it stays open).
         A backend failure propagates with the state untouched, so the step
         is retryable. A reply word outside the requested window, or a cost
-        that would take the clock past the largest float, is a
-        ``ProtocolError``, raised before the state changes.
+        the clock refuses, is a ``ProtocolError``, raised before the state
+        changes.
         """
         audio = self.clock.audio_available_s
         if audio - self.state.decoded_upto_s < self.config.min_chunk_s:
@@ -134,10 +134,7 @@ class AsrStreamController:
                     f"field 'words[{i}]' lies outside the requested window "
                     f"[{request.window_start_s}, {request.window_end_s}]: [{w.start_s}, {w.end_s}]"
                 )
-        try:  # a reported cost the clock cannot take is the backend's fault
-            self.clock.charge_compute(response.compute_cost_s)
-        except InvalidArgumentError as exc:
-            raise ProtocolError(str(exc)) from exc
+        self.clock.charge_compute(response.compute_cost_s)
         self.decodes += 1
         state.decoded_upto_s = audio
 

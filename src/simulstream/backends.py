@@ -187,7 +187,9 @@ class MtScript:
     def __post_init__(self) -> None:
         _check_non_negative(self, "tail_truncate_max", "cost_base_s", "cost_per_word_s")
         if not 0 <= self.tail_perturb_prob <= 1:
-            raise InvalidArgumentError("tail_perturb_prob must be in [0, 1]")
+            raise InvalidArgumentError(
+                f"tail_perturb_prob must be in [0, 1], got {self.tail_perturb_prob}"
+            )
         for source, target in self.word_map.items():
             check_word(target, f"word_map[{quote(source)}]")
 

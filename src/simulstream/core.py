@@ -324,14 +324,7 @@ def read_record(cls: type, obj: dict, where: str = "", **given):
     from the class's own checks is re-raised naming ``where``.
     """
     for name, kind, _, read, required in _schema(cls):
-        if name in given:
-            continue
-        value = obj.get(name, _MISSING)
-        # A scalar of its field's kind is taken as it is (a float only if
-        # finite); anything else goes through ``json_field`` or the reader.
-        if type(value) is kind and (kind is not float or -_FLOAT_MAX <= value <= _FLOAT_MAX):
-            given[name] = value
-        elif required or value is not _MISSING:
+        if name not in given and (required or name in obj):
             given[name] = json_field(obj, name, kind, where) if read is None else read(obj, where)
     try:
         return cls(**given)
@@ -603,25 +596,30 @@ class VirtualClock:
     and audio arrival pulls ``now_s`` up to the audio front (audio cannot
     arrive from the future), so ``now_s >= audio_available_s`` holds after
     any backend call completes.
+
+    Every step must be >= 0 and keep the clock finite. A refused audio delta
+    is an ``InvalidArgumentError``: it comes from the caller's trace. A
+    refused compute cost is a ``ProtocolError``: ``charge_compute`` only
+    ever takes a cost a backend reported, in-process or over the wire.
     """
 
     audio_available_s: float = 0.0
     now_s: float = 0.0
 
     def advance_audio(self, delta_s: float) -> None:
-        self.audio_available_s = _clock_step(self.audio_available_s, delta_s, "audio delta")
+        self.audio_available_s = _clock_step(
+            self.audio_available_s, delta_s, "audio delta", InvalidArgumentError
+        )
         self.now_s = max(self.now_s, self.audio_available_s)
 
     def charge_compute(self, cost_s: float) -> None:
-        self.now_s = _clock_step(self.now_s, cost_s, "compute cost")
+        self.now_s = _clock_step(self.now_s, cost_s, "compute cost", ProtocolError)
 
 
-def _clock_step(start: float, delta: float, name: str) -> float:
-    """``start + delta``, refused unless ``delta >= 0`` and the sum is finite:
-    finite steps can still sum past the largest float."""
+def _clock_step(start: float, delta: float, name: str, error: type[Exception]) -> float:
+    """``start + delta``, refused with ``error`` unless ``delta >= 0`` and the
+    sum is finite: finite steps can still sum past the largest float."""
     end = start + delta
     if not (delta >= 0 and end < math.inf):
-        raise InvalidArgumentError(
-            f"{name} must be >= 0 and keep the clock finite, got {start} + {delta}"
-        )
+        raise error(f"{name} must be >= 0 and keep the clock finite, got {start} + {delta}")
     return end

@@ -13,6 +13,7 @@ translated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, wraps
 from typing import Sequence
 
 from .backends import MtBackend, MtRequest
@@ -56,17 +57,32 @@ class MtStreamConfig:
                 f"agreement_ratio must be in (0, 1], got {self.agreement_ratio}"
             )
         check_beam_size(self.beam_size, "beam_size")
-        if self.wait_k < 1:
-            raise InvalidArgumentError(f"wait_k must be >= 1, got {self.wait_k}")
-        if self.max_buffer_words < 1:
-            raise InvalidArgumentError("max_buffer_words must be >= 1")
+        for name in ("wait_k", "max_buffer_words", "history_remove_words"):
+            if getattr(self, name) < 1:
+                raise InvalidArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.history_remove not in HISTORY_REMOVE_MODES:
             raise InvalidArgumentError(
                 f"history_remove must be one of {HISTORY_REMOVE_MODES}, "
                 f"got {quote(self.history_remove)}"
             )
-        if self.history_remove_words < 1:
-            raise InvalidArgumentError("history_remove_words must be >= 1")
+
+
+def _atomic(method):
+    """``method``, with ``history`` and ``segment_ordinal`` put back as they
+    were before it if anything in it raises; the error propagates, so the
+    call can be retried. The clock keeps the compute already charged, and
+    the counters keep the work already done."""
+
+    @wraps(method)
+    def run(self, *args):
+        before = self.history, self.segment_ordinal
+        try:
+            return method(self, *args)
+        except BaseException:
+            self.history, self.segment_ordinal = before
+            raise
+
+    return run
 
 
 class MtStreamController:
@@ -82,7 +98,11 @@ class MtStreamController:
         self.config = config
         self.backend = backend
         self.clock = clock
-        self.history = MtRequest((), (), (), (), config.beam_size, config.attention_layer_tag)
+        # Builds a request from its four word fields; the other two are the config's.
+        self._request = partial(
+            MtRequest, beam_size=config.beam_size, attention_layer_tag=config.attention_layer_tag
+        )
+        self.history = self._request((), (), (), ())
         self.segment_ordinal = 0
         self.translate_calls = 0
         self.evictions = 0
@@ -92,6 +112,7 @@ class MtStreamController:
         self.budget_overflows = 0
         self.max_buffered_words = 0
 
+    @_atomic
     def step(self, new_source_words: Sequence[str]) -> list[EmissionRecord]:
         """Feed freshly committed source words; emit whatever agrees.
 
@@ -99,41 +120,31 @@ class MtStreamController:
         translating for as long as each call closes a segment, active
         source remains and wait-k lets the next segment start, so no ready
         segment waits for later audio. Each call charges its compute to the
-        clock.
-
-        If anything in the step raises, ``history`` and ``segment_ordinal``
-        are put back as they were before it and the error propagates, so
-        the step can be retried. The clock keeps the compute already
-        charged, and the counters keep the work already done.
+        clock. A failure rolls the state back (``_atomic``).
         """
         if not new_source_words:
             return []
         for word in new_source_words:
             check_word(word, "source word")
-        before, ordinal = self.history, self.segment_ordinal
+        h = self.history
         # The active chunk holds exactly the words the open segment has read,
         # those a closure left unconsumed included, so wait-k counts it.
-        self.history = MtRequest(
-            before.history_source,
-            before.history_target,
-            before.active_source + tuple(new_source_words),
-            before.committed_target,
-            before.beam_size,
-            before.attention_layer_tag,
+        self.history = self._request(
+            h.history_source,
+            h.history_target,
+            h.active_source + tuple(new_source_words),
+            h.committed_target,
         )
         records: list[EmissionRecord] = []
-        try:
-            # Terminates: every closure consumes at least one active word.
-            while waitk_allows(self.config.wait_k, len(self.history.active_source)):
-                closed = self.segment_ordinal
-                records += self._translate_and_emit()
-                if self.segment_ordinal == closed:
-                    break
-        except BaseException:
-            self.history, self.segment_ordinal = before, ordinal
-            raise
+        # Terminates: every closure consumes at least one active word.
+        while waitk_allows(self.config.wait_k, len(self.history.active_source)):
+            closed = self.segment_ordinal
+            records += self._translate_and_emit()
+            if self.segment_ordinal == closed:
+                break
         return records
 
+    @_atomic
     def flush(self) -> list[EmissionRecord]:
         """End of stream: keep translating the leftover active source.
 
@@ -142,30 +153,22 @@ class MtStreamController:
         stalled vote can never recover, so a round whose vote emits nothing
         emits the best beam's continuation through its first sentinel
         instead. Stops at the first round that emits nothing even so. A
-        failure rolls the state back as in ``step``.
+        failure rolls the state back (``_atomic``).
         """
-        before, ordinal = self.history, self.segment_ordinal
         records: list[EmissionRecord] = []
-        try:
-            for _ in range(_FLUSH_MAX_ROUNDS):
-                if not self.history.active_source:
-                    break
-                emitted = self._translate_and_emit(flushing=True)
-                records.extend(emitted)
-                if not emitted:
-                    break
-        except BaseException:
-            self.history, self.segment_ordinal = before, ordinal
-            raise
+        for _ in range(_FLUSH_MAX_ROUNDS):
+            if not self.history.active_source:
+                break
+            emitted = self._translate_and_emit(flushing=True)
+            records.extend(emitted)
+            if not emitted:
+                break
         return records
 
     def _translate_and_emit(self, flushing: bool = False) -> list[EmissionRecord]:
         request = self.history
         response = self.backend.translate(request)
-        try:  # a reported cost the clock cannot take is the backend's fault
-            self.clock.charge_compute(response.compute_cost_s)
-        except InvalidArgumentError as exc:
-            raise ProtocolError(str(exc)) from exc
+        self.clock.charge_compute(response.compute_cost_s)
         self.translate_calls += 1
         beams = self._validated(response.beams, request)
 
@@ -221,9 +224,7 @@ class MtStreamController:
             target_history += (target[:-1],)
             active, target = active[end:], ()
             self.segment_ordinal += 1
-        self.history = MtRequest(
-            source_history, target_history, active, target, h.beam_size, h.attention_layer_tag
-        )
+        self.history = self._request(source_history, target_history, active, target)
 
     def _evict(self) -> None:
         h = self.history
@@ -242,14 +243,7 @@ class MtStreamController:
                 target = _drop_oldest_words(h.history_target, config.history_remove_words)
                 while source and not source[0] and not target[0]:
                     source, target = source[1:], target[1:]
-            h = MtRequest(
-                source,
-                target,
-                h.active_source,
-                h.committed_target,
-                h.beam_size,
-                h.attention_layer_tag,
-            )
+            h = self._request(source, target, h.active_source, h.committed_target)
             self.evictions += 1
         self.history = h
         self.max_buffered_words = max(self.max_buffered_words, h.buffered_source_words())

@@ -61,10 +61,6 @@ class TraceEvent:
 
     duration_s: float
 
-    def __post_init__(self) -> None:
-        if self.duration_s < 0:
-            raise InvalidArgumentError("event duration must be >= 0")
-
 
 def _audio_event(obj: dict) -> TraceEvent:
     kind = json_field(obj, "kind", str)
@@ -77,23 +73,25 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
     """Load a JSONL trace of {"kind": "audio", "dur": s} events.
 
     Any other key on a line, such as an event time ``t``, is ignored. The
-    audio front, the running sum of ``dur`` that the clock makes, must stay
-    finite: the first line that takes it past the largest float is refused.
+    clock's rule for an audio delta holds at each line: ``dur`` must be
+    >= 0 and keep the audio front, their running sum, finite. The first
+    line that breaks it is refused.
     """
     front = 0.0
 
-    def finite_event(obj: dict) -> TraceEvent:
+    def checked_event(obj: dict) -> TraceEvent:
         nonlocal front
         event = _audio_event(obj)
         end = front + event.duration_s
-        if not end < math.inf:
+        if not (event.duration_s >= 0 and end < math.inf):
             raise InvalidArgumentError(
-                f"field 'dur' must keep the audio front finite, got {front} + {event.duration_s}"
+                "field 'dur' must be >= 0 and keep the audio front finite, "
+                f"got {front} + {event.duration_s}"
             )
         front = end
         return event
 
-    return read_jsonl(path, finite_event)
+    return read_jsonl(path, checked_event)
 
 
 @dataclass

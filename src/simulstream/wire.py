@@ -13,12 +13,15 @@ record it carries, under their own names (``core.read_record``): an
 strings; an MT request's history is, on each side, a list of such
 sentences, and a sentence may be empty. A reply repeats nothing of its
 request; the controller that sent the request checks the reply, as it
-does an in-process backend's. A server that cannot answer a request, or
-whose backend fails, replies ``{"v":3,"kind":"error","message":...}``,
-which the client raises as a ``BackendError``. ``cuts[j]`` is the active
-source position token j attends to most in the attention layer named by
-``attention_layer_tag``, ties going to the largest index; the server
-takes this argmax next to the model.
+does an in-process backend's. Its ``compute_cost_s`` must be >= 0 and
+keep the clock finite: ``VirtualClock.charge_compute`` raises a
+``ProtocolError`` for one that does not. A server that cannot answer a
+request, or whose backend fails, replies
+``{"v":3,"kind":"error","message":...}``, which the client raises as a
+``BackendError``. ``cuts[j]`` is the active source position token j
+attends to most in the attention layer named by ``attention_layer_tag``,
+ties going to the largest index; the server takes this argmax next to
+the model.
 """
 
 from __future__ import annotations
@@ -86,10 +89,8 @@ def _decode(line: str, kind: str, build):
 
 
 def _compute_cost(obj: dict) -> float:
-    cost = json_field(obj, "compute_cost_s", float)
-    if cost < 0:
-        raise InvalidArgumentError(must_be("compute_cost_s", ">= 0", cost))
-    return cost
+    """The reply's finite ``compute_cost_s``; the controller's clock checks the rest."""
+    return json_field(obj, "compute_cost_s", float)
 
 
 # --- ASR messages -------------------------------------------------------------

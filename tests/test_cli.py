@@ -287,7 +287,8 @@ class _CostlyAsr:
             1e308,
             1,
             "invalid-argument",
-            "{trace}:2: field 'dur' must keep the audio front finite, got 1e+308 + 1e+308",
+            "{trace}:2: field 'dur' must be >= 0 and keep the audio front finite, "
+            "got 1e+308 + 1e+308",
         ),
     ],
     ids=["backend_cost", "trace_durations"],
@@ -308,6 +309,22 @@ def test_simulate_refuses_a_clock_that_would_overflow(
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error
     assert message.format(trace=trace) in err["message"]
+
+
+def test_simulate_refuses_a_negative_trace_duration_naming_the_line(tmp_path, capsys) -> None:
+    _, config_path = _stage_fixture(tmp_path)
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(
+        '{"kind": "audio", "dur": 1.0}\n{"kind": "audio", "dur": -1.0}\n', encoding="utf-8"
+    )
+    out = tmp_path / "o.jsonl"
+    assert main(["simulate", str(trace), str(config_path), str(out)]) == 1
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "invalid-argument",
+        "message": f"{trace}:2: field 'dur' must be >= 0 and keep the audio front finite, "
+        "got 1.0 + -1.0",
+    }
 
 
 # Stand-in servers that read one request and answer it with a bad line.

@@ -114,24 +114,29 @@ def test_clock_rejects_negative_amounts() -> None:
     clock = VirtualClock()
     with pytest.raises(InvalidArgumentError):
         clock.advance_audio(-0.1)
-    with pytest.raises(InvalidArgumentError):
+    # A cost only ever comes from a backend's reply: refusing it is a protocol error.
+    with pytest.raises(ProtocolError):
         clock.charge_compute(-0.1)
 
 
 @pytest.mark.parametrize("cost", [float("nan"), float("inf"), float("-inf")])
 def test_clock_rejects_non_finite_compute_cost(cost) -> None:
     clock = VirtualClock(audio_available_s=5.0, now_s=5.0)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ProtocolError):
         clock.charge_compute(cost)
     assert clock.now_s == 5.0
 
 
-@pytest.mark.parametrize("step", ["advance_audio", "charge_compute"])
-def test_clock_refuses_finite_steps_that_sum_past_the_largest_float(step) -> None:
+@pytest.mark.parametrize(
+    "step, error",
+    [("advance_audio", InvalidArgumentError), ("charge_compute", ProtocolError)],
+    ids=["advance_audio", "charge_compute"],
+)
+def test_clock_refuses_finite_steps_that_sum_past_the_largest_float(step, error) -> None:
     clock = VirtualClock()
     getattr(clock, step)(1e308)
     before = (clock.audio_available_s, clock.now_s)
-    with pytest.raises(InvalidArgumentError, match="keep the clock finite, got 1e\\+308 \\+ 1e\\+308"):
+    with pytest.raises(error, match="keep the clock finite, got 1e\\+308 \\+ 1e\\+308"):
         getattr(clock, step)(1e308)
     assert (clock.audio_available_s, clock.now_s) == before
 

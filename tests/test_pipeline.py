@@ -284,8 +284,9 @@ def test_read_trace_ignores_event_times(tmp_path) -> None:
         ('{"kind": "audio", "dur": true}', "field 'dur' must be a number"),
         ('{"kind": "audio"}', "'dur'"),
         (DEEP_JSON, "nested too deeply"),
+        ('{"kind": "audio", "dur": -1.0}', r"field 'dur' must be >= 0 .*, got 0\.5 \+ -1\.0"),
     ],
-    ids=["nan", "string", "overflow", "bool", "missing", "deep"],
+    ids=["nan", "string", "overflow", "bool", "missing", "deep", "negative"],
 )
 def test_read_trace_rejects_bad_numbers_naming_the_line(tmp_path, line, match) -> None:
     path = tmp_path / "trace.jsonl"

@@ -97,12 +97,9 @@ def test_wrong_type_is_named() -> None:
         decode_asr_response(json.dumps(obj))
 
 
-def test_negative_cost_and_bad_kind_are_rejected() -> None:
+def test_bad_kind_is_rejected() -> None:
+    # A negative cost is the controller's to refuse, on both transports (``_FAULTS``).
     lines = (DATA / "wire_responses.jsonl").read_text(encoding="utf-8").splitlines()
-    obj = json.loads(lines[0])
-    obj["compute_cost_s"] = -1.0
-    with pytest.raises(ProtocolError, match="compute_cost_s"):
-        decode_asr_response(json.dumps(obj))
     with pytest.raises(ProtocolError, match="kind"):
         decode_mt_response(lines[0])
 
@@ -554,6 +551,18 @@ _FAULTS = {
     ),
     "non_word_flushed": (
         "mt_flush", MtResponse(_beams(("",), 1), 0.1), {}, "emitted token: bad word ''"
+    ),
+    "negative_cost_asr": (
+        "asr_step",
+        AsrResponse(AsrHypothesis(()), -1.0),
+        {},
+        r"^compute cost must be >= 0 and keep the clock finite, got 2\.0 \+ -1\.0$",
+    ),
+    "negative_cost_mt": (
+        "mt_step",
+        MtResponse(_beams(("A",), 10), -1.0),
+        {},
+        r"^compute cost must be >= 0 and keep the clock finite, got 0\.0 \+ -1\.0$",
     ),
 }
 
