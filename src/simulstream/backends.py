@@ -171,10 +171,16 @@ class MtScript:
     Beam 1 maps each remaining active source word through ``word_map``
     (unmapped words are uppercased; every value must pass
     ``core.check_word``) and appends the sentinel after
-    sentence-final source words. Beams 2..N truncate and/or perturb the
-    tail of that continuation according to the seeded schedule. Each
-    token's source cut is the word it translates (the sentinel's is the
-    sentence-final word), so the cuts run down the diagonal.
+    sentence-final source words. Beams 2..N truncate the tail of that
+    continuation by up to ``tail_truncate_max`` tokens and, with
+    probability ``tail_perturb_prob``, mark the last token ``X`` left as
+    ``X~b`` for beam b, so no two beams share a perturbed token; the
+    sentinel is never perturbed. A request that can draw (a noisy script,
+    ``beam_size`` > 1, active source left) seeds one RNG from ``seed`` and
+    the request, and beams 2..N draw from it in order; a clean script
+    seeds none and its beams share beam 1's tuples. Each token's source
+    cut is the word it translates (the sentinel's is the sentence-final
+    word), so the cuts run down the diagonal.
     """
 
     word_map: Mapping[str, str] = field(default_factory=dict)
@@ -260,7 +266,8 @@ def mock_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
 
 def _mt_fingerprint(request: MtRequest) -> str:
     # The fields in field order, as a list: holding no object, it keeps the
-    # bytes the draws were seeded with.
+    # bytes the draws are seeded with. Only a request that can draw pays for
+    # it, once, to seed the one RNG its beams 2..N share.
     return canonical_json(list(record_fields(request).values()))
 
 
@@ -269,7 +276,9 @@ def mock_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:
     active = list(request.active_source)
     cost = script.cost_base_s + script.cost_per_word_s * len(active)
     if not cost < math.inf:
-        raise InvalidArgumentError(
+        # A well-formed request the script's rates cannot price: the backend
+        # fails, as ``mock_asr_decode`` does past the end of its audio.
+        raise BackendError(
             f"cost_base_s + cost_per_word_s * {len(active)} active words must be finite, "
             f"got {script.cost_base_s} + {script.cost_per_word_s} * {len(active)}"
         )
@@ -291,23 +300,29 @@ def mock_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:
     # Committed tokens beyond this translation cut at the last active word.
     positions += [len(active) - 1] * (n_committed - len(positions))
     cuts = tuple(positions[: len(tokens)])
-    # Only beams 2..N of a noisy script draw, so only they seed an RNG and
-    # build tuples of their own; the others share beam 1's.
+    # Beams 2..N of a noisy script draw, in order, from one RNG seeded once
+    # per request, and build tuples of their own; the others share beam 1's.
     draws = script.tail_truncate_max > 0 or script.tail_perturb_prob > 0
     if draws and request.beam_size > 1:
-        fingerprint = _mt_fingerprint(request)
+        rng = random.Random(f"{script.seed}:mt:{_mt_fingerprint(request)}")
 
     beams = []
     for b in range(1, request.beam_size + 1):
         beam_tokens, beam_cuts = tokens, cuts
         if b > 1 and draws:
-            rng = random.Random(f"{script.seed}:mt:{fingerprint}:{b}")
             end = len(tokens)
             if script.tail_truncate_max > 0:
                 end -= rng.randint(0, min(script.tail_truncate_max, end - n_committed))
             beam_tokens, beam_cuts = tokens[:end], cuts[:end]
-            if end > n_committed and rng.random() < script.tail_perturb_prob:
-                beam_tokens = tokens[: end - 1] + (tokens[end - 1] + "~",)
+            # A beam's own mark, so perturbed beams never vote together; the
+            # sentinel stays whole, so a segment still closes. The draw comes
+            # first, so a kept sentinel does not shift later beams' draws.
+            if (
+                end > n_committed
+                and rng.random() < script.tail_perturb_prob
+                and tokens[end - 1] != SENTINEL
+            ):
+                beam_tokens = tokens[: end - 1] + (f"{tokens[end - 1]}~{b}",)
         beams.append(BeamHypothesis(beam_tokens, float(1 - b), beam_cuts))
     return MtResponse(BeamSet(tuple(beams)), cost)
 

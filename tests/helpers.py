@@ -383,14 +383,15 @@ def oracle_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
     return AsrResponse(AsrHypothesis(tuple(words)), cost)
 
 
-def oracle_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:
-    """The mock MT as it was before it seeded lazily: every beam seeds an RNG
-    from the request fingerprint and builds its own token and cut tuples."""
-    active = list(request.active_source)
-    cost = script.cost_base_s + script.cost_per_word_s * len(active)
-    if not active:
-        return MtResponse(BeamSet(()), cost)
+def _oracle_mt_beams(script: MtScript, request: MtRequest) -> list[tuple[list[str], list[int]]]:
+    """Each beam's tokens and the source position each token translates.
 
+    One RNG per request, seeded whatever the script, and beams 2..N draw
+    from it in order: a truncation when ``tail_truncate_max`` is set, then
+    a perturbation draw while the tail is not empty. A perturbed token ``X``
+    of beam b becomes ``X~b``, unless it is the sentinel.
+    """
+    active = list(request.active_source)
     full_tokens: list[str] = []
     positions: list[int] = []
     for i, word in enumerate(active):
@@ -401,26 +402,36 @@ def oracle_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:
             positions.append(i)
 
     committed = list(request.committed_target)
-    n_committed = len(committed)
-    continuation = full_tokens[n_committed:]
+    continuation = full_tokens[len(committed) :]
     # Committed tokens beyond this translation cut at the last active word.
-    positions += [len(active) - 1] * (n_committed - len(positions))
-    fingerprint = _mt_fingerprint(request)
-
+    positions += [len(active) - 1] * (len(committed) - len(positions))
+    rng = random.Random(f"{script.seed}:mt:{_mt_fingerprint(request)}")
     beams = []
     for b in range(1, request.beam_size + 1):
-        rng = random.Random(f"{script.seed}:mt:{fingerprint}:{b}")
         tail = list(continuation)
         if b > 1 and script.tail_truncate_max > 0:
             cut = rng.randint(0, min(script.tail_truncate_max, len(tail)))
             if cut:
                 tail = tail[:-cut]
         if b > 1 and tail and rng.random() < script.tail_perturb_prob:
-            tail[-1] = tail[-1] + "~"
+            if tail[-1] != SENTINEL:
+                tail[-1] = f"{tail[-1]}~{b}"
         tokens = committed + tail
-        beams.append(
-            BeamHypothesis(tuple(tokens), float(-(b - 1)), tuple(positions[: len(tokens)]))
-        )
+        beams.append((tokens, positions[: len(tokens)]))
+    return beams
+
+
+def oracle_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:
+    """The mock MT built eagerly: every beam builds its own token and cut
+    tuples, and the request's RNG is seeded even when nothing draws."""
+    active = request.active_source
+    cost = script.cost_base_s + script.cost_per_word_s * len(active)
+    if not active:
+        return MtResponse(BeamSet(()), cost)
+    beams = [
+        BeamHypothesis(tuple(tokens), float(-(b - 1)), tuple(cuts))
+        for b, (tokens, cuts) in enumerate(_oracle_mt_beams(script, request), start=1)
+    ]
     return MtResponse(BeamSet(tuple(beams)), cost)
 
 
@@ -453,38 +464,16 @@ def oracle_mt_rows(
 ) -> list[tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]]:
     """Each beam's tokens and dense attention rows, as the mock MT built them
     when beams carried rows: one-hot on the diagonal, blurred by ``blur`` and
-    renormalized, with the row draws last on each beam's RNG."""
-    active = list(request.active_source)
+    renormalized. The blur draws come from an RNG of their own, so the
+    tokens are the mock's."""
+    active = request.active_source
     if not active:
         return []
-    full_tokens: list[str] = []
-    positions: list[int] = []
-    for i, word in enumerate(active):
-        full_tokens.append(script.map_word(word))
-        positions.append(i)
-        if has_terminal_mark(word):
-            full_tokens.append(SENTINEL)
-            positions.append(i)
-    committed = list(request.committed_target)
-    continuation = full_tokens[len(committed) :]
-    fingerprint = _mt_fingerprint(request)
-    beams = []
-    for b in range(1, request.beam_size + 1):
-        rng = random.Random(f"{script.seed}:mt:{fingerprint}:{b}")
-        tail = list(continuation)
-        if b > 1 and script.tail_truncate_max > 0:
-            cut = rng.randint(0, min(script.tail_truncate_max, len(tail)))
-            if cut:
-                tail = tail[:-cut]
-        if b > 1 and tail and rng.random() < script.tail_perturb_prob:
-            tail[-1] = tail[-1] + "~"
-        tokens = committed + tail
-        rows = []
-        for j in range(len(tokens)):
-            pos = positions[j] if j < len(positions) else len(active) - 1
-            rows.append(_one_hot(pos, len(active), blur, rng))
-        beams.append((tuple(tokens), tuple(rows)))
-    return beams
+    rng = random.Random(f"{script.seed}:rows:{_mt_fingerprint(request)}")
+    return [
+        (tuple(tokens), tuple(_one_hot(pos, len(active), blur, rng) for pos in positions))
+        for tokens, positions in _oracle_mt_beams(script, request)
+    ]
 
 
 # --- builders -----------------------------------------------------------------

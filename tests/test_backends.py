@@ -228,7 +228,7 @@ def test_mock_cuts_are_the_argmax_of_the_dense_rows_it_used_to_build() -> None:
             request = _random_mt_request(rng, script)
             beams = mock_mt_translate(script, request).beams.beams
             oracle = oracle_mt_rows(script, request, blur)
-            # The row draws came last on each beam's RNG, so tokens agree too.
+            # The rows draw from an RNG of their own, so the tokens are the mock's.
             assert [b.tokens for b in beams] == [tokens for tokens, _ in oracle]
             for beam, (_, rows) in zip(beams, oracle):
                 assert beam.cuts == tuple(segment_source(row) for row in rows)
@@ -244,7 +244,8 @@ def test_mock_cuts_are_the_argmax_of_the_dense_rows_it_used_to_build() -> None:
 
 
 def test_mock_mt_matches_the_eager_oracle_byte_for_byte() -> None:
-    # The mock seeds an RNG only for a beam that can draw; the oracle seeds
+    # The mock seeds its RNG only for a request that can draw and lets clean
+    # beams share beam 1's tuples; the oracle seeds every request and builds
     # every beam. Replies must not differ by a byte.
     rng = random.Random(4099)
     kinds = dict.fromkeys(("empty", "prefix", "longer", "foreign", "noisy_beams"), 0)
@@ -277,6 +278,43 @@ def test_mock_mt_matches_the_eager_oracle_byte_for_byte() -> None:
                     if len({b.tokens for b in got.beams.beams}) > 1:
                         kinds["noisy_beams"] += 1
     assert min(kinds.values()) >= 50, kinds
+
+
+def test_noisy_mock_mt_marks_each_perturbed_token_with_its_own_beam() -> None:
+    # RALCP votes the beams, so noise that several beams share could win the
+    # vote: each lower beam is beam 1 cut short, with at most its last token
+    # marked for that beam alone, and the sentinel is never marked.
+    rng = random.Random(2417)
+    seen = dict.fromkeys(("truncated", "perturbed", "sentinel_kept"), 0)
+    for _ in range(3000):
+        script = MtScript(
+            tail_truncate_max=rng.choice((0, 1, 2, 3)),
+            tail_perturb_prob=rng.choice((0.3, 1.0)),
+            seed=rng.randrange(1000),
+        )
+        request = replace(_random_mt_request(rng, script), beam_size=rng.randint(2, 16))
+        top, *lower = mock_mt_translate(script, request).beams.beams
+        n_committed = len(request.committed_target)
+        for b, beam in enumerate(lower, start=2):
+            head, last = beam.tokens[:-1], beam.tokens[-1:]
+            assert top.tokens[: len(head)] == head
+            assert beam.cuts == top.cuts[: len(beam.tokens)]
+            seen["truncated"] += len(beam.tokens) < len(top.tokens)
+            if last and last[0] != top.tokens[len(head)]:
+                assert len(beam.tokens) > n_committed  # only the tail is noisy
+                original = top.tokens[len(head)]
+                assert last[0] == f"{original}~{b}"
+                assert original != SENTINEL
+                holders = [c for c in (top, *lower) if last[0] in c.tokens]
+                assert holders == [beam]
+                seen["perturbed"] += 1
+            elif (
+                script.tail_perturb_prob == 1.0
+                and len(beam.tokens) > n_committed
+                and last == (SENTINEL,)
+            ):
+                seen["sentinel_kept"] += 1
+    assert min(seen.values()) >= 200, seen
 
 
 def _count_seeds(monkeypatch) -> tuple[list, list]:
@@ -334,7 +372,15 @@ def test_mocks_seed_no_rng_on_the_golden_talk(monkeypatch) -> None:
     assert _check_asr_seeds(scripts.asr, asr_calls) == 0  # no stabilization delay
 
 
-def test_noisy_mock_mt_seeds_one_rng_per_lower_beam(monkeypatch) -> None:
+def _mt_seeds(script: MtScript, request: MtRequest) -> list[str]:
+    """The one seed of a request that can draw, or none."""
+    noisy = script.tail_truncate_max > 0 or script.tail_perturb_prob > 0
+    if noisy and request.beam_size > 1 and request.active_source:
+        return [f"{script.seed}:mt:{backends._mt_fingerprint(request)}"]
+    return []
+
+
+def test_noisy_mock_mt_seeds_one_rng_per_request_that_can_draw(monkeypatch) -> None:
     asr_calls, mt_calls = _count_seeds(monkeypatch)
     asr_script, mt_script, duration = build_scripts(
         synth_sentences(random.Random(8), 24), seed=8, stabilization_delay_s=0.6,
@@ -345,10 +391,24 @@ def test_noisy_mock_mt_seeds_one_rng_per_lower_beam(monkeypatch) -> None:
     )
     pipeline.run_trace(chunked_trace(duration))
     assert len(mt_calls) == pipeline.mt.translate_calls > 20
+    assert sum(bool(request.active_source) for request, _, _ in mt_calls) > 20
     for request, _, seeds in mt_calls:
-        assert len(seeds) == (request.beam_size - 1 if request.active_source else 0)
-        assert all(":mt:" in seed for seed in seeds)
+        assert seeds == _mt_seeds(mt_script, request)
     assert _check_asr_seeds(asr_script, asr_calls) > 50
+
+    # Off the pipeline's path: one beam, an empty source or a clean script
+    # seeds nothing.
+    seeded = 0
+    for script in (MtScript(tail_truncate_max=1), MtScript(tail_perturb_prob=0.5), MtScript()):
+        for beam_size in (1, 4):
+            for active in (("one", "two."), ()):
+                mt_calls.clear()
+                request = MtRequest((), (), active, (), beam_size, "6")
+                backends.mock_mt_translate(script, request)
+                [(_, _, seeds)] = mt_calls
+                assert seeds == _mt_seeds(script, request)
+                seeded += len(seeds)
+    assert seeded == 2  # the two noisy scripts, four beams, a source left
 
 
 def test_mt_translate_everything_committed_gives_empty_continuation() -> None:

@@ -221,23 +221,49 @@ def test_simulate_refuses_an_asr_cost_that_would_overflow_naming_the_script(
     )
 
 
-def test_simulate_refuses_an_mt_cost_that_would_overflow(tmp_path, capsys) -> None:
-    # A request's length is not known at load, so the mock refuses the first
-    # request its rate cannot price, naming the rate and the word count.
-    trace, config = _stage_fixture(tmp_path)
+_MT_COST_OVERFLOW = (
+    "cost_base_s + cost_per_word_s * 3 active words must be finite, got 0.1 + 1e+308 * 3"
+)
+
+
+def _simulate_with_an_overflowing_mt_cost(tmp_path, wire: bool) -> tuple[int, Path]:
+    trace, config_path = _stage_fixture(tmp_path)
     script_path = tmp_path / "mock_script_60s.json"
     script = json.loads(script_path.read_text(encoding="utf-8"))
     script["mt"]["cost_per_word_s"] = 1e308
     script_path.write_text(json.dumps(script), encoding="utf-8")
+    if wire:
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["backend"] = {
+            "kind": "wire",
+            "command": [sys.executable, "-m", "simulstream.wire_server", str(script_path)],
+            "timeout_s": 30,
+        }
+        config_path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "o.jsonl"
-    assert main(["simulate", str(trace), str(config), str(out)]) == 1
+    return main(["simulate", str(trace), str(config_path), str(out)]), out
+
+
+def test_simulate_refuses_an_mt_cost_that_would_overflow(tmp_path, capsys) -> None:
+    # A request's length is not known at load, so the mock fails the first
+    # request its rate cannot price, naming the rate and the word count.
+    code, out = _simulate_with_an_overflowing_mt_cost(tmp_path, wire=False)
+    assert code == 2
     assert not out.exists()
     err = json.loads(capsys.readouterr().err)
-    assert err == {
-        "error": "invalid-argument",
-        "message": "cost_base_s + cost_per_word_s * 3 active words must be finite, "
-        "got 0.1 + 1e+308 * 3",
-    }
+    assert err == {"error": "backend-error", "message": _MT_COST_OVERFLOW}
+
+
+def test_simulate_refuses_an_mt_cost_that_would_overflow_over_the_wire(
+    tmp_path, capsys
+) -> None:
+    # The server fails the same request with the same message, so both
+    # transports exit alike.
+    code, out = _simulate_with_an_overflowing_mt_cost(tmp_path, wire=True)
+    assert code == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "backend-error", "message": f"server error: {_MT_COST_OVERFLOW}"}
 
 
 @pytest.mark.parametrize("where", ["asr_word", "asr_word_truncating_mt", "wire_config"])

@@ -210,6 +210,24 @@ def test_noisy_flush_streams_the_whole_translation() -> None:
 
 
 @pytest.mark.parametrize("mode", ["adapted", "baseline"])
+def test_noisy_long_talks_stream_the_whole_translation(mode) -> None:
+    # The same property over 200-sentence talks, where several beams cut to
+    # one length must never outvote the clean beams with one perturbed token.
+    short = []
+    for seed in range(10):
+        sentences = synth_sentences(random.Random(seed), 200)
+        pipeline, records, _ = _run(sentences, mode=mode, seed=seed, **NOISY)
+        check_emission_log(records)
+        streamed = strip_sentinels([r.token for r in records])
+        transcript = pipeline.asr.transcript()
+        if streamed != offline_translation(pipeline.mt.backend.script, transcript):
+            short.append(seed)
+        # Every sentence-final word the ASR committed closed its segment.
+        assert pipeline.mt.segment_ordinal == sum(map(has_terminal_mark, transcript))
+    assert short == []
+
+
+@pytest.mark.parametrize("mode", ["adapted", "baseline"])
 def test_noisy_talk_reports_match_the_full_table_resegmentation(mode, monkeypatch) -> None:
     # The boundary lookup against the full table and forward walk on real
     # streams: once against the mapped source sentences, once against copies
