@@ -244,7 +244,8 @@ def mock_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
             f"[0, {script.audio_duration_s}]"
         )
     end = min(end, script.audio_duration_s)
-    stable_before = end - script.stabilization_delay_s
+    # No later audio can change the words of a window ending at the audio's end.
+    stable_before = end if end == script.audio_duration_s else end - script.stabilization_delay_s
     # Words start no later than they end, so only those starting inside the
     # window can lie in it; sorting their indices restores script order.
     lo = bisect_left(script._starts, start)

@@ -1,23 +1,23 @@
 """Stream-level quality and latency evaluation.
 
 The long-form hypothesis is first split against timed reference segments
-(minimum-edit-distance resegmentation on the wave pass of ``textnorm``, in
-O(n + sum |ref| + D^2) time and O(D^2) machine ints for n hypothesis
-tokens and edit distance D), then
-scored: corpus BLEU for quality, and per-segment length-adaptive average
-lagging for latency, in two flavors: NCA (delays measured in source audio
-consumed) and CA (delays measured on the virtual wall clock, which
-includes compute cost).
+(minimum-edit-distance resegmentation by halving the boundary list, on the
+wave pass of ``textnorm``: O(n + sum |ref|) machine ints and at worst
+O((n + sum |ref| + D^2) log K) time for n hypothesis tokens, edit distance
+D and K segments), then scored: corpus BLEU for quality, and per-segment
+length-adaptive average lagging for latency, in two flavors: NCA (delays
+measured in source audio consumed) and CA (delays measured on the virtual
+wall clock, which includes compute cost).
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain
+from operator import add
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -111,13 +111,17 @@ def resegment(
     boundaries win. Sentinels must already be stripped from ``hyp_tokens``.
 
     Boundaries cost nothing, so the optimum is the plain edit distance D
-    between the hypothesis and the joined references, and boundary k is
-    looked up: the least hyp position whose prefix cost F and suffix cost B
-    at segment k's first reference position sum to D. ``_waves`` gives F,
-    and, run over the reversed input, B; it pays per unit of edit rather
-    than per cell (Ukkonen 1985, Myers 1986), so a call takes
-    O(n + sum |ref| + D^2) time and holds O(D^2) machine ints. With one
-    segment there is nothing to look up and neither pass runs.
+    between the hypothesis and the joined references, and the boundaries
+    are placed by halving (Hirschberg 1975; Myers 1986). Between two placed
+    boundaries, a hypothesis slice equal to its references puts every inner
+    boundary on the diagonal; otherwise the median boundary k goes at the
+    least hyp position whose prefix cost F and suffix cost B, from
+    ``_waves`` over the box and over it reversed, sum to the box's D at
+    segment k's first reference position. Optimal paths can swap where
+    they cross, so the halves' least positions are the least overall. A
+    call holds O(n + sum |ref|) ints and takes O((n + sum |ref| + D^2) log K)
+    time for K segments at worst; a clean stream, or one segment, runs no
+    pass.
     """
     hyp = list(hyp_tokens)
     n = len(hyp)
@@ -126,41 +130,29 @@ def resegment(
         if hyp:
             raise InvalidArgumentError("cannot resegment tokens against zero segments")
         return []
-    if m == 1:
-        return [hyp]
 
     ref = list(chain.from_iterable(r.tokens for r in refs))
-    total = len(ref)
-    forward = _waves(hyp, ref)
-    backward = _waves(hyp[::-1], ref[::-1])
-    best = len(forward) - 1
-    skew = n - total
-
-    def cost(waves: list[array], d: int, g: int) -> int:
-        """The least e <= best whose wave reaches row g on diagonal d, or
-        best + 1: the cost of cell (g + d, g), capped. Reach never falls as
-        e grows, and no cell of diagonal d costs less than |d|."""
-        lo, hi = min(abs(d), best + 1), best + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if waves[mid][d + min(mid, total)] >= g:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    # F + B >= D at every cell, and each of F and B moves by at most one per
-    # hyp position, so an excess x rules out the next ceil(x / 2) - 1
-    # positions. No cell of row g with j < g - D costs D or less.
-    cuts = [0]
-    g = 0
-    for r in refs[:-1]:
-        g += len(r.tokens)
-        j = max(cuts[-1], g - best)
-        while excess := cost(forward, j - g, g) + cost(backward, skew - j + g, total - g) - best:
-            j += (excess + 1) // 2
-        cuts.append(j)
-    cuts.append(n)
+    rows = list(accumulate((len(r.tokens) for r in refs), initial=0))
+    cuts = [0] * m + [n]
+    boxes = [(0, m)]
+    while boxes:
+        k0, k1 = boxes.pop()
+        if k1 - k0 < 2:
+            continue
+        j0, g0 = cuts[k0], rows[k0]
+        a, b = hyp[j0 : cuts[k1]], ref[g0 : rows[k1]]
+        if a == b:
+            cuts[k0 + 1 : k1] = [j0 + g - g0 for g in rows[k0 + 1 : k1]]
+            continue
+        k = (k0 + k1) // 2
+        row, width = rows[k] - g0, len(a) + 1
+        # Cell (j, row) costs forward[len(b) + 1 - row + j] from the box's
+        # first corner and backward[row + width - j] from its last.
+        distance, forward = _waves(a, b, row)
+        backward = _waves(a[::-1], b[::-1], len(b) - row)[1]
+        costs = map(add, forward[len(b) + 1 - row :], backward[row + width : row : -1])
+        cuts[k] = j0 + list(costs).index(distance)
+        boxes += (k0, k), (k, k1)
     return [hyp[a:b] for a, b in zip(cuts, cuts[1:])]
 
 

@@ -10,7 +10,6 @@ furthest-reaching wave pass ``_waves`` measures words on characters for
 from __future__ import annotations
 
 import unicodedata
-from array import array
 from typing import Sequence
 
 _ABBREVIATIONS = frozenset(
@@ -36,20 +35,22 @@ def normalize_word(word: str) -> str:
 
 def levenshtein(a: str, b: str) -> int:
     """Unit-cost insert/delete/substitute edit distance of two strings."""
-    return len(_waves(a, b)) - 1
+    return _waves(a, b, len(b) + 1)[0]
 
 
-def _waves(a: Sequence[str], b: Sequence[str]) -> list[array]:
-    """The furthest-reaching waves of the edit distance of ``a`` and ``b``.
+def _waves(a: Sequence[str], b: Sequence[str], row: int) -> tuple[int, list[int]]:
+    """The edit distance D of ``a`` and ``b``, and the first of the
+    furthest-reaching waves to reach row ``row`` on each diagonal.
 
     Wave e holds, for each diagonal d = j - g from -min(e, len(b)) to
     min(e, len(a)), the greatest g such that a[:g + d] and b[:g] are at
     most e edits apart. The waves stop at the first that reaches the
-    corner, so the edit distance is the number of waves less one, and
-    a[:j] and b[:g] are at most e apart exactly when wave e reaches row g on
-    diagonal j - g. Each wave is built from the one before in one step per
-    diagonal; runs of equal tokens are skipped by ``_run``, so a call takes
-    O(|a| + |b| + D^2) time and holds O(D^2) ints for edit distance D.
+    corner, wave D, and a[:j] and b[:g] are at most e apart exactly when
+    wave e reaches row g on diagonal j - g: so ``hits[len(b) + 1 + d]`` is
+    the cost of cell (row + d, row) if at most D, and more otherwise. Each
+    wave is built in place from the one before in one step per diagonal;
+    runs of equal tokens are skipped by ``_run``, so a call takes
+    O(|a| + |b| + D^2) time and holds O(|a| + |b|) ints.
 
     ``a`` and ``b`` must be of the same sequence type (two strings, or two
     lists): ``_run`` compares their slices, and a list slice never equals
@@ -61,8 +62,10 @@ def _waves(a: Sequence[str], b: Sequence[str]) -> list[array]:
     off = t + 1
     end = n + off  # the cap on diagonal d's rows, n - d, is end - i
     reach = [-2] * (n + t + 3)
+    hits = [n + t + 1] * (n + t + 3)  # more than any edit distance
     reach[off] = _run(a, 0, b, 0)
-    waves = [array("i", reach[off : off + 1])]
+    if reach[off] >= row:
+        hits[off] = 0
     corner = off + n - t
     e = 0
     while reach[corner] < t:
@@ -85,8 +88,9 @@ def _waves(a: Sequence[str], b: Sequence[str]) -> list[array]:
             if j < n and g < t and a[j] == b[g]:
                 g += _run(a, j, b, g)
             reach[i] = g
-        waves.append(array("i", reach[lo : hi + 1]))
-    return waves
+            if g >= row > here:
+                hits[i] = e
+    return e, hits
 
 
 def _run(a: Sequence[str], i: int, b: Sequence[str], k: int) -> int:

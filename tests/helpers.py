@@ -162,9 +162,10 @@ def oracle_resegment(
     """Full-table resegmentation: the suffix table over the whole grid, then a
     forward greedy walk that grows an edit-distance row per segment.
 
-    The library computes the edit distance along diagonals and looks each
-    boundary up from a prefix and a suffix pass instead; this route is kept
-    as the reference it is judged against.
+    The library places the boundaries by halving instead, one prefix and
+    one suffix pass along diagonals per median boundary, in linear space;
+    this route, which holds the whole table, is kept as the reference it is
+    judged against.
 
     Splits the hypothesis into one contiguous slice per reference segment.
     Boundaries minimize the total word-level edit distance between each
@@ -246,17 +247,17 @@ def oracle_resegment(
     return slices
 
 
-def reach_passes(monkeypatch) -> list[tuple[list[str], list[str], int, int]]:
-    """Record the two token lists, the edit distance D and the number of
-    wave entries of every furthest-reaching pass ``metrics.resegment``
-    makes."""
-    passes: list[tuple[list[str], list[str], int, int]] = []
+def reach_passes(monkeypatch) -> list[tuple[list[str], list[str], int, int, int]]:
+    """Record the two token lists, the row, the edit distance D and the
+    number of entries in the row of first hits of every furthest-reaching
+    pass ``metrics.resegment`` makes."""
+    passes: list[tuple[list[str], list[str], int, int, int]] = []
     waves = metrics._waves
 
-    def spy(a, b):
-        out = waves(a, b)
-        passes.append((list(a), list(b), len(out) - 1, sum(map(len, out))))
-        return out
+    def spy(a, b, row):
+        distance, hits = waves(a, b, row)
+        passes.append((list(a), list(b), row, distance, len(hits)))
+        return distance, hits
 
     monkeypatch.setattr(metrics, "_waves", spy)
     return passes
@@ -359,7 +360,8 @@ def oracle_laal(delays: list[float], span: float, ref_len: int) -> float:
 
 
 def oracle_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
-    """The mock ASR decode as a scan over every script word, in script order."""
+    """The mock ASR decode as a scan over every script word, in script
+    order; a window that ends at the audio's end perturbs no word."""
     start, end = request.window_start_s, request.window_end_s
     if start < 0 or start > end:
         raise InvalidArgumentError(f"window [{start}, {end}] needs 0 <= start <= end")
@@ -369,13 +371,13 @@ def oracle_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
             f"[0, {script.audio_duration_s}]"
         )
     end = min(end, script.audio_duration_s)
-    stable_before = end - script.stabilization_delay_s
+    at_end = end == script.audio_duration_s  # no later audio: nothing unstable
     words = []
     for i, w in enumerate(script.words):
         if w.start_s < start or w.end_s > end:
             continue
         text = w.text
-        if w.end_s > stable_before:
+        if not at_end and w.end_s > end - script.stabilization_delay_s:
             rng = random.Random(f"{script.seed}:asr:{end!r}:{i}:{w.text}")
             text = _perturb_word(w.text, rng)
         words.append(TimedWord(text, w.start_s, w.end_s))

@@ -346,12 +346,13 @@ def _count_seeds(monkeypatch) -> tuple[list, list]:
 
 
 def _check_asr_seeds(script: AsrScript, asr_calls: list) -> int:
-    """Each decode seeds one RNG per unstable word it returns; return the total."""
+    """Each decode seeds one RNG per unstable word it returns, and a decode
+    whose window ends at the audio's end none; return the total."""
     total = 0
     for request, reply, seeds in asr_calls:
-        stable_before = min(request.window_end_s, script.audio_duration_s) - (
-            script.stabilization_delay_s
-        )
+        end = min(request.window_end_s, script.audio_duration_s)
+        at_end = end == script.audio_duration_s
+        stable_before = end if at_end else end - script.stabilization_delay_s
         unstable = sum(w.end_s > stable_before for w in reply.hypothesis.words)
         assert len(seeds) == unstable
         assert all(":asr:" in seed for seed in seeds)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -194,20 +195,47 @@ def _random_refs(rng: random.Random, segments: int, max_len: int, alphabet: str)
     return _refs(*((t, float(i), float(i + 1)) for i, t in enumerate(token_lists)))
 
 
-def _pass_costs(passes, hyp, refs) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The edit distance and wave entries of the recorded passes over
-    ``hyp`` and the joined references as given (the prefix passes), and
-    over both reversed (the suffix passes). Every pass must be one of the
-    two."""
-    forward = (list(hyp), [t for r in refs for t in r.tokens])
-    backward = (forward[0][::-1], forward[1][::-1])
-    assert forward != backward  # a palindromic input would hide the direction
-    prefix: list[tuple[int, int]] = []
-    suffix: list[tuple[int, int]] = []
-    for a, b, distance, entries in passes:
-        assert (a, b) in (forward, backward)
-        (prefix if (a, b) == forward else suffix).append((distance, entries))
-    return prefix, suffix
+def _split_passes(passes, hyp, refs, slices) -> tuple[list[int], int]:
+    """Check the recorded passes of the ``resegment`` call that returned
+    ``slices``; return the edit distance of each split box, top box first,
+    and the number of levels that split.
+
+    A box between two placed boundaries splits when it has an inner
+    boundary and its hypothesis slice differs from its references. Each
+    split box makes one pair of passes: the box with the row of its median
+    boundary, then both reversed, with the row counted from the other end.
+    Each pass holds one entry per diagonal (|a| + |b| + 3), and all passes
+    together hold at most 2 (n + sum |ref|) ceil(log2 K) + 6K entries."""
+    flat = [t for r in refs for t in r.tokens]
+    rows = list(accumulate((len(r.tokens) for r in refs), initial=0))
+    cuts = list(accumulate(map(len, slices), initial=0))
+    boxes = []
+    depth = 0
+
+    def split(k0: int, k1: int, level: int) -> None:
+        nonlocal depth
+        a, b = hyp[cuts[k0] : cuts[k1]], flat[rows[k0] : rows[k1]]
+        if k1 - k0 < 2 or a == b:
+            return
+        depth = max(depth, level)
+        k = (k0 + k1) // 2
+        boxes.append((a, b, rows[k] - rows[k0]))
+        split(k0, k, level + 1)
+        split(k, k1, level + 1)
+
+    split(0, len(refs), 1)
+    assert len(passes) % 2 == 0
+    forward, backward = passes[::2], passes[1::2]
+    assert sorted(box[:3] for box in forward) == sorted(boxes)
+    if boxes:
+        assert forward[0][:3] == boxes[0]  # the whole input first
+    for (a, b, row, distance, entries), back in zip(forward, backward):
+        assert back == (a[::-1], b[::-1], len(b) - row, distance, entries)
+        assert entries == len(a) + len(b) + 3
+    levels = math.ceil(math.log2(len(refs))) if len(refs) > 1 else 0
+    total = sum(entries for *_, entries in passes)
+    assert total <= 2 * (len(hyp) + len(flat)) * levels + 6 * len(refs)
+    return [distance for _, _, _, distance, _ in forward], depth
 
 
 def _slice_cost(hyp, refs) -> int:
@@ -234,18 +262,16 @@ def test_resegment_runs_no_pass_for_one_segment_and_one_each_way_for_more(monkey
         refs = _random_refs(rng, rng.randint(1, 4), 6, "abc")
         flat = [t for r in refs for t in r.tokens]
         hyp = _edited(rng, flat, rng.randint(0, 8), "abcz")
-        if hyp == hyp[::-1] and flat == flat[::-1]:
-            continue  # the two directions would look alike
         passes.clear()
-        assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
-        prefix, suffix = _pass_costs(passes, hyp, refs)
-        if len(refs) == 1:
-            assert prefix == suffix == []  # the one slice is the whole hypothesis
+        slices = resegment(hyp, refs)
+        assert slices == oracle_resegment(hyp, refs)
+        distances, _ = _split_passes(passes, hyp, refs, slices)
+        if len(refs) == 1 or hyp == flat:
+            # The one slice is the whole hypothesis, or every cut lies on
+            # the diagonal.
+            assert passes == []
             continue
-        assert len(prefix) == len(suffix) == 1
-        distance = oracle_levenshtein(hyp, flat)
-        assert prefix[0][0] == suffix[0][0] == distance
-        assert prefix[0][1] <= (distance + 1) ** 2
+        assert distances[0] == oracle_levenshtein(hyp, flat)
 
 
 def test_resegment_matches_full_table_on_unrelated_hypotheses(monkeypatch) -> None:
@@ -256,13 +282,13 @@ def test_resegment_matches_full_table_on_unrelated_hypotheses(monkeypatch) -> No
         total = sum(len(r.tokens) for r in refs)
         hyp = [rng.choice("xyz") for _ in range(total + rng.randint(-3, 3))]
         passes.clear()
-        assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
-        prefix, suffix = _pass_costs(passes, hyp, refs)
+        slices = resegment(hyp, refs)
+        assert slices == oracle_resegment(hyp, refs)
+        distances, _ = _split_passes(passes, hyp, refs, slices)
         # Nothing matches, so the optimum costs max(n, total) edits.
         distance = max(len(hyp), total)
         assert oracle_levenshtein(hyp, [t for r in refs for t in r.tokens]) == distance
-        assert [d for d, _ in prefix] == [d for d, _ in suffix] == [distance]
-        assert prefix[0][1] <= (distance + 1) ** 2
+        assert distances[0] == distance
 
 
 def test_banded_resegment_matches_full_table_on_heavy_edits() -> None:
@@ -288,12 +314,14 @@ def test_resegment_matches_full_table_on_an_unrelated_long_stream(monkeypatch) -
     refs = _long_refs(random.Random(61), "abcdefghijklmnop")
     total = sum(len(r.tokens) for r in refs)
     hyp = ["z"] * total
-    assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
-    prefix, suffix = _pass_costs(passes, hyp, refs)
-    # Every token is substituted; the waves cover the grid's diagonals.
+    slices = resegment(hyp, refs)
+    assert slices == oracle_resegment(hyp, refs)
+    # Every token is substituted; every box is split, down to single
+    # segments, within the linear bound.
     assert _slice_cost(hyp, refs) == total
-    assert [d for d, _ in prefix] == [d for d, _ in suffix] == [total]
-    assert prefix[0][1] <= (total + 1) ** 2
+    distances, _ = _split_passes(passes, hyp, refs, slices)
+    assert distances[0] == total
+    assert len(distances) == len(refs) - 1
 
 
 def test_resegment_pays_per_edit_for_a_long_stretch_off_the_diagonal(monkeypatch) -> None:
@@ -302,15 +330,20 @@ def test_resegment_pays_per_edit_for_a_long_stretch_off_the_diagonal(monkeypatch
     flat = [t for r in refs for t in r.tokens]
     # Ten tokens inserted near the start and ten deleted near the end: the
     # optimal path runs ten cells off the diagonal for most of the grid,
-    # where equal tokens are skipped in runs.
+    # where equal tokens are skipped in runs, and every box between the two
+    # edits holds a slice equal to its references.
     a, b = len(flat) // 10, 9 * len(flat) // 10
     hyp = flat[:a] + ["z"] * 10 + flat[a:b] + flat[b + 10 :]
-    assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
-    prefix, suffix = _pass_costs(passes, hyp, refs)
+    slices = resegment(hyp, refs)
+    assert slices == oracle_resegment(hyp, refs)
+    distances, _ = _split_passes(passes, hyp, refs, slices)
     distance = _slice_cost(hyp, refs)
     assert distance <= 20
-    assert [d for d, _ in prefix] == [d for d, _ in suffix] == [distance]
-    assert max(prefix[0][1], suffix[0][1]) <= (distance + 1) ** 2
+    assert distances[0] == distance
+    # Only boxes that hold an edit split: at most two edited spots per
+    # level, each of which may straddle a boundary.
+    assert len(distances) <= 4 * math.ceil(math.log2(len(refs)))
+    assert sum(distances) <= distance * math.ceil(math.log2(len(refs)))
 
 
 def test_banded_resegment_keeps_an_optimal_path_on_the_band_edge() -> None:
@@ -343,7 +376,7 @@ def test_banded_resegment_handles_empty_sides_and_skewed_lengths() -> None:
         assert resegment(hyp, only_empty) == oracle_resegment(hyp, only_empty)
 
 
-def test_resegment_stays_within_d_plus_one_squared_entries_on_a_long_stream(monkeypatch) -> None:
+def test_resegment_holds_linear_entries_per_pass_on_a_long_stream(monkeypatch) -> None:
     passes = reach_passes(monkeypatch)
     rng = random.Random(53)
     token_lists = [
@@ -354,23 +387,62 @@ def test_resegment_stays_within_d_plus_one_squared_entries_on_a_long_stream(monk
     flat = [t for r in refs for t in r.tokens]
     assert 900 <= len(flat) <= 1100
     hyp = _edited(rng, flat, 40, "abcdefghijklmnopz")
-    assert resegment(hyp, refs) == oracle_resegment(hyp, refs)
-    prefix, suffix = _pass_costs(passes, hyp, refs)
+    slices = resegment(hyp, refs)
+    assert slices == oracle_resegment(hyp, refs)
+    distances, _ = _split_passes(passes, hyp, refs, slices)
     distance = _slice_cost(hyp, refs)
     assert 0 < distance <= 40
-    assert [d for d, _ in prefix] == [d for d, _ in suffix] == [distance]
-    for _, entries in prefix + suffix:
-        assert entries <= (distance + 1) ** 2
+    assert distances[0] == distance
+
+
+def test_resegment_holds_linear_entries_on_an_unrelated_stream(monkeypatch) -> None:
+    # About 500 tokens against references they share nothing with: D is
+    # the length, so waves kept whole would hold about D^2 = 250,000 entries
+    # a pass; the passes of each level together hold 2 (n + sum |ref|).
+    passes = reach_passes(monkeypatch)
+    refs = _long_refs(random.Random(83), "abcdefghijklmnop", 90)
+    total = sum(len(r.tokens) for r in refs)
+    assert 400 <= total <= 600
+    hyp = [f"z{i % 7}" for i in range(total + 13)]
+    slices = resegment(hyp, refs)
+    assert [t for s in slices for t in s] == hyp
+    distances, _ = _split_passes(passes, hyp, refs, slices)
+    assert distances[0] == len(hyp)
+    entries = sum(entries for *_, entries in passes)
+    levels = math.ceil(math.log2(len(refs)))
+    assert entries <= 2 * (len(hyp) + total) * levels + 6 * len(refs) < (len(hyp) + 1) ** 2 // 8
 
 
 @pytest.mark.parametrize("segments", [180, 2900], ids=["1k_tokens", "16k_tokens"])
-def test_resegment_takes_one_wave_per_pass_on_a_clean_stream(monkeypatch, segments) -> None:
+def test_resegment_runs_no_pass_on_a_clean_stream(monkeypatch, segments) -> None:
     passes = reach_passes(monkeypatch)
     refs = _long_refs(random.Random(73), "abcdefghijklmnop", segments)
     flat = [t for r in refs for t in r.tokens]
     assert resegment(flat, refs) == [list(r.tokens) for r in refs]
-    prefix, suffix = _pass_costs(passes, flat, refs)
-    assert prefix == suffix == [(0, 1)]
+    assert passes == []
+
+
+def test_resegment_matches_full_table_at_depth_with_tied_boundaries(monkeypatch) -> None:
+    # 20 to 40 segments, so the halving can run five or six levels deep,
+    # over vocabularies of one to three tokens, where optimal boundaries tie.
+    passes = reach_passes(monkeypatch)
+    rng = random.Random(89)
+    depths = []
+    for case in range(120):
+        alphabet = "abc"[: rng.randint(1, 3)]
+        refs = _random_refs(rng, rng.randint(20, 40), 5, alphabet)
+        flat = [t for r in refs for t in r.tokens]
+        if case % 4 == 0:  # unrelated
+            hyp = [rng.choice("xy") for _ in range(len(flat) + rng.randint(-5, 5))]
+        else:
+            edits = round(len(flat) * rng.uniform(0.3, 0.6))
+            hyp = _edited(rng, flat, edits, alphabet + "z")
+        passes.clear()
+        slices = resegment(hyp, refs)
+        assert slices == oracle_resegment(hyp, refs)
+        depths.append(_split_passes(passes, hyp, refs, slices)[1])
+    assert min(depths[::4]) >= 5  # unrelated: every level splits
+    assert sum(depth >= 5 for depth in depths) >= 60
 
 
 def test_run_matches_a_token_by_token_loop() -> None:

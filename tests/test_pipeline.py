@@ -14,6 +14,7 @@ from helpers import (
     build_scripts,
     chunked_trace,
     offline_translation,
+    oracle_levenshtein,
     oracle_resegment,
     reach_passes,
     synth_sentences,
@@ -206,6 +207,7 @@ def test_noisy_flush_streams_the_whole_translation() -> None:
             pipeline.mt.backend.script, pipeline.asr.transcript()
         ):
             short.append(seed)
+        assert pipeline.mt.segment_ordinal == len(sentences)  # one segment per sentence
     assert short == []
 
 
@@ -222,14 +224,14 @@ def test_noisy_long_talks_stream_the_whole_translation(mode) -> None:
         transcript = pipeline.asr.transcript()
         if streamed != offline_translation(pipeline.mt.backend.script, transcript):
             short.append(seed)
-        # Every sentence-final word the ASR committed closed its segment.
-        assert pipeline.mt.segment_ordinal == sum(map(has_terminal_mark, transcript))
+        # Every sentence closed its segment: the last words settle too.
+        assert pipeline.mt.segment_ordinal == len(sentences)
     assert short == []
 
 
 @pytest.mark.parametrize("mode", ["adapted", "baseline"])
 def test_noisy_talk_reports_match_the_full_table_resegmentation(mode, monkeypatch) -> None:
-    # The boundary lookup against the full table and forward walk on real
+    # The halving split against the full table and forward walk on real
     # streams: once against the mapped source sentences, once against copies
     # with about a fifth of their tokens replaced by zero, one or two others,
     # which takes the edit distance off zero and leaves optimal boundaries
@@ -255,13 +257,23 @@ def test_noisy_talk_reports_match_the_full_table_resegmentation(mode, monkeypatc
             )))
             for r in mapped
         ]
+        hyp = strip_sentinels([r.token for r in records])
         for refs in (mapped, edited):
+            flat = [t for r in refs for t in r.tokens]
             passes.clear()
             report = canonical_json(metrics.evaluate(records, refs))
-            distances = [distance for *_, distance, _ in passes]
-            assert distances == [distances[0]] * 2  # one pass each way
+            # One pass each way per split box, at one edit distance and one
+            # entry per diagonal; a stream equal to its references runs none.
+            forward, backward = passes[::2], passes[1::2]
+            assert [p[3:] for p in forward] == [p[3:] for p in backward]
+            assert all(entries == len(a) + len(b) + 3 for a, b, _, _, entries in passes)
+            if hyp == flat:
+                assert passes == []
+            else:
+                assert forward[0][:2] == (hyp, flat)
+                assert forward[0][3] == oracle_levenshtein(hyp, flat) > 0
             if refs is edited:
-                assert distances[0] > 0
+                assert passes
             with monkeypatch.context() as patch:
                 patch.setattr(metrics, "resegment", oracle_resegment)
                 assert report == canonical_json(metrics.evaluate(records, refs))
