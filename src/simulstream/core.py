@@ -504,7 +504,8 @@ class AsrHypothesis:
     words: tuple[TimedWord, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "words", tuple(self.words))
+        if type(self.words) is not tuple:
+            object.__setattr__(self, "words", tuple(self.words))
         for a, b in zip(self.words, self.words[1:]):
             if a.end_s > b.end_s:
                 raise InvalidArgumentError(
@@ -531,8 +532,10 @@ class BeamHypothesis:
     cuts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "cuts", tuple(self.cuts))
+        if type(self.tokens) is not tuple:
+            object.__setattr__(self, "tokens", tuple(self.tokens))
+        if type(self.cuts) is not tuple:
+            object.__setattr__(self, "cuts", tuple(self.cuts))
         if len(self.cuts) != len(self.tokens):
             raise InvalidArgumentError(
                 f"beam has {len(self.tokens)} tokens but {len(self.cuts)} cuts"
@@ -549,7 +552,8 @@ class BeamSet:
     beams: tuple[BeamHypothesis, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beams", tuple(self.beams))
+        if type(self.beams) is not tuple:
+            object.__setattr__(self, "beams", tuple(self.beams))
         for a, b in zip(self.beams, self.beams[1:]):
             if a.score < b.score:
                 raise InvalidArgumentError("beams must be ordered by descending score")

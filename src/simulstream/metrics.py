@@ -44,7 +44,8 @@ class ReferenceSegment:
     source_end_s: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+        if type(self.tokens) is not tuple:
+            object.__setattr__(self, "tokens", tuple(self.tokens))
         for token in self.tokens:
             check_word(token, "reference token")
         if not self.source_start_s < self.source_end_s:

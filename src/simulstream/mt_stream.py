@@ -194,24 +194,35 @@ class MtStreamController:
     def _validated(self, beams: BeamSet, request: MtRequest) -> BeamSet:
         """Enforce the response contract; drop beams that rewrite history.
 
-        The reply's own beam set comes back when every beam is kept.
+        Every cut is checked against the active source by the least and
+        greatest cut over all beams, and the kept beams are taken in one
+        pass; beams are walked one by one only to refuse a reply, naming
+        its first beam with a bad cut, after counting as dropped the beams
+        before it that rewrite history. The reply's own beam set comes back
+        when every beam is kept.
         """
         if len(beams.beams) > request.beam_size:
             raise ProtocolError(f"{len(beams.beams)} beams exceed beam_size {request.beam_size}")
         active_len = len(request.active_source)
         committed = request.committed_target
-        kept = []
-        for b, beam in enumerate(beams.beams):
-            if beam.cuts and not (0 <= min(beam.cuts) and max(beam.cuts) < active_len):
-                raise ProtocolError(
-                    f"beam {b} has a cut outside the {active_len} active source "
-                    f"words: {list(beam.cuts)}"
-                )
-            if len(beam.tokens) > len(committed) and beam.tokens[: len(committed)] != committed:
-                self.dropped_beams += 1
-                continue
-            kept.append(beam)
-        return beams if len(kept) == len(beams.beams) else BeamSet(tuple(kept))
+        n = len(committed)
+        cuts = [beam.cuts for beam in beams.beams if beam.cuts]
+        if cuts and not (0 <= min(map(min, cuts)) and max(map(max, cuts)) < active_len):
+            for b, beam in enumerate(beams.beams):  # ends by raising
+                if beam.cuts and not (0 <= min(beam.cuts) and max(beam.cuts) < active_len):
+                    raise ProtocolError(
+                        f"beam {b} has a cut outside the {active_len} active source "
+                        f"words: {list(beam.cuts)}"
+                    )
+                if len(beam.tokens) > n and beam.tokens[:n] != committed:
+                    self.dropped_beams += 1
+        if not n:  # nothing committed, so nothing to rewrite
+            return beams
+        kept = [b for b in beams.beams if len(b.tokens) <= n or b.tokens[:n] == committed]
+        if len(kept) == len(beams.beams):
+            return beams
+        self.dropped_beams += len(beams.beams) - len(kept)
+        return BeamSet(tuple(kept))
 
     def _commit(self, beams: BeamSet, target: tuple[str, ...]) -> None:
         """Make ``target`` the open segment's committed tokens; a closing

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .core import SENTINEL, BeamSet, InvalidArgumentError
-from .textnorm import words_match
+from .textnorm import _run, words_match
 
 
 def agreed_prefix_len(
@@ -57,18 +57,35 @@ def ralcp_emit(beams: BeamSet, committed: int, agreement_ratio: float, pool: int
     hallucination. A beam too short to hold a position casts no vote there.
     Stops at the first failing position, or right after emitting the
     sentinel, which closes the segment for this call.
+
+    Fewer beams than the bar emit nothing. The positions all beams agree
+    on are voted at once: a token sequence that sorts between the
+    lexicographically least and greatest beams shares their common prefix,
+    so when those two agree on the first ``committed`` tokens, each token
+    of their common run from ``committed`` on holds every beam's vote.
+    (Without that agreement a beam between them may differ after
+    ``committed`` too.) The walk goes on past that run one position at a
+    time.
     """
     if committed < 0:
         raise InvalidArgumentError(f"committed must be >= 0, got {committed}")
     needed = votes_needed(agreement_ratio, pool)
+    rows = [beam.tokens for beam in beams.beams]
+    if not rows or len(rows) < needed:  # no position can gather the votes
+        return []
 
-    emitted: list[str] = []
-    position = committed
+    lo, hi = min(rows), max(rows)
+    shared = _run(lo, committed, hi, committed) if lo[:committed] == hi[:committed] else 0
+    emitted = list(lo[committed : committed + shared])
+    if SENTINEL in emitted:
+        del emitted[emitted.index(SENTINEL) + 1 :]
+        return emitted
+    position = committed + shared
     while True:
         counts: dict[str, int] = {}
-        for beam in beams.beams:
-            if len(beam.tokens) > position:
-                token = beam.tokens[position]
+        for tokens in rows:
+            if len(tokens) > position:
+                token = tokens[position]
                 counts[token] = counts.get(token, 0) + 1
         if not counts:
             break

@@ -37,6 +37,7 @@ from simulstream.core import (
     BeamHypothesis,
     BeamSet,
     InvalidArgumentError,
+    ProtocolError,
     TimedWord,
     json_object,
     record_fields,
@@ -133,6 +134,33 @@ def oracle_ralcp(beams: BeamSet, committed: int, ratio: float, pool: int) -> lis
         if best == SENTINEL:
             break
     return out
+
+
+def oracle_validated(counters, beams: BeamSet, request: MtRequest) -> BeamSet:
+    """The MT controller's reply checks as one walk over the beams.
+
+    The library bounds every cut at once and keeps beams in one pass,
+    walking the beams only to refuse a reply; this walk, which checks and
+    keeps beam by beam, is kept as the reference it is judged against.
+    Beams that rewrite history are counted in ``counters.dropped_beams``.
+    The reply's own beam set comes back when every beam is kept.
+    """
+    if len(beams.beams) > request.beam_size:
+        raise ProtocolError(f"{len(beams.beams)} beams exceed beam_size {request.beam_size}")
+    active_len = len(request.active_source)
+    committed = request.committed_target
+    kept = []
+    for b, beam in enumerate(beams.beams):
+        if beam.cuts and not (0 <= min(beam.cuts) and max(beam.cuts) < active_len):
+            raise ProtocolError(
+                f"beam {b} has a cut outside the {active_len} active source "
+                f"words: {list(beam.cuts)}"
+            )
+        if len(beam.tokens) > len(committed) and beam.tokens[: len(committed)] != committed:
+            counters.dropped_beams += 1
+            continue
+        kept.append(beam)
+    return beams if len(kept) == len(beams.beams) else BeamSet(tuple(kept))
 
 
 def oracle_resegment_cost(hyp: list[str], ref_token_lists: list[tuple[str, ...]]):

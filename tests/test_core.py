@@ -216,6 +216,37 @@ def test_beam_set_checks() -> None:
         BeamSet((beam, better))  # ascending scores
 
 
+def test_records_hold_tuples_and_keep_the_tuples_they_are_given() -> None:
+    words = (TimedWord("a", 0.0, 0.5), TimedWord("b", 0.5, 1.0))
+    tokens, cuts = ("a", "b"), (0, 1)
+    beam = BeamHypothesis(tokens, 0.0, cuts)
+    beams = (beam, BeamHypothesis(tokens, -1.0, cuts))
+    ref_tokens = ("x", "y")
+    built = [
+        (AsrHypothesis(list(words)).words, AsrHypothesis(words).words, words),
+        (BeamHypothesis(list(tokens), 0.0, cuts).tokens, beam.tokens, tokens),
+        (BeamHypothesis(tokens, 0.0, list(cuts)).cuts, beam.cuts, cuts),
+        (BeamSet(list(beams)).beams, BeamSet(beams).beams, beams),
+        (
+            ReferenceSegment(list(ref_tokens), 0.0, 1.0).tokens,
+            ReferenceSegment(ref_tokens, 0.0, 1.0).tokens,
+            ref_tokens,
+        ),
+    ]
+    for from_list, from_tuple, given in built:
+        assert type(from_list) is tuple and from_list == given
+        assert from_tuple is given
+    with pytest.raises(InvalidArgumentError, match=r"^beam has 2 tokens but 1 cuts$"):
+        BeamHypothesis(["a", "b"], 0.0, [0])
+    with pytest.raises(InvalidArgumentError, match=r"^beams must be ordered by descending score$"):
+        BeamSet([beams[1], beams[0]])
+    with pytest.raises(
+        InvalidArgumentError,
+        match=r"^word end times must be non-decreasing: 'b' ends 1\.0 after 'a' ends 0\.5$",
+    ):
+        AsrHypothesis([words[1], words[0]])
+
+
 def test_emission_record_requires_nca_before_ca() -> None:
     EmissionRecord("tok", 1.0, 1.5)
     with pytest.raises(InvalidArgumentError):

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
-from helpers import make_beam, segment_source
+from helpers import make_beam, oracle_validated, segment_source
 from simulstream.backends import MockMtBackend, MtRequest, MtResponse, MtScript
 from simulstream.core import (
     SENTINEL,
@@ -309,6 +311,73 @@ def test_beams_rewriting_committed_prefix_are_dropped() -> None:
     records = controller.step(["b"])
     assert controller.dropped_beams >= 1
     assert all(r.token != "ROGUE" for r in records)
+
+
+def _checked(check, beams: BeamSet, request: MtRequest, counters):
+    """What a reply check returns or the error it raises, and the beams it
+    counted as dropped."""
+    try:
+        return check(beams, request), None, counters.dropped_beams
+    except ProtocolError as exc:
+        return None, str(exc), counters.dropped_beams
+
+
+def _random_reply(rng: random.Random) -> tuple[BeamSet, MtRequest]:
+    """A request and a reply whose beams may rewrite the committed target,
+    stop inside it, cut outside the active source, or outnumber the beam
+    size."""
+    active = tuple(f"w{i}" for i in range(rng.randint(0, 4)))
+    committed = tuple(rng.choice("ab") for _ in range(rng.randint(0, 3)))
+    beam_size = rng.randint(1, 6)
+    request = MtRequest((), (), active, committed, beam_size, "6")
+    beams = []
+    for b in range(rng.randint(0, beam_size + (rng.random() < 0.05))):
+        tokens = list(committed) + [rng.choice("abc") for _ in range(rng.randint(0, 3))]
+        if committed and rng.random() < 0.3:
+            tokens[rng.randrange(len(committed))] = "x"
+        del tokens[rng.randint(0, len(tokens)) if rng.random() < 0.2 else len(tokens) :]
+        cuts = [rng.randrange(len(active)) if active else 0 for _ in tokens]
+        if cuts and rng.random() < 0.1:
+            cuts[rng.randrange(len(cuts))] = rng.choice([-1, len(active)])
+        beams.append(BeamHypothesis(tuple(tokens), float(-b), tuple(cuts)))
+    return BeamSet(tuple(beams)), request
+
+
+def test_reply_checks_match_the_walk_oracle() -> None:
+    rng = random.Random(67)
+    seen = {"kept all": 0, "dropped": 0, "refused": 0, "dropped then refused": 0}
+    for _ in range(4000):
+        beams, request = _random_reply(rng)
+        controller = _controller()
+        got = _checked(controller._validated, beams, request, controller)
+        counters = SimpleNamespace(dropped_beams=0)
+        expected = _checked(partial(oracle_validated, counters), beams, request, counters)
+        assert got == expected
+        kept, error, dropped = got
+        assert (kept is beams) == (expected[0] is beams)
+        seen["kept all"] += kept is beams
+        seen["dropped"] += kept is not None and kept is not beams
+        seen["refused"] += error is not None
+        seen["dropped then refused"] += error is not None and dropped > 0
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_refused_reply_counts_the_rewriting_beams_before_the_bad_cut() -> None:
+    request = MtRequest((), (), ("a", "b"), ("A",), 4, "6")
+    beams = BeamSet(
+        (
+            BeamHypothesis(("A", "B"), 0.0, (0, 1)),
+            BeamHypothesis(("X", "B"), -1.0, (0, 1)),  # rewrites "A"
+            BeamHypothesis(("A", "C"), -2.0, (0, 2)),  # cuts past the source
+            BeamHypothesis(("Y", "C"), -3.0, (0, 1)),  # rewrites, but after
+        )
+    )
+    controller = _controller(beam_size=4)
+    with pytest.raises(
+        ProtocolError, match=r"^beam 2 has a cut outside the 2 active source words: \[0, 2\]$"
+    ):
+        controller._validated(beams, request)
+    assert controller.dropped_beams == 1
 
 
 def test_flush_translates_leftovers_without_waitk() -> None:

@@ -138,6 +138,60 @@ def test_ralcp_matches_vote_oracle_on_random_sets() -> None:
         )
 
 
+def _noisy_token_lists(rng: random.Random, n: int, committed: int) -> list[tuple[str, ...]]:
+    """``n`` beams as the noisy mock MT makes them, over a committed prefix
+    that each beam may rewrite: beam 1's continuation, and beams 2..n with
+    a truncated tail whose last token may become ``X~b``."""
+    words = ["der", "hund", "lief", SENTINEL]
+    shared = [rng.choice(words) for _ in range(committed + rng.randint(0, 8))]
+    rewrite = rng.random() < 0.4  # beams then differ before ``committed``
+    token_lists = []
+    for b in range(1, n + 1):
+        tokens = list(shared)
+        if b > 1:
+            del tokens[len(tokens) - rng.randint(0, min(3, len(tokens) - committed)) :]
+            if len(tokens) > committed and rng.random() < 0.5 and tokens[-1] != SENTINEL:
+                tokens[-1] = f"{tokens[-1]}~{b}"
+        if rewrite and committed:
+            tokens[rng.randrange(committed)] = rng.choice(["a", "b", "c"])
+        token_lists.append(tuple(tokens))
+    return token_lists
+
+
+def test_ralcp_matches_vote_oracle_on_noisy_beam_sets() -> None:
+    rng = random.Random(59)
+    for _ in range(3000):
+        n = rng.choice([0, 1, 2, 6, 7, 8, 9, 10])
+        committed = rng.randint(0, 3)
+        beams = make_beam_set(_noisy_token_lists(rng, n, committed))
+        pool = rng.randint(max(n, 1), 10)
+        ratio = rng.choice([0.1, 0.3, 0.5, 0.6, 1.0])
+        at = committed + rng.choice([0, 0, 0, 1, 12])  # also past the prefix
+        assert ralcp_emit(beams, at, ratio, pool) == oracle_ralcp(beams, at, ratio, pool)
+
+
+def test_ralcp_shared_run_needs_agreement_before_committed() -> None:
+    # The least and greatest beams agree from position 1 on, but the beam
+    # between them does not: "x" holds two of three votes, not all three.
+    beams = make_beam_set([("a", "x", SENTINEL), ("b", "y", SENTINEL), ("c", "x", SENTINEL)])
+    assert ralcp_emit(beams, 1, 1.0, 3) == oracle_ralcp(beams, 1, 1.0, 3) == []
+    assert ralcp_emit(beams, 1, 0.5, 3) == oracle_ralcp(beams, 1, 0.5, 3) == ["x", SENTINEL]
+    assert ralcp_emit(beams, 2, 1.0, 3) == [SENTINEL]
+
+
+def test_ralcp_stops_after_a_sentinel_in_the_shared_run() -> None:
+    beams = make_beam_set([("a", SENTINEL, "b", "c")] * 6 + [("a", SENTINEL, "b")] * 2)
+    assert ralcp_emit(beams, 0, 0.5, 10) == ["a", SENTINEL]
+    assert ralcp_emit(beams, 2, 0.5, 10) == ["b", "c"]
+
+
+def test_ralcp_too_few_beams_for_the_bar_emit_nothing() -> None:
+    beams = make_beam_set([("a", "b")] * 4)
+    assert ralcp_emit(beams, 0, 0.5, 10) == []  # 4 beams, bar 5
+    assert ralcp_emit(beams, 0, 0.1, 10) == ["a", "b"]  # bar 1
+    assert ralcp_emit(BeamSet(()), 0, 0.1, 10) == []
+
+
 def test_waitk_gate() -> None:
     assert not waitk_allows(3, 0)
     assert not waitk_allows(3, 2)
