@@ -6,6 +6,9 @@ translation emission behind a wait-k gate, sentinel-delimited history with
 attention-based source segmentation, prefix training data generation, and
 stream-level quality/latency metrics. Model inference is behind a backend
 contract with deterministic mocks and a line-delimited JSON wire protocol.
+
+Importing the package loads ``core`` only; each layer is imported from its
+own module (``Pipeline`` and ``preset_config`` from ``simulstream.pipeline``).
 """
 
 from .core import (
@@ -20,7 +23,6 @@ from .core import (
     TimedWord,
     VirtualClock,
 )
-from .pipeline import Pipeline, PipelineConfig, preset_config
 
 __version__ = "0.1.0"
 
@@ -32,11 +34,8 @@ __all__ = [
     "BeamSet",
     "EmissionRecord",
     "InvalidArgumentError",
-    "Pipeline",
-    "PipelineConfig",
     "ProtocolError",
     "TimedWord",
     "VirtualClock",
-    "preset_config",
     "__version__",
 ]

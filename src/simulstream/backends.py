@@ -169,7 +169,8 @@ class MtScript:
     """Deterministic word-for-word translator behind the mock MT.
 
     Beam 1 maps each remaining active source word through ``word_map``
-    (unmapped words are uppercased; every value must pass
+    (unmapped words are uppercased, except one that would uppercase to the
+    sentinel, which stays as it is; every value must pass
     ``core.check_word``) and appends the sentinel after
     sentence-final source words. Beams 2..N truncate the tail of that
     continuation by up to ``tail_truncate_max`` tokens and, with
@@ -200,7 +201,9 @@ class MtScript:
             check_word(target, f"word_map[{quote(source)}]")
 
     def map_word(self, word: str) -> str:
-        return self.word_map.get(word, word.upper())
+        mapped = self.word_map.get(word, word.upper())
+        # A word such as ``[sep]`` is no sentinel: it translates to itself.
+        return word if mapped == SENTINEL else mapped
 
 
 def _perturb_word(text: str, rng: random.Random) -> str:

@@ -3,6 +3,10 @@
 Exit status is 0 on success, 1 on a validation error, and 2 on a backend
 or protocol error; failures print one machine-readable JSON object on
 stderr so callers never have to scrape tracebacks.
+
+Each handler imports the layers it runs, so a command loads nothing it
+does not execute: ``simulate`` never loads the scorer, ``eval`` never
+loads the pipeline.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .backends import MockAsrBackend, MockMtBackend, load_mock_script
 from .core import (
     BackendError,
     InvalidArgumentError,
@@ -23,19 +26,9 @@ from .core import (
     must_be,
     read_json_file,
     report_error,
-)
-from .datagen import GenConfig, generate_samples, load_corpus, write_samples
-from .metrics import (
-    LatencyStats,
-    evaluate,
-    read_emission_log,
-    read_reference_segments,
     write_emission_log,
 )
-from .pipeline import Pipeline, apply_overrides, preset_config, read_trace
-from .wire import WireAsrBackend, WireChannel, WireMtBackend, DEFAULT_TIMEOUT_S
 
-_TABLE_COLUMNS = LatencyStats._fields
 _TABLE_HEADERS = ("M", "mdn", "p90", "p95", "p99", "max")
 
 
@@ -44,12 +37,16 @@ def _build_backends(config: dict, config_dir: Path):
     kind = json_field(backend, "kind", str, "backend")
     closers = []
     if kind == "mock":
+        from .backends import MockAsrBackend, MockMtBackend, load_mock_script
+
         script_path = json_field(config, "mock_script", str)
         if not script_path:
             raise InvalidArgumentError(must_be("mock_script", "a file name", script_path))
         scripts = load_mock_script(config_dir / script_path)
         return MockAsrBackend(scripts.asr), MockMtBackend(scripts.mt), closers
     if kind == "wire":
+        from .wire import DEFAULT_TIMEOUT_S, WireAsrBackend, WireChannel, WireMtBackend
+
         command = json_field(backend, "command", list, "backend", items=str)
         if not command:
             raise InvalidArgumentError(must_be("backend.command", "a non-empty list", command))
@@ -68,6 +65,8 @@ def _build_backends(config: dict, config_dir: Path):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .pipeline import Pipeline, apply_overrides, preset_config, read_trace
+
     config_raw = read_json_file(args.config)
     config = preset_config(json_field(config_raw, "table3", str, default="adapted"))
     config = apply_overrides(config, config_raw.get("overrides", {}))
@@ -87,6 +86,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .metrics import evaluate, read_emission_log, read_reference_segments
+
     log = read_emission_log(args.log)
     refs = read_reference_segments(args.refs)
     report = evaluate(log, refs)
@@ -95,6 +96,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_datagen(args: argparse.Namespace) -> int:
+    from .datagen import GenConfig, generate_samples, load_corpus, write_samples
+
     result = load_corpus(args.corpus)
     if result.malformed:
         for lineno, reason in result.malformed:
@@ -102,11 +105,10 @@ def cmd_datagen(args: argparse.Namespace) -> int:
                 json.dumps({"warning": "malformed line", "line": lineno, "reason": reason}),
                 file=sys.stderr,
             )
+    # An option left out takes its default from ``GenConfig`` alone.
+    options = ("max_context", "min_context", "prefix_rate", "seed")
     config = GenConfig(
-        max_context=args.max_context,
-        min_context=args.min_context,
-        prefix_rate=args.prefix_rate,
-        seed=args.seed,
+        **{name: getattr(args, name) for name in options if getattr(args, name) is not None}
     )
     samples, stats = generate_samples(result.documents, config, args.samples)
     source_path, target_path, stats_path = write_samples(samples, stats, args.out_prefix)
@@ -125,6 +127,8 @@ def cmd_datagen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .metrics import LatencyStats, evaluate, read_emission_log, read_reference_segments
+
     refs = read_reference_segments(args.refs)
     runs = []
     for log_path in args.logs:
@@ -142,7 +146,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for run in runs:
         for mode in ("nca", "ca"):
             row = run["log"].ljust(name_width) + mode.upper().ljust(6)
-            row += "".join(f"{run[mode][c]:9.3f}" for c in _TABLE_COLUMNS)
+            row += "".join(f"{run[mode][c]:9.3f}" for c in LatencyStats._fields)
             print(row)
     return 0
 
@@ -171,10 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="document-aligned bitext ('src ||| tgt' lines)")
     p.add_argument("out_prefix", help="output prefix for .src/.tgt/.stats.json")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=GenConfig.seed)
-    p.add_argument("--prefix-rate", type=float, default=GenConfig.prefix_rate)
-    p.add_argument("--min-context", type=int, default=GenConfig.min_context)
-    p.add_argument("--max-context", type=int, default=GenConfig.max_context)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--prefix-rate", type=float)
+    p.add_argument("--min-context", type=int)
+    p.add_argument("--max-context", type=int)
     p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("bench", help="compare latency reports across runs")

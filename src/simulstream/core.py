@@ -435,6 +435,10 @@ def dump_jsonl(records: Iterable) -> str:
     return "".join(["".join(encode(_record_object(record), 0)) + "\n" for record in records])
 
 
+def write_emission_log(records: Iterable[EmissionRecord], path: str | Path) -> None:
+    Path(path).write_text(dump_jsonl(records), encoding="utf-8")
+
+
 def json_report(obj, path: str | Path | None = None) -> str:
     """``obj`` as a human-readable report: indented, sorted keys, final newline.
 

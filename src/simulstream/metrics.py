@@ -31,6 +31,7 @@ from .core import (
     read_jsonl,
     read_record,
     read_records,
+    write_emission_log,  # in core, so ``simulate`` writes its log without the scorer
 )
 from .textnorm import _waves, is_punctuation
 
@@ -321,10 +322,6 @@ def _laal(
 
 
 # --- file interfaces ---------------------------------------------------------
-
-
-def write_emission_log(records: Sequence[EmissionRecord], path: str | Path) -> None:
-    Path(path).write_text(dump_jsonl(records), encoding="utf-8")
 
 
 def _read_record_lines(path: str | Path, cls: type) -> list:

@@ -22,18 +22,19 @@ request, or whose backend fails, replies
 attends to most in the attention layer named by ``attention_layer_tag``,
 ties going to the largest index; the server takes this argmax next to
 the model.
+
+``subprocess`` and ``selectors`` are imported inside ``WireChannel``, their
+only user: the server and the codec never load them.
 """
 
 from __future__ import annotations
 
 import os
-import selectors
-import subprocess
 import sys
 import time
 from dataclasses import replace
 from functools import partial
-from typing import BinaryIO, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Sequence
 
 from .backends import AsrRequest, AsrResponse, MtRequest, MtResponse
 from .core import (
@@ -50,6 +51,9 @@ from .core import (
     record_fields,
     report_error,
 )
+
+if TYPE_CHECKING:
+    import subprocess
 
 PROTOCOL_VERSION = 3
 DEFAULT_TIMEOUT_S = 60.0
@@ -151,6 +155,8 @@ class WireChannel:
     """
 
     def __init__(self, proc: subprocess.Popen) -> None:
+        import selectors
+
         self._proc = proc
         self._buffer = b""
         self._selector = selectors.DefaultSelector()
@@ -161,6 +167,8 @@ class WireChannel:
     @classmethod
     def spawn(cls, command: Sequence[str]) -> "WireChannel":
         """Start a child-process server speaking the protocol on stdio."""
+        import subprocess
+
         return cls(
             subprocess.Popen(list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         )
@@ -203,6 +211,8 @@ class WireChannel:
             raise ProtocolError(f"response is not UTF-8: {exc}") from exc
 
     def close(self) -> None:
+        import subprocess
+
         self._selector.close()
         try:
             self._proc.stdin.close()

@@ -445,6 +445,17 @@ def test_mt_translate_word_map_overrides_uppercase() -> None:
     assert response.beams.beams[0].tokens == ("dog", "JA")
 
 
+def test_map_word_never_turns_a_word_into_the_sentinel() -> None:
+    script = MtScript(word_map={"hund": "dog"})
+    assert script.map_word("hund") == "dog"
+    assert script.map_word("ja") == "JA"
+    # A word that only uppercases to the sentinel translates to itself.
+    for word in ("[sep]", "[Sep]", "[sEp]"):
+        assert script.map_word(word) == word
+    response = mock_mt_translate(script, MtRequest((), (), ("[sep]", "ja."), (), 1, "6"))
+    assert response.beams.beams[0].tokens == ("[sep]", "JA.", SENTINEL)
+
+
 def test_mt_translate_empty_active_source_returns_no_beams() -> None:
     response = mock_mt_translate(MtScript(), MtRequest((), (), (), ("X",), 4, "6"))
     assert response.beams.beams == ()

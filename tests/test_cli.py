@@ -22,6 +22,7 @@ from simulstream.core import (
     canonical_json,
     record_fields,
 )
+from simulstream.datagen import GenConfig
 from simulstream.metrics import (
     ReferenceSegment,
     read_emission_log,
@@ -606,19 +607,71 @@ def test_refs_file_with_unordered_segments_exits_1_naming_the_line(
     )
 
 
-def test_the_cli_and_the_wire_server_load_no_fractions_module() -> None:
-    # ``fractions`` (with ``decimal``) costs milliseconds of every cold start.
+# A child interpreter runs one entry point, then writes the names of the
+# modules it loaded to the file named by its last argument.
+_LOADED_AFTER = """\
+import json, sys
+out = sys.argv.pop()
+{code}
+with open(out, "w") as f:
+    json.dump(sorted(sys.modules), f)
+"""
+_RUN_CLI = "from simulstream.cli import main\nassert main(sys.argv[1:]) == 0"
+_CONTROLLERS = ("pipeline", "asr_stream", "mt_stream", "policy")
+# ``fractions`` (with ``decimal``) costs milliseconds of every cold start.
+_CLIENT_ONLY = ("subprocess", "selectors", "fractions")
+
+
+def _package(*names: str) -> set[str]:
+    return {f"simulstream.{name}" for name in names}
+
+
+@pytest.mark.parametrize("entry", ["import", "simulate", "eval", "wire_server"])
+def test_each_entry_point_loads_only_the_layers_it_runs(tmp_path, entry) -> None:
+    trace, config = _stage_fixture(tmp_path)
+    # entry: (code, arguments, modules it loads, modules it must not load)
+    code, args, loads, loads_none_of = {
+        "import": (
+            "import simulstream",
+            [],
+            _package("core"),
+            _package(
+                *_CONTROLLERS, "backends", "textnorm", "metrics", "datagen", "wire", "wire_server",
+                "cli",
+            ),
+        ),
+        "simulate": (
+            _RUN_CLI,
+            ["simulate", trace, config, tmp_path / "run.jsonl"],
+            _package(*_CONTROLLERS, "backends"),
+            {*_package("metrics", "datagen", "wire"), *_CLIENT_ONLY},
+        ),
+        "eval": (
+            _RUN_CLI,
+            ["eval", DATA / "golden_log_60s.jsonl", DATA / "refs_60s.jsonl"],
+            _package("metrics"),
+            _package(*_CONTROLLERS, "backends", "wire", "datagen"),
+        ),
+        "wire_server": (
+            "import simulstream.wire_server",
+            [],
+            _package("wire", "backends"),
+            {*_package(*_CONTROLLERS, "metrics", "datagen", "cli"), *_CLIENT_ONLY},
+        ),
+    }[entry]
+    loaded_file = tmp_path / "loaded.json"
     root = Path(__file__).resolve().parent.parent
-    for module in ("simulstream.cli", "simulstream.wire_server"):
-        result = subprocess.run(
-            [sys.executable, "-c", f"import sys, {module}; print('fractions' in sys.modules)"],
-            env=dict(os.environ, PYTHONPATH=str(root / "src")),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == "False\n", module
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER.format(code=code), *map(str, args), str(loaded_file)],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(json.loads(loaded_file.read_text()))
+    assert loads <= loaded
+    assert not loaded & loads_none_of
 
 
 @pytest.mark.parametrize(
@@ -772,6 +825,23 @@ def test_datagen_is_deterministic(tmp_path) -> None:
     assert (tmp_path / "a.src").read_bytes() == (tmp_path / "b.src").read_bytes()
     assert (tmp_path / "a.tgt").read_bytes() == (tmp_path / "b.tgt").read_bytes()
     assert (tmp_path / "a.stats.json").read_bytes() == (tmp_path / "b.stats.json").read_bytes()
+
+
+def test_datagen_options_left_out_take_the_gen_config_defaults(tmp_path) -> None:
+    corpus = str(_corpus(tmp_path))
+    defaults = GenConfig()
+    explicit = [
+        "--seed", str(defaults.seed),
+        "--prefix-rate", str(defaults.prefix_rate),
+        "--min-context", str(defaults.min_context),
+        "--max-context", str(defaults.max_context),
+    ]
+    assert main(["datagen", corpus, str(tmp_path / "bare"), "--samples", "60"]) == 0
+    assert main(["datagen", corpus, str(tmp_path / "set"), "--samples", "60", *explicit]) == 0
+    for suffix in (".src", ".tgt", ".stats.json"):
+        bare = (tmp_path / f"bare{suffix}").read_bytes()
+        assert bare == (tmp_path / f"set{suffix}").read_bytes(), suffix
+    assert (tmp_path / "bare.src").read_text(encoding="utf-8").count("\n") == 60
 
 
 def test_bench_single_log_rows_and_json_agreement(tmp_path, capsys) -> None:

@@ -16,7 +16,7 @@ from helpers import (
     oracle_resegment_cost,
     reach_passes,
 )
-from simulstream import metrics
+from simulstream import core, metrics
 from simulstream.core import SENTINEL, EmissionRecord, InvalidArgumentError
 from simulstream.metrics import (
     ReferenceSegment,
@@ -717,6 +717,8 @@ def test_emission_log_roundtrip(tmp_path) -> None:
     first = path.read_bytes()
     write_emission_log(read_emission_log(path), path)
     assert path.read_bytes() == first
+    # One writer: ``simulate`` calls the core function that ``metrics`` names.
+    assert write_emission_log is core.write_emission_log
 
 
 def test_reference_roundtrip_and_ordering(tmp_path) -> None:

@@ -23,6 +23,7 @@ from simulstream import metrics
 from simulstream.asr_stream import AsrStreamConfig
 from simulstream.backends import MockAsrBackend, MockMtBackend, load_mock_script
 from simulstream.core import (
+    SENTINEL,
     InvalidArgumentError,
     canonical_json,
     check_emission_log,
@@ -95,6 +96,17 @@ def test_streaming_equals_offline_with_prefix_stable_mocks() -> None:
     assert streamed == offline_translation(mt_script, transcript)
     assert summary.words_committed == len(transcript)
     assert summary.segments_closed == 4
+
+
+def test_a_source_word_that_uppercases_to_the_sentinel_streams_as_a_word() -> None:
+    sentences = [["we", "read", "[sep]", "aloud", "today."], ["then", "we", "stop."]]
+    pipeline, records, summary = _run(sentences)
+    tokens = [r.token for r in records]
+    transcript = pipeline.asr.transcript()
+    assert transcript == [w for s in sentences for w in s]
+    assert strip_sentinels(tokens) == offline_translation(pipeline.mt.backend.script, transcript)
+    assert "[sep]" in tokens
+    assert tokens.count(SENTINEL) == summary.segments_closed == len(sentences)
 
 
 def test_emission_log_is_monotone_and_ca_dominates() -> None:

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -453,6 +455,36 @@ def test_any_finite_timeout_waits_for_the_reply(tmp_path, timeout_s) -> None:
         assert backend.decode(request) == mock_asr_decode(asr_script, request)
     finally:
         channel.close()
+
+
+def test_close_kills_and_reaps_a_server_that_outlives_sigterm(monkeypatch) -> None:
+    # The server ignores SIGTERM; its first wait is made to time out at once,
+    # so the channel takes its kill branch without waiting out the grace period.
+    channel = WireChannel.spawn(
+        [
+            sys.executable,
+            "-c",
+            "import signal, sys, time; signal.signal(signal.SIGTERM, signal.SIG_IGN); "
+            "sys.stdin.readline(); print('ready', flush=True); time.sleep(60)",
+        ]
+    )
+    proc = channel._proc
+    assert channel.roundtrip("go", 30.0) == "ready"  # SIGTERM is ignored by now
+    waits = []
+    real_wait = proc.wait
+
+    def wait(timeout=None):
+        waits.append(timeout)
+        if len(waits) == 1:
+            raise subprocess.TimeoutExpired(proc.args, timeout)
+        return real_wait(timeout)
+
+    monkeypatch.setattr(proc, "wait", wait)
+    channel.close()
+    assert waits == [5, None]
+    assert proc.returncode == -signal.SIGKILL  # killed, and reaped by the second wait
+    with pytest.raises(ProcessLookupError):
+        os.kill(proc.pid, 0)
 
 
 # Replies to each request with its ordinal; the first reply comes late.
