@@ -118,6 +118,16 @@ class AsrStreamController:
         return self._decode_and_commit(force_tail=True)
 
     def _decode_and_commit(self, force_tail: bool) -> list[TimedWord]:
+        """Decode the window, then commit the words that agree with the
+        previous decode (all of them with ``force_tail``) and trim the window.
+
+        Every reply word must lie inside the window; the first one outside
+        is named. The words are walked in Python: for the ten or so words of
+        a decode, the walk costs about half as much as taking the least
+        start and the greatest end with ``min`` and ``max``. Every word is
+        checked, not the last one's end alone, since a NaN end slips past
+        ``AsrHypothesis``'s order check.
+        """
         state = self.state
         audio = self.clock.audio_available_s
         request = AsrRequest(
@@ -128,11 +138,12 @@ class AsrStreamController:
         )
         response = self.backend.decode(request)
         current = response.hypothesis
+        window_start, window_end = request.window_start_s, request.window_end_s
         for i, w in enumerate(current.words):
-            if w.start_s < request.window_start_s or w.end_s > request.window_end_s:
+            if w.start_s < window_start or w.end_s > window_end:
                 raise ProtocolError(
                     f"field 'words[{i}]' lies outside the requested window "
-                    f"[{request.window_start_s}, {request.window_end_s}]: [{w.start_s}, {w.end_s}]"
+                    f"[{window_start}, {window_end}]: [{w.start_s}, {w.end_s}]"
                 )
         self.clock.charge_compute(response.compute_cost_s)
         self.decodes += 1

@@ -13,9 +13,9 @@ import math
 import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import UnionType
 from typing import NoReturn, Union, get_args, get_origin, get_type_hints
@@ -244,7 +244,8 @@ def read_jsonl(path: str | Path, parse=None) -> list:
 # by column (``read_records``): each field's values are taken with one
 # ``itemgetter`` pass and their kinds checked as one set, and the records are
 # built with ``map(cls, *columns)``. Python walks the items only to name a bad
-# one, and a list that is not read by column is read item by item.
+# one, and a list that is not read by column is read item by item. A list of
+# flat records is written by column the same way (``dump_jsonl``).
 
 
 def _item_of(hint):
@@ -345,19 +346,26 @@ def _columns(cls: type, objects: list) -> list | None:
             column = list(map(itemgetter(name), objects))
         except (KeyError, TypeError):  # a missing field, or an item that is no object
             return None
-        kinds = set(map(type, column))
         if kind is None:  # a list of ``items``, checked as ``json_field`` checks it
-            if items is None or not kinds <= {list}:
+            if items is None or not set(map(type, column)) <= {list}:
                 return None
             if not set(map(type, chain.from_iterable(column))) <= {items}:
                 return None
             column = list(map(tuple, column))
-        elif not kinds <= {kind}:
+        elif not _plain(kind, column):
             return None
-        elif kind is float and not -_FLOAT_MAX <= sum(column) <= _FLOAT_MAX:
-            return None  # a sum of floats is finite only if every term is
         columns.append(column)
     return columns
+
+
+def _plain(kind: type, column: list) -> bool:
+    """Whether every value of ``column`` is exactly of the scalar ``kind``,
+    a float only if finite: a value the codec takes as decoded when
+    reading and writes by column."""
+    if not set(map(type, column)) <= {kind}:
+        return False
+    # A sum of floats is finite only if every term is.
+    return kind is not float or -_FLOAT_MAX <= sum(column) <= _FLOAT_MAX
 
 
 def read_records(cls: type, objects: list, where: str = "") -> list:
@@ -426,17 +434,84 @@ def canonical_json(obj) -> str:
     return "".join(_canonical_encoder()(obj, 0))
 
 
+def _float_texts(column: list) -> Iterable[str]:
+    """``float.__repr__`` of each finite float of ``column``, taken once per
+    distinct value, since the records of one step share their times. A
+    column holding a zero is written value by value: 0.0 == -0.0."""
+    distinct = dict.fromkeys(column)
+    if 0.0 in distinct:
+        return map(float.__repr__, column)
+    return map(dict(zip(distinct, map(float.__repr__, distinct))).__getitem__, column)
+
+
+# The JSON text of each value of a column of one scalar kind, a float only
+# if finite, as the C encoder writes it.
+_SCALAR_WRITERS = {
+    str: partial(map, _encode_string),
+    int: partial(map, int.__repr__),
+    float: _float_texts,
+    bool: partial(map, {False: "false", True: "true"}.__getitem__),
+}
+
+
+@cache
+def _line_layout(cls: type) -> tuple | None:
+    """(fields, template) to write a record of ``cls`` as one canonical
+    JSON line: its (name, kind) pairs in key order, and a ``%`` template
+    taking each field's JSON text in that order. None if ``cls`` is not a
+    record, has no field or has a field that is not a scalar."""
+    try:
+        schema = _schema(cls)
+    except (TypeError, NameError):  # no dataclass, or a field with no layout
+        return None
+    if not schema or any(kind is None for _, kind, *_ in schema):
+        return None  # a record with no field is written as ``{}``
+    pairs = sorted((name, kind) for name, kind, *_ in schema)
+    # A field name is an identifier, so it holds no ``%`` to escape.
+    template = ",".join(f"{_encode_string(name)}:%s" for name, _ in pairs)
+    return pairs, "{" + template + "}\n"
+
+
+def _dump_by_column(records: list) -> str | None:
+    """``dump_jsonl`` of records of one class whose every field holds a
+    plain scalar (``_plain``), written a field at a time; None for any
+    other list."""
+    classes = set(map(type, records))
+    layout = _line_layout(classes.pop()) if len(classes) == 1 else None
+    if layout is None:
+        return None
+    pairs, template = layout
+    texts = []
+    for name, kind in pairs:
+        column = list(map(attrgetter(name), records))
+        if not _plain(kind, column):
+            return None
+        texts.append(_SCALAR_WRITERS[kind](column))
+    return "".join(map(template.__mod__, zip(*texts)))
+
+
 def dump_jsonl(records: Iterable) -> str:
     """Records as canonical JSONL text, one line per record.
 
-    One encoder writes every line, given each record's field object.
+    A list of records of one class whose every field holds an exact
+    ``str``, ``int`` or ``bool`` or a finite ``float`` is written by
+    column: each field's values are checked as one set and turned to JSON
+    text in one pass, as the C encoder would write them, and the lines
+    are filled from one template. Any other list (a NaN or infinity, an
+    int in a float field, a ``str`` subclass, mixed classes, a tuple
+    field) is written record by record by one C encoder, given each
+    record's field object.
     """
+    records = list(records)
+    text = _dump_by_column(records)
+    if text is not None:
+        return text
     encode = _canonical_encoder()
     return "".join(["".join(encode(_record_object(record), 0)) + "\n" for record in records])
 
 
 def write_emission_log(records: Iterable[EmissionRecord], path: str | Path) -> None:
-    Path(path).write_text(dump_jsonl(records), encoding="utf-8")
+    Path(path).write_bytes(dump_jsonl(records).encode("utf-8"))
 
 
 def json_report(obj, path: str | Path | None = None) -> str:

@@ -144,6 +144,8 @@ def decode_mt_response(line: str) -> MtResponse:
 # Selectors refuse a timeout beyond about 24 days (epoll counts milliseconds
 # in a C int), so a read waits in slices of at most this long.
 _WAIT_SLICE_S = 3600.0
+# How long ``WireChannel.close`` lets a server exit after SIGTERM before it kills it.
+TERM_GRACE_S = 5.0
 
 
 class WireChannel:
@@ -220,7 +222,7 @@ class WireChannel:
             pass
         self._proc.terminate()
         try:
-            self._proc.wait(timeout=5)
+            self._proc.wait(timeout=TERM_GRACE_S)
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()

@@ -139,9 +139,10 @@ def oracle_ralcp(beams: BeamSet, committed: int, ratio: float, pool: int) -> lis
 def oracle_validated(counters, beams: BeamSet, request: MtRequest) -> BeamSet:
     """The MT controller's reply checks as one walk over the beams.
 
-    The library bounds every cut at once and keeps beams in one pass,
-    walking the beams only to refuse a reply; this walk, which checks and
-    keeps beam by beam, is kept as the reference it is judged against.
+    The library checks the kinds and bounds of the distinct cut tuples at
+    once and keeps beams in one pass, walking the beams only to refuse a
+    reply; this walk, which checks and keeps beam by beam, is kept as the
+    reference it is judged against.
     Beams that rewrite history are counted in ``counters.dropped_beams``.
     The reply's own beam set comes back when every beam is kept.
     """
@@ -151,6 +152,8 @@ def oracle_validated(counters, beams: BeamSet, request: MtRequest) -> BeamSet:
     committed = request.committed_target
     kept = []
     for b, beam in enumerate(beams.beams):
+        if any(type(cut) is not int for cut in beam.cuts):
+            raise ProtocolError(f"beam {b} has a cut that is not an integer: {list(beam.cuts)}")
         if beam.cuts and not (0 <= min(beam.cuts) and max(beam.cuts) < active_len):
             raise ProtocolError(
                 f"beam {b} has a cut outside the {active_len} active source "

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from simulstream.core import (
     AsrHypothesis,
     BackendError,
     InvalidArgumentError,
+    ProtocolError,
     TimedWord,
     VirtualClock,
 )
@@ -138,6 +140,91 @@ def test_unstable_tail_never_deadlocks_the_window() -> None:
     assert transcript_sizes[-1] > transcript_sizes[0]  # still no deadlock
     texts = controller.transcript()
     assert len(texts) == len(set(texts))  # force trims never double-commit
+
+
+class FixedReply:
+    """Returns the same words for every window, unfiltered."""
+
+    def __init__(self, words: list[TimedWord]) -> None:
+        self.words = tuple(words)
+
+    def decode(self, request: AsrRequest) -> AsrResponse:
+        return AsrResponse(AsrHypothesis(self.words), 0.0)
+
+
+def _window_error(words: list[TimedWord], start: float, end: float) -> str | None:
+    """The error the per-word walk gives a reply over [start, end], if any."""
+    for i, w in enumerate(words):
+        if w.start_s < start or w.end_s > end:
+            return (
+                f"field 'words[{i}]' lies outside the requested window "
+                f"[{start}, {end}]: [{w.start_s}, {w.end_s}]"
+            )
+    return None
+
+
+def _decode_in_window(words: list[TimedWord]) -> str | None:
+    """Decode ``words`` as the reply for the window [1.0, 3.0]; the error, if any."""
+    controller, clock = _controller(FixedReply(words))
+    controller.state.window_start_s = controller.state.decoded_upto_s = 1.0
+    clock.advance_audio(3.0)
+    try:
+        controller.step()
+    except ProtocolError as exc:
+        assert controller.decodes == 0 and controller.state.decoded_upto_s == 1.0
+        return str(exc)
+    assert controller.decodes == 1
+    return None
+
+
+_NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "times, bad",
+    [
+        ([(0.5, 1.5), (1.5, 2.0)], 0),  # starts before the window
+        ([(1.0, 1.5), (1.5, 3.5)], 1),  # ends after it
+        ([(_NAN, 1.5), (1.5, 3.5)], 1),  # a NaN start first, then an end outside
+        ([(_NAN, 1.5), (0.5, 1.6)], 1),  # a NaN start first hides the least start
+        ([(1.0, 1.5), (1.5, _NAN), (2.0, 2.5)], None),  # a NaN end between words inside
+        ([(1.0, 1.5), (1.5, _NAN), (2.0, 3.5)], 2),
+        ([(1.0, _NAN), (1.5, 3.5)], 1),  # a NaN end first hides the greatest end
+        ([(1.0, 3.5), (1.5, _NAN)], 0),  # a NaN end last hides an earlier end outside
+        ([(1.0, 1.5), (1.5, 3.0)], None),  # the window's own edges
+        ([], None),
+    ],
+)
+def test_a_reply_outside_the_window_is_refused_naming_the_walks_word(times, bad) -> None:
+    words = [TimedWord(f"w{i}", start, end) for i, (start, end) in enumerate(times)]
+    error = _decode_in_window(words)
+    assert error == _window_error(words, 1.0, 3.0)
+    assert (error is None) == (bad is None)
+    if bad is not None:
+        assert error.startswith(f"field 'words[{bad}]' lies outside the requested window")
+
+
+def test_window_checks_match_the_per_word_walk() -> None:
+    rng = random.Random(29)
+    refused = 0
+    for _ in range(500):
+        times = sorted(rng.uniform(0.0, 4.0) for _ in range(rng.randint(0, 6)))
+        words = []
+        for i, end in enumerate(times):
+            start = rng.uniform(max(0.0, end - 1.0), end)
+            if rng.random() < 0.1:
+                start = _NAN
+            if rng.random() < 0.1:
+                end = _NAN
+            words.append(TimedWord(f"w{i}", start, end))
+        try:
+            AsrHypothesis(tuple(words))
+        except InvalidArgumentError:
+            continue
+        error = _decode_in_window(words)
+        assert error == _window_error(words, 1.0, 3.0)
+        refused += error is not None
+    assert refused >= 50
 
 
 def test_force_trim_with_nothing_committed_caps_window() -> None:

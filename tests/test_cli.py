@@ -12,7 +12,7 @@ import pytest
 
 import make_goldens
 from helpers import DEEP_JSON
-from simulstream import cli
+from simulstream import cli, wire
 from simulstream.backends import AsrResponse, MockMtBackend, load_mock_script
 from simulstream.cli import main
 from simulstream.core import (
@@ -92,9 +92,11 @@ def test_simulate_through_wire_server_matches_mock(tmp_path) -> None:
     assert out.read_bytes() == (DATA / "golden_log_60s.jsonl").read_bytes()
 
 
-def test_simulate_keeps_its_log_when_the_server_ignores_sigterm(tmp_path) -> None:
+def test_simulate_keeps_its_log_when_the_server_ignores_sigterm(tmp_path, monkeypatch) -> None:
     # The server answers until its input closes, then outlives the closing
     # channel's SIGTERM: the channel kills it, and the run's log is written.
+    # The grace period is cut short, so the kill comes without the full wait.
+    monkeypatch.setattr(wire, "TERM_GRACE_S", 0.1)
     trace, config_path = _stage_fixture(tmp_path)
     pid_file = tmp_path / "server.pid"
     server = (

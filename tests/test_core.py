@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import random
 import re
 from collections import Counter
@@ -566,6 +567,105 @@ def test_canonical_json_matches_the_standard_encoder_on_every_record_class() -> 
         message = {"v": 3, "kind": rng.choice(_ODD_STRINGS), "values": values, "n": (-0.0, 1e16)}
         assert canonical_json(message) == oracle_canonical_json(message)
     assert len(classes) == 13
+
+
+@dataclass(frozen=True)
+class _Flat:
+    """A record of every scalar kind, for the writer's column path."""
+
+    name: str
+    count: int
+    flag: bool
+    at: float
+
+
+@dataclass(frozen=True)
+class _One:
+    n: int
+
+
+@dataclass(frozen=True)
+class _Maybe:
+    at: float | None = None
+
+
+class _Text(str):
+    pass
+
+
+def _odd_text(rng: random.Random) -> str:
+    return rng.choice(_ODD_STRINGS + ("le", SENTINEL, 'q"\\', "\t\n", "\u2029"))
+
+
+def _writer_lists(rng: random.Random) -> dict[str, list]:
+    """Seeded record lists, by what makes them taken by column or not."""
+    times = [rng.choice(_ODD_FLOATS) for _ in range(rng.randint(1, 6))]
+    emissions = [EmissionRecord(_odd_text(rng), t, t) for t in times]
+    odd = rng.randrange(len(emissions))
+    token, t = emissions[odd].token, emissions[odd].nca_time_s
+
+    def with_odd(record) -> list:
+        return emissions[:odd] + [record] + emissions[odd + 1 :]
+
+    flats = [
+        _Flat(_odd_text(rng), rng.choice(_ODD_INTS), rng.random() < 0.5, rng.choice(_ODD_FLOATS))
+        for _ in range(rng.randint(1, 4))
+    ]
+    return {
+        "emissions": emissions,
+        "flat": flats,
+        "one field": [_One(rng.choice(_ODD_INTS)) for _ in range(rng.randint(1, 3))],
+        "NaN": with_odd(EmissionRecord(token, math.nan, math.nan)),
+        "infinity": with_odd(EmissionRecord(token, rng.choice([-math.inf, t]), math.inf)),
+        "overflowing sum": [EmissionRecord("a", 1e308, 1e308), EmissionRecord("b", 1e308, 1e308)],
+        "int in a float field": with_odd(EmissionRecord(token, 0, rng.choice([1, t]))),
+        "bool in a float field": with_odd(EmissionRecord(token, False, True)),
+        "str subclass": with_odd(EmissionRecord(_Text(token), t, t)),
+        "mixed classes": [*emissions, TimedWord("ja", 0.0, t)],
+        "None in a float field": [_Maybe(t), _Maybe()],
+        "empty": [],
+        "tuple fields": [
+            ReferenceSegment(("schläft", "x"), -0.0, 1e-7),
+            ReferenceSegment((), 0.5, rng.choice([1.5e300, 1e16])),
+        ],
+        "beams": [BeamHypothesis((token,), t, (rng.choice(_ODD_INTS),))],
+    }
+
+
+def test_dump_jsonl_matches_the_standard_encoder_record_by_record() -> None:
+    rng = random.Random(37)
+    by_column = {"emissions", "flat", "one field"}
+    for _ in range(200):
+        for kind, records in _writer_lists(rng).items():
+            expected = "".join(oracle_canonical_json(r) + "\n" for r in records)
+            assert dump_jsonl(records) == expected, kind
+            assert dump_jsonl(iter(records)) == expected, kind
+            # The column path takes exactly the lists of flat, plain records.
+            assert (core._dump_by_column(records) is not None) == (kind in by_column), kind
+
+
+def test_dump_jsonl_writes_the_odd_values_the_standard_encoder_writes() -> None:
+    records = [
+        EmissionRecord("a\u2028b\U0001f600", -0.0, 5e-324),
+        EmissionRecord("\x00\"\\", math.nan, math.inf),
+        EmissionRecord("x", -math.inf, 1e308),
+    ]
+    assert dump_jsonl(records) == (
+        '{"ca_time_s":5e-324,"nca_time_s":-0.0,"token":"a\u2028b\U0001f600"}\n'
+        '{"ca_time_s":Infinity,"nca_time_s":NaN,"token":"\\u0000\\"\\\\"}\n'
+        '{"ca_time_s":1e+308,"nca_time_s":-Infinity,"token":"x"}\n'
+    )
+    zeros = [EmissionRecord("a", 0.0, 0.0), EmissionRecord("b", -0.0, 0.0), EmissionRecord("c", 0.0, 1.5)]
+    assert dump_jsonl(zeros) == (
+        '{"ca_time_s":0.0,"nca_time_s":0.0,"token":"a"}\n'
+        '{"ca_time_s":0.0,"nca_time_s":-0.0,"token":"b"}\n'
+        '{"ca_time_s":1.5,"nca_time_s":0.0,"token":"c"}\n'
+    )
+    flags = [_Flat("n", -3, True, 0.5), _Flat("m", 2**64, False, -1e16)]
+    assert dump_jsonl(flags) == (
+        '{"at":0.5,"count":-3,"flag":true,"name":"n"}\n'
+        '{"at":-1e+16,"count":18446744073709551616,"flag":false,"name":"m"}\n'
+    )
 
 
 def test_a_failed_encode_leaves_later_encodes_whole() -> None:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from functools import partial
+from itertools import chain
 from types import SimpleNamespace
 
 import pytest
@@ -324,29 +326,56 @@ def _checked(check, beams: BeamSet, request: MtRequest, counters):
 
 def _random_reply(rng: random.Random) -> tuple[BeamSet, MtRequest]:
     """A request and a reply whose beams may rewrite the committed target,
-    stop inside it, cut outside the active source, or outnumber the beam
-    size."""
+    stop inside it, cut outside the active source, hold a cut that is not an
+    int, or outnumber the beam size.
+
+    The beams' cuts are their own, or prefixes of one list of cuts: shared
+    by identity where two beams are as long (as the mock MT builds them),
+    or equal by value only (as the wire decodes them). A bad cut is put
+    into one beam's own copy, so an equal tuple of another beam can hide
+    it from a check by value (``(1,) == (1.0,)``).
+    """
     active = tuple(f"w{i}" for i in range(rng.randint(0, 4)))
     committed = tuple(rng.choice("ab") for _ in range(rng.randint(0, 3)))
     beam_size = rng.randint(1, 6)
     request = MtRequest((), (), active, committed, beam_size, "6")
+    sharing = rng.choice(["own", "identity", "value"])
+    shared_cuts = [rng.randrange(len(active)) if active else 0 for _ in range(len(committed) + 3)]
+    by_length: dict[int, tuple] = {}
     beams = []
     for b in range(rng.randint(0, beam_size + (rng.random() < 0.05))):
         tokens = list(committed) + [rng.choice("abc") for _ in range(rng.randint(0, 3))]
         if committed and rng.random() < 0.3:
             tokens[rng.randrange(len(committed))] = "x"
         del tokens[rng.randint(0, len(tokens)) if rng.random() < 0.2 else len(tokens) :]
-        cuts = [rng.randrange(len(active)) if active else 0 for _ in tokens]
+        if sharing == "own":
+            cuts = tuple(rng.randrange(len(active)) if active else 0 for _ in tokens)
+        elif sharing == "identity":
+            cuts = by_length.setdefault(len(tokens), tuple(shared_cuts[: len(tokens)]))
+        else:
+            cuts = tuple(list(shared_cuts[: len(tokens)]))
         if cuts and rng.random() < 0.1:
-            cuts[rng.randrange(len(cuts))] = rng.choice([-1, len(active)])
-        beams.append(BeamHypothesis(tuple(tokens), float(-b), tuple(cuts)))
+            bad = list(cuts)
+            j = rng.randrange(len(bad))
+            bad[j] = rng.choice(
+                [-1, len(active), float(bad[j]), bad[j] + 0.5, math.nan, bool(bad[j] % 2)]
+            )
+            cuts = tuple(bad)
+        beams.append(BeamHypothesis(tuple(tokens), float(-b), cuts))
     return BeamSet(tuple(beams)), request
 
 
 def test_reply_checks_match_the_walk_oracle() -> None:
     rng = random.Random(67)
-    seen = {"kept all": 0, "dropped": 0, "refused": 0, "dropped then refused": 0}
-    for _ in range(4000):
+    seen = {
+        "kept all": 0,
+        "dropped": 0,
+        "refused": 0,
+        "dropped then refused": 0,
+        "not an int": 0,
+        "not an int, hidden by value": 0,
+    }
+    for _ in range(6000):
         beams, request = _random_reply(rng)
         controller = _controller()
         got = _checked(controller._validated, beams, request, controller)
@@ -359,6 +388,11 @@ def test_reply_checks_match_the_walk_oracle() -> None:
         seen["dropped"] += kept is not None and kept is not beams
         seen["refused"] += error is not None
         seen["dropped then refused"] += error is not None and dropped > 0
+        if error is not None and "not an integer" in error:
+            seen["not an int"] += 1
+            # Refused although the distinct tuples by value hold only ints.
+            distinct = set(beam.cuts for beam in beams.beams)
+            seen["not an int, hidden by value"] += set(map(type, chain(*distinct))) <= {int}
     assert min(seen.values()) >= 20, seen
 
 
@@ -378,6 +412,52 @@ def test_a_refused_reply_counts_the_rewriting_beams_before_the_bad_cut() -> None
     ):
         controller._validated(beams, request)
     assert controller.dropped_beams == 1
+
+
+class _CutsBackend:
+    """Two beams translating two words, with the cuts of each beam given:
+    beam 0's tuple is shared with beam 1 unless beam 1's is given."""
+
+    def __init__(self, cuts0: tuple, cuts1: tuple | None = None) -> None:
+        self.cuts0, self.cuts1 = cuts0, cuts0 if cuts1 is None else cuts1
+
+    def translate(self, request: MtRequest) -> MtResponse:
+        tokens = ("A", "B.", SENTINEL)
+        beams = (
+            BeamHypothesis(tokens, 0.0, self.cuts0),
+            BeamHypothesis(tokens, -1.0, self.cuts1),
+        )
+        return MtResponse(BeamSet(beams), 0.0)
+
+
+@pytest.mark.parametrize(
+    "cuts0, cuts1, bad_beam",
+    [
+        ((0, 1.0, 1), None, 0),  # closing the segment would slice by a float
+        ((0, 1, 1), (0, 1.0, 1), 1),  # equal in value to beam 0's cuts
+        ((0, 1, 1.5), None, 0),
+        ((0, math.nan, 1), None, 0),
+        ((0, 1, 1), (0, math.nan, 1), 1),  # only a later beam holds the NaN
+        ((0, True, 1), None, 0),
+        ((0, 1, 1), (0, 1, "1"), 1),
+        ((0, 1, 1), (0, 1, [1]), 1),  # unhashable
+    ],
+)
+def test_a_cut_that_is_not_an_int_is_refused_naming_its_beam(cuts0, cuts1, bad_beam) -> None:
+    controller = _controller(_CutsBackend(cuts0, cuts1), beam_size=2, wait_k=1)
+    bad = cuts0 if cuts1 is None else cuts1
+    message = f"beam {bad_beam} has a cut that is not an integer: {list(bad)}"
+    with pytest.raises(ProtocolError) as caught:
+        controller.step(["a", "b."])
+    assert str(caught.value) == message
+    assert controller.history.active_source == () and controller.segment_ordinal == 0
+
+
+def test_int_cuts_shared_by_identity_or_by_value_close_the_segment() -> None:
+    for cuts1 in (None, (0, 1, 1)):
+        controller = _controller(_CutsBackend((0, 1, 1), cuts1), beam_size=2, wait_k=1)
+        assert [r.token for r in controller.step(["a", "b."])] == ["A", "B.", SENTINEL]
+        assert controller.history.history_source == (("a", "b."),)
 
 
 def test_flush_translates_leftovers_without_waitk() -> None:

@@ -38,6 +38,7 @@ from simulstream.core import (
 )
 from simulstream.mt_stream import MtStreamConfig, MtStreamController
 from simulstream.wire import (
+    TERM_GRACE_S,
     WireAsrBackend,
     WireChannel,
     WireMtBackend,
@@ -481,7 +482,7 @@ def test_close_kills_and_reaps_a_server_that_outlives_sigterm(monkeypatch) -> No
 
     monkeypatch.setattr(proc, "wait", wait)
     channel.close()
-    assert waits == [5, None]
+    assert waits == [TERM_GRACE_S, None]
     assert proc.returncode == -signal.SIGKILL  # killed, and reaped by the second wait
     with pytest.raises(ProcessLookupError):
         os.kill(proc.pid, 0)
