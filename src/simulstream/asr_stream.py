@@ -122,11 +122,10 @@ class AsrStreamController:
         previous decode (all of them with ``force_tail``) and trim the window.
 
         Every reply word must lie inside the window; the first one outside
-        is named. The words are walked in Python: for the ten or so words of
-        a decode, the walk costs about half as much as taking the least
-        start and the greatest end with ``min`` and ``max``. Every word is
-        checked, not the last one's end alone, since a NaN end slips past
-        ``AsrHypothesis``'s order check.
+        is named. The test is negated, so a NaN start or end lies outside
+        every window. The words are walked in Python: for the ten or so
+        words of a decode, the walk costs about half as much as taking the
+        least start and the greatest end with ``min`` and ``max``.
         """
         state = self.state
         audio = self.clock.audio_available_s
@@ -140,7 +139,7 @@ class AsrStreamController:
         current = response.hypothesis
         window_start, window_end = request.window_start_s, request.window_end_s
         for i, w in enumerate(current.words):
-            if w.start_s < window_start or w.end_s > window_end:
+            if not (window_start <= w.start_s and w.end_s <= window_end):
                 raise ProtocolError(
                     f"field 'words[{i}]' lies outside the requested window "
                     f"[{window_start}, {window_end}]: [{w.start_s}, {w.end_s}]"

@@ -239,13 +239,16 @@ def read_jsonl(path: str | Path, parse=None) -> list:
 # key per field, under the field's name. Reading and writing both follow the
 # fields, so no record spells its layout out by hand. The per-value work is
 # left to C where one path can: a scalar already of its field's kind is taken
-# as decoded, the kinds of a list's items are checked as one set, and a record
-# is written from its ``__dict__`` by the C encoder. A list of records is read
-# by column (``read_records``): each field's values are taken with one
-# ``itemgetter`` pass and their kinds checked as one set, and the records are
-# built with ``map(cls, *columns)``. Python walks the items only to name a bad
-# one, and a list that is not read by column is read item by item. A list of
-# flat records is written by column the same way (``dump_jsonl``).
+# as decoded, and the kinds of a list's items are checked as one set. A list
+# of records is read by column (``read_records``): each field's values are
+# taken with one ``itemgetter`` pass and their kinds checked as one set, and
+# the records are built with ``map(cls, *columns)``. Python walks the items
+# only to name a bad one, and a list that is not read by column is read item
+# by item. Every list of records is written by column (``dump_jsonl``): the
+# writer reads the values, not the type hints, so a column of one plain
+# scalar kind is written in one pass and any other value by the C encoder,
+# as it would be inside its record; a class with no read layout is written
+# all the same.
 
 
 def _item_of(hint):
@@ -454,60 +457,38 @@ _SCALAR_WRITERS = {
 }
 
 
-@cache
-def _line_layout(cls: type) -> tuple | None:
-    """(fields, template) to write a record of ``cls`` as one canonical
-    JSON line: its (name, kind) pairs in key order, and a ``%`` template
-    taking each field's JSON text in that order. None if ``cls`` is not a
-    record, has no field or has a field that is not a scalar."""
-    try:
-        schema = _schema(cls)
-    except (TypeError, NameError):  # no dataclass, or a field with no layout
-        return None
-    if not schema or any(kind is None for _, kind, *_ in schema):
-        return None  # a record with no field is written as ``{}``
-    pairs = sorted((name, kind) for name, kind, *_ in schema)
-    # A field name is an identifier, so it holds no ``%`` to escape.
-    template = ",".join(f"{_encode_string(name)}:%s" for name, _ in pairs)
-    return pairs, "{" + template + "}\n"
-
-
-def _dump_by_column(records: list) -> str | None:
-    """``dump_jsonl`` of records of one class whose every field holds a
-    plain scalar (``_plain``), written a field at a time; None for any
-    other list."""
-    classes = set(map(type, records))
-    layout = _line_layout(classes.pop()) if len(classes) == 1 else None
-    if layout is None:
-        return None
-    pairs, template = layout
-    texts = []
-    for name, kind in pairs:
-        column = list(map(attrgetter(name), records))
-        if not _plain(kind, column):
-            return None
-        texts.append(_SCALAR_WRITERS[kind](column))
-    return "".join(map(template.__mod__, zip(*texts)))
-
-
 def dump_jsonl(records: Iterable) -> str:
     """Records as canonical JSONL text, one line per record.
 
-    A list of records of one class whose every field holds an exact
-    ``str``, ``int`` or ``bool`` or a finite ``float`` is written by
-    column: each field's values are checked as one set and turned to JSON
-    text in one pass, as the C encoder would write them, and the lines
-    are filled from one template. Any other list (a NaN or infinity, an
-    int in a float field, a ``str`` subclass, mixed classes, a tuple
-    field) is written record by record by one C encoder, given each
-    record's field object.
+    A list of records of one class is written a field at a time into one
+    ``%`` template, its keys in sorted order. A column of plain values
+    (``_plain``: one exact scalar kind, a float only if finite) is turned
+    to JSON text in one pass. Any other column (kinds mixed, as an int in
+    a float field, a NaN or infinity, a ``str`` subclass, ``None``, a tuple
+    or a nested record) is written value by value by one C encoder, which
+    writes a value exactly as it would inside its record, so no kind needs
+    a writer of its own. A list of several classes is written one record
+    at a time.
     """
     records = list(records)
-    text = _dump_by_column(records)
-    if text is not None:
-        return text
+    classes = set(map(type, records))
+    if len(classes) != 1:
+        return "".join([dump_jsonl([record]) for record in records])
+    names = sorted(_field_names(classes.pop()))
+    if not names:
+        return "{}\n" * len(records)
     encode = _canonical_encoder()
-    return "".join(["".join(encode(_record_object(record), 0)) + "\n" for record in records])
+    texts = []
+    for name in names:
+        column = list(map(attrgetter(name), records))
+        kind = type(column[0])
+        if kind in _SCALAR_WRITERS and _plain(kind, column):
+            texts.append(_SCALAR_WRITERS[kind](column))
+        else:
+            texts.append(["".join(encode(value, 0)) for value in column])
+    # A field name is an identifier, so it holds no ``%`` to escape.
+    template = "{" + ",".join(f"{_encode_string(name)}:%s" for name in names) + "}\n"
+    return "".join(map(template.__mod__, zip(*texts)))
 
 
 def write_emission_log(records: Iterable[EmissionRecord], path: str | Path) -> None:

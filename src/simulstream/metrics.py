@@ -363,7 +363,7 @@ def _record_line(path: str | Path, index: int) -> int:
 def write_reference_segments(
     refs: Sequence[ReferenceSegment], path: str | Path
 ) -> None:
-    Path(path).write_text(dump_jsonl(refs), encoding="utf-8")
+    Path(path).write_bytes(dump_jsonl(refs).encode("utf-8"))
 
 
 def read_reference_segments(path: str | Path) -> list[ReferenceSegment]:

@@ -153,9 +153,10 @@ class FixedReply:
 
 
 def _window_error(words: list[TimedWord], start: float, end: float) -> str | None:
-    """The error the per-word walk gives a reply over [start, end], if any."""
+    """The error the per-word walk gives a reply over [start, end], if any:
+    a word with a NaN time lies outside every window."""
     for i, w in enumerate(words):
-        if w.start_s < start or w.end_s > end:
+        if math.isnan(w.start_s) or math.isnan(w.end_s) or w.start_s < start or w.end_s > end:
             return (
                 f"field 'words[{i}]' lies outside the requested window "
                 f"[{start}, {end}]: [{w.start_s}, {w.end_s}]"
@@ -185,14 +186,17 @@ _NAN = math.nan
     [
         ([(0.5, 1.5), (1.5, 2.0)], 0),  # starts before the window
         ([(1.0, 1.5), (1.5, 3.5)], 1),  # ends after it
-        ([(_NAN, 1.5), (1.5, 3.5)], 1),  # a NaN start first, then an end outside
-        ([(_NAN, 1.5), (0.5, 1.6)], 1),  # a NaN start first hides the least start
-        ([(1.0, 1.5), (1.5, _NAN), (2.0, 2.5)], None),  # a NaN end between words inside
-        ([(1.0, 1.5), (1.5, _NAN), (2.0, 3.5)], 2),
-        ([(1.0, _NAN), (1.5, 3.5)], 1),  # a NaN end first hides the greatest end
-        ([(1.0, 3.5), (1.5, _NAN)], 0),  # a NaN end last hides an earlier end outside
+        ([(1.0, 1.5), (1.5, _NAN), (2.0, 2.5)], 1),  # a NaN end lies outside every window
+        ([(1.0, 1.5), (1.5, _NAN), (2.0, 3.5)], 1),  # the first word outside is named
         ([(1.0, 1.5), (1.5, 3.0)], None),  # the window's own edges
+        ([(1.0, 1.5), (1.5, 2.0), (2.0, _NAN)], 2),
+        ([(1.0, 1.5), (_NAN, _NAN)], 1),
+        ([(_NAN, 1.5), (1.5, 3.5)], 0),  # so does a NaN start
         ([], None),
+        ([(1.0, 1.0), (3.0, 3.0)], None),
+        ([(_NAN, 1.5), (0.5, 1.6)], 0),
+        ([(1.0, _NAN), (1.5, 3.5)], 0),
+        ([(1.0, 3.5), (1.5, _NAN)], 0),
     ],
 )
 def test_a_reply_outside_the_window_is_refused_naming_the_walks_word(times, bad) -> None:

@@ -593,6 +593,32 @@ class _Text(str):
     pass
 
 
+@dataclass(frozen=True)
+class _Empty:
+    pass
+
+
+def _unresolved_class() -> type:
+    """A record whose annotations name a class ``get_type_hints`` cannot find."""
+
+    class Local:
+        pass
+
+    @dataclass(frozen=True)
+    class Unresolved:
+        at: Local
+        n: int
+
+    return Unresolved
+
+
+_Unresolved = _unresolved_class()
+
+
+# The odd strings ``check_word`` takes as words.
+_WORD_TEXTS = ("schläft", 'q"\\/', "\U0001f600", "\ufeff")
+
+
 def _odd_text(rng: random.Random) -> str:
     return rng.choice(_ODD_STRINGS + ("le", SENTINEL, 'q"\\', "\t\n", "\u2029"))
 
@@ -629,19 +655,44 @@ def _writer_lists(rng: random.Random) -> dict[str, list]:
             ReferenceSegment((), 0.5, rng.choice([1.5e300, 1e16])),
         ],
         "beams": [BeamHypothesis((token,), t, (rng.choice(_ODD_INTS),))],
+        "no layout": [_NoLayout(("ja", token), ((token, "x"),)), _NoLayout((), ())],
+        "no field": [_Empty() for _ in range(rng.randint(1, 3))],
+        "no field, mixed": [_Empty(), emissions[0], _Empty()],
+        "unresolved hints": [_Unresolved(t, 1), _Unresolved(1.5, 2)],
+        "None first": [_Maybe(), _Maybe(t), _Maybe()],
+        "nested beam sets": [
+            BeamSet((BeamHypothesis((token,), t, (0,)), BeamHypothesis((), -1.0, ()))),
+            BeamSet(()),
+        ],
+        "nested words": [
+            AsrHypothesis((TimedWord("ja", 0.0, t), TimedWord(rng.choice(_WORD_TEXTS), t, t))),
+            AsrHypothesis(()),
+        ],
     }
 
 
 def test_dump_jsonl_matches_the_standard_encoder_record_by_record() -> None:
     rng = random.Random(37)
-    by_column = {"emissions", "flat", "one field"}
     for _ in range(200):
         for kind, records in _writer_lists(rng).items():
             expected = "".join(oracle_canonical_json(r) + "\n" for r in records)
             assert dump_jsonl(records) == expected, kind
             assert dump_jsonl(iter(records)) == expected, kind
-            # The column path takes exactly the lists of flat, plain records.
-            assert (core._dump_by_column(records) is not None) == (kind in by_column), kind
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [object()],
+        [EmissionRecord("a", 0.0, 0.0), "b"],
+        ["a", "b"],
+        [TimedWord],
+        [_Empty(), {"x": 1}],
+    ],
+)
+def test_dump_jsonl_refuses_a_list_holding_a_non_record(records) -> None:
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        dump_jsonl(records)
 
 
 def test_dump_jsonl_writes_the_odd_values_the_standard_encoder_writes() -> None:

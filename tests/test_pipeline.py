@@ -154,24 +154,36 @@ NOISY = dict(stabilization_delay_s=0.6, tail_truncate_max=2, tail_perturb_prob=0
 @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
 @pytest.mark.parametrize("mode", ["adapted", "baseline"])
 def test_long_stream_invariants_hold_after_every_step(mode, noisy) -> None:
-    sentences = synth_sentences(random.Random(113), 200)
+    # Talks of about 0.6, 5.4 and 44 minutes.
+    for count in (24, 200, 1600):
+        _check_invariants_after_every_step(mode, noisy, count)
+
+
+def _check_invariants_after_every_step(mode: str, noisy: bool, count: int) -> None:
+    sentences = synth_sentences(random.Random(113), count)
     asr_script, mt_script, duration = build_scripts(
         sentences, seed=3, **(NOISY if noisy else {})
     )
     pipeline = Pipeline(
         preset_config(mode), MockAsrBackend(asr_script), MockMtBackend(mt_script)
     )
+    records, committed = pipeline.records, pipeline.asr.state.committed
     tokens: list[str] = []
     transcript: list[str] = []
+    # Each step is checked by what it added, so the checks stay linear in
+    # the talk's length; the whole output is compared once at the end.
     for event in chunked_trace(duration):
+        before, last = len(records), records[-1] if records else None
+        last_word = committed[-1] if committed else None
         emitted = pipeline.feed_audio(event.duration_s)
         assert pipeline.mt.history.buffered_source_words() <= 80
         assert pipeline.asr.window_length_s <= 30.0
-        committed = pipeline.asr.transcript()
-        assert committed[: len(transcript)] == transcript
-        transcript = committed
+        assert len(committed) >= len(transcript)
+        assert not transcript or committed[len(transcript) - 1] is last_word
+        transcript += [w.text for w in committed[len(transcript) :]]
+        assert records[before:] == emitted
+        assert not before or records[before - 1] is last
         tokens += [r.token for r in emitted]
-        assert [r.token for r in pipeline.records] == tokens
         segment = pipeline.mt.history.committed_target
         assert tuple(tokens[len(tokens) - len(segment) :]) == segment
         if not noisy:
@@ -180,13 +192,14 @@ def test_long_stream_invariants_hold_after_every_step(mode, noisy) -> None:
     pipeline.finalize()
     check_emission_log(pipeline.records)
     assert [r.token for r in pipeline.records][: len(tokens)] == tokens
+    assert pipeline.asr.transcript()[: len(transcript)] == transcript
     assert pipeline.mt.evictions > 0
     assert pipeline.mt.max_buffered_words <= 80
     assert pipeline.mt.budget_overflows == 0
-    if not noisy:
-        streamed = strip_sentinels([r.token for r in pipeline.records])
-        assert streamed == offline_translation(mt_script, pipeline.asr.transcript())
-        assert pipeline.mt.segment_ordinal == len(sentences)
+    # Noisy talks too: the flush streams the whole translation.
+    streamed = strip_sentinels([r.token for r in pipeline.records])
+    assert streamed == offline_translation(mt_script, pipeline.asr.transcript())
+    assert pipeline.mt.segment_ordinal == len(sentences)
 
 
 @pytest.mark.parametrize("mode", ["adapted", "baseline"])
