@@ -242,7 +242,8 @@ def read_jsonl(path: str | Path, parse=None) -> list:
 # as decoded, and the kinds of a list's items are checked as one set. A list
 # of records is read by column (``read_records``): each field's values are
 # taken with one ``itemgetter`` pass and their kinds checked as one set, and
-# the records are built with ``map(cls, *columns)``. Python walks the items
+# the records are built with ``map(cls, *columns)``; equal list values in a
+# column share one tuple, unless they hold floats. Python walks the items
 # only to name a bad one, and a list that is not read by column is read item
 # by item. Every list of records is written by column (``dump_jsonl``): the
 # writer reads the values, not the type hints, so a column of one plain
@@ -340,9 +341,9 @@ def read_record(cls: type, obj: dict, where: str = "", **given):
 
 def _columns(cls: type, objects: list) -> list | None:
     """The values of each field of ``cls`` across ``objects``, in field
-    order, a list field's as tuples; None if any value is missing or is not
-    one ``read_record`` takes as decoded, or a field is neither a scalar
-    nor a list of one."""
+    order, a list field's as tuples (equal ones one tuple, unless they hold
+    floats); None if any value is missing or is not one ``read_record``
+    takes as decoded, or a field is neither a scalar nor a list of one."""
     columns = []
     for name, kind, items, _, _ in _schema(cls):
         try:
@@ -355,6 +356,9 @@ def _columns(cls: type, objects: list) -> list | None:
             if not set(map(type, chain.from_iterable(column))) <= {items}:
                 return None
             column = list(map(tuple, column))
+            if items is not float:  # 0.0 == -0.0: a shared float tuple could lose a sign
+                shared = {}
+                column = list(map(shared.setdefault, column, column))
         elif not _plain(kind, column):
             return None
         columns.append(column)

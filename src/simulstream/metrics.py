@@ -93,7 +93,7 @@ def latency_stats(values: Sequence[float]) -> LatencyStats:
         return ordered[(p * n + 99) // 100 - 1]
 
     return LatencyStats(
-        mean_s=sum(ordered) / n,
+        mean_s=math.fsum(ordered) / n,
         median_s=ordered[(n - 1) // 2],
         p90_s=rank(90),
         p95_s=rank(95),
@@ -211,7 +211,7 @@ def corpus_bleu(
             precision = matches[order] / possible[order]
         logs.append(math.log(precision))
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return 100.0 * brevity * math.exp(sum(logs) / len(logs))
+    return 100.0 * brevity * math.exp(math.fsum(logs) / len(logs))
 
 
 def _clipped_matches(hyp: Sequence[str], ref: Sequence[str], order: int) -> int:
@@ -316,7 +316,7 @@ def _laal(
                 tau = i
                 break
         denom = max(y, len(ref.tokens))
-        total = sum(delays[i - 1] - (i - 1) * span / denom for i in range(1, tau + 1))
+        total = math.fsum(delays[i - 1] - (i - 1) * span / denom for i in range(1, tau + 1))
         per_segment.append(total / tau)
     return LatencyReport(*latency_stats(per_segment), per_segment=per_segment)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial, wraps
-from itertools import chain
 from typing import Sequence
 
 from .backends import MtBackend, MtRequest
@@ -195,39 +194,35 @@ class MtStreamController:
     def _validated(self, beams: BeamSet, request: MtRequest) -> BeamSet:
         """Enforce the response contract; drop beams that rewrite history.
 
-        Every cut must be an ``int`` inside the active source. Both are
-        checked once per cut tuple the beams share (``_cuts_fit``), and the
-        kept beams are taken in one pass; beams are walked one by one only
-        to refuse a reply, naming its first beam with a cut that is not an
-        int or lies outside, after counting as dropped the beams before it
-        that rewrite history. The reply's own beam set comes back when
-        every beam is kept.
+        One walk over the beams in rank order. Every cut must be an ``int``
+        inside the active source, checked once per cut tuple the beams
+        share; the first beam that breaks it is named, after the beams
+        before it that rewrite history are counted as dropped. The reply's
+        own beam set comes back when every beam is kept.
         """
         if len(beams.beams) > request.beam_size:
             raise ProtocolError(f"{len(beams.beams)} beams exceed beam_size {request.beam_size}")
         active_len = len(request.active_source)
         committed = request.committed_target
         n = len(committed)
-        if not _cuts_fit([beam.cuts for beam in beams.beams], active_len):
-            for b, beam in enumerate(beams.beams):  # ends by raising
-                if not set(map(type, beam.cuts)) <= {int}:
-                    raise ProtocolError(
-                        f"beam {b} has a cut that is not an integer: {list(beam.cuts)}"
-                    )
-                if beam.cuts and not (0 <= min(beam.cuts) and max(beam.cuts) < active_len):
+        checked = set()  # ids of cut tuples; each beam keeps its own alive
+        kept = []
+        for b, beam in enumerate(beams.beams):
+            cuts = beam.cuts
+            if id(cuts) not in checked:
+                checked.add(id(cuts))
+                if not set(map(type, cuts)) <= {int}:
+                    raise ProtocolError(f"beam {b} has a cut that is not an integer: {list(cuts)}")
+                if cuts and not (0 <= min(cuts) and max(cuts) < active_len):
                     raise ProtocolError(
                         f"beam {b} has a cut outside the {active_len} active source "
-                        f"words: {list(beam.cuts)}"
+                        f"words: {list(cuts)}"
                     )
-                if len(beam.tokens) > n and beam.tokens[:n] != committed:
-                    self.dropped_beams += 1
-        if not n:  # nothing committed, so nothing to rewrite
-            return beams
-        kept = [b for b in beams.beams if len(b.tokens) <= n or b.tokens[:n] == committed]
-        if len(kept) == len(beams.beams):
-            return beams
-        self.dropped_beams += len(beams.beams) - len(kept)
-        return BeamSet(tuple(kept))
+            if len(beam.tokens) > n and beam.tokens[:n] != committed:
+                self.dropped_beams += 1
+            else:
+                kept.append(beam)
+        return beams if len(kept) == len(beams.beams) else BeamSet(tuple(kept))
 
     def _commit(self, beams: BeamSet, target: tuple[str, ...]) -> None:
         """Make ``target`` the open segment's committed tokens; a closing
@@ -263,25 +258,6 @@ class MtStreamController:
             self.evictions += 1
         self.history = h
         self.max_buffered_words = max(self.max_buffered_words, h.buffered_source_words())
-
-
-def _cuts_fit(cuts: list[tuple], active_len: int) -> bool:
-    """Whether every cut of every beam is an ``int`` in ``range(active_len)``.
-
-    The kinds are read once per tuple object, since the beams of a clean
-    reply share one tuple, and the bound is taken once per distinct tuple
-    value, since a wire reply's beams hold equal ones. The kinds come
-    first and not from the set: a NaN hashes by identity, so the set's
-    order would decide ``min`` and ``max`` over it, and tuples equal in
-    value merge in a set even where their items differ in kind
-    (``(1,) == (1.0,)``).
-    """
-    objects = dict(zip(map(id, cuts), cuts)).values()
-    if not set(map(type, chain.from_iterable(objects))) <= {int}:
-        return False
-    distinct = set(objects)
-    distinct.discard(())
-    return not distinct or (0 <= min(map(min, distinct)) and max(map(max, distinct)) < active_len)
 
 
 def _source_cut(beams: BeamSet, pos: int) -> int:

@@ -128,20 +128,27 @@ class Pipeline:
         self.asr = AsrStreamController(config.asr, asr_backend, self.clock)
         self.mt = MtStreamController(config.mt, mt_backend, self.clock)
         self.records: list[EmissionRecord] = []
+        # Committed words that a failed ``mt.step`` left for the next round.
+        self._unsent: list[str] = []
 
     def feed_audio(self, duration_s: float) -> list[EmissionRecord]:
-        """Advance audio availability and run one controller round."""
+        """Advance audio availability and run one controller round; a
+        failed round is retried with ``feed_audio(0.0)``."""
         self.clock.advance_audio(duration_s)
-        words = self.asr.step()
-        emitted = self.mt.step([w.text for w in words])
-        self.records.extend(emitted)
-        return emitted
+        return self._translate(self.asr.step())
 
     def finalize(self) -> list[EmissionRecord]:
-        """Drain both controllers at end of stream."""
-        words = self.asr.flush()
-        emitted = self.mt.step([w.text for w in words])
-        emitted += self.mt.flush()
+        """Drain both controllers at end of stream; a failed call is
+        retried by calling it again."""
+        emitted = self._translate(self.asr.flush())
+        flushed = self.mt.flush()
+        self.records.extend(flushed)
+        return emitted + flushed
+
+    def _translate(self, words) -> list[EmissionRecord]:
+        self._unsent += [w.text for w in words]
+        emitted = self.mt.step(self._unsent)
+        self._unsent = []
         self.records.extend(emitted)
         return emitted
 
@@ -181,9 +188,9 @@ def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
         raise InvalidArgumentError(must_be("overrides", "an object", overrides))
     sections = {f.name: getattr(config, f.name) for f in fields(config)}
     for section in overrides:
-        values = json_field(overrides, section, dict, "overrides")
         if section not in sections:
             raise InvalidArgumentError(f"unknown override section {quote(section)}")
+        values = json_field(overrides, section, dict, "overrides")
         preset = record_fields(sections[section])
         for key in values:
             if key not in preset:

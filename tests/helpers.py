@@ -139,10 +139,9 @@ def oracle_ralcp(beams: BeamSet, committed: int, ratio: float, pool: int) -> lis
 def oracle_validated(counters, beams: BeamSet, request: MtRequest) -> BeamSet:
     """The MT controller's reply checks as one walk over the beams.
 
-    The library checks the kinds and bounds of the distinct cut tuples at
-    once and keeps beams in one pass, walking the beams only to refuse a
-    reply; this walk, which checks and keeps beam by beam, is kept as the
-    reference it is judged against.
+    The library walks the beams the same way but checks each cut tuple the
+    beams share once; this walk checks every beam's cuts item by item, and
+    is the reference it is judged against.
     Beams that rewrite history are counted in ``counters.dropped_beams``.
     The reply's own beam set comes back when every beam is kept.
     """
@@ -350,7 +349,7 @@ def oracle_corpus_bleu(
             precision = matches[order] / possible[order]
         logs.append(math.log(precision))
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return 100.0 * brevity * math.exp(sum(logs) / len(logs))
+    return 100.0 * brevity * math.exp(math.fsum(logs) / len(logs))
 
 
 def oracle_bleu_tokenize(tokens: Iterable[str]) -> list[str]:
@@ -387,7 +386,7 @@ def oracle_laal(delays: list[float], span: float, ref_len: int) -> float:
             tau = i
             break
     denom = max(y, ref_len)
-    return sum(delays[i - 1] - (i - 1) * span / denom for i in range(1, tau + 1)) / tau
+    return math.fsum(delays[i - 1] - (i - 1) * span / denom for i in range(1, tau + 1)) / tau
 
 
 def oracle_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:

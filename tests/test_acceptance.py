@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import shutil
 import sys
@@ -413,7 +414,7 @@ def test_c10_latency_stats() -> None:
             position = (p * n + 99) // 100  # integer ceil(p*n/100)
             return ordered[position - 1]
 
-        assert got.mean_s == sum(ordered) / n
+        assert got.mean_s == math.fsum(ordered) / n
         assert got.median_s == ordered[(n - 1) // 2]
         assert (got.p90_s, got.p95_s, got.p99_s) == (rank(90), rank(95), rank(99))
         assert got.max_s == ordered[-1]

@@ -741,11 +741,13 @@ def _simulate_with_overrides(tmp_path, overrides, table3="adapted") -> tuple[int
         ("adapted", {"mt": {"recompute_votes_after_filter": True}}, "key 'recompute_votes_after_filter'"),
         ("x" * 100_000, {}, "mode must be one of ('adapted', 'baseline'), got 'xxx"),
         ("adapted", {"mt": {"history_remove": "y" * 100_000}}, "history_remove must be one of"),
+        ("adapted", {"bogus": 5}, "unknown override section 'bogus'"),
     ],
     ids=["int_gets_float", "baseline_int_gets_float", "int_gets_bool", "buffer_gets_float",
          "float_gets_string", "string_gets_int", "removed_abbreviations",
          "removed_strip_punctuation", "removed_lowercase", "removed_filter_empty",
-         "removed_recompute_votes", "huge_table3", "huge_history_remove"],
+         "removed_recompute_votes", "huge_table3", "huge_history_remove",
+         "unknown_section_non_object"],
 )
 def test_simulate_bad_override_exits_1_naming_section_and_key(
     tmp_path, capsys, table3, overrides, message

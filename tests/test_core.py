@@ -976,6 +976,41 @@ def test_read_records_gives_a_list_field_as_a_tuple_as_read_record_does() -> Non
     assert [type(r.words) for r in records] == [tuple, tuple]
 
 
+@dataclass(frozen=True)
+class _Lists:
+    """A record with a list field of each scalar kind but bool."""
+
+    words: tuple[str, ...]
+    cuts: tuple[int, ...]
+    times: tuple[float, ...]
+
+
+def test_read_records_gives_equal_int_and_str_lists_one_tuple() -> None:
+    objects = [
+        {"words": ["ja", "Haus"], "cuts": [0, 1], "times": [0.5]},
+        {"words": ["ja", "Haus"], "cuts": [0, 1], "times": [0.5]},
+        {"words": ["Haus", "ja"], "cuts": [1, 0], "times": [0.5]},
+        {"words": ["ja", "Haus"], "cuts": [0, 1], "times": [0.5]},
+    ]
+    records = read_records(_Lists, objects)
+    assert records == [read_record(_Lists, obj) for obj in objects]
+    first, second, other, last = records
+    assert first.words is second.words is last.words
+    assert first.cuts is second.cuts is last.cuts
+    assert other.words is not first.words and other.cuts is not first.cuts
+
+
+def test_read_records_keeps_float_lists_apart_with_their_signs() -> None:
+    # 0.0 == -0.0, so one shared tuple would give both records one sign.
+    objects = [
+        {"words": [], "cuts": [], "times": [0.0]},
+        {"words": [], "cuts": [], "times": [-0.0]},
+    ]
+    first, second = read_records(_Lists, objects)
+    assert first.times is not second.times
+    assert [math.copysign(1.0, r.times[0]) for r in (first, second)] == [1.0, -1.0]
+
+
 def test_a_bad_item_of_a_wire_reply_is_named_by_its_place() -> None:
     beam = {"tokens": ["we", "go"], "score": 0.0, "cuts": [0, 1]}
     reply = {"v": 3, "kind": "mt", "compute_cost_s": 0.1, "beams": [beam, beam, beam, beam]}

@@ -67,6 +67,12 @@ def test_latency_stats_on_1_to_100() -> None:
     assert stats.max_s == 100.0
 
 
+def test_latency_stats_mean_is_the_correctly_rounded_sum() -> None:
+    # A plain left-to-right sum loses the 1.0; the mean must not depend on
+    # the Python version's ``sum``.
+    assert latency_stats([1e16, 1.0, -1e16]).mean_s == 1 / 3
+
+
 def test_latency_stats_is_order_invariant() -> None:
     rng = random.Random(3)
     values = [rng.uniform(-5, 20) for _ in range(37)]

@@ -24,6 +24,7 @@ from simulstream.asr_stream import AsrStreamConfig
 from simulstream.backends import MockAsrBackend, MockMtBackend, load_mock_script
 from simulstream.core import (
     SENTINEL,
+    BackendError,
     InvalidArgumentError,
     canonical_json,
     check_emission_log,
@@ -302,6 +303,56 @@ def test_noisy_talk_reports_match_the_full_table_resegmentation(mode, monkeypatc
             with monkeypatch.context() as patch:
                 patch.setattr(metrics, "resegment", oracle_resegment)
                 assert report == canonical_json(metrics.evaluate(records, refs))
+
+
+class _FailsOnce:
+    """A mock MT backend whose call ``n`` raises a ``BackendError``, once."""
+
+    def __init__(self, inner: MockMtBackend, n: int) -> None:
+        self.inner, self.n, self.calls = inner, n, 0
+
+    def translate(self, request):
+        self.calls += 1
+        if self.calls == self.n:
+            raise BackendError("unavailable")
+        return self.inner.translate(request)
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+@pytest.mark.parametrize("call", [3, 17, 40, "last"])
+def test_a_round_retried_after_a_failed_mt_call_streams_as_an_unbroken_run(
+    call, noisy
+) -> None:
+    # A failed round is retried with ``feed_audio(0.0)``, a failed
+    # ``finalize`` by calling it again. No committed word or emitted token is
+    # lost, and NCA times are those of the unbroken run; CA times may come
+    # later, since the retry re-makes calls the clock has already charged.
+    noise = NOISY if noisy else {}
+    failed_in_finalize = 0
+    for seed in range(10):
+        sentences = synth_sentences(random.Random(seed), 24)
+        asr_script, mt_script, duration = build_scripts(sentences, seed=seed, **noise)
+        unbroken, expected, _ = _run(sentences, seed=seed, **noise)
+        n = unbroken.mt.translate_calls if call == "last" else call
+        flaky = _FailsOnce(MockMtBackend(mt_script), n)
+        pipeline = Pipeline(preset_config("adapted"), MockAsrBackend(asr_script), flaky)
+        for event in chunked_trace(duration):
+            try:
+                pipeline.feed_audio(event.duration_s)
+            except BackendError:
+                pipeline.feed_audio(0.0)
+        try:
+            pipeline.finalize()
+        except BackendError:
+            failed_in_finalize += 1
+            pipeline.finalize()
+        assert (flaky.calls > n) == (n <= unbroken.mt.translate_calls)  # it failed if it could
+        assert [(r.token, r.nca_time_s) for r in pipeline.records] == [
+            (r.token, r.nca_time_s) for r in expected
+        ]
+        check_emission_log(pipeline.records)
+    if call == "last":
+        assert failed_in_finalize == 10
 
 
 def test_read_trace_validates(tmp_path) -> None:
