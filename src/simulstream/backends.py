@@ -310,9 +310,6 @@ def mock_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:
     if draws and request.beam_size > 1:
         rng = random.Random(f"{script.seed}:mt:{_mt_fingerprint(request)}")
 
-    # Beams cut to one length share one cut tuple, as a clean reply's beams
-    # share beam 1's, so the controller reads its cuts' kinds once.
-    cut_prefixes = {len(cuts): cuts}
     beams = []
     for b in range(1, request.beam_size + 1):
         beam_tokens, beam_cuts = tokens, cuts
@@ -321,7 +318,7 @@ def mock_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:
             if script.tail_truncate_max > 0:
                 end -= rng.randint(0, min(script.tail_truncate_max, end - n_committed))
             beam_tokens = tokens[:end]
-            beam_cuts = cut_prefixes.setdefault(end, cuts[:end])
+            beam_cuts = cuts[:end]
             # A beam's own mark, so perturbed beams never vote together; the
             # sentinel stays whole, so a segment still closes. The draw comes
             # first, so a kept sentinel does not shift later beams' draws.

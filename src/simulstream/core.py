@@ -242,14 +242,13 @@ def read_jsonl(path: str | Path, parse=None) -> list:
 # as decoded, and the kinds of a list's items are checked as one set. A list
 # of records is read by column (``read_records``): each field's values are
 # taken with one ``itemgetter`` pass and their kinds checked as one set, and
-# the records are built with ``map(cls, *columns)``; equal list values in a
-# column share one tuple, unless they hold floats. Python walks the items
+# the records are built with ``map(cls, *columns)``. Python walks the items
 # only to name a bad one, and a list that is not read by column is read item
 # by item. Every list of records is written by column (``dump_jsonl``): the
-# writer reads the values, not the type hints, so a column of one plain
-# scalar kind is written in one pass and any other value by the C encoder,
-# as it would be inside its record; a class with no read layout is written
-# all the same.
+# writer reads the values, not the type hints, so a column of plain strings
+# or finite floats is written in one pass and any other value by the C
+# encoder, as it would be inside its record; a class with no read layout is
+# written all the same.
 
 
 def _item_of(hint):
@@ -341,9 +340,9 @@ def read_record(cls: type, obj: dict, where: str = "", **given):
 
 def _columns(cls: type, objects: list) -> list | None:
     """The values of each field of ``cls`` across ``objects``, in field
-    order, a list field's as tuples (equal ones one tuple, unless they hold
-    floats); None if any value is missing or is not one ``read_record``
-    takes as decoded, or a field is neither a scalar nor a list of one."""
+    order, a list field's as tuples; None if any value is missing or is not
+    one ``read_record`` takes as decoded, or a field is neither a scalar nor
+    a list of one."""
     columns = []
     for name, kind, items, _, _ in _schema(cls):
         try:
@@ -356,9 +355,6 @@ def _columns(cls: type, objects: list) -> list | None:
             if not set(map(type, chain.from_iterable(column))) <= {items}:
                 return None
             column = list(map(tuple, column))
-            if items is not float:  # 0.0 == -0.0: a shared float tuple could lose a sign
-                shared = {}
-                column = list(map(shared.setdefault, column, column))
         elif not _plain(kind, column):
             return None
         columns.append(column)
@@ -441,38 +437,23 @@ def canonical_json(obj) -> str:
     return "".join(_canonical_encoder()(obj, 0))
 
 
-def _float_texts(column: list) -> Iterable[str]:
-    """``float.__repr__`` of each finite float of ``column``, taken once per
-    distinct value, since the records of one step share their times. A
-    column holding a zero is written value by value: 0.0 == -0.0."""
-    distinct = dict.fromkeys(column)
-    if 0.0 in distinct:
-        return map(float.__repr__, column)
-    return map(dict(zip(distinct, map(float.__repr__, distinct))).__getitem__, column)
-
-
-# The JSON text of each value of a column of one scalar kind, a float only
-# if finite, as the C encoder writes it.
-_SCALAR_WRITERS = {
-    str: partial(map, _encode_string),
-    int: partial(map, int.__repr__),
-    float: _float_texts,
-    bool: partial(map, {False: "false", True: "true"}.__getitem__),
-}
+# The JSON text of each value of a column of strings or of finite floats, as
+# the C encoder writes it. An int or bool column, which no record the package
+# writes has, goes to the C encoder.
+_SCALAR_WRITERS = {str: partial(map, _encode_string), float: partial(map, float.__repr__)}
 
 
 def dump_jsonl(records: Iterable) -> str:
     """Records as canonical JSONL text, one line per record.
 
     A list of records of one class is written a field at a time into one
-    ``%`` template, its keys in sorted order. A column of plain values
-    (``_plain``: one exact scalar kind, a float only if finite) is turned
-    to JSON text in one pass. Any other column (kinds mixed, as an int in
-    a float field, a NaN or infinity, a ``str`` subclass, ``None``, a tuple
-    or a nested record) is written value by value by one C encoder, which
-    writes a value exactly as it would inside its record, so no kind needs
-    a writer of its own. A list of several classes is written one record
-    at a time.
+    ``%`` template, its keys in sorted order. A column of plain strings or
+    plain finite floats (``_plain``) is turned to JSON text in one pass.
+    Any other column (ints, bools, kinds mixed, as an int in a float field,
+    a NaN or infinity, a ``str`` subclass, ``None``, a tuple or a nested
+    record) is written value by value by one C encoder, which writes a
+    value exactly as it would inside its record, so no kind needs a writer
+    of its own. A list of several classes is written one record at a time.
     """
     records = list(records)
     classes = set(map(type, records))

@@ -216,19 +216,10 @@ def corpus_bleu(
 
 def _clipped_matches(hyp: Sequence[str], ref: Sequence[str], order: int) -> int:
     """The n-grams of ``hyp`` found in ``ref``, each counted at most as often
-    as ``ref`` has it: the sum over shared n-grams of the lesser count.
-
-    When either side repeats no n-gram, every lesser count is 1 and the
-    sets give the sum; the counts are built only when both sides repeat one.
-    """
-    hyp_grams = list(zip(*(hyp[i:] for i in range(order))))
-    ref_grams = list(zip(*(ref[i:] for i in range(order))))
-    hyp_set, ref_set = set(hyp_grams), set(ref_grams)
-    shared = hyp_set & ref_set
-    if len(hyp_set) == len(hyp_grams) or len(ref_set) == len(ref_grams):
-        return len(shared)
-    hyp_counts, ref_counts = Counter(hyp_grams), Counter(ref_grams)
-    return sum(map(min, map(hyp_counts.__getitem__, shared), map(ref_counts.__getitem__, shared)))
+    as ``ref`` has it: the sum over shared n-grams of the lesser count."""
+    hyp_grams = Counter(zip(*(hyp[i:] for i in range(order))))
+    ref_grams = Counter(zip(*(ref[i:] for i in range(order))))
+    return sum((hyp_grams & ref_grams).values())
 
 
 def bleu_tokenize(tokens: Iterable[str]) -> list[str]:

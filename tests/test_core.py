@@ -985,21 +985,6 @@ class _Lists:
     times: tuple[float, ...]
 
 
-def test_read_records_gives_equal_int_and_str_lists_one_tuple() -> None:
-    objects = [
-        {"words": ["ja", "Haus"], "cuts": [0, 1], "times": [0.5]},
-        {"words": ["ja", "Haus"], "cuts": [0, 1], "times": [0.5]},
-        {"words": ["Haus", "ja"], "cuts": [1, 0], "times": [0.5]},
-        {"words": ["ja", "Haus"], "cuts": [0, 1], "times": [0.5]},
-    ]
-    records = read_records(_Lists, objects)
-    assert records == [read_record(_Lists, obj) for obj in objects]
-    first, second, other, last = records
-    assert first.words is second.words is last.words
-    assert first.cuts is second.cuts is last.cuts
-    assert other.words is not first.words and other.cuts is not first.cuts
-
-
 def test_read_records_keeps_float_lists_apart_with_their_signs() -> None:
     # 0.0 == -0.0, so one shared tuple would give both records one sign.
     objects = [

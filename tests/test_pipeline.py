@@ -203,6 +203,39 @@ def _check_invariants_after_every_step(mode: str, noisy: bool, count: int) -> No
     assert pipeline.mt.segment_ordinal == len(sentences)
 
 
+@pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+@pytest.mark.parametrize("mode", ["adapted", "baseline"])
+def test_the_mt_buffer_holds_the_budget_or_only_the_open_segment(mode, noisy) -> None:
+    # Eviction removes only history, so a sentence longer than the budget
+    # overflows it by the open segment's own words, and no more. Run-on
+    # talks of 40, 200 and 800 words, and 20 sentences of 60-100 words.
+    talks = [synth_sentences(random.Random(n), 1, n, n) for n in (40, 200, 800)]
+    talks.append(synth_sentences(random.Random(60), 20, 60, 100))
+    for sentences in talks:
+        _check_buffer_after_every_step(mode, noisy, sentences)
+    # Sentences of 20-40 words fit the budget: eviction never runs short.
+    pipeline = _check_buffer_after_every_step(
+        mode, noisy, synth_sentences(random.Random(20), 20, 20, 40)
+    )
+    assert pipeline.mt.evictions > 0
+    assert pipeline.mt.budget_overflows == 0
+
+
+def _check_buffer_after_every_step(mode: str, noisy: bool, sentences) -> Pipeline:
+    asr_script, mt_script, duration = build_scripts(
+        sentences, seed=3, **(NOISY if noisy else {})
+    )
+    pipeline = Pipeline(
+        preset_config(mode), MockAsrBackend(asr_script), MockMtBackend(mt_script)
+    )
+    budget = pipeline.config.mt.max_buffer_words
+    for event in chunked_trace(duration):
+        pipeline.feed_audio(event.duration_s)
+        history = pipeline.mt.history
+        assert history.buffered_source_words() <= max(budget, len(history.active_source))
+    return pipeline
+
+
 @pytest.mark.parametrize("mode", ["adapted", "baseline"])
 def test_the_mt_state_round_trips_through_the_wire_after_every_step(mode) -> None:
     # The controller's state is the request it sends next, so the wire codec

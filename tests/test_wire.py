@@ -234,14 +234,6 @@ def test_cut_count_must_match_the_tokens() -> None:
         decode_mt_response(line)
 
 
-def test_a_clean_ten_beam_reply_decodes_to_one_shared_cuts_tuple() -> None:
-    request = MtRequest((), (), ("eins", "zwei.", "drei"), (), 10, "6")
-    reply = decode_mt_response(encode_mt_response(MockMtBackend(MtScript()).translate(request)))
-    beams = reply.beams.beams
-    assert len(beams) == 10
-    assert all(beam.cuts is beams[0].cuts for beam in beams)
-
-
 # The MT reply golden of protocol version 1, which carried dense attention rows.
 _V1_MT_REPLY = (
     '{"beams":[{"attention":[[1.0,0.0],[0.0,1.0]],"score":0.0,"tokens":["we","go"]},'
