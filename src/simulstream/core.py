@@ -143,14 +143,13 @@ def json_field(
                 return value
         elif items is None:
             return value
-        elif set(map(type, value.values() if kind is dict else value)) <= {items}:
-            return value
-        else:  # some item is of another kind: walk the items to name it
+        else:
             for key, item in value.items() if kind is dict else enumerate(value):
                 if type(item) is not items:
                     path = f"{where}.{name}" if where else name
                     path += f".{key}" if kind is dict else f"[{key}]"
                     raise InvalidArgumentError(must_be(path, _KINDS[items], item))
+            return value
     elif kind is float and type(value) is int and -_FLOAT_MAX <= value <= _FLOAT_MAX:
         return float(value)
     elif value is _MISSING and default is not _MISSING:
@@ -237,18 +236,16 @@ def read_jsonl(path: str | Path, parse=None) -> list:
 # --- the record codec -----------------------------------------------------------
 # A record is a dataclass whose ``__init__`` fields are its JSON layout: one
 # key per field, under the field's name. Reading and writing both follow the
-# fields, so no record spells its layout out by hand. The per-value work is
-# left to C where one path can: a scalar already of its field's kind is taken
-# as decoded, and the kinds of a list's items are checked as one set. A list
-# of records is read by column (``read_records``): each field's values are
-# taken with one ``itemgetter`` pass and their kinds checked as one set, and
-# the records are built with ``map(cls, *columns)``. Python walks the items
-# only to name a bad one, and a list that is not read by column is read item
-# by item. Every list of records is written by column (``dump_jsonl``): the
-# writer reads the values, not the type hints, so a column of plain strings
-# or finite floats is written in one pass and any other value by the C
-# encoder, as it would be inside its record; a class with no read layout is
-# written all the same.
+# fields, so no record spells its layout out by hand. A scalar already of its
+# field's kind is taken as decoded. A list of records is read by column
+# (``read_records``): each field's values are taken with one ``itemgetter``
+# pass and their kinds checked as one set, and the records are built with
+# ``map(cls, *columns)``; a list that is not read by column is read item by
+# item, so an error names the bad item. Every list of records is written by
+# column (``dump_jsonl``): the writer reads the values, not the type hints,
+# so a column of plain strings or finite floats is written in one pass and
+# any other value by ``canonical_json``, as it would be inside its record; a
+# class with no read layout is written all the same.
 
 
 def _item_of(hint):
@@ -397,35 +394,15 @@ def _field_names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls) if f.init)
 
 
-@cache
-def _field_set(cls: type) -> frozenset[str]:
-    return frozenset(_field_names(cls))
-
-
 def record_fields(record) -> dict:
     """A record's ``__init__`` fields by name: the object it is written as."""
     return {name: getattr(record, name) for name in _field_names(type(record))}
 
 
-def _record_object(record) -> dict:
-    """``record_fields``, or the record's ``__dict__`` when that holds
-    exactly its ``__init__`` fields, as it does for most records."""
-    attrs = getattr(record, "__dict__", None)
-    if attrs is not None and attrs.keys() == _field_set(type(record)):
-        return attrs
-    return record_fields(record)
-
-
-_make_encoder = json.encoder.c_make_encoder
 _encode_string = json.encoder.encode_basestring
-
-
-def _canonical_encoder():
-    """The C encoder that ``JSONEncoder.encode`` builds for canonical JSON,
-    without its Python set-up. Each one gets a fresh ``markers`` dict: an
-    encode that fails leaves ids in it, which a later encode would take for
-    a cycle."""
-    return _make_encoder({}, _record_object, _encode_string, None, ":", ",", True, False, True)
+_canonical = json.JSONEncoder(
+    ensure_ascii=False, sort_keys=True, separators=(",", ":"), default=record_fields
+)
 
 
 def canonical_json(obj) -> str:
@@ -434,12 +411,12 @@ def canonical_json(obj) -> str:
     A record (a dataclass) inside ``obj`` is written as its fields. A tuple
     is written as a list.
     """
-    return "".join(_canonical_encoder()(obj, 0))
+    return _canonical.encode(obj)
 
 
 # The JSON text of each value of a column of strings or of finite floats, as
-# the C encoder writes it. An int or bool column, which no record the package
-# writes has, goes to the C encoder.
+# ``canonical_json`` writes it. An int or bool column, which no record the
+# package writes has, goes to ``canonical_json``.
 _SCALAR_WRITERS = {str: partial(map, _encode_string), float: partial(map, float.__repr__)}
 
 
@@ -451,9 +428,10 @@ def dump_jsonl(records: Iterable) -> str:
     plain finite floats (``_plain``) is turned to JSON text in one pass.
     Any other column (ints, bools, kinds mixed, as an int in a float field,
     a NaN or infinity, a ``str`` subclass, ``None``, a tuple or a nested
-    record) is written value by value by one C encoder, which writes a
-    value exactly as it would inside its record, so no kind needs a writer
-    of its own. A list of several classes is written one record at a time.
+    record) is written value by value by ``canonical_json``, which writes
+    a value exactly as it would inside its record, so no kind needs a
+    writer of its own. A list of several classes is written one record at
+    a time.
     """
     records = list(records)
     classes = set(map(type, records))
@@ -462,7 +440,6 @@ def dump_jsonl(records: Iterable) -> str:
     names = sorted(_field_names(classes.pop()))
     if not names:
         return "{}\n" * len(records)
-    encode = _canonical_encoder()
     texts = []
     for name in names:
         column = list(map(attrgetter(name), records))
@@ -470,7 +447,7 @@ def dump_jsonl(records: Iterable) -> str:
         if kind in _SCALAR_WRITERS and _plain(kind, column):
             texts.append(_SCALAR_WRITERS[kind](column))
         else:
-            texts.append(["".join(encode(value, 0)) for value in column])
+            texts.append(list(map(canonical_json, column)))
     # A field name is an identifier, so it holds no ``%`` to escape.
     template = "{" + ",".join(f"{_encode_string(name)}:%s" for name in names) + "}\n"
     return "".join(map(template.__mod__, zip(*texts)))

@@ -3,7 +3,7 @@
 The long-form hypothesis is first split against timed reference segments
 (minimum-edit-distance resegmentation by halving the boundary list, on the
 wave pass of ``textnorm``: O(n + sum |ref|) machine ints and at worst
-O((n + sum |ref| + D^2) log K) time for n hypothesis tokens, edit distance
+O((n + sum |ref|)(D + 1) log K) time for n hypothesis tokens, edit distance
 D and K segments), then scored: corpus BLEU for quality, and per-segment
 length-adaptive average lagging for latency, in two flavors: NCA (delays
 measured in source audio consumed) and CA (delays measured on the virtual
@@ -121,7 +121,7 @@ def resegment(
     ``_waves`` over the box and over it reversed, sum to the box's D at
     segment k's first reference position. Optimal paths can swap where
     they cross, so the halves' least positions are the least overall. A
-    call holds O(n + sum |ref|) ints and takes O((n + sum |ref| + D^2) log K)
+    call holds O(n + sum |ref|) ints and takes O((n + sum |ref|)(D + 1) log K)
     time for K segments at worst; a clean stream, or one segment, runs no
     pass.
     """

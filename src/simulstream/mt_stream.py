@@ -135,6 +135,7 @@ class MtStreamController:
             h.active_source + tuple(new_source_words),
             h.committed_target,
         )
+        self._evict()
         records: list[EmissionRecord] = []
         # Terminates: every closure consumes at least one active word.
         while waitk_allows(self.config.wait_k, len(self.history.active_source)):
@@ -188,7 +189,6 @@ class MtStreamController:
         records = [EmissionRecord(token, nca_time_s, ca_time_s) for token in emitted]
         if emitted:
             self._commit(beams, request.committed_target + tuple(emitted))
-        self._evict()
         return records
 
     def _validated(self, beams: BeamSet, request: MtRequest) -> BeamSet:
@@ -236,6 +236,7 @@ class MtStreamController:
             active, target = active[end:], ()
             self.segment_ordinal += 1
         self.history = self._request(source_history, target_history, active, target)
+        self._evict()
 
     def _evict(self) -> None:
         h = self.history

@@ -48,13 +48,10 @@ def _waves(a: Sequence[str], b: Sequence[str], row: int) -> tuple[int, list[int]
     corner, wave D, and a[:j] and b[:g] are at most e apart exactly when
     wave e reaches row g on diagonal j - g: so ``hits[len(b) + 1 + d]`` is
     the cost of cell (row + d, row) if at most D, and more otherwise. Each
-    wave is built in place from the one before in one step per diagonal;
-    runs of equal tokens are skipped by ``_run``, so a call takes
-    O(|a| + |b| + D^2) time and holds O(|a| + |b|) ints.
-
-    ``a`` and ``b`` must be of the same sequence type (two strings, or two
-    lists): ``_run`` compares their slices, and a list slice never equals
-    a tuple or string slice.
+    wave is built in place from the one before in one step per diagonal,
+    and ``_run`` follows each run of equal tokens a token at a time, so a
+    call takes O((|a| + |b|)(D + 1)) time at worst and holds O(|a| + |b|)
+    ints.
     """
     n, t = len(a), len(b)
     # reach[t + 1 + d] is the current wave's reach on diagonal d; diagonals
@@ -94,30 +91,12 @@ def _waves(a: Sequence[str], b: Sequence[str], row: int) -> tuple[int, list[int]
 
 
 def _run(a: Sequence[str], i: int, b: Sequence[str], k: int) -> int:
-    """The length of the common prefix of a[i:] and b[k:].
-
-    Blocks of doubling length are compared as slices until one differs,
-    then that block is bisected, so a run of length r costs O(log r)
-    C-level comparisons.
-    """
+    """The length of the common prefix of a[i:] and b[k:]."""
     limit = min(len(a) - i, len(b) - k)
-    lo, step = 0, 1
-    while lo < limit:
-        hi = min(lo + step, limit)
-        if a[i + lo : i + hi] != b[k + lo : k + hi]:
-            break
-        lo = hi
-        step *= 2
-    else:
-        return lo
-    # a[i + lo : i + hi] and b[k + lo : k + hi] differ.
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if a[i + lo : i + mid] == b[k + lo : k + mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    run = 0
+    while run < limit and a[i + run] == b[k + run]:
+        run += 1
+    return run
 
 
 def words_match(a: str, b: str, threshold: int) -> bool:

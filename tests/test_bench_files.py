@@ -31,9 +31,10 @@ with each run ``{"order": <int>, "seed": <int>, "seconds": <float>,
 other top-level or run keys free text or context (a host probe, say).
 ``parent[i]`` and ``change[i]`` are pair i: they ran one after the other,
 at orders 2i and 2i + 1 in the workload's sequence, the side that ran
-first alternating from pair to pair. The medians are of each side's runs;
-``parent_iqr`` is the parent runs' interquartile range, by
-``statistics.quantiles`` (its default, exclusive method).
+first alternating from pair to pair, and with the same seed and run
+length. The medians are of each side's runs; ``parent_iqr`` is the parent
+runs' interquartile range, by ``statistics.quantiles`` (its default,
+exclusive method).
 
 A candidate is a fast path: the change side runs without it. Its verdict
 is "keep" exactly when, on some workload, the median of some ``judged``
@@ -101,6 +102,14 @@ def test_pairs_alternate_which_side_ran_first(path) -> None:
         for i, (p, c) in enumerate(zip(parent, change)):
             assert {p["order"], c["order"]} == {2 * i, 2 * i + 1}, (where, i)
             assert (p["order"] < c["order"]) == (i % 2 == 0), (where, i)
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_both_runs_of_a_pair_are_like_for_like(path) -> None:
+    for comparison, name, workload in _workloads(path):
+        for i, (p, c) in enumerate(zip(workload["parent"], workload["change"])):
+            where = (comparison["candidate"], name, i)
+            assert (p["seed"], p["seconds"]) == (c["seed"], c["seconds"]), where
 
 
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)

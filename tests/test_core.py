@@ -5,6 +5,8 @@ import json
 import math
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
@@ -730,6 +732,55 @@ def test_a_failed_encode_leaves_later_encodes_whole() -> None:
     words[1] = "Haus"
     assert canonical_json(message) == '{"words":["ja","Haus"]}'
     assert canonical_json([message, words]) == '[{"words":["ja","Haus"]},["ja","Haus"]]'
+
+
+def _codec_outputs() -> list[str]:
+    """What ``canonical_json``, ``dump_jsonl`` and the wire encoders write
+    for seeded records, the wire fixtures and the golden log."""
+    rng = random.Random(41)
+    texts = []
+    for _ in range(40):
+        texts += map(canonical_json, _odd_records(rng))
+        records = _records(rng)
+        texts += [
+            encode_asr_request(records["AsrRequest"]),
+            encode_asr_response(AsrResponse(records["AsrHypothesis"], _time(rng))),
+            encode_mt_request(records["MtRequest"]),
+            encode_mt_response(MtResponse(records["BeamSet"], _time(rng))),
+        ]
+        texts += map(dump_jsonl, _writer_lists(rng).values())
+    requests = (DATA / "wire_requests.jsonl").read_text(encoding="utf-8").splitlines()
+    responses = (DATA / "wire_responses.jsonl").read_text(encoding="utf-8").splitlines()
+    texts += [
+        encode_asr_request(decode_asr_request(requests[0])),
+        encode_mt_request(decode_mt_request(requests[1])),
+        encode_asr_response(decode_asr_response(responses[0])),
+        encode_mt_response(decode_mt_response(responses[1])),
+        dump_jsonl(read_emission_log(DATA / "golden_log_60s.jsonl")),
+    ]
+    return texts
+
+
+def test_the_codec_writes_the_same_bytes_without_the_c_encoder() -> None:
+    # ``json.encoder.c_make_encoder`` is None where CPython's ``_json``
+    # accelerator is missing; the pure-Python encoder must write the same text.
+    child = (
+        "import json, json.encoder\n"
+        "json.encoder.c_make_encoder = None\n"
+        "import test_core\n"
+        "assert json.encoder.c_make_encoder is None\n"
+        "print(json.dumps(test_core._codec_outputs()))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", child],
+        cwd=Path(__file__).parent,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    expected = _codec_outputs()
+    assert expected[-1] == (DATA / "golden_log_60s.jsonl").read_text(encoding="utf-8")
+    assert json.loads(done.stdout) == expected
 
 
 _ODD_LINES = (

@@ -261,6 +261,23 @@ def test_eviction_stops_when_only_active_remains() -> None:
     assert controller.max_buffered_words == 25
 
 
+def test_a_step_that_wait_k_holds_evicts_before_the_next_request() -> None:
+    class Recording(MockMtBackend):
+        def translate(self, request: MtRequest) -> MtResponse:
+            requests.append(request)
+            return super().translate(request)
+
+    requests: list[MtRequest] = []
+    controller = _controller(Recording(MtScript()), max_buffer_words=10, wait_k=3)
+    controller.step(["a", "b", "c", "d", "e", "f", "g", "h", "i."])
+    assert controller.history.buffered_source_words() == 9
+    controller.step(["j", "k"])  # wait-k holds: no request, but 11 words are buffered
+    assert controller.history.buffered_source_words() == 2
+    requests.clear()
+    controller.step(["l"])
+    assert [r.buffered_source_words() for r in requests] == [3]
+
+
 @pytest.mark.parametrize("bad", ["minus_one", "active_len"])
 def test_out_of_range_cut_is_a_protocol_error(bad) -> None:
     class BadBackend:

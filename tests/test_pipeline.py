@@ -207,7 +207,8 @@ def _check_invariants_after_every_step(mode: str, noisy: bool, count: int) -> No
 @pytest.mark.parametrize("mode", ["adapted", "baseline"])
 def test_the_mt_buffer_holds_the_budget_or_only_the_open_segment(mode, noisy) -> None:
     # Eviction removes only history, so a sentence longer than the budget
-    # overflows it by the open segment's own words, and no more. Run-on
+    # overflows it by the open segment's own words, and no more: in every
+    # request, and in the state after every step. Run-on
     # talks of 40, 200 and 800 words, and 20 sentences of 60-100 words.
     talks = [synth_sentences(random.Random(n), 1, n, n) for n in (40, 200, 800)]
     talks.append(synth_sentences(random.Random(60), 20, 60, 100))
@@ -225,14 +226,19 @@ def _check_buffer_after_every_step(mode: str, noisy: bool, sentences) -> Pipelin
     asr_script, mt_script, duration = build_scripts(
         sentences, seed=3, **(NOISY if noisy else {})
     )
-    pipeline = Pipeline(
-        preset_config(mode), MockAsrBackend(asr_script), MockMtBackend(mt_script)
-    )
-    budget = pipeline.config.mt.max_buffer_words
+    budget = preset_config(mode).mt.max_buffer_words
+
+    class Checked(MockMtBackend):
+        def translate(self, request):
+            assert request.buffered_source_words() <= max(budget, len(request.active_source))
+            return super().translate(request)
+
+    pipeline = Pipeline(preset_config(mode), MockAsrBackend(asr_script), Checked(mt_script))
     for event in chunked_trace(duration):
         pipeline.feed_audio(event.duration_s)
         history = pipeline.mt.history
         assert history.buffered_source_words() <= max(budget, len(history.active_source))
+    assert pipeline.mt.translate_calls > 0
     return pipeline
 
 
