@@ -228,14 +228,17 @@ class MtStreamController:
         """Make ``target`` the open segment's committed tokens; a closing
         sentinel moves the segment, up to its source cut, into the history."""
         h = self.history
-        source_history, target_history, active = h.history_source, h.history_target, h.active_source
-        if target[-1] == SENTINEL:
-            end = _source_cut(beams, len(target) - 1) + 1
-            source_history += (active[:end],)
-            target_history += (target[:-1],)
-            active, target = active[end:], ()
-            self.segment_ordinal += 1
-        self.history = self._request(source_history, target_history, active, target)
+        if target[-1] != SENTINEL:
+            self.history = self._request(h.history_source, h.history_target, h.active_source, target)
+            return
+        end = _source_cut(beams, len(target) - 1) + 1
+        self.history = self._request(
+            h.history_source + (h.active_source[:end],),
+            h.history_target + (target[:-1],),
+            h.active_source[end:],
+            (),
+        )
+        self.segment_ordinal += 1
         self._evict()
 
     def _evict(self) -> None:

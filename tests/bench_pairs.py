@@ -4,21 +4,19 @@
         --pairs 10 --seconds 30 --candidate "what the change side changes" \\
         --out BENCH_<n>.json
 
-Each side runs ``perfbench/run.py --workload W --seed S --seconds T`` in a
+Each side runs ``perfbench/run.py --workload W --seed 1 --seconds T`` in a
 fresh tree of its own: the parent side in a ``git archive`` of ``--parent``,
 the change side in a copy of the ``--change`` directory. Pair i runs both
 sides one after the other, the parent first when i is even. A
 ``--workload`` given more than once runs its pairs on each in turn.
 
-The comparison is appended to ``--out`` in the layout that
-``tests/test_bench_files.py`` checks, or, when the file already holds one
-for the same candidate, merged into it a workload at a time. Its verdict is
-"keep" when, on some workload, the change side's median of some judged
-metric is worse than the parent side's by more than the parent runs'
-interquartile range, and "delete" otherwise; ``--no-claim`` records
-"no claim" instead. Appends take a lock on the file, so runs pinned to
-different CPUs (``taskset -c N python tests/bench_pairs.py ...``; run.py
-pins itself to the lowest CPU it may use) can share one file.
+Each invocation appends one comparison to ``--out`` in the layout that
+``tests/test_bench_files.py`` checks. Its verdict is "keep" when, on some
+workload, the change side's median of some judged metric is worse than the
+parent side's by more than the parent runs' interquartile range, and
+"delete" otherwise; ``--no-claim`` records "no claim" instead. Run
+invocations one after another: runs side by side disturb each other's
+timings.
 
 Exits 1, after writing, if any run failed an operation or printed
 ``correct: false``.
@@ -27,7 +25,6 @@ Exits 1, after writing, if any run failed an operation or printed
 from __future__ import annotations
 
 import argparse
-import fcntl
 import json
 import platform
 import re
@@ -40,9 +37,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 JUDGED = ("sim_rtf", "step_ms_p95", "eval_rtf")
+SEED = 1
 _PROBE = re.compile(r"host speed: median probe ([0-9.]+) us")
 _METHOD = (
-    "Each run is `python3 perfbench/run.py --workload W --seed S --seconds T` (untraced) in a "
+    "Each run is `python3 perfbench/run.py --workload W --seed 1 --seconds T` (untraced) in a "
     "fresh tree: the parent side a `git archive` of the parent commit, the change side a copy of "
     "the changed tree. A pair runs both sides one after the other, and the side that runs first "
     "alternates. A candidate's verdict is 'keep' when, on a workload, the median of a judged "
@@ -68,17 +66,17 @@ def _change_tree(source: Path, into: Path) -> None:
     shutil.copytree(source, into, ignore=ignore)
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float, order: int) -> dict:
+def _run(tree: Path, workload: str, seconds: float, order: int) -> dict:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(SEED), "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True, check=True,
     )
     result = json.loads(done.stdout.strip().splitlines()[-1])
     probe = _PROBE.search(done.stdout)
     return {
         "order": order,
-        "seed": seed,
+        "seed": SEED,
         "seconds": seconds,
         "probe_us": float(probe.group(1)) if probe else None,
         "correct": result["correct"],
@@ -127,30 +125,22 @@ def _append(out: Path, commit: str, candidate: str, no_claim: bool, workloads: d
         m["name"]: m["better"]
         for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     }
-    with open(out, "a+", encoding="utf-8") as f:
-        fcntl.flock(f, fcntl.LOCK_EX)
-        f.seek(0)
-        text = f.read()
-        bench = json.loads(text) if text.strip() else {
-            "title": "Alternating benchmark pairs, parent against change",
-            "parent": commit,
-            "python": f"{platform.python_implementation()} {platform.python_version()}",
-            "host": f"{platform.system()} {platform.machine()}; run.py pins each run to one CPU",
-            "method": _METHOD,
-            "comparisons": [],
-        }
-        if bench["parent"] != commit:
-            sys.exit(f"{out} compares against {bench['parent']}, not {commit}")
-        comparison = next((c for c in bench["comparisons"] if c["candidate"] == candidate), None)
-        if comparison is None:
-            comparison = {"candidate": candidate, "verdict": "no claim",
-                          "judged": list(JUDGED), "workloads": {}}
-            bench["comparisons"].append(comparison)
-        comparison["workloads"].update(workloads)
-        comparison["verdict"] = "no claim" if no_claim else _verdict(comparison, better)
-        f.seek(0)
-        f.truncate()
-        f.write(json.dumps(bench, indent=1, ensure_ascii=False) + "\n")
+    bench = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {
+        "title": "Alternating benchmark pairs, parent against change",
+        "parent": commit,
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+        "host": f"{platform.system()} {platform.machine()}; run.py pins each run to one CPU",
+        "method": _METHOD,
+        "comparisons": [],
+    }
+    if bench["parent"] != commit:
+        sys.exit(f"{out} compares against {bench['parent']}, not {commit}")
+    comparison = {"candidate": candidate, "verdict": "no claim",
+                  "judged": list(JUDGED), "workloads": workloads}
+    if not no_claim:
+        comparison["verdict"] = _verdict(comparison, better)
+    bench["comparisons"].append(comparison)
+    out.write_text(json.dumps(bench, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
 def main(argv=None) -> int:
@@ -160,7 +150,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, action="append")
     parser.add_argument("--pairs", required=True, type=int)
     parser.add_argument("--seconds", required=True, type=float)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--candidate", required=True, help="what the change side changes")
     parser.add_argument("--no-claim", action="store_true", help='record "no claim" as the verdict')
     parser.add_argument("--out", required=True, type=Path, help="the BENCH file to append to")
@@ -179,7 +168,7 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for offset, side in enumerate(sides):
-                    run = _run(trees[side], workload, args.seed, args.seconds, 2 * i + offset)
+                    run = _run(trees[side], workload, args.seconds, 2 * i + offset)
                     runs[side].append(run)
                     print(f"{workload} pair {i} {side}: "
                           + ", ".join(f"{m} {run['metrics'][m]['value']:.4g}" for m in JUDGED),

@@ -278,6 +278,17 @@ def test_a_step_that_wait_k_holds_evicts_before_the_next_request() -> None:
     assert [r.buffered_source_words() for r in requests] == [3]
 
 
+def test_a_run_on_sentence_counts_one_overflow_per_step_over_budget() -> None:
+    controller = _controller(max_buffer_words=10, wait_k=3)
+    for i in range(15):
+        controller.step([f"w{i}"])
+    # No segment closes, so only the steps that bring the open segment to
+    # 11..15 words end over budget; a commit that closes nothing evicts nothing.
+    assert controller.history.buffered_source_words() == 15
+    assert controller.budget_overflows == 5
+    assert controller.max_buffered_words == 15
+
+
 @pytest.mark.parametrize("bad", ["minus_one", "active_len"])
 def test_out_of_range_cut_is_a_protocol_error(bad) -> None:
     class BadBackend:
