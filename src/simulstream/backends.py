@@ -34,7 +34,6 @@ from .core import (
     quote,
     read_json_file,
     read_record,
-    record_fields,
 )
 from .textnorm import has_terminal_mark
 
@@ -114,8 +113,10 @@ class AsrScript:
     Words ending within ``stabilization_delay_s`` of the window end are
     still "unstable" and come back perturbed (case flip, punctuation
     toggle, or a small character edit, never more than two raw edits);
-    earlier words are returned verbatim. Perturbations depend only on
-    (seed, window end, word), so identical requests get identical replies.
+    earlier words are returned verbatim. A decode that returns an unstable
+    word seeds one RNG from ``seed`` and its window (start, and end clipped
+    to the audio), and its unstable words draw from it in script order; a
+    decode with none seeds nothing. Identical windows get identical replies.
     The audio lasts until the last word ends unless ``audio_duration_s``
     says otherwise. A decode costs ``cost_base_s`` plus ``cost_per_audio_s``
     per second of window, which must stay finite for a window as long as
@@ -178,10 +179,13 @@ class MtScript:
     ``X~b`` for beam b, so no two beams share a perturbed token; the
     sentinel is never perturbed. A request that can draw (a noisy script,
     ``beam_size`` > 1, active source left) seeds one RNG from ``seed`` and
-    the request, and beams 2..N draw from it in order; a clean script
-    seeds none and its beams share beam 1's tuples. Each token's source
-    cut is the word it translates (the sentinel's is the sentence-final
-    word), so the cuts run down the diagonal.
+    the fields its reply is computed from, ``active_source``,
+    ``committed_target`` and ``beam_size`` (not the history or the
+    attention layer tag, which change no beam), and beams 2..N draw from
+    it in order; a clean script seeds none and its beams share beam 1's
+    tuples. Each token's source cut is the word it translates (the
+    sentinel's is the sentence-final word), so the cuts run down the
+    diagonal.
     """
 
     word_map: Mapping[str, str] = field(default_factory=dict)
@@ -254,12 +258,14 @@ def mock_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
     lo = bisect_left(script._starts, start)
     hi = bisect_right(script._starts, end, lo)
     words = []
+    rng = None  # seeded at the first unstable word; the rest draw from it in order
     for i in sorted(script._by_start[lo:hi]):
         w = script.words[i]
         if w.end_s > end:
             continue
         if w.end_s > stable_before:
-            rng = random.Random(f"{script.seed}:asr:{end!r}:{i}:{w.text}")
+            if rng is None:
+                rng = random.Random(f"{script.seed}:asr:{start!r}:{end!r}")
             text = _perturb_word(w.text, rng)
             if text != w.text:
                 w = TimedWord(text, w.start_s, w.end_s)
@@ -269,10 +275,9 @@ def mock_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
 
 
 def _mt_fingerprint(request: MtRequest) -> str:
-    # The fields in field order, as a list: holding no object, it keeps the
-    # bytes the draws are seeded with. Only a request that can draw pays for
-    # it, once, to seed the one RNG its beams 2..N share.
-    return canonical_json(list(record_fields(request).values()))
+    # The fields a reply is computed from, and only those: the history and
+    # the attention layer tag change no beam, so they do not key the draws.
+    return canonical_json([request.active_source, request.committed_target, request.beam_size])
 
 
 def mock_mt_translate(script: MtScript, request: MtRequest) -> MtResponse:

@@ -196,7 +196,10 @@ class WireChannel:
 
     def _read_line(self, timeout_s: float) -> str:
         deadline = time.monotonic() + timeout_s
-        while b"\n" not in self._buffer:
+        # Only the newest chunk can hold the first newline, and the chunks
+        # are joined once: a long reply costs linear time, not quadratic.
+        chunks = [self._buffer]
+        while b"\n" not in chunks[-1]:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise BackendError(f"timeout after {timeout_s}s waiting for response")
@@ -205,8 +208,8 @@ class WireChannel:
             chunk = os.read(self._proc.stdout.fileno(), 65536)
             if not chunk:
                 raise BackendError("backend closed the connection")
-            self._buffer += chunk
-        line, _, self._buffer = self._buffer.partition(b"\n")
+            chunks.append(chunk)
+        line, _, self._buffer = b"".join(chunks).partition(b"\n")
         try:
             return line.decode("utf-8")
         except UnicodeDecodeError as exc:

@@ -14,10 +14,19 @@ Each invocation appends one comparison to ``--out`` in the layout that
 ``tests/test_bench_files.py`` checks. Its verdict is "keep" when, on some
 workload, the change side's median of some judged metric is worse than the
 parent side's by more than the parent runs' interquartile range, and
-"delete" otherwise; ``--no-claim`` records "no claim" instead. Run
-invocations one after another: runs side by side disturb each other's
-timings.
+"delete" otherwise; ``--no-claim`` records "no claim" instead.
+``--claim WORKLOAD:METRIC`` states a gain and records "gain" or "no gain":
+"gain" when, on that workload, the change side's median of that metric
+beats the parent side's by more than the parent IQR, the change side wins
+at least 8 in 10 of the pairs on it, and no judged metric on any workload
+is worse by more than its parent IQR. Run invocations one after another:
+runs side by side disturb each other's timings.
 
+``--trace`` runs ``--trace 1`` instead and records the per-layer metrics
+each run prints, with "no claim": the host time of each layer, which the
+untraced runs do not report.
+
+A SIGTERM stops the running ``perfbench/run.py`` and removes both trees.
 Exits 1, after writing, if any run failed an operation or printed
 ``correct: false``.
 """
@@ -29,6 +38,7 @@ import json
 import platform
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -37,7 +47,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 JUDGED = ("sim_rtf", "step_ms_p95", "eval_rtf")
+# Printed as each traced run ends.
+TRACED_SHOWN = (
+    "backends.asr_decode.us_per_call", "backends.mt_translate.us_per_call",
+    "mt_stream.step.us_per_call",
+)
 SEED = 1
+# A claimed gain must win at least 8 in 10 of its pairs.
+WINS_IN_TEN = 8
+PYTHON = f"{platform.python_implementation()} {platform.python_version()}"
 _PROBE = re.compile(r"host speed: median probe ([0-9.]+) us")
 _METHOD = (
     "Each run is `python3 perfbench/run.py --workload W --seed 1 --seconds T` (untraced) in a "
@@ -45,7 +63,11 @@ _METHOD = (
     "the changed tree. A pair runs both sides one after the other, and the side that runs first "
     "alternates. A candidate's verdict is 'keep' when, on a workload, the median of a judged "
     "metric on the change side is worse than the parent side's by more than the parent runs' "
-    "interquartile range, and 'delete' otherwise. Made with tests/bench_pairs.py."
+    "interquartile range, and 'delete' otherwise. A claimed gain on a workload's metric is "
+    "'gain' when the change side's median beats the parent side's by more than the parent IQR, "
+    "the change side wins at least 8 in 10 of the pairs on it, and no judged metric on any "
+    "workload is worse by more than its parent IQR, and 'no gain' otherwise. Made with "
+    "tests/bench_pairs.py."
 )
 
 
@@ -66,16 +88,17 @@ def _change_tree(source: Path, into: Path) -> None:
     shutil.copytree(source, into, ignore=ignore)
 
 
-def _run(tree: Path, workload: str, seconds: float, order: int) -> dict:
+def _run(tree: Path, workload: str, seconds: float, order: int, trace: bool = False) -> dict:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(SEED), "--seconds", str(seconds)],
+         "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(int(trace))],
         cwd=tree, capture_output=True, text=True, check=True,
     )
     result = json.loads(done.stdout.strip().splitlines()[-1])
     probe = _PROBE.search(done.stdout)
     return {
         "order": order,
+        "python": PYTHON,
         "seed": SEED,
         "seconds": seconds,
         "probe_us": float(probe.group(1)) if probe else None,
@@ -106,39 +129,67 @@ def _summary(parent: list, change: list) -> dict:
     }
 
 
+def _worse(workload: dict, metric: str, better: dict) -> float:
+    """How much worse the change side's median is than the parent side's."""
+    median = workload["median"]
+    worse = median["change"][metric] - median["parent"][metric]
+    return -worse if better[metric] == "higher" else worse
+
+
+def _regressed(comparison: dict, better: dict) -> bool:
+    """Whether some judged metric's change median is worse than the parent's
+    by more than the parent IQR on some workload."""
+    return any(
+        _worse(workload, metric, better) > workload["parent_iqr"][metric]
+        for workload in comparison["workloads"].values()
+        for metric in comparison["judged"]
+    )
+
+
+def _gained(comparison: dict, better: dict) -> bool:
+    """Whether the claimed metric beats the parent by more than its IQR in
+    the medians and wins at least ``WINS_IN_TEN`` in 10 of the pairs."""
+    name, metric = comparison["claim"].split(":")
+    workload = comparison["workloads"][name]
+    higher = better[metric] == "higher"
+    wins = 0
+    for p, c in zip(workload["parent"], workload["change"]):
+        parent, change = p["metrics"][metric]["value"], c["metrics"][metric]["value"]
+        wins += change > parent if higher else change < parent
+    return (
+        -_worse(workload, metric, better) > workload["parent_iqr"][metric]
+        and 10 * wins >= WINS_IN_TEN * len(workload["parent"])
+    )
+
+
 def _verdict(comparison: dict, better: dict) -> str:
-    """"keep" if some judged metric's change median is worse than the
-    parent's by more than the parent IQR on some workload, else "delete"."""
-    for workload in comparison["workloads"].values():
-        median, iqr = workload["median"], workload["parent_iqr"]
-        for metric in comparison["judged"]:
-            worse = median["change"][metric] - median["parent"][metric]
-            if better[metric] == "higher":
-                worse = -worse
-            if worse > iqr[metric]:
-                return "keep"
-    return "delete"
+    """"gain" or "no gain" for a claim; otherwise "keep" if some judged
+    metric regressed, else "delete"."""
+    if "claim" in comparison:
+        gained = _gained(comparison, better) and not _regressed(comparison, better)
+        return "gain" if gained else "no gain"
+    return "keep" if _regressed(comparison, better) else "delete"
 
 
-def _append(out: Path, commit: str, candidate: str, no_claim: bool, workloads: dict) -> None:
-    better = {
+def _better() -> dict:
+    """Each end-to-end metric's better direction, from ``BENCHMARK.json``."""
+    return {
         m["name"]: m["better"]
         for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     }
+
+
+def _append(out: Path, commit: str, comparison: dict) -> None:
     bench = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {
         "title": "Alternating benchmark pairs, parent against change",
         "parent": commit,
-        "python": f"{platform.python_implementation()} {platform.python_version()}",
+        "python": PYTHON,
         "host": f"{platform.system()} {platform.machine()}; run.py pins each run to one CPU",
         "method": _METHOD,
         "comparisons": [],
     }
     if bench["parent"] != commit:
         sys.exit(f"{out} compares against {bench['parent']}, not {commit}")
-    comparison = {"candidate": candidate, "verdict": "no claim",
-                  "judged": list(JUDGED), "workloads": workloads}
-    if not no_claim:
-        comparison["verdict"] = _verdict(comparison, better)
     bench["comparisons"].append(comparison)
     out.write_text(json.dumps(bench, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
 
@@ -151,12 +202,26 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", required=True, type=int)
     parser.add_argument("--seconds", required=True, type=float)
     parser.add_argument("--candidate", required=True, help="what the change side changes")
-    parser.add_argument("--no-claim", action="store_true", help='record "no claim" as the verdict')
+    claims = parser.add_mutually_exclusive_group()
+    claims.add_argument("--no-claim", action="store_true", help='record "no claim" as the verdict')
+    claims.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help='the gain the change claims: record "gain" or "no gain"')
+    claims.add_argument("--trace", action="store_true",
+                        help='traced runs: per-layer metrics and "no claim"')
     parser.add_argument("--out", required=True, type=Path, help="the BENCH file to append to")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be >= 2: the parent IQR needs two runs")
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in args.workload or metric not in _better():
+            parser.error(f"--claim needs a --workload and an end-to-end metric, "
+                         f"got {args.claim!r}")
 
+    # A SIGTERM unwinds like an exception: ``subprocess.run`` kills the
+    # running benchmark, and ``finally`` removes both trees.
+    previous = signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
+    shown = TRACED_SHOWN if args.trace else JUDGED
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         trees = {"parent": work / "parent", "change": work / "change"}
@@ -168,15 +233,24 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for offset, side in enumerate(sides):
-                    run = _run(trees[side], workload, args.seconds, 2 * i + offset)
+                    run = _run(trees[side], workload, args.seconds, 2 * i + offset, args.trace)
                     runs[side].append(run)
                     print(f"{workload} pair {i} {side}: "
-                          + ", ".join(f"{m} {run['metrics'][m]['value']:.4g}" for m in JUDGED),
+                          + ", ".join(f"{m} {run['metrics'][m]['value']:.4g}" for m in shown),
                           flush=True)
             workloads[workload] = _summary(runs["parent"], runs["change"])
-        _append(args.out, commit, args.candidate, args.no_claim, workloads)
+        comparison = {"candidate": args.candidate, "verdict": "no claim",
+                      "judged": [] if args.trace else list(JUDGED), "workloads": workloads}
+        if args.trace:
+            comparison["traced"] = True
+        elif args.claim is not None:
+            comparison["claim"] = args.claim
+        if not (args.trace or args.no_claim):
+            comparison["verdict"] = _verdict(comparison, _better())
+        _append(args.out, commit, comparison)
     finally:
         shutil.rmtree(work, ignore_errors=True)
+        signal.signal(signal.SIGTERM, previous)
     bad = [
         (name, run["order"])
         for name, w in workloads.items()

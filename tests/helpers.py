@@ -27,7 +27,6 @@ from simulstream.backends import (
     MtRequest,
     MtResponse,
     MtScript,
-    _mt_fingerprint,
     _perturb_word,
 )
 from simulstream.core import (
@@ -391,7 +390,11 @@ def oracle_laal(delays: list[float], span: float, ref_len: int) -> float:
 
 def oracle_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
     """The mock ASR decode as a scan over every script word, in script
-    order; a window that ends at the audio's end perturbs no word."""
+    order; a window that ends at the audio's end perturbs no word.
+
+    The unstable words draw, in script order, from one RNG seeded from the
+    script seed and the window: its start and its end clipped to the audio.
+    """
     start, end = request.window_start_s, request.window_end_s
     if start < 0 or start > end:
         raise InvalidArgumentError(f"window [{start}, {end}] needs 0 <= start <= end")
@@ -402,13 +405,15 @@ def oracle_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
         )
     end = min(end, script.audio_duration_s)
     at_end = end == script.audio_duration_s  # no later audio: nothing unstable
+    # Seeded whatever the window: a decode with no unstable word draws
+    # nothing from it.
+    rng = random.Random(f"{script.seed}:asr:{start!r}:{end!r}")
     words = []
-    for i, w in enumerate(script.words):
+    for w in script.words:
         if w.start_s < start or w.end_s > end:
             continue
         text = w.text
         if not at_end and w.end_s > end - script.stabilization_delay_s:
-            rng = random.Random(f"{script.seed}:asr:{end!r}:{i}:{w.text}")
             text = _perturb_word(w.text, rng)
         words.append(TimedWord(text, w.start_s, w.end_s))
     cost = script.cost_base_s + script.cost_per_audio_s * (end - start)
@@ -418,10 +423,13 @@ def oracle_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
 def _oracle_mt_beams(script: MtScript, request: MtRequest) -> list[tuple[list[str], list[int]]]:
     """Each beam's tokens and the source position each token translates.
 
-    One RNG per request, seeded whatever the script, and beams 2..N draw
-    from it in order: a truncation when ``tail_truncate_max`` is set, then
-    a perturbation draw while the tail is not empty. A perturbed token ``X``
-    of beam b becomes ``X~b``, unless it is the sentinel.
+    One RNG per request, seeded whatever the script from the script seed
+    and the fields the reply is computed from (the active source, the
+    committed target and the beam size, as a canonical JSON list), and
+    beams 2..N draw from it in order: a truncation when
+    ``tail_truncate_max`` is set, then a perturbation draw while the tail is
+    not empty. A perturbed token ``X`` of beam b becomes ``X~b``, unless it
+    is the sentinel.
     """
     active = list(request.active_source)
     full_tokens: list[str] = []
@@ -437,7 +445,8 @@ def _oracle_mt_beams(script: MtScript, request: MtRequest) -> list[tuple[list[st
     continuation = full_tokens[len(committed) :]
     # Committed tokens beyond this translation cut at the last active word.
     positions += [len(active) - 1] * (len(committed) - len(positions))
-    rng = random.Random(f"{script.seed}:mt:{_mt_fingerprint(request)}")
+    keyed_by = [request.active_source, request.committed_target, request.beam_size]
+    rng = random.Random(f"{script.seed}:mt:{oracle_canonical_json(keyed_by)}")
     beams = []
     for b in range(1, request.beam_size + 1):
         tail = list(continuation)
@@ -501,7 +510,7 @@ def oracle_mt_rows(
     active = request.active_source
     if not active:
         return []
-    rng = random.Random(f"{script.seed}:rows:{_mt_fingerprint(request)}")
+    rng = random.Random(f"{script.seed}:rows:{oracle_canonical_json(request)}")
     return [
         (tuple(tokens), tuple(_one_hot(pos, len(active), blur, rng) for pos in positions))
         for tokens, positions in _oracle_mt_beams(script, request)

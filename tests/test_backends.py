@@ -14,6 +14,7 @@ from helpers import (
     build_scripts,
     chunked_trace,
     oracle_asr_decode,
+    oracle_canonical_json,
     oracle_levenshtein,
     oracle_mt_rows,
     oracle_mt_translate,
@@ -346,17 +347,18 @@ def _count_seeds(monkeypatch) -> tuple[list, list]:
 
 
 def _check_asr_seeds(script: AsrScript, asr_calls: list) -> int:
-    """Each decode seeds one RNG per unstable word it returns, and a decode
-    whose window ends at the audio's end none; return the total."""
+    """A decode that returns an unstable word seeds one RNG, from the seed
+    and its window, and any other decode (one whose window ends at the
+    audio's end among them) none; return the number of seeds."""
     total = 0
     for request, reply, seeds in asr_calls:
+        start = request.window_start_s
         end = min(request.window_end_s, script.audio_duration_s)
         at_end = end == script.audio_duration_s
         stable_before = end if at_end else end - script.stabilization_delay_s
-        unstable = sum(w.end_s > stable_before for w in reply.hypothesis.words)
-        assert len(seeds) == unstable
-        assert all(":asr:" in seed for seed in seeds)
-        total += unstable
+        unstable = any(w.end_s > stable_before for w in reply.hypothesis.words)
+        assert seeds == ([f"{script.seed}:asr:{start!r}:{end!r}"] if unstable else [])
+        total += len(seeds)
     return total
 
 
@@ -374,10 +376,12 @@ def test_mocks_seed_no_rng_on_the_golden_talk(monkeypatch) -> None:
 
 
 def _mt_seeds(script: MtScript, request: MtRequest) -> list[str]:
-    """The one seed of a request that can draw, or none."""
+    """The one seed of a request that can draw, or none: the script seed
+    and the fields the reply is computed from."""
     noisy = script.tail_truncate_max > 0 or script.tail_perturb_prob > 0
     if noisy and request.beam_size > 1 and request.active_source:
-        return [f"{script.seed}:mt:{backends._mt_fingerprint(request)}"]
+        keyed_by = [request.active_source, request.committed_target, request.beam_size]
+        return [f"{script.seed}:mt:{oracle_canonical_json(keyed_by)}"]
     return []
 
 
@@ -395,7 +399,8 @@ def test_noisy_mock_mt_seeds_one_rng_per_request_that_can_draw(monkeypatch) -> N
     assert sum(bool(request.active_source) for request, _, _ in mt_calls) > 20
     for request, _, seeds in mt_calls:
         assert seeds == _mt_seeds(mt_script, request)
-    assert _check_asr_seeds(asr_script, asr_calls) > 50
+    # Nearly every decode ends inside the talk, with an unstable tail.
+    assert _check_asr_seeds(asr_script, asr_calls) >= len(asr_calls) - 1 > 30
 
     # Off the pipeline's path: one beam, an empty source or a clean script
     # seeds nothing.
@@ -410,6 +415,34 @@ def test_noisy_mock_mt_seeds_one_rng_per_request_that_can_draw(monkeypatch) -> N
                 assert seeds == _mt_seeds(script, request)
                 seeded += len(seeds)
     assert seeded == 2  # the two noisy scripts, four beams, a source left
+
+
+def test_noisy_mt_reply_ignores_the_history_and_the_layer_tag() -> None:
+    # The draws are keyed by the fields the reply is computed from, so a
+    # request that differs only in fields the mock never reads gets the
+    # same reply, noise and all.
+    rng = random.Random(3303)
+    noisy_replies = 0
+    for _ in range(600):
+        script = MtScript(
+            tail_truncate_max=rng.choice((0, 1, 3)),
+            tail_perturb_prob=rng.choice((0.3, 1.0)),
+            seed=rng.randrange(1000),
+        )
+        request = replace(_random_mt_request(rng, script), beam_size=rng.randint(2, 8))
+        reply = mock_mt_translate(script, request)
+        beams = reply.beams.beams
+        noisy_replies += any(b.tokens != beams[0].tokens for b in beams)
+        n = len(request.history_source)
+        other = [tuple(tuple(s) for s in synth_sentences(rng, k)) for k in (n, n, n + 1)]
+        for changed in (
+            replace(request, history_source=other[0]),
+            replace(request, history_target=tuple(tuple(w.upper() for w in s) for s in other[1])),
+            replace(request, history_source=other[2], history_target=other[2]),
+            replace(request, attention_layer_tag=rng.choice(("4", "6", "last"))),
+        ):
+            assert mock_mt_translate(script, changed) == reply
+    assert noisy_replies > 100
 
 
 def test_mt_translate_everything_committed_gives_empty_continuation() -> None:

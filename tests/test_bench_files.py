@@ -10,7 +10,8 @@ lists. Its layout::
       "comparisons": [
         {
           "candidate": "<what the change side changes>",
-          "verdict": "keep" | "delete" | "no claim",
+          "claim": "<workload>:<metric>",  (only on a claimed gain)
+          "verdict": "keep" | "delete" | "no claim" | "gain" | "no gain",
           "judged": ["<metric>", ...],
           "workloads": {
             "<workload>": {
@@ -27,21 +28,30 @@ lists. Its layout::
 
 with each run ``{"order": <int>, "seed": <int>, "seconds": <float>,
 "metrics": {"<metric>": {"value": <float>, "unit": "<unit>"}}}``, the
-``metrics`` being the end-to-end object ``run.py`` prints last, and any
-other top-level or run keys free text or context (a host probe, say).
-``parent[i]`` and ``change[i]`` are pair i: they ran one after the other,
-at orders 2i and 2i + 1 in the workload's sequence, the side that ran
-first alternating from pair to pair, and with the same seed and run
-length. The medians are of each side's runs; ``parent_iqr`` is the parent
-runs' interquartile range, by ``statistics.quantiles`` (its default,
-exclusive method).
+``metrics`` being the end-to-end object ``run.py`` prints last, an
+optional ``"python"`` naming the interpreter that ran it, and any other
+top-level or run keys free text or context (a host probe, say). A
+comparison marked ``"traced": true`` holds traced runs instead: their
+``metrics`` are the per-layer object a ``--trace 1`` run prints, and its
+verdict is "no claim". ``parent[i]`` and ``change[i]`` are pair i: they
+ran one after the other, at orders 2i and 2i + 1 in the workload's
+sequence, the side that ran first alternating from pair to pair, and with
+the same seed and run length. The medians are of each side's runs;
+``parent_iqr`` is the parent runs' interquartile range, by
+``statistics.quantiles`` (its default, exclusive method).
 
-A candidate is a fast path: the change side runs without it. Its verdict
-is "keep" exactly when, on some workload, the median of some ``judged``
-metric is worse on the change side than on the parent side by more than
-the parent's interquartile range (worse as ``BENCHMARK.json``'s ``better``
-says), and "delete" otherwise. A "no claim" comparison states no verdict
-to check.
+A comparison with a ``claim`` states a gain on one workload's metric. Its
+verdict is "gain" exactly when, on that workload, the change side's median
+of that metric is better than the parent side's by more than the parent's
+interquartile range, the change side is better in at least 8 in 10 of the
+pairs, and no ``judged`` metric regressed (below); "no gain" otherwise.
+
+Any other candidate is a fast path: the change side runs without it. Its
+verdict is "keep" exactly when some ``judged`` metric regressed, that is,
+on some workload its median is worse on the change side than on the
+parent side by more than the parent's interquartile range (worse and
+better as ``BENCHMARK.json``'s ``better`` says), and "delete" otherwise. A
+"no claim" comparison states no verdict to check.
 """
 
 from __future__ import annotations
@@ -58,6 +68,7 @@ BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 BENCHMARK = read_json_file(ROOT / "BENCHMARK.json")
 WORKLOADS = {w["name"] for w in BENCHMARK["workloads"]}
 END_TO_END = {m["name"]: m for m in BENCHMARK["end_to_end"]}
+PER_LAYER = {m["name"]: m for m in BENCHMARK["per_layer"]}
 
 
 def test_the_repo_has_a_bench_file() -> None:
@@ -81,15 +92,24 @@ def test_a_bench_file_names_only_what_the_benchmark_lists(path) -> None:
     assert bench["comparisons"]
     for comparison, name, workload in _workloads(path):
         assert type(comparison["candidate"]) is str and comparison["candidate"]
-        assert comparison["verdict"] in ("keep", "delete", "no claim")
+        if "claim" in comparison:
+            claimed, _, metric = comparison["claim"].partition(":")
+            assert claimed in comparison["workloads"] and metric in END_TO_END, comparison
+            assert comparison["verdict"] in ("gain", "no gain"), comparison["candidate"]
+        elif comparison.get("traced"):
+            assert comparison["verdict"] == "no claim", comparison["candidate"]
+        else:
+            assert comparison["verdict"] in ("keep", "delete", "no claim")
+        listed = PER_LAYER if comparison.get("traced") else END_TO_END
         assert set(comparison["judged"]) <= set(END_TO_END), comparison["candidate"]
         assert name in WORKLOADS, name
         for run in workload["parent"] + workload["change"]:
             assert type(run["seed"]) is int and run["seconds"] > 0
+            assert type(run.get("python", "")) is str, (name, run["order"])
             assert run["metrics"], (name, run)
             for metric, figure in run["metrics"].items():
-                assert metric in END_TO_END, (name, metric)
-                assert figure["unit"] == END_TO_END[metric]["unit"], (name, metric)
+                assert metric in listed, (name, metric)
+                assert figure["unit"] == listed[metric]["unit"], (name, metric)
                 assert type(figure["value"]) in (int, float), (name, metric)
 
 
@@ -127,19 +147,40 @@ def test_recorded_medians_and_ranges_are_those_of_the_runs(path) -> None:
             assert iqr == high - low, (where, metric)
 
 
+def _worse(workload: dict, metric: str) -> float:
+    """How much worse the change side's median is than the parent side's."""
+    median = workload["median"]
+    worse = median["change"][metric] - median["parent"][metric]
+    return -worse if END_TO_END[metric]["better"] == "higher" else worse
+
+
+def _pair_wins(workload: dict, metric: str) -> int:
+    """The pairs in which the change side's run is better than the parent's."""
+    higher = END_TO_END[metric]["better"] == "higher"
+    wins = 0
+    for p, c in zip(_values(workload["parent"], metric), _values(workload["change"], metric)):
+        wins += c > p if higher else c < p
+    return wins
+
+
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
 def test_each_verdict_follows_from_the_medians(path) -> None:
-    moved: dict[str, list] = {}
-    for comparison, name, workload in _workloads(path):
-        median, iqr = workload["median"], workload["parent_iqr"]
-        for metric in comparison["judged"]:
-            worse = median["change"][metric] - median["parent"][metric]
-            if END_TO_END[metric]["better"] == "higher":
-                worse = -worse
-            if worse > iqr[metric]:
-                moved.setdefault(comparison["candidate"], []).append((name, metric))
     for comparison in read_json_file(path)["comparisons"]:
         candidate, verdict = comparison["candidate"], comparison["verdict"]
-        if verdict != "no claim":
-            expected = "keep" if candidate in moved else "delete"
-            assert verdict == expected, (candidate, moved.get(candidate))
+        regressed = [
+            (name, metric)
+            for name, workload in comparison["workloads"].items()
+            for metric in comparison["judged"]
+            if _worse(workload, metric) > workload["parent_iqr"][metric]
+        ]
+        if "claim" in comparison:
+            name, _, metric = comparison["claim"].partition(":")
+            workload = comparison["workloads"][name]
+            gained = (
+                -_worse(workload, metric) > workload["parent_iqr"][metric]
+                and 10 * _pair_wins(workload, metric) >= 8 * len(workload["parent"])
+                and not regressed
+            )
+            assert verdict == ("gain" if gained else "no gain"), (candidate, regressed)
+        elif verdict != "no claim":
+            assert verdict == ("keep" if regressed else "delete"), (candidate, regressed)

@@ -28,6 +28,7 @@ from simulstream.core import (
     InvalidArgumentError,
     canonical_json,
     check_emission_log,
+    dump_jsonl,
     read_json_file,
     record_fields,
 )
@@ -150,6 +151,22 @@ def test_baseline_mode_runs_end_to_end() -> None:
 
 
 NOISY = dict(stabilization_delay_s=0.6, tail_truncate_max=2, tail_perturb_prob=0.3)
+
+
+def test_presets_write_the_same_log_on_a_noisy_talk() -> None:
+    # The presets differ only in the history they evict, and no mock reply
+    # reads the history: the logs match byte for byte, noise and all.
+    sentences = synth_sentences(random.Random(233), 200)
+    logs, histories = {}, {}
+    for mode in ("adapted", "baseline"):
+        pipeline, records, _ = _run(sentences, mode, seed=233, **NOISY)
+        assert pipeline.mt.evictions > 0
+        logs[mode] = dump_jsonl(records)
+        histories[mode] = pipeline.mt.history.history_source
+    assert histories["adapted"] != histories["baseline"]
+    assert logs["adapted"] == logs["baseline"]
+    # The noise reaches the log: the clean talk's differs.
+    assert dump_jsonl(_run(sentences, "adapted", seed=233)[1]) != logs["adapted"]
 
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])

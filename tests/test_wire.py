@@ -10,6 +10,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -509,6 +510,36 @@ def test_channel_never_returns_a_late_reply_after_a_timeout() -> None:
         for n in (2, 3):
             with pytest.raises(BackendError, match="timeout"):
                 channel.roundtrip(f'{{"n":{n}}}', 5.0)
+    finally:
+        channel.close()
+
+
+# Answers its first request with two long lines at once and its second with
+# nothing more, so the second line must come from what the first read left.
+_LONG_LINES_SERVER = """\
+import sys
+n = int(sys.argv[1])
+sys.stdin.readline()
+sys.stdout.buffer.write(b"x" * n + b"\\n" + b"y" * n + b"\\n")
+sys.stdout.flush()
+sys.stdin.readline()
+"""
+
+
+def test_a_long_reply_is_read_in_linear_time(monkeypatch) -> None:
+    # The pipe hands over 1 KiB a read, as from a slow writer. A read loop
+    # that rescans and recopies its whole buffer for each chunk moves about
+    # 16 GB for a 4 MiB line and runs out its timeout; one that searches
+    # only the new chunk and joins the chunks once takes milliseconds.
+    size = 4 << 20
+    real_read = os.read
+    monkeypatch.setattr(
+        "simulstream.wire.os", SimpleNamespace(read=lambda fd, n: real_read(fd, min(n, 1024)))
+    )
+    channel = WireChannel.spawn([sys.executable, "-c", _LONG_LINES_SERVER, str(size)])
+    try:
+        assert channel.roundtrip("first", 2.0) == "x" * size
+        assert channel.roundtrip("second", 2.0) == "y" * size
     finally:
         channel.close()
 
