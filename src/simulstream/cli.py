@@ -32,10 +32,23 @@ from .core import (
 _TABLE_HEADERS = ("M", "mdn", "p90", "p95", "p99", "max")
 
 
+# The keys of the config's ``backend`` object, by kind; any other is refused.
+_BACKEND_KEYS = {"mock": ("kind",), "wire": ("kind", "command", "timeout_s")}
+
+
 def _build_backends(config: dict, config_dir: Path):
+    """The ASR and MT backends a config names, and the wire channel to
+    close after the run, or None."""
     backend = json_field(config, "backend", dict, default={"kind": "mock"})
     kind = json_field(backend, "kind", str, "backend")
-    closers = []
+    if kind not in _BACKEND_KEYS:
+        raise InvalidArgumentError(must_be("backend.kind", "'mock' or 'wire'", kind))
+    for key, value in backend.items():
+        if key not in _BACKEND_KEYS[kind]:
+            takes = ", ".join(_BACKEND_KEYS[kind])
+            raise InvalidArgumentError(
+                must_be(f"backend.{key}", f"left out: a {kind!r} backend takes only {takes}", value)
+            )
     if kind == "mock":
         from .backends import MockAsrBackend, MockMtBackend, load_mock_script
 
@@ -43,25 +56,17 @@ def _build_backends(config: dict, config_dir: Path):
         if not script_path:
             raise InvalidArgumentError(must_be("mock_script", "a file name", script_path))
         scripts = load_mock_script(config_dir / script_path)
-        return MockAsrBackend(scripts.asr), MockMtBackend(scripts.mt), closers
-    if kind == "wire":
-        from .wire import DEFAULT_TIMEOUT_S, WireAsrBackend, WireChannel, WireMtBackend
+        return MockAsrBackend(scripts.asr), MockMtBackend(scripts.mt), None
+    from .wire import DEFAULT_TIMEOUT_S, WireAsrBackend, WireChannel, WireMtBackend
 
-        command = json_field(backend, "command", list, "backend", items=str)
-        if not command:
-            raise InvalidArgumentError(must_be("backend.command", "a non-empty list", command))
-        timeout = json_field(backend, "timeout_s", float, "backend", default=DEFAULT_TIMEOUT_S)
-        if not timeout > 0:
-            raise InvalidArgumentError(must_be("backend.timeout_s", "> 0", timeout))
-        measure = json_field(backend, "measure_compute", bool, "backend", default=False)
-        channel = WireChannel.spawn(command)
-        closers.append(channel.close)
-        return (
-            WireAsrBackend(channel, timeout, measure),
-            WireMtBackend(channel, timeout, measure),
-            closers,
-        )
-    raise InvalidArgumentError(must_be("backend.kind", "'mock' or 'wire'", kind))
+    command = json_field(backend, "command", list, "backend", items=str)
+    if not command:
+        raise InvalidArgumentError(must_be("backend.command", "a non-empty list", command))
+    timeout = json_field(backend, "timeout_s", float, "backend", default=DEFAULT_TIMEOUT_S)
+    if not timeout > 0:
+        raise InvalidArgumentError(must_be("backend.timeout_s", "> 0", timeout))
+    channel = WireChannel.spawn(command)
+    return WireAsrBackend(channel, timeout), WireMtBackend(channel, timeout), channel
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -71,15 +76,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = preset_config(json_field(config_raw, "table3", str, default="adapted"))
     config = apply_overrides(config, config_raw.get("overrides", {}))
     events = read_trace(args.trace)
-    asr_backend, mt_backend, closers = _build_backends(
-        config_raw, Path(args.config).parent
-    )
+    asr_backend, mt_backend, channel = _build_backends(config_raw, Path(args.config).parent)
     try:
         pipeline = Pipeline(config, asr_backend, mt_backend)
         records, summary = pipeline.run_trace(events)
     finally:
-        for close in closers:
-            close()
+        if channel is not None:
+            channel.close()
     write_emission_log(records, args.out)
     json_report(summary.to_dict(), args.summary or f"{args.out}.summary.json")
     return 0

@@ -35,27 +35,6 @@ _strict_decode = _strict_decoder.decode
 _scan_once = _strict_decoder.scan_once
 
 
-def strict_json_loads(text: str):
-    """``json.loads`` minus the NaN and Infinity literals JSON lacks, and
-    minus unpaired surrogates, which no UTF-8 writer can encode.
-
-    Every failure is a ``ValueError``, nesting too deep to decode included.
-    Text decoded from UTF-8 holds no surrogate, so only a ``\\u`` escape
-    can spell one, and only text with a backslash is checked.
-    """
-    try:
-        obj = _strict_decode(text)
-        if "\\" in text:  # a one-character search: "\\u" scans about 100x slower
-            canonical_json(obj).encode("utf-8")
-        return obj
-    except RecursionError:
-        raise ValueError("JSON nested too deeply to decode") from None
-    except UnicodeEncodeError as exc:
-        raise ValueError(
-            f"unpaired surrogate {quote(exc.object[exc.start : exc.end])} is not text"
-        ) from None
-
-
 _QUOTE_CHARS = 200
 
 
@@ -113,7 +92,13 @@ _KINDS = {
 
 
 def must_be(path: str, what: str, value=_MISSING) -> str:
-    """The message for a field at ``path`` that breaks a rule: one shape."""
+    """The message for a field at ``path`` that breaks a rule: one shape.
+
+    A path can end in a key read from input, so it is cut as ``quote``
+    cuts a value.
+    """
+    if len(path) > _QUOTE_CHARS:
+        path = path[:_QUOTE_CHARS] + "..."
     got = "nothing" if value is _MISSING else quote(value)
     return f"field '{path}' must be {what}, got {got}"
 
@@ -160,14 +145,29 @@ def json_field(
 
 
 def json_object(text: str) -> dict:
-    """``text`` decoded strictly (``strict_json_loads``) as one JSON object."""
+    """``text`` decoded strictly as one JSON object.
+
+    Strictly means ``json.loads`` minus the NaN and Infinity literals JSON
+    lacks, and minus unpaired surrogates, which no UTF-8 writer can encode.
+    Every failure is an ``InvalidArgumentError``, nesting too deep to
+    decode included. Text decoded from UTF-8 holds no surrogate, so only a
+    ``\\u`` escape can spell one, and only text with a backslash is checked.
+    """
     try:
-        obj = strict_json_loads(text)
+        obj = _strict_decode(text)
+        if "\\" in text:  # a one-character search: "\\u" scans about 100x slower
+            canonical_json(obj).encode("utf-8")
+    except RecursionError:
+        reason = "JSON nested too deeply to decode"
+    except UnicodeEncodeError as exc:
+        reason = f"unpaired surrogate {quote(exc.object[exc.start : exc.end])} is not text"
     except ValueError as exc:
-        raise InvalidArgumentError(f"invalid JSON: {exc}; payload: {quote(text)}") from exc
-    if type(obj) is not dict:
-        raise InvalidArgumentError(f"expected a JSON object, got {quote(text)}")
-    return obj
+        reason = str(exc)
+    else:
+        if type(obj) is not dict:
+            raise InvalidArgumentError(f"expected a JSON object, got {quote(text)}")
+        return obj
+    raise InvalidArgumentError(f"invalid JSON: {reason}; payload: {quote(text)}")
 
 
 def read_json_file(path: str | Path, parse=None):

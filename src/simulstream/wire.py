@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from dataclasses import replace
 from functools import partial
 from typing import TYPE_CHECKING, BinaryIO, Sequence
 
@@ -92,11 +91,6 @@ def _decode(line: str, kind: str, build):
         raise ProtocolError(str(exc)) from exc
 
 
-def _compute_cost(obj: dict) -> float:
-    """The reply's finite ``compute_cost_s``; the controller's clock checks the rest."""
-    return json_field(obj, "compute_cost_s", float)
-
-
 # --- ASR messages -------------------------------------------------------------
 
 
@@ -114,7 +108,11 @@ def encode_asr_response(response: AsrResponse) -> str:
 
 def decode_asr_response(line: str) -> AsrResponse:
     return _decode(
-        line, "asr", lambda obj: AsrResponse(read_record(AsrHypothesis, obj), _compute_cost(obj))
+        line,
+        "asr",
+        lambda obj: AsrResponse(
+            read_record(AsrHypothesis, obj), json_field(obj, "compute_cost_s", float)
+        ),
     )
 
 
@@ -135,7 +133,11 @@ def encode_mt_response(response: MtResponse) -> str:
 
 def decode_mt_response(line: str) -> MtResponse:
     return _decode(
-        line, "mt", lambda obj: MtResponse(read_record(BeamSet, obj), _compute_cost(obj))
+        line,
+        "mt",
+        lambda obj: MtResponse(
+            read_record(BeamSet, obj), json_field(obj, "compute_cost_s", float)
+        ),
     )
 
 
@@ -233,38 +235,24 @@ class WireChannel:
 
 
 class _WireBackend:
-    """A backend over a wire channel.
+    """A backend over a wire channel; each reply is charged the
+    ``compute_cost_s`` it reports, never this host's round-trip time."""
 
-    With ``measure_compute`` the reported cost is replaced by measured host
-    time, for driving real servers; leave it off for deterministic tests.
-    """
-
-    def __init__(
-        self,
-        channel: WireChannel,
-        timeout_s: float = DEFAULT_TIMEOUT_S,
-        measure_compute: bool = False,
-    ) -> None:
+    def __init__(self, channel: WireChannel, timeout_s: float = DEFAULT_TIMEOUT_S) -> None:
         self.channel = channel
         self.timeout_s = timeout_s
-        self.measure_compute = measure_compute
-
-    def _roundtrip(self, line: str, decode):
-        started = time.monotonic()
-        response = decode(self.channel.roundtrip(line, self.timeout_s))
-        if self.measure_compute:
-            response = replace(response, compute_cost_s=time.monotonic() - started)
-        return response
 
 
 class WireAsrBackend(_WireBackend):
     def decode(self, request: AsrRequest) -> AsrResponse:
-        return self._roundtrip(encode_asr_request(request), decode_asr_response)
+        line = self.channel.roundtrip(encode_asr_request(request), self.timeout_s)
+        return decode_asr_response(line)
 
 
 class WireMtBackend(_WireBackend):
     def translate(self, request: MtRequest) -> MtResponse:
-        return self._roundtrip(encode_mt_request(request), decode_mt_response)
+        line = self.channel.roundtrip(encode_mt_request(request), self.timeout_s)
+        return decode_mt_response(line)
 
 
 def _reply(asr_backend, mt_backend, raw: bytes) -> str:
@@ -290,8 +278,6 @@ def serve(asr_backend, mt_backend, stdin: BinaryIO, stdout: BinaryIO) -> None:
     """
     for raw in stdin:
         raw = raw.rstrip(b"\n")
-        if not raw:
-            continue
         try:
             reply = _reply(asr_backend, mt_backend, raw)
         except (BackendError, InvalidArgumentError, ProtocolError) as exc:

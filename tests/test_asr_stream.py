@@ -293,3 +293,5 @@ def test_config_validation() -> None:
         AsrStreamConfig(min_chunk_s=0.0)
     with pytest.raises(InvalidArgumentError):
         AsrStreamConfig(min_chunk_s=5.0, max_window_s=2.0)
+    with pytest.raises(InvalidArgumentError, match="initial_wait_s must be >= 0, got -0.5"):
+        AsrStreamConfig(initial_wait_s=-0.5)

@@ -165,6 +165,23 @@ def test_asr_script_rejects_non_finite_word_times() -> None:
         AsrScript(words=(TimedWord("x", float("nan"), float("nan")),), audio_duration_s=1.0)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: AsrScript(words=(TimedWord("x", 0.5, 1.5),), audio_duration_s=1.0),
+            "word 'x' ends at 1.5 beyond audio duration 1.0",
+        ),
+        (lambda: MtScript(tail_perturb_prob=-0.1), "tail_perturb_prob must be in [0, 1], got -0.1"),
+        (lambda: MtScript(tail_perturb_prob=1.5), "tail_perturb_prob must be in [0, 1], got 1.5"),
+    ],
+    ids=["asr_word_past_the_audio", "mt_perturb_below_0", "mt_perturb_above_1"],
+)
+def test_mock_scripts_refuse_values_out_of_range(build, message) -> None:
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_mt_translate_uppercase_map_with_sentinel_and_diagonal_attention() -> None:
     script = MtScript()
     request = MtRequest((), (), ("a", "b."), (), 2, "6")

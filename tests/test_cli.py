@@ -328,7 +328,7 @@ def test_simulate_refuses_a_clock_that_would_overflow(
     _, config_path = _stage_fixture(tmp_path)
     scripts = load_mock_script(tmp_path / "mock_script_60s.json")
     monkeypatch.setattr(
-        cli, "_build_backends", lambda *_: (_CostlyAsr(cost_s), MockMtBackend(scripts.mt), [])
+        cli, "_build_backends", lambda *_: (_CostlyAsr(cost_s), MockMtBackend(scripts.mt), None)
     )
     trace = tmp_path / "trace.jsonl"
     trace.write_text((json.dumps({"kind": "audio", "dur": dur}) + "\n") * 3, encoding="utf-8")
@@ -692,8 +692,12 @@ def test_each_entry_point_loads_only_the_layers_it_runs(tmp_path, entry) -> None
          "backend.measure_compute"),
         ({"backend": {"kind": "wire", "command": ["x"], "measure_compute": 0}},
          "backend.measure_compute"),
+        ({"backend": {"kind": "wire", "command": ["x"], "timeout": 5}}, "backend.timeout"),
+        ({"backend": {"kind": "mock", "command": ["x"]}}, "backend.command"),
+        ({"backend": {"kind": "grpc"}}, "backend.kind"),
         ({"overrides": [1]}, "overrides"),
         ({"mock_script": 5}, "mock_script"),
+        ({"mock_script": ""}, "mock_script"),
     ],
     ids=[
         "timeout_string",
@@ -703,8 +707,12 @@ def test_each_entry_point_loads_only_the_layers_it_runs(tmp_path, entry) -> None
         "command_empty",
         "measure_compute_string",
         "measure_compute_int",
+        "wire_key_timeout",
+        "mock_key_command",
+        "kind_unknown",
         "overrides_list",
         "mock_script_number",
+        "mock_script_empty",
     ],
 )
 def test_simulate_bad_config_value_exits_1(tmp_path, capsys, change, field) -> None:
@@ -717,6 +725,46 @@ def test_simulate_bad_config_value_exits_1(tmp_path, capsys, change, field) -> N
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invalid-argument"
     assert f"field '{field}' must be" in err["message"]
+
+
+def _spawn_nothing(command):
+    raise AssertionError(f"spawned a server: {command}")
+
+
+@pytest.mark.parametrize(
+    "backend, message",
+    [
+        (
+            {"kind": "wire", "command": ["x"], "measure_compute": True},
+            "field 'backend.measure_compute' must be left out: a 'wire' backend takes only "
+            "kind, command, timeout_s, got True",
+        ),
+        (
+            {"kind": "mock", "timeout_s": 5},
+            "field 'backend.timeout_s' must be left out: a 'mock' backend takes only kind, got 5",
+        ),
+        (
+            {"kind": "mock", "k" * 100_000: 1},
+            f"field 'backend.{'k' * 192}...' must be left out: a 'mock' backend takes only kind, "
+            "got 1",
+        ),
+    ],
+    ids=["wire_measure_compute", "mock_timeout_s", "huge_key"],
+)
+def test_simulate_refuses_a_backend_key_its_kind_does_not_read(
+    tmp_path, capsys, monkeypatch, backend, message
+) -> None:
+    # Refused before any server starts: a run on silently ignored settings
+    # would be charged costs the config did not ask for.
+    monkeypatch.setattr(wire.WireChannel, "spawn", _spawn_nothing)
+    trace, config_path = _stage_fixture(tmp_path)
+    config = json.loads(config_path.read_text())
+    config["backend"] = backend
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    assert main(["simulate", str(trace), str(config_path), str(out)]) == 1
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err) == {"error": "invalid-argument", "message": message}
 
 
 def _simulate_with_overrides(tmp_path, overrides, table3="adapted") -> tuple[int, Path]:
@@ -895,6 +943,19 @@ def test_bench_dominating_log_orders_every_column(tmp_path, capsys) -> None:
     for mode in ("nca", "ca"):
         for column in ("mean_s", "median_s", "p90_s", "p95_s", "p99_s", "max_s"):
             assert fast_run[mode][column] <= slow_run[mode][column]
+
+
+def test_datagen_warns_of_each_malformed_line_on_stderr(tmp_path, capsys) -> None:
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(CORPUS + "broken line\n ||| empty side\n", encoding="utf-8")
+    assert main(["datagen", str(corpus), str(tmp_path / "out"), "--samples", "5"]) == 0
+    captured = capsys.readouterr()
+    lines = len(CORPUS.splitlines())
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"warning": "malformed line", "line": lines + 1, "reason": "missing ' ||| ' separator"},
+        {"warning": "malformed line", "line": lines + 2, "reason": "empty side"},
+    ]
+    assert json.loads(captured.out)["samples"] == 5
 
 
 def test_datagen_corpus_with_bad_utf8_exits_1_naming_the_file(tmp_path, capsys) -> None:

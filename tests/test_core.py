@@ -45,7 +45,6 @@ from simulstream.core import (
     read_jsonl,
     read_record,
     read_records,
-    strict_json_loads,
 )
 from simulstream.datagen import Document
 from simulstream.metrics import (
@@ -279,10 +278,11 @@ def test_stream_history_counts_and_pairing() -> None:
         replace(history, history_target=history.history_target[:-1])
 
 
-def test_strict_json_loads_reports_deep_nesting_as_value_error() -> None:
-    assert strict_json_loads("[[1]]") == [[1]]
-    with pytest.raises(ValueError, match="nested too deeply"):
-        strict_json_loads(DEEP_JSON)
+def test_json_object_reports_deep_nesting_as_invalid_argument() -> None:
+    assert json_object('{"a": [[1]]}') == {"a": [[1]]}
+    message = "invalid JSON: JSON nested too deeply to decode; payload: '[[["
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}"):
+        json_object(DEEP_JSON)
 
 
 # --- the JSON boundary: one table of bad values through every reader ----------
@@ -490,7 +490,7 @@ def test_every_record_round_trips_through_its_fields() -> None:
             history_shapes.add(_history_shape(side))
         for record in records.values():
             text = canonical_json(record)
-            assert read_record(type(record), strict_json_loads(text)) == record, text
+            assert read_record(type(record), json_object(text)) == record, text
         asr = AsrResponse(records["AsrHypothesis"], _time(rng))
         mt = MtResponse(records["BeamSet"], _time(rng))
         asr_request, mt_request = records["AsrRequest"], records["MtRequest"]
@@ -932,7 +932,7 @@ def _fault(rng: random.Random, cls, obj: dict) -> str | None:
     elif name == "int_in_float":  # read item by item it is a float, unless too large for one
         obj[rng.choice(floats)] = rng.choice([0, 3, 10**400])
     elif name == "1e400":  # decodes to an infinite float
-        obj[rng.choice(floats)] = strict_json_loads(rng.choice(["1e400", "-1e400"]))
+        obj[rng.choice(floats)] = float(rng.choice(["1e400", "-1e400"]))
     elif name == "nan":  # no JSON spells it, but no column may let it through
         obj[rng.choice(floats)] = float("nan")
     elif name in ("non_list", "bad_item"):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -125,6 +126,26 @@ def test_same_seed_and_index_reproduce_samples() -> None:
         assert a == b
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"min_context": 0}, "need 1 <= min_context <= max_context, got 0 / 10"),
+        ({"min_context": 4, "max_context": 3}, "need 1 <= min_context <= max_context, got 4 / 3"),
+        ({"prefix_rate": -0.5}, "prefix_rate must be in [0, 1], got -0.5"),
+        ({"prefix_rate": 1.5}, "prefix_rate must be in [0, 1], got 1.5"),
+    ],
+    ids=["min_context_0", "min_above_max", "prefix_rate_below_0", "prefix_rate_above_1"],
+)
+def test_gen_config_refuses_values_out_of_range(options, message) -> None:
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+        GenConfig(**options)
+
+
+def test_generate_samples_refuses_no_documents() -> None:
+    with pytest.raises(InvalidArgumentError, match="^no documents to sample from$"):
+        generate_samples([], GenConfig(), 1)
+
+
 def test_generate_samples_cycles_documents() -> None:
     docs = [_doc((2, 2), (2, 2), doc_id="a"), _doc((3, 3), (3, 3), doc_id="b")]
     samples, stats = generate_samples(docs, GenConfig(seed=1), 10)
@@ -163,10 +184,17 @@ def test_load_corpus_fixture(tmp_path) -> None:
 
 def test_load_corpus_reports_malformed_lines(tmp_path) -> None:
     path = tmp_path / "corpus.txt"
-    path.write_text("good one ||| gut eins\nbroken line\n ||| empty side\n", encoding="utf-8")
+    path.write_text(
+        "good one ||| gut eins\nbroken line\n ||| empty side\nsay [SEP] ||| sag es\n",
+        encoding="utf-8",
+    )
     result = load_corpus(path)
     assert len(result.documents) == 1
-    assert [line for line, _ in result.malformed] == [2, 3]
+    assert result.malformed == [
+        (2, "missing ' ||| ' separator"),
+        (3, "empty side"),
+        (4, f"contains reserved sentinel {SENTINEL!r}"),
+    ]
 
 
 def test_load_corpus_cuts_lines_at_newlines_only(tmp_path) -> None:

@@ -703,6 +703,8 @@ def test_laal_validates_log_alignment() -> None:
         stream_laal(log, refs, [["b"]])
     with pytest.raises(InvalidArgumentError):
         stream_laal(log, refs, [["a"], ["b"]])
+    with pytest.raises(InvalidArgumentError, match="^stream_laal needs at least one segment$"):
+        stream_laal([], [], [])
 
 
 # --- file round-trips and the report ------------------------------------------

@@ -171,6 +171,50 @@ def test_presets_write_the_same_log_on_a_noisy_talk() -> None:
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
 @pytest.mark.parametrize("mode", ["adapted", "baseline"])
+def test_flush_ends_an_unterminated_last_sentence_at_the_first_silent_round(
+    monkeypatch, mode, noisy
+) -> None:
+    # Long-form speech often ends without a terminal mark: the last segment
+    # never closes, so flush stops on a round that emits nothing, not on
+    # an empty active chunk.
+    sentences = synth_sentences(random.Random(127), 6)
+    sentences[-1][-1] = sentences[-1][-1].rstrip(".")
+    asr_script, mt_script, duration = build_scripts(
+        sentences, seed=7, **(NOISY if noisy else {})
+    )
+    pipeline = Pipeline(
+        preset_config(mode), MockAsrBackend(asr_script), MockMtBackend(mt_script)
+    )
+    rounds: list[int] = []  # tokens emitted by each flush round
+    translate_and_emit = pipeline.mt._translate_and_emit
+
+    def spy(flushing: bool = False):
+        emitted = translate_and_emit(flushing)
+        if flushing:
+            rounds.append(len(emitted))
+        return emitted
+
+    monkeypatch.setattr(pipeline.mt, "_translate_and_emit", spy)
+    tokens: list[str] = []
+    for event in chunked_trace(duration):
+        pipeline.feed_audio(event.duration_s)
+        now = [r.token for r in pipeline.records]
+        assert now[: len(tokens)] == tokens
+        tokens = now
+    pipeline.finalize()
+    final = [r.token for r in pipeline.records]
+    assert final[: len(tokens)] == tokens
+    assert final[-1] != SENTINEL
+    assert rounds and rounds[-1] == 0 and all(rounds[:-1])
+    assert pipeline.mt.history.active_source  # the open segment never closed
+    assert pipeline.mt.segment_ordinal == len(sentences) - 1
+    assert pipeline.asr.transcript() == [w for sentence in sentences for w in sentence]
+    # Noisy talks too: the flush streams the whole translation.
+    assert strip_sentinels(final) == offline_translation(mt_script, pipeline.asr.transcript())
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+@pytest.mark.parametrize("mode", ["adapted", "baseline"])
 def test_long_stream_invariants_hold_after_every_step(mode, noisy) -> None:
     # Talks of about 0.6, 5.4 and 44 minutes.
     for count in (24, 200, 1600):

@@ -217,3 +217,7 @@ def test_config_validation() -> None:
         MtStreamConfig(wait_k=0)
     with pytest.raises(InvalidArgumentError):
         agreed_prefix_len(["a"], ["a"], -1, RELAXED)
+    with pytest.raises(InvalidArgumentError, match="committed must be >= 0, got -1"):
+        ralcp_emit(make_beam_set([["a"]]), -1, 0.5, 1)
+    with pytest.raises(InvalidArgumentError, match="words_read must be >= 0, got -1"):
+        waitk_allows(3, -1)
