@@ -6,8 +6,8 @@ The mocks here are referentially transparent: the response is a pure
 function of (script, request), which makes every pipeline test replayable
 byte for byte. Compute cost is *reported* by the backend rather than
 measured, so computational-aware latency is deterministic in simulation;
-the wire adapters in :mod:`simulstream.wire` can switch to measured host
-time when driving real servers.
+the wire adapters in :mod:`simulstream.wire` charge each reply the cost
+its server reports (a real model's server measures its own compute).
 """
 
 from __future__ import annotations

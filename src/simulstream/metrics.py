@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, chain
 from operator import add
 from pathlib import Path
@@ -264,7 +263,7 @@ def stream_laal(
 
     where tau is the first index whose delay reaches T (all of them if none
     does). An empty hypothesis segment scores the full span T, so silence
-    can never look fast.
+    can never look fast. A lag or mean that is not a finite float is refused.
     """
     if len(refs) != len(hyp_segments):
         raise InvalidArgumentError(
@@ -279,8 +278,8 @@ def stream_laal(
             "emission log does not match the hypothesis segments token for token"
         )
     return (
-        _laal([r.nca_time_s for r in records], refs, hyp_segments),
-        _laal([r.ca_time_s for r in records], refs, hyp_segments),
+        _laal([r.nca_time_s for r in records], refs, hyp_segments, "NCA"),
+        _laal([r.ca_time_s for r in records], refs, hyp_segments, "CA"),
     )
 
 
@@ -288,43 +287,68 @@ def _laal(
     times: Sequence[float],
     refs: Sequence[ReferenceSegment],
     hyp_segments: Sequence[Sequence[str]],
+    clock: str,
 ) -> LatencyReport:
     """One clock's report: ``times`` holds one emission time per token of
-    ``hyp_segments``."""
+    ``hyp_segments``. A lag or mean that is not a finite float is refused,
+    naming ``clock``."""
     per_segment = []
     cursor = 0
-    for ref, seg in zip(refs, hyp_segments):
+    for k, (ref, seg) in enumerate(zip(refs, hyp_segments), start=1):
         span = ref.duration_s
         y = len(seg)
-        if y == 0:
-            per_segment.append(span)
-            continue
-        delays = [t - ref.source_start_s for t in times[cursor : cursor + y]]
-        cursor += y
-        tau = y
-        for i, d in enumerate(delays, start=1):
-            if d >= span:
-                tau = i
-                break
-        denom = max(y, len(ref.tokens))
-        total = math.fsum(delays[i - 1] - (i - 1) * span / denom for i in range(1, tau + 1))
-        per_segment.append(total / tau)
-    return LatencyReport(*latency_stats(per_segment), per_segment=per_segment)
+        lag = span
+        if y:
+            delays = [t - ref.source_start_s for t in times[cursor : cursor + y]]
+            cursor += y
+            tau = y
+            for i, d in enumerate(delays, start=1):
+                if d >= span:
+                    tau = i
+                    break
+            denom = max(y, len(ref.tokens))
+            try:
+                total = math.fsum(delays[i - 1] - (i - 1) * span / denom for i in range(1, tau + 1))
+            except (OverflowError, ValueError):  # a sum past the largest float, or inf - inf
+                total = math.nan
+            lag = total / tau
+        if not math.isfinite(lag):
+            raise InvalidArgumentError(
+                f"{clock} LAAL of segment {k} [{ref.source_start_s}, {ref.source_end_s}] "
+                "is not finite"
+            )
+        per_segment.append(lag)
+    try:
+        stats = latency_stats(per_segment)
+    except OverflowError:
+        raise InvalidArgumentError(
+            f"{clock} LAAL mean over segments 1-{len(per_segment)} is not finite: its sum overflows"
+        ) from None
+    return LatencyReport(*stats, per_segment=per_segment)
 
 
 # --- file interfaces ---------------------------------------------------------
 
 
-def _read_record_lines(path: str | Path, cls: type) -> list:
-    """The records of class ``cls`` that a JSONL file holds, one per line.
-
-    The decoded lines are read by column (``read_records``). On any fault
-    the file is read again line by line, so the error names ``path:line``.
-    """
+def _read_record_lines(path: str | Path, cls: type, check) -> list:
+    """The records of class ``cls`` that a JSONL file holds, one per line,
+    refused by ``check`` if neighbouring records break the file's order:
+    read by column (``read_records``) and checked whole or, on any fault,
+    read again line by line, each record checked against the one before
+    it, so the error names the first faulty ``path:line``."""
     try:
-        return read_records(cls, read_jsonl(path))
+        records = read_records(cls, read_jsonl(path))
+        check(records)
+        return records
     except InvalidArgumentError:
-        return read_jsonl(path, partial(read_record, cls))
+        records = []
+
+    def checked(obj: dict):
+        records.append(read_record(cls, obj))
+        check(records[-2:])
+        return records[-1]
+
+    return read_jsonl(path, checked)
 
 
 def read_emission_log(path: str | Path) -> list[EmissionRecord]:
@@ -332,29 +356,25 @@ def read_emission_log(path: str | Path) -> list[EmissionRecord]:
     (``check_emission_log``); an error names the file and line.
 
     The lines are read by column when every value is as a log writes it;
-    a log with any other line, an integer time say, is read line by line,
-    as are its errors (``_read_record_lines``).
+    a log with any other line, an integer time say, or with a fault, is
+    read line by line (``_read_record_lines``).
     """
-    log = _read_record_lines(path, EmissionRecord)
-    try:
-        check_emission_log(log)
-    except InvalidArgumentError as exc:
-        fall = next(k for k in range(1, len(log)) if log[k - 1].nca_time_s > log[k].nca_time_s)
-        raise InvalidArgumentError(f"{path}:{_record_line(path, fall)}: {exc}") from exc
-    return log
-
-
-def _record_line(path: str | Path, index: int) -> int:
-    """The line of a JSONL file that holds its record ``index``; blank
-    lines hold none."""
-    lines = [n for n, line in enumerate(Path(path).read_bytes().split(b"\n"), 1) if line.strip()]
-    return lines[index]
+    return _read_record_lines(path, EmissionRecord, check_emission_log)
 
 
 def write_reference_segments(
     refs: Sequence[ReferenceSegment], path: str | Path
 ) -> None:
     Path(path).write_bytes(dump_jsonl(refs).encode("utf-8"))
+
+
+def _check_segment_order(refs: Sequence[ReferenceSegment]) -> None:
+    for a, b in zip(refs, refs[1:]):
+        if a.source_end_s > b.source_start_s:
+            raise InvalidArgumentError(
+                "reference segments overlap or are out of order at "
+                f"[{a.source_start_s}, {a.source_end_s}] / [{b.source_start_s}, {b.source_end_s}]"
+            )
 
 
 def read_reference_segments(path: str | Path) -> list[ReferenceSegment]:
@@ -366,17 +386,9 @@ def read_reference_segments(path: str | Path) -> list[ReferenceSegment]:
     The lines are read by column or, when any value is not as a writer
     leaves it, line by line, as ``read_emission_log`` reads a log.
     """
-    refs = _read_record_lines(path, ReferenceSegment)
+    refs = _read_record_lines(path, ReferenceSegment, _check_segment_order)
     if not refs:
         raise InvalidArgumentError(f"{path}: no reference segment")
-    for k in range(1, len(refs)):
-        a, b = refs[k - 1], refs[k]
-        if a.source_end_s > b.source_start_s:
-            raise InvalidArgumentError(
-                f"{path}:{_record_line(path, k)}: reference segments overlap or are "
-                f"out of order at [{a.source_start_s}, {a.source_end_s}] / "
-                f"[{b.source_start_s}, {b.source_end_s}]"
-            )
     return refs
 
 
@@ -386,11 +398,10 @@ def evaluate(
     """Full metrics report: resegment, then BLEU and, from one
     ``stream_laal`` call, the NCA and CA latency reports.
 
-    The sentinels are stripped once, and the log is checked against the
-    resegmented slices once, by ``stream_laal``.
+    The sentinels are stripped from the tokens here, and from the log by
+    ``stream_laal``, which checks it against the resegmented slices.
     """
-    records = [r for r in log if r.token != SENTINEL]
-    hyp_tokens = [r.token for r in records]
+    hyp_tokens = strip_sentinels([r.token for r in log])
     slices = resegment(hyp_tokens, refs)
     # Each distinct token is split once; the segments are mapped through
     # the table, which gives bleu_tokenize's lists segment by segment.
@@ -403,7 +414,7 @@ def evaluate(
         return list(chain.from_iterable(map(pieces.__getitem__, tokens)))
 
     bleu = corpus_bleu([split(s) for s in slices], [split(r.tokens) for r in refs])
-    nca, ca = stream_laal(records, refs, slices)
+    nca, ca = stream_laal(log, refs, slices)
     return {
         "bleu": bleu,
         "segments": len(refs),

@@ -245,15 +245,13 @@ class MtStreamController:
         h = self.history
         config = self.config
         while h.buffered_source_words() > config.max_buffer_words:
+            # Each pair holds a source word: both modes run out of history here.
+            if h.history_source_words() == 0:
+                self.budget_overflows += 1
+                break
             if config.history_remove == "oldest_sentence_pair":
-                if not h.history_source:
-                    self.budget_overflows += 1
-                    break
                 source, target = h.history_source[1:], h.history_target[1:]
             else:
-                if h.history_source_words() == 0:
-                    self.budget_overflows += 1
-                    break
                 source = _drop_oldest_words(h.history_source, config.history_remove_words)
                 target = _drop_oldest_words(h.history_target, config.history_remove_words)
                 while source and not source[0] and not target[0]:

@@ -9,7 +9,6 @@ scripts yields a byte-identical emission log.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -20,6 +19,7 @@ from .core import (
     EmissionRecord,
     InvalidArgumentError,
     VirtualClock,
+    _clock_step,
     json_field,
     must_be,
     quote,
@@ -62,34 +62,24 @@ class TraceEvent:
     duration_s: float
 
 
-def _audio_event(obj: dict) -> TraceEvent:
-    kind = json_field(obj, "kind", str)
-    if kind != "audio":
-        raise InvalidArgumentError(must_be("kind", "'audio'", kind))
-    return TraceEvent(json_field(obj, "dur", float))
-
-
 def read_trace(path: str | Path) -> list[TraceEvent]:
     """Load a JSONL trace of {"kind": "audio", "dur": s} events.
 
     Any other key on a line, such as an event time ``t``, is ignored. The
-    clock's rule for an audio delta holds at each line: ``dur`` must be
-    >= 0 and keep the audio front, their running sum, finite. The first
-    line that breaks it is refused.
+    clock's rule for an audio delta (``VirtualClock.advance_audio``) holds
+    at each line: ``dur`` must be >= 0 and keep the audio front, their
+    running sum, finite. The first line that breaks it is refused.
     """
     front = 0.0
 
     def checked_event(obj: dict) -> TraceEvent:
         nonlocal front
-        event = _audio_event(obj)
-        end = front + event.duration_s
-        if not (event.duration_s >= 0 and end < math.inf):
-            raise InvalidArgumentError(
-                "field 'dur' must be >= 0 and keep the audio front finite, "
-                f"got {front} + {event.duration_s}"
-            )
-        front = end
-        return event
+        kind = json_field(obj, "kind", str)
+        if kind != "audio":
+            raise InvalidArgumentError(must_be("kind", "'audio'", kind))
+        dur = json_field(obj, "dur", float)
+        front = _clock_step(front, dur, "field 'dur'", InvalidArgumentError)
+        return TraceEvent(dur)
 
     return read_jsonl(path, checked_event)
 

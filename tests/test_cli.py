@@ -316,7 +316,7 @@ class _CostlyAsr:
             1e308,
             1,
             "invalid-argument",
-            "{trace}:2: field 'dur' must be >= 0 and keep the audio front finite, "
+            "{trace}:2: field 'dur' must be >= 0 and keep the clock finite, "
             "got 1e+308 + 1e+308",
         ),
     ],
@@ -351,7 +351,7 @@ def test_simulate_refuses_a_negative_trace_duration_naming_the_line(tmp_path, ca
     assert not out.exists()
     assert json.loads(capsys.readouterr().err) == {
         "error": "invalid-argument",
-        "message": f"{trace}:2: field 'dur' must be >= 0 and keep the audio front finite, "
+        "message": f"{trace}:2: field 'dur' must be >= 0 and keep the clock finite, "
         "got 1.0 + -1.0",
     }
 
@@ -536,6 +536,16 @@ _GOOD_SEGMENT = '{"source_end_s":2.0,"source_start_s":0.0,"tokens":["ja"]}'
         ("log", '{"ca_time_s":1.5,"nca_time_s":0.5,"token":"x"}'),
         ("log", r'{"ca_time_s":2.0,"nca_time_s":2.0,"token":"x\ud800"}'),
         ("refs", r'{"source_end_s":4.0,"source_start_s":2.0,"tokens":["\udc00"]}'),
+        # The first faulty line is named: the order breaks before the bad record.
+        (
+            "log",
+            '{"ca_time_s":1.5,"nca_time_s":0.5,"token":"x"}\n'
+            '{"ca_time_s":1.0,"nca_time_s":2.0,"token":"x"}',
+        ),
+        (
+            "refs",
+            _GOOD_SEGMENT + '\n{"source_end_s":4.0,"source_start_s":5.0,"tokens":["ja"]}',
+        ),
     ],
     ids=[
         "token_not_string",
@@ -556,6 +566,8 @@ _GOOD_SEGMENT = '{"source_end_s":2.0,"source_start_s":0.0,"tokens":["ja"]}'
         "nca_time_falls",
         "log_unpaired_surrogate",
         "refs_unpaired_surrogate",
+        "nca_time_falls_before_a_bad_record",
+        "refs_out_of_order_before_a_bad_record",
     ],
 )
 def test_eval_bad_record_exits_1_naming_the_line(tmp_path, capsys, bad_file, bad_line) -> None:
@@ -607,6 +619,69 @@ def test_refs_file_with_unordered_segments_exits_1_naming_the_line(
     assert err["message"] == (
         f"{refs}:3: reference segments overlap or are out of order at [2.0, 4.0] / [{start}, {end}]"
     )
+
+
+def _segment(start: float, end: float, tokens) -> dict:
+    return {"source_end_s": end, "source_start_s": start, "tokens": list(tokens)}
+
+
+def _record(token: str, nca: float, ca: float) -> dict:
+    return {"ca_time_s": ca, "nca_time_s": nca, "token": token}
+
+
+@pytest.mark.parametrize("command", ["eval", "bench"])
+@pytest.mark.parametrize(
+    "refs, log, message",
+    [
+        (
+            [_segment(0.0, 1.0, ["a"]), _segment(1.0, 2.0, ["b"])],
+            [_record("a", 1.0, 1.6e308), _record("b", 2.0, 1.6e308)],
+            "CA LAAL mean over segments 1-2 is not finite: its sum overflows",
+        ),
+        (
+            [_segment(0.0, 1.7e308, ["a", "b"])],
+            [_record("a", 1.0, 1.6e308), _record("b", 1.0, 1.65e308)],
+            "CA LAAL of segment 1 [0.0, 1.7e+308] is not finite",
+        ),
+        (
+            [_segment(0.0, 1.7e308, [f"w{i}" for i in range(100)])],
+            [_record(f"w{i}", 1.0, 1.6e308 if i < 50 else 1.65e308) for i in range(100)],
+            "NCA LAAL of segment 1 [0.0, 1.7e+308] is not finite",
+        ),
+        (
+            [_segment(-1.7e308, 1e308, ["a"])],
+            [_record("a", 1.0, 1.0)],
+            "NCA LAAL of segment 1 [-1.7e+308, 1e+308] is not finite",
+        ),
+        (
+            [_segment(1e308, 1.7e308, ["a"])],
+            [_record("a", -1.7e308, 1.0)],
+            "NCA LAAL of segment 1 [1e+308, 1.7e+308] is not finite",
+        ),
+        (
+            [_segment(-1.7e308, 1e308, ["a"])],
+            [],
+            "NCA LAAL of segment 1 [-1.7e+308, 1e+308] is not finite",
+        ),
+    ],
+    ids=[
+        "mean_overflows", "segment_sum_overflows", "term_overflows", "nan", "minus_infinity",
+        "empty_segment",
+    ],
+)
+def test_scoring_refuses_a_lag_that_is_not_finite(
+    tmp_path, capsys, command, refs, log, message
+) -> None:
+    # Each report would hold NaN or an infinity, which is not JSON, or
+    # could not be summed at all.
+    log_path, refs_path = tmp_path / "log.jsonl", tmp_path / "refs.jsonl"
+    log_path.write_text("".join(json.dumps(r) + "\n" for r in log), encoding="utf-8")
+    refs_path.write_text("".join(json.dumps(r) + "\n" for r in refs), encoding="utf-8")
+    args = [str(log_path), str(refs_path)] if command == "eval" else [str(log_path), "--refs", str(refs_path)]
+    assert main([command, *args]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "invalid-argument", "message": message}
 
 
 # A child interpreter runs one entry point, then writes the names of the

@@ -269,11 +269,8 @@ def _check_invariants_after_every_step(mode: str, noisy: bool, count: int) -> No
 def test_the_mt_buffer_holds_the_budget_or_only_the_open_segment(mode, noisy) -> None:
     # Eviction removes only history, so a sentence longer than the budget
     # overflows it by the open segment's own words, and no more: in every
-    # request, and in the state after every step. Run-on
-    # talks of 40, 200 and 800 words, and 20 sentences of 60-100 words.
-    talks = [synth_sentences(random.Random(n), 1, n, n) for n in (40, 200, 800)]
-    talks.append(synth_sentences(random.Random(60), 20, 60, 100))
-    for sentences in talks:
+    # request, and in the state after every step.
+    for sentences in _over_budget_talks():
         _check_buffer_after_every_step(mode, noisy, sentences)
     # Sentences of 20-40 words fit the budget: eviction never runs short.
     pipeline = _check_buffer_after_every_step(
@@ -281,6 +278,39 @@ def test_the_mt_buffer_holds_the_budget_or_only_the_open_segment(mode, noisy) ->
     )
     assert pipeline.mt.evictions > 0
     assert pipeline.mt.budget_overflows == 0
+
+
+def _over_budget_talks() -> list[list[list[str]]]:
+    """Run-on talks of 40, 200 and 800 words, and 20 sentences of 60-100 words."""
+    talks = [synth_sentences(random.Random(n), 1, n, n) for n in (40, 200, 800)]
+    talks.append(synth_sentences(random.Random(60), 20, 60, 100))
+    return talks
+
+
+@pytest.mark.parametrize(
+    "noisy, overflows",
+    [(False, [0, 34, 208, 23]), (True, [0, 34, 208, 24])],
+    ids=["clean", "noisy"],
+)
+def test_every_history_pair_keeps_a_source_word_after_every_step(noisy, overflows) -> None:
+    # Eviction stops at one test, for both modes: the history holds no
+    # source word. Under oldest_sentence_pair that means it holds no pair,
+    # since each segment closure moves at least one source word.
+    counted = []
+    for sentences in _over_budget_talks():
+        asr_script, mt_script, duration = build_scripts(
+            sentences, seed=3, **(NOISY if noisy else {})
+        )
+        pipeline = Pipeline(
+            preset_config("adapted"), MockAsrBackend(asr_script), MockMtBackend(mt_script)
+        )
+        for event in chunked_trace(duration):
+            pipeline.feed_audio(event.duration_s)
+            assert all(pipeline.mt.history.history_source)
+        pipeline.finalize()
+        assert all(pipeline.mt.history.history_source)
+        counted.append(pipeline.mt.budget_overflows)
+    assert counted == overflows
 
 
 def _check_buffer_after_every_step(mode: str, noisy: bool, sentences) -> Pipeline:

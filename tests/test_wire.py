@@ -657,6 +657,47 @@ def test_server_exit_is_a_backend_error() -> None:
         channel.close()
 
 
+def test_a_failed_write_is_a_backend_error_and_breaks_the_channel() -> None:
+    # The server closes its stdin and exits, so the request meets a pipe
+    # with no reader.
+    channel = WireChannel.spawn([sys.executable, "-c", "import os; os.close(0)"])
+    try:
+        channel._proc.wait(timeout=30)
+        failed = "connection write failed: [Errno 32] Broken pipe"
+        with pytest.raises(BackendError) as raised:
+            channel.roundtrip("{}")
+        assert str(raised.value) == failed
+        with pytest.raises(BackendError) as raised:
+            channel.roundtrip("{}")
+        assert str(raised.value) == f"channel unusable after an earlier failure: {failed}"
+    finally:
+        channel.close()
+
+
+def test_a_request_sent_while_one_is_in_flight_is_refused_and_breaks_the_channel() -> None:
+    # The first call's read sends a second request on the same channel.
+    channel = WireChannel.spawn([sys.executable, "-c", "import sys; sys.stdin.read()"])
+    in_flight = "a request is already in flight on this connection"
+    inner = []
+
+    def reenter(timeout_s: float) -> str:
+        with pytest.raises(BackendError) as raised:
+            channel.roundtrip("{}")
+        inner.append(str(raised.value))
+        raise raised.value
+
+    try:
+        channel._read_line = reenter
+        with pytest.raises(BackendError) as raised:
+            channel.roundtrip("{}")
+        assert inner == [str(raised.value)] == [in_flight]
+        with pytest.raises(BackendError) as raised:
+            channel.roundtrip("{}")
+        assert str(raised.value) == f"channel unusable after an earlier failure: {in_flight}"
+    finally:
+        channel.close()
+
+
 def test_server_answers_bad_lines_with_errors_and_keeps_serving(tmp_path) -> None:
     command, asr_script, _ = _mock_script(tmp_path)
     valid = AsrRequest("s", 0.0, asr_script.audio_duration_s, 5)
