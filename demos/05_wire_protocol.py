@@ -53,7 +53,6 @@ with tempfile.TemporaryDirectory() as tmp:
             active_source=("guten", "morgen."),
             committed_target=(),
             beam_size=3,
-            attention_layer_tag="6",
         )
         print(">>", encode_mt_request(mt_request))
         response = WireMtBackend(channel).translate(mt_request)

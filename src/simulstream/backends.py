@@ -68,7 +68,6 @@ class MtRequest:
     active_source: tuple[str, ...]
     committed_target: tuple[str, ...]
     beam_size: int
-    attention_layer_tag: str
 
     def __post_init__(self) -> None:
         check_beam_size(self.beam_size, "beam_size")
@@ -180,12 +179,11 @@ class MtScript:
     sentinel is never perturbed. A request that can draw (a noisy script,
     ``beam_size`` > 1, active source left) seeds one RNG from ``seed`` and
     the fields its reply is computed from, ``active_source``,
-    ``committed_target`` and ``beam_size`` (not the history or the
-    attention layer tag, which change no beam), and beams 2..N draw from
-    it in order; a clean script seeds none and its beams share beam 1's
-    tuples. Each token's source cut is the word it translates (the
-    sentinel's is the sentence-final word), so the cuts run down the
-    diagonal.
+    ``committed_target`` and ``beam_size`` (not the history, which
+    changes no beam), and beams 2..N draw from it in order; a clean
+    script seeds none and its beams share beam 1's tuples. Each token's
+    source cut is the word it translates (the sentinel's is the
+    sentence-final word), so the cuts run down the diagonal.
     """
 
     word_map: Mapping[str, str] = field(default_factory=dict)
@@ -275,8 +273,8 @@ def mock_asr_decode(script: AsrScript, request: AsrRequest) -> AsrResponse:
 
 
 def _mt_fingerprint(request: MtRequest) -> str:
-    # The fields a reply is computed from, and only those: the history and
-    # the attention layer tag change no beam, so they do not key the draws.
+    # The fields a reply is computed from, and only those: the history
+    # changes no beam, so it does not key the draws.
     return canonical_json([request.active_source, request.committed_target, request.beam_size])
 
 

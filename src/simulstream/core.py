@@ -545,8 +545,8 @@ class BeamHypothesis:
 
     ``cuts[j]`` is the active source position that token j attends to
     most, ties going to the largest index. A model server takes this
-    argmax over the attention layer named in the request; the controller
-    checks each cut against the active source it sent.
+    argmax over the attention layer its own configuration names; the
+    controller checks each cut against the active source it sent.
     """
 
     tokens: tuple[str, ...]

@@ -49,7 +49,6 @@ class MtStreamConfig:
     max_buffer_words: int = 80
     history_remove: str = "oldest_sentence_pair"
     history_remove_words: int = 20
-    attention_layer_tag: str = "6"
 
     def __post_init__(self) -> None:
         if not 0 < self.agreement_ratio <= 1:
@@ -98,10 +97,8 @@ class MtStreamController:
         self.config = config
         self.backend = backend
         self.clock = clock
-        # Builds a request from its four word fields; the other two are the config's.
-        self._request = partial(
-            MtRequest, beam_size=config.beam_size, attention_layer_tag=config.attention_layer_tag
-        )
+        # Builds a request from its four word fields; the beam size is the config's.
+        self._request = partial(MtRequest, beam_size=config.beam_size)
         self.history = self._request((), (), (), ())
         self.segment_ordinal = 0
         self.translate_calls = 0

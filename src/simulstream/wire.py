@@ -6,7 +6,7 @@ versioned with a ``v`` field and deliberately contains nothing but plain
 JSON types, so servers can be written in any language. README "Wire
 protocol" shows one message of each kind.
 
-A message is ``{"v":3,"kind":"asr"|"mt", ...}`` plus the fields of the
+A message is ``{"v":4,"kind":"asr"|"mt", ...}`` plus the fields of the
 record it carries, under their own names (``core.read_record``): an
 ``AsrRequest`` or ``MtRequest``, and in reply an ``AsrHypothesis`` or
 ``BeamSet`` with ``compute_cost_s``. A word list is a JSON list of
@@ -17,11 +17,12 @@ does an in-process backend's. Its ``compute_cost_s`` must be >= 0 and
 keep the clock finite: ``VirtualClock.charge_compute`` raises a
 ``ProtocolError`` for one that does not. A server that cannot answer a
 request, or whose backend fails, replies
-``{"v":3,"kind":"error","message":...}``, which the client raises as a
+``{"v":4,"kind":"error","message":...}``, which the client raises as a
 ``BackendError``. ``cuts[j]`` is the active source position token j
-attends to most in the attention layer named by ``attention_layer_tag``,
-ties going to the largest index; the server takes this argmax next to
-the model.
+attends to most, ties going to the largest index; the server takes this
+argmax next to the model, in the attention layer its own configuration
+names. ``decode_request`` reads a request line for the server, and the
+``decode_*_response`` functions read a reply line for the client.
 
 ``subprocess`` and ``selectors`` are imported inside ``WireChannel``, their
 only user: the server and the codec never load them.
@@ -32,7 +33,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from functools import partial
 from typing import TYPE_CHECKING, BinaryIO, Sequence
 
 from .backends import AsrRequest, AsrResponse, MtRequest, MtResponse
@@ -54,8 +54,9 @@ from .core import (
 if TYPE_CHECKING:
     import subprocess
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 DEFAULT_TIMEOUT_S = 60.0
+_REQUESTS = {"asr": AsrRequest, "mt": MtRequest}
 
 
 def _encode(kind: str, record, **extras) -> str:
@@ -74,8 +75,16 @@ def _message(line: str) -> tuple[str, dict]:
     return json_field(obj, "kind", str), obj
 
 
+def decode_request(line: str) -> AsrRequest | MtRequest:
+    """The request a message line carries; every fault is an ``InvalidArgumentError``."""
+    kind, obj = _message(line)
+    if kind not in _REQUESTS:
+        raise InvalidArgumentError(must_be("kind", "'asr' or 'mt'", kind))
+    return read_record(_REQUESTS[kind], obj)
+
+
 def _decode(line: str, kind: str, build):
-    """``build`` of the message object of a line whose version and kind check.
+    """``build`` of the object of a reply line whose version and kind check.
 
     Every schema fault is a ``ProtocolError``; an error reply from the
     server is a ``BackendError`` carrying its message.
@@ -98,10 +107,6 @@ def encode_asr_request(request: AsrRequest) -> str:
     return _encode("asr", request)
 
 
-def decode_asr_request(line: str) -> AsrRequest:
-    return _decode(line, "asr", partial(read_record, AsrRequest))
-
-
 def encode_asr_response(response: AsrResponse) -> str:
     return _encode("asr", response.hypothesis, compute_cost_s=response.compute_cost_s)
 
@@ -121,10 +126,6 @@ def decode_asr_response(line: str) -> AsrResponse:
 
 def encode_mt_request(request: MtRequest) -> str:
     return _encode("mt", request)
-
-
-def decode_mt_request(line: str) -> MtRequest:
-    return _decode(line, "mt", partial(read_record, MtRequest))
 
 
 def encode_mt_response(response: MtResponse) -> str:
@@ -260,19 +261,17 @@ def _reply(asr_backend, mt_backend, raw: bytes) -> str:
         line = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidArgumentError(f"request is not UTF-8: {exc}") from exc
-    kind, obj = _message(line)
-    if kind == "asr":
-        return encode_asr_response(asr_backend.decode(read_record(AsrRequest, obj)))
-    if kind == "mt":
-        return encode_mt_response(mt_backend.translate(read_record(MtRequest, obj)))
-    raise InvalidArgumentError(must_be("kind", "'asr' or 'mt'", kind))
+    request = decode_request(line)
+    if isinstance(request, AsrRequest):
+        return encode_asr_response(asr_backend.decode(request))
+    return encode_mt_response(mt_backend.translate(request))
 
 
 def serve(asr_backend, mt_backend, stdin: BinaryIO, stdout: BinaryIO) -> None:
     """Reference server loop: answer each request line until EOF.
 
     A request the server cannot answer, or whose backend fails, gets an
-    error reply, {"v":3,"kind":"error","message":...}, and the loop goes
+    error reply, {"v":4,"kind":"error","message":...}, and the loop goes
     on, so one reply still answers each request and the client's channel
     stays usable.
     """

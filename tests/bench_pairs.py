@@ -6,7 +6,9 @@
 
 Each side runs ``perfbench/run.py --workload W --seed 1 --seconds T`` in a
 fresh tree of its own: the parent side in a ``git archive`` of ``--parent``,
-the change side in a copy of the ``--change`` directory. Pair i runs both
+the change side in a copy of the ``--change`` directory. The change side
+has no commit, so each comparison records ``change_tree``, the sha256 of
+that copy (``_tree_digest``). Pair i runs both
 sides one after the other, the parent first when i is even. A
 ``--workload`` given more than once runs its pairs on each in turn.
 
@@ -34,6 +36,7 @@ Exits 1, after writing, if any run failed an operation or printed
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import re
@@ -83,9 +86,23 @@ def _parent_tree(revision: str, into: Path) -> str:
     return commit
 
 
-def _change_tree(source: Path, into: Path) -> None:
+def _tree_digest(root: Path) -> str:
+    """The sha256 of the files under ``root``: for each, in the sorted order
+    of their relative paths, the path, its byte count and its bytes."""
+    digest = hashlib.sha256()
+    files = {p.relative_to(root).as_posix(): p for p in root.rglob("*") if p.is_file()}
+    for name in sorted(files):
+        data = files[name].read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _change_tree(source: Path, into: Path) -> str:
+    """Copy ``source`` into ``into``; return the copy's ``_tree_digest``."""
     ignore = shutil.ignore_patterns(".git", ".perfbench-out", "__pycache__", "*.egg-info")
     shutil.copytree(source, into, ignore=ignore)
+    return _tree_digest(into)
 
 
 def _run(tree: Path, workload: str, seconds: float, order: int, trace: bool = False) -> dict:
@@ -226,7 +243,7 @@ def main(argv=None) -> int:
     try:
         trees = {"parent": work / "parent", "change": work / "change"}
         commit = _parent_tree(args.parent, trees["parent"])
-        _change_tree(args.change.resolve(), trees["change"])
+        change_tree = _change_tree(args.change.resolve(), trees["change"])
         workloads = {}
         for workload in args.workload:
             runs = {"parent": [], "change": []}
@@ -239,8 +256,9 @@ def main(argv=None) -> int:
                           + ", ".join(f"{m} {run['metrics'][m]['value']:.4g}" for m in shown),
                           flush=True)
             workloads[workload] = _summary(runs["parent"], runs["change"])
-        comparison = {"candidate": args.candidate, "verdict": "no claim",
-                      "judged": [] if args.trace else list(JUDGED), "workloads": workloads}
+        comparison = {"candidate": args.candidate, "change_tree": change_tree,
+                      "verdict": "no claim", "judged": [] if args.trace else list(JUDGED),
+                      "workloads": workloads}
         if args.trace:
             comparison["traced"] = True
         elif args.claim is not None:

@@ -80,7 +80,6 @@ def _wire_fixtures() -> dict[str, str]:
         active_source=("wir", "gehen"),
         committed_target=("we",),
         beam_size=10,
-        attention_layer_tag="6",
     )
     asr_response = AsrResponse(
         AsrHypothesis((TimedWord("Hello", 2.5, 3.0), TimedWord("world.", 3.1, 3.8))),

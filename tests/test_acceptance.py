@@ -46,10 +46,9 @@ from simulstream.pipeline import Pipeline, preset_config
 from simulstream.policy import ralcp_emit
 from simulstream.textnorm import normalize_word, words_match
 from simulstream.wire import (
-    decode_asr_request,
     decode_asr_response,
-    decode_mt_request,
     decode_mt_response,
+    decode_request,
     encode_asr_request,
     encode_asr_response,
     encode_mt_request,
@@ -451,8 +450,8 @@ def test_c11_datagen_statistics(tmp_path) -> None:
 def test_c12_wire_protocol(tmp_path) -> None:
     request_lines = (DATA / "wire_requests.jsonl").read_text(encoding="utf-8").splitlines()
     response_lines = (DATA / "wire_responses.jsonl").read_text(encoding="utf-8").splitlines()
-    assert encode_asr_request(decode_asr_request(request_lines[0])) == request_lines[0]
-    assert encode_mt_request(decode_mt_request(request_lines[1])) == request_lines[1]
+    assert encode_asr_request(decode_request(request_lines[0])) == request_lines[0]
+    assert encode_mt_request(decode_request(request_lines[1])) == request_lines[1]
     assert encode_asr_response(decode_asr_response(response_lines[0])) == response_lines[0]
     assert encode_mt_response(decode_mt_response(response_lines[1])) == response_lines[1]
 

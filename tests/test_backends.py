@@ -184,7 +184,7 @@ def test_mock_scripts_refuse_values_out_of_range(build, message) -> None:
 
 def test_mt_translate_uppercase_map_with_sentinel_and_diagonal_attention() -> None:
     script = MtScript()
-    request = MtRequest((), (), ("a", "b."), (), 2, "6")
+    request = MtRequest((), (), ("a", "b."), (), 2)
     response = mock_mt_translate(script, request)
     top = response.beams.beams[0]
     assert top.tokens == ("A", "B.", SENTINEL)
@@ -192,7 +192,7 @@ def test_mt_translate_uppercase_map_with_sentinel_and_diagonal_attention() -> No
 
 
 def test_mt_translate_cuts_surplus_committed_tokens_at_the_last_word() -> None:
-    request = MtRequest((), (), ("a", "b."), ("A", "B.", SENTINEL, "X", "Y"), 2, "6")
+    request = MtRequest((), (), ("a", "b."), ("A", "B.", SENTINEL, "X", "Y"), 2)
     for beam in mock_mt_translate(MtScript(), request).beams.beams:
         assert beam.tokens == request.committed_target
         assert beam.cuts == (0, 1, 1, 1, 1)
@@ -228,7 +228,6 @@ def _random_mt_request(rng: random.Random, script: MtScript) -> MtRequest:
         active,
         tuple(committed),
         rng.randint(1, 8),
-        rng.choice(("6", "4")),
     )
 
 
@@ -426,7 +425,7 @@ def test_noisy_mock_mt_seeds_one_rng_per_request_that_can_draw(monkeypatch) -> N
         for beam_size in (1, 4):
             for active in (("one", "two."), ()):
                 mt_calls.clear()
-                request = MtRequest((), (), active, (), beam_size, "6")
+                request = MtRequest((), (), active, (), beam_size)
                 backends.mock_mt_translate(script, request)
                 [(_, _, seeds)] = mt_calls
                 assert seeds == _mt_seeds(script, request)
@@ -434,7 +433,7 @@ def test_noisy_mock_mt_seeds_one_rng_per_request_that_can_draw(monkeypatch) -> N
     assert seeded == 2  # the two noisy scripts, four beams, a source left
 
 
-def test_noisy_mt_reply_ignores_the_history_and_the_layer_tag() -> None:
+def test_noisy_mt_reply_ignores_the_history() -> None:
     # The draws are keyed by the fields the reply is computed from, so a
     # request that differs only in fields the mock never reads gets the
     # same reply, noise and all.
@@ -456,7 +455,6 @@ def test_noisy_mt_reply_ignores_the_history_and_the_layer_tag() -> None:
             replace(request, history_source=other[0]),
             replace(request, history_target=tuple(tuple(w.upper() for w in s) for s in other[1])),
             replace(request, history_source=other[2], history_target=other[2]),
-            replace(request, attention_layer_tag=rng.choice(("4", "6", "last"))),
         ):
             assert mock_mt_translate(script, changed) == reply
     assert noisy_replies > 100
@@ -464,7 +462,7 @@ def test_noisy_mt_reply_ignores_the_history_and_the_layer_tag() -> None:
 
 def test_mt_translate_everything_committed_gives_empty_continuation() -> None:
     script = MtScript()
-    request = MtRequest((), (), ("a", "b"), ("A", "B"), 3, "6")
+    request = MtRequest((), (), ("a", "b"), ("A", "B"), 3)
     response = mock_mt_translate(script, request)
     for beam in response.beams.beams:
         assert beam.tokens == ("A", "B")
@@ -472,13 +470,13 @@ def test_mt_translate_everything_committed_gives_empty_continuation() -> None:
 
 def test_mt_translate_is_deterministic() -> None:
     script = MtScript(tail_truncate_max=2, tail_perturb_prob=0.5)
-    request = MtRequest((), (), ("one", "two", "three."), ("ONE",), 6, "6")
+    request = MtRequest((), (), ("one", "two", "three."), ("ONE",), 6)
     assert mock_mt_translate(script, request) == mock_mt_translate(script, request)
 
 
 def test_mt_translate_beams_extend_committed_and_scores_descend() -> None:
     script = MtScript(tail_truncate_max=2, tail_perturb_prob=0.7, seed=5)
-    request = MtRequest((), (), ("one", "two", "three."), ("ONE",), 8, "6")
+    request = MtRequest((), (), ("one", "two", "three."), ("ONE",), 8)
     response = mock_mt_translate(script, request)
     scores = [b.score for b in response.beams.beams]
     assert scores == sorted(scores, reverse=True)
@@ -491,7 +489,7 @@ def test_mt_translate_beams_extend_committed_and_scores_descend() -> None:
 
 def test_mt_translate_word_map_overrides_uppercase() -> None:
     script = MtScript(word_map={"hund": "dog"})
-    response = mock_mt_translate(script, MtRequest((), (), ("hund", "ja"), (), 1, "6"))
+    response = mock_mt_translate(script, MtRequest((), (), ("hund", "ja"), (), 1))
     assert response.beams.beams[0].tokens == ("dog", "JA")
 
 
@@ -502,12 +500,12 @@ def test_map_word_never_turns_a_word_into_the_sentinel() -> None:
     # A word that only uppercases to the sentinel translates to itself.
     for word in ("[sep]", "[Sep]", "[sEp]"):
         assert script.map_word(word) == word
-    response = mock_mt_translate(script, MtRequest((), (), ("[sep]", "ja."), (), 1, "6"))
+    response = mock_mt_translate(script, MtRequest((), (), ("[sep]", "ja."), (), 1))
     assert response.beams.beams[0].tokens == ("[sep]", "JA.", SENTINEL)
 
 
 def test_mt_translate_empty_active_source_returns_no_beams() -> None:
-    response = mock_mt_translate(MtScript(), MtRequest((), (), (), ("X",), 4, "6"))
+    response = mock_mt_translate(MtScript(), MtRequest((), (), (), ("X",), 4))
     assert response.beams.beams == ()
 
 
@@ -522,7 +520,7 @@ def test_mocks_are_referentially_transparent_under_replay() -> None:
         for _ in range(20)
     ]
     mt_requests = [
-        MtRequest((), (), ("w1", "w2." if rng.random() < 0.5 else "w2"), (), 4, "6")
+        MtRequest((), (), ("w1", "w2." if rng.random() < 0.5 else "w2"), (), 4)
         for _ in range(20)
     ]
     asr_responses = [mock_asr_decode(asr_script, r) for r in asr_requests]

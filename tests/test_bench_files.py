@@ -10,6 +10,7 @@ lists. Its layout::
       "comparisons": [
         {
           "candidate": "<what the change side changes>",
+          "change_tree": "<sha256 of the change side's tree>",  (optional)
           "claim": "<workload>:<metric>",  (only on a claimed gain)
           "verdict": "keep" | "delete" | "no claim" | "gain" | "no gain",
           "judged": ["<metric>", ...],
@@ -33,7 +34,10 @@ optional ``"python"`` naming the interpreter that ran it, and any other
 top-level or run keys free text or context (a host probe, say). A
 comparison marked ``"traced": true`` holds traced runs instead: their
 ``metrics`` are the per-layer object a ``--trace 1`` run prints, and its
-verdict is "no claim". ``parent[i]`` and ``change[i]`` are pair i: they
+verdict is "no claim". ``change_tree``, which files written before it
+came in lack, is 64 lowercase hex digits: the change side has no commit,
+so ``tests/bench_pairs.py`` records the sha256 of the tree it ran
+(``_tree_digest``). ``parent[i]`` and ``change[i]`` are pair i: they
 ran one after the other, at orders 2i and 2i + 1 in the workload's
 sequence, the side that ran first alternating from pair to pair, and with
 the same seed and run length. The medians are of each side's runs;
@@ -56,6 +60,7 @@ better as ``BENCHMARK.json``'s ``better`` says), and "delete" otherwise. A
 
 from __future__ import annotations
 
+import re
 import statistics
 from pathlib import Path
 
@@ -92,6 +97,9 @@ def test_a_bench_file_names_only_what_the_benchmark_lists(path) -> None:
     assert bench["comparisons"]
     for comparison, name, workload in _workloads(path):
         assert type(comparison["candidate"]) is str and comparison["candidate"]
+        if "change_tree" in comparison:
+            tree = comparison["change_tree"]
+            assert type(tree) is str and re.fullmatch("[0-9a-f]{64}", tree), tree
         if "claim" in comparison:
             claimed, _, metric = comparison["claim"].partition(":")
             assert claimed in comparison["workloads"] and metric in END_TO_END, comparison

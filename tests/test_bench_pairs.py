@@ -101,3 +101,21 @@ def test_a_gain_needs_the_median_past_the_iqr_and_eight_pair_wins_in_ten() -> No
 def test_a_gain_is_refused_when_another_judged_metric_regresses() -> None:
     comparison = _comparison(PARENT, [v - 1.0 for v in PARENT], change_step_ms=2.0)
     assert bench_pairs._verdict(comparison, BETTER) == "no gain"
+
+
+def test_the_change_tree_digest_is_of_the_files_the_runs_see(tmp_path) -> None:
+    source = tmp_path / "source"
+    (source / "src" / "__pycache__").mkdir(parents=True)
+    (source / "src" / "a.py").write_text("a = 1\n")
+    (source / "b.txt").write_text("b")
+    digest = bench_pairs._change_tree(source, tmp_path / "first")
+    assert len(digest) == 64 and digest == bench_pairs._tree_digest(source)
+    # What the copy ignores leaves the digest as it is.
+    (source / "src" / "__pycache__" / "a.pyc").write_bytes(b"\0")
+    assert bench_pairs._change_tree(source, tmp_path / "second") == digest
+    # A changed byte, or a file moved, gives another digest.
+    (source / "b.txt").write_text("c")
+    changed = bench_pairs._tree_digest(source)
+    (source / "b.txt").rename(source / "src" / "b.txt")
+    moved = bench_pairs._tree_digest(source)
+    assert len({digest, changed, moved}) == 3

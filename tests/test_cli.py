@@ -278,7 +278,7 @@ def test_simulate_refuses_an_unpaired_surrogate_naming_the_file(tmp_path, capsys
     if where == "wire_config":
         command = [sys.executable, "-m", "simulstream.wire_server", str(script_path)]
         config["backend"] = {"kind": "wire", "command": command, "timeout_s": 30}
-        config["overrides"] = {"mt": {"attention_layer_tag": "\ud800"}}
+        config["overrides"] = {"mt": {"history_remove": "\ud800"}}
         named = config_path
     else:
         script["asr"]["words"][0]["text"] = "hello\ud800."
@@ -380,7 +380,7 @@ _NOT_UTF8_REPLY_SERVER = (
 @pytest.mark.parametrize(
     "server, message",
     [
-        (_V1_REPLY_SERVER, "field 'v' must be 3, got 1"),
+        (_V1_REPLY_SERVER, "field 'v' must be 4, got 1"),
         (_DEEP_REPLY_SERVER, "nested too deeply"),
         (_NOT_UTF8_REPLY_SERVER, "response is not UTF-8"),
         (_SURROGATE_REPLY_SERVER, "unpaired surrogate"),
@@ -865,6 +865,7 @@ def _simulate_with_overrides(tmp_path, overrides, table3="adapted") -> tuple[int
         ("adapted", {"asr": {"lowercase": False}}, "key 'lowercase' in section 'asr'"),
         ("adapted", {"mt": {"filter_empty": False}}, "key 'filter_empty' in section 'mt'"),
         ("adapted", {"mt": {"recompute_votes_after_filter": True}}, "key 'recompute_votes_after_filter'"),
+        ("adapted", {"mt": {"attention_layer_tag": "6"}}, "key 'attention_layer_tag' in section 'mt'"),
         ("x" * 100_000, {}, "mode must be one of ('adapted', 'baseline'), got 'xxx"),
         ("adapted", {"mt": {"history_remove": "y" * 100_000}}, "history_remove must be one of"),
         ("adapted", {"bogus": 5}, "unknown override section 'bogus'"),
@@ -872,7 +873,7 @@ def _simulate_with_overrides(tmp_path, overrides, table3="adapted") -> tuple[int
     ids=["int_gets_float", "baseline_int_gets_float", "int_gets_bool", "buffer_gets_float",
          "float_gets_string", "string_gets_int", "removed_abbreviations",
          "removed_strip_punctuation", "removed_lowercase", "removed_filter_empty",
-         "removed_recompute_votes", "huge_table3", "huge_history_remove",
+         "removed_recompute_votes", "removed_attention_layer_tag", "huge_table3", "huge_history_remove",
          "unknown_section_non_object"],
 )
 def test_simulate_bad_override_exits_1_naming_section_and_key(

@@ -57,10 +57,9 @@ from simulstream.metrics import (
 from simulstream.mt_stream import MtStreamConfig, MtStreamController
 from simulstream.pipeline import apply_overrides, preset_config, read_trace
 from simulstream.wire import (
-    decode_asr_request,
     decode_asr_response,
-    decode_mt_request,
     decode_mt_response,
+    decode_request,
     encode_asr_request,
     encode_asr_response,
     encode_mt_request,
@@ -270,7 +269,6 @@ def test_stream_history_counts_and_pairing() -> None:
         active_source=("d", "e"),
         committed_target=("w",),
         beam_size=10,
-        attention_layer_tag="6",
     )
     assert history.history_source_words() == 3
     assert history.buffered_source_words() == 5
@@ -321,7 +319,7 @@ def _line_reader(decode):
 #          {kind: path of a field of that kind}, (kind, path) of a required field)
 _READERS = {
     "asr_request": (
-        ProtocolError, _line_reader(decode_asr_request), _golden("wire_requests.jsonl", 0), "",
+        InvalidArgumentError, _line_reader(decode_request), _golden("wire_requests.jsonl", 0), "",
         {int: ("beam_size",), float: ("window_start_s",)}, (float, ("window_end_s",)),
     ),
     "asr_response": (
@@ -329,7 +327,7 @@ _READERS = {
         {int: ("v",), float: ("words", 0, "start_s")}, (float, ("compute_cost_s",)),
     ),
     "mt_request": (
-        ProtocolError, _line_reader(decode_mt_request), _golden("wire_requests.jsonl", 1), "",
+        InvalidArgumentError, _line_reader(decode_request), _golden("wire_requests.jsonl", 1), "",
         {int: ("beam_size",), str: ("history_target", 1, 0)}, (int, ("beam_size",)),
     ),
     "mt_response": (
@@ -466,7 +464,6 @@ def _records(rng: random.Random) -> dict[str, object]:
             _seq(rng, _TOKENS, 4),
             _seq(rng, _TOKENS, 4),
             rng.randint(1, 64),
-            rng.choice(["6", ""]),
         ),
         "EmissionRecord": EmissionRecord(rng.choice(_TOKENS), start, start + 1),
         "ReferenceSegment": ReferenceSegment(_seq(rng, _WORDS, 4), start, start + 2.0),
@@ -494,9 +491,9 @@ def test_every_record_round_trips_through_its_fields() -> None:
         asr = AsrResponse(records["AsrHypothesis"], _time(rng))
         mt = MtResponse(records["BeamSet"], _time(rng))
         asr_request, mt_request = records["AsrRequest"], records["MtRequest"]
-        assert decode_asr_request(encode_asr_request(asr_request)) == asr_request
+        assert decode_request(encode_asr_request(asr_request)) == asr_request
         assert decode_asr_response(encode_asr_response(asr)) == asr
-        assert decode_mt_request(encode_mt_request(mt_request)) == mt_request
+        assert decode_request(encode_mt_request(mt_request)) == mt_request
         assert decode_mt_response(encode_mt_response(mt)) == mt
     assert history_shapes == {"no sentence", "one empty sentence", "an empty sentence", "words"}
 
@@ -550,7 +547,7 @@ def _odd_records(rng: random.Random) -> list:
         EmissionRecord(text, time, time),
         MtResponse(BeamSet((beam,)), time),
         AsrResponse(AsrHypothesis(words), time),
-        MtRequest(history, history, (text,), (), 64, text),
+        MtRequest(history, history, (text,), (), 64),
         AsrRequest(text, 0.0, time, 1),
         AsrScript(words, seed=big),  # has fields that __init__ does not take
         MtScript({text: "ja", "": "Haus"}, seed=-big),  # a Mapping field
@@ -566,7 +563,7 @@ def test_canonical_json_matches_the_standard_encoder_on_every_record_class() -> 
         classes.update(type(v) for v in values)
         for value in values:
             assert canonical_json(value) == oracle_canonical_json(value)
-        message = {"v": 3, "kind": rng.choice(_ODD_STRINGS), "values": values, "n": (-0.0, 1e16)}
+        message = {"v": 4, "kind": rng.choice(_ODD_STRINGS), "values": values, "n": (-0.0, 1e16)}
         assert canonical_json(message) == oracle_canonical_json(message)
     assert len(classes) == 13
 
@@ -752,8 +749,8 @@ def _codec_outputs() -> list[str]:
     requests = (DATA / "wire_requests.jsonl").read_text(encoding="utf-8").splitlines()
     responses = (DATA / "wire_responses.jsonl").read_text(encoding="utf-8").splitlines()
     texts += [
-        encode_asr_request(decode_asr_request(requests[0])),
-        encode_mt_request(decode_mt_request(requests[1])),
+        encode_asr_request(decode_request(requests[0])),
+        encode_mt_request(decode_request(requests[1])),
         encode_asr_response(decode_asr_response(responses[0])),
         encode_mt_response(decode_mt_response(responses[1])),
         dump_jsonl(read_emission_log(DATA / "golden_log_60s.jsonl")),
@@ -1049,7 +1046,7 @@ def test_read_records_keeps_float_lists_apart_with_their_signs() -> None:
 
 def test_a_bad_item_of_a_wire_reply_is_named_by_its_place() -> None:
     beam = {"tokens": ["we", "go"], "score": 0.0, "cuts": [0, 1]}
-    reply = {"v": 3, "kind": "mt", "compute_cost_s": 0.1, "beams": [beam, beam, beam, beam]}
+    reply = {"v": 4, "kind": "mt", "compute_cost_s": 0.1, "beams": [beam, beam, beam, beam]}
     reply["beams"][2] = {**beam, "cuts": [0, "1"]}
     with pytest.raises(ProtocolError, match=r"^field 'beams\[2\]\.cuts\[1\]' must be an integer, got '1'$"):
         decode_mt_response(json.dumps(reply))
@@ -1059,7 +1056,7 @@ def test_a_bad_item_of_a_wire_reply_is_named_by_its_place() -> None:
     ):
         decode_mt_response(json.dumps(reply))
     word = {"text": "a", "start_s": 0.0, "end_s": 0.5}
-    reply = {"v": 3, "kind": "asr", "compute_cost_s": 0.1, "words": [word, {**word, "end_s": 1}]}
+    reply = {"v": 4, "kind": "asr", "compute_cost_s": 0.1, "words": [word, {**word, "end_s": 1}]}
     assert decode_asr_response(json.dumps(reply)).hypothesis.words[1].end_s == 1.0
     reply["words"][1] = {**word, "start_s": True}
     with pytest.raises(ProtocolError, match=r"^field 'words\[1\]\.start_s' must be a number, got True$"):
@@ -1082,8 +1079,8 @@ _REWRITES = {
     "wire_requests.jsonl": partial(
         _rewrite_wire,
         codecs={
-            "asr": (decode_asr_request, encode_asr_request),
-            "mt": (decode_mt_request, encode_mt_request),
+            "asr": (decode_request, encode_asr_request),
+            "mt": (decode_request, encode_mt_request),
         },
     ),
     "wire_responses.jsonl": partial(

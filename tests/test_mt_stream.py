@@ -216,10 +216,7 @@ def test_emission_is_append_only_across_steps() -> None:
 
 def _with_history(controller, source, target, active) -> None:
     """Set the controller's history sides and active source."""
-    config = controller.config
-    controller.history = MtRequest(
-        source, target, active, (), config.beam_size, config.attention_layer_tag
-    )
+    controller.history = MtRequest(source, target, active, (), controller.config.beam_size)
 
 
 def test_eviction_adapted_drops_oldest_pair() -> None:
@@ -366,7 +363,7 @@ def _random_reply(rng: random.Random) -> tuple[BeamSet, MtRequest]:
     active = tuple(f"w{i}" for i in range(rng.randint(0, 4)))
     committed = tuple(rng.choice("ab") for _ in range(rng.randint(0, 3)))
     beam_size = rng.randint(1, 6)
-    request = MtRequest((), (), active, committed, beam_size, "6")
+    request = MtRequest((), (), active, committed, beam_size)
     sharing = rng.choice(["own", "identity", "value"])
     shared_cuts = [rng.randrange(len(active)) if active else 0 for _ in range(len(committed) + 3)]
     by_length: dict[int, tuple] = {}
@@ -425,7 +422,7 @@ def test_reply_checks_match_the_walk_oracle() -> None:
 
 
 def test_a_refused_reply_counts_the_rewriting_beams_before_the_bad_cut() -> None:
-    request = MtRequest((), (), ("a", "b"), ("A",), 4, "6")
+    request = MtRequest((), (), ("a", "b"), ("A",), 4)
     beams = BeamSet(
         (
             BeamHypothesis(("A", "B"), 0.0, (0, 1)),

@@ -55,8 +55,8 @@ def _run_talk(log_path: Path) -> Pipeline:
 def _wire_codec() -> None:
     asr_request, mt_request = (DATA / "wire_requests.jsonl").read_text("utf-8").splitlines()
     asr_reply, mt_reply = (DATA / "wire_responses.jsonl").read_text("utf-8").splitlines()
-    wire.encode_asr_request(wire.decode_asr_request(asr_request))
-    wire.encode_mt_request(wire.decode_mt_request(mt_request))
+    wire.encode_asr_request(wire.decode_request(asr_request))
+    wire.encode_mt_request(wire.decode_request(mt_request))
     wire.decode_asr_response(asr_reply)
     wire.decode_mt_response(mt_reply)
 

@@ -42,7 +42,7 @@ from simulstream.pipeline import (
     preset_config,
     read_trace,
 )
-from simulstream.wire import decode_mt_request, encode_mt_request
+from simulstream.wire import decode_request, encode_mt_request
 from simulstream.textnorm import has_terminal_mark
 
 
@@ -65,7 +65,6 @@ def test_preset_matches_inference_defaults() -> None:
     assert adapted.mt.wait_k == 3
     assert adapted.mt.agreement_ratio == 0.5
     assert adapted.mt.beam_size == 10
-    assert adapted.mt.attention_layer_tag == "6"
     assert adapted.mt.max_buffer_words == 80
     assert adapted.mt.history_remove == "oldest_sentence_pair"
 
@@ -346,7 +345,7 @@ def test_the_mt_state_round_trips_through_the_wire_after_every_step(mode) -> Non
         for event in chunked_trace(duration):
             pipeline.feed_audio(event.duration_s)
             history = pipeline.mt.history
-            assert decode_mt_request(encode_mt_request(history)) == history
+            assert decode_request(encode_mt_request(history)) == history
         assert pipeline.mt.evictions > 0
 
 
@@ -579,7 +578,7 @@ OVERRIDE_KEYS = {
     "asr": ["max_window_s", "min_chunk_s", "initial_wait_s", "levenshtein_threshold", "backend_beam"],
     "mt": [
         "agreement_ratio", "beam_size", "wait_k", "max_buffer_words",
-        "history_remove", "history_remove_words", "attention_layer_tag",
+        "history_remove", "history_remove_words",
     ],
 }
 

@@ -31,6 +31,7 @@ from simulstream.core import (
     BackendError,
     BeamHypothesis,
     BeamSet,
+    InvalidArgumentError,
     ProtocolError,
     TimedWord,
     VirtualClock,
@@ -42,10 +43,9 @@ from simulstream.wire import (
     WireAsrBackend,
     WireChannel,
     WireMtBackend,
-    decode_asr_request,
     decode_asr_response,
-    decode_mt_request,
     decode_mt_response,
+    decode_request,
     encode_asr_request,
     encode_asr_response,
     encode_mt_request,
@@ -59,8 +59,8 @@ DATA = Path(__file__).parent / "data"
 
 def test_golden_requests_roundtrip_byte_identically() -> None:
     lines = (DATA / "wire_requests.jsonl").read_text(encoding="utf-8").splitlines()
-    assert encode_asr_request(decode_asr_request(lines[0])) == lines[0]
-    assert encode_mt_request(decode_mt_request(lines[1])) == lines[1]
+    assert encode_asr_request(decode_request(lines[0])) == lines[0]
+    assert encode_mt_request(decode_request(lines[1])) == lines[1]
 
 
 def test_golden_responses_roundtrip_byte_identically() -> None:
@@ -74,7 +74,7 @@ def test_mt_request_history_travels_as_lists_of_words() -> None:
     obj = json.loads(lines[1])
     assert obj["history_source"] == [["bellt."], ["die", "katze", "schläft."], ["es", "regnet."]]
     assert obj["history_target"] == [[], ["the", "cat", "sleeps."], ["it", "rains."]]
-    request = decode_mt_request(lines[1])
+    request = decode_request(lines[1])
     assert request.history_source == (("bellt.",), ("die", "katze", "schläft."), ("es", "regnet."))
     assert request.history_target == ((), ("the", "cat", "sleeps."), ("it", "rains."))
 
@@ -119,12 +119,14 @@ def test_unpaired_surrogate_is_a_protocol_error_and_an_error_reply() -> None:
     with pytest.raises(ProtocolError, match=r"unpaired surrogate '\\ud800'"):
         decode_mt_response(reply)
     request = _golden_lines("wire_requests.jsonl")[1]
-    assert '"attention_layer_tag":"' in request
-    request = request.replace('"attention_layer_tag":"', r'"attention_layer_tag":"\ud800', 1)
+    assert '"active_source":["wir"' in request
+    request = request.replace('"active_source":["wir"', r'"active_source":["wir\ud800"', 1)
+    with pytest.raises(InvalidArgumentError, match=r"unpaired surrogate '\\ud800'"):
+        decode_request(request)
     out = io.BytesIO()
     serve(_Unreachable(), _Unreachable(), io.BytesIO(request.encode() + b"\n"), out)
     reply = json.loads(out.getvalue())
-    assert (reply["v"], reply["kind"]) == (3, "error")
+    assert (reply["v"], reply["kind"]) == (4, "error")
     assert "unpaired surrogate" in reply["message"]
 
 
@@ -135,8 +137,8 @@ def _golden_lines(name: str) -> list[str]:
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_asr_request_with_non_finite_number_is_rejected(literal) -> None:
     line = _golden_lines("wire_requests.jsonl")[0].replace("7.25", literal)
-    with pytest.raises(ProtocolError, match=literal):
-        decode_asr_request(line)
+    with pytest.raises(InvalidArgumentError, match=literal):
+        decode_request(line)
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -166,10 +168,10 @@ _HUGE_INT = "1" + "0" * 400
 @pytest.mark.parametrize(
     "decode, old, new, field",
     [
-        (decode_asr_request, '"window_start_s":2.5', '"window_start_s":1e999', "window_start_s"),
-        (decode_asr_request, '"window_end_s":7.25', '"window_end_s":1e999', "window_end_s"),
+        (decode_request, '"window_start_s":2.5', '"window_start_s":1e999', "window_start_s"),
+        (decode_request, '"window_end_s":7.25', '"window_end_s":1e999', "window_end_s"),
         (
-            decode_asr_request,
+            decode_request,
             '"window_start_s":2.5',
             f'"window_start_s":{_HUGE_INT}',
             "window_start_s",
@@ -195,9 +197,10 @@ _HUGE_INT = "1" + "0" * 400
     ],
 )
 def test_overflowing_number_is_rejected(decode, old, new, field) -> None:
-    golden = "wire_requests.jsonl" if decode is decode_asr_request else "wire_responses.jsonl"
+    request = decode is decode_request
+    golden = "wire_requests.jsonl" if request else "wire_responses.jsonl"
     (line,) = [line for line in _golden_lines(golden) if old in line]
-    with pytest.raises(ProtocolError, match=field):
+    with pytest.raises(InvalidArgumentError if request else ProtocolError, match=field):
         decode(line.replace(old, new, 1))
 
 
@@ -205,8 +208,8 @@ def test_overflowing_number_is_rejected(decode, old, new, field) -> None:
 def test_mt_request_with_non_finite_number_is_rejected(literal) -> None:
     line = _golden_lines("wire_requests.jsonl")[1]
     line = line.replace('"beam_size":10', f'"beam_size":{literal}')
-    with pytest.raises(ProtocolError, match=literal):
-        decode_mt_request(line)
+    with pytest.raises(InvalidArgumentError, match=literal):
+        decode_request(line)
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -243,7 +246,7 @@ _V1_MT_REPLY = (
 
 
 def test_v1_mt_reply_is_rejected_naming_v() -> None:
-    with pytest.raises(ProtocolError, match="field 'v' must be 3, got 1"):
+    with pytest.raises(ProtocolError, match="field 'v' must be 4, got 1"):
         decode_mt_response(_V1_MT_REPLY)
 
 
@@ -257,29 +260,54 @@ _V2_MT_REQUEST = (
 )
 
 
-def test_v2_mt_request_is_rejected_naming_v() -> None:
-    with pytest.raises(ProtocolError, match="field 'v' must be 3, got 2"):
-        decode_mt_request(_V2_MT_REQUEST)
-    out = io.BytesIO()
-    serve(_Unreachable(), _Unreachable(), io.BytesIO(_V2_MT_REQUEST.encode() + b"\n"), out)
-    assert json.loads(out.getvalue()) == {
-        "kind": "error", "message": "field 'v' must be 3, got 2", "v": 3
-    }
+# The MT request golden of protocol version 3, which also sent the attention
+# layer tag.
+_V3_MT_REQUEST = (
+    '{"active_source":["wir","gehen"],"attention_layer_tag":"6","beam_size":10,'
+    '"committed_target":["we"],"history_source":[["bellt."],["die","katze","schläft."],'
+    '["es","regnet."]],"history_target":[[],["the","cat","sleeps."],["it","rains."]],'
+    '"kind":"mt","v":3}'
+)
+
+
+class _Deaf:
+    """An ASR backend that answers every request with no words."""
+
+    def decode(self, request: AsrRequest) -> AsrResponse:
+        return AsrResponse(AsrHypothesis(()), 0.5)
 
 
 @pytest.mark.parametrize(
-    "decode", [decode_asr_request, decode_asr_response, decode_mt_request, decode_mt_response]
+    "line, version", [(_V2_MT_REQUEST, 2), (_V3_MT_REQUEST, 3)], ids=["v2", "v3"]
 )
+def test_an_old_peers_request_is_refused_naming_v(line, version) -> None:
+    message = f"field 'v' must be 4, got {version}"
+    with pytest.raises(InvalidArgumentError, match=message):
+        decode_request(line)
+    out = io.BytesIO()
+    current = _golden_lines("wire_requests.jsonl")[0]
+    stdin = io.BytesIO(f"{line}\n{current}\n".encode())
+    serve(_Deaf(), _Unreachable(), stdin, out)
+    refusal, answer = out.getvalue().splitlines()
+    assert json.loads(refusal) == {"kind": "error", "message": message, "v": 4}
+    assert decode_asr_response(answer.decode()) == AsrResponse(AsrHypothesis(()), 0.5)
+
+
+@pytest.mark.parametrize("decode", [decode_request, decode_asr_response, decode_mt_response])
 def test_deeply_nested_line_is_a_protocol_error(decode) -> None:
-    with pytest.raises(ProtocolError, match="nested too deeply"):
+    # The server refuses a request; the client raises a reply's fault.
+    error = InvalidArgumentError if decode is decode_request else ProtocolError
+    with pytest.raises(error, match="nested too deeply"):
         decode(DEEP_JSON)
 
 
 def test_string_list_errors_name_their_path() -> None:
     request = json.loads(_golden_lines("wire_requests.jsonl")[1])
     request["active_source"][1] = 7
-    with pytest.raises(ProtocolError, match=r"field 'active_source\[1\]' must be a string, got 7"):
-        decode_mt_request(json.dumps(request))
+    with pytest.raises(
+        InvalidArgumentError, match=r"field 'active_source\[1\]' must be a string, got 7"
+    ):
+        decode_request(json.dumps(request))
     response = json.loads(_golden_lines("wire_responses.jsonl")[1])
     response["beams"][1]["tokens"][0] = None
     with pytest.raises(ProtocolError, match=r"'beams\[1\]\.tokens\[0\]' must be a string"):
@@ -350,7 +378,6 @@ def test_wire_backends_match_in_process_mocks(tmp_path) -> None:
             ("neue", "wörter."),
             ("NEUE",),
             4,
-            "6",
         )
         assert mt.translate(mt_request) == mock_mt_translate(mt_script, mt_request)
     finally:
@@ -748,8 +775,10 @@ def test_an_unpaired_history_is_a_protocol_error() -> None:
     request = json.loads(_golden_lines("wire_requests.jsonl")[1])
     request["history_source"] = [["a"], ["b."]]
     request["history_target"] = [["A"]]
-    with pytest.raises(ProtocolError, match="history desynchronized: 2 source vs 1 target"):
-        decode_mt_request(canonical_json(request))
+    with pytest.raises(
+        InvalidArgumentError, match="history desynchronized: 2 source vs 1 target"
+    ):
+        decode_request(canonical_json(request))
 
 
 def test_server_error_reply_leaves_the_channel_usable(tmp_path) -> None:
@@ -769,7 +798,7 @@ def test_server_answers_a_non_utf8_line_with_an_error() -> None:
     out = io.BytesIO()
     serve(None, None, io.BytesIO(b"\xff\n"), out)
     reply = json.loads(out.getvalue())
-    assert (reply["v"], reply["kind"]) == (3, "error")
+    assert (reply["v"], reply["kind"]) == (4, "error")
     assert reply["message"].startswith("request is not UTF-8")
 
 
@@ -786,10 +815,10 @@ class _Unreachable:
 def test_server_answers_every_line_even_a_blank_one() -> None:
     # One reply per line, so the client never waits on a line that got none.
     out = io.BytesIO()
-    serve(_Unreachable(), _Unreachable(), io.BytesIO(b'\n{"v":3,"kind":"tts"}\n\n'), out)
+    serve(_Unreachable(), _Unreachable(), io.BytesIO(b'\n{"v":4,"kind":"tts"}\n\n'), out)
     blank = "invalid JSON: Expecting value: line 1 column 1 (char 0); payload: ''"
     assert [json.loads(reply) for reply in out.getvalue().splitlines()] == [
-        {"v": 3, "kind": "error", "message": message}
+        {"v": 4, "kind": "error", "message": message}
         for message in (blank, "field 'kind' must be 'asr' or 'mt', got 'tts'", blank)
     ]
 
@@ -803,14 +832,14 @@ def test_server_refuses_a_huge_beam_size_without_building_a_beam(kind) -> None:
     stdin = io.BytesIO(json.dumps(request).encode() + b"\n")
     serve(_Unreachable(), _Unreachable(), stdin, out)
     reply = json.loads(out.getvalue())
-    assert (reply["v"], reply["kind"]) == (3, "error")
+    assert (reply["v"], reply["kind"]) == (4, "error")
     assert reply["message"] == "beam_size must be <= 64, got 1000000000"
 
 
 _WIRE_DECODERS = {
-    ("->", "asr"): (decode_asr_request, encode_asr_request),
+    ("->", "asr"): (decode_request, encode_asr_request),
     ("<-", "asr"): (decode_asr_response, encode_asr_response),
-    ("->", "mt"): (decode_mt_request, encode_mt_request),
+    ("->", "mt"): (decode_request, encode_mt_request),
     ("<-", "mt"): (decode_mt_response, encode_mt_response),
 }
 
