@@ -8,8 +8,8 @@ Each side runs ``perfbench/run.py --workload W --seed 1 --seconds T`` in a
 fresh tree of its own: the parent side in a ``git archive`` of ``--parent``,
 the change side in a copy of the ``--change`` directory. The change side
 has no commit, so each comparison records ``change_tree``, the sha256 of
-that copy (``_tree_digest``). Pair i runs both
-sides one after the other, the parent first when i is even. A
+that copy (``_tree_digest``). Pair i runs both sides one after the other,
+the parent first when i is even. A
 ``--workload`` given more than once runs its pairs on each in turn.
 
 Each invocation appends one comparison to ``--out`` in the layout that
@@ -100,7 +100,9 @@ def _tree_digest(root: Path) -> str:
 
 def _change_tree(source: Path, into: Path) -> str:
     """Copy ``source`` into ``into``; return the copy's ``_tree_digest``."""
-    ignore = shutil.ignore_patterns(".git", ".perfbench-out", "__pycache__", "*.egg-info")
+    ignore = shutil.ignore_patterns(
+        ".git", ".perfbench-out", "__pycache__", "*.egg-info", ".pytest_cache"
+    )
     shutil.copytree(source, into, ignore=ignore)
     return _tree_digest(into)
 

@@ -110,8 +110,11 @@ def test_the_change_tree_digest_is_of_the_files_the_runs_see(tmp_path) -> None:
     (source / "b.txt").write_text("b")
     digest = bench_pairs._change_tree(source, tmp_path / "first")
     assert len(digest) == 64 and digest == bench_pairs._tree_digest(source)
-    # What the copy ignores leaves the digest as it is.
+    # What the copy ignores, bytecode and test caches that git ignores too,
+    # leaves the digest as it is: it is the digest of the committed files.
     (source / "src" / "__pycache__" / "a.pyc").write_bytes(b"\0")
+    (source / ".pytest_cache").mkdir()
+    (source / ".pytest_cache" / "README.md").write_text("cache")
     assert bench_pairs._change_tree(source, tmp_path / "second") == digest
     # A changed byte, or a file moved, gives another digest.
     (source / "b.txt").write_text("c")
