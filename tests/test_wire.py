@@ -293,12 +293,29 @@ def test_an_old_peers_request_is_refused_naming_v(line, version) -> None:
     assert decode_asr_response(answer.decode()) == AsrResponse(AsrHypothesis(()), 0.5)
 
 
-@pytest.mark.parametrize("decode", [decode_request, decode_asr_response, decode_mt_response])
-def test_deeply_nested_line_is_a_protocol_error(decode) -> None:
-    # The server refuses a request; the client raises a reply's fault.
+def _deep_request(index: int, field: str) -> str:
+    """A golden request line whose ``field`` holds DEEP_JSON."""
+    line = _golden_lines("wire_requests.jsonl")[index]
+    start = line.index(f'"{field}":') + len(f'"{field}":')
+    end = line.index(",", start) if field == "stream_id" else line.index("]", start) + 1
+    return line[:start] + DEEP_JSON + line[end:]
+
+
+@pytest.mark.parametrize(
+    "decode, line",
+    [
+        (decode_request, lambda: _deep_request(0, "stream_id")),
+        (decode_asr_response, lambda: DEEP_JSON),
+        (decode_request, lambda: _deep_request(1, "active_source")),
+        (decode_mt_response, lambda: DEEP_JSON),
+    ],
+    ids=["decode_asr_request", "decode_asr_response", "decode_mt_request", "decode_mt_response"],
+)
+def test_deeply_nested_line_is_a_protocol_error(decode, line) -> None:
+    # The server refuses a request of either kind; the client raises a reply's fault.
     error = InvalidArgumentError if decode is decode_request else ProtocolError
     with pytest.raises(error, match="nested too deeply"):
-        decode(DEEP_JSON)
+        decode(line())
 
 
 def test_string_list_errors_name_their_path() -> None:
