@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache, partial
 from itertools import chain
@@ -195,11 +196,13 @@ def read_jsonl(path: str | Path, parse=None) -> list:
     only: canonical JSON keeps characters such as U+2028 raw inside
     strings, and ``str.splitlines`` would cut a line there.
 
-    The file is decoded once, and a line that is exactly one object is
-    read by the decoder's C scanner. Any other line, and any line with a
-    backslash (an escape, which ``json_object`` checks for surrogates), is
-    skipped if blank and otherwise read or refused by ``json_object``, as a
-    line read on its own would be.
+    The file is decoded once. A file of object lines with no backslash,
+    ending in a newline (``_scan_lines``), is read by one scan of the
+    decoder's C scanner. Any other file is read line by line: a line that
+    is exactly one object is read by the C scanner, and any other line, or
+    any line with a backslash (an escape, which ``json_object`` checks for
+    surrogates), is skipped if blank and otherwise read or refused by
+    ``json_object``, as a line read on its own would be.
     """
     data = Path(path).read_bytes()
     bad_line = None
@@ -211,12 +214,18 @@ def read_jsonl(path: str | Path, parse=None) -> list:
         head = data.rfind(b"\n", 0, exc.start) + 1
         text = data[:head].decode("utf-8")  # its last line, "", is where the bad one was
         bad_line = data[head:].split(b"\n", 1)[0]
-    lines = text.split("\n")
-    escaped = "\\" in text
+    objects = _scan_lines(text) if bad_line is None else None
+    if objects is not None and parse is None:
+        return objects
     parsed = []
     lineno = 0
     try:
-        for lineno, line in enumerate(lines, start=1):
+        if objects is not None:
+            for lineno, obj in enumerate(objects, start=1):  # line i holds object i
+                parsed.append(parse(obj))
+            return parsed
+        escaped = "\\" in text
+        for lineno, line in enumerate(text.split("\n"), start=1):
             try:
                 obj, end = _scan_once(line, 0)
             except (StopIteration, ValueError, RecursionError):
@@ -231,6 +240,43 @@ def read_jsonl(path: str | Path, parse=None) -> list:
     except ValueError as exc:
         raise InvalidArgumentError(f"{path}:{lineno}: {exc}") from exc
     return parsed
+
+
+# A closing brace, then a comma: where a line can go on past the object it
+# opened with. JSON whitespace inside a line is a space, tab or CR.
+_COMMA_AFTER_BRACE = re.compile(r"\}[ \t\r]*,")
+
+
+def _scan_lines(text: str) -> list | None:
+    """The object on each line of ``text``, from one scan of the lines
+    joined into one JSON array; None unless that scan reads every line as
+    exactly one object, as the line-by-line walk would.
+
+    Only text with no backslash that ends in a newline is joined. Each
+    newline becomes ``,\n``: the newline stays, so a string broken across
+    two lines keeps a raw newline, which the strict scanner refuses. The
+    scan must end at the end of the array and give one object per line,
+    and no line may hold a comma after a closing brace. Without that last
+    rule an object spread over two lines (``{"a":[1`` then ``2]}``) and a
+    line of two objects (``{"x":1},{"y":2}``) would make up the count
+    between them: with it, every top-level comma joins two lines, so each
+    line holds exactly one item.
+    """
+    if "\\" in text or not text.endswith("\n"):
+        return None
+    joined = "[" + text.replace("\n", ",\n")[:-2] + "]"
+    try:
+        objects, end = _scan_once(joined, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if (
+        end == len(joined)
+        and len(objects) == len(joined) - len(text)  # one character more per newline
+        and set(map(type, objects)) <= {dict}
+        and _COMMA_AFTER_BRACE.search(text) is None
+    ):
+        return objects
+    return None
 
 
 # --- the record codec -----------------------------------------------------------
@@ -484,6 +530,19 @@ def check_word(word: str, where: str) -> None:
         raise InvalidArgumentError(
             f"{where}: the reserved sentinel {SENTINEL!r} cannot appear as a word"
         )
+
+
+def check_words(words: Sequence[str], where: str) -> None:
+    """``check_word`` of every word, in one test of the whole list.
+
+    Joined by spaces and split again, the words come back as they were
+    only if none is empty or holds whitespace; a list that fails this test
+    or holds the sentinel is checked word by word, so the message names
+    the first bad word as ``check_word`` names it.
+    """
+    if " ".join(words).split() != list(words) or SENTINEL in words:
+        for word in words:
+            check_word(word, where)
 
 
 MAX_BEAM_SIZE = 64  # a backend builds every beam asked for; presets ask for 10

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import SENTINEL, InvalidArgumentError, check_word, json_report
+from .core import SENTINEL, InvalidArgumentError, check_words, json_report
 
 PAIR_SEPARATOR = " ||| "
 
@@ -32,8 +32,7 @@ class Document:
                     raise InvalidArgumentError(
                         f"document {self.doc_id!r} has an empty sentence"
                     )
-                for word in sentence:
-                    check_word(word, f"document {self.doc_id!r}")
+                check_words(sentence, f"document {self.doc_id!r}")
 
 
 @dataclass(frozen=True)

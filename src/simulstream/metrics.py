@@ -25,7 +25,7 @@ from .core import (
     EmissionRecord,
     InvalidArgumentError,
     check_emission_log,
-    check_word,
+    check_words,
     dump_jsonl,
     read_jsonl,
     read_record,
@@ -46,8 +46,7 @@ class ReferenceSegment:
     def __post_init__(self) -> None:
         if type(self.tokens) is not tuple:
             object.__setattr__(self, "tokens", tuple(self.tokens))
-        for token in self.tokens:
-            check_word(token, "reference token")
+        check_words(self.tokens, "reference token")
         if not self.source_start_s < self.source_end_s:
             raise InvalidArgumentError(
                 f"need source_start_s < source_end_s, got "
@@ -263,7 +262,9 @@ def stream_laal(
 
     where tau is the first index whose delay reaches T (all of them if none
     does). An empty hypothesis segment scores the full span T, so silence
-    can never look fast. A lag or mean that is not a finite float is refused.
+    can never look fast. Both clocks' lags come from one walk over the
+    segments. A lag or mean that is not a finite float is refused, every
+    NCA lag and the NCA mean checked before any CA lag.
     """
     if len(refs) != len(hyp_segments):
         raise InvalidArgumentError(
@@ -277,47 +278,53 @@ def stream_laal(
         raise InvalidArgumentError(
             "emission log does not match the hypothesis segments token for token"
         )
-    return (
-        _laal([r.nca_time_s for r in records], refs, hyp_segments, "NCA"),
-        _laal([r.ca_time_s for r in records], refs, hyp_segments, "CA"),
-    )
-
-
-def _laal(
-    times: Sequence[float],
-    refs: Sequence[ReferenceSegment],
-    hyp_segments: Sequence[Sequence[str]],
-    clock: str,
-) -> LatencyReport:
-    """One clock's report: ``times`` holds one emission time per token of
-    ``hyp_segments``. A lag or mean that is not a finite float is refused,
-    naming ``clock``."""
-    per_segment = []
+    nca_times = [r.nca_time_s for r in records]
+    ca_times = [r.ca_time_s for r in records]
+    nca, ca = [], []
     cursor = 0
-    for k, (ref, seg) in enumerate(zip(refs, hyp_segments), start=1):
+    for ref, seg in zip(refs, hyp_segments):
         span = ref.duration_s
         y = len(seg)
-        lag = span
-        if y:
-            delays = [t - ref.source_start_s for t in times[cursor : cursor + y]]
-            cursor += y
-            tau = y
-            for i, d in enumerate(delays, start=1):
-                if d >= span:
-                    tau = i
-                    break
-            denom = max(y, len(ref.tokens))
-            try:
-                total = math.fsum(delays[i - 1] - (i - 1) * span / denom for i in range(1, tau + 1))
-            except (OverflowError, ValueError):  # a sum past the largest float, or inf - inf
-                total = math.nan
-            lag = total / tau
+        if not y:
+            nca.append(span)
+            ca.append(span)
+            continue
+        start = ref.source_start_s
+        denom = max(y, len(ref.tokens))
+        nca.append(_lag(nca_times[cursor : cursor + y], start, span, denom))
+        ca.append(_lag(ca_times[cursor : cursor + y], start, span, denom))
+        cursor += y
+    return _report(nca, refs, "NCA"), _report(ca, refs, "CA")
+
+
+def _lag(times: list[float], start: float, span: float, denom: int) -> float:
+    """One segment's LAAL from its tokens' emission ``times``; NaN where
+    the sum cannot be taken. The delays run up to tau, the first token
+    whose delay reaches ``span``, or the last token if none does."""
+    delays = []
+    for t in times:
+        d = t - start
+        delays.append(d)
+        if d >= span:
+            break
+    try:
+        total = math.fsum([d - k * span / denom for k, d in enumerate(delays)])
+    except (OverflowError, ValueError):  # a sum past the largest float, or inf - inf
+        return math.nan
+    return total / len(delays)
+
+
+def _report(
+    per_segment: list[float], refs: Sequence[ReferenceSegment], clock: str
+) -> LatencyReport:
+    """One clock's report of its per-segment lags. A lag or mean that is
+    not a finite float is refused, naming ``clock``."""
+    for k, (lag, ref) in enumerate(zip(per_segment, refs), start=1):
         if not math.isfinite(lag):
             raise InvalidArgumentError(
                 f"{clock} LAAL of segment {k} [{ref.source_start_s}, {ref.source_end_s}] "
                 "is not finite"
             )
-        per_segment.append(lag)
     try:
         stats = latency_stats(per_segment)
     except OverflowError:

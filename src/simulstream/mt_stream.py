@@ -26,6 +26,7 @@ from .core import (
     VirtualClock,
     check_beam_size,
     check_word,
+    check_words,
     quote,
 )
 from .policy import ralcp_emit, waitk_allows
@@ -121,8 +122,7 @@ class MtStreamController:
         """
         if not new_source_words:
             return []
-        for word in new_source_words:
-            check_word(word, "source word")
+        check_words(new_source_words, "source word")
         h = self.history
         # The active chunk holds exactly the words the open segment has read,
         # those a closure left unconsumed included, so wait-k counts it.
@@ -176,7 +176,9 @@ class MtStreamController:
             emitted = list(beams.beams[0].tokens[committed:])
             if SENTINEL in emitted:
                 del emitted[emitted.index(SENTINEL) + 1 :]
-        try:  # every emitted token but the sentinel must be a word
+        # Every emitted token but the sentinel must be a word. Token by token:
+        # filtering the sentinel out for ``check_words`` costs more per call.
+        try:
             for token in emitted:
                 if token != SENTINEL:
                     check_word(token, "emitted token")

@@ -663,10 +663,22 @@ def _record(token: str, nca: float, ca: float) -> dict:
             [],
             "NCA LAAL of segment 1 [-1.7e+308, 1e+308] is not finite",
         ),
+        (
+            # CA fails first in segment 1, NCA only in segment 2: every NCA
+            # lag is checked before any CA lag.
+            [_segment(-1.7e308, 0.0, ["a", "b"]), _segment(0.0, 1.7e308, ["c", "d"])],
+            [
+                _record("a", -1.7e308, -0.1e308),
+                _record("b", -1.7e308, -0.05e308),
+                _record("c", 1.6e308, 1.6e308),
+                _record("d", 1.65e308, 1.65e308),
+            ],
+            "NCA LAAL of segment 2 [0.0, 1.7e+308] is not finite",
+        ),
     ],
     ids=[
         "mean_overflows", "segment_sum_overflows", "term_overflows", "nan", "minus_infinity",
-        "empty_segment",
+        "empty_segment", "nca_before_ca",
     ],
 )
 def test_scoring_refuses_a_lag_that_is_not_finite(

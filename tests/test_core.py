@@ -39,6 +39,7 @@ from simulstream.core import (
     canonical_json,
     check_emission_log,
     check_word,
+    check_words,
     dump_jsonl,
     json_object,
     json_report,
@@ -176,15 +177,42 @@ def test_every_word_entry_point_applies_the_one_word_rule(word, named) -> None:
     entries = {
         "where": lambda: check_word(word, "where"),
         "TimedWord.text": lambda: TimedWord(word, 0.0, 0.5),
-        "source word": lambda: controller.step([word]),
+        "words": lambda: check_words(("ok", word, ""), "words"),
+        "source word": lambda: controller.step(["ok", word]),
         "document 'd'": lambda: Document(pairs=(((word,), ("t",)),), doc_id="d"),
         "word_map['hund']": lambda: MtScript(word_map={"hund": word}),
+        "reference token": lambda: ReferenceSegment(("ok", word), 0.0, 1.0),
     }
     for where, enter in entries.items():
         with pytest.raises(InvalidArgumentError) as info:
             enter()
         assert str(info.value).startswith(f"{where}: ") and named in str(info.value)
     check_word("ok", "where")
+
+
+def _refusal(check, words) -> str | None:
+    try:
+        check(words)
+    except InvalidArgumentError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_words_refuses_as_check_word_does_word_by_word() -> None:
+    # Whitespace to ``str.split`` (U+001C, U+2028, no-break space), and a
+    # zero-width space, which is not.
+    texts = (
+        "a", "schläft", "", " ", "a b", "\x1c", "x\u2028", "\u00a0", "\u200b", SENTINEL,
+        "x" + SENTINEL,
+    )
+    rng = random.Random(37)
+    refusals = Counter()
+    for _ in range(2000):
+        words = tuple(rng.choice(texts) for _ in range(rng.randint(0, 4)))
+        expected = _refusal(lambda ws: [check_word(w, "w") for w in ws], words)
+        assert _refusal(lambda ws: check_words(ws, "w"), words) == expected
+        refusals[expected is None] += 1
+    assert min(refusals.values()) > 200, refusals
 
 
 def test_json_report_is_indented_sorted_and_ends_in_a_newline(tmp_path) -> None:
@@ -825,18 +853,68 @@ def _outcome(read, path, parse):
         return str(exc)
 
 
+def _same(obj):
+    return obj
+
+
+# None reads each object as it is; the oracle is given ``_same`` for it.
+_PARSES = {"objects": None, "dicts": dict, "records": partial(read_record, EmissionRecord)}
+
+
 def test_read_jsonl_matches_the_line_by_line_reader(tmp_path) -> None:
     rng = random.Random(24)
     path = tmp_path / "odd.jsonl"
     outcomes = Counter()
     for _ in range(600):
         path.write_bytes(_odd_jsonl(rng))
-        for parse in (dict, partial(read_record, EmissionRecord)):
+        for name, parse in _PARSES.items():
             mine = _outcome(read_jsonl, path, parse)
-            assert mine == _outcome(oracle_read_jsonl, path, parse)
-            outcomes[type(mine).__name__, parse is dict] += 1
+            assert mine == _outcome(oracle_read_jsonl, path, parse or _same)
+            outcomes[type(mine).__name__, name] += 1
     # Both readers succeed and fail often, on plain objects and on records.
     assert min(outcomes.values()) > 100, outcomes
+
+
+_GOOD = b'{"ca_time_s":1.5,"nca_time_s":1.0,"token":"a"}'
+# Files around the one-scan read, each with the objects the line-by-line
+# reader gives or the line it refuses.
+_FILES_AROUND_ONE_SCAN = {
+    # A string broken across lines, which the joining comma would end up
+    # inside, and a line of two objects: the count of objects matches.
+    "string_across_lines": (b'{"token":"a\nb"}\n{"x":1},{"y":2}\n', 1),
+    # An object over two lines and a line of two objects: the joined scan
+    # reads three objects for three lines.
+    "object_across_lines": (b'{"a":[1\n2]}\n{"x":1},{"y":2}\n', 1),
+    "objects_across_lines": (b'{"a":[{"b":1}\n{"c":2}]}\n{"x":1} \t\r,{"y":2}\n', 1),
+    "object_across_lines_alone": (b'{"a":[1\n2]}\n', 1),
+    "blank_middle_line": (_GOOD + b"\n\n" + _GOOD + b"\n", [json.loads(_GOOD)] * 2),
+    "whitespace_line": (_GOOD + b"\n \t\r\n" + _GOOD + b"\n", [json.loads(_GOOD)] * 2),
+    "padded_lines": (b' {"a":1}\t\r\n\r{"b":[2]} \n', [{"a": 1}, {"b": [2]}]),
+    "crlf": (_GOOD + b"\r\n" + _GOOD + b"\r\n", [json.loads(_GOOD)] * 2),
+    "bom": (b"\xef\xbb\xbf" + _GOOD + b"\n", 1),
+    "no_final_newline": (_GOOD + b"\n" + _GOOD, [json.loads(_GOOD)] * 2),
+    "empty": (b"", []),
+    "only_a_newline": (b"\n", []),
+    "array_line": (_GOOD + b"\n[1]\n", 2),
+    "nan_line": (_GOOD + b'\n{"a":NaN}\n', 2),
+    "deep_line": (_GOOD + b'\n{"a":' + DEEP_JSON.encode() + b"}\n", 2),
+    "comma_in_a_string": (b'{"a":"},{"}\n', [{"a": "},{"}]),
+}
+
+
+@pytest.mark.parametrize("name", _FILES_AROUND_ONE_SCAN)
+def test_read_jsonl_reads_odd_files_as_the_line_by_line_reader(tmp_path, name) -> None:
+    data, expected = _FILES_AROUND_ONE_SCAN[name]
+    path = tmp_path / "odd.jsonl"
+    path.write_bytes(data)
+    for parse in _PARSES.values():
+        mine = _outcome(read_jsonl, path, parse)
+        assert mine == _outcome(oracle_read_jsonl, path, parse or _same)
+    mine = _outcome(read_jsonl, path, None)
+    if isinstance(expected, list):
+        assert mine == expected
+    else:  # the line the reader refuses
+        assert mine.startswith(f"{path}:{expected}: "), mine
 
 
 # Only a \\u escape can spell a surrogate in text decoded from UTF-8.

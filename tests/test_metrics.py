@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -662,7 +663,10 @@ def test_laal_sentinels_are_ignored_in_the_log() -> None:
 
 
 def test_laal_matches_brute_force_on_random_logs() -> None:
+    # Both clocks come from one walk over the segments; each lag must be
+    # the oracle's to the last bit.
     rng = random.Random(19)
+    kinds = Counter()
     for _ in range(100):
         m = rng.randint(1, 5)
         refs = []
@@ -692,8 +696,16 @@ def test_laal_matches_brute_force_on_random_logs() -> None:
                 (ca, [r.ca_time_s for r in emitted]),
             ):
                 delays = [t - ref.source_start_s for t in times]
-                expected = oracle_laal(delays, ref.duration_s, len(ref.tokens))
-                assert report.per_segment[i] == pytest.approx(expected, abs=1e-12)
+                assert report.per_segment[i] == oracle_laal(delays, ref.duration_s, len(ref.tokens))
+                reached = [d >= ref.duration_s for d in delays]
+                if not delays:
+                    kinds["empty"] += 1
+                elif True in reached[:-1]:
+                    kinds["tau < y"] += 1
+                elif True not in reached:
+                    kinds["never reached"] += 1
+    # Empty segments, a cut before the last token and no cut at all, each often.
+    assert min(kinds.values()) > 25 and len(kinds) == 3, kinds
 
 
 def test_laal_validates_log_alignment() -> None:
